@@ -21,6 +21,7 @@ type table struct {
 	cols    []Column
 	rows    [][]Value
 	indexes []*index
+	alloc   *allocCursor // nodes only; see alloc.go
 }
 
 func (t *table) colIndex(name string) int {
@@ -64,6 +65,10 @@ type Database struct {
 	// atomic because SELECTs run under the read lock concurrently.
 	indexSelects atomic.Uint64
 	scanSelects  atomic.Uint64
+	// allocProbes counts the nodes_ip probes NextFreeIP made from the
+	// allocation cursor: probes per allocation stays near 1 while the cursor
+	// holds.
+	allocProbes atomic.Uint64
 }
 
 // New creates an empty database.
@@ -290,6 +295,7 @@ func (d *Database) execCreate(s createTableStmt) (*Result, error) {
 	}
 	t := &table{name: s.name, cols: s.cols}
 	t.attachIndexes()
+	t.attachAlloc()
 	d.tables[s.name] = t
 	return &Result{}, nil
 }
@@ -361,6 +367,9 @@ func (d *Database) insertRows(s insertStmt, bulk bool) (*Result, error) {
 				return nil, err
 			}
 			t.indexAdd(row, len(t.rows))
+			if t.alloc != nil {
+				t.alloc.noteInsert(row)
+			}
 		}
 		t.rows = append(t.rows, row)
 		inserted++
@@ -375,6 +384,14 @@ func (d *Database) execUpdate(s updateStmt) (*Result, error) {
 	}
 	env := &rowEnv{tables: []*boundTable{{alias: s.table, t: t}}}
 	affected := 0
+	// Rows already updated stay updated when a later row errors, so the
+	// cursor rebuild must run on every way out.
+	holes := false
+	defer func() {
+		if holes {
+			t.alloc.rebuild(t.rows)
+		}
+	}()
 	for ri := range t.rows {
 		env.rows = [][]Value{t.rows[ri]}
 		if s.where != nil {
@@ -410,6 +427,9 @@ func (d *Database) execUpdate(s updateStmt) (*Result, error) {
 			return nil, err
 		}
 		t.indexUpdate(t.rows[ri], staged, ri)
+		if t.alloc != nil && t.alloc.moved(t.rows[ri], staged) {
+			holes = true
+		}
 		t.rows[ri] = staged
 		affected++
 	}
@@ -468,6 +488,7 @@ type DBStats struct {
 	PlanCacheEntries int         `json:"plan_cache_entries"`
 	IndexSelects     uint64      `json:"index_selects"`
 	ScanSelects      uint64      `json:"scan_selects"`
+	AllocProbes      uint64      `json:"alloc_probes"`
 	Indexes          []IndexInfo `json:"indexes"`
 	// WAL is the durability layer's accounting; nil for in-memory databases.
 	WAL *WALStats `json:"wal,omitempty"`
@@ -479,6 +500,7 @@ func (d *Database) Stats() DBStats {
 	s.PlanCacheHits, s.PlanCacheMisses, s.PlanCacheEntries = d.plans.stats()
 	s.IndexSelects = d.indexSelects.Load()
 	s.ScanSelects = d.scanSelects.Load()
+	s.AllocProbes = d.allocProbes.Load()
 	if d.dur != nil {
 		s.WAL = d.dur.stats()
 	}
@@ -536,34 +558,4 @@ func (d *Database) pointLookup(tableName, col string, v Value) (rows [][]Value, 
 		return rows, true
 	}
 	return nil, false
-}
-
-// lookupKeyCount returns how many rows hold the given value in a
-// single-column indexed column — the O(1) existence probe NextFreeIP uses
-// while walking the address space. ok is false when no usable index exists
-// or routing is disabled (the caller falls back to its scan).
-func (d *Database) lookupKeyCount(tableName, col string, v Value) (int, bool) {
-	if !d.indexRouting.Load() {
-		return 0, false
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	t, ok := d.tables[tableName]
-	if !ok {
-		return 0, false
-	}
-	for _, ix := range t.indexes {
-		if len(ix.spec.cols) != 1 || ix.spec.cols[0] != col {
-			continue
-		}
-		part, pOK, empty := canonicalKeyPart(t.cols[ix.colIdx[0]].Type, v)
-		if empty {
-			return 0, true
-		}
-		if !pOK {
-			return 0, false
-		}
-		return len(ix.buckets[part]), true
-	}
-	return 0, false
 }

@@ -2,6 +2,7 @@ package clusterdb
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -11,27 +12,76 @@ import (
 
 // Dump renders the database as executable SQL, tables in name order, rows
 // in storage order.
-func (d *Database) Dump() string {
+func (d *Database) Dump() string { return string(d.dump()) }
+
+// dump is Dump as bytes: what a snapshot checksums and writes.
+func (d *Database) dump() []byte {
+	views := d.view(nil)
+	return appendDump(make([]byte, 0, dumpSizeHint(views)), views)
+}
+
+// dumpSizeHint is room for a typical dump of the viewed tables (a nodes row
+// renders to about 140 bytes), so a fresh buffer does not double its way up.
+func dumpSizeHint(views []tableView) int {
+	rows := 0
+	for _, v := range views {
+		rows += len(v.rows)
+	}
+	return 1024 + 160*rows
+}
+
+// tableView is a consistent copy of one table's row list. Row slices are
+// safe to read after the lock drops (mutations replace a table's row slices,
+// never write into them) and a table's columns never change, so copying the
+// row list under the read lock is a full snapshot of the table, and everything
+// rendered from it — the dump, the generated files — costs readers and the
+// writer no lock time at all. Of t only the name and columns may be read.
+type tableView struct {
+	t    *table
+	rows [][]Value
+}
+
+// view snapshots every table, in name order, under one hold of the read
+// lock. It reuses dst's storage.
+func (d *Database) view(dst []tableView) []tableView {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	var b strings.Builder
-	b.WriteString("-- rocks cluster database dump\n")
-	for _, name := range d.tableNamesLocked() {
+	names := d.tableNamesLocked()
+	for len(dst) < len(names) {
+		dst = append(dst, tableView{})
+	}
+	dst = dst[:len(names)]
+	for i, name := range names {
 		t := d.tables[name]
-		cols := make([]string, len(t.cols))
-		for i, c := range t.cols {
-			cols[i] = c.Name + " " + c.Type.String()
-		}
-		fmt.Fprintf(&b, "CREATE TABLE %s (%s);\n", name, strings.Join(cols, ", "))
-		for _, row := range t.rows {
-			vals := make([]string, len(row))
-			for i, v := range row {
-				vals[i] = sqlLiteral(v)
+		dst[i] = tableView{t: t, rows: append(dst[i].rows[:0], t.rows...)}
+	}
+	return dst
+}
+
+// appendDump appends the SQL text of the viewed tables.
+func appendDump(b []byte, views []tableView) []byte {
+	b = append(b, "-- rocks cluster database dump\n"...)
+	for _, v := range views {
+		b = append(append(append(b, "CREATE TABLE "...), v.t.name...), " ("...)
+		for i, c := range v.t.cols {
+			if i > 0 {
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "INSERT INTO %s VALUES (%s);\n", name, strings.Join(vals, ", "))
+			b = append(append(append(b, c.Name...), ' '), c.Type.String()...)
+		}
+		b = append(b, ");\n"...)
+		for _, row := range v.rows {
+			b = append(append(append(b, "INSERT INTO "...), v.t.name...), " VALUES ("...)
+			for i, cell := range row {
+				if i > 0 {
+					b = append(b, ", "...)
+				}
+				b = appendLiteral(b, cell)
+			}
+			b = append(b, ");\n"...)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // tableNamesLocked returns sorted table names; callers hold the lock.
@@ -49,22 +99,34 @@ func (d *Database) tableNamesLocked() []string {
 	return names
 }
 
-// sqlLiteral renders a value as an SQL literal. The only escape the dialect
-// has is quote doubling: newlines, carriage returns, and every other byte
-// embed raw inside the quotes, and SplitStatements + the lexer reassemble
-// multi-line literals byte-for-byte. Snapshots lean on this round-tripping
-// exactly (the regression tests in dump_test.go feed it hostile text), so
-// any new escaping here must change the reader in lockstep.
-func sqlLiteral(v Value) string {
+// appendLiteral appends a value as an SQL literal. The only escape the
+// dialect has is quote doubling: newlines, carriage returns, and every other
+// byte embed raw inside the quotes, and SplitStatements + the lexer
+// reassemble multi-line literals byte-for-byte. Snapshots lean on this
+// round-tripping exactly (the regression tests in dump_test.go feed it
+// hostile text), so any new escaping here must change the reader in lockstep.
+func appendLiteral(b []byte, v Value) []byte {
 	switch {
 	case v.Null:
-		return "NULL"
+		return append(b, "NULL"...)
 	case v.IsInt:
-		return v.String()
-	default:
-		return "'" + strings.ReplaceAll(v.Str, "'", "''") + "'"
+		return strconv.AppendInt(b, v.Int, 10)
 	}
+	b = append(b, '\'')
+	s := v.Str
+	for {
+		i := strings.IndexByte(s, '\'')
+		if i < 0 {
+			break
+		}
+		b = append(append(b, s[:i+1]...), '\'')
+		s = s[i+1:]
+	}
+	return append(append(b, s...), '\'')
 }
+
+// sqlLiteral is appendLiteral as a string, for error messages.
+func sqlLiteral(v Value) string { return string(appendLiteral(nil, v)) }
 
 // Restore replays a dump into the database. Statements execute in order;
 // the first error aborts the restore, identifying the statement — recovery

@@ -177,13 +177,18 @@ func (t *table) indexUpdate(oldRow, newRow []Value, pos int) {
 }
 
 // rebuildIndexes refills every bucket from scratch — used after DELETE
-// compacts the row slice and shifts positions.
+// compacts the row slice and shifts positions, and once after a bulk load.
+// Both can leave holes the allocation cursor has not seen, so it is rebuilt
+// with them.
 func (t *table) rebuildIndexes() {
 	for _, ix := range t.indexes {
 		ix.buckets = make(map[string][]int)
 	}
 	for pos, row := range t.rows {
 		t.indexAdd(row, pos)
+	}
+	if t.alloc != nil {
+		t.alloc.rebuild(t.rows)
 	}
 }
 

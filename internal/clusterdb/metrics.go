@@ -29,6 +29,9 @@ func (d *Database) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("rocks_db_scan_selects_total",
 		"SELECTs answered by a full table scan.",
 		func() float64 { return float64(d.scanSelects.Load()) })
+	r.CounterFunc("rocks_db_alloc_probes_total",
+		"nodes_ip index probes NextFreeIP made from the allocation cursor.",
+		func() float64 { return float64(d.allocProbes.Load()) })
 	r.GaugeVecFunc("rocks_db_index_keys",
 		"Distinct keys held per automatic index.",
 		[]string{"table", "index"}, func() []metrics.Sample {

@@ -1,8 +1,8 @@
 package clusterdb
 
 import (
+	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 )
@@ -136,17 +136,20 @@ const nodeCols = "id, mac, name, membership, rack, rank, ip, comment, arch, cpus
 // returns the stored node (with the allocated ID).
 func InsertNode(db *Database, n Node) (Node, error) {
 	if n.ID == 0 {
-		// max(id) walks the rows once without materializing and sorting
-		// them the way ORDER BY id DESC did — the allocation is on the
-		// insert-ethers hot path.
-		res, err := db.Query(`SELECT max(id) FROM nodes`)
-		if err != nil {
-			return n, err
+		id, ok := db.nextNodeID()
+		if !ok {
+			// No allocation cursor (index routing off, foreign schema): one
+			// aggregate scan.
+			res, err := db.Query(`SELECT max(id) FROM nodes`)
+			if err != nil {
+				return n, err
+			}
+			id = 1
+			if last, isInt := res.Rows[0][0].AsInt(); isInt {
+				id = int(last) + 1
+			}
 		}
-		n.ID = 1
-		if last, ok := res.Rows[0][0].AsInt(); ok {
-			n.ID = int(last) + 1
-		}
+		n.ID = id
 	}
 	if n.CPUs == 0 {
 		n.CPUs = 1
@@ -303,57 +306,42 @@ func SetSiteValue(db *Database, name, value string) error {
 	return err
 }
 
+var errIPExhausted = errors.New("clusterdb: private address space exhausted")
+
 // NextFreeIP allocates the next unused address for a new compute node.
 // Rocks hands out private addresses from the top of the 10.x network
 // downward (Table II: compute-0-0 is 10.255.255.245 on a net whose switches
 // and servers already hold .253 and .249); the frontend's 10.1.1.1 is
-// excluded by construction.
+// excluded by construction. The answer is always the highest address in
+// 10.0.0.0–10.255.255.254 no row holds, so an address freed by a deleted
+// node is reused before the allocation moves further down.
+//
+// The nodes table's allocation cursor (alloc.go) makes this one index probe
+// however many addresses are allocated; without it — index routing off, or a
+// nodes table of a foreign shape — the used set is built by one scan and the
+// address space is walked from the top.
 func NextFreeIP(db *Database) (string, error) {
-	// Fast path: addresses allocate densely from the top, so probing the
-	// nodes_ip index per candidate usually answers on the first try —
-	// against the full-scan used-set build that cost O(N) per discovery.
-	var used map[string]bool
-	taken := func(s string) (bool, error) {
-		if used != nil {
-			return used[s], nil
+	if ip, ok := db.nextFreeIP(); ok {
+		if ip == "" {
+			return "", errIPExhausted
 		}
-		if n, ok := db.lookupKeyCount("nodes", "ip", TextValue(s)); ok {
-			return n > 0, nil
-		}
-		// No index (routing disabled, foreign schema): build the scan set
-		// once and answer from it.
-		used = map[string]bool{}
-		ns, err := Nodes(db, "")
-		if err != nil {
-			return false, err
-		}
-		for _, n := range ns {
-			used[n.IP] = true
-		}
-		return used[s], nil
+		return ip, nil
 	}
-	ip := net.IPv4(10, 255, 255, 254).To4()
-	for i := 0; i < 1<<24; i++ {
-		s := ip.String()
-		inUse, err := taken(s)
-		if err != nil {
-			return "", err
-		}
-		if !inUse {
-			return s, nil
-		}
-		// Decrement the address.
-		for b := 3; b >= 0; b-- {
-			ip[b]--
-			if ip[b] != 255 {
-				break
-			}
-		}
-		if ip[0] != 10 {
-			break
+	ns, err := Nodes(db, "")
+	if err != nil {
+		return "", err
+	}
+	used := make(map[string]bool, len(ns))
+	for _, n := range ns {
+		used[n.IP] = true
+	}
+	var buf [len("255.255.255.255")]byte
+	for a := ipTop; a >= ipBottom; a-- {
+		if s := appendIPv4(buf[:0], a); !used[string(s)] {
+			return string(s), nil
 		}
 	}
-	return "", fmt.Errorf("clusterdb: private address space exhausted")
+	return "", errIPExhausted
 }
 
 // NextRank returns the next free rank within a rack for the given

@@ -197,13 +197,13 @@ func (d *Database) snapshotLocked() error {
 	name := fmt.Sprintf("%s%016d%s", snapshotPrefix, seq, snapshotSuffix)
 	path := filepath.Join(dur.dir, name)
 	tmp := path + ".tmp"
-	body := d.Dump()
-	trailer := fmt.Sprintf(snapshotTrailerFmt, seq, crc32.ChecksumIEEE([]byte(body)))
+	body := d.dump()
+	trailer := fmt.Sprintf(snapshotTrailerFmt, seq, crc32.ChecksumIEEE(body))
 
 	if faults.CrashPoint(dur.opts.Faults, faults.OpDBSnapshotMid, "clusterdb", dur.dir) {
 		// Die halfway through the tmp write: a partial file with no trailer,
 		// never renamed, that recovery must sweep away.
-		os.WriteFile(tmp, []byte(body[:len(body)/2]), 0o600)
+		os.WriteFile(tmp, body[:len(body)/2], 0o600)
 		dur.crashed.Store(true)
 		return fmt.Errorf("%w (mid-snapshot: partial %s left behind)", ErrCrashed, filepath.Base(tmp))
 	}
@@ -212,7 +212,7 @@ func (d *Database) snapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("clusterdb: snapshot: %w", err)
 	}
-	if _, err := tf.WriteString(body + trailer); err != nil {
+	if _, err := tf.Write(append(body, trailer...)); err != nil {
 		tf.Close()
 		return fmt.Errorf("clusterdb: snapshot write: %w", err)
 	}

@@ -22,6 +22,7 @@ import (
 	"rocks/internal/faults"
 	"rocks/internal/federation"
 	"rocks/internal/hardware"
+	"rocks/internal/insertethers"
 	"rocks/internal/installer"
 	"rocks/internal/kickstart"
 	"rocks/internal/lifecycle"
@@ -439,7 +440,7 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if err := c.syncDHCP(); err != nil {
+	if err := insertethers.SyncDHCP(c.DB, c.DHCPd, c.baseURL); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -673,30 +674,6 @@ func (c *Cluster) Nodes() map[string]*node.Node {
 		out[k] = v
 	}
 	return out
-}
-
-// syncDHCP regenerates the DHCP server's table from the database.
-func (c *Cluster) syncDHCP() error {
-	nodes, err := clusterdb.Nodes(c.DB, "")
-	if err != nil {
-		return err
-	}
-	want := map[string]dhcp.Binding{}
-	for _, n := range nodes {
-		if n.MAC == "" || n.IP == "" {
-			continue
-		}
-		want[n.MAC] = dhcp.Binding{IP: n.IP, Hostname: n.Name, NextServer: c.baseURL}
-	}
-	for mac := range c.DHCPd.Bindings() {
-		if _, ok := want[mac]; !ok {
-			c.DHCPd.RemoveBinding(mac)
-		}
-	}
-	for mac, b := range want {
-		c.DHCPd.SetBinding(mac, b)
-	}
-	return nil
 }
 
 // Quarantine pulls a node out of service without removing it: the host is

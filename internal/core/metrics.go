@@ -158,6 +158,11 @@ func (c *Cluster) registerMetrics() {
 	r.CounterFunc("rocks_reports_scheduled_total",
 		"WriteReports calls that scheduled a deferred regeneration.",
 		func() float64 { return float64(c.ReportStats().Scheduled) })
+	// What one regeneration costs — the figure the coalescer spaces passes
+	// by. Buckets from 100 µs (a rack) to 1 s (a fleet no frontend holds).
+	c.reports.passSeconds = r.Histogram("rocks_reports_pass_seconds",
+		"Wall-clock seconds one report regeneration (render, write, DHCP reconcile) took.",
+		[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1})
 
 	// Installer outcomes, aggregated across every node's installs.
 	c.installStats.RegisterMetrics(r)

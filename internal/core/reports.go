@@ -6,36 +6,56 @@ import (
 	"time"
 
 	"rocks/internal/clusterdb"
+	"rocks/internal/dhcp"
+	"rocks/internal/metrics"
 )
 
 // The dbreport step (§6.4) regenerates every service configuration file
 // from the database. The original tools ran it after each discovered node —
-// O(N) work N times to populate a cabinet. Here WriteReports is guarded by
-// the database's mutation counter so a no-op call costs two atomic reads,
-// and ScheduleReports debounces bursts so K discoveries trigger one
-// coalesced regeneration shortly after the burst quiets.
+// O(N) work N times to populate a cabinet. Here a pass is one consistent read
+// of the database rendered into all four files (clusterdb.RenderReports)
+// followed by a DHCP reconcile that applies only the differences;
+// WriteReports is guarded by the database's mutation counter so a no-op call
+// costs two atomic reads; and ScheduleReports coalesces bursts, spacing
+// passes by what a pass costs, so K discoveries trigger far fewer than K
+// regenerations however large the table has grown.
 
-// reportDebounce is how long ScheduleReports waits for more mutations
+// reportDebounce is the least ScheduleReports waits for more mutations
 // before regenerating. Long enough to swallow a burst of discoveries,
 // short enough that a lone insert's reports land before anyone looks.
 const reportDebounce = 2 * time.Millisecond
 
 // reportCoalescer tracks what the last written reports reflected and the
-// pending debounce timer.
+// coalesced pass in flight.
 type reportCoalescer struct {
 	mu      sync.Mutex
 	written bool  // at least one successful write recorded
 	dbSeq   int64 // database ChangeSeq the written reports reflect
 	quarSeq int64 // quarantine-set generation they reflect
-	timer   *time.Timer
-	pending bool
+
+	// pending is true from the moment a coalesced pass is armed until it has
+	// run and found nothing more to do; again records a request that arrived
+	// after that pass began, which the pass may have read past. While pending
+	// is set no second timer exists, so coalesced passes never overlap and
+	// are never back to back.
+	timer          *time.Timer
+	pending, again bool
+	// lastPass is how long the most recent regeneration took. The next
+	// coalesced pass is armed no sooner than that after the previous one
+	// ended, so a storm spends at most half a core regenerating files that
+	// FlushReports makes exact at its end anyway.
+	lastPass time.Duration
 
 	// counters for ReportStats
 	writes, skips, scheduled uint64
+	passSeconds              *metrics.Histogram
 
 	// genMu serializes generate+write+record so a slow writer can't
-	// overwrite a newer writer's files with stale content.
+	// overwrite a newer writer's files with stale content. It also guards
+	// the pass's buffers, reused from one pass to the next.
 	genMu sync.Mutex
+	files clusterdb.Reports
+	want  []dhcp.Host
 }
 
 // ReportStats counts report-regeneration traffic: how many WriteReports
@@ -81,10 +101,14 @@ func (c *Cluster) WriteReports() error {
 	}
 	c.reports.mu.Unlock()
 
+	start := time.Now()
 	if err := c.writeReportsNow(); err != nil {
 		return err
 	}
+	took := time.Since(start)
+	c.reports.passSeconds.Observe(took.Seconds())
 	c.reports.mu.Lock()
+	c.reports.lastPass = took
 	c.reports.written = true
 	c.reports.dbSeq = dbSeq
 	c.reports.quarSeq = quarSeq
@@ -94,28 +118,52 @@ func (c *Cluster) WriteReports() error {
 }
 
 // ScheduleReports requests a report regeneration soon: the first request in
-// a burst arms a short timer, and every further request before it fires
-// rides along. The insert-ethers hot loop calls this per discovery, turning
-// K discoveries into O(K) binding deltas plus one coalesced regeneration.
+// a burst arms a timer, and every further request before the pass it fires
+// has finished rides along — on that pass if it has not started reading, on
+// one more pass after it otherwise. The insert-ethers hot loop calls this per
+// discovery, turning K discoveries into O(K) binding deltas plus a few
+// coalesced regenerations.
 func (c *Cluster) ScheduleReports() {
-	c.reports.mu.Lock()
-	defer c.reports.mu.Unlock()
-	c.reports.scheduled++
-	if c.reports.pending {
+	r := &c.reports
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.scheduled++
+	if r.pending {
+		r.again = true
 		return
 	}
 	if c.ctx.Err() != nil {
 		return // shutting down: stopReportTimer already ran or will run
 	}
-	c.reports.pending = true
-	c.reports.timer = time.AfterFunc(reportDebounce, func() {
-		c.reports.mu.Lock()
-		c.reports.pending = false
-		c.reports.mu.Unlock()
-		if err := c.WriteReports(); err != nil {
-			c.Syslog.Log("frontend-0", "dbreport", "coalesced report regeneration: %v", err)
-		}
-	})
+	r.pending = true
+	c.armReportTimerLocked()
+}
+
+// armReportTimerLocked arms the next coalesced pass one debounce away, or
+// one pass-duration if passes have come to cost more. Callers hold
+// reports.mu.
+func (c *Cluster) armReportTimerLocked() {
+	c.reports.timer = time.AfterFunc(max(reportDebounce, c.reports.lastPass), c.coalescedPass)
+}
+
+// coalescedPass is the timer's body: one regeneration, then either another
+// timer — when a request arrived that this pass may not have seen — a full
+// pass-duration away, or nothing.
+func (c *Cluster) coalescedPass() {
+	r := &c.reports
+	r.mu.Lock()
+	r.again = false
+	r.mu.Unlock()
+	if err := c.WriteReports(); err != nil {
+		c.Syslog.Log("frontend-0", "dbreport", "coalesced report regeneration: %v", err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.again && c.ctx.Err() == nil {
+		c.armReportTimerLocked()
+	} else {
+		r.pending = false
+	}
 }
 
 // FlushReports cancels any pending debounce and regenerates synchronously
@@ -123,77 +171,74 @@ func (c *Cluster) ScheduleReports() {
 // back to an administrator — the end of an integration batch, a CLI exit —
 // use it so the files on disk match the database they just mutated.
 func (c *Cluster) FlushReports() error {
-	c.reports.mu.Lock()
-	if c.reports.timer != nil {
-		c.reports.timer.Stop()
-	}
-	c.reports.pending = false
-	c.reports.mu.Unlock()
+	c.stopReportTimer()
 	return c.WriteReports()
 }
 
-// stopReportTimer kills a pending debounce without flushing (shutdown).
+// stopReportTimer kills an armed coalesced pass without flushing. A pass
+// whose timer already fired is left to finish and settle the state itself.
 func (c *Cluster) stopReportTimer() {
-	c.reports.mu.Lock()
-	if c.reports.timer != nil {
-		c.reports.timer.Stop()
+	r := &c.reports
+	r.mu.Lock()
+	if r.timer != nil && r.timer.Stop() {
+		r.pending, r.again = false, false
 	}
-	c.reports.pending = false
-	c.reports.mu.Unlock()
+	r.mu.Unlock()
 }
 
 // writeReportsNow unconditionally regenerates every report. Callers hold
 // reports.genMu.
 func (c *Cluster) writeReportsNow() error {
-	hosts, err := clusterdb.HostsReport(c.DB)
-	if err != nil {
+	r := &c.reports.files
+	// The DHCP stamp precedes the database read, so the reconcile below
+	// never removes a binding insert-ethers set for a row this read missed.
+	since := c.DHCPd.Generation()
+	if err := c.DB.RenderReports(r); err != nil {
 		return err
 	}
-	dhcpConf, err := clusterdb.DHCPReport(c.DB)
-	if err != nil {
-		return err
-	}
-	pbsNodes, err := clusterdb.PBSNodesReport(c.DB)
-	if err != nil {
-		return err
-	}
-	pbsNodes = c.annotateOffline(pbsNodes)
 	d := c.Frontend.Disk()
-	if err := d.WriteFile("/etc/hosts", []byte(hosts), 0o644); err != nil {
+	if err := d.WriteFile("/etc/hosts", r.Hosts, 0o644); err != nil {
 		return err
 	}
-	if err := d.WriteFile("/etc/dhcpd.conf", []byte(dhcpConf), 0o644); err != nil {
+	if err := d.WriteFile("/etc/dhcpd.conf", r.DHCP, 0o644); err != nil {
 		return err
 	}
-	if err := d.WriteFile("/opt/pbs/server_priv/nodes", []byte(pbsNodes), 0o644); err != nil {
+	if err := d.WriteFile("/opt/pbs/server_priv/nodes", c.annotateOffline(r.PBSNodes), 0o644); err != nil {
 		return err
 	}
 	// Back the configuration database up alongside the reports (the
 	// mysqldump a careful Rocks site cron'd); rocksql -dump reads it.
-	if err := d.WriteFile("/var/db/cluster.sql", []byte(c.DB.Dump()), 0o600); err != nil {
+	if err := d.WriteFile("/var/db/cluster.sql", r.Dump, 0o600); err != nil {
 		return err
 	}
-	return c.syncDHCP()
+	want := c.reports.want[:0]
+	for _, h := range r.Bound {
+		want = append(want, dhcp.Host{MAC: h.MAC, Binding: dhcp.Binding{IP: h.IP, Hostname: h.Name, NextServer: c.baseURL}})
+	}
+	c.reports.want = want
+	c.DHCPd.Reconcile(since, want)
+	return nil
 }
 
 // annotateOffline appends the pbsnodes "offline" mark to quarantined hosts'
 // lines in the PBS nodes report, so the administrator reading the file sees
 // exactly which machines the supervisor pulled from service.
-func (c *Cluster) annotateOffline(report string) string {
+func (c *Cluster) annotateOffline(report []byte) []byte {
 	c.mu.Lock()
+	if len(c.quarantined) == 0 {
+		c.mu.Unlock()
+		return report
+	}
 	q := make(map[string]bool, len(c.quarantined))
 	for h := range c.quarantined {
 		q[h] = true
 	}
 	c.mu.Unlock()
-	if len(q) == 0 {
-		return report
-	}
-	lines := strings.Split(report, "\n")
+	lines := strings.Split(string(report), "\n")
 	for i, line := range lines {
 		if f := strings.Fields(line); len(f) > 0 && q[f[0]] {
 			lines[i] = line + " offline"
 		}
 	}
-	return strings.Join(lines, "\n")
+	return []byte(strings.Join(lines, "\n"))
 }

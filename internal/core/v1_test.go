@@ -398,7 +398,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		// clusterdb (/admin/dbstats "db")
 		"rocks_db_plan_cache_hits_total", "rocks_db_plan_cache_misses_total",
 		"rocks_db_plan_cache_entries", "rocks_db_index_selects_total",
-		"rocks_db_scan_selects_total", "rocks_db_index_keys",
+		"rocks_db_scan_selects_total", "rocks_db_alloc_probes_total", "rocks_db_index_keys",
 		"rocks_db_wal_enabled", "rocks_db_wal_records_appended_total",
 		"rocks_db_wal_bytes_appended_total", "rocks_db_wal_fsyncs_total",
 		"rocks_db_wal_snapshots_total", "rocks_db_wal_last_snapshot_seq",
@@ -411,7 +411,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rocks_kickstart_cache_invalidations_total",
 		// reports (/admin/dbstats "reports")
 		"rocks_reports_writes_total", "rocks_reports_skips_total",
-		"rocks_reports_scheduled_total",
+		"rocks_reports_scheduled_total", "rocks_reports_pass_seconds",
 		// dist (/admin/diststats)
 		"rocks_dist_listing_requests_total", "rocks_dist_manifest_requests_total",
 		"rocks_dist_hdlist_requests_total", "rocks_dist_package_requests_total",

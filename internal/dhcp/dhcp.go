@@ -152,25 +152,48 @@ type Binding struct {
 	NextServer string
 }
 
+// Host is one static host entry: a MAC and what it is bound to.
+type Host struct {
+	MAC string
+	Binding
+}
+
+// entry is a stored binding with the bookkeeping Reconcile needs: the
+// server generation at which it was set, and the last reconcile pass that
+// wanted it. A changed binding is a new entry; only pass is ever rewritten.
+type entry struct {
+	Binding
+	gen, pass uint64
+}
+
 // Server answers DISCOVER/REQUEST for known MACs and logs unknown MACs to
 // syslog, which is the signal insert-ethers discovers new nodes by.
 type Server struct {
 	mu       sync.RWMutex
 	host     string // server's own hostname, used as the syslog origin
-	bindings map[string]Binding
+	bindings map[string]*entry
+	gen      uint64 // bumps on every binding set
+	passes   uint64 // reconcile passes run
 	log      *syslogd.Collector
 }
 
 // NewServer creates a DHCP server logging to the given collector.
 func NewServer(host string, log *syslogd.Collector) *Server {
-	return &Server{host: host, bindings: make(map[string]Binding), log: log}
+	return &Server{host: host, bindings: make(map[string]*entry), log: log}
 }
 
 // SetBinding installs or replaces the static entry for a MAC.
 func (s *Server) SetBinding(mac string, b Binding) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bindings[mac] = b
+	s.setLocked(mac, b)
+}
+
+func (s *Server) setLocked(mac string, b Binding) *entry {
+	s.gen++
+	e := &entry{Binding: b, gen: s.gen}
+	s.bindings[mac] = e
+	return e
 }
 
 // RemoveBinding deletes a MAC's entry.
@@ -185,10 +208,53 @@ func (s *Server) Bindings() map[string]Binding {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[string]Binding, len(s.bindings))
-	for k, v := range s.bindings {
-		out[k] = v
+	for k, e := range s.bindings {
+		out[k] = e.Binding
 	}
 	return out
+}
+
+// Generation returns a stamp that orders binding changes: every binding set
+// after the call carries a later one. Take it before reading the source of
+// truth that a Reconcile will be fed from.
+func (s *Server) Generation() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.gen
+}
+
+// Reconcile makes the table hold exactly want — the equivalent of writing
+// dhcpd.conf from a dbreport and restarting dhcpd — by applying only the
+// differences: entries that already match are left alone, and an entry
+// absent from want is removed only if it was set no later than since. want
+// was read at some moment after since was taken, so a binding newer than
+// since belongs to a row that read may have missed (insert-ethers binds a
+// node right after inserting it), and removing it would leave a discovered
+// machine without its OFFER. A later want has a duplicate MAC win, as the
+// wholesale rebuild did.
+func (s *Server) Reconcile(since uint64, want []Host) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.passes++
+	wanted := 0
+	for _, h := range want {
+		e, ok := s.bindings[h.MAC]
+		if !ok || e.Binding != h.Binding {
+			e = s.setLocked(h.MAC, h.Binding)
+		}
+		if e.pass != s.passes {
+			e.pass = s.passes
+			wanted++
+		}
+	}
+	if wanted == len(s.bindings) {
+		return
+	}
+	for mac, e := range s.bindings {
+		if e.pass != s.passes && e.gen <= since {
+			delete(s.bindings, mac)
+		}
+	}
 }
 
 // HandleDHCP implements Responder: DISCOVER→OFFER and REQUEST→ACK for known
@@ -199,7 +265,7 @@ func (s *Server) HandleDHCP(p Packet) (Packet, bool) {
 		return Packet{}, false
 	}
 	s.mu.RLock()
-	b, ok := s.bindings[p.MAC]
+	e, ok := s.bindings[p.MAC]
 	s.mu.RUnlock()
 	if !ok {
 		if s.log != nil {
@@ -208,6 +274,7 @@ func (s *Server) HandleDHCP(p Packet) (Packet, bool) {
 		}
 		return Packet{}, false
 	}
+	b := e.Binding // written once, before the entry was stored
 	reply := Packet{
 		Xid:        p.Xid,
 		MAC:        p.MAC,

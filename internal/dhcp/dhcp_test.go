@@ -151,3 +151,65 @@ func TestRemoveBinding(t *testing.T) {
 		t.Error("Bindings not empty")
 	}
 }
+
+func TestReconcileAppliesOnlyDifferences(t *testing.T) {
+	s := NewServer("frontend-0", nil)
+	kept := Binding{IP: "10.255.255.254", Hostname: "compute-0-0", NextServer: "http://10.1.1.1"}
+	s.SetBinding("aa:01", kept)
+	s.SetBinding("aa:02", Binding{IP: "10.255.255.253", Hostname: "compute-0-1"})
+	s.SetBinding("aa:03", Binding{IP: "10.255.255.252", Hostname: "compute-0-2"})
+	keptGen := s.bindings["aa:01"].gen
+
+	moved := Binding{IP: "10.255.255.200", Hostname: "compute-0-1"}
+	added := Binding{IP: "10.255.255.251", Hostname: "compute-0-3"}
+	s.Reconcile(s.Generation(), []Host{{"aa:01", kept}, {"aa:02", moved}, {"aa:04", added}})
+
+	want := map[string]Binding{"aa:01": kept, "aa:02": moved, "aa:04": added}
+	got := s.Bindings()
+	if len(got) != len(want) {
+		t.Fatalf("table = %v, want %v", got, want)
+	}
+	for mac, b := range want {
+		if got[mac] != b {
+			t.Errorf("%s bound to %+v, want %+v", mac, got[mac], b)
+		}
+	}
+	if g := s.bindings["aa:01"].gen; g != keptGen {
+		t.Errorf("unchanged binding was rewritten (gen %d -> %d)", keptGen, g)
+	}
+	// A later duplicate wins, as it did when the table was rebuilt wholesale.
+	s.Reconcile(s.Generation(), []Host{{"aa:01", kept}, {"aa:01", moved}})
+	if got := s.Bindings(); len(got) != 1 || got["aa:01"] != moved {
+		t.Errorf("duplicate MAC: table = %v, want aa:01 -> %+v only", got, moved)
+	}
+}
+
+// TestReconcileKeepsBindingsNewerThanTheRead is the insert-ethers race: a
+// report pass reads the nodes table, a discovery inserts a row and sets its
+// binding, and the pass then reconciles against what it read. The binding
+// the read could not have seen must survive; one that predates the read and
+// is absent from it must not.
+func TestReconcileKeepsBindingsNewerThanTheRead(t *testing.T) {
+	s := NewServer("frontend-0", nil)
+	s.SetBinding("aa:01", Binding{IP: "10.255.255.254", Hostname: "compute-0-0"})
+	s.SetBinding("aa:02", Binding{IP: "10.255.255.253", Hostname: "gone-0-1"})
+
+	since := s.Generation()
+	read := []Host{{"aa:01", Binding{IP: "10.255.255.254", Hostname: "compute-0-0"}}} // the table as read
+	fresh := Binding{IP: "10.255.255.252", Hostname: "compute-0-2"}
+	s.SetBinding("aa:03", fresh) // discovered after the read
+	s.Reconcile(since, read)
+
+	got := s.Bindings()
+	if got["aa:03"] != fresh {
+		t.Errorf("binding set after the read was dropped: table = %v", got)
+	}
+	if _, ok := got["aa:02"]; ok {
+		t.Errorf("stale binding survived: table = %v", got)
+	}
+	// The next pass has read the new row, and nothing changes.
+	s.Reconcile(s.Generation(), append(read, Host{"aa:03", fresh}))
+	if got := s.Bindings(); len(got) != 2 || got["aa:03"] != fresh {
+		t.Errorf("after the following pass: table = %v", got)
+	}
+}

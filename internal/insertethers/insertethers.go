@@ -55,8 +55,8 @@ type Config struct {
 	// binding table from the database after every discovery — the
 	// "regenerate dhcpd.conf and restart dhcpd" cost the paper's tools
 	// paid per node. Default false: each discovery applies only its own
-	// binding delta, and the wholesale rebuild happens once per report
-	// pass instead of once per node.
+	// binding delta, and the table is reconciled with the database once
+	// per report pass instead of once per node.
 	FullSync bool
 }
 
@@ -258,26 +258,18 @@ func (ie *InsertEthers) syncOne(oldMAC, mac, ip, hostname string) error {
 // the equivalent of writing /etc/dhcpd.conf from a dbreport and restarting
 // dhcpd.
 func SyncDHCP(db *clusterdb.Database, srv *dhcp.Server, nextServer string) error {
+	since := srv.Generation() // before the read: see dhcp.Server.Reconcile
 	nodes, err := clusterdb.Nodes(db, "")
 	if err != nil {
 		return err
 	}
-	want := make(map[string]dhcp.Binding, len(nodes))
+	want := make([]dhcp.Host, 0, len(nodes))
 	for _, n := range nodes {
-		if n.MAC == "" || n.IP == "" {
-			continue
-		}
-		want[n.MAC] = dhcp.Binding{IP: n.IP, Hostname: n.Name, NextServer: nextServer}
-	}
-	// Replace the table wholesale (a restart reloads the whole config).
-	for mac := range srv.Bindings() {
-		if _, ok := want[mac]; !ok {
-			srv.RemoveBinding(mac)
+		if n.MAC != "" && n.IP != "" {
+			want = append(want, dhcp.Host{MAC: n.MAC, Binding: dhcp.Binding{IP: n.IP, Hostname: n.Name, NextServer: nextServer}})
 		}
 	}
-	for mac, b := range want {
-		srv.SetBinding(mac, b)
-	}
+	srv.Reconcile(since, want)
 	return nil
 }
 

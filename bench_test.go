@@ -7,6 +7,7 @@
 package rocks_test
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -554,7 +555,7 @@ func BenchmarkProfileGeneration(b *testing.B) {
 func BenchmarkMirrorWorkers(b *testing.B) {
 	parent := dist.Build("npaci", kickstart.DefaultFramework(),
 		dist.Source{Name: "redhat", Repo: dist.SyntheticRedHat()})
-	inner := dist.Handler(parent)
+	inner := dist.NewServer(parent)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(2 * time.Millisecond)
 		inner.ServeHTTP(w, r)
@@ -564,8 +565,8 @@ func BenchmarkMirrorWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var n int
 			for i := 0; i < b.N; i++ {
-				repo, err := dist.MirrorWith(srv.URL, "bench", dist.MirrorOptions{
-					Client: srv.Client(), Workers: workers})
+				repo, _, err := dist.Mirror(context.Background(), srv.URL, "bench", dist.MirrorOptions{
+					Fetcher: dist.Fetcher{HTTP: srv.Client()}, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -584,21 +585,21 @@ func BenchmarkMirrorDelta(b *testing.B) {
 	base := dist.SyntheticRedHat()
 	parent := dist.Build("npaci", kickstart.DefaultFramework(),
 		dist.Source{Name: "redhat", Repo: base})
-	inner := dist.Handler(parent)
+	inner := dist.NewServer(parent)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(2 * time.Millisecond) // per-request wire latency, as in BenchmarkMirrorWorkers
 		inner.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
-	baseline, _, err := dist.MirrorReportWith(srv.URL, "baseline",
-		dist.MirrorOptions{Client: srv.Client()})
+	baseline, _, err := dist.Mirror(context.Background(), srv.URL, "baseline",
+		dist.MirrorOptions{Fetcher: dist.Fetcher{HTTP: srv.Client()}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	updated := dist.Build("npaci", kickstart.DefaultFramework(),
 		dist.Source{Name: "redhat", Repo: base},
 		dist.Source{Name: "updates", Repo: dist.GenerateUpdates(base, 20, 5)})
-	updatedInner := dist.Handler(updated)
+	updatedInner := dist.NewServer(updated)
 	updSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(2 * time.Millisecond)
 		updatedInner.ServeHTTP(w, r)
@@ -620,8 +621,8 @@ func BenchmarkMirrorDelta(b *testing.B) {
 			var rep dist.MirrorReport
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, rep, err = dist.MirrorReportWith(tc.url, "bench",
-					dist.MirrorOptions{Client: tc.client, Baseline: tc.baseline})
+				_, rep, err = dist.Mirror(context.Background(), tc.url, "bench",
+					dist.MirrorOptions{Fetcher: dist.Fetcher{HTTP: tc.client}, Baseline: tc.baseline})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -54,7 +55,7 @@ func main() {
 		params.Set("cmd", *cmd)
 	}
 	var fr forkResponse
-	if err := apiclient.New(*server).Post(endpoint, params, &fr); err != nil {
+	if err := apiclient.New(*server).Post(context.Background(), endpoint, params, &fr); err != nil {
 		fmt.Fprintln(os.Stderr, "cluster-fork:", err)
 		os.Exit(1)
 	}

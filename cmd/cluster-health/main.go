@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -88,7 +89,7 @@ func runHealth(server string) int {
 		Outlet      int    `json:"outlet"`
 		Quarantined bool   `json:"quarantined"`
 	}
-	if err := apiclient.New(server).Get("health", nil, &rows); err != nil {
+	if err := apiclient.New(server).Get(context.Background(), "health", nil, &rows); err != nil {
 		fmt.Fprintln(os.Stderr, "cluster-health:", err)
 		return 1
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/url"
@@ -42,7 +43,9 @@ func main() {
 		"wait":       {strconv.Itoa(*wait)},
 	}
 	var out map[string][]string
-	if err := apiclient.New(*server).Post("integrate", params, &out); err != nil {
+	ctx := context.Background()
+	client := apiclient.New(*server)
+	if err := client.Post(ctx, "integrate", params, &out); err != nil {
 		fmt.Fprintln(os.Stderr, "insert-ethers:", err)
 		os.Exit(1)
 	}
@@ -51,8 +54,8 @@ func main() {
 	}
 	if *timeline {
 		for _, name := range out["integrated"] {
-			tr, err := lifecycle.FetchTimeline(*server, name)
-			if err != nil {
+			var tr lifecycle.TimelineResponse
+			if err := client.Get(ctx, "events", url.Values{"node": {name}}, &tr); err != nil {
 				fmt.Fprintln(os.Stderr, "insert-ethers:", err)
 				os.Exit(1)
 			}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -94,8 +95,8 @@ func cmdBuild(args []string) {
 	}
 	var sources []dist.Source
 	for _, u := range splitList(*mirrors) {
-		repo, report, err := dist.MirrorReportWith(u, "mirror:"+u,
-			dist.MirrorOptions{Workers: *workers, Retries: *retries, Baseline: baseline})
+		repo, report, err := dist.Mirror(context.Background(), u, "mirror:"+u,
+			dist.MirrorOptions{Fetcher: dist.Fetcher{Attempts: *retries}, Workers: *workers, Baseline: baseline})
 		if err != nil {
 			die(err)
 		}
@@ -152,7 +153,7 @@ func cmdServe(args []string) {
 	d := dist.Build(filepath.Base(*dir), fw,
 		dist.Source{Name: repo.Name(), Repo: repo})
 	fmt.Printf("serving %d packages from %s on http://%s\n", d.Repo.Len(), *dir, *addr)
-	if err := http.ListenAndServe(*addr, dist.Handler(d)); err != nil {
+	if err := http.ListenAndServe(*addr, dist.NewServer(d)); err != nil {
 		die(err)
 	}
 }

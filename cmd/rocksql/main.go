@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/url"
@@ -41,9 +42,9 @@ func main() {
 		// Mutations go over POST: the /v1 surface rejects a GET with
 		// exec=1, and the frontend records the statement in its audit log.
 		params.Set("exec", "1")
-		err = client.Post("sql", params, &out)
+		err = client.Post(context.Background(), "sql", params, &out)
 	} else {
-		err = client.Get("sql", params, &out)
+		err = client.Get(context.Background(), "sql", params, &out)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rocksql:", err)

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/url"
@@ -44,7 +45,9 @@ func main() {
 		params.Set("watch", "1")
 	}
 	var out map[string]string
-	if err := apiclient.New(*server).Post("shoot", params, &out); err != nil {
+	ctx := context.Background()
+	client := apiclient.New(*server)
+	if err := client.Post(ctx, "shoot", params, &out); err != nil {
 		fmt.Fprintln(os.Stderr, "shoot-node:", err)
 		os.Exit(1)
 	}
@@ -61,8 +64,8 @@ func main() {
 
 	if *timeline {
 		for _, n := range flag.Args() {
-			tr, err := lifecycle.FetchTimeline(*server, n)
-			if err != nil {
+			var tr lifecycle.TimelineResponse
+			if err := client.Get(ctx, "events", url.Values{"node": {n}}, &tr); err != nil {
 				fmt.Fprintln(os.Stderr, "shoot-node:", err)
 				os.Exit(1)
 			}

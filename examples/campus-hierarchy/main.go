@@ -10,9 +10,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
-	"net/http"
 	"net/http/httptest"
 	"time"
 
@@ -29,13 +29,13 @@ func main() {
 	npaci := dist.Build("npaci-rocks", kickstart.DefaultFramework(),
 		dist.Source{Name: "redhat-7.2", Repo: dist.SyntheticRedHat()},
 		dist.Source{Name: "rocks-local", Repo: dist.LocalRocksPackages()})
-	npaciSrv := httptest.NewServer(dist.Handler(npaci))
+	npaciSrv := httptest.NewServer(dist.NewServer(npaci))
 	defer npaciSrv.Close()
 	fmt.Printf("NPACI serves %d packages at %s\n", npaci.Repo.Len(), npaciSrv.URL)
 
 	// Level 1: the campus replicates NPACI with wget-over-HTTP and adds a
 	// licensed compiler.
-	mirror, err := dist.Mirror(http.DefaultClient, npaciSrv.URL, "npaci-mirror")
+	mirror, _, err := dist.Mirror(context.Background(), npaciSrv.URL, "npaci-mirror", dist.MirrorOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

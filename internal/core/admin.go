@@ -23,18 +23,13 @@ import (
 // processes against a running cluster-sim.
 //
 // Every operation is defined once as an endpoint (run function + audit
-// metadata) and served on two surfaces registered by startHTTP:
-//
-//	/v1/<name>     — the versioned API: {"data": ...} / {"error": ...}
-//	                 envelopes, POST-only mutations (405 otherwise), and
-//	                 an audit record for every mutating call.
-//	/admin/<name>  — legacy aliases preserving the original bespoke
-//	                 response shapes for old scripts; mutations are
-//	                 audited here too, but any method is accepted.
+// metadata) and served at /v1/<name>: {"data": ...} / {"error": ...}
+// envelopes, POST-only mutations (405 otherwise), and an audit record for
+// every mutating call.
 
 // apiError is the one structured error shape: machine-readable code,
-// human-readable message, and the HTTP status the caller saw. On /v1 it is
-// serialized as {"error": {...}}; legacy aliases send just the message.
+// human-readable message, and the HTTP status the caller saw, serialized as
+// {"error": {...}}.
 type apiError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
@@ -47,9 +42,9 @@ func apiErrorf(status int, code, format string, args ...interface{}) *apiError {
 	return &apiError{Code: code, Message: fmt.Sprintf(format, args...), Status: status}
 }
 
-// endpoint describes one control-plane operation for both surfaces.
+// endpoint describes one control-plane operation.
 type endpoint struct {
-	// name is the path suffix under /v1/ and /admin/, and the op label on
+	// name is the path suffix under /v1/ and the op label on
 	// rocks_api_requests_total.
 	name string
 	// audit is the audit-log op name; empty marks a read-only endpoint.
@@ -66,9 +61,6 @@ type endpoint struct {
 	// merges their shard results into the local payload. Standalone
 	// frontends have no children and fan-outs pass through untouched.
 	fanout func(*http.Request, interface{}) (interface{}, *apiError)
-	// legacyWrite, when set, overrides JSON for the legacy alias's
-	// success response (sql writes text/plain).
-	legacyWrite func(http.ResponseWriter, interface{})
 }
 
 // ForkResponse is the JSON shape of fork/kill results.
@@ -84,8 +76,7 @@ type ForkHostResult struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// SQLResponse is the JSON shape of /v1/sql results; the legacy alias sends
-// Result as bare text/plain.
+// SQLResponse is the JSON shape of /v1/sql results.
 type SQLResponse struct {
 	Result string `json:"result"`
 	Exec   bool   `json:"exec,omitempty"`
@@ -101,15 +92,9 @@ type ReinstallResult struct {
 }
 
 func (c *Cluster) registerAdmin(mux *http.ServeMux) {
-	for _, ep := range c.apiEndpoints() {
-		ep := ep
-		mux.HandleFunc("/admin/"+ep.name, c.legacyHandler(ep))
+	for _, ep := range append(c.apiEndpoints(), c.auditEndpoint()) {
 		mux.HandleFunc("/v1/"+ep.name, c.v1Handler(ep))
 	}
-	// The audit log is queryable on the versioned surface only — it did
-	// not exist before /v1.
-	audit := c.auditEndpoint()
-	mux.HandleFunc("/v1/audit", c.v1Handler(audit))
 }
 
 // apiEndpoints enumerates the control plane: seven mutations and the
@@ -124,10 +109,6 @@ func (c *Cluster) apiEndpoints() []endpoint {
 			},
 			detail: func(r *http.Request) string { return r.FormValue("q") },
 			run:    c.opSQL,
-			legacyWrite: func(w http.ResponseWriter, payload interface{}) {
-				w.Header().Set("Content-Type", "text/plain")
-				fmt.Fprint(w, payload.(SQLResponse).Result)
-			},
 		},
 		{
 			name:  "fork",
@@ -226,7 +207,7 @@ func (c *Cluster) apiEndpoints() []endpoint {
 }
 
 // opSQL runs a read-only query (q=...); exec=1 permits data-modification
-// statements (and, on /v1, requires POST).
+// statements (and requires POST).
 func (c *Cluster) opSQL(r *http.Request) (interface{}, *apiError) {
 	q := r.FormValue("q")
 	if q == "" {
@@ -628,11 +609,6 @@ func (c *Cluster) auditEndpoint() endpoint {
 			}{entries, seq, evicted, errCount}, nil
 		},
 	}
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
 }
 
 // formInt parses an optional integer parameter: absent means def, but bad

@@ -9,13 +9,11 @@ import (
 // question the bespoke admin endpoints never recorded. Every mutating
 // control-plane call (sql exec, shoot, kill, fork, integrate, adduser,
 // reinstall-cluster) lands here with its actor, parameters, outcome, and
-// HTTP status, on both the /v1 surface and the legacy /admin aliases. The
-// log is a bounded ring like the lifecycle bus: old entries are evicted,
-// never the process's memory.
+// HTTP status. The log is a bounded ring like the lifecycle bus: old entries
+// are evicted, never the process's memory.
 
-// DefaultAuditRingSize bounds the audit ring when Config.AuditRingSize is
-// zero.
-const DefaultAuditRingSize = 1024
+// auditRingSize bounds the audit ring.
+const auditRingSize = 1024
 
 // AuditEntry is one recorded mutation.
 type AuditEntry struct {
@@ -41,13 +39,6 @@ type auditLog struct {
 	seq     uint64
 	evicted uint64
 	errors  uint64
-}
-
-func newAuditLog(size int) *auditLog {
-	if size <= 0 {
-		size = DefaultAuditRingSize
-	}
-	return &auditLog{ring: make([]AuditEntry, size)}
 }
 
 // record stamps the entry with a sequence number and timestamp and appends

@@ -57,15 +57,15 @@ func TestChaosStormSelfHeals(t *testing.T) {
 	// assigned in arrival order, so MACs are the only stable handles.
 	dhcpVictim := nodes[0] // two OFFERs vanish; the discover loop absorbs them
 	absorbed := nodes[1]   // two 500s — within the installer's retry budget
-	crasher := nodes[2]    // six 500s — exceeds the budget, crashes, is revived
+	crasher := nodes[2]    // three 500s — exhausts the budget, crashes, is revived
 	flakyPower := nodes[3] // wedges once AND its PDU relay ignores one cycle
 	lemon := nodes[4]      // wedges on every install: the quarantine case
 	inj.AddRule(faults.Rule{Op: faults.OpDHCPOffer, Hosts: dhcpVictim.MAC(), Count: 2})
 	inj.AddRule(faults.Rule{Op: faults.OpHTTPPackage, Hosts: absorbed.MAC(), Count: 2, Mode: faults.ModeError500})
-	// The listing fetch tries the digest manifest, then hdlist, then falls
-	// back to the directory — three requests per retry attempt — so
-	// exceeding a 3-attempt budget takes nine consecutive 500s.
-	inj.AddRule(faults.Rule{Op: faults.OpHTTPPackage, Hosts: crasher.MAC(), Count: 9, Mode: faults.ModeError500})
+	// The index fetch is one manifest request per attempt and a 500 never
+	// falls back to the unverified listing, so three consecutive 500s
+	// exhaust the 3-attempt budget.
+	inj.AddRule(faults.Rule{Op: faults.OpHTTPPackage, Hosts: crasher.MAC(), Count: 3, Mode: faults.ModeError500})
 	inj.AddRule(faults.Rule{Op: faults.OpInstallWedge, Hosts: flakyPower.MAC(), Count: 1})
 	inj.AddRule(faults.Rule{Op: faults.OpPowerCycle, Hosts: flakyPower.MAC(), Count: 1})
 	// The lemon wedges its initial install plus every supervised retry:
@@ -153,8 +153,8 @@ func TestChaosStormSelfHeals(t *testing.T) {
 			errors500++
 		}
 	}
-	if errors500 != 11 {
-		t.Errorf("HTTP 500 injections = %d, want 11 (2 absorbed + 9 crasher)", errors500)
+	if errors500 != 5 {
+		t.Errorf("HTTP 500 injections = %d, want 5 (2 absorbed + 3 crasher)", errors500)
 	}
 	if n := inj.CountOp(faults.OpInstallWedge); n != 5 {
 		t.Errorf("wedge injections = %d, want 5 (1 flaky + 4 lemon)", n)

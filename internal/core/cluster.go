@@ -81,9 +81,6 @@ type Config struct {
 	// cached-vs-uncached ablation in the mass-reinstall benchmark.
 	// Production keeps the cache.
 	DisableProfileCache bool
-	// EventRingSize bounds the lifecycle event bus's ring buffer; zero
-	// means lifecycle.DefaultRingSize.
-	EventRingSize int
 	// DBDir, when set, makes the cluster database durable: mutations append
 	// to a write-ahead log in this directory and Close snapshots it, so a
 	// frontend restarted on the same directory recovers every node binding
@@ -94,27 +91,20 @@ type Config struct {
 	// statement applies (the last-record guarantee, at one fsync per
 	// mutation).
 	DBFsync bool
-	// DBSnapshotEvery overrides how many logged mutations trigger an
-	// automatic snapshot + log rotation; zero means the clusterdb default.
-	DBSnapshotEvery int
-	// AuditRingSize bounds the control-plane audit log's ring buffer;
-	// zero means DefaultAuditRingSize.
-	AuditRingSize int
 	// EnableRelays turns on the peer distribution tier: completed nodes
 	// re-serve their verified package trees, the frontend's /v1/relays
 	// registry hands installers prioritized peer sources, and installs
 	// fetch peer-first with the frontend as fallback. Off by default —
 	// installs then touch only the frontend, exactly as before.
 	EnableRelays bool
-	// MaxRelaySources caps how many peers /v1/relays offers one installer;
-	// zero means the default (8).
-	MaxRelaySources int
 	// Parent, when set, is another frontend's base URL: this cluster runs
 	// as a *child frontend* in a federated hierarchy. It mirrors the
 	// parent's distribution (ParentURL defaults to Parent's /install/dist
 	// when unset), registers its shard over /v1/federation/register, and
-	// forwards its lifecycle events upstream. Construction fails if the
-	// parent is unreachable, the same way a failed parent mirror does.
+	// forwards its lifecycle events upstream; its simulated hardware draws
+	// MACs from an OUI derived from the shard name, so federated
+	// populations cannot collide. Construction fails if the parent is
+	// unreachable, the same way a failed parent mirror does.
 	Parent string
 	// Shard declares the slice of the population this frontend owns. The
 	// zero value normalizes to "all racks" under the cluster's name.
@@ -123,16 +113,6 @@ type Config struct {
 	// event forwarding, and parent-side fan-outs); zero means 2s. A dark
 	// child costs the parent one bounded wait, never a hung merged query.
 	FederationTimeout time.Duration
-	// MACOUI overrides the simulated-hardware MAC prefix ("xx:xx:xx").
-	// Empty with Parent set derives a per-shard OUI so federated
-	// populations cannot collide; empty otherwise keeps the default.
-	MACOUI string
-	// FactsMemTolerancePct is how far (percent) a node's reported memory
-	// may sit from the database's expected MemMB before it counts as
-	// drift; zero means hardware.DefaultMemTolerancePct. Kernel
-	// reservations and BIOS rounding wobble the reading — the band keeps
-	// that noise out of the drift timeline.
-	FactsMemTolerancePct int
 }
 
 // Cluster is a running Rocks cluster.
@@ -147,7 +127,7 @@ type Cluster struct {
 
 	// events is the lifecycle spine: installer, monitor, supervisor,
 	// insert-ethers, the PDU, and the cluster itself publish typed
-	// node-lifecycle events into one bounded ring (/admin/events).
+	// node-lifecycle events into one bounded ring (/v1/events).
 	events *lifecycle.Bus
 
 	DB     *clusterdb.Database
@@ -169,7 +149,7 @@ type Cluster struct {
 	baseURL string
 	// distSrv serves c.Dist under /install/dist/ and counts its traffic;
 	// mirrorReport records the parent replication pass when ParentURL was
-	// set. Both feed /admin/diststats. mirrorRepo keeps the mirrored repo
+	// set. Both feed /v1/diststats. mirrorRepo keeps the mirrored repo
 	// itself as the delta baseline for Remirror, and localSources the
 	// pre-mirror source list a rebuild layers under the fresh mirror.
 	distSrv      *dist.Server
@@ -252,9 +232,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Shard.Name == "" {
 		cfg.Shard.Name = cfg.Name
 	}
-	if cfg.MACOUI == "" && cfg.Parent != "" {
-		cfg.MACOUI = hardware.ShardOUI(cfg.Shard.Name)
-	}
 	if cfg.Sources == nil && cfg.ParentURL == "" {
 		cfg.Sources = []dist.Source{
 			{Name: "redhat-7.2", Repo: dist.SyntheticRedHat()},
@@ -273,7 +250,7 @@ func New(cfg Config) (*Cluster, error) {
 		// hang frontend construction forever), 8 parallel fetch workers,
 		// and bounded per-file retries. Every fetched body is verified
 		// against the parent's digest manifest when it serves one.
-		mirror, report, err := dist.MirrorReportWith(cfg.ParentURL, "parent-mirror", dist.MirrorOptions{Context: ctx})
+		mirror, report, err := dist.Mirror(ctx, cfg.ParentURL, "parent-mirror", dist.MirrorOptions{})
 		if err != nil {
 			cancel()
 			return nil, fmt.Errorf("core: replicating parent distribution: %w", err)
@@ -283,12 +260,12 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Sources = append([]dist.Source{{Name: "parent-mirror", Repo: mirror}}, cfg.Sources...)
 	}
 	macs := hardware.NewMACAllocator()
-	if cfg.MACOUI != "" {
-		macs = hardware.NewMACAllocatorOUI(cfg.MACOUI)
+	if cfg.Parent != "" {
+		macs = hardware.NewMACAllocatorOUI(hardware.ShardOUI(cfg.Shard.Name))
 	}
 	c := &Cluster{
 		cfg:          cfg,
-		events:       lifecycle.NewBus(cfg.EventRingSize),
+		events:       lifecycle.NewBus(lifecycle.DefaultRingSize),
 		Syslog:       syslogd.New(),
 		Bus:          dhcp.NewBus(),
 		NIS:          nis.NewDomain("rocks"),
@@ -308,9 +285,8 @@ func New(cfg Config) (*Cluster, error) {
 		// the node bindings a frontend crash mid-discovery-storm would
 		// otherwise silently lose.
 		db, info, err := clusterdb.Open(cfg.DBDir, clusterdb.Options{
-			Fsync:         cfg.DBFsync,
-			SnapshotEvery: cfg.DBSnapshotEvery,
-			Faults:        cfg.Faults,
+			Fsync:  cfg.DBFsync,
+			Faults: cfg.Faults,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: opening cluster database in %s: %w", cfg.DBDir, err)
@@ -386,7 +362,7 @@ func New(cfg Config) (*Cluster, error) {
 	// One scrapeable surface for every layer's counters, plus the audit
 	// log the control plane records mutations into. Both must exist
 	// before startHTTP registers their endpoints.
-	c.audit = newAuditLog(cfg.AuditRingSize)
+	c.audit = &auditLog{ring: make([]AuditEntry, auditRingSize)}
 	if cfg.EnableRelays {
 		c.relays = newRelayRegistry(c)
 	}
@@ -471,13 +447,13 @@ func (c *Cluster) BaseURL() string { return c.baseURL }
 
 // Events returns the cluster's lifecycle event bus. Subscribe for reactive
 // consumption, or query Recent/Timeline for the bounded history that
-// /admin/events serves.
+// /v1/events serves.
 func (c *Cluster) Events() *lifecycle.Bus { return c.events }
 
 // NodeTimeline returns every lifecycle event for a node, identified by
 // hostname or MAC, merged across its identities: events published before
 // insert-ethers bound a name carry the MAC, later ones the hostname. The
-// result is the /admin/events?node=X view — discover through install, up,
+// result is the /v1/events?node=X view — discover through install, up,
 // dark, and remediation — in publish order.
 func (c *Cluster) NodeTimeline(hostOrMAC string) []lifecycle.Event {
 	events := c.events.Timeline(hostOrMAC)
@@ -579,15 +555,13 @@ func (c *Cluster) installerConfig(n *node.Node) installer.Config {
 		store := rpm.NewRepository(n.MAC() + "-relay")
 		c.relays.expect(n.MAC(), store)
 		cfg.RelayStore = store
-		cfg.RelayURL = c.baseURL + "/v1/relays"
-		cfg.RelayMAC = n.MAC()
 	}
 	if n != c.Frontend {
 		// The first-boot facts agent: after install-complete the node
 		// probes its hardware and reports to the frontend, which diffs the
 		// report against the database's expected profile. The frontend
 		// itself does not report — it is the diffing side.
-		cfg.FactsURL = c.baseURL + "/v1/facts"
+		cfg.FrontendURL = c.baseURL
 	}
 	if c.cfg.Faults != nil && n != c.Frontend {
 		identities := func() []string { return []string{n.MAC(), n.Name(), n.IP()} }

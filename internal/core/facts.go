@@ -84,7 +84,7 @@ func (c *Cluster) ingestFacts(f hardware.Facts, shard string) error {
 	c.mu.Unlock()
 	rec := &factsRecord{facts: f, reportedAt: now}
 	if n != nil {
-		rec.drift = hardware.DiffFacts(n.HW, f, c.cfg.FactsMemTolerancePct)
+		rec.drift = hardware.DiffFacts(n.HW, f)
 	}
 
 	// Persist before publishing: a crash between the two loses events (the

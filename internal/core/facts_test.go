@@ -322,8 +322,8 @@ func TestFactsSurviveRecovery(t *testing.T) {
 }
 
 // TestFactsEndpointValidation exercises the /v1/facts surface directly:
-// the GET inventory (and its legacy /admin alias), drift detection and
-// clearing through bare POSTs, and the rejection paths.
+// the GET inventory, drift detection and clearing through bare POSTs, and
+// the rejection paths.
 func TestFactsEndpointValidation(t *testing.T) {
 	c := newCluster(t)
 	n := addComputes(t, c, 1)[0]
@@ -339,19 +339,6 @@ func TestFactsEndpointValidation(t *testing.T) {
 	}
 	if inv.Facts[0].Actionable || len(inv.Facts[0].Drift) != 0 || inv.Facts[0].AgeSeconds < 0 {
 		t.Errorf("first-boot entry not clean: %+v", inv.Facts[0])
-	}
-
-	// The legacy alias serves the same inventory, unwrapped.
-	code, legacy := adminGet(t, c, "/admin/facts", nil)
-	if code != 200 {
-		t.Fatalf("/admin/facts = %d: %s", code, legacy)
-	}
-	var legacyInv FactsResponse
-	if err := json.Unmarshal([]byte(legacy), &legacyInv); err != nil {
-		t.Fatalf("legacy facts body: %v\n%s", err, legacy)
-	}
-	if len(legacyInv.Facts) != 1 || legacyInv.Facts[0].MAC != n.MAC() {
-		t.Errorf("legacy inventory diverges: %+v", legacyInv)
 	}
 
 	// A report with the wrong architecture is recorded and flagged.

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -144,17 +144,20 @@ func (ch *fedChild) markResult(ok bool) {
 	ch.mu.Unlock()
 }
 
-// ingest appends forwarded events to the child's bounded mirror.
+// ingest stamps forwarded events with the child's shard (in place: the
+// caller relays the same batch further up) and appends them to the child's
+// bounded mirror.
 func (ch *fedChild) ingest(events []lifecycle.Event) {
 	ch.mu.Lock()
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.Shard == "" {
 			e.Shard = ch.shard.Name
 		}
 		if e.Shard == ch.shard.Name && e.Seq > ch.lastSeq {
 			ch.lastSeq = e.Seq
 		}
-		ch.mirror = append(ch.mirror, e)
+		ch.mirror = append(ch.mirror, *e)
 	}
 	if over := len(ch.mirror) - fedMirrorRing; over > 0 {
 		ch.mirror = append(ch.mirror[:0], ch.mirror[over:]...)
@@ -216,7 +219,7 @@ func (f *fedState) registerWithParent() error {
 	if f.shard.Membership != 0 {
 		params.Set("membership", fmt.Sprint(f.shard.Membership))
 	}
-	return f.upstreamClient().Post("federation/register", params, nil)
+	return f.upstreamClient().Post(f.c.ctx, "federation/register", params, nil)
 }
 
 // startForwarder begins streaming this child's lifecycle events to the
@@ -224,30 +227,13 @@ func (f *fedState) registerWithParent() error {
 // remains leak-free.
 func (f *fedState) startForwarder() {
 	cl := f.upstreamClient()
-	shard := f.shard.Name
+	query := url.Values{"shard": {f.shard.Name}}
+	// The forwarder posts what is still queued on its way out, after the
+	// cluster context is cancelled; the bounded client is what ends a post.
+	ctx := context.WithoutCancel(f.c.ctx)
 	fw := lifecycle.StartForwarder(f.c.ctx, f.c.events, lifecycle.ForwarderOptions{FlushInterval: 20 * time.Millisecond},
 		func(events []lifecycle.Event) error {
-			body, err := json.Marshal(events)
-			if err != nil {
-				return err
-			}
-			u := cl.Base + "/v1/federation/events?shard=" + url.QueryEscape(shard)
-			req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(body))
-			if err != nil {
-				return err
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set("X-Rocks-Actor", cl.Actor)
-			resp, err := f.client.Do(req)
-			if err != nil {
-				return err
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return fmt.Errorf("federation forward: parent returned HTTP %d", resp.StatusCode)
-			}
-			return nil
+			return cl.PostJSON(ctx, "federation/events", query, events, nil)
 		})
 	f.mu.Lock()
 	f.forwarder = fw
@@ -268,30 +254,10 @@ func (f *fedState) forwardFacts(facts hardware.Facts) {
 	if f.parentURL == "" {
 		return
 	}
-	body, err := json.Marshal(facts)
-	if err != nil {
-		f.factsForwardErrors.Add(1)
-		return
-	}
 	f.c.wg.Add(1)
 	go func() {
 		defer f.c.wg.Done()
-		u := f.parentURL + "/v1/facts?shard=" + url.QueryEscape(f.shard.Name)
-		req, err := http.NewRequestWithContext(f.c.ctx, http.MethodPost, u, bytes.NewReader(body))
-		if err != nil {
-			f.factsForwardErrors.Add(1)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Rocks-Actor", "federation/"+f.shard.Name)
-		resp, err := f.client.Do(req)
-		if err != nil {
-			f.factsForwardErrors.Add(1)
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
+		if err := f.upstreamClient().PostJSON(f.c.ctx, "facts", url.Values{"shard": {f.shard.Name}}, facts, nil); err != nil {
 			f.factsForwardErrors.Add(1)
 			return
 		}
@@ -425,21 +391,39 @@ func (c *Cluster) opFedEvents(r *http.Request) (interface{}, *apiError) {
 	ch.ingest(events)
 	c.fed.received.Add(uint64(len(events)))
 	if fw := c.fed.getForwarder(); fw != nil {
-		// Mid-tier: relay the grandchild's events (already shard-stamped
-		// by ingest) further up the hierarchy.
-		stamped := make([]lifecycle.Event, len(events))
-		for i, e := range events {
-			if e.Shard == "" {
-				e.Shard = ch.shard.Name
-			}
-			stamped[i] = e
-		}
-		fw.Enqueue(stamped)
+		// Mid-tier: relay the grandchild's events (shard-stamped by ingest)
+		// further up the hierarchy.
+		fw.Enqueue(events)
 	}
 	return map[string]interface{}{"status": "accepted", "events": len(events)}, nil
 }
 
 // --- merged query plane -------------------------------------------------
+
+// fanOut runs call against every registered child concurrently — one bounded
+// request each — and records the outcome on the child: one that answered is
+// marked seen; one that did not is marked dark, counted in fanoutErrors and
+// given a failed ShardStatus carrying the error. The merged reads below flag
+// such a shard as partial; a dark child never turns them into an error.
+func fanOut[T any](f *fedState, children []*fedChild, call func(ch *fedChild, out *T) error) ([]T, []federation.ShardStatus) {
+	resps := make([]T, len(children))
+	sts := make([]federation.ShardStatus, len(children))
+	var wg sync.WaitGroup
+	for i, ch := range children {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sts[i] = federation.ShardStatus{Shard: ch.shard.Name, URL: ch.url, OK: true}
+			if err := call(ch, &resps[i]); err != nil {
+				sts[i].OK, sts[i].Error = false, err.Error()
+				f.fanoutErrors.Add(1)
+			}
+			ch.markResult(sts[i].OK)
+		}()
+	}
+	wg.Wait()
+	return resps, sts
+}
 
 // NodesResponse is the /v1/nodes payload: this frontend's population
 // joined with live state, plus — on a parent — the merged shard listings
@@ -503,39 +487,22 @@ func (c *Cluster) fanNodes(r *http.Request, payload interface{}) (interface{}, *
 	if len(children) == 0 {
 		return local, nil
 	}
-	type result struct {
-		resp NodesResponse
-		err  error
-	}
-	results := make([]result, len(children))
-	var wg sync.WaitGroup
-	for i, ch := range children {
-		wg.Add(1)
-		go func(i int, ch *fedChild) {
-			defer wg.Done()
-			results[i].err = ch.client.Get("nodes", nil, &results[i].resp)
-		}(i, ch)
-	}
-	wg.Wait()
-
+	resps, sts := fanOut(c.fed, children, func(ch *fedChild, out *NodesResponse) error {
+		return ch.client.Get(r.Context(), "nodes", nil, out)
+	})
 	batches := []federation.NodeBatch{{Shard: local.Shard, Nodes: local.Nodes}}
 	merged := NodesResponse{Shard: local.Shard}
-	for i, ch := range children {
-		st := federation.ShardStatus{Shard: ch.shard.Name, URL: ch.url, OK: results[i].err == nil}
-		ch.markResult(st.OK)
-		if st.OK {
-			st.Count = len(results[i].resp.Nodes)
-			merged.Partial = merged.Partial || results[i].resp.Partial
-			batches = append(batches, federation.NodeBatch{Shard: ch.shard.Name, Nodes: results[i].resp.Nodes})
+	for i, st := range sts {
+		if !st.OK {
+			merged.Partial = true
 			merged.Shards = append(merged.Shards, st)
-			merged.Shards = append(merged.Shards, results[i].resp.Shards...)
-			merged.Deduped += results[i].resp.Deduped
 			continue
 		}
-		st.Error = results[i].err.Error()
-		merged.Partial = true
-		c.fed.fanoutErrors.Add(1)
-		merged.Shards = append(merged.Shards, st)
+		st.Count = len(resps[i].Nodes)
+		merged.Partial = merged.Partial || resps[i].Partial
+		batches = append(batches, federation.NodeBatch{Shard: st.Shard, Nodes: resps[i].Nodes})
+		merged.Shards = append(append(merged.Shards, st), resps[i].Shards...)
+		merged.Deduped += resps[i].Deduped
 	}
 	nodes, deduped := federation.MergeNodes(batches)
 	merged.Nodes = nodes
@@ -545,8 +512,7 @@ func (c *Cluster) fanNodes(r *http.Request, payload interface{}) (interface{}, *
 }
 
 // EventsResponse is the /v1/events payload. The federation fields are
-// empty on a standalone frontend, so the pre-federation response shape —
-// and the legacy /admin/events alias — are byte-compatible.
+// empty on a standalone frontend.
 type EventsResponse struct {
 	Events  []lifecycle.Event        `json:"events"`
 	Seq     uint64                   `json:"seq"`
@@ -587,44 +553,26 @@ func (c *Cluster) fanEvents(r *http.Request, payload interface{}) (interface{}, 
 	for k, vs := range r.URL.Query() {
 		params[k] = vs
 	}
-	type result struct {
-		resp EventsResponse
-		err  error
-	}
-	results := make([]result, len(children))
-	var wg sync.WaitGroup
-	for i, ch := range children {
-		wg.Add(1)
-		go func(i int, ch *fedChild) {
-			defer wg.Done()
-			results[i].err = ch.client.Get("events", params, &results[i].resp)
-		}(i, ch)
-	}
-	wg.Wait()
-
+	resps, sts := fanOut(c.fed, children, func(ch *fedChild, out *EventsResponse) error {
+		return ch.client.Get(r.Context(), "events", params, out)
+	})
 	merged := EventsResponse{Seq: local.Seq, Dropped: local.Dropped, Shard: c.fed.shard.Name}
 	batches := []federation.EventBatch{{Shard: c.fed.shard.Name, Events: local.Events}}
-	for i, ch := range children {
-		st := federation.ShardStatus{Shard: ch.shard.Name, URL: ch.url, OK: results[i].err == nil}
-		ch.markResult(st.OK)
-		if st.OK {
-			st.Count = len(results[i].resp.Events)
-			merged.Partial = merged.Partial || results[i].resp.Partial
-			merged.Deduped += results[i].resp.Deduped
-			batches = append(batches, federation.EventBatch{Shard: ch.shard.Name, Events: results[i].resp.Events})
+	for i, st := range sts {
+		if !st.OK {
+			// Dark child: fall back to the forwarded mirror, honestly flagged.
+			mirror := children[i].mirrorEvents(filter, nodeID, limit)
+			st.Stale, st.Count = true, len(mirror)
+			merged.Partial = true
+			batches = append(batches, federation.EventBatch{Shard: st.Shard, Events: mirror})
 			merged.Shards = append(merged.Shards, st)
-			merged.Shards = append(merged.Shards, results[i].resp.Shards...)
 			continue
 		}
-		// Dark child: fall back to the forwarded mirror, honestly flagged.
-		st.Error = results[i].err.Error()
-		st.Stale = true
-		mirror := ch.mirrorEvents(filter, nodeID, limit)
-		st.Count = len(mirror)
-		merged.Partial = true
-		c.fed.fanoutErrors.Add(1)
-		batches = append(batches, federation.EventBatch{Shard: ch.shard.Name, Events: mirror})
-		merged.Shards = append(merged.Shards, st)
+		st.Count = len(resps[i].Events)
+		merged.Partial = merged.Partial || resps[i].Partial
+		merged.Deduped += resps[i].Deduped
+		batches = append(batches, federation.EventBatch{Shard: st.Shard, Events: resps[i].Events})
+		merged.Shards = append(append(merged.Shards, st), resps[i].Shards...)
 	}
 	events, deduped := federation.MergeEvents(batches, limit)
 	merged.Events = events
@@ -679,44 +627,27 @@ func (c *Cluster) fanDBReport(r *http.Request, payload interface{}) (interface{}
 		return local, nil
 	}
 	params := url.Values{"report": {local.Kind}}
-	type result struct {
-		resp DBReportResponse
-		err  error
-	}
-	results := make([]result, len(children))
-	var wg sync.WaitGroup
-	for i, ch := range children {
-		wg.Add(1)
-		go func(i int, ch *fedChild) {
-			defer wg.Done()
-			results[i].err = ch.client.Get("dbreport", params, &results[i].resp)
-		}(i, ch)
-	}
-	wg.Wait()
-
+	resps, sts := fanOut(c.fed, children, func(ch *fedChild, out *DBReportResponse) error {
+		return ch.client.Get(r.Context(), "dbreport", params, out)
+	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "== shard %s ==\n%s", local.Shard, local.Report)
 	merged := DBReportResponse{Shard: local.Shard, Kind: local.Kind}
-	for i, ch := range children {
-		st := federation.ShardStatus{Shard: ch.shard.Name, URL: ch.url, OK: results[i].err == nil}
-		ch.markResult(st.OK)
-		if st.OK {
-			merged.Partial = merged.Partial || results[i].resp.Partial
+	for i, st := range sts {
+		if !st.OK {
+			merged.Partial = true
 			merged.Shards = append(merged.Shards, st)
-			merged.Shards = append(merged.Shards, results[i].resp.Shards...)
-			// A child with its own children already carries headings.
-			if strings.HasPrefix(results[i].resp.Report, "== shard ") {
-				b.WriteString(results[i].resp.Report)
-			} else {
-				fmt.Fprintf(&b, "== shard %s ==\n%s", ch.shard.Name, results[i].resp.Report)
-			}
+			fmt.Fprintf(&b, "== shard %s UNAVAILABLE: %s ==\n", st.Shard, st.Error)
 			continue
 		}
-		st.Error = results[i].err.Error()
-		merged.Partial = true
-		c.fed.fanoutErrors.Add(1)
-		merged.Shards = append(merged.Shards, st)
-		fmt.Fprintf(&b, "== shard %s UNAVAILABLE: %v ==\n", ch.shard.Name, results[i].err)
+		merged.Partial = merged.Partial || resps[i].Partial
+		merged.Shards = append(append(merged.Shards, st), resps[i].Shards...)
+		// A child with its own children already carries headings.
+		if strings.HasPrefix(resps[i].Report, "== shard ") {
+			b.WriteString(resps[i].Report)
+		} else {
+			fmt.Fprintf(&b, "== shard %s ==\n%s", st.Shard, resps[i].Report)
+		}
 	}
 	merged.Report = b.String()
 	return merged, nil
@@ -734,7 +665,7 @@ func (c *Cluster) Remirror() (dist.MirrorReport, error) {
 	if c.cfg.ParentURL == "" {
 		return dist.MirrorReport{}, fmt.Errorf("core: no parent distribution to re-mirror")
 	}
-	mirror, report, err := dist.MirrorReportWith(c.cfg.ParentURL, "parent-mirror", dist.MirrorOptions{Baseline: c.mirrorRepo, Context: c.ctx})
+	mirror, report, err := dist.Mirror(c.ctx, c.cfg.ParentURL, "parent-mirror", dist.MirrorOptions{Baseline: c.mirrorRepo})
 	if err != nil {
 		return dist.MirrorReport{}, fmt.Errorf("core: re-mirroring parent distribution: %w", err)
 	}
@@ -783,33 +714,15 @@ func (c *Cluster) fanRemirror(r *http.Request, payload interface{}) (interface{}
 	if len(children) == 0 {
 		return local, nil
 	}
-	type result struct {
-		resp RemirrorResult
-		err  error
-	}
-	results := make([]result, len(children))
-	var wg sync.WaitGroup
-	for i, ch := range children {
-		wg.Add(1)
-		go func(i int, ch *fedChild) {
-			defer wg.Done()
-			results[i].err = ch.client.Post("federation/remirror", nil, &results[i].resp)
-		}(i, ch)
-	}
-	wg.Wait()
-	for i, ch := range children {
-		st := federation.ShardStatus{Shard: ch.shard.Name, URL: ch.url, OK: results[i].err == nil}
-		ch.markResult(st.OK)
-		if st.OK {
-			local.Partial = local.Partial || results[i].resp.Partial
-			local.Children = append(local.Children, results[i].resp)
-			local.Shards = append(local.Shards, st)
-			continue
-		}
-		st.Error = results[i].err.Error()
-		local.Partial = true
-		c.fed.fanoutErrors.Add(1)
+	resps, sts := fanOut(c.fed, children, func(ch *fedChild, out *RemirrorResult) error {
+		return ch.client.Post(r.Context(), "federation/remirror", nil, out)
+	})
+	for i, st := range sts {
 		local.Shards = append(local.Shards, st)
+		if st.OK {
+			local.Children = append(local.Children, resps[i])
+		}
+		local.Partial = local.Partial || !st.OK || resps[i].Partial
 	}
 	return local, nil
 }
@@ -832,33 +745,22 @@ func (c *Cluster) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, own.String())
 		return
 	}
-	texts := make([]string, len(children))
-	errs := make([]error, len(children))
-	var wg sync.WaitGroup
-	for i, ch := range children {
-		wg.Add(1)
-		go func(i int, ch *fedChild) {
-			defer wg.Done()
-			resp, err := c.fed.client.Get(ch.url + "/metrics")
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			if err != nil || resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("scraping %s: HTTP %d (%v)", ch.url, resp.StatusCode, err)
-				return
-			}
-			texts[i] = string(body)
-		}(i, ch)
-	}
-	wg.Wait()
+	texts, sts := fanOut(c.fed, children, func(ch *fedChild, out *string) error {
+		resp, err := c.fed.client.Get(ch.url + "/metrics")
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+		if err != nil || resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("scraping %s: HTTP %d (%v)", ch.url, resp.StatusCode, err)
+		}
+		*out = string(body)
+		return nil
+	})
 	var shards []federation.ShardExposition
 	for i, ch := range children {
-		ch.markResult(errs[i] == nil)
-		if errs[i] != nil {
-			c.fed.fanoutErrors.Add(1)
+		if !sts[i].OK {
 			ch.mu.Lock()
 			stale := ch.lastExpo
 			ch.mu.Unlock()

@@ -26,10 +26,10 @@ import (
 // install-complete and withdraws it the moment the node leaves the serving
 // state (reinstall lease, dark, quarantine, decommission).
 
-// defaultMaxRelaySources caps how many peers one installer is offered. A
-// short list keeps the registry response tiny at 10k-node scale; rotation
-// spreads successive installers across the live relay population.
-const defaultMaxRelaySources = 8
+// maxRelaySources caps how many peers one installer is offered. A short
+// list keeps the registry response tiny at 10k-node scale; rotation spreads
+// successive installers across the live relay population.
+const maxRelaySources = 8
 
 // relayEntry is one live relay: a loopback HTTP listener serving the node's
 // verified package tree at the same RPMS/manifest endpoints as the frontend.
@@ -50,8 +50,7 @@ type relayEntry struct {
 // a missed withdrawal serves stale-but-digest-valid bodies until the next
 // event), which is exactly why installers verify every body.
 type relayRegistry struct {
-	c   *Cluster
-	max int
+	c *Cluster
 
 	mu      sync.Mutex
 	closed  bool
@@ -70,13 +69,8 @@ type relayRegistry struct {
 // newRelayRegistry builds the registry and starts its bus-watching
 // goroutine (tracked on the cluster's WaitGroup, reaped by ctx cancel).
 func newRelayRegistry(c *Cluster) *relayRegistry {
-	max := c.cfg.MaxRelaySources
-	if max <= 0 {
-		max = defaultMaxRelaySources
-	}
 	r := &relayRegistry{
 		c:       c,
-		max:     max,
 		pending: make(map[string]*rpm.Repository),
 		live:    make(map[string]*relayEntry),
 	}
@@ -266,10 +260,7 @@ func (r *relayRegistry) sources(rack int) []installer.Source {
 		}
 		rotated = append(near, far...)
 	}
-	count := n
-	if count > r.max {
-		count = r.max
-	}
+	count := min(n, maxRelaySources)
 	out := make([]installer.Source, 0, count)
 	for _, e := range rotated[:count] {
 		if rack >= 0 {

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/url"
 	"strings"
 	"testing"
@@ -126,13 +126,11 @@ func TestAdminDBStats(t *testing.T) {
 	}
 	fetch := func() {
 		t.Helper()
-		code, body := adminGet(t, c, "/admin/dbstats", nil)
+		code, body, _ := v1Call(t, c, http.MethodGet, "/v1/dbstats", nil)
 		if code != 200 {
-			t.Fatalf("GET /admin/dbstats = %d: %s", code, body)
+			t.Fatalf("GET /v1/dbstats = %d: %s", code, body)
 		}
-		if err := json.Unmarshal([]byte(body), &stats); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
+		dataOf(t, body, &stats)
 	}
 	fetch()
 	if len(stats.DB.Indexes) == 0 {
@@ -151,9 +149,9 @@ func TestAdminDBStats(t *testing.T) {
 		t.Error("report writes counter never moved")
 	}
 
-	// Point an indexed query through /admin/sql and watch the counter move.
+	// Point an indexed query through /v1/sql and watch the counter move.
 	before := stats.DB.IndexSelects
-	code, _ := adminGet(t, c, "/admin/sql", url.Values{
+	code, _, _ := v1Call(t, c, http.MethodGet, "/v1/sql", url.Values{
 		"q": {`SELECT name FROM nodes WHERE name = 'compute-0-0'`}})
 	if code != 200 {
 		t.Fatalf("admin sql = %d", code)

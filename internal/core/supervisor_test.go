@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -238,13 +238,11 @@ func TestSupervisorAdminEndpoint(t *testing.T) {
 		Dropped     *uint64           `json:"dropped"`
 		Quarantined []string          `json:"quarantined"`
 	}
-	code, body := adminGet(t, c, "/admin/supervisor", nil)
+	code, body, _ := v1Call(t, c, http.MethodGet, "/v1/supervisor", nil)
 	if code != 200 {
 		t.Fatalf("supervisor endpoint: %d %q", code, body)
 	}
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatalf("supervisor JSON: %v (%s)", err, body)
-	}
+	dataOf(t, body, &resp)
 	if !resp.Running {
 		t.Error("supervisor not reported running")
 	}

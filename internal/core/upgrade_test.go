@@ -228,7 +228,7 @@ func TestClusterFromParentDistribution(t *testing.T) {
 	parent := dist.Build("npaci", kickstart.DefaultFramework(),
 		dist.Source{Name: "redhat", Repo: dist.SyntheticRedHat()},
 		dist.Source{Name: "rocks-local", Repo: dist.LocalRocksPackages()})
-	srv := httptest.NewServer(dist.Handler(parent))
+	srv := httptest.NewServer(dist.NewServer(parent))
 	defer srv.Close()
 
 	c, err := New(Config{

@@ -8,8 +8,7 @@ import (
 // The /v1 surface wraps every endpoint in one discipline: a JSON envelope
 // ({"data": ...} on success, {"error": {code, message, status}} on
 // failure), POST-only mutations with a 405 + Allow header otherwise, and
-// an audit record for every mutating call — the things the legacy /admin
-// handlers each did differently or not at all.
+// an audit record for every mutating call.
 
 // allowedMethods renders the endpoint's Allow header.
 func (ep endpoint) allowedMethods() string {
@@ -24,7 +23,7 @@ func (ep endpoint) allowedMethods() string {
 	}
 }
 
-// methodCheck enforces the POST-only-mutations rule for /v1.
+// methodCheck enforces the POST-only-mutations rule.
 func (ep endpoint) methodCheck(r *http.Request) *apiError {
 	switch {
 	case ep.audit == "":
@@ -50,7 +49,7 @@ func (ep endpoint) methodCheck(r *http.Request) *apiError {
 	return nil
 }
 
-// v1Handler serves one endpoint on the versioned surface.
+// v1Handler serves one endpoint.
 func (c *Cluster) v1Handler(ep endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c.apiReqs.With(ep.name).Inc()
@@ -69,29 +68,6 @@ func (c *Cluster) v1Handler(ep endpoint) http.HandlerFunc {
 			return
 		}
 		writeV1Data(w, payload)
-	}
-}
-
-// legacyHandler serves one endpoint under /admin with its original
-// response shape and no method discipline (old scripts GET everything).
-// Mutations are still audited.
-func (c *Cluster) legacyHandler(ep endpoint) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		c.apiReqs.With(ep.name).Inc()
-		payload, aerr := ep.run(r)
-		if aerr == nil && ep.fanout != nil {
-			payload, aerr = ep.fanout(r, payload)
-		}
-		c.auditOp(ep, r, aerr)
-		if aerr != nil {
-			http.Error(w, aerr.Message, aerr.Status)
-			return
-		}
-		if ep.legacyWrite != nil {
-			ep.legacyWrite(w, payload)
-			return
-		}
-		writeJSON(w, payload)
 	}
 }
 

@@ -165,16 +165,6 @@ func TestV1ErrorShapes(t *testing.T) {
 			t.Errorf("%s %s error = %+v, want code %s", tc.method, tc.path, e, tc.code)
 		}
 	}
-	// The legacy aliases get the same strictness: bad input is a 400, not
-	// a silent default.
-	code, _ := adminGet(t, c, "/admin/events", url.Values{"since": {"abc"}})
-	if code != 400 {
-		t.Errorf("legacy events since=abc = %d, want 400", code)
-	}
-	code, _ = adminGet(t, c, "/admin/events", url.Values{"since": {"-1"}})
-	if code != 400 {
-		t.Errorf("legacy events since=-1 = %d, want 400", code)
-	}
 }
 
 // TestV1MutationsAndAudit drives every mutating operation through /v1 and
@@ -395,7 +385,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	s := scrapeMetrics(t, c)
 	for _, fam := range []string{
-		// clusterdb (/admin/dbstats "db")
+		// clusterdb (/v1/dbstats "db")
 		"rocks_db_plan_cache_hits_total", "rocks_db_plan_cache_misses_total",
 		"rocks_db_plan_cache_entries", "rocks_db_index_selects_total",
 		"rocks_db_scan_selects_total", "rocks_db_alloc_probes_total", "rocks_db_index_keys",
@@ -406,27 +396,27 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rocks_db_wal_replay_errors_total", "rocks_db_wal_stale_skipped_total",
 		"rocks_db_wal_torn_tails_dropped_total",
 		"rocks_db_recovery_records_replayed", "rocks_db_recovery_replay_errors",
-		// kickstart cache (/admin/dbstats "kickstart_cache")
+		// kickstart cache (/v1/dbstats "kickstart_cache")
 		"rocks_kickstart_cache_hits_total", "rocks_kickstart_cache_misses_total",
 		"rocks_kickstart_cache_invalidations_total",
-		// reports (/admin/dbstats "reports")
+		// reports (/v1/dbstats "reports")
 		"rocks_reports_writes_total", "rocks_reports_skips_total",
 		"rocks_reports_scheduled_total", "rocks_reports_pass_seconds",
-		// dist (/admin/diststats)
+		// dist (/v1/diststats)
 		"rocks_dist_listing_requests_total", "rocks_dist_manifest_requests_total",
-		"rocks_dist_hdlist_requests_total", "rocks_dist_package_requests_total",
+		"rocks_dist_package_requests_total",
 		"rocks_dist_not_found_total", "rocks_dist_package_bytes_total",
 		"rocks_dist_packages",
 		"rocks_dist_mirror_packages_listed", "rocks_dist_mirror_packages_skipped",
 		"rocks_dist_mirror_packages_fetched", "rocks_dist_mirror_bytes_fetched",
 		"rocks_dist_mirror_corrupt_bodies",
-		// lifecycle (/admin/events)
+		// lifecycle (/v1/events)
 		"rocks_lifecycle_events_total", "rocks_lifecycle_ring_evictions_total",
 		"rocks_lifecycle_subscriber_drops_total", "rocks_lifecycle_subscribers",
 		// installer
 		"rocks_installer_fetch_retries_total", "rocks_installer_packages_corrupt_total",
 		"rocks_installer_installs_total",
-		// supervisor (/admin/supervisor)
+		// supervisor (/v1/supervisor)
 		"rocks_supervisor_power_cycles_total", "rocks_supervisor_power_cycle_failures_total",
 		"rocks_supervisor_quarantines_total", "rocks_supervisor_unquarantines_total",
 		"rocks_supervisor_recoveries_total", "rocks_supervisor_running",
@@ -527,31 +517,5 @@ func TestDiscoveryStormMetrics(t *testing.T) {
 		if !after.Has(fam) {
 			t.Errorf("family %s disappeared between scrapes", fam)
 		}
-	}
-}
-
-// TestLegacyAliasesKeepShape: the /admin endpoints keep their bespoke
-// response shapes (no envelope) for old scripts.
-func TestLegacyAliasesKeepShape(t *testing.T) {
-	c := newCluster(t)
-	code, body := adminGet(t, c, "/admin/dbstats", nil)
-	if code != 200 {
-		t.Fatalf("dbstats: %d", code)
-	}
-	if strings.Contains(body, `"data"`) {
-		t.Errorf("legacy dbstats is enveloped: %.100s", body)
-	}
-	var stats struct {
-		DB struct {
-			PlanCacheHits uint64 `json:"plan_cache_hits"`
-		} `json:"db"`
-	}
-	if err := json.Unmarshal([]byte(body), &stats); err != nil {
-		t.Fatalf("legacy dbstats undecodable: %v", err)
-	}
-	// And the same payload is enveloped on /v1.
-	code, v1body, _ := v1Call(t, c, http.MethodGet, "/v1/dbstats", nil)
-	if code != 200 || !strings.Contains(v1body, `"data"`) {
-		t.Errorf("/v1/dbstats = %d %.100s", code, v1body)
 	}
 }

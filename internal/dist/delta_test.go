@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -32,7 +33,7 @@ func TestMirrorDeltaRefetchesNothingWhenUnchanged(t *testing.T) {
 	srv := httptest.NewServer(server)
 	defer srv.Close()
 
-	first, rep1, err := MirrorReportWith(srv.URL, "gen1", MirrorOptions{Client: srv.Client()})
+	first, rep1, err := Mirror(context.Background(), srv.URL, "gen1", MirrorOptions{Fetcher: Fetcher{HTTP: srv.Client()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +45,8 @@ func TestMirrorDeltaRefetchesNothingWhenUnchanged(t *testing.T) {
 	}
 	fullRequests := server.Stats().PackageRequests
 
-	second, rep2, err := MirrorReportWith(srv.URL, "gen2",
-		MirrorOptions{Client: srv.Client(), Baseline: first})
+	second, rep2, err := Mirror(context.Background(), srv.URL, "gen2",
+		MirrorOptions{Fetcher: Fetcher{HTTP: srv.Client()}, Baseline: first})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestMirrorDeltaFetchesOnlyChanged(t *testing.T) {
 		for _, p := range pkgs {
 			repo.Add(p)
 		}
-		srv := httptest.NewServer(Handler(Build("parent", nil, Source{"r", repo})))
+		srv := httptest.NewServer(NewServer(Build("parent", nil, Source{"r", repo})))
 		t.Cleanup(srv.Close)
 		return srv
 	}
@@ -94,7 +95,7 @@ func TestMirrorDeltaFetchesOnlyChanged(t *testing.T) {
 		payloadPkg("alpha", "1.0", "1", "a"),
 		payloadPkg("beta", "1.0", "1", "b"),
 		payloadPkg("gamma", "1.0", "1", "c"))
-	baseline, _, err := MirrorReportWith(srvA.URL, "gen1", MirrorOptions{Client: srvA.Client()})
+	baseline, _, err := Mirror(context.Background(), srvA.URL, "gen1", MirrorOptions{Fetcher: Fetcher{HTTP: srvA.Client()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +106,8 @@ func TestMirrorDeltaFetchesOnlyChanged(t *testing.T) {
 		payloadPkg("alpha", "1.0", "1", "a"),
 		payloadPkg("beta", "1.0", "2", "b"),
 		payloadPkg("gamma", "1.0", "1", "C"))
-	got, rep, err := MirrorReportWith(srvB.URL, "gen2",
-		MirrorOptions{Client: srvB.Client(), Baseline: baseline})
+	got, rep, err := Mirror(context.Background(), srvB.URL, "gen2",
+		MirrorOptions{Fetcher: Fetcher{HTTP: srvB.Client()}, Baseline: baseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestMirrorEscapedFilenames(t *testing.T) {
 	repo.Add(payloadPkg("odd name", "1.0", "1", "z"))
 	repo.Add(payloadPkg("plain", "1.0", "1", "p"))
 	parent := Build("parent", nil, Source{"r", repo})
-	inner := Handler(parent)
+	inner := NewServer(parent)
 
 	srv := httptest.NewServer(inner)
 	defer srv.Close()
-	mirrored, rep, err := MirrorReportWith(srv.URL, "m", MirrorOptions{Client: srv.Client()})
+	mirrored, rep, err := Mirror(context.Background(), srv.URL, "m", MirrorOptions{Fetcher: Fetcher{HTTP: srv.Client()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +162,8 @@ func TestMirrorEscapedFilenames(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	}))
 	defer legacy.Close()
-	mirrored2, rep2, err := MirrorReportWith(legacy.URL, "m2",
-		MirrorOptions{Client: legacy.Client(), RetryBackoff: time.Millisecond})
+	mirrored2, rep2, err := Mirror(context.Background(), legacy.URL, "m2",
+		MirrorOptions{Fetcher: Fetcher{HTTP: legacy.Client(), Backoff: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestMirrorUnderCorruption(t *testing.T) {
 				repo.Add(payloadPkg(name, "1.0", "1", string(seed)))
 			}
 			parent := Build("parent", nil, Source{"r", repo})
-			inner := Handler(parent)
+			inner := NewServer(parent)
 			inj := faults.NewInjector(7, faults.Rule{
 				Op: faults.OpHTTPPackage, Mode: faults.ModeCorrupt, Count: tc.count})
 			faulty := faults.Middleware(inj, "X-Client-IP", inner)
@@ -230,8 +231,8 @@ func TestMirrorUnderCorruption(t *testing.T) {
 			}))
 			defer srv.Close()
 
-			got, rep, err := MirrorReportWith(srv.URL, "m", MirrorOptions{
-				Client: srv.Client(), Workers: 1, Retries: 3, RetryBackoff: time.Millisecond})
+			got, rep, err := Mirror(context.Background(), srv.URL, "m", MirrorOptions{
+				Fetcher: Fetcher{HTTP: srv.Client(), Attempts: 3, Backoff: time.Millisecond}, Workers: 1})
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("mirror of a persistently corrupting parent must fail")

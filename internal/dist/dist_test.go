@@ -1,12 +1,11 @@
 package dist
 
 import (
-	"io"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -261,10 +260,10 @@ func TestResolveProfileMissingPackage(t *testing.T) {
 
 func TestHTTPServeAndMirror(t *testing.T) {
 	parent := Build("npaci", kickstart.DefaultFramework(), Source{"redhat", SyntheticRedHat()})
-	srv := httptest.NewServer(Handler(parent))
+	srv := httptest.NewServer(NewServer(parent))
 	defer srv.Close()
 
-	mirrored, err := Mirror(srv.Client(), srv.URL, "mirror-of-npaci")
+	mirrored, _, err := Mirror(context.Background(), srv.URL, "mirror-of-npaci", MirrorOptions{Fetcher: Fetcher{HTTP: srv.Client()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestHTTPServeAndMirror(t *testing.T) {
 
 func TestHTTPHandlerErrors(t *testing.T) {
 	d := Build("d", kickstart.DefaultFramework(), Source{"redhat", SyntheticRedHat()})
-	srv := httptest.NewServer(Handler(d))
+	srv := httptest.NewServer(NewServer(d))
 	defer srv.Close()
 
 	resp, err := srv.Client().Get(srv.URL + "/RedHat/RPMS/ghost-1.0-1.i386.rpm")
@@ -359,10 +358,10 @@ func TestPropertyBuildIdempotent(t *testing.T) {
 // same repository as the serial mirror.
 func TestMirrorParallelWorkers(t *testing.T) {
 	parent := Build("npaci", kickstart.DefaultFramework(), Source{"redhat", SyntheticRedHat()})
-	srv := httptest.NewServer(Handler(parent))
+	srv := httptest.NewServer(NewServer(parent))
 	defer srv.Close()
 
-	mirrored, err := MirrorWith(srv.URL, "wide", MirrorOptions{Client: srv.Client(), Workers: 16})
+	mirrored, _, err := Mirror(context.Background(), srv.URL, "wide", MirrorOptions{Fetcher: Fetcher{HTTP: srv.Client()}, Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +379,7 @@ func TestMirrorParallelWorkers(t *testing.T) {
 // succeeding; the retry loop must absorb that without failing the pass.
 func TestMirrorRetriesTransientErrors(t *testing.T) {
 	parent := Build("npaci", kickstart.DefaultFramework(), Source{"redhat", SyntheticRedHat()})
-	inner := Handler(parent)
+	inner := NewServer(parent)
 	var mu sync.Mutex
 	failedOnce := map[string]bool{}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -398,8 +397,8 @@ func TestMirrorRetriesTransientErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	mirrored, err := MirrorWith(srv.URL, "flaky", MirrorOptions{
-		Client: srv.Client(), Workers: 4, Retries: 3, RetryBackoff: time.Millisecond})
+	mirrored, _, err := Mirror(context.Background(), srv.URL, "flaky", MirrorOptions{
+		Fetcher: Fetcher{HTTP: srv.Client(), Attempts: 3, Backoff: time.Millisecond}, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,63 +407,10 @@ func TestMirrorRetriesTransientErrors(t *testing.T) {
 	}
 }
 
-// TestMirrorErrorNamesFile: when a package never becomes fetchable the error
-// must identify the file and the retry budget, not just say "HTTP 500".
-func TestMirrorErrorNamesFile(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/RedHat/RPMS/") {
-			io.WriteString(w, "ghost-1.0-1.i386.rpm\n")
-			return
-		}
-		http.Error(w, "broken", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-
-	_, err := MirrorWith(srv.URL, "doomed", MirrorOptions{
-		Client: srv.Client(), Retries: 2, RetryBackoff: time.Millisecond})
-	if err == nil {
-		t.Fatal("mirror of an unfetchable package should fail")
-	}
-	if !strings.Contains(err.Error(), "ghost-1.0-1.i386.rpm") {
-		t.Errorf("error does not name the failing file: %v", err)
-	}
-	if !strings.Contains(err.Error(), "attempts") {
-		t.Errorf("error does not mention the retry budget: %v", err)
-	}
-}
-
-// TestMirrorClientFailFastOn404: a 4xx is a permanent condition — the
-// fetcher must not burn its retry budget on it.
-func TestMirrorFailFastOn404(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/RedHat/RPMS/") {
-			io.WriteString(w, "gone-1.0-1.i386.rpm\n")
-			return
-		}
-		// Count only package fetches: the manifest probe 404ing here is the
-		// legitimate fallback to the raw listing, not a retry.
-		if strings.HasSuffix(r.URL.Path, ".rpm") {
-			hits.Add(1)
-		}
-		http.NotFound(w, r)
-	}))
-	defer srv.Close()
-
-	_, err := MirrorWith(srv.URL, "gone", MirrorOptions{
-		Client: srv.Client(), Retries: 5, RetryBackoff: time.Millisecond})
-	if err == nil {
-		t.Fatal("want error")
-	}
-	if got := hits.Load(); got != 1 {
-		t.Errorf("404 fetched %d times, want 1 (no retries on 4xx)", got)
-	}
-}
-
-// TestMirrorDefaultClientBounded: with no client supplied, Mirror must use
-// a timeout-bearing client, never the unbounded http.DefaultClient.
+// TestMirrorDefaultClientBounded: with no client supplied, the Fetcher must
+// use a timeout-bearing client, never the unbounded http.DefaultClient.
 func TestMirrorDefaultClientBounded(t *testing.T) {
-	if mirrorDefaultClient.Timeout == 0 {
+	if defaultClient.Timeout == 0 {
 		t.Fatal("default mirror client has no timeout")
 	}
 }

@@ -48,7 +48,7 @@ func WriteTree(repo *rpm.Repository, dir string) (int, error) {
 		}
 		written[p.Filename()] = true
 		manifest = append(manifest, ManifestEntry{
-			NVRA: p.NVRA(), Size: p.Size, Digest: p.EnsureDigest(), Source: p.Source,
+			NVRA: p.NVRA(), Size: p.Size, Digest: p.Digest, Source: p.Source,
 		})
 		n++
 	}

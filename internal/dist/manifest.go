@@ -31,15 +31,16 @@ type ManifestEntry struct {
 	Source string
 }
 
-// Manifest builds the sorted manifest of a repository. Digests are computed
-// (and stamped) for packages that were built in memory and never serialized.
+// Manifest builds the sorted manifest of a repository. Every package in a
+// repository carries its digest (Repository.Add stamps it), so concurrent
+// manifest requests only read.
 func Manifest(repo *rpm.Repository) []ManifestEntry {
 	var entries []ManifestEntry
 	for _, p := range repo.All() {
 		entries = append(entries, ManifestEntry{
 			NVRA:   p.NVRA(),
 			Size:   p.Size,
-			Digest: p.EnsureDigest(),
+			Digest: p.Digest,
 			Source: p.Source,
 		})
 	}

@@ -39,8 +39,8 @@ func TestMirrorCancelReturnsWithinOneBackoff(t *testing.T) {
 	go func() {
 		// An hour of backoff and a deep budget: if cancellation does not cut
 		// the sleep short, this pass cannot return inside the test deadline.
-		_, err := MirrorWith(srv.URL, "doomed", MirrorOptions{
-			Client: srv.Client(), Retries: 10, RetryBackoff: time.Hour, Context: ctx,
+		_, _, err := Mirror(ctx, srv.URL, "doomed", MirrorOptions{
+			Fetcher: Fetcher{HTTP: srv.Client(), Attempts: 10, Backoff: time.Hour},
 		})
 		done <- err
 	}()

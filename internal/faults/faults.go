@@ -36,7 +36,7 @@ const (
 	OpDHCPOffer Op = "dhcp.offer"
 	// OpHTTPKickstart corrupts a kickstart CGI fetch.
 	OpHTTPKickstart Op = "http.kickstart"
-	// OpHTTPPackage corrupts a distribution fetch (listing, hdlist, RPM) —
+	// OpHTTPPackage corrupts a distribution fetch (manifest, listing, RPM) —
 	// from the frontend or from a peer relay; the seam is the fetching
 	// node's client, so package-fault rules hit both.
 	OpHTTPPackage Op = "http.package"

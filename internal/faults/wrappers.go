@@ -41,11 +41,13 @@ type responderFunc func(dhcp.Packet) (dhcp.Packet, bool)
 
 func (f responderFunc) HandleDHCP(p dhcp.Packet) (dhcp.Packet, bool) { return f(p) }
 
-// Transport wraps an HTTP transport with fault injection. Requests for the
-// kickstart CGI consult OpHTTPKickstart rules; everything else (listing,
-// hdlist, RPM payloads) consults OpHTTPPackage. The identities callback
-// supplies the requesting host's names at call time — a node learns its
-// hostname mid-install, so identity must be late-bound.
+// Transport wraps an HTTP transport with fault injection. Requests are
+// classified by path: the kickstart CGI consults OpHTTPKickstart rules, the
+// two /v1 calls an installer makes their own seams, and everything else —
+// the distribution protocol: manifest, listing, RPM payloads — consults
+// OpHTTPPackage. The identities callback supplies the requesting host's
+// names at call time — a node learns its hostname mid-install, so identity
+// must be late-bound.
 type Transport struct {
 	inj        *Injector
 	next       http.RoundTripper
@@ -73,7 +75,7 @@ func classifyPath(path string) Op {
 	if strings.Contains(path, "/v1/relays") {
 		return OpHTTPRelays
 	}
-	if strings.Contains(path, "/v1/facts") || strings.Contains(path, "/admin/facts") {
+	if strings.Contains(path, "/v1/facts") {
 		return OpHTTPFacts
 	}
 	return OpHTTPPackage
@@ -91,7 +93,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case ModeLatency:
 		time.Sleep(rule.Latency)
 		return t.next.RoundTrip(req)
-	case ModeTruncate:
+	case ModeTruncate, ModeCorrupt:
 		resp, err := t.next.RoundTrip(req)
 		if err != nil {
 			return resp, err
@@ -101,19 +103,11 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		// Keep the advertised length, deliver half, and end the stream with
-		// the unexpected-EOF a torn TCP connection produces.
-		resp.Body = &truncatedBody{r: bytes.NewReader(body[:len(body)/2])}
-		return resp, nil
-	case ModeCorrupt:
-		resp, err := t.next.RoundTrip(req)
-		if err != nil {
-			return resp, err
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return nil, rerr
+		if rule.Mode == ModeTruncate {
+			// Keep the advertised length, deliver half, and end the stream
+			// with the unexpected-EOF a torn TCP connection produces.
+			resp.Body = &truncatedBody{r: bytes.NewReader(body[:len(body)/2])}
+			return resp, nil
 		}
 		resp.Body = io.NopCloser(bytes.NewReader(FlipBit(body)))
 		resp.ContentLength = int64(len(body))
@@ -183,10 +177,11 @@ func Middleware(inj *Injector, clientIPHeader string, next http.Handler) http.Ha
 		case ModeLatency:
 			time.Sleep(rule.Latency)
 			next.ServeHTTP(w, r)
-		case ModeTruncate:
-			// Record the full response, then advertise its length and send
-			// half: the server aborts the connection and the client sees an
-			// unexpected EOF.
+		case ModeTruncate, ModeCorrupt:
+			// Record the full response and advertise its status and length,
+			// then either send half — the server aborts the connection and
+			// the client sees an unexpected EOF — or deliver it complete
+			// with one bit flipped in the middle.
 			rec := &recorder{header: http.Header{}, code: http.StatusOK}
 			next.ServeHTTP(rec, r)
 			for k, v := range rec.header {
@@ -194,18 +189,11 @@ func Middleware(inj *Injector, clientIPHeader string, next http.Handler) http.Ha
 			}
 			w.Header().Set("Content-Length", strconv.Itoa(rec.body.Len()))
 			w.WriteHeader(rec.code)
-			w.Write(rec.body.Bytes()[:rec.body.Len()/2])
-		case ModeCorrupt:
-			// Record the full response and deliver it complete — same
-			// status, same length — with one bit flipped in the middle.
-			rec := &recorder{header: http.Header{}, code: http.StatusOK}
-			next.ServeHTTP(rec, r)
-			for k, v := range rec.header {
-				w.Header()[k] = v
+			if rule.Mode == ModeTruncate {
+				w.Write(rec.body.Bytes()[:rec.body.Len()/2])
+			} else {
+				w.Write(FlipBit(rec.body.Bytes()))
 			}
-			w.Header().Set("Content-Length", strconv.Itoa(rec.body.Len()))
-			w.WriteHeader(rec.code)
-			w.Write(FlipBit(rec.body.Bytes()))
 		default: // ModeError500
 			http.Error(w, "faults: injected server error", http.StatusInternalServerError)
 		}

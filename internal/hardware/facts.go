@@ -47,10 +47,10 @@ type Drift struct {
 	Actionable bool   `json:"actionable"`
 }
 
-// DefaultMemTolerancePct is how far (in percent) a reported MemMB may sit
+// MemTolerancePct is how far (in percent) a reported MemMB may sit
 // from the expected value before it counts as drift at all. Kernels reserve
 // memory, BIOSes round it; a 5% band keeps that noise out of the timeline.
-const DefaultMemTolerancePct = 5
+const MemTolerancePct = 5
 
 // CanonicalNICs renders a NIC set in canonical form: one "type/mac/mbps"
 // entry per NIC with the MAC lower-cased, sorted. Two hardware-identical NIC
@@ -71,13 +71,9 @@ func DiskString(d Disk) string { return fmt.Sprintf("%s/%dMB", d.Type, d.SizeMB)
 // DiffFacts compares what a node reported against what the database expects
 // and returns one Drift per divergent field, in a fixed field order. The
 // comparison is order-insensitive where hardware enumeration order is
-// meaningless (NICs) and case-insensitive on MAC addresses; memTolerancePct
-// (<= 0 means DefaultMemTolerancePct) suppresses within-tolerance MemMB
-// differences entirely.
-func DiffFacts(expected Profile, got Facts, memTolerancePct int) []Drift {
-	if memTolerancePct <= 0 {
-		memTolerancePct = DefaultMemTolerancePct
-	}
+// meaningless (NICs) and case-insensitive on MAC addresses; a MemMB reading
+// within MemTolerancePct of the expected value is not drift at all.
+func DiffFacts(expected Profile, got Facts) []Drift {
 	var out []Drift
 	if !strings.EqualFold(expected.Arch, got.Arch) {
 		out = append(out, Drift{Field: "arch", Expected: expected.Arch, Got: got.Arch, Actionable: true})
@@ -86,8 +82,8 @@ func DiffFacts(expected Profile, got Facts, memTolerancePct int) []Drift {
 		out = append(out, Drift{Field: "cpus",
 			Expected: fmt.Sprintf("%d", expected.CPUs), Got: fmt.Sprintf("%d", got.CPUs)})
 	}
-	if d := expected.MemMB - got.MemMB; d*100 > expected.MemMB*memTolerancePct ||
-		-d*100 > expected.MemMB*memTolerancePct {
+	if d := expected.MemMB - got.MemMB; d*100 > expected.MemMB*MemTolerancePct ||
+		-d*100 > expected.MemMB*MemTolerancePct {
 		out = append(out, Drift{Field: "mem_mb",
 			Expected: fmt.Sprintf("%d", expected.MemMB), Got: fmt.Sprintf("%d", got.MemMB)})
 	}

@@ -50,7 +50,7 @@ func TestDiffFactsOrderInsensitive(t *testing.T) {
 				f.NICs[i].MAC = strings.ToUpper(f.NICs[i].MAC)
 			}
 		}
-		if ds := DiffFacts(p, f, 0); len(ds) != 0 {
+		if ds := DiffFacts(p, f); len(ds) != 0 {
 			t.Fatalf("trial %d: reordered/recased identical hardware flagged as drift: %+v", trial, ds)
 		}
 	}
@@ -73,7 +73,7 @@ func TestDiffFactsNICChangeIsActionable(t *testing.T) {
 		default: // perturb a link speed
 			f.NICs[rng.Intn(len(f.NICs))].Mbps += 7
 		}
-		ds := DiffFacts(p, f, 0)
+		ds := DiffFacts(p, f)
 		if len(ds) != 1 || ds[0].Field != "nics" || !ds[0].Actionable {
 			t.Fatalf("trial %d: NIC change diffed as %+v, want one actionable nics drift", trial, ds)
 		}
@@ -86,14 +86,14 @@ func TestDiffFactsNICChangeIsActionable(t *testing.T) {
 // integer boundary.
 func TestDiffFactsMemTolerance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const pct = DefaultMemTolerancePct
+	const pct = MemTolerancePct
 	for trial := 0; trial < 500; trial++ {
 		p := randomProfile(rng)
 		delta := rng.Intn(p.MemMB/5) - p.MemMB/10 // anywhere within ±10%
 		f := FactsFromProfile(p, "00:50:8b:00:00:01", "compute-0-0")
 		f.MemMB = p.MemMB + delta
 		wantDrift := delta*100 > p.MemMB*pct || -delta*100 > p.MemMB*pct
-		ds := DiffFacts(p, f, 0)
+		ds := DiffFacts(p, f)
 		switch {
 		case !wantDrift && len(ds) != 0:
 			t.Fatalf("trial %d: mem %d%+d (within %d%%) flagged: %+v", trial, p.MemMB, delta, pct, ds)
@@ -132,7 +132,7 @@ func TestDiffFactsClassification(t *testing.T) {
 		{"disk-type", report(func(f *Facts) { f.Disk.Type = DiskIDE }), "disk", true},
 	}
 	for _, tc := range cases {
-		ds := DiffFacts(base, tc.facts, 0)
+		ds := DiffFacts(base, tc.facts)
 		if tc.field == "" {
 			if len(ds) != 0 {
 				t.Errorf("%s: want clean diff, got %+v", tc.name, ds)

@@ -9,17 +9,15 @@
 package installer
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
+	"rocks/internal/apiclient"
 	"rocks/internal/dhcp"
 	"rocks/internal/dist"
 	"rocks/internal/ekv"
@@ -40,8 +38,8 @@ const ClientIPHeader = "X-Rocks-Client-IP"
 type Config struct {
 	// Bus is the private Ethernet broadcast segment for DHCP.
 	Bus *dhcp.Bus
-	// HTTP fetches the kickstart file and packages; nil means
-	// http.DefaultClient.
+	// HTTP carries every request the install makes; nil means a
+	// 60-second-timeout client, never http.DefaultClient.
 	HTTP *http.Client
 	// DHCPRetry is the wait between DISCOVER attempts while the node is
 	// still unknown (insert-ethers may not have bound it yet).
@@ -56,7 +54,7 @@ type Config struct {
 	// also inserted code that allows users to interact with the
 	// installation"). Zero disables interaction and fails immediately.
 	InteractiveRetryWait time.Duration
-	// FetchRetries grants every HTTP fetch (kickstart, listing, package)
+	// FetchRetries grants every HTTP fetch (kickstart, index, package)
 	// that many automatic retries on transient failures — connection
 	// errors, 5xx responses, truncated bodies — before the install fails.
 	// The large-cluster experience reports (CERN, Brookhaven) are blunt
@@ -78,33 +76,34 @@ type Config struct {
 	// Stats, when set, accumulates fetch retries, corrupt-package
 	// discards, and terminal outcomes across every Run sharing it.
 	Stats *Stats
-	// RelayURL, when set, names the frontend's /v1/relays registry; the
-	// installer asks it once per install for prioritized peer sources and
-	// fetches each package peer-first with the frontend as fallback.
-	// Empty disables the relay tier — no extra requests, frontend-only.
-	RelayURL string
-	// RelayStore, when set, accumulates every digest-verified package this
-	// install fetches, so the node can re-serve its tree to peers once the
-	// registry hears its install-complete event.
-	RelayStore *rpm.Repository
-	// RelayMAC identifies this installer to the relay registry (its
-	// Ethernet MAC), letting the registry prefer same-rack peers. Empty
-	// asks for a rack-blind list.
-	RelayMAC string
-	// FactsURL, when set, names the frontend's facts endpoint (/v1/facts).
+	// FrontendURL, when set, is the frontend's base URL; the installer
+	// reaches its /v1 control plane through apiclient for the two calls
+	// below. Empty disables both — no extra requests.
+	//
 	// After install-complete the installer runs a first-boot agent phase: it
-	// probes the node's hardware profile and POSTs the facts there, closing
-	// the discover→install→verify loop. A failed report never fails the
-	// install — the node is already built — but is marked with a
-	// facts-failed lifecycle event. Empty disables the agent.
-	FactsURL string
+	// probes the node's hardware profile and POSTs the facts to /v1/facts,
+	// closing the discover→install→verify loop. A failed report never fails
+	// the install — the node is already built — but is marked with a
+	// facts-failed lifecycle event.
+	//
+	// With RelayStore also set, the installer asks /v1/relays once per
+	// install for prioritized peer sources — identifying itself by MAC, so
+	// the registry can prefer same-rack peers — and fetches each package
+	// peer-first with the frontend as fallback.
+	FrontendURL string
+	// RelayStore, when set, puts this install in the relay tier: peers are
+	// tried first (see FrontendURL), and every digest-verified package this
+	// install fetches accumulates here, so the node can re-serve its tree
+	// to peers once the registry hears its install-complete event. Nil
+	// means frontend-only distribution.
+	RelayStore *rpm.Repository
 	// FactsHook, when set, may perturb the profile the agent is about to
 	// report (the machine's real hardware is untouched). The faults package
 	// uses it to inject deterministic drift.
 	FactsHook func(p hardware.Profile) hardware.Profile
 }
 
-// defaultClient bounds every fetch: http.DefaultClient has no timeout, so
+// defaultClient bounds every request: http.DefaultClient has no timeout, so
 // one hung kickstart or package request could wedge an install forever.
 var defaultClient = &http.Client{Timeout: 60 * time.Second}
 
@@ -124,51 +123,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// transientError marks a failure the automatic retry budget may absorb.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-func transient(err error) error { return &transientError{err} }
-
-// errCorruptBody marks a fetched package body that failed a digest check —
-// the package's embedded digest (the body no longer decodes) or the
-// distribution manifest's (a self-consistent body that is not the advertised
-// package). Both are transient: a retry fetches a fresh copy. The package
-// loop turns each occurrence into a package-corrupt lifecycle event.
-var errCorruptBody = errors.New("package body failed digest verification")
-
-// IsTransient reports whether an installation error was classified as
-// transient (retryable): connection failures, 5xx responses, and truncated
-// or undecodable payloads.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
+// api is the installer's client for the frontend's control plane.
+func (c Config) api() *apiclient.Client {
+	return &apiclient.Client{Base: strings.TrimSuffix(c.FrontendURL, "/"), HTTP: c.HTTP}
 }
 
-// retryFetch runs attempt under the config's automatic retry budget with
-// exponential backoff. Non-transient errors and budget exhaustion return
-// the last error unchanged (still transient-marked, so callers can tell).
-// Cancellation is honored between attempts: a done context stops the retry
-// loop instead of sleeping out the backoff.
-func retryFetch(ctx context.Context, cfg Config, screen io.Writer, what string, attempt func() error) error {
-	backoff := cfg.FetchBackoff
-	var err error
-	for try := 0; ; try++ {
-		err = attempt()
-		if err == nil || !IsTransient(err) || try >= cfg.FetchRetries || ctx.Err() != nil {
-			return err
-		}
-		cfg.Stats.retry()
-		fmt.Fprintf(screen, "transient failure fetching %s: %v; retry %d/%d in %s\n",
-			what, err, try+1, cfg.FetchRetries, backoff)
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return fmt.Errorf("installer: retry of %s aborted: %w", what, ctx.Err())
-		}
-		backoff *= 2
+// fetcher builds the install's distribution-protocol client: the config's
+// HTTP client and automatic retry budget, with every retry counted in the
+// shared Stats and shown on the node's eKV screen.
+func (c Config) fetcher(screen io.Writer) *dist.Fetcher {
+	return &dist.Fetcher{
+		HTTP:     c.HTTP,
+		Attempts: max(c.FetchRetries, 0) + 1,
+		Backoff:  c.FetchBackoff,
+		OnRetry: func(what string, err error, try int, wait time.Duration) {
+			c.Stats.retry()
+			fmt.Fprintf(screen, "transient failure fetching %s: %v; retry %d/%d in %s\n",
+				what, err, try, c.FetchRetries, wait)
+		},
 	}
 }
 
@@ -264,12 +236,20 @@ func Run(ctx context.Context, n *node.Node, cfg Config) (*Result, error) {
 	fmt.Fprintf(screen, "eth0: %s (%s), kickstart server %s\n",
 		lease.YourIP, lease.Hostname, lease.NextServer)
 
-	// Fetch the dynamically generated kickstart file (§6.1).
+	// Fetch the dynamically generated kickstart file (§6.1). The
+	// architecture travels in the request, exactly as anaconda encodes it
+	// in the kickstart URL; the CGI uses it to prune arch-conditional graph
+	// edges and records it in the nodes table.
+	f := cfg.fetcher(screen)
 	var profile *kickstart.Profile
-	err = retryFetch(ctx, cfg, screen, "kickstart", func() error {
-		var ferr error
-		profile, ferr = fetchKickstart(ctx, cfg, lease, n.HW.Arch)
-		return ferr
+	err = f.Do(ctx, "kickstart", func() error {
+		body, err := f.Get(ctx, strings.TrimSuffix(lease.NextServer, "/")+"/install/kickstart.cgi?arch="+n.HW.Arch,
+			http.Header{ClientIPHeader: {lease.YourIP}})
+		if err != nil {
+			return err
+		}
+		profile, err = kickstart.ParseProfile(string(body))
+		return err
 	})
 	if err != nil {
 		return fail(cfg, n, ekvSrv, err)
@@ -307,7 +287,7 @@ func Run(ctx context.Context, n *node.Node, cfg Config) (*Result, error) {
 	if err != nil {
 		return fail(cfg, n, ekvSrv, err)
 	}
-	count, bytes, err := installPackages(ctx, n, cfg, profile, distURL, screen, ekvSrv)
+	count, bytes, err := installPackages(ctx, n, cfg, f, profile, distURL, screen, ekvSrv)
 	if err != nil {
 		return fail(cfg, n, ekvSrv, err)
 	}
@@ -356,7 +336,7 @@ func Run(ctx context.Context, n *node.Node, cfg Config) (*Result, error) {
 	// First-boot agent phase: report what the hardware probe actually saw
 	// back to the frontend, so the database's idea of this node can be
 	// verified against reality.
-	reportFacts(ctx, n, cfg, screen)
+	reportFacts(ctx, n, cfg, f, screen)
 
 	if ekvSrv != nil {
 		res.EKVTranscript = ekvSrv.Screen()
@@ -366,9 +346,11 @@ func Run(ctx context.Context, n *node.Node, cfg Config) (*Result, error) {
 
 // reportFacts is the first-boot agent: probe the node's hardware profile,
 // apply any configured perturbation, and POST the facts to the frontend.
-// Delivery failures are published (facts-failed) but never fail the install.
-func reportFacts(ctx context.Context, n *node.Node, cfg Config, screen io.Writer) {
-	if cfg.FactsURL == "" {
+// A report that got no answer or a 5xx is retried under the fetch budget;
+// a rejection is not. Delivery failures are published (facts-failed) but
+// never fail the install.
+func reportFacts(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetcher, screen io.Writer) {
+	if cfg.FrontendURL == "" {
 		return
 	}
 	p := n.HW
@@ -376,33 +358,15 @@ func reportFacts(ctx context.Context, n *node.Node, cfg Config, screen io.Writer
 		p = cfg.FactsHook(p)
 	}
 	facts := hardware.FactsFromProfile(p, n.MAC(), n.Name())
-	body, err := json.Marshal(facts)
-	if err != nil {
-		emit(cfg, n, lifecycle.EventFactsFailed, err.Error())
-		return
-	}
-	fmt.Fprintf(screen, "reporting hardware facts to %s\n", cfg.FactsURL)
-	err = retryFetch(ctx, cfg, screen, "facts report", func() error {
-		req, rerr := http.NewRequestWithContext(ctx, "POST", cfg.FactsURL, bytes.NewReader(body))
-		if rerr != nil {
-			return rerr
+	fmt.Fprintf(screen, "reporting hardware facts to %s\n", cfg.FrontendURL)
+	api := cfg.api()
+	err := f.Do(ctx, "facts report", func() error {
+		err := api.PostJSON(ctx, "facts", nil, facts, nil)
+		var rejected *apiclient.APIError
+		if err != nil && !(errors.As(err, &rejected) && rejected.Status < 500) {
+			err = dist.Transient(err)
 		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(ClientIPHeader, n.IP())
-		resp, rerr := cfg.HTTP.Do(req)
-		if rerr != nil {
-			return transient(fmt.Errorf("installer: posting facts: %w", rerr))
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			rerr = fmt.Errorf("installer: facts endpoint: HTTP %s", resp.Status)
-			if resp.StatusCode >= 500 {
-				rerr = transient(rerr)
-			}
-			return rerr
-		}
-		return nil
+		return err
 	})
 	if err != nil {
 		emit(cfg, n, lifecycle.EventFactsFailed, err.Error())
@@ -459,39 +423,6 @@ func acquireLease(ctx context.Context, n *node.Node, cfg Config, screen io.Write
 			return dhcp.Packet{}, fmt.Errorf("installer: DHCP discovery for %s aborted: %w", n.MAC(), ctx.Err())
 		}
 	}
-}
-
-func fetchKickstart(ctx context.Context, cfg Config, lease dhcp.Packet, arch string) (*kickstart.Profile, error) {
-	// The architecture travels in the request, exactly as anaconda encodes
-	// it in the kickstart URL; the CGI uses it to prune arch-conditional
-	// graph edges and records it in the nodes table.
-	url := strings.TrimSuffix(lease.NextServer, "/") + "/install/kickstart.cgi?arch=" + arch
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("installer: %w", err)
-	}
-	req.Header.Set(ClientIPHeader, lease.YourIP)
-	resp, err := cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, transient(fmt.Errorf("installer: fetching kickstart: %w", err))
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, transient(fmt.Errorf("installer: reading kickstart: %w", err))
-	}
-	if resp.StatusCode != http.StatusOK {
-		err = fmt.Errorf("installer: kickstart CGI: HTTP %s: %s", resp.Status, strings.TrimSpace(string(body)))
-		if resp.StatusCode >= 500 {
-			err = transient(err)
-		}
-		return nil, err
-	}
-	profile, err := kickstart.ParseProfile(string(body))
-	if err != nil {
-		return nil, err
-	}
-	return profile, nil
 }
 
 // distBase extracts the distribution URL from the profile's `url` command.
@@ -585,30 +516,35 @@ func applyPartitioning(n *node.Node, p *kickstart.Profile, screen io.Writer) err
 	return nil
 }
 
-// installPackages resolves the profile's package names against the served
-// repository listing (newest version per name, like anaconda's hdlist) and
-// downloads and unpacks each one.
-// markCorrupt records one discarded package body in all three places that
-// care: the lifecycle timeline, the node's eKV screen, and the shared
-// corruption counter. The event names the source that served the body
-// (peer vs frontend URL), so a relay demotion is auditable in
-// /admin/events rather than an anonymous "some fetch was corrupt".
-func markCorrupt(cfg Config, n *node.Node, screen io.Writer, file string, src Source) {
-	cfg.Stats.corrupt()
-	emit(cfg, n, lifecycle.EventPackageCorrupt,
-		fmt.Sprintf("%s failed digest verification (source: %s)", file, src))
-	fmt.Fprintf(screen, "package %s from %s failed digest verification; discarding\n", file, src)
+// resolveIndex asks the fetcher what the distribution advertises and resolves
+// the newest compatible version of every package name.
+// Against a frontend the entries carry the manifest's sizes (for progress
+// accounting) and the payload digest every fetched body must match.
+func resolveIndex(ctx context.Context, f *dist.Fetcher, distURL, arch string) (map[string]dist.ManifestEntry, error) {
+	entries, _, err := f.Index(ctx, distURL)
+	if err != nil {
+		return nil, err
+	}
+	best := map[string]dist.ManifestEntry{}
+	newest := map[string]rpm.Version{}
+	for _, e := range entries {
+		m, err := rpm.ParseFilename(e.NVRA + ".rpm")
+		if err != nil || !rpm.ArchCompatible(arch, m.Arch) {
+			continue
+		}
+		if cur, ok := newest[m.Name]; !ok || rpm.Compare(m.Version, cur) > 0 {
+			best[m.Name], newest[m.Name] = e, m.Version
+		}
+	}
+	return best, nil
 }
 
-func installPackages(ctx context.Context, n *node.Node, cfg Config, p *kickstart.Profile, distURL string, screen io.Writer, ekvSrv *ekv.Server) (int, int64, error) {
+// installPackages resolves the profile's package names against the served
+// distribution (newest version per name) and downloads and unpacks each
+// one.
+func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetcher, p *kickstart.Profile, distURL string, screen io.Writer, ekvSrv *ekv.Server) (int, int64, error) {
 	n.ResetPackageDB()
-	listURL := distURL + "/RedHat/RPMS/"
-	var best map[string]rpm.Metadata
-	err := retryFetch(ctx, cfg, screen, "package listing", func() error {
-		var ferr error
-		best, ferr = fetchListing(ctx, cfg, listURL, n.HW.Arch)
-		return ferr
-	})
+	best, err := resolveIndex(ctx, f, distURL, n.HW.Arch)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -618,19 +554,17 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, p *kickstart
 	// verified against the frontend's manifest digests regardless of which
 	// source served it — a corrupt or lying peer is demoted and the fetch
 	// moves elsewhere, so garbage never reaches the disk.
-	srcs := newSourceSet(fetchRelaySources(ctx, cfg), distURL)
+	srcs := newSourceSet(fetchRelaySources(ctx, cfg, n.MAC()), distURL)
 	if len(srcs.peers) > 0 {
 		fmt.Fprintf(screen, "relay registry offered %d peer source(s)\n", len(srcs.peers))
 	}
 
 	var total int64
 	// The Figure 7 status panel's Total/Completed/Remaining accounting:
-	// package sizes come from the hdlist when the server provides one.
+	// package sizes come from the manifest when the server provides one.
 	var grandTotal int64
 	for _, name := range p.Packages {
-		if m, ok := best[name]; ok {
-			grandTotal += m.Size
-		}
+		grandTotal += best[name].Size
 	}
 	start := time.Now()
 	for i := 0; i < len(p.Packages); i++ {
@@ -642,9 +576,9 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, p *kickstart
 		}
 		name := p.Packages[i]
 		var pkg *rpm.Package
-		err := retryFetch(ctx, cfg, screen, name, func() error {
+		err := f.Do(ctx, name, func() error {
 			var ferr error
-			pkg, ferr = fetchVerified(ctx, n, cfg, screen, srcs, best, name)
+			pkg, ferr = fetchVerified(ctx, n, cfg, f, screen, srcs, best, name)
 			return ferr
 		})
 		if err != nil {
@@ -654,8 +588,8 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, p *kickstart
 				fmt.Fprintf(screen, "FAILED: %v\ntype 'retry' to try %s again, 'abort' to give up\n", err, name)
 				if awaitRetry(ctx, ekvSrv, cfg.InteractiveRetryWait) {
 					fmt.Fprintf(screen, "retrying %s\n", name)
-					// Refresh the listing: the fix may be a new package.
-					if refreshed, rerr := fetchListing(ctx, cfg, listURL, n.HW.Arch); rerr == nil {
+					// Refresh the index: the fix may be a new package.
+					if refreshed, rerr := resolveIndex(ctx, f, distURL, n.HW.Arch); rerr == nil {
 						best = refreshed
 					}
 					i--
@@ -664,8 +598,8 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, p *kickstart
 			}
 			return i, total, err
 		}
-		for _, f := range pkg.Files {
-			if err := n.Disk().WriteFile(f.Path, f.Data, f.Mode); err != nil {
+		for _, file := range pkg.Files {
+			if err := n.Disk().WriteFile(file.Path, file.Data, file.Mode); err != nil {
 				return i, total, fmt.Errorf("installer: unpacking %s: %w", pkg.NVRA(), err)
 			}
 		}
@@ -802,115 +736,6 @@ func rebuildGMDriver(n *node.Node, screen io.Writer) error {
 	n.SetGMDriverFor(kv)
 	n.Logf("gm driver rebuilt for kernel %s", kv)
 	return nil
-}
-
-// fetchListing retrieves the repository index and resolves the newest
-// compatible version of every package (anaconda's hdlist step). It prefers
-// the digest manifest (sizes for progress accounting plus the payload
-// digest every fetched body must match), then the hdlist, then the bare
-// directory listing — so installs against pre-manifest servers still work,
-// just without verification.
-func fetchListing(ctx context.Context, cfg Config, listURL, arch string) (map[string]rpm.Metadata, error) {
-	base := strings.TrimSuffix(listURL, "RPMS/") + "base/"
-	if best, err := fetchManifest(ctx, cfg, base+"manifest", arch); err == nil {
-		return best, nil
-	}
-	entries, err := fetchIndex(ctx, cfg, base+"hdlist")
-	if err != nil {
-		entries, err = fetchIndex(ctx, cfg, listURL)
-		if err != nil {
-			return nil, err
-		}
-	}
-	best := map[string]rpm.Metadata{}
-	for i := 0; i < len(entries); i++ {
-		fn := entries[i]
-		m, err := rpm.ParseFilename(fn)
-		if err != nil {
-			continue
-		}
-		// An hdlist pairs each filename with its size.
-		if i+1 < len(entries) {
-			if size, serr := strconv.ParseInt(entries[i+1], 10, 64); serr == nil {
-				m.Size = size
-				i++
-			}
-		}
-		if !rpm.ArchCompatible(arch, m.Arch) {
-			continue
-		}
-		cur, ok := best[m.Name]
-		if !ok || rpm.Compare(m.Version, cur.Version) > 0 {
-			best[m.Name] = m
-		}
-	}
-	return best, nil
-}
-
-// fetchManifest retrieves the distribution's digest manifest and resolves
-// the newest compatible version of every package, digests included.
-func fetchManifest(ctx context.Context, cfg Config, url, arch string) (map[string]rpm.Metadata, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("installer: %w", err)
-	}
-	resp, err := cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, transient(fmt.Errorf("installer: manifest %s: %w", url, err))
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		ferr := fmt.Errorf("installer: manifest %s: HTTP %s (%v)", url, resp.Status, err)
-		if err != nil || resp.StatusCode >= 500 {
-			ferr = transient(ferr)
-		}
-		return nil, ferr
-	}
-	entries, err := dist.ParseManifest(body)
-	if err != nil {
-		// A garbled manifest is a torn transfer; the caller falls back (or
-		// the listing retry budget takes another shot).
-		return nil, transient(fmt.Errorf("installer: manifest %s: %w", url, err))
-	}
-	best := map[string]rpm.Metadata{}
-	for _, e := range entries {
-		m, err := rpm.ParseFilename(e.NVRA + ".rpm")
-		if err != nil {
-			continue
-		}
-		m.Size, m.Digest, m.Source = e.Size, e.Digest, e.Source
-		if !rpm.ArchCompatible(arch, m.Arch) {
-			continue
-		}
-		cur, ok := best[m.Name]
-		if !ok || rpm.Compare(m.Version, cur.Version) > 0 {
-			best[m.Name] = m
-		}
-	}
-	return best, nil
-}
-
-// fetchIndex retrieves a whitespace-separated index document.
-func fetchIndex(ctx context.Context, cfg Config, url string) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
-	if err != nil {
-		return nil, fmt.Errorf("installer: %w", err)
-	}
-	resp, err := cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, transient(fmt.Errorf("installer: listing %s: %w", url, err))
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		ferr := fmt.Errorf("installer: listing %s: HTTP %s (%v)", url, resp.Status, err)
-		if err != nil || resp.StatusCode >= 500 {
-			ferr = transient(ferr)
-		}
-		return nil, ferr
-	}
-	return strings.Fields(string(body)), nil
 }
 
 // awaitRetry blocks for an eKV keyboard decision; it reports true for

@@ -2,6 +2,7 @@ package installer
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -32,6 +33,7 @@ type testFrontend struct {
 	dist    *dist.Distribution
 	appcfg  map[string]string // IP → appliance
 	archcfg map[string]string // IP → arch
+	peers   []Source          // what the /v1/relays registry hands out
 }
 
 func newTestFrontend(t *testing.T) *testFrontend {
@@ -45,7 +47,7 @@ func newTestFrontend(t *testing.T) *testFrontend {
 		dist.Source{Name: "redhat", Repo: dist.SyntheticRedHat()})
 
 	mux := http.NewServeMux()
-	mux.Handle("/install/dist/", http.StripPrefix("/install/dist", dist.Handler(fe.dist)))
+	mux.Handle("/install/dist/", http.StripPrefix("/install/dist", dist.NewServer(fe.dist)))
 	mux.HandleFunc("/install/kickstart.cgi", func(w http.ResponseWriter, r *http.Request) {
 		ip := r.Header.Get(ClientIPHeader)
 		app, ok := fe.appcfg[ip]
@@ -64,6 +66,9 @@ func newTestFrontend(t *testing.T) *testFrontend {
 			return
 		}
 		w.Write([]byte(profile.Render()))
+	})
+	mux.HandleFunc("/v1/relays", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]interface{}{"data": map[string]interface{}{"sources": fe.peers}})
 	})
 	fe.srv = httptest.NewServer(mux)
 	t.Cleanup(fe.srv.Close)
@@ -456,7 +461,7 @@ func TestInteractiveAbortOverEKV(t *testing.T) {
 
 // TestFigure7StatusPanel checks the install screen carries the paper's
 // Figure 7 panel: Name/Size rows plus Total/Completed/Remaining accounting
-// with byte totals from the hdlist.
+// with byte totals from the manifest.
 func TestFigure7StatusPanel(t *testing.T) {
 	fe := newTestFrontend(t)
 	n := newComputeNode()
@@ -553,7 +558,10 @@ func TestAutomaticRetryAbsorbsTransientHTTPErrors(t *testing.T) {
 
 	inj := faults.NewInjector(17,
 		faults.Rule{Op: faults.OpHTTPKickstart, Mode: faults.ModeTruncate, Count: 1},
-		faults.Rule{Op: faults.OpHTTPPackage, Mode: faults.ModeError500, Count: 4},
+		// Three, not four: the first package-seam request is the manifest,
+		// and three consecutive 500s on it is all a 4-attempt budget absorbs
+		// when there is no unverified listing to fall back to.
+		faults.Rule{Op: faults.OpHTTPPackage, Mode: faults.ModeError500, Count: 3},
 	)
 	cfg := fe.config()
 	cfg.HTTP = &http.Client{Transport: faults.NewTransport(inj, fe.srv.Client().Transport, nil)}
@@ -595,7 +603,7 @@ func TestRetryBudgetExhaustionCrashes(t *testing.T) {
 	if err == nil {
 		t.Fatal("install succeeded against a permanently failing server")
 	}
-	if !IsTransient(err) {
+	if !dist.IsTransient(err) {
 		t.Errorf("exhausted-budget error not transient: %v", err)
 	}
 	if n.State() != node.StateCrashed {
@@ -635,7 +643,7 @@ func (f roundTripperFunc) RoundTrip(r *http.Request) (*http.Response, error) { r
 
 // corruptPackagesClient returns a client that routes package-body fetches
 // through the bit-flipping fault transport and everything else (manifest,
-// hdlist, kickstart) through the clean one — corruption lands only on RPM
+// kickstart) through the clean one — corruption lands only on RPM
 // payloads, which is what isolates the digest check under test.
 func corruptPackagesClient(fe *testFrontend, inj *faults.Injector) *http.Client {
 	clean := fe.srv.Client().Transport
@@ -719,7 +727,7 @@ func TestPersistentCorruptionFailsInstallNamingFile(t *testing.T) {
 	if err == nil {
 		t.Fatal("install succeeded against a persistently corrupting server")
 	}
-	if !IsTransient(err) {
+	if !dist.IsTransient(err) {
 		t.Errorf("corruption-exhausted error not transient: %v", err)
 	}
 	if !strings.Contains(err.Error(), ".rpm") {
@@ -887,6 +895,73 @@ func TestInstallEventTimeline(t *testing.T) {
 		}
 		if ev.Phase != lifecycle.PhaseInstall || ev.Source != "installer" {
 			t.Errorf("event %d mislabeled: %+v", i, ev)
+		}
+	}
+}
+
+// TestManifestFaultKeepsPeersTrustless is the verification-downgrade
+// regression: with the relay tier on and a peer that serves self-consistent
+// packages that are not the frontend's, one injected 500 on the frontend's
+// manifest must cost a retry — not the digests. The lying peer is still
+// caught on its first body and demoted, and nothing it served reaches the
+// disk or the node's relay store.
+func TestManifestFaultKeepsPeersTrustless(t *testing.T) {
+	fe := newTestFrontend(t)
+	n := newComputeNode()
+	fe.admit(n, "10.255.255.254", "compute-0-0", "compute")
+
+	liar := rpm.NewRepository("liar")
+	for _, p := range fe.dist.Repo.All() {
+		q := *p
+		q.Digest = "" // restamped over the tampered payload: the body verifies against itself
+		q.Files = append([]rpm.FileEntry{{Path: "/etc/lie", Mode: 0o644, Data: []byte("not what the frontend built")}}, p.Files...)
+		liar.Add(&q)
+	}
+	peer := httptest.NewServer(dist.NewRepoServer(liar))
+	defer peer.Close()
+	fe.peers = []Source{{URL: peer.URL, Kind: SourcePeer, Node: "compute-0-9"}}
+
+	// The first request on the package seam is the manifest.
+	inj := faults.NewInjector(5, faults.Rule{Op: faults.OpHTTPPackage, Mode: faults.ModeError500, Count: 1})
+	cfg := fe.config()
+	cfg.HTTP = &http.Client{Transport: faults.NewTransport(inj, fe.srv.Client().Transport, nil)}
+	cfg.DisableEKV = true
+	cfg.FetchRetries = 2
+	cfg.FetchBackoff = time.Millisecond
+	cfg.Events = lifecycle.NewBus(512)
+	cfg.Stats = &Stats{}
+	cfg.FrontendURL = fe.srv.URL
+	cfg.RelayStore = rpm.NewRepository("store")
+
+	res, err := Run(context.Background(), n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inj.Exhausted() {
+		t.Fatal("the manifest fault was never injected")
+	}
+	if got := cfg.Stats.FetchRetries.Load(); got != 1 {
+		t.Errorf("fetch retries = %d, want 1 (the manifest)", got)
+	}
+	if demoted, corrupt := cfg.Stats.PeerDemotions.Load(), cfg.Stats.PackagesCorrupt.Load(); demoted != 1 || corrupt != 1 {
+		t.Errorf("peer demotions = %d, corrupt bodies discarded = %d; want 1 and 1", demoted, corrupt)
+	}
+	events := cfg.Events.Recent(lifecycle.Filter{Type: lifecycle.EventRelayDemoted})
+	if len(events) != 1 || !strings.Contains(events[0].Detail, "peer "+peer.URL) {
+		t.Errorf("relay-demoted events = %+v, want one naming %s", events, peer.URL)
+	}
+	if got := cfg.Stats.PeerFetches.Load(); got != 0 {
+		t.Errorf("%d bodies accepted from the lying peer", got)
+	}
+	if _, err := n.Disk().ReadFile("/etc/lie"); err == nil {
+		t.Error("the lying peer's payload reached the disk")
+	}
+	if cfg.RelayStore.Len() != res.Packages {
+		t.Errorf("relay store holds %d packages, installed %d", cfg.RelayStore.Len(), res.Packages)
+	}
+	for _, p := range cfg.RelayStore.All() {
+		if want := fe.dist.Repo.Get(p.NVRA()); want == nil || p.Digest != want.Digest {
+			t.Errorf("relay store holds %s with a digest the frontend never advertised", p.NVRA())
 		}
 	}
 }

@@ -1,17 +1,14 @@
 package installer
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"net/url"
-	"strings"
 	"time"
 
+	"rocks/internal/dist"
 	"rocks/internal/lifecycle"
 	"rocks/internal/node"
 	"rocks/internal/rpm"
@@ -34,7 +31,7 @@ type Source struct {
 }
 
 // String renders the source for error messages and lifecycle events — the
-// attribution that makes a demotion auditable in /admin/events.
+// attribution that makes a demotion auditable in /v1/events.
 func (s Source) String() string { return s.Kind + " " + s.URL }
 
 // sourceSet is the installer's working view of its sources: peers in
@@ -69,49 +66,22 @@ func (ss *sourceSet) demote(src Source) {
 	}
 }
 
-// relayEnvelope is the /v1/relays response shape (the standard v1
-// {"data": ...} envelope around the registry's source list).
-type relayEnvelope struct {
-	Data struct {
-		Sources []Source `json:"sources"`
-	} `json:"data"`
-}
-
 // fetchRelaySources asks the frontend's relay registry for prioritized peer
 // sources. It is strictly best-effort: any error (registry absent, old
 // frontend, torn response) means frontend-only distribution, never a failed
 // install.
-func fetchRelaySources(ctx context.Context, cfg Config) []Source {
-	if cfg.RelayURL == "" {
+func fetchRelaySources(ctx context.Context, cfg Config, mac string) []Source {
+	if cfg.FrontendURL == "" || cfg.RelayStore == nil {
 		return nil
 	}
-	u := cfg.RelayURL
-	if cfg.RelayMAC != "" {
-		sep := "?"
-		if strings.Contains(u, "?") {
-			sep = "&"
-		}
-		u += sep + "mac=" + url.QueryEscape(cfg.RelayMAC)
+	var registry struct {
+		Sources []Source `json:"sources"`
 	}
-	req, err := http.NewRequestWithContext(ctx, "GET", u, nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := cfg.HTTP.Do(req)
-	if err != nil {
-		return nil
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var env relayEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
+	if err := cfg.api().Get(ctx, "relays", url.Values{"mac": {mac}}, &registry); err != nil {
 		return nil
 	}
 	var peers []Source
-	for _, s := range env.Data.Sources {
+	for _, s := range registry.Sources {
 		if s.Kind == SourcePeer && s.URL != "" {
 			peers = append(peers, s)
 		}
@@ -119,76 +89,30 @@ func fetchRelaySources(ctx context.Context, cfg Config) []Source {
 	return peers
 }
 
-// fetchPackageFrom downloads and decodes one package body from a specific
-// source. Errors name the full package URL, so a failure is attributable to
-// the peer or frontend that served it.
-func fetchPackageFrom(ctx context.Context, cfg Config, src Source, m rpm.Metadata) (*rpm.Package, int64, error) {
-	pkgURL := src.URL + "/RedHat/RPMS/" + url.PathEscape(m.Filename())
-	req, err := http.NewRequestWithContext(ctx, "GET", pkgURL, nil)
-	if err != nil {
-		return nil, 0, fmt.Errorf("installer: %w", err)
-	}
-	resp, err := cfg.HTTP.Do(req)
-	if err != nil {
-		return nil, 0, transient(fmt.Errorf("installer: fetching %s: %w", pkgURL, err))
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, 0, transient(fmt.Errorf("installer: fetching %s: %w", pkgURL, err))
-	}
-	if resp.StatusCode != http.StatusOK {
-		err = fmt.Errorf("installer: fetching %s: HTTP %s", pkgURL, resp.Status)
-		if resp.StatusCode >= 500 {
-			err = transient(err)
-		}
-		return nil, 0, err
-	}
-	pkg, err := rpm.Read(bytes.NewReader(body))
-	if err != nil {
-		// A decode failure on a served package is a torn or corrupted
-		// transfer: the embedded digest caught it. The caller records the
-		// corruption against this source and tries elsewhere.
-		return nil, 0, transient(fmt.Errorf("installer: decoding %s: %w (%v)", pkgURL, errCorruptBody, err))
-	}
-	return pkg, int64(len(body)), nil
-}
-
-// verifyPackage checks a fetched body against the listing identity and the
-// distribution manifest's digest. The manifest always comes from the
-// frontend, so this is what makes peers trustless: a lying relay cannot
-// forge a body that passes.
-func verifyPackage(pkg *rpm.Package, m rpm.Metadata) error {
-	if want := m.NVRA(); pkg.NVRA() != want {
-		return transient(fmt.Errorf("installer: verifying %s: %w (body identifies as %s)", m.Filename(), errCorruptBody, pkg.NVRA()))
-	}
-	if m.Digest != "" && pkg.EnsureDigest() != m.Digest {
-		return transient(fmt.Errorf("installer: verifying %s: %w (payload digest does not match the distribution manifest)", m.Filename(), errCorruptBody))
-	}
-	return nil
-}
-
-// fetchVerified fetches one package from the best available source,
-// verifying the body end-to-end. A peer that errors or serves a corrupt
-// body is demoted and the fetch moves to the next source immediately (no
-// retry budget spent); only a frontend failure propagates to the caller's
-// retry loop. Verified packages land in the node's relay store so this node
-// can re-serve them after install-complete.
-func fetchVerified(ctx context.Context, n *node.Node, cfg Config, screen io.Writer, srcs *sourceSet, best map[string]rpm.Metadata, name string) (*rpm.Package, error) {
-	m, ok := best[name]
+// fetchVerified fetches one package from the best available source; the
+// fetcher verifies the body end to end against the frontend's manifest
+// entry, which is what makes peers trustless. A peer that errors or serves
+// a corrupt body is demoted and the fetch moves to the next source
+// immediately (no retry budget spent); only a frontend failure propagates
+// to the caller's retry loop. Verified packages land in the node's relay
+// store so this node can re-serve them after install-complete.
+func fetchVerified(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetcher, screen io.Writer, srcs *sourceSet, best map[string]dist.ManifestEntry, name string) (*rpm.Package, error) {
+	e, ok := best[name]
 	if !ok {
 		return nil, fmt.Errorf("installer: package %q not present in distribution", name)
 	}
 	for {
 		src := srcs.pick()
 		start := time.Now()
-		pkg, nbytes, err := fetchPackageFrom(ctx, cfg, src, m)
-		if err == nil {
-			err = verifyPackage(pkg, m)
-		}
+		pkg, nbytes, err := f.Package(ctx, src.URL, e)
 		if err != nil {
-			if errors.Is(err, errCorruptBody) {
-				markCorrupt(cfg, n, screen, m.Filename(), src)
+			if errors.Is(err, dist.ErrCorruptBody) {
+				// The event names the source that served the body, so a
+				// relay demotion is auditable in /v1/events.
+				cfg.Stats.corrupt()
+				emit(cfg, n, lifecycle.EventPackageCorrupt,
+					fmt.Sprintf("%s.rpm failed digest verification (source: %s)", e.NVRA, src))
+				fmt.Fprintf(screen, "package %s.rpm from %s failed digest verification; discarding\n", e.NVRA, src)
 			}
 			if src.Kind == SourcePeer && ctx.Err() == nil {
 				cfg.Stats.demotePeer()

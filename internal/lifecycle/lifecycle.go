@@ -6,7 +6,7 @@
 // rather than any single component's private log. The bus gives that
 // lifecycle one vocabulary (Event), one bounded store (the ring), and two
 // consumption styles: subscription fan-out for reactive components (the
-// supervisor) and per-node timeline queries for humans (/admin/events).
+// supervisor) and per-node timeline queries for humans (/v1/events).
 package lifecycle
 
 import (
@@ -89,7 +89,7 @@ const (
 	// (relay-down) when the node reinstalls, goes dark, or is quarantined.
 	// An installer that catches a relay serving corrupt or failing
 	// responses emits relay-demoted with the source URL, making the
-	// demotion auditable in /admin/events.
+	// demotion auditable in /v1/events.
 	EventRelayUp      EventType = "relay-up"
 	EventRelayDown    EventType = "relay-down"
 	EventRelayDemoted EventType = "relay-demoted"
@@ -318,7 +318,7 @@ func (b *Bus) Seq() uint64 {
 }
 
 // Evicted counts events pushed out of the ring by newer ones — the
-// /admin/supervisor "dropped" figure.
+// /v1/supervisor "dropped" figure.
 func (b *Bus) Evicted() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -4,7 +4,7 @@
 // and WAL, the kickstart profile cache, the distribution server, the
 // lifecycle bus, the installer, the supervisor — registers its counters
 // here, and the frontend serves the whole registry at /metrics. One
-// uniform surface replaces the bespoke JSON shapes each /admin endpoint
+// uniform surface replaces the bespoke JSON shapes each stats endpoint
 // grew: a load test scrapes before and after and asserts on deltas, and a
 // real Prometheus can scrape the same endpoint unmodified (the Brookhaven
 // scalability paper's point that monitoring must scale with the cluster).

@@ -211,9 +211,11 @@ func PayloadDigest(files []FileEntry) string {
 
 // EnsureDigest returns the package's payload digest, computing and stamping
 // it when the package was built in memory and never serialized. Packages
-// that came through WriteTo/Read already carry it. The digest is the
-// package's content identity across the distribution pipeline: manifests,
-// delta mirroring, and install-time verification all key on it.
+// that came through WriteTo/Read already carry it, and Repository.Add
+// stamps the rest, so only code holding a package no repository has seen
+// needs this; everything else reads Digest. The digest is the package's
+// content identity across the distribution pipeline: manifests, delta
+// mirroring, and install-time verification all key on it.
 func (p *Package) EnsureDigest() string {
 	if p.Digest == "" {
 		p.Digest = PayloadDigest(p.Files)

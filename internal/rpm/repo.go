@@ -29,15 +29,19 @@ func NewRepository(name string) *Repository {
 func (r *Repository) Name() string { return r.name }
 
 // Add inserts a package, stamping its Source with the repository name if
-// the package does not already carry provenance. Adding a package with an
-// NVRA that is already present replaces the existing copy (a re-pushed
-// package wins, matching wget mirror semantics).
+// the package does not already carry provenance, and its payload digest if
+// it was built in memory and never serialized: every package reachable
+// through a Repository carries its Digest, so the concurrent paths that
+// serve and verify repository contents only ever read the field. Adding a
+// package with an NVRA that is already present replaces the existing copy
+// (a re-pushed package wins, matching wget mirror semantics).
 func (r *Repository) Add(p *Package) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if p.Source == "" {
 		p.Source = r.name
 	}
+	p.EnsureDigest()
 	list := r.pkgs[p.Name]
 	for i, q := range list {
 		if q.NVRA() == p.NVRA() {

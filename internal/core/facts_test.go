@@ -439,12 +439,20 @@ func TestFederationFactsForwarding(t *testing.T) {
 		t.Errorf("forwarded hardware diverges: %+v vs %+v", got, n.HW)
 	}
 
-	code, body, _ := v1Call(t, child, http.MethodGet, "/v1/federation", nil)
-	if code != 200 {
-		t.Fatalf("child /v1/federation = %d", code)
-	}
+	// The child counts a forward when the parent's answer arrives, which is
+	// after the parent has made the record visible above.
 	var fed FederationResponse
-	dataOf(t, body, &fed)
+	for {
+		code, body, _ := v1Call(t, child, http.MethodGet, "/v1/federation", nil)
+		if code != 200 {
+			t.Fatalf("child /v1/federation = %d", code)
+		}
+		dataOf(t, body, &fed)
+		if fed.FactsForwarded != 0 || fed.FactsForwardErrors != 0 || !time.Now().Before(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	if fed.FactsForwarded == 0 {
 		t.Errorf("child counted no forwarded facts: %+v", fed)
 	}

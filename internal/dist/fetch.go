@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -65,6 +64,10 @@ var defaultClient = &http.Client{Timeout: 60 * time.Second}
 // maxBackoff caps the doubling retry wait, so a deep attempt budget against
 // a dead server waits minutes, not days. A base above the cap stays as set.
 const maxBackoff = 30 * time.Second
+
+// maxPresize bounds the buffer a declared Content-Length can make Get
+// allocate before any byte of the body has arrived.
+const maxPresize = 1 << 20
 
 // Fetcher is the distribution protocol's client. The zero value is a
 // sensible production default.
@@ -146,10 +149,18 @@ func (f *Fetcher) Get(ctx context.Context, u string, header http.Header) ([]byte
 		return nil, Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// io.ReadAll, but into a buffer sized up front when the server declared
+	// a length (every package body; the spare MinRead lets ReadFrom see EOF
+	// without growing). The declaration is a peer's claim, so it sizes at
+	// most maxPresize; a longer body grows as its bytes actually arrive.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
 	}
+	body := buf.Bytes()
 	if resp.StatusCode != http.StatusOK {
 		err := &statusError{resp.StatusCode, fmt.Sprintf("dist: fetching %s: HTTP %s: %s",
 			u, resp.Status, bytes.TrimSpace(body[:min(len(body), 200)]))}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -214,16 +215,20 @@ func TestIndexFallsBackOnlyOn404(t *testing.T) {
 
 // TestConcurrentManifestAndPackageServing hammers the manifest and package
 // endpoints of a distribution built from in-memory packages (no digest until
-// a repository stamped one) from goroutines released together. Under -race
-// this is the regression test for the lazy digest stamp that concurrent
-// manifest requests used to race on.
+// a repository stamped one) from goroutines released together, while another
+// goroutine keeps re-pushing the served packages (same payload, so the
+// manifest digests hold; new metadata, so each push is a new encoding). Under
+// -race this is the regression test for the lazy digest stamp that concurrent
+// manifest requests used to race on, and for the encode-once body: a GET
+// racing a replacing Add serves the old package or the new one, whole.
 func TestConcurrentManifestAndPackageServing(t *testing.T) {
 	const packages = 64
 	repo := rpm.NewRepository("r")
 	for i := 0; i < packages; i++ {
 		repo.Add(payloadPkg(fmt.Sprintf("pkg%02d", i), "1.0", "1", "x"))
 	}
-	srv := httptest.NewServer(NewServer(Build("d", nil, Source{"r", repo})))
+	d := Build("d", nil, Source{"r", repo})
+	srv := httptest.NewServer(NewServer(d))
 	defer srv.Close()
 	f := &Fetcher{HTTP: srv.Client()}
 	start := make(chan struct{})
@@ -246,6 +251,26 @@ func TestConcurrentManifestAndPackageServing(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for round := 0; round < 4; round++ {
+			for i := 0; i < packages; i++ {
+				p := payloadPkg(fmt.Sprintf("pkg%02d", i), "1.0", "1", "x")
+				p.Summary = fmt.Sprintf("re-pushed %d", round)
+				d.Repo.Add(p)
+			}
+		}
+	}()
 	close(start)
 	wg.Wait()
+	for _, p := range d.Repo.All() {
+		if p.Summary != "re-pushed 3" {
+			t.Fatalf("%s: summary %q, want the last push", p.NVRA(), p.Summary)
+		}
+		if body, err := f.Get(context.Background(), srv.URL+rpmsPath+p.Filename(), nil); err != nil || !bytes.Equal(body, p.Bytes()) {
+			t.Fatalf("%s: served body is not the last push's encoding (%v)", p.NVRA(), err)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -112,7 +113,7 @@ func (s *Server) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("rocks_dist_package_bytes_total", "Package body bytes served.",
 		func() float64 { return float64(s.bytes.Load()) })
 	r.GaugeFunc("rocks_dist_packages", "Packages in the served distribution.",
-		func() float64 { return float64(len(s.repo().All())) })
+		func() float64 { return float64(s.repo().Len()) })
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -130,12 +131,12 @@ func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, rpmsPath)
 	if rest == "" {
 		s.listing.Add(1)
-		var names []string
-		for _, p := range s.repo().All() {
+		names := s.repo().NVRAs()
+		for i, nvra := range names {
 			// Escape each name so the listing stays one token per line even
 			// for filenames carrying spaces or reserved URL characters, and
 			// so the client can use entries verbatim as URL path segments.
-			names = append(names, url.PathEscape(p.Filename()))
+			names[i] = url.PathEscape(nvra + ".rpm")
 		}
 		sort.Strings(names)
 		w.Header().Set("Content-Type", "text/plain")
@@ -147,20 +148,21 @@ func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	p := s.repo().Get(meta.NVRA())
-	if p == nil {
+	// The repository entry owns the package's encoding: made once, on the
+	// first request for it, and immutable after.
+	body := s.repo().Body(meta.NVRA())
+	if body == nil {
 		s.notFound.Add(1)
 		http.NotFound(w, r)
 		return
 	}
 	s.packages.Add(1)
 	w.Header().Set("Content-Type", "application/x-rpm")
-	n, err := p.WriteTo(w)
-	s.bytes.Add(n)
-	if err != nil {
-		// Connection-level failure; nothing recoverable server-side.
-		return
-	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	// A failed write is a connection-level failure; nothing recoverable
+	// server-side.
+	n, _ := w.Write(body)
+	s.bytes.Add(int64(n))
 }
 
 func (s *Server) serveManifest(w http.ResponseWriter, r *http.Request) {

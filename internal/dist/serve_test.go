@@ -1,0 +1,162 @@
+package dist
+
+import (
+	"archive/tar"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"rocks/internal/kickstart"
+	"rocks/internal/rpm"
+)
+
+// get serves one request for a package file straight through a handler.
+func get(h http.Handler, file string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", rpmsPath+file, nil))
+	return rec
+}
+
+// TestServedBodyIsTheEncoding: whatever route put a package into a served
+// repository — a build, a child build sharing the parent's packages by
+// reference, a delta mirror re-stamping a shallow copy of a baseline package,
+// an Add replacing an NVRA that has already been served — a GET returns
+// exactly the stored package's encoding, under a Content-Length that says so,
+// and a removed package is gone. Every repository is served before the next
+// one is derived from it, so a body cached anywhere but on the repository's
+// own entry would be served stale here.
+func TestServedBodyIsTheEncoding(t *testing.T) {
+	check := func(step string, h http.Handler, repo *rpm.Repository) {
+		t.Helper()
+		if repo.Len() == 0 {
+			t.Fatalf("%s: empty repository", step)
+		}
+		for _, p := range repo.All() {
+			rec := get(h, p.Filename())
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), p.Bytes()) {
+				t.Fatalf("%s: GET %s = HTTP %d, body is not the stored package's encoding", step, p.Filename(), rec.Code)
+			}
+			if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+				t.Fatalf("%s: GET %s: Content-Length %q for %d bytes", step, p.Filename(), got, rec.Body.Len())
+			}
+		}
+	}
+	src := rpm.NewRepository("redhat")
+	src.Add(payloadPkg("alpha", "1.0", "1", "a"))
+	src.Add(payloadPkg("beta", "1.0", "1", "b"))
+	parent := Build("parent", kickstart.DefaultFramework(), Source{"redhat", src})
+	parentSrv := NewServer(parent)
+	check("Build", parentSrv, parent.Repo)
+
+	local := rpm.NewRepository("local")
+	local.Add(payloadPkg("gamma", "1.0", "1", "c"))
+	child := BuildChild("child", parent, nil, Source{"local", local})
+	childSrv := NewServer(child)
+	check("BuildChild", childSrv, child.Repo)
+
+	// A delta mirror of the parent against a baseline that already holds
+	// alpha: the mirror's alpha is a shallow copy carrying new provenance.
+	baseline := rpm.NewRepository("old-mirror")
+	baseline.Add(parent.Repo.Get("alpha-1.0-1.i386"))
+	ts := httptest.NewServer(parentSrv)
+	defer ts.Close()
+	mirror, report, err := Mirror(context.Background(), ts.URL, "mirror", MirrorOptions{
+		Fetcher: Fetcher{HTTP: ts.Client()}, Baseline: baseline})
+	if err != nil || report.Skipped != 1 || report.Fetched != 1 {
+		t.Fatalf("Mirror: %+v, %v; want alpha reused and beta fetched", report, err)
+	}
+	if got := mirror.Get("alpha-1.0-1.i386").Source; got != "mirror" {
+		t.Fatalf("mirrored alpha has provenance %q", got)
+	}
+	check("Mirror with Baseline", NewRepoServer(mirror), mirror)
+	check("Build, after its packages were copied", parentSrv, parent.Repo)
+
+	// Replace a served NVRA, then remove one.
+	parent.Repo.Add(payloadPkg("alpha", "1.0", "1", "A"))
+	check("replacing Add", parentSrv, parent.Repo)
+	if body := get(parentSrv, "alpha-1.0-1.i386.rpm").Body.Bytes(); !bytes.Contains(body, []byte("AAAA")) {
+		t.Fatal("replacing Add: the replaced payload is still served")
+	}
+	check("child of a parent whose package was replaced", childSrv, child.Repo)
+	if !parent.Repo.Remove("beta-1.0-1.i386") {
+		t.Fatal("Remove(beta) = false")
+	}
+	check("Remove", parentSrv, parent.Repo)
+	if rec := get(parentSrv, "beta-1.0-1.i386.rpm"); rec.Code != http.StatusNotFound {
+		t.Fatalf("removed package: HTTP %d, want 404", rec.Code)
+	}
+}
+
+// TestServeWorkIndependentOfRepoSize counts, it does not time: one package
+// GET through the server allocates the same number of objects whether the
+// repository holds a hundred packages or ten thousand. A lookup that formats
+// an NVRA per stored package, or a body encoded per request, fails this.
+func TestServeWorkIndependentOfRepoSize(t *testing.T) {
+	allocsPerGet := func(packages int) float64 {
+		repo := rpm.NewRepository("r")
+		for i := 0; i < packages; i++ {
+			repo.Add(rpm.New(fmt.Sprintf("pkg%05d", i), v("1.0", "1"), rpm.ArchI386,
+				rpm.FileEntry{Path: "/f", Data: []byte("x")}))
+		}
+		h := NewRepoServer(repo)
+		file := fmt.Sprintf("pkg%05d-1.0-1.i386.rpm", packages/2)
+		return testing.AllocsPerRun(20, func() {
+			if rec := get(h, file); rec.Code != http.StatusOK {
+				t.Fatalf("GET %s = HTTP %d", file, rec.Code)
+			}
+		})
+	}
+	small, large := allocsPerGet(100), allocsPerGet(10000)
+	if small != large {
+		t.Errorf("one GET allocates %.0f objects from 100 packages and %.0f from 10 000", small, large)
+	}
+}
+
+// TestOversizeHeaderIsACorruptBody: a body whose payload header claims 1 GiB
+// while a few bytes follow — a forging peer, or a transfer torn and spliced —
+// is a corrupt body like any other: a plain error from rpm.Read, transient
+// and ErrCorruptBody from Fetcher.Package, and no buffer of the claimed size.
+func TestOversizeHeaderIsACorruptBody(t *testing.T) {
+	good := payloadPkg("alpha", "1.0", "1", "a")
+	var forged bytes.Buffer
+	tr, tw := tar.NewReader(bytes.NewReader(good.Bytes())), tar.NewWriter(&forged)
+	for i := 0; i < 2; i++ {
+		hdr, err := tr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(tr)
+		if i == 1 {
+			hdr.Size, body = 1<<30, body[:100]
+		}
+		if err := tw.WriteHeader(hdr); err != nil {
+			t.Fatal(err)
+		}
+		tw.Write(body)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := rpm.Read(bytes.NewReader(forged.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "claims 1073741824 bytes") {
+		t.Fatalf("rpm.Read = %v, want an error naming the claim", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("rpm.Read of %d forged bytes allocated %d bytes", forged.Len(), got)
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write(forged.Bytes()) }))
+	defer srv.Close()
+	f := &Fetcher{HTTP: srv.Client()}
+	_, _, err = f.Package(context.Background(), srv.URL, ManifestEntry{NVRA: good.NVRA(), Digest: good.EnsureDigest()})
+	if !errors.Is(err, ErrCorruptBody) || !IsTransient(err) {
+		t.Fatalf("Fetcher.Package = %v, want a transient ErrCorruptBody", err)
+	}
+}

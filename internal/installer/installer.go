@@ -606,8 +606,10 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 		n.PackageDB().Install(pkg.Metadata)
 		total += pkg.Size
 		// Redraw the Figure 7 panel for every package, exactly as the
-		// paper's screenshot shows.
-		writeStatusPanel(screen, pkg, i+1, len(p.Packages), total, grandTotal, time.Since(start))
+		// paper's screenshot shows — when there is a screen to draw it on.
+		if ekvSrv != nil {
+			writeStatusPanel(screen, pkg, i+1, len(p.Packages), total, grandTotal, time.Since(start))
+		}
 	}
 	fmt.Fprintf(screen, " Total  : %d packages, %dM\n", len(p.Packages), total>>20)
 	return len(p.Packages), total, nil

@@ -49,7 +49,7 @@ type Metadata struct {
 
 // NVRA returns the canonical name-version-release.arch identifier.
 func (m Metadata) NVRA() string {
-	return fmt.Sprintf("%s-%s-%s.%s", m.Name, m.Version.Version, m.Version.Release, m.Arch)
+	return m.Name + "-" + m.Version.Version + "-" + m.Version.Release + "." + m.Arch
 }
 
 // Filename returns the package file name, NVRA plus the ".rpm" suffix.
@@ -150,6 +150,7 @@ func (p *Package) WriteTo(w io.Writer) (int64, error) {
 // Read parses a package from its on-disk tar format.
 func Read(r io.Reader) (*Package, error) {
 	tr := tar.NewReader(r)
+	sized, _ := r.(interface{ Len() int })
 	first, err := tr.Next()
 	if err != nil {
 		return nil, fmt.Errorf("rpm: reading package: %w", err)
@@ -174,7 +175,7 @@ func Read(r io.Reader) (*Package, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rpm: reading payload: %w", err)
 		}
-		data, err := io.ReadAll(tr)
+		data, err := readPayload(tr, th.Size, sized)
 		if err != nil {
 			return nil, fmt.Errorf("rpm: reading payload %q: %w", th.Name, err)
 		}
@@ -190,6 +191,24 @@ func Read(r io.Reader) (*Package, error) {
 		}
 	}
 	return p, nil
+}
+
+// readPayload reads the payload file the tar reader stands at. A source that
+// can say how many bytes it has left (a fetched body held in memory) gets one
+// buffer of the size the file's header claims — once the claim is known to
+// fit in what is left, so a forged or torn header costs an error and never an
+// allocation of the size it names. A stream of unknown length (a file of a
+// tree on disk) is read as its bytes arrive.
+func readPayload(tr *tar.Reader, size int64, sized interface{ Len() int }) ([]byte, error) {
+	if sized == nil {
+		return io.ReadAll(tr)
+	}
+	if left := int64(sized.Len()); size > left {
+		return nil, fmt.Errorf("header claims %d bytes, %d left in the package", size, left)
+	}
+	data := make([]byte, size)
+	_, err := io.ReadFull(tr, data)
+	return data, err
 }
 
 // PayloadDigest computes the canonical SHA-256 over a payload: file paths,

@@ -2,27 +2,44 @@ package rpm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
 
-// Repository is an in-memory collection of packages indexed by name. It is
-// the unit rocks-dist manipulates: a Red Hat mirror, an updates directory,
-// a contrib directory, and a local RPMS directory are all Repositories, and
-// a built distribution is one too (§6.2).
+// Repository is an in-memory collection of packages indexed by name and by
+// NVRA. It is the unit rocks-dist manipulates: a Red Hat mirror, an updates
+// directory, a contrib directory, and a local RPMS directory are all
+// Repositories, and a built distribution is one too (§6.2).
 //
 // A Repository is safe for concurrent use; the installer fan-out in the
 // reinstallation experiments reads one repository from many node goroutines.
+// A package is never modified once a repository holds it: whoever needs a
+// variant (the mirror re-stamping provenance on a baseline package) adds a
+// copy, and the replaced entry takes its encoding with it.
 type Repository struct {
-	mu   sync.RWMutex
-	name string
-	pkgs map[string][]*Package // keyed by package name, unsorted
+	mu     sync.RWMutex
+	name   string
+	byName map[string][]*entry // every version of a name, unsorted
+	byNVRA map[string]*entry
+}
+
+// entry is one stored package together with its wire encoding. The encoding
+// belongs to the entry, not the Package, because the same *Package is shared
+// by reference between repositories (source, distribution, child) of which
+// at most one is served: only an entry that is asked for its body pays for
+// one, and an Add that replaces an NVRA makes a new entry, so bytes of the
+// replaced package cannot be served afterwards.
+type entry struct {
+	pkg  *Package
+	once sync.Once
+	body []byte // pkg.Bytes(), set by once
 }
 
 // NewRepository creates an empty repository. The name is used in package
 // provenance (Metadata.Source) and diagnostics.
 func NewRepository(name string) *Repository {
-	return &Repository{name: name, pkgs: make(map[string][]*Package)}
+	return &Repository{name: name, byName: make(map[string][]*entry), byNVRA: make(map[string]*entry)}
 }
 
 // Name returns the repository's name.
@@ -42,14 +59,31 @@ func (r *Repository) Add(p *Package) {
 		p.Source = r.name
 	}
 	p.EnsureDigest()
-	list := r.pkgs[p.Name]
-	for i, q := range list {
-		if q.NVRA() == p.NVRA() {
-			list[i] = p
-			return
+	nvra := p.NVRA()
+	e := &entry{pkg: p}
+	if old := r.byNVRA[nvra]; old != nil && old.pkg.Name == p.Name {
+		list := r.byName[p.Name]
+		list[slices.Index(list, old)] = e
+	} else {
+		if old != nil {
+			// Same NVRA filed under another name ("a-1" 2-3 and "a" 1-2-3).
+			r.unlink(old)
 		}
+		r.byName[p.Name] = append(r.byName[p.Name], e)
 	}
-	r.pkgs[p.Name] = append(list, p)
+	r.byNVRA[nvra] = e
+}
+
+// unlink takes an entry out of its name's list. Callers hold the write lock.
+func (r *Repository) unlink(e *entry) {
+	name := e.pkg.Name
+	list := r.byName[name]
+	i := slices.Index(list, e)
+	if list = append(list[:i:i], list[i+1:]...); len(list) == 0 {
+		delete(r.byName, name)
+	} else {
+		r.byName[name] = list
+	}
 }
 
 // Remove deletes the package with the given NVRA. It reports whether a
@@ -57,32 +91,38 @@ func (r *Repository) Add(p *Package) {
 func (r *Repository) Remove(nvra string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, list := range r.pkgs {
-		for i, q := range list {
-			if q.NVRA() == nvra {
-				r.pkgs[name] = append(list[:i:i], list[i+1:]...)
-				if len(r.pkgs[name]) == 0 {
-					delete(r.pkgs, name)
-				}
-				return true
-			}
-		}
+	e := r.byNVRA[nvra]
+	if e == nil {
+		return false
 	}
-	return false
+	delete(r.byNVRA, nvra)
+	r.unlink(e)
+	return true
 }
 
 // Get returns the package with the exact NVRA, or nil.
 func (r *Repository) Get(nvra string) *Package {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, list := range r.pkgs {
-		for _, q := range list {
-			if q.NVRA() == nvra {
-				return q
-			}
-		}
+	if e := r.byNVRA[nvra]; e != nil {
+		return e.pkg
 	}
 	return nil
+}
+
+// Body returns the package with the exact NVRA in its on-disk format — what
+// a distribution server sends for it — or nil. The package is encoded on the
+// first call and the same bytes are returned from then on; callers must not
+// modify them.
+func (r *Repository) Body(nvra string) []byte {
+	r.mu.RLock()
+	e := r.byNVRA[nvra]
+	r.mu.RUnlock()
+	if e == nil {
+		return nil
+	}
+	e.once.Do(func() { e.body = e.pkg.Bytes() })
+	return e.body
 }
 
 // Newest returns the most recent version of the named package for the given
@@ -94,7 +134,8 @@ func (r *Repository) Newest(name, arch string) *Package {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var best *Package
-	for _, q := range r.pkgs[name] {
+	for _, e := range r.byName[name] {
+		q := e.pkg
 		if !archCompatible(arch, q.Arch) {
 			continue
 		}
@@ -110,7 +151,10 @@ func (r *Repository) Newest(name, arch string) *Package {
 func (r *Repository) Versions(name string) []*Package {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := append([]*Package(nil), r.pkgs[name]...)
+	out := make([]*Package, 0, len(r.byName[name]))
+	for _, e := range r.byName[name] {
+		out = append(out, e.pkg)
+	}
 	sort.Slice(out, func(i, j int) bool { return Compare(out[i].Version, out[j].Version) > 0 })
 	return out
 }
@@ -119,12 +163,24 @@ func (r *Repository) Versions(name string) []*Package {
 func (r *Repository) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.pkgs))
-	for n := range r.pkgs {
+	names := make([]string, 0, len(r.byName))
+	for n := range r.byName {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
+}
+
+// NVRAs returns the NVRA of every package in the repository, in no
+// particular order.
+func (r *Repository) NVRAs() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, 0, len(r.byNVRA))
+	for nvra := range r.byNVRA {
+		out = append(out, nvra)
+	}
+	return out
 }
 
 // All returns every package in the repository in stable (name, version,
@@ -132,9 +188,9 @@ func (r *Repository) Names() []string {
 func (r *Repository) All() []*Package {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []*Package
-	for _, list := range r.pkgs {
-		out = append(out, list...)
+	out := make([]*Package, 0, len(r.byNVRA))
+	for _, e := range r.byNVRA {
+		out = append(out, e.pkg)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -154,11 +210,7 @@ func (r *Repository) All() []*Package {
 func (r *Repository) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	n := 0
-	for _, list := range r.pkgs {
-		n += len(list)
-	}
-	return n
+	return len(r.byNVRA)
 }
 
 // TotalSize reports the sum of the installed sizes of every package.
@@ -166,10 +218,8 @@ func (r *Repository) TotalSize() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var n int64
-	for _, list := range r.pkgs {
-		for _, q := range list {
-			n += q.Size
-		}
+	for _, e := range r.byNVRA {
+		n += e.pkg.Size
 	}
 	return n
 }

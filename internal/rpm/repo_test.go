@@ -1,7 +1,10 @@
 package rpm
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -184,5 +187,162 @@ func TestRepositoryConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 8*50 {
 		t.Errorf("Len = %d, want %d", r.Len(), 8*50)
+	}
+}
+
+// scanRepo is the repository as it was before the NVRA index: one map by
+// name, and a scan of every list that formats an NVRA per comparison for
+// Add, Remove and Get. TestRepositoryMatchesLinearScan keeps it as the
+// reference the indexed Repository must agree with.
+type scanRepo struct{ pkgs map[string][]*Package }
+
+func (r *scanRepo) add(p *Package) {
+	list := r.pkgs[p.Name]
+	for i, q := range list {
+		if q.NVRA() == p.NVRA() {
+			list[i] = p
+			return
+		}
+	}
+	r.pkgs[p.Name] = append(list, p)
+}
+
+func (r *scanRepo) remove(nvra string) bool {
+	for name, list := range r.pkgs {
+		for i, q := range list {
+			if q.NVRA() == nvra {
+				r.pkgs[name] = append(list[:i:i], list[i+1:]...)
+				if len(r.pkgs[name]) == 0 {
+					delete(r.pkgs, name)
+				}
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func (r *scanRepo) get(nvra string) *Package {
+	for _, list := range r.pkgs {
+		for _, q := range list {
+			if q.NVRA() == nvra {
+				return q
+			}
+		}
+	}
+	return nil
+}
+
+func (r *scanRepo) newest(name, arch string) *Package {
+	var best *Package
+	for _, q := range r.pkgs[name] {
+		if !archCompatible(arch, q.Arch) {
+			continue
+		}
+		if best == nil || Compare(q.Version, best.Version) > 0 ||
+			(Compare(q.Version, best.Version) == 0 && archRank(q.Arch) > archRank(best.Arch)) {
+			best = q
+		}
+	}
+	return best
+}
+
+func (r *scanRepo) nvras() []string {
+	var out []string
+	for _, list := range r.pkgs {
+		for _, q := range list {
+			out = append(out, q.NVRA())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestRepositoryMatchesLinearScan drives the indexed repository and the old
+// linear scan through the same seeded sequence of adds (a third of them
+// re-pushing an NVRA already present, with a new payload), removes and
+// lookups. Versions include pairs that compare equal but spell differently
+// ("1.0"/"1.00"), where Newest's answer depends on the order packages were
+// stored in, so a replace that moved its entry would show. Every lookup must
+// return the very same *Package, and Body must be the encoding of the package
+// stored now — never of the one it replaced.
+func TestRepositoryMatchesLinearScan(t *testing.T) {
+	names := []string{"glibc", "kernel", "kernel-smp", "openssl", "mpich", "pbs"}
+	versions := []string{"1.0", "1.00", "1.1", "2.0", "2.0a", "10.0"}
+	releases := []string{"1", "2", "01"}
+	arches := []string{ArchI386, ArchAthlon, ArchIA64, ArchNoarch}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pick := func(from []string) string { return from[rng.Intn(len(from))] }
+		repo, ref := NewRepository("r"), &scanRepo{pkgs: map[string][]*Package{}}
+		for step := 0; step < 2000; step++ {
+			m := Metadata{Name: pick(names), Version: v(pick(versions), pick(releases)), Arch: pick(arches)}
+			switch op := rng.Intn(10); {
+			case op < 5:
+				p := New(m.Name, m.Version, m.Arch, FileEntry{Path: "/f", Data: []byte(fmt.Sprint(step))})
+				repo.Add(p)
+				ref.add(p)
+			case op < 7:
+				if got, want := repo.Remove(m.NVRA()), ref.remove(m.NVRA()); got != want {
+					t.Fatalf("seed %d step %d: Remove(%s) = %v, reference %v", seed, step, m.NVRA(), got, want)
+				}
+			default:
+				got, want := repo.Get(m.NVRA()), ref.get(m.NVRA())
+				if got != want {
+					t.Fatalf("seed %d step %d: Get(%s) = %v, reference %v", seed, step, m.NVRA(), got, want)
+				}
+				body := repo.Body(m.NVRA())
+				if (body == nil) != (want == nil) || want != nil && !bytes.Equal(body, want.Bytes()) {
+					t.Fatalf("seed %d step %d: Body(%s) is not the stored package's encoding", seed, step, m.NVRA())
+				}
+			}
+			if got, want := repo.Newest(m.Name, m.Arch), ref.newest(m.Name, m.Arch); got != want {
+				t.Fatalf("seed %d step %d: Newest(%s, %s) = %v, reference %v", seed, step, m.Name, m.Arch, got, want)
+			}
+			if step%50 != 0 {
+				continue
+			}
+			all := repo.All()
+			got := make([]string, len(all))
+			for i, p := range all {
+				got[i] = p.NVRA()
+				if ref.get(got[i]) != p {
+					t.Fatalf("seed %d step %d: All holds a %s the reference does not", seed, step, got[i])
+				}
+				if i > 0 && (all[i-1].Name > p.Name || all[i-1].Name == p.Name && Compare(all[i-1].Version, p.Version) > 0) {
+					t.Fatalf("seed %d step %d: All out of order at %s, %s", seed, step, got[i-1], got[i])
+				}
+			}
+			sort.Strings(got)
+			listed := repo.NVRAs()
+			sort.Strings(listed)
+			if want := ref.nvras(); fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(listed) != fmt.Sprint(want) || repo.Len() != len(want) {
+				t.Fatalf("seed %d step %d: All = %v, NVRAs = %v, Len = %d; reference %v", seed, step, got, listed, repo.Len(), want)
+			}
+			var refNames []string
+			for name := range ref.pkgs {
+				refNames = append(refNames, name)
+			}
+			sort.Strings(refNames)
+			if got := repo.Names(); fmt.Sprint(got) != fmt.Sprint(refNames) {
+				t.Fatalf("seed %d step %d: Names = %v, reference %v", seed, step, got, refNames)
+			}
+		}
+	}
+}
+
+// TestRepositoryNVRASharedByTwoNames: a dash in a version lets two package
+// names spell one NVRA. The NVRA is the identity, so the later Add replaces
+// the earlier package whichever name it was filed under.
+func TestRepositoryNVRASharedByTwoNames(t *testing.T) {
+	r := NewRepository("r")
+	r.Add(New("a-1", v("2", "3"), ArchI386))
+	b := New("a", v("1-2", "3"), ArchI386)
+	r.Add(b)
+	if r.Len() != 1 || r.Get("a-1-2-3.i386") != b || r.Newest("a-1", ArchI386) != nil || r.Newest("a", ArchI386) != b {
+		t.Fatalf("Len = %d, Names = %v: the replaced package is still reachable", r.Len(), r.Names())
+	}
+	if !r.Remove("a-1-2-3.i386") || r.Len() != 0 || len(r.Names()) != 0 {
+		t.Fatalf("after Remove: Len = %d, Names = %v", r.Len(), r.Names())
 	}
 }

@@ -11,17 +11,11 @@
 //	cluster-fork -server http://127.0.0.1:8070 -cmd "rpm -q glibc"
 //	shoot-node   -server http://127.0.0.1:8070 -watch compute-0-0
 //
-// Experiment mode:
+// Experiment mode (-h lists the names; experimentTable below is the one
+// place they are spelled):
 //
 //	cluster-sim -experiment table1      # Table I reproduction
-//	cluster-sim -experiment microbench  # §6.3 serial-download micro-benchmark
-//	cluster-sim -experiment gige        # Gigabit scaling footnote
-//	cluster-sim -experiment servers     # replicated web servers
-//	cluster-sim -experiment myrinet     # GM rebuild penalty
-//	cluster-sim -experiment updates     # §6.2.1 update-tracking cadence
-//	cluster-sim -experiment relaycurve  # peer/relay vs frontend-only completion curves
-//	cluster-sim -experiment federation  # sharded frontends vs one frontend
-//	cluster-sim -experiment all
+//	cluster-sim -experiment all         # every modeled figure, in order
 //
 // Federation mode — a two-level frontend hierarchy on one machine:
 //
@@ -38,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"rocks/internal/clusterdb"
@@ -59,7 +54,7 @@ func main() {
 		listen     = flag.String("listen", "127.0.0.1:0", "frontend HTTP listen address")
 		nodes      = flag.Int("nodes", 2, "compute nodes to integrate at startup")
 		name       = flag.String("name", "Meteor", "cluster name")
-		experiment = flag.String("experiment", "", "run an experiment instead of live mode: table1|microbench|gige|servers|myrinet|updates|relaycurve|federation|all")
+		experiment = flag.String("experiment", "", "run an experiment instead of live mode: "+experimentNames())
 		parent     = flag.String("parent", "", "run as a child frontend: parent frontend base URL to register with")
 		shard      = flag.String("shard", "", "shard this child owns, as name or name:rack or name:lo-hi (requires -parent)")
 		relays     = flag.Bool("relays", false, "enable the peer relay distribution tier (completed nodes re-serve packages)")
@@ -255,87 +250,101 @@ func runDemo(c *core.Cluster) error {
 	return nil
 }
 
+// experimentTable is every -experiment name, in the order "all" runs them;
+// the flag's usage string and the dispatch both derive from it.
+var experimentTable = []struct {
+	name, title string
+	run         func()
+}{
+	{"table1", "Table I: reinstallation performance", func() {
+		fmt.Print(experiments.FormatTableI(experiments.RunTableI()))
+	}},
+	{"microbench", "§6.3 micro-benchmark: serial RPM download", func() {
+		got := experiments.SerialDownloadMBps(experiments.DefaultFleetParams(1, false))
+		fmt.Printf("web server sourced %.1f MB/s (paper: 7-8 MB/s)\n", got)
+	}},
+	{"gige", "§6.3: Gigabit Ethernet scaling", func() {
+		fe := experiments.DefaultFleetParams(1, false)
+		fe.FrontendBps = 7.0 * 1048576 // the web server's measured 7 MB/s
+		feN := experiments.MaxFullSpeedReinstalls(fe, 0.02, 20)
+		ge := fe
+		ge.FrontendBps *= 8.5
+		geN := experiments.MaxFullSpeedReinstalls(ge, 0.02, 100)
+		fmt.Printf("Fast Ethernet: %d concurrent full-speed reinstalls\n", feN)
+		fmt.Printf("Gigabit:       %d concurrent (%.1fx; paper: 7.0-9.5x)\n", geN, float64(geN)/float64(feN))
+	}},
+	{"servers", "§6.3: replicated installation servers", func() {
+		for _, servers := range []int{1, 2, 4} {
+			p := experiments.DefaultFleetParams(32, false)
+			p.Frontends = servers
+			fmt.Printf("32 nodes on %d server(s): %.1f minutes\n", servers, experiments.RunInstallCurve(p).TimeToLast/60)
+		}
+	}},
+	{"myrinet", "§6.3: Myrinet driver rebuild penalty", func() {
+		p := experiments.DefaultFleetParams(1, false)
+		with := experiments.RunInstallCurve(p).TimeToLast
+		p.PostSecs -= 140 // the GM source rebuild
+		without := experiments.RunInstallCurve(p).TimeToLast
+		fmt.Printf("with rebuild: %.0f s, without: %.0f s, penalty %.0f%% (paper: 20-30%%)\n",
+			with, without, (with-without)/without*100)
+	}},
+	{"updates", "§6.2.1: update tracking (124 updates in a year)", func() {
+		base := dist.SyntheticRedHat()
+		updates := dist.GenerateUpdates(base, 124, 1)
+		d := dist.Build("updated", kickstart.DefaultFramework(),
+			dist.Source{Name: "base", Repo: base},
+			dist.Source{Name: "updates", Repo: updates})
+		fmt.Print(d.Report.Summary())
+		fmt.Printf("one update every %.1f days on average\n", 365.0/124)
+		// Spot-check: every update beat its base version.
+		stale := 0
+		for _, up := range updates.All() {
+			cur := d.Repo.Newest(up.Name, up.Arch)
+			if cur == nil || rpm.Compare(cur.Version, up.Version) < 0 {
+				stale++
+			}
+		}
+		fmt.Printf("%d stale packages after rebuild (want 0)\n", stale)
+	}},
+	{"relaycurve", "peer/relay distribution: install completion curves", func() {
+		rows := []experiments.CurveComparison{}
+		for _, n := range []int{32, 1000, 10000} {
+			rows = append(rows, experiments.RunCurveComparison(n))
+		}
+		fmt.Print(experiments.FormatCurves(rows))
+	}},
+	{"federation", "federated frontends: sharded hierarchy vs one frontend", func() {
+		rows := []experiments.FederationComparison{}
+		for _, relay := range []bool{false, true} {
+			rows = append(rows, experiments.RunFederationComparison(10000, 8, relay))
+		}
+		fmt.Print(experiments.FormatFederationCurves(rows))
+		fmt.Println("(full mirror = cold cascade of the whole tree to every child;")
+		fmt.Println(" delta mirror = unchanged tree, the cascade moves zero package bodies)")
+	}},
+}
+
+// experimentNames joins the table's names for the flag's usage string.
+func experimentNames() string {
+	var names []string
+	for _, e := range experimentTable {
+		names = append(names, e.name)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
 func runExperiments(which string) {
-	run := func(name string) {
-		switch name {
-		case "table1":
-			fmt.Println("== Table I: reinstallation performance ==")
-			fmt.Print(experiments.FormatTableI(experiments.RunTableI()))
-		case "microbench":
-			fmt.Println("== §6.3 micro-benchmark: serial RPM download ==")
-			got := experiments.SerialDownloadMBps(experiments.DefaultParams(1))
-			fmt.Printf("web server sourced %.1f MB/s (paper: 7-8 MB/s)\n", got)
-		case "gige":
-			fmt.Println("== §6.3: Gigabit Ethernet scaling ==")
-			fe := experiments.DefaultParams(1)
-			fe.ServerMBps = 7.0
-			feN := experiments.MaxFullSpeedReinstalls(fe, 0.02, 20)
-			ge := fe
-			ge.ServerMBps = 7.0 * 8.5
-			geN := experiments.MaxFullSpeedReinstalls(ge, 0.02, 100)
-			fmt.Printf("Fast Ethernet: %d concurrent full-speed reinstalls\n", feN)
-			fmt.Printf("Gigabit:       %d concurrent (%.1fx; paper: 7.0-9.5x)\n", geN, float64(geN)/float64(feN))
-		case "servers":
-			fmt.Println("== §6.3: replicated installation servers ==")
-			for _, servers := range []int{1, 2, 4} {
-				p := experiments.DefaultParams(32)
-				p.Servers = servers
-				r := experiments.RunReinstall(p)
-				fmt.Printf("32 nodes on %d server(s): %.1f minutes\n", servers, r.TotalMinutes())
-			}
-		case "myrinet":
-			fmt.Println("== §6.3: Myrinet driver rebuild penalty ==")
-			with := experiments.RunReinstall(experiments.DefaultParams(1)).TotalSecs
-			p := experiments.DefaultParams(1)
-			p.WithMyrinet = false
-			without := experiments.RunReinstall(p).TotalSecs
-			fmt.Printf("with rebuild: %.0f s, without: %.0f s, penalty %.0f%% (paper: 20-30%%)\n",
-				with, without, (with-without)/without*100)
-		case "updates":
-			fmt.Println("== §6.2.1: update tracking (124 updates in a year) ==")
-			base := dist.SyntheticRedHat()
-			updates := dist.GenerateUpdates(base, 124, 1)
-			d := dist.Build("updated", kickstart.DefaultFramework(),
-				dist.Source{Name: "base", Repo: base},
-				dist.Source{Name: "updates", Repo: updates})
-			fmt.Print(d.Report.Summary())
-			fmt.Printf("one update every %.1f days on average\n", 365.0/124)
-			// Spot-check: every update beat its base version.
-			stale := 0
-			for _, up := range updates.All() {
-				cur := d.Repo.Newest(up.Name, up.Arch)
-				if cur == nil || rpm.Compare(cur.Version, up.Version) < 0 {
-					stale++
-				}
-			}
-			fmt.Printf("%d stale packages after rebuild (want 0)\n", stale)
-		case "relaycurve":
-			fmt.Println("== peer/relay distribution: install completion curves ==")
-			rows := []experiments.CurveComparison{}
-			for _, n := range []int{32, 1000, 10000} {
-				rows = append(rows, experiments.RunCurveComparison(n))
-			}
-			fmt.Print(experiments.FormatCurves(rows))
-		case "federation":
-			fmt.Println("== federated frontends: sharded hierarchy vs one frontend ==")
-			rows := []experiments.FederationComparison{}
-			for _, relay := range []bool{false, true} {
-				rows = append(rows, experiments.RunFederationComparison(10000, 8, relay))
-			}
-			fmt.Print(experiments.FormatFederationCurves(rows))
-			fmt.Println("(full mirror = cold cascade of the whole tree to every child;")
-			fmt.Println(" delta mirror = unchanged tree, the cascade moves zero package bodies)")
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
+	ran := false
+	for _, e := range experimentTable {
+		if which == "all" || which == e.name {
+			fmt.Printf("== %s ==\n", e.title)
+			e.run()
+			fmt.Println()
+			ran = true
 		}
-		fmt.Println()
 	}
-	if which == "all" {
-		for _, n := range []string{"table1", "microbench", "gige", "servers", "myrinet", "updates", "relaycurve", "federation"} {
-			run(n)
-		}
-		return
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
+		os.Exit(2)
 	}
-	run(which)
 }

@@ -1,9 +1,8 @@
 // Database fast-path benchmarks: the discovery storm, the kickstart CGI's
-// point-lookup mix, report regeneration, and the plan cache — each with the
-// optimization on and off so BENCH_pr3.json can record the ratio. The
-// legacy sub-benchmarks reproduce the original tools' behavior (full table
-// scans, re-parse per statement, wholesale DHCP rebuild plus a full
-// dbreport pass after every discovered node).
+// point-lookup mix and report regeneration — each with the optimization on
+// and off so BENCH_pr3.json can record the ratio. The legacy sub-benchmarks
+// reproduce the original tools' behavior (full table scans, wholesale DHCP
+// rebuild plus a full dbreport pass after every discovered node).
 package rocks_test
 
 import (
@@ -35,10 +34,10 @@ func populateBenchNodes(b *testing.B, db *clusterdb.Database, n int) {
 }
 
 // benchmarkDiscoveryStorm integrates stormNodes machines through
-// insert-ethers. Fast path: indexed lookups, cached plans, per-node DHCP
-// binding deltas, one coalesced report pass at the end. Legacy path: scans,
-// re-parsing, a wholesale DHCP rebuild and a full dbreport regeneration
-// after every single discovery — the O(N) work N times the paper's tools
+// insert-ethers. Fast path: indexed lookups, per-node DHCP binding deltas,
+// one coalesced report pass at the end. Legacy path: scans, a wholesale
+// DHCP rebuild and a full dbreport regeneration after every single
+// discovery — the O(N) work N times the paper's tools
 // actually did.
 func benchmarkDiscoveryStorm(b *testing.B, fast bool, durable, fsync bool) {
 	const stormNodes = 1000
@@ -55,7 +54,6 @@ func benchmarkDiscoveryStorm(b *testing.B, fast bool, durable, fsync bool) {
 			b.Fatal(err)
 		}
 		c.DB.SetIndexRouting(fast)
-		c.DB.SetPlanCache(fast)
 		var onInsert func(clusterdb.Node)
 		if !fast {
 			onInsert = func(clusterdb.Node) { c.WriteReports() }
@@ -256,32 +254,4 @@ func BenchmarkDBReportGeneration(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "regens/s")
-}
-
-// BenchmarkDBPlanCache isolates statement preparation: the same SELECT
-// executed with the parse memoized versus re-lexed and re-parsed per call.
-// The statement is a site-attribute point lookup — the shape the kickstart
-// generator runs dozens of times per profile — where preparation, not
-// execution, is the cost.
-func BenchmarkDBPlanCache(b *testing.B) {
-	const q = `SELECT value FROM site WHERE name = 'KickstartFrom'`
-	for _, cached := range []bool{true, false} {
-		name := "cached"
-		if !cached {
-			name = "reparse"
-		}
-		b.Run(name, func(b *testing.B) {
-			db := clusterdb.New()
-			if err := clusterdb.InitSchema(db); err != nil {
-				b.Fatal(err)
-			}
-			db.SetPlanCache(cached)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

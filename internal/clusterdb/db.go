@@ -56,10 +56,10 @@ type Database struct {
 	// pure in-memory database (New). See wal.go.
 	dur *durability
 
-	// The fast path: a parse memo and per-plan counters. Both toggles
-	// default on; benchmarks flip them off to measure the scan baseline.
+	// The fast path: a parse memo and per-plan counters. Index routing
+	// defaults on; the oracle tests and benchmarks flip it off to get the
+	// scan baseline.
 	plans        planCache
-	planCaching  atomic.Bool
 	indexRouting atomic.Bool
 	// indexSelects/scanSelects count how each SELECT was answered; they are
 	// atomic because SELECTs run under the read lock concurrently.
@@ -74,14 +74,9 @@ type Database struct {
 // New creates an empty database.
 func New() *Database {
 	d := &Database{tables: make(map[string]*table)}
-	d.planCaching.Store(true)
 	d.indexRouting.Store(true)
 	return d
 }
-
-// SetPlanCache enables or disables the statement-parse memo. Disabling does
-// not drop cached entries; it only bypasses them.
-func (d *Database) SetPlanCache(on bool) { d.planCaching.Store(on) }
 
 // SetIndexRouting enables or disables the planner's use of hash indexes for
 // SELECTs. Indexes are always *maintained* (uniqueness still holds); this
@@ -91,9 +86,6 @@ func (d *Database) SetIndexRouting(on bool) { d.indexRouting.Store(on) }
 
 // parseSQL is parse() behind the plan cache.
 func (d *Database) parseSQL(sql string) (statement, error) {
-	if !d.planCaching.Load() {
-		return parse(sql)
-	}
 	if st, ok := d.plans.get(sql); ok {
 		return st, nil
 	}

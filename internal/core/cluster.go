@@ -76,11 +76,6 @@ type Config struct {
 	// InstallRetryBackoff is the initial wait between those retries
 	// (doubling per attempt); zero means the installer default.
 	InstallRetryBackoff time.Duration
-	// DisableProfileCache turns off the kickstart CGI's memoized profile
-	// cache, forcing a full graph traversal per request — the
-	// cached-vs-uncached ablation in the mass-reinstall benchmark.
-	// Production keeps the cache.
-	DisableProfileCache bool
 	// DBDir, when set, makes the cluster database durable: mutations append
 	// to a write-ahead log in this directory and Close snapshots it, so a
 	// frontend restarted on the same directory recovers every node binding
@@ -156,9 +151,9 @@ type Cluster struct {
 	mirrorReport *dist.MirrorReport
 	mirrorRepo   *rpm.Repository
 	localSources []dist.Source
-	ksAttrs      map[string]string       // shared kickstart attributes; never mutated after startHTTP
-	ksCache      *kickstart.ProfileCache // nil when Config.DisableProfileCache
-	nodeCache    *nodeResolver           // nil when Config.DisableProfileCache
+	ksAttrs      map[string]string // shared kickstart attributes; never mutated after startHTTP
+	ksCache      *kickstart.ProfileCache
+	nodeCache    *nodeResolver
 
 	mu          sync.Mutex
 	nodes       map[string]*node.Node // by MAC
@@ -317,14 +312,12 @@ func New(cfg Config) (*Cluster, error) {
 	c.distSrv = dist.NewServer(c.Dist)
 	c.mirrorReport = mirrorReport
 	c.mirrorRepo = mirrorRepo
-	if !cfg.DisableProfileCache {
-		// The CGI's memo: reinstall storms hit one (appliance, arch) class
-		// hundreds of times; one traversal serves them all (§4, §6.1). The
-		// node resolver memoizes the companion SQL behind the database's
-		// mutation counter.
-		c.ksCache = kickstart.NewProfileCache(c.Dist.Framework)
-		c.nodeCache = newNodeResolver(c.DB)
-	}
+	// The CGI's memo: reinstall storms hit one (appliance, arch) class
+	// hundreds of times; one traversal serves them all (§4, §6.1). The
+	// node resolver memoizes the companion SQL behind the database's
+	// mutation counter.
+	c.ksCache = kickstart.NewProfileCache(c.Dist.Framework)
+	c.nodeCache = newNodeResolver(c.DB)
 	c.DHCPd = dhcp.NewServer("frontend-0", c.Syslog)
 	if cfg.Faults != nil {
 		// Every seam the injector covers is wired here, so one Config
@@ -488,13 +481,9 @@ func (c *Cluster) NodeTimeline(hostOrMAC string) []lifecycle.Event {
 // tests and benchmarks can drive the full CGI path without a socket.
 func (c *Cluster) Handler() http.Handler { return c.httpSrv.Handler }
 
-// KickstartCacheStats reports the CGI profile cache's traffic (all zero
-// when the cache is disabled): template hits, template builds, and
-// generation-stamp invalidations.
+// KickstartCacheStats reports the CGI profile cache's traffic: template
+// hits, template builds, and generation-stamp invalidations.
 func (c *Cluster) KickstartCacheStats() (hits, misses, invalidations uint64) {
-	if c.ksCache == nil {
-		return 0, 0, 0
-	}
 	return c.ksCache.Stats()
 }
 

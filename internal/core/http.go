@@ -100,7 +100,8 @@ func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 		}
 		ip = host
 	}
-	n, rootNode, ok, err := c.resolveNode(ip)
+	rn, ok, err := c.nodeCache.resolve(ip)
+	n, rootNode := rn.node, rn.root
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -137,15 +138,7 @@ func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 		Attrs:     c.ksAttrs,
 		NodeAttrs: map[string]string{"Kickstart_PublicHostname": n.Name},
 	}
-	var text string
-	if c.ksCache != nil {
-		text, err = c.ksCache.Render(req)
-	} else {
-		var profile *kickstart.Profile
-		if profile, err = c.Dist.Framework.Generate(req); err == nil {
-			text = profile.Render()
-		}
-	}
+	text, err := c.ksCache.Render(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -154,23 +147,6 @@ func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, text)
 	c.Syslog.Log("frontend-0", "kickstart.cgi", "served %s profile to %s (%s)",
 		rootNode, n.Name, ip)
-}
-
-// resolveNode maps a requesting IP to its node row and appliance root,
-// through the memo when caching is enabled.
-func (c *Cluster) resolveNode(ip string) (clusterdb.Node, string, bool, error) {
-	if c.nodeCache != nil {
-		rn, ok, err := c.nodeCache.resolve(ip)
-		return rn.node, rn.root, ok, err
-	}
-	n, ok, err := clusterdb.NodeByIP(c.DB, ip)
-	if err != nil || !ok {
-		return clusterdb.Node{}, "", ok, err
-	}
-	// An appliance-lookup failure surfaces as an empty root — the CGI's
-	// "no kickstartable appliance" response — matching the memoized path.
-	_, _, root, _ := clusterdb.ApplianceForMembership(c.DB, n.Membership)
-	return n, root, true, nil
 }
 
 // NodeStatus is one row of the /status view.

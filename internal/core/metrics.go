@@ -20,22 +20,8 @@ func (c *Cluster) registerMetrics() {
 	// Database fast path + WAL (the /v1/dbstats "db" block).
 	c.DB.RegisterMetrics(r)
 
-	// Kickstart profile cache. The families exist even when the cache is
-	// disabled (the ablation config), reading zero, so scrape-side
-	// presence checks never depend on configuration.
-	if c.ksCache != nil {
-		c.ksCache.RegisterMetrics(r)
-	} else {
-		r.CounterFunc("rocks_kickstart_cache_hits_total",
-			"Kickstart requests answered from the profile memo.",
-			func() float64 { return 0 })
-		r.CounterFunc("rocks_kickstart_cache_misses_total",
-			"Kickstart requests that paid a full graph traversal.",
-			func() float64 { return 0 })
-		r.CounterFunc("rocks_kickstart_cache_invalidations_total",
-			"Whole-cache drops caused by framework generation bumps.",
-			func() float64 { return 0 })
-	}
+	// Kickstart profile cache.
+	c.ksCache.RegisterMetrics(r)
 
 	// Distribution serving and (when a parent was replicated) the mirror
 	// pass. The mirror figures are a finished pass's report, so gauges.

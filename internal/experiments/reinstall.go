@@ -3,8 +3,10 @@
 // mechanisms work; this package replays the same artifacts — the real
 // kickstart profile and the real synthetic distribution's package sizes —
 // through the internal/simnet fluid-flow network model to predict wall
-// clock at testbed scale (Table I, the §6.3 serial-download
-// micro-benchmark, and the Gigabit/replicated-server/Myrinet ablations).
+// clock at testbed scale and beyond. There is one model (fleet.go); this
+// file holds its calibration and the paper's §6 questions asked of it
+// (Table I, the serial-download micro-benchmark, the Gigabit,
+// replicated-server and sequential-integration contrasts).
 //
 // Calibration follows the paper's own accounting for a solo reinstall of
 // 10.3 minutes (618 s): ~223 s is "downloading and installing RPMs" and
@@ -16,13 +18,12 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"sync"
 
 	"rocks/internal/dist"
 	"rocks/internal/kickstart"
-	"rocks/internal/simnet"
 )
 
 // PackageWork is one package's contribution to a reinstall: bytes over the
@@ -33,57 +34,13 @@ type PackageWork struct {
 	CPUSecs float64
 }
 
-// ReinstallParams parameterizes one concurrent-reinstallation experiment.
-type ReinstallParams struct {
-	Nodes int
-	// Servers is the number of replicated HTTP servers behind load
-	// balancing (§6.3); nodes are assigned round-robin.
-	Servers int
-	// ServerMBps is one server's effective aggregate throughput in MB/s.
-	// The paper's dual-PIII on 100 Mbit: ~92% utilization ≈ 11.5 MB/s.
-	ServerMBps float64
-	// ClientMBps caps a single node's stream: the measured 7-8 MB/s
-	// single-stream ceiling (~60% of Fast Ethernet).
-	ClientMBps float64
-	// PreSecs is power-on → first byte (POST, boot, DHCP, kickstart
-	// fetch, partitioning).
-	PreSecs float64
-	// PostSecs is post-configuration plus the final reboot, excluding the
-	// Myrinet driver build.
-	PostSecs float64
-	// GMBuildSecs is the Myrinet source rebuild (§6.3's 20-30% penalty).
-	GMBuildSecs float64
-	// WithMyrinet includes the GM build (Table I nodes all have Myrinet).
-	WithMyrinet bool
-	// Packages is the per-package workload; nil means the real compute
-	// profile resolved against the synthetic distribution.
-	Packages []PackageWork
-	// Bursty switches the per-node demand model: instead of the smoothed
-	// "1 MB/s average" pipeline anaconda presents (the paper's model), each
-	// package downloads at full stream speed and then stalls for its CPU
-	// time. Identical nodes then burst in lockstep and contend even at
-	// small N — the ablation showing why the demand model matters.
-	Bursty bool
-}
-
-// DefaultParams returns the Table I configuration for n nodes.
-func DefaultParams(n int) ReinstallParams {
-	return ReinstallParams{
-		Nodes:       n,
-		Servers:     1,
-		ServerMBps:  11.5,
-		ClientMBps:  7.5,
-		PreSecs:     60,
-		PostSecs:    195,
-		GMBuildSecs: 140,
-		WithMyrinet: true,
-		Packages:    ComputePackageWork(),
-	}
-}
+// soloDISecs is the paper's solo download-and-install phase.
+const soloDISecs = 223.0
 
 var (
-	pkgOnce sync.Once
-	pkgWork []PackageWork
+	pkgOnce  sync.Once
+	pkgWork  []PackageWork
+	pkgBytes float64
 )
 
 // ComputePackageWork resolves the compute appliance's kickstart profile
@@ -110,14 +67,9 @@ func ComputePackageWork() []PackageWork {
 		for _, p := range pkgs {
 			totalBytes += float64(p.Size)
 		}
-		// Solo D&I = 223 s; wire time at the single-stream ceiling is
-		// bytes/7.5 MB/s; the rest is CPU, apportioned by size.
-		const soloDI = 223.0
-		wire := totalBytes / (7.5 * 1e6 * mbFactor)
-		cpuTotal := soloDI - wire
-		if cpuTotal < 0 {
-			cpuTotal = 0
-		}
+		// Wire time at the single-stream ceiling is bytes/7.5 MB/s; the rest
+		// of the solo D&I phase is CPU, apportioned by size.
+		cpuTotal := max(soloDISecs-totalBytes/singleStreamBps, 0)
 		work := make([]PackageWork, len(pkgs))
 		for i, p := range pkgs {
 			work[i] = PackageWork{
@@ -126,105 +78,25 @@ func ComputePackageWork() []PackageWork {
 				CPUSecs: cpuTotal * float64(p.Size) / totalBytes,
 			}
 		}
-		pkgWork = work
+		pkgWork, pkgBytes = work, totalBytes
 	})
 	return pkgWork
 }
 
-// mbFactor converts the paper's MB (2^20 bytes, matching "225 MB") against
-// MB/s link rates quoted in decimal; we treat both as 2^20 for internal
-// consistency, so 7.5 MB/s means 7.5*2^20 B/s.
-const mbFactor = 1048576.0 / 1e6
+// profileBytes is the compute profile's wire traffic, ~225 MB.
+func profileBytes() float64 {
+	ComputePackageWork()
+	return pkgBytes
+}
 
-// mbps converts an "MB/s" figure to bytes/second.
+// mbps converts an "MB/s" figure to bytes/second. The paper's MB is 2^20
+// bytes (matching "225 MB"); link rates it quotes in MB/s are taken the
+// same way for internal consistency, so 7.5 MB/s means 7.5*2^20 B/s.
 func mbps(v float64) float64 { return v * 1048576 }
 
-// fastEthernetBps is a 100 Mbit NIC's raw capacity in bytes/second.
-const fastEthernetBps = 12.5e6
-
-// ReinstallResult is the outcome of one experiment.
-type ReinstallResult struct {
-	Params      ReinstallParams
-	PerNodeSecs []float64
-	TotalSecs   float64 // when the last node finished
-	// BytesMoved is the total wire traffic.
-	BytesMoved float64
-}
-
-// TotalMinutes reports the Table I figure.
-func (r ReinstallResult) TotalMinutes() float64 { return r.TotalSecs / 60 }
-
-// RunReinstall simulates p.Nodes concurrent reinstallations and returns
-// per-node and total completion times.
-func RunReinstall(p ReinstallParams) ReinstallResult {
-	if p.Nodes <= 0 {
-		panic("experiments: need at least one node")
-	}
-	if p.Servers <= 0 {
-		p.Servers = 1
-	}
-	if p.Packages == nil {
-		p.Packages = ComputePackageWork()
-	}
-	sim := simnet.New()
-	servers := make([]*simnet.Link, p.Servers)
-	for i := range servers {
-		servers[i] = sim.NewLink(fmt.Sprintf("server-%d", i), mbps(p.ServerMBps))
-	}
-	res := ReinstallResult{Params: p, PerNodeSecs: make([]float64, p.Nodes)}
-
-	for n := 0; n < p.Nodes; n++ {
-		n := n
-		client := sim.NewLink(fmt.Sprintf("client-%d", n), fastEthernetBps) // raw 100 Mbit NIC; the stream cap applies separately
-		server := servers[n%p.Servers]
-		path := []*simnet.Link{server, client}
-
-		var installPkg func(i int)
-		finish := func() {
-			post := p.PostSecs
-			if p.WithMyrinet {
-				post += p.GMBuildSecs
-			}
-			sim.After(post, func() {
-				res.PerNodeSecs[n] = sim.Now()
-			})
-		}
-		installPkg = func(i int) {
-			if i >= len(p.Packages) {
-				finish()
-				return
-			}
-			w := p.Packages[i]
-			res.BytesMoved += w.Bytes
-			if p.Bursty {
-				// Ablation: download at wire speed, then stall for CPU.
-				sim.StartFlow(fmt.Sprintf("n%d-%s", n, w.Name), w.Bytes, path, mbps(p.ClientMBps), func() {
-					sim.After(w.CPUSecs, func() { installPkg(i + 1) })
-				})
-				return
-			}
-			// Anaconda overlaps the next package's download with the
-			// current package's unpack, so a node presents a smooth demand
-			// to the server rather than wire-speed bursts — this is exactly
-			// the paper's "each reinstalling node demands 1 MB/sec" model.
-			// Fold the package's CPU time into an effective rate cap: the
-			// flow completes when download AND install are both done.
-			wireSecs := w.Bytes / mbps(p.ClientMBps)
-			effRate := w.Bytes / (wireSecs + w.CPUSecs)
-			sim.StartFlow(fmt.Sprintf("n%d-%s", n, w.Name), w.Bytes, path, effRate, func() {
-				installPkg(i + 1)
-			})
-		}
-		sim.After(p.PreSecs, func() { installPkg(0) })
-	}
-	sim.Run()
-	for _, t := range res.PerNodeSecs {
-		if t > res.TotalSecs {
-			res.TotalSecs = t
-		}
-	}
-	return res
-}
+// singleStreamBps is the measured 7-8 MB/s single-stream ceiling (~60% of
+// Fast Ethernet, §6.3).
+const singleStreamBps = 7.5 * 1048576
 
 // TableIRow pairs a measured point from the paper with our prediction.
 type TableIRow struct {
@@ -237,21 +109,17 @@ type TableIRow struct {
 // PaperTableI is Table I as published.
 var PaperTableI = map[int]float64{1: 10.3, 2: 9.8, 4: 10.1, 8: 10.4, 16: 11.1, 32: 13.7}
 
-// RunTableI reproduces the full table.
+// RunTableI reproduces the full table: the fleet model at n ≤ 32 with one
+// frontend, no relays and no shards.
 func RunTableI() []TableIRow {
 	var rows []TableIRow
 	for _, n := range []int{1, 2, 4, 8, 16, 32} {
-		r := RunReinstall(DefaultParams(n))
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, t := range r.PerNodeSecs {
-			lo = math.Min(lo, t)
-			hi = math.Max(hi, t)
-		}
+		c := RunInstallCurve(DefaultFleetParams(n, false))
 		rows = append(rows, TableIRow{
 			Nodes:         n,
 			PaperMinutes:  PaperTableI[n],
-			ModelMinutes:  r.TotalMinutes(),
-			PerNodeSpread: hi - lo,
+			ModelMinutes:  c.TimeToLast / 60,
+			PerNodeSpread: c.TimeToLast - c.Times[0],
 		})
 	}
 	return rows
@@ -266,55 +134,32 @@ func FormatTableI(rows []TableIRow) string {
 	return s
 }
 
-// SerialDownloadMBps reproduces the §6.3 micro-benchmark: serially
-// downloading every RPM a compute node fetches, reporting the achieved
-// MB/s (paper: "the web server sourced 7-8 MB/s").
-func SerialDownloadMBps(p ReinstallParams) float64 {
-	if p.Packages == nil {
-		p.Packages = ComputePackageWork()
-	}
-	sim := simnet.New()
-	server := sim.NewLink("server", mbps(p.ServerMBps))
-	client := sim.NewLink("client", fastEthernetBps)
-	var total float64
-	var next func(i int)
-	done := 0.0
-	next = func(i int) {
-		if i >= len(p.Packages) {
-			done = sim.Now()
-			return
-		}
-		w := p.Packages[i]
-		total += w.Bytes
-		sim.StartFlow(w.Name, w.Bytes, []*simnet.Link{server, client}, mbps(p.ClientMBps), func() {
-			next(i + 1)
-		})
-	}
-	next(0)
-	sim.Run()
-	if done == 0 {
-		return 0
-	}
-	return total / done / 1048576
+// SerialDownloadMBps reproduces the §6.3 micro-benchmark: one node serially
+// downloading every RPM a compute node fetches, with no CPU time between
+// them, reporting the achieved MB/s (paper: "the web server sourced
+// 7-8 MB/s").
+func SerialDownloadMBps(p FleetParams) float64 {
+	p.Nodes = 1
+	p = p.withDefaults()
+	p.StreamBps = cmp.Or(p.StreamBps, singleStreamBps)
+	p.DISecs = p.TotalBytes / p.StreamBps
+	secs := RunInstallCurve(p).TimeToLast - p.PreSecs - p.PostSecs
+	return p.TotalBytes / secs / 1048576
 }
 
 // MaxFullSpeedReinstalls reports how many concurrent reinstallations a
 // configuration supports "at full speed": the largest N whose total time
 // stays within tol of the solo time (the paper's model predicts 7 for Fast
 // Ethernet and 7.0-9.5× that for Gigabit).
-func MaxFullSpeedReinstalls(base ReinstallParams, tol float64, maxN int) int {
-	solo := base
-	solo.Nodes = 1
-	ref := RunReinstall(solo).TotalSecs
+func MaxFullSpeedReinstalls(base FleetParams, tol float64, maxN int) int {
+	base.Nodes = 1
+	ref := RunInstallCurve(base).TimeToLast
 	best := 1
-	for n := 2; n <= maxN; n++ {
-		p := base
-		p.Nodes = n
-		if RunReinstall(p).TotalSecs <= ref*(1+tol) {
-			best = n
-		} else {
+	for base.Nodes = 2; base.Nodes <= maxN; base.Nodes++ {
+		if RunInstallCurve(base).TimeToLast > ref*(1+tol) {
 			break
 		}
+		best = base.Nodes
 	}
 	return best
 }
@@ -322,18 +167,17 @@ func MaxFullSpeedReinstalls(base ReinstallParams, tol float64, maxN int) int {
 // SequentialIntegration models first-time cluster integration (§6.4):
 // insert-ethers assigns rack/rank in discovery order, so nodes are booted
 // one at a time — each must finish installing before the next powers on.
-// The contrast with RunReinstall is the paper's §5 punchline: integrating N
-// nodes costs N solo installs, but REinstalling the whole cluster later
+// The contrast with RunInstallCurve is the paper's §5 punchline: integrating
+// N nodes costs N solo installs, but REinstalling the whole cluster later
 // costs barely more than one, because reinstallation is concurrent.
-func SequentialIntegration(p ReinstallParams) ReinstallResult {
-	res := ReinstallResult{Params: p, PerNodeSecs: make([]float64, p.Nodes)}
-	solo := p
-	solo.Nodes = 1
-	one := RunReinstall(solo)
-	for i := 0; i < p.Nodes; i++ {
-		res.PerNodeSecs[i] = float64(i+1) * one.TotalSecs
-		res.BytesMoved += one.BytesMoved
+func SequentialIntegration(p FleetParams) CompletionCurve {
+	n := p.Nodes
+	p.Nodes = 1
+	one := RunInstallCurve(p)
+	c := CompletionCurve{Params: one.Params, FrontendBytes: float64(n) * one.FrontendBytes}
+	c.Params.Nodes = n
+	for i := 1; i <= n; i++ {
+		c.Times = append(c.Times, float64(i)*one.TimeToLast)
 	}
-	res.TotalSecs = res.PerNodeSecs[p.Nodes-1]
-	return res
+	return finishCurve(c)
 }

@@ -27,9 +27,9 @@ func TestComputePackageWorkMatchesPaperWorkload(t *testing.T) {
 }
 
 func TestSoloReinstallMatchesPaper(t *testing.T) {
-	r := RunReinstall(DefaultParams(1))
-	if math.Abs(r.TotalMinutes()-10.3) > 0.2 {
-		t.Errorf("solo reinstall = %.2f min, want 10.3 ± 0.2", r.TotalMinutes())
+	r := RunInstallCurve(DefaultFleetParams(1, false))
+	if math.Abs(r.TimeToLast/60-10.3) > 0.2 {
+		t.Errorf("solo reinstall = %.2f min, want 10.3 ± 0.2", r.TimeToLast/60)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestTableIShape(t *testing.T) {
 
 func TestSerialDownloadMicrobenchmark(t *testing.T) {
 	// §6.3: "we found the web server sourced 7-8 MB/s."
-	got := SerialDownloadMBps(DefaultParams(1))
+	got := SerialDownloadMBps(DefaultFleetParams(1, false))
 	if got < 7.0 || got > 8.0 {
 		t.Errorf("serial download = %.2f MB/s, want 7-8", got)
 	}
@@ -81,8 +81,8 @@ func TestSerialDownloadMicrobenchmark(t *testing.T) {
 // server described above should be able to support 7 concurrent
 // reinstallations at full speed."
 func TestFullSpeedConcurrency(t *testing.T) {
-	p := DefaultParams(1)
-	p.ServerMBps = 7.0
+	p := DefaultFleetParams(1, false)
+	p.FrontendBps = mbps(7.0)
 	got := MaxFullSpeedReinstalls(p, 0.02, 16)
 	if got < 6 || got > 8 {
 		t.Errorf("full-speed concurrency = %d, want ~7", got)
@@ -93,12 +93,12 @@ func TestFullSpeedConcurrency(t *testing.T) {
 // support 7.0-9.5 times the number of concurrent full-speed reinstallations
 // over Fast Ethernet."
 func TestGigabitScaling(t *testing.T) {
-	fe := DefaultParams(1)
-	fe.ServerMBps = 7.0
+	fe := DefaultFleetParams(1, false)
+	fe.FrontendBps = mbps(7.0)
 	feN := MaxFullSpeedReinstalls(fe, 0.02, 20)
 
 	ge := fe
-	ge.ServerMBps = 7.0 * 8.5 // GigE ≈ 8.5× Fast Ethernet effective throughput
+	ge.FrontendBps *= 8.5 // GigE ≈ 8.5× Fast Ethernet effective throughput
 	geN := MaxFullSpeedReinstalls(ge, 0.02, 100)
 
 	ratio := float64(geN) / float64(feN)
@@ -110,29 +110,29 @@ func TestGigabitScaling(t *testing.T) {
 // TestReplicatedServers reproduces §6.3: "By deploying N web servers, one
 // can support N times the number of concurrent full-speed reinstallations."
 func TestReplicatedServers(t *testing.T) {
-	base := DefaultParams(32)
-	one := RunReinstall(base)
+	base := DefaultFleetParams(32, false)
+	one := RunInstallCurve(base)
 
 	quad := base
-	quad.Servers = 4
-	four := RunReinstall(quad)
+	quad.Frontends = 4
+	four := RunInstallCurve(quad)
 
-	solo := RunReinstall(DefaultParams(1)).TotalSecs
-	if four.TotalSecs > solo*1.02 {
-		t.Errorf("32 nodes on 4 servers = %.0f s; should be full speed (solo %.0f s)", four.TotalSecs, solo)
+	solo := RunInstallCurve(DefaultFleetParams(1, false)).TimeToLast
+	if four.TimeToLast > solo*1.02 {
+		t.Errorf("32 nodes on 4 servers = %.0f s; should be full speed (solo %.0f s)", four.TimeToLast, solo)
 	}
-	if one.TotalSecs <= four.TotalSecs*1.2 {
-		t.Errorf("replication should help markedly: 1 server %.0f s vs 4 servers %.0f s", one.TotalSecs, four.TotalSecs)
+	if one.TimeToLast <= four.TimeToLast*1.2 {
+		t.Errorf("replication should help markedly: 1 server %.0f s vs 4 servers %.0f s", one.TimeToLast, four.TimeToLast)
 	}
 }
 
 // TestMyrinetRebuildPenalty reproduces §6.3: the source rebuild "adds only
 // a 20-30% time penalty on reinstallation".
 func TestMyrinetRebuildPenalty(t *testing.T) {
-	with := RunReinstall(DefaultParams(1)).TotalSecs
-	p := DefaultParams(1)
-	p.WithMyrinet = false
-	without := RunReinstall(p).TotalSecs
+	with := RunInstallCurve(DefaultFleetParams(1, false)).TimeToLast
+	p := DefaultFleetParams(1, false)
+	p.PostSecs -= 140
+	without := RunInstallCurve(p).TimeToLast
 	penalty := (with - without) / without
 	if penalty < 0.20 || penalty > 0.30 {
 		t.Errorf("Myrinet rebuild penalty = %.0f%%, want 20-30%%", penalty*100)
@@ -140,10 +140,11 @@ func TestMyrinetRebuildPenalty(t *testing.T) {
 }
 
 func TestBytesMovedAccounting(t *testing.T) {
-	r := RunReinstall(DefaultParams(4))
+	r := RunInstallCurve(DefaultFleetParams(4, false))
+	moved := r.FrontendBytes + r.PeerBytes
 	perNode := 225.0 * 1048576
-	if math.Abs(r.BytesMoved-4*perNode)/(4*perNode) > 0.02 {
-		t.Errorf("BytesMoved = %.0f, want ~4×225 MB", r.BytesMoved)
+	if math.Abs(moved-4*perNode)/(4*perNode) > 0.02 {
+		t.Errorf("bytes moved = %.0f, want ~4×225 MB", moved)
 	}
 }
 
@@ -162,14 +163,14 @@ func TestRunReinstallValidation(t *testing.T) {
 			t.Error("zero nodes should panic")
 		}
 	}()
-	RunReinstall(ReinstallParams{})
+	RunInstallCurve(FleetParams{})
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	a := RunReinstall(DefaultParams(16))
-	b := RunReinstall(DefaultParams(16))
-	if a.TotalSecs != b.TotalSecs {
-		t.Errorf("non-deterministic: %.6f vs %.6f", a.TotalSecs, b.TotalSecs)
+	a := RunInstallCurve(DefaultFleetParams(16, false))
+	b := RunInstallCurve(DefaultFleetParams(16, false))
+	if a.TimeToLast != b.TimeToLast {
+		t.Errorf("non-deterministic: %.6f vs %.6f", a.TimeToLast, b.TimeToLast)
 	}
 }
 
@@ -177,14 +178,14 @@ func TestDeterministicRuns(t *testing.T) {
 // takes ~16 solo installs, while reinstalling the same 16 concurrently
 // takes little more than one.
 func TestSequentialVsConcurrent(t *testing.T) {
-	p := DefaultParams(16)
+	p := DefaultFleetParams(16, false)
 	seq := SequentialIntegration(p)
-	conc := RunReinstall(p)
-	if seq.TotalSecs < 15*conc.TotalSecs/2 {
-		t.Errorf("sequential %0.f s vs concurrent %.0f s: expected ~16x gap", seq.TotalSecs, conc.TotalSecs)
+	conc := RunInstallCurve(p)
+	if seq.TimeToLast < 15*conc.TimeToLast/2 {
+		t.Errorf("sequential %0.f s vs concurrent %.0f s: expected ~16x gap", seq.TimeToLast, conc.TimeToLast)
 	}
-	if math.Abs(seq.TotalSecs-16*618)/(16*618) > 0.02 {
-		t.Errorf("sequential = %.0f s, want ~16 x 618", seq.TotalSecs)
+	if math.Abs(seq.TimeToLast-16*618)/(16*618) > 0.02 {
+		t.Errorf("sequential = %.0f s, want ~16 x 618", seq.TimeToLast)
 	}
 }
 
@@ -193,18 +194,18 @@ func TestSequentialVsConcurrent(t *testing.T) {
 // speed — documenting why the demand model follows the paper's 1 MB/s
 // accounting.
 func TestBurstyDemandAblation(t *testing.T) {
-	smooth := RunReinstall(DefaultParams(8)).TotalSecs
-	p := DefaultParams(8)
-	p.Bursty = true
-	bursty := RunReinstall(p).TotalSecs
+	smooth := RunInstallCurve(DefaultFleetParams(8, false)).TimeToLast
+	p := DefaultFleetParams(8, false)
+	p.StreamBps = singleStreamBps
+	bursty := RunInstallCurve(p).TimeToLast
 	if bursty <= smooth*1.05 {
 		t.Errorf("bursty %.0f s vs smooth %.0f s: bursts should contend", bursty, smooth)
 	}
 	// Solo is unaffected by the demand model (no contention to smooth).
-	soloSmooth := RunReinstall(DefaultParams(1)).TotalSecs
-	ps := DefaultParams(1)
-	ps.Bursty = true
-	soloBursty := RunReinstall(ps).TotalSecs
+	soloSmooth := RunInstallCurve(DefaultFleetParams(1, false)).TimeToLast
+	ps := DefaultFleetParams(1, false)
+	ps.StreamBps = singleStreamBps
+	soloBursty := RunInstallCurve(ps).TimeToLast
 	if math.Abs(soloSmooth-soloBursty) > 1 {
 		t.Errorf("solo differs across demand models: %.1f vs %.1f", soloSmooth, soloBursty)
 	}

@@ -492,53 +492,40 @@ func (c *Cluster) opDistStats(r *http.Request) (interface{}, *apiError) {
 }
 
 // opEvents serves the lifecycle bus: the recent event ring, filtered by
-// node (matches hostname or MAC and merges both identities into one
+// node (matches hostname or MAC and follows both identities as one
 // timeline), type, phase, source, and since (sequence number); limit keeps
 // the most recent N matches. The response carries the bus's high-water
 // sequence and how many old events the bounded ring has dropped, so a
 // client polling with since= can detect gaps.
 func (c *Cluster) opEvents(r *http.Request) (interface{}, *apiError) {
-	since, aerr := formInt(r, "since", 0, 0)
+	f, aerr := c.eventFilter(r)
 	if aerr != nil {
 		return nil, aerr
+	}
+	return EventsResponse{Events: c.events.Recent(f), Seq: c.events.Seq(), Dropped: c.events.Evicted()}, nil
+}
+
+// eventFilter parses the /v1/events query string, for the local read, the
+// fan-out's merge limit and the dark-child mirror fallback alike.
+func (c *Cluster) eventFilter(r *http.Request) (lifecycle.Filter, *apiError) {
+	since, aerr := formInt(r, "since", 0, 0)
+	if aerr != nil {
+		return lifecycle.Filter{}, aerr
 	}
 	limit, aerr := formInt(r, "limit", 0, 0)
 	if aerr != nil {
-		return nil, aerr
+		return lifecycle.Filter{}, aerr
 	}
-	f := lifecycle.Filter{
-		Type:     lifecycle.EventType(r.FormValue("type")),
-		Phase:    lifecycle.Phase(r.FormValue("phase")),
-		Source:   r.FormValue("source"),
-		SinceSeq: uint64(since),
-		Limit:    limit,
-	}
-	var events []lifecycle.Event
+	var f lifecycle.Filter
 	if nodeID := r.FormValue("node"); nodeID != "" {
-		// NodeTimeline merges the MAC-keyed discovery/install prefix with
-		// the hostname-keyed remainder of the node's life.
-		events = c.NodeTimeline(nodeID)
-		kept := events[:0]
-		for _, e := range events {
-			keep := (f.Type == "" || e.Type == f.Type) &&
-				(f.Phase == "" || e.Phase == f.Phase) &&
-				(f.Source == "" || e.Source == f.Source) &&
-				e.Seq > f.SinceSeq
-			if keep {
-				kept = append(kept, e)
-			}
-		}
-		events = kept
-		if f.Limit > 0 && len(events) > f.Limit {
-			events = events[len(events)-f.Limit:]
-		}
-	} else {
-		events = c.events.Recent(f)
+		f = c.nodeFilter(nodeID)
 	}
-	if events == nil {
-		events = []lifecycle.Event{}
-	}
-	return EventsResponse{Events: events, Seq: c.events.Seq(), Dropped: c.events.Evicted()}, nil
+	f.Type = lifecycle.EventType(r.FormValue("type"))
+	f.Phase = lifecycle.Phase(r.FormValue("phase"))
+	f.Source = r.FormValue("source")
+	f.SinceSeq = uint64(since)
+	f.Limit = limit
+	return f, nil
 }
 
 // opFacts is the install loop's reporting edge. POST ingests one
@@ -597,9 +584,6 @@ func (c *Cluster) auditEndpoint() endpoint {
 				SinceSeq: uint64(since),
 				Limit:    limit,
 			})
-			if entries == nil {
-				entries = []AuditEntry{}
-			}
 			seq, evicted, errCount := c.audit.stats()
 			return struct {
 				Entries []AuditEntry `json:"entries"`

@@ -153,7 +153,6 @@ type Cluster struct {
 	localSources []dist.Source
 	ksAttrs      map[string]string // shared kickstart attributes; never mutated after startHTTP
 	ksCache      *kickstart.ProfileCache
-	nodeCache    *nodeResolver
 
 	mu          sync.Mutex
 	nodes       map[string]*node.Node // by MAC
@@ -313,11 +312,8 @@ func New(cfg Config) (*Cluster, error) {
 	c.mirrorReport = mirrorReport
 	c.mirrorRepo = mirrorRepo
 	// The CGI's memo: reinstall storms hit one (appliance, arch) class
-	// hundreds of times; one traversal serves them all (§4, §6.1). The
-	// node resolver memoizes the companion SQL behind the database's
-	// mutation counter.
+	// hundreds of times; one traversal serves them all (§4, §6.1).
 	c.ksCache = kickstart.NewProfileCache(c.Dist.Framework)
-	c.nodeCache = newNodeResolver(c.DB)
 	c.DHCPd = dhcp.NewServer("frontend-0", c.Syslog)
 	if cfg.Faults != nil {
 		// Every seam the injector covers is wired here, so one Config
@@ -355,7 +351,7 @@ func New(cfg Config) (*Cluster, error) {
 	// One scrapeable surface for every layer's counters, plus the audit
 	// log the control plane records mutations into. Both must exist
 	// before startHTTP registers their endpoints.
-	c.audit = &auditLog{ring: make([]AuditEntry, auditRingSize)}
+	c.audit = &auditLog{ring: lifecycle.NewRing[AuditEntry](auditRingSize)}
 	if cfg.EnableRelays {
 		c.relays = newRelayRegistry(c)
 	}
@@ -444,37 +440,27 @@ func (c *Cluster) BaseURL() string { return c.baseURL }
 func (c *Cluster) Events() *lifecycle.Bus { return c.events }
 
 // NodeTimeline returns every lifecycle event for a node, identified by
-// hostname or MAC, merged across its identities: events published before
+// hostname or MAC, across its identities: events published before
 // insert-ethers bound a name carry the MAC, later ones the hostname. The
 // result is the /v1/events?node=X view — discover through install, up,
 // dark, and remediation — in publish order.
 func (c *Cluster) NodeTimeline(hostOrMAC string) []lifecycle.Event {
-	events := c.events.Timeline(hostOrMAC)
-	// Resolve the other identity and merge, deduplicating by bus sequence.
-	var other string
-	if n, ok := c.NodeByName(hostOrMAC); ok {
-		other = n.MAC()
-	} else {
-		c.mu.Lock()
-		if n, ok := c.nodes[hostOrMAC]; ok {
-			other = n.Name()
-		}
-		c.mu.Unlock()
+	return c.events.Recent(c.nodeFilter(hostOrMAC))
+}
+
+// nodeFilter selects a node's events under both of its identities: the one
+// given and, when the node is tracked, the other (its MAC for a hostname,
+// its hostname for a MAC).
+func (c *Cluster) nodeFilter(hostOrMAC string) lifecycle.Filter {
+	f := lifecycle.Filter{Node: hostOrMAC}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n, ok := c.byName[hostOrMAC]; ok {
+		f.Alias = n.MAC()
+	} else if n, ok := c.nodes[hostOrMAC]; ok {
+		f.Alias = n.Name()
 	}
-	if other == "" || other == hostOrMAC {
-		return events
-	}
-	seen := make(map[uint64]bool, len(events))
-	for _, e := range events {
-		seen[e.Seq] = true
-	}
-	for _, e := range c.events.Timeline(other) {
-		if !seen[e.Seq] {
-			events = append(events, e)
-		}
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Seq < events[j].Seq })
-	return events
+	return f
 }
 
 // Handler exposes the frontend's HTTP mux for in-process dispatch — load

@@ -85,7 +85,7 @@ type fedChild struct {
 	forwarded uint64
 	lastSeq   uint64
 	dark      bool
-	mirror    []lifecycle.Event // bounded ring of forwarded events, shard-stamped
+	mirror    lifecycle.Ring[lifecycle.Event] // forwarded events, shard-stamped
 	// Last successful /metrics exposition and when it was scraped: the
 	// stale fallback a merged scrape serves while the child is dark, aged
 	// by rocks_federation_child_last_scrape_seconds.
@@ -157,10 +157,7 @@ func (ch *fedChild) ingest(events []lifecycle.Event) {
 		if e.Shard == ch.shard.Name && e.Seq > ch.lastSeq {
 			ch.lastSeq = e.Seq
 		}
-		ch.mirror = append(ch.mirror, *e)
-	}
-	if over := len(ch.mirror) - fedMirrorRing; over > 0 {
-		ch.mirror = append(ch.mirror[:0], ch.mirror[over:]...)
+		ch.mirror.Push(*e)
 	}
 	ch.forwarded += uint64(len(events))
 	ch.lastSeen = time.Now()
@@ -170,26 +167,10 @@ func (ch *fedChild) ingest(events []lifecycle.Event) {
 
 // mirrorEvents returns the child's forwarded history matching the filter
 // — the stale view a merged query falls back to when the child is dark.
-func (ch *fedChild) mirrorEvents(f lifecycle.Filter, nodeID string, limit int) []lifecycle.Event {
+func (ch *fedChild) mirrorEvents(f lifecycle.Filter) []lifecycle.Event {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	var out []lifecycle.Event
-	for _, e := range ch.mirror {
-		if nodeID != "" && e.Node != nodeID && e.MAC != nodeID {
-			continue
-		}
-		if (f.Type != "" && e.Type != f.Type) ||
-			(f.Phase != "" && e.Phase != f.Phase) ||
-			(f.Source != "" && e.Source != f.Source) ||
-			e.Seq <= f.SinceSeq {
-			continue
-		}
-		out = append(out, e)
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
-	}
-	return out
+	return ch.mirror.Select(f.Limit, f.Matches)
 }
 
 // getForwarder reads the child-side forwarder (nil until startForwarder).
@@ -306,7 +287,7 @@ func (c *Cluster) opFederation(r *http.Request) (interface{}, *apiError) {
 		resp.Children = append(resp.Children, FederationChildInfo{
 			Shard: ch.shard, URL: ch.url, Registered: ch.registered,
 			LastSeen: ch.lastSeen, Forwarded: ch.forwarded,
-			LastSeq: ch.lastSeq, Dark: ch.dark, Mirrored: len(ch.mirror),
+			LastSeq: ch.lastSeq, Dark: ch.dark, Mirrored: ch.mirror.Len(),
 		})
 		ch.mu.Unlock()
 	}
@@ -353,6 +334,7 @@ func (c *Cluster) opFedRegister(r *http.Request) (interface{}, *apiError) {
 		url:        strings.TrimSuffix(childURL, "/"),
 		registered: time.Now(),
 		lastSeen:   time.Now(),
+		mirror:     lifecycle.NewRing[lifecycle.Event](fedMirrorRing),
 	}
 	ch.client = &apiclient.Client{Base: ch.url, Actor: "federation/" + c.fed.shard.Name, HTTP: c.fed.client}
 	c.fed.mu.Lock()
@@ -436,27 +418,13 @@ type NodesResponse struct {
 	Deduped int                      `json:"deduped,omitempty"`
 }
 
-// lastActivity indexes the bus ring's most recent event per identity
-// (hostname and MAC) — the recency a cross-shard node merge compares.
-func (c *Cluster) lastActivity() map[string]lifecycle.Event {
-	idx := make(map[string]lifecycle.Event)
-	for _, e := range c.events.Recent(lifecycle.Filter{}) {
-		if e.Node != "" {
-			idx[e.Node] = e
-		}
-		if e.MAC != "" {
-			idx[e.MAC] = e
-		}
-	}
-	return idx
-}
-
 func (c *Cluster) opNodes(r *http.Request) (interface{}, *apiError) {
 	rows, err := clusterdb.Nodes(c.DB, "")
 	if err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, "db_error", "%v", err)
 	}
-	last := c.lastActivity()
+	// The recency a cross-shard node merge compares.
+	last := c.events.LastEvents()
 	resp := NodesResponse{Shard: c.fed.shard.Name, Nodes: make([]federation.NodeRow, 0, len(rows))}
 	for _, n := range rows {
 		row := federation.NodeRow{
@@ -523,21 +491,6 @@ type EventsResponse struct {
 	Deduped int                      `json:"deduped,omitempty"`
 }
 
-// eventQuery re-parses the filter parameters opEvents accepted, for the
-// fan-out and the mirror fallback.
-func eventQuery(r *http.Request) (lifecycle.Filter, string, int) {
-	since, _ := formInt(r, "since", 0, 0)
-	limit, _ := formInt(r, "limit", 0, 0)
-	f := lifecycle.Filter{
-		Type:     lifecycle.EventType(r.FormValue("type")),
-		Phase:    lifecycle.Phase(r.FormValue("phase")),
-		Source:   r.FormValue("source"),
-		SinceSeq: uint64(since),
-		Limit:    limit,
-	}
-	return f, r.FormValue("node"), limit
-}
-
 // fanEvents merges child event streams into the local view: live child
 // queries when possible, each child's forwarded mirror (flagged stale)
 // when it is dark, deduplicated on (MAC, seq) so a node whose child
@@ -548,7 +501,7 @@ func (c *Cluster) fanEvents(r *http.Request, payload interface{}) (interface{}, 
 	if len(children) == 0 {
 		return local, nil
 	}
-	filter, nodeID, limit := eventQuery(r)
+	filter, _ := c.eventFilter(r) // opEvents ran first and rejected a bad one
 	params := url.Values{}
 	for k, vs := range r.URL.Query() {
 		params[k] = vs
@@ -561,7 +514,7 @@ func (c *Cluster) fanEvents(r *http.Request, payload interface{}) (interface{}, 
 	for i, st := range sts {
 		if !st.OK {
 			// Dark child: fall back to the forwarded mirror, honestly flagged.
-			mirror := children[i].mirrorEvents(filter, nodeID, limit)
+			mirror := children[i].mirrorEvents(filter)
 			st.Stale, st.Count = true, len(mirror)
 			merged.Partial = true
 			batches = append(batches, federation.EventBatch{Shard: st.Shard, Events: mirror})
@@ -574,7 +527,7 @@ func (c *Cluster) fanEvents(r *http.Request, payload interface{}) (interface{}, 
 		batches = append(batches, federation.EventBatch{Shard: st.Shard, Events: resps[i].Events})
 		merged.Shards = append(append(merged.Shards, st), resps[i].Shards...)
 	}
-	events, deduped := federation.MergeEvents(batches, limit)
+	events, deduped := federation.MergeEvents(batches, filter.Limit)
 	merged.Events = events
 	merged.Deduped += deduped
 	c.fed.deduped.Add(uint64(deduped))

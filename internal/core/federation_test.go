@@ -456,3 +456,97 @@ func TestFederationRegisterValidation(t *testing.T) {
 		t.Errorf("failed registrations changed role to %q", got)
 	}
 }
+
+// TestMirrorFallbackMatchesLiveFilter: the stale view a parent serves for a
+// dark child must be the view the child itself would have served. One
+// filter, applied to the child's live bus and to the parent's mirror of it,
+// selects the same events (modulo the shard stamp) — every field, limit
+// included, and a node followed under both of its identities.
+func TestMirrorFallbackMatchesLiveFilter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-frontend live integration")
+	}
+	parent := newFedCluster(t, "HQ")
+	child := newChildCluster(t, parent, "deptA:0-3")
+	nodes := addComputes(t, child, 2)
+	child.fed.getForwarder().Flush()
+
+	parent.fed.mu.Lock()
+	ch := parent.fed.children["deptA"]
+	parent.fed.mu.Unlock()
+	mirrored := ch.mirrorEvents(lifecycle.Filter{})
+	if len(mirrored) == 0 {
+		t.Fatal("nothing reached the parent's mirror")
+	}
+	// The mirror starts where the forwarder did; compare from there on.
+	from := mirrored[0].Seq - 1
+	mid := from + uint64(len(mirrored))/2
+
+	byName := child.nodeFilter(nodes[0].Name())
+	byMAC := child.nodeFilter(nodes[1].MAC())
+	if byName.Alias != nodes[0].MAC() || byMAC.Alias != nodes[1].Name() {
+		t.Fatalf("nodeFilter resolved aliases %q and %q", byName.Alias, byMAC.Alias)
+	}
+	filters := map[string]lifecycle.Filter{
+		"all":          {},
+		"limit":        {Limit: 5},
+		"since":        {SinceSeq: mid},
+		"type":         {Type: lifecycle.EventUp},
+		"phase":        {Phase: lifecycle.PhaseDiscover},
+		"source":       {Source: "installer"},
+		"source+limit": {Source: "installer", Limit: 3},
+		"mac":          {MAC: nodes[0].MAC()},
+		"node by name": byName,
+		"node by mac":  byMAC,
+		"node+phase+since+limit": {Node: byMAC.Node, Alias: byMAC.Alias,
+			Phase: lifecycle.PhaseInstall, SinceSeq: mid, Limit: 4},
+		"one identity only": {Node: nodes[0].Name()},
+	}
+	for name, f := range filters {
+		if f.SinceSeq < from {
+			f.SinceSeq = from
+		}
+		live := child.Events().Recent(f)
+		stale := stripShards(ch.mirrorEvents(f))
+		if len(live) == 0 {
+			t.Errorf("%s: filter selects nothing; the case proves nothing", name)
+			continue
+		}
+		// Compared as served: the mirror's copy crossed the wire as JSON.
+		liveJSON, _ := json.Marshal(live)
+		staleJSON, _ := json.Marshal(stale)
+		if string(liveJSON) != string(staleJSON) {
+			t.Errorf("%s: live bus selects %d events, the mirror %d:\nlive  %v\nstale %v", name, len(live), len(stale), live, stale)
+		}
+	}
+	// The two-identity filter is what makes one timeline of the MAC-keyed
+	// discovery prefix and the hostname-keyed rest.
+	if both, one := child.Events().Recent(byName), child.Events().Recent(filters["one identity only"]); len(both) <= len(one) {
+		t.Errorf("alias added nothing: %d events under both identities, %d under the hostname alone", len(both), len(one))
+	}
+}
+
+// TestMirrorKeepsNewestAcrossBatches: forwarded batches that overflow a
+// child's mirror evict oldest-first, whatever the batch boundaries.
+func TestMirrorKeepsNewestAcrossBatches(t *testing.T) {
+	ch := &fedChild{
+		shard:  federation.Shard{Name: "deptA"},
+		mirror: lifecycle.NewRing[lifecycle.Event](fedMirrorRing),
+	}
+	const total = fedMirrorRing + 1000
+	for seq := uint64(1); seq <= total; {
+		batch := make([]lifecycle.Event, 0, 300)
+		for ; len(batch) < cap(batch) && seq <= total; seq++ {
+			batch = append(batch, lifecycle.Event{Seq: seq, Node: "compute-0-0"})
+		}
+		ch.ingest(batch)
+	}
+	got := ch.mirrorEvents(lifecycle.Filter{})
+	if len(got) != fedMirrorRing || got[0].Seq != total-fedMirrorRing+1 || got[len(got)-1].Seq != total {
+		t.Fatalf("mirror holds %d events, seq %d..%d; want the newest %d, ending at %d",
+			len(got), got[0].Seq, got[len(got)-1].Seq, fedMirrorRing, total)
+	}
+	if got[0].Shard != "deptA" || ch.lastSeq != total || ch.forwarded != total {
+		t.Fatalf("shard %q lastSeq %d forwarded %d", got[0].Shard, ch.lastSeq, ch.forwarded)
+	}
+}

@@ -100,8 +100,7 @@ func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 		}
 		ip = host
 	}
-	rn, ok, err := c.nodeCache.resolve(ip)
-	n, rootNode := rn.node, rn.root
+	n, ok, err := clusterdb.NodeByIP(c.DB, ip)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -110,7 +109,8 @@ func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("no node registered at %s (run insert-ethers)", ip), http.StatusNotFound)
 		return
 	}
-	if rootNode == "" {
+	_, _, rootNode, err := clusterdb.ApplianceForMembership(c.DB, n.Membership)
+	if err != nil || rootNode == "" {
 		http.Error(w, fmt.Sprintf("membership %d has no kickstartable appliance", n.Membership), http.StatusForbidden)
 		return
 	}
@@ -138,13 +138,13 @@ func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 		Attrs:     c.ksAttrs,
 		NodeAttrs: map[string]string{"Kickstart_PublicHostname": n.Name},
 	}
-	text, err := c.ksCache.Render(req)
+	profile, err := c.ksCache.Generate(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain")
-	io.WriteString(w, text)
+	io.WriteString(w, profile.Render())
 	c.Syslog.Log("frontend-0", "kickstart.cgi", "served %s profile to %s (%s)",
 		rootNode, n.Name, ip)
 }

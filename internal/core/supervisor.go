@@ -341,14 +341,16 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node) {
 		// Benign drift (cpus, mem_mb) never reaches here: it is recorded in
 		// the inventory and the timeline only.
 		if fields := s.c.actionableDriftFields(mac); len(fields) > 0 {
-			s.remediateDriftLocked(now, rec, mac, n, fields)
+			drift := strings.Join(fields, ",")
+			s.remediateLocked(now, rec, mac, n, EventDriftReinstall,
+				"chasing drift in "+drift, "reinstalling to chase drift in "+drift)
 			return
 		}
 		if rec.failing {
 			rec.failing = false
 			rec.attempts = 0
 			rec.next = time.Time{}
-			s.recordLocked(rec.watchedAs, mac, EventRecovered, 0, "node reached up; retry budget refunded")
+			s.record(rec.watchedAs, mac, EventRecovered, 0, "node reached up; retry budget refunded")
 		}
 		s.mu.Unlock()
 		return
@@ -365,6 +367,19 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node) {
 			return
 		}
 	}
+	s.remediateLocked(now, rec, mac, n, EventPowerCycle,
+		"in state "+string(st), "node reinstalling (was "+string(st)+")")
+}
+
+// remediateLocked is the one remediation path, for dark or crashed nodes and
+// for Up nodes with actionable facts drift alike: behind the backoff gate,
+// spend one attempt of the node's budget on a hard power cycle — the paper's
+// remedy, which forces the node to reinstall itself (§4) — or quarantine the
+// node once the budget is gone. cycled is the event a successful cycle
+// publishes; exhausted and reinstalling word the reason into the
+// quarantine's and the cycle's detail. Called with s.mu held; releases it.
+func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string, n *node.Node,
+	cycled EventType, exhausted, reinstalling string) {
 	rec.failing = true
 	if now.Before(rec.next) {
 		s.mu.Unlock()
@@ -381,49 +396,7 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node) {
 		// Published after Quarantine took effect, so a bus waiter that
 		// wakes on this event observes the node already offline.
 		s.record(host, mac, EventQuarantine, attempts,
-			fmt.Sprintf("retry budget (%d) exhausted in state %s; marking offline", s.cfg.MaxRetries, st))
-		return
-	}
-	rec.attempts++
-	attempt := rec.attempts
-	rec.next = now.Add(s.backoffLocked(attempt))
-	host := s.displayName(mac, n)
-	s.mu.Unlock()
-
-	// The paper's remedy, issued mechanically: a hard power cycle forces
-	// the node to reinstall itself (§4).
-	outlet, wired := s.c.PDU.OutletFor(mac)
-	if !wired {
-		s.record(host, mac, EventPowerCycleFailed, attempt, "no PDU outlet wired")
-		return
-	}
-	if err := s.c.PDU.HardCycle(outlet); err != nil {
-		s.record(host, mac, EventPowerCycleFailed, attempt, err.Error())
-		return
-	}
-	s.record(host, mac, EventPowerCycle, attempt,
-		fmt.Sprintf("outlet %d cycled; node reinstalling (was %s)", outlet, st))
-}
-
-// remediateDriftLocked orders a bounded cycle-to-reinstall for an Up node
-// with actionable facts drift. Called with s.mu held; releases it.
-func (s *Supervisor) remediateDriftLocked(now time.Time, rec *remedRecord, mac string, n *node.Node, fields []string) {
-	rec.failing = true
-	if now.Before(rec.next) {
-		s.mu.Unlock()
-		return
-	}
-	if rec.attempts >= s.cfg.MaxRetries {
-		rec.quarantined = true
-		attempts := rec.attempts
-		host := s.displayName(mac, n)
-		s.mu.Unlock()
-		if err := s.c.Quarantine(host); err != nil {
-			s.c.Syslog.Log("frontend-0", "supervisor", "quarantining %s: %v", host, err)
-		}
-		s.record(host, mac, EventQuarantine, attempts,
-			fmt.Sprintf("retry budget (%d) exhausted chasing drift in %s; marking offline",
-				s.cfg.MaxRetries, strings.Join(fields, ",")))
+			fmt.Sprintf("retry budget (%d) exhausted %s; marking offline", s.cfg.MaxRetries, exhausted))
 		return
 	}
 	rec.attempts++
@@ -441,8 +414,7 @@ func (s *Supervisor) remediateDriftLocked(now time.Time, rec *remedRecord, mac s
 		s.record(host, mac, EventPowerCycleFailed, attempt, err.Error())
 		return
 	}
-	s.record(host, mac, EventDriftReinstall, attempt,
-		fmt.Sprintf("outlet %d cycled; reinstalling to chase drift in %s", outlet, strings.Join(fields, ",")))
+	s.record(host, mac, cycled, attempt, fmt.Sprintf("outlet %d cycled; %s", outlet, reinstalling))
 }
 
 // backoffLocked computes the capped exponential backoff plus jitter for the
@@ -469,15 +441,11 @@ func (s *Supervisor) displayName(mac string, n *node.Node) string {
 	return mac
 }
 
-func (s *Supervisor) record(host, mac string, t EventType, attempt int, detail string) {
-	s.recordLocked(host, mac, t, attempt, detail)
-}
-
-// recordLocked publishes one supervisor action to the lifecycle bus — the
+// record publishes one supervisor action to the lifecycle bus — the
 // bounded ring is the event log now; there is no private slice to grow
 // without limit. Safe with or without s.mu held (the bus has its own lock
 // and never calls back).
-func (s *Supervisor) recordLocked(host, mac string, t EventType, attempt int, detail string) {
+func (s *Supervisor) record(host, mac string, t EventType, attempt int, detail string) {
 	s.c.supStats.count(t)
 	e := s.c.events.Publish(lifecycle.Event{
 		Node:    host,

@@ -30,10 +30,9 @@ import (
 type ProfileCache struct {
 	fw *Framework
 
-	mu       sync.RWMutex
-	gen      uint64
-	entries  map[profileKey]*profileTemplate
-	rendered map[renderKey]string
+	mu      sync.RWMutex
+	gen     uint64
+	entries map[profileKey]*profileTemplate
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -49,21 +48,12 @@ type profileKey struct {
 	attrs     string
 }
 
-// renderKey identifies one node's fully rendered kickstart file within a
-// shared-profile class.
-type renderKey struct {
-	pk        profileKey
-	node      string
-	nodeAttrs string
-}
-
 // NewProfileCache creates an empty cache bound to the framework.
 func NewProfileCache(fw *Framework) *ProfileCache {
 	return &ProfileCache{
-		fw:       fw,
-		gen:      fw.Generation(),
-		entries:  make(map[profileKey]*profileTemplate),
-		rendered: make(map[renderKey]string),
+		fw:      fw,
+		gen:     fw.Generation(),
+		entries: make(map[profileKey]*profileTemplate),
 	}
 }
 
@@ -108,47 +98,9 @@ func (pc *ProfileCache) Generate(req Request) (*Profile, error) {
 func (pc *ProfileCache) flushIfStaleLocked(gen uint64) {
 	if pc.gen != gen {
 		pc.entries = make(map[profileKey]*profileTemplate)
-		pc.rendered = make(map[renderKey]string)
 		pc.gen = gen
 		pc.invalidations.Add(1)
 	}
-}
-
-// Render is Generate plus Profile.Render, memoized per node: during a mass
-// reinstall every node re-requests its own kickstart file repeatedly, and
-// on those repeats the whole request collapses to one map lookup. The memo
-// lives under the same generation stamp as the templates, so a framework
-// edit drops rendered files and templates together. Memory is bounded by
-// nodes × appliance classes — a few kilobytes per registered node.
-func (pc *ProfileCache) Render(req Request) (string, error) {
-	if req.Arch == "" {
-		req.Arch = "i386"
-	}
-	gen := pc.fw.Generation()
-	key := renderKey{
-		pk:        profileKey{appliance: req.Appliance, arch: req.Arch, attrs: canonicalAttrs(req.Attrs)},
-		node:      req.NodeName,
-		nodeAttrs: canonicalAttrs(req.NodeAttrs),
-	}
-	pc.mu.RLock()
-	if pc.gen == gen {
-		if text, ok := pc.rendered[key]; ok {
-			pc.mu.RUnlock()
-			pc.hits.Add(1)
-			return text, nil
-		}
-	}
-	pc.mu.RUnlock()
-	p, err := pc.Generate(req)
-	if err != nil {
-		return "", err
-	}
-	text := p.Render()
-	pc.mu.Lock()
-	pc.flushIfStaleLocked(gen)
-	pc.rendered[key] = text
-	pc.mu.Unlock()
-	return text, nil
 }
 
 // Stats reports cache traffic: template hits, template builds (misses), and
@@ -158,8 +110,8 @@ func (pc *ProfileCache) Stats() (hits, misses, invalidations uint64) {
 }
 
 // RegisterMetrics exposes the cache counters on the registry. Collector
-// funcs sample the atomics at scrape time; the Generate/Render hot paths
-// are untouched.
+// funcs sample the atomics at scrape time; the Generate hot path is
+// untouched.
 func (pc *ProfileCache) RegisterMetrics(r *metrics.Registry) {
 	r.CounterFunc("rocks_kickstart_cache_hits_total",
 		"Kickstart requests answered from the profile memo.",

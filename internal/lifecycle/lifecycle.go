@@ -132,9 +132,13 @@ func (e Event) String() string {
 
 // Filter selects events. Zero fields match everything. Node matches either
 // the event's Node or its MAC, so a timeline query follows a machine from
-// pre-name discovery through its bound hostname.
+// pre-name discovery through its bound hostname. Alias is the same node's
+// other identity (the MAC of a hostname, the hostname of a MAC) when the
+// caller knows it: an event passes the Node test under either, so events
+// that carry only one of the two still land on the one timeline.
 type Filter struct {
 	Node     string
+	Alias    string
 	MAC      string
 	Type     EventType
 	Phase    Phase
@@ -143,8 +147,13 @@ type Filter struct {
 	Limit    int    // 0 = unlimited; otherwise the most recent N matches
 }
 
-func (f Filter) matches(e Event) bool {
-	if f.Node != "" && e.Node != f.Node && e.MAC != f.Node {
+// Matches reports whether e passes every field test of f (Limit is the
+// query's business, not the predicate's). It is the only place event fields
+// are compared to a filter: the bus, a parent's mirror of a dark child and
+// /v1/events all select through it.
+func (f Filter) Matches(e *Event) bool {
+	if f.Node != "" && e.Node != f.Node && e.MAC != f.Node &&
+		(f.Alias == "" || (e.Node != f.Alias && e.MAC != f.Alias)) {
 		return false
 	}
 	if f.MAC != "" && e.MAC != f.MAC {
@@ -159,10 +168,7 @@ func (f Filter) matches(e Event) bool {
 	if f.Source != "" && e.Source != f.Source {
 		return false
 	}
-	if e.Seq <= f.SinceSeq {
-		return false
-	}
-	return true
+	return e.Seq > f.SinceSeq
 }
 
 // DefaultRingSize bounds the bus when the caller doesn't choose: large
@@ -180,12 +186,9 @@ type subscriber struct {
 // that falls behind loses events (counted per subscription) rather than
 // stalling the producers — the installer must not wait on a slow reader.
 type Bus struct {
-	mu      sync.Mutex
-	ring    []Event
-	start   int // index of oldest event
-	count   int
-	seq     uint64
-	evicted uint64
+	mu   sync.Mutex
+	ring Ring[Event]
+	seq  uint64
 
 	subs   map[int]*subscriber
 	nextID int
@@ -203,7 +206,7 @@ func NewBus(size int) *Bus {
 		size = DefaultRingSize
 	}
 	return &Bus{
-		ring:  make([]Event, size),
+		ring:  NewRing[Event](size),
 		subs:  make(map[int]*subscriber),
 		bcast: make(chan struct{}),
 	}
@@ -218,13 +221,7 @@ func (b *Bus) Publish(e Event) Event {
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
-	if b.count == len(b.ring) {
-		b.start = (b.start + 1) % len(b.ring)
-		b.evicted++
-	} else {
-		b.count++
-	}
-	b.ring[(b.start+b.count-1)%len(b.ring)] = e
+	b.ring.Push(e)
 	for _, s := range b.subs {
 		select {
 		case s.ch <- e:
@@ -265,18 +262,25 @@ func (b *Bus) Subscribe(buf int) (<-chan Event, func()) {
 // f.Limit set, only the most recent matches are returned.
 func (b *Bus) Recent(f Filter) []Event {
 	b.mu.Lock()
-	out := make([]Event, 0, b.count)
-	for i := 0; i < b.count; i++ {
-		e := b.ring[(b.start+i)%len(b.ring)]
-		if f.matches(e) {
-			out = append(out, e)
+	defer b.mu.Unlock()
+	return b.ring.Select(f.Limit, f.Matches)
+}
+
+// LastEvents indexes the ring's most recent event per identity — every
+// hostname and every MAC an event carries — reading the ring in place.
+func (b *Bus) LastEvents() map[string]Event {
+	idx := make(map[string]Event)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i := b.ring.Len() - 1; i >= 0; i-- {
+		e := b.ring.At(i)
+		for _, id := range [2]string{e.Node, e.MAC} {
+			if _, seen := idx[id]; id != "" && !seen {
+				idx[id] = *e
+			}
 		}
 	}
-	b.mu.Unlock()
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[len(out)-f.Limit:]
-	}
-	return out
+	return idx
 }
 
 // Timeline is a node's per-node lifecycle view: every ring event whose Node
@@ -292,11 +296,11 @@ func (b *Bus) Timeline(node string) []Event {
 func (b *Bus) WaitFor(ctx context.Context, f Filter) (Event, error) {
 	for {
 		b.mu.Lock()
-		for i := 0; i < b.count; i++ {
-			e := b.ring[(b.start+i)%len(b.ring)]
-			if f.matches(e) {
+		for i := 0; i < b.ring.Len(); i++ {
+			if e := b.ring.At(i); f.Matches(e) {
+				found := *e
 				b.mu.Unlock()
-				return e, nil
+				return found, nil
 			}
 		}
 		wake := b.bcast
@@ -322,7 +326,7 @@ func (b *Bus) Seq() uint64 {
 func (b *Bus) Evicted() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.evicted
+	return b.ring.Evicted()
 }
 
 // SubscriberDrops sums events lost across all current subscribers' buffers.

@@ -244,3 +244,22 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+func TestLastEventsKeepsNewestPerIdentity(t *testing.T) {
+	b := NewBus(4)
+	b.Publish(Event{Node: "evicted", Type: EventUp})
+	b.Publish(Event{Node: "aa:bb", MAC: "aa:bb", Type: EventDiscovered})
+	b.Publish(Event{Node: "compute-0-0", MAC: "aa:bb", Type: EventBound})
+	b.Publish(Event{Node: "compute-0-0", Type: EventDark}) // hostname only
+	b.Publish(Event{Node: "compute-0-1", MAC: "cc:dd", Type: EventUp})
+	last := b.LastEvents()
+	want := map[string]uint64{"aa:bb": 3, "compute-0-0": 4, "compute-0-1": 5, "cc:dd": 5}
+	if len(last) != len(want) {
+		t.Fatalf("LastEvents indexed %d identities, want %d: %v", len(last), len(want), last)
+	}
+	for id, seq := range want {
+		if last[id].Seq != seq {
+			t.Errorf("LastEvents[%q] is event #%d, want #%d", id, last[id].Seq, seq)
+		}
+	}
+}

@@ -308,7 +308,7 @@ var experimentTable = []struct {
 	}},
 	{"relaycurve", "peer/relay distribution: install completion curves", func() {
 		rows := []experiments.CurveComparison{}
-		for _, n := range []int{32, 1000, 10000} {
+		for _, n := range []int{32, 1000, 10000, 100000, 1000000} {
 			rows = append(rows, experiments.RunCurveComparison(n))
 		}
 		fmt.Print(experiments.FormatCurves(rows))
@@ -318,6 +318,7 @@ var experimentTable = []struct {
 		for _, relay := range []bool{false, true} {
 			rows = append(rows, experiments.RunFederationComparison(10000, 8, relay))
 		}
+		rows = append(rows, experiments.RunFederationComparison(1000000, 8, true))
 		fmt.Print(experiments.FormatFederationCurves(rows))
 		fmt.Println("(full mirror = cold cascade of the whole tree to every child;")
 		fmt.Println(" delta mirror = unchanged tree, the cascade moves zero package bodies)")

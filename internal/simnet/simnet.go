@@ -10,13 +10,16 @@
 // at flow arrivals, departures, and timer expirations — a 32-node, 10-minute
 // reinstallation replays in microseconds of wall-clock time.
 //
-// Rate reallocation is batched: starts, cancellations, and completions that
-// land on the same virtual instant are absorbed into one water-filling pass,
-// run just before the clock moves (or on demand when rates are observed).
-// Water-filling touches only the links active flows actually cross, so a
-// 10k-flow fan-in costs O(flows + active links) per pass rather than
-// O(flows × registered links). That is what makes whole-fleet experiments
-// (1k–10k nodes reinstalling at once) tractable.
+// Rate reallocation is batched and incremental: starts, cancellations, and
+// completions that land on the same virtual instant are absorbed into one
+// flush, run just before the clock moves (or on demand when rates are
+// observed), and the flush re-solves only the connected component of links
+// and flows those changes can reach. Every other flow keeps its rate. A flush
+// still sweeps the live flows three times (charge elapsed time and drop the
+// retired, collect the component in start order, find the next completion);
+// the water-filling rounds between walk the component alone, each round its
+// links and its still-unfrozen flows (DESIGN.md §12). That is what makes
+// whole-fleet experiments (100k–1M nodes reinstalling in waves) tractable.
 //
 // Virtual time is a float64 in seconds. All scheduling is deterministic:
 // events at equal times fire in the order they were scheduled, and onDone
@@ -28,6 +31,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -48,18 +52,30 @@ type Simulation struct {
 	flowList []*Flow
 	live     int
 
+	// charged is the virtual time up to which every live flow's remaining
+	// bytes are drained: flows are charged all together, so it is one clock
+	// and not a field of each. A flow started since has no rate yet, and
+	// charging it for the time before it began costs it nothing.
+	charged float64
+
 	// dirty marks that the flow set changed since rates were last computed.
 	// The reallocation runs once per virtual instant — after every event at
 	// that time has fired — or immediately when rates are observed.
 	dirty bool
 
-	// allocGen stamps per-link scratch state (capLeft, users) so a
-	// water-filling pass can reset only the links it touches.
-	allocGen int64
-
-	// completionGen invalidates the pending earliest-flow-completion event
+	// completion is the pending earliest-flow-completion event, stopped
 	// whenever rates are reallocated.
-	completionGen int64
+	completion *Timer
+
+	// Flush scratch, kept between flushes: the links of the component being
+	// re-solved (the search's queue and the solve's active-link list are the
+	// same slice, never longer than numLinks) and its flows, which
+	// completeFinished borrows between flushes. rerated is how many flows
+	// the last flush re-rated.
+	links    []*Link
+	flows    []*Flow
+	rerated  int
+	numLinks int
 }
 
 // New creates an empty simulation at virtual time zero.
@@ -70,8 +86,12 @@ func New() *Simulation {
 // Now returns the current virtual time in seconds.
 func (s *Simulation) Now() float64 { return s.now }
 
-// Timer is a scheduled callback; it can be stopped before it fires.
+// Timer is a scheduled callback, and the event-queue entry itself; it can
+// be stopped before it fires.
 type Timer struct {
+	at      float64
+	seq     int64
+	fn      func()
 	stopped bool
 }
 
@@ -82,16 +102,7 @@ func (t *Timer) Stop() { t.stopped = true }
 // After schedules fn to run once, delay seconds from now. A negative delay
 // fires immediately (at the current time).
 func (s *Simulation) After(delay float64, fn func()) *Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	t := &Timer{}
-	s.push(s.now+delay, func() {
-		if !t.stopped {
-			fn()
-		}
-	})
-	return t
+	return s.push(s.now+max(delay, 0), fn)
 }
 
 // Run processes events until none remain, and returns the final virtual
@@ -146,28 +157,26 @@ func (s *Simulation) settle() {
 }
 
 func (s *Simulation) step() {
-	ev := heap.Pop(&s.events).(*event)
+	ev := heap.Pop(&s.events).(*Timer)
 	if ev.at < s.now-timeEpsilon {
 		panic(fmt.Sprintf("simnet: event at t=%g scheduled in the past (now=%g)", ev.at, s.now))
 	}
 	if ev.at > s.now {
 		s.now = ev.at
 	}
-	ev.fn()
+	if !ev.stopped {
+		ev.fn()
+	}
 }
 
-func (s *Simulation) push(at float64, fn func()) {
+func (s *Simulation) push(at float64, fn func()) *Timer {
 	s.seq++
-	heap.Push(&s.events, &event{at: at, seq: s.seq, fn: fn})
+	t := &Timer{at: at, seq: s.seq, fn: fn}
+	heap.Push(&s.events, t)
+	return t
 }
 
-type event struct {
-	at  float64
-	seq int64
-	fn  func()
-}
-
-type eventQueue []*event
+type eventQueue []*Timer
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
@@ -177,7 +186,7 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
+func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*Timer)) }
 func (q *eventQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
@@ -193,10 +202,17 @@ type Link struct {
 	Name     string
 	Capacity float64 // bytes/second
 
-	// Water-filling scratch, valid only while gen == Simulation.allocGen.
-	gen     int64
+	// flows lists the live flows crossing the link in start order, once per
+	// hop. A retired flow stays until a flush next reaches the link, which
+	// the flush after it retires always does.
+	flows []*Flow
+
+	// Flush scratch, meaningful only while queued: the link is in the
+	// component being re-solved. The narrow types keep a Link in the 64-byte
+	// size class.
 	capLeft float64
-	users   int
+	users   int32
+	queued  bool
 }
 
 // NewLink registers a link with the simulation.
@@ -204,6 +220,7 @@ func (s *Simulation) NewLink(name string, capacity float64) *Link {
 	if capacity <= 0 {
 		panic("simnet: link capacity must be positive")
 	}
+	s.numLinks++
 	return &Link{Name: name, Capacity: capacity}
 }
 
@@ -212,15 +229,8 @@ func (s *Simulation) NewLink(name string, capacity float64) *Link {
 func (s *Simulation) Utilization(l *Link) float64 {
 	s.settle()
 	var used float64
-	for _, f := range s.flowList {
-		if f.done {
-			continue
-		}
-		for _, fl := range f.path {
-			if fl == l {
-				used += f.rate
-			}
-		}
+	for _, f := range l.flows {
+		used += f.rate
 	}
 	return used / l.Capacity
 }
@@ -232,20 +242,22 @@ type Flow struct {
 	sim       *Simulation
 	path      []*Link
 	cap       float64 // per-flow rate cap; 0 means uncapped
-	remaining float64 // bytes left at time `updated`
+	remaining float64 // bytes left at time Simulation.charged
 	rate      float64 // current allocated rate
-	updated   float64 // virtual time of last remaining-bytes update
 	onDone    func()
 	done      bool
-	frozen    bool // water-filling scratch
-	start     float64
+	// frozen says rate is settled. A flow starts unfrozen, a flush unfreezes
+	// the flows a change can reach, and the solve freezes each at its rate.
+	frozen bool
+	start  float64
 }
 
 // StartFlow begins transferring `bytes` across `path`, calling onDone (which
 // may be nil) when the last byte arrives. rateCap limits the flow's rate
-// regardless of link availability; pass 0 for no cap. A zero-byte flow
-// completes at the current time (onDone runs from the event loop, not
-// inline).
+// regardless of link availability; pass 0 for no cap. A link listed twice in
+// path is crossed twice: the flow is charged against its capacity twice. A
+// zero-byte flow completes at the current time (onDone runs from the event
+// loop, not inline).
 func (s *Simulation) StartFlow(name string, bytes float64, path []*Link, rateCap float64, onDone func()) *Flow {
 	if bytes < 0 {
 		panic("simnet: negative flow size")
@@ -253,8 +265,11 @@ func (s *Simulation) StartFlow(name string, bytes float64, path []*Link, rateCap
 	if len(path) == 0 && rateCap <= 0 {
 		panic("simnet: flow needs at least one link or a rate cap")
 	}
-	f := &Flow{Name: name, sim: s, path: path, cap: rateCap, remaining: bytes, updated: s.now, onDone: onDone, start: s.now}
+	f := &Flow{Name: name, sim: s, path: path, cap: rateCap, remaining: bytes, onDone: onDone, start: s.now}
 	s.flowList = append(s.flowList, f)
+	for _, l := range path {
+		l.flows = append(l.flows, f)
+	}
 	s.live++
 	s.dirty = true
 	// A zero-byte flow must complete even if no other event flushes rates.
@@ -271,20 +286,16 @@ func (f *Flow) Cancel() {
 	}
 	// Charge the flow's own transfer up to now; peers are charged at the
 	// next flush, before their rates change.
-	f.chargeTo(f.sim.now)
+	f.charge(f.sim.now - f.sim.charged)
 	f.done = true
 	f.sim.live--
 	f.sim.dirty = true
 }
 
-// chargeTo drains the flow at its current rate up to virtual time t.
-func (f *Flow) chargeTo(t float64) {
-	if dt := t - f.updated; dt > 0 {
-		f.remaining -= f.rate * dt
-		if f.remaining < 0 {
-			f.remaining = 0
-		}
-		f.updated = t
+// charge drains the flow at its current rate for dt seconds.
+func (f *Flow) charge(dt float64) {
+	if dt > 0 {
+		f.remaining = max(f.remaining-f.rate*dt, 0)
 	}
 }
 
@@ -295,7 +306,7 @@ func (f *Flow) Remaining() float64 {
 		return 0
 	}
 	f.sim.settle()
-	return f.remaining - f.rate*(f.sim.now-f.updated)
+	return f.remaining - f.rate*(f.sim.now-f.sim.charged)
 }
 
 // Rate returns the flow's currently allocated transfer rate in bytes/sec.
@@ -314,80 +325,103 @@ func (f *Flow) Elapsed() float64 { return f.sim.now - f.start }
 func (s *Simulation) advance() {
 	for _, f := range s.flowList {
 		if !f.done {
-			f.chargeTo(s.now)
+			f.charge(s.now - s.charged)
 		}
 	}
+	s.charged = s.now
 }
 
-// compact drops retired flows from the flow list, preserving start order.
-func (s *Simulation) compact() {
-	if s.live == len(s.flowList) {
-		return
-	}
+// flush advances flows to the current instant at their old rates, re-solves
+// max-min fair rates for the flows the changes since the last flush can
+// affect, and schedules the next completion event.
+func (s *Simulation) flush() {
+	s.dirty = false
+	// Sized once to the most they can hold: grown by append, a 100 000-entry
+	// slice leaves four times its size in garbage on the way (DESIGN.md §12).
+	s.links = slices.Grow(s.links, s.numLinks)
+	s.flows = slices.Grow(s.flows, len(s.flowList))
+	// Seeds: the links of every flow that retired or started since the last
+	// flush. The same sweep charges the live and drops the retired,
+	// preserving start order.
 	kept := s.flowList[:0]
 	for _, f := range s.flowList {
+		if f.done || !f.frozen {
+			s.reach(f.path)
+		}
 		if !f.done {
+			f.charge(s.now - s.charged)
 			kept = append(kept, f)
 		}
 	}
-	for i := len(kept); i < len(s.flowList); i++ {
-		s.flowList[i] = nil
-	}
+	s.charged = s.now
+	clear(s.flowList[len(kept):])
 	s.flowList = kept
-}
-
-// flush advances flows to the current instant at their old rates, recomputes
-// max-min fair rates, and schedules the next completion event.
-func (s *Simulation) flush() {
-	s.dirty = false
-	s.advance()
-	s.compact()
-	s.waterfill()
+	// Component: breadth-first over link → flows → links. Reaching a link
+	// drops its retired flows; whoever is left is in the component, so the
+	// link's user count is what is left.
+	for i := 0; i < len(s.links); i++ {
+		l := s.links[i]
+		kept := l.flows[:0]
+		for _, f := range l.flows {
+			if f.done {
+				continue
+			}
+			kept = append(kept, f)
+			if f.frozen {
+				f.frozen = false
+				s.reach(f.path)
+			}
+		}
+		clear(l.flows[len(kept):])
+		l.flows, l.users = kept, int32(len(kept))
+	}
+	// One more sweep collects the component in start order, so float noise
+	// is reproducible run to run.
+	minCap := math.Inf(1)
+	for _, f := range s.flowList {
+		if !f.frozen {
+			s.flows = append(s.flows, f)
+			if f.cap > 0 {
+				minCap = min(minCap, f.cap)
+			}
+		}
+	}
+	s.rerated = len(s.flows)
+	s.waterfill(minCap)
+	for _, l := range s.links {
+		l.queued = false
+	}
+	clear(s.flows) // a retired flow must not stay reachable from scratch
+	s.links, s.flows = s.links[:0], s.flows[:0]
 	s.scheduleCompletion()
 }
 
-// waterfill runs progressive max-min water-filling over the active flows.
-// All unfrozen flows' rates rise together; a flow freezes when it hits its
-// cap or when one of its links saturates. Only links referenced by active
-// flows are touched; per-link scratch (capLeft, user count) is reset by
-// generation stamp, so the pass allocates nothing and costs
-// O(flows + active links) per round.
-func (s *Simulation) waterfill() {
-	s.allocGen++
-	gen := s.allocGen
-	flows := s.flowList
-	var active []*Link
-	for _, f := range flows {
-		f.rate = 0
-		f.frozen = false
-		for _, l := range f.path {
-			if l.gen != gen {
-				l.gen = gen
-				l.capLeft = l.Capacity
-				l.users = 0
-				active = append(active, l)
-			}
-			l.users++
+// reach brings a flow's links into the current flush: each is queued, with
+// its whole capacity to give, the first time it is seen.
+func (s *Simulation) reach(path []*Link) {
+	for _, l := range path {
+		if !l.queued {
+			l.queued, l.capLeft = true, l.Capacity
+			s.links = append(s.links, l)
 		}
 	}
+}
 
-	unfrozen := len(flows)
-	for unfrozen > 0 {
+// waterfill runs progressive max-min water-filling over s.flows and s.links,
+// one connected component or several. All unfrozen flows rise together from
+// zero, so they share one level; a flow freezes, and takes its rate, when the
+// level reaches its cap or one of its links saturates. minCap is the lowest
+// cap among s.flows. The pass allocates nothing, and each round costs the
+// component's links plus its still-unfrozen flows.
+func (s *Simulation) waterfill(minCap float64) {
+	flows, level := s.flows, 0.0
+	for len(flows) > 0 {
 		// The common increment is limited by the tightest link share and
 		// the nearest flow cap.
-		delta := math.Inf(1)
-		for _, l := range active {
+		delta := minCap - level
+		for _, l := range s.links {
 			if l.users > 0 {
-				if share := l.capLeft / float64(l.users); share < delta {
-					delta = share
-				}
-			}
-		}
-		for _, f := range flows {
-			if !f.frozen && f.cap > 0 {
-				if room := f.cap - f.rate; room < delta {
-					delta = room
-				}
+				delta = min(delta, l.capLeft/float64(l.users))
 			}
 		}
 		if math.IsInf(delta, 1) {
@@ -395,60 +429,50 @@ func (s *Simulation) waterfill() {
 			// rejects them), so delta is always finite here.
 			panic("simnet: unbounded allocation")
 		}
-		if delta < 0 {
-			delta = 0
-		}
-		// Apply the increment.
-		for _, f := range flows {
-			if !f.frozen {
-				f.rate += delta
-			}
-		}
-		for _, l := range active {
+		delta = max(delta, 0)
+		level += delta
+		for _, l := range s.links {
 			l.capLeft -= delta * float64(l.users)
 		}
-		// Freeze capped flows and flows on saturated links. Flow order is
-		// start order, so float noise is reproducible run to run.
-		progressed := false
+		// Freeze capped flows and flows on saturated links; keep the rest,
+		// and their lowest cap, for the next round.
+		rest := flows[:0]
+		minCap = math.Inf(1)
 		for _, f := range flows {
-			if f.frozen {
+			f.rate = level
+			if f.cap > 0 && level >= f.cap-timeEpsilon {
+				f.rate, f.frozen = f.cap, true
+			}
+			for i := 0; i < len(f.path) && !f.frozen; i++ {
+				f.frozen = f.path[i].capLeft <= timeEpsilon
+			}
+			if !f.frozen {
+				rest = append(rest, f)
+				if f.cap > 0 {
+					minCap = min(minCap, f.cap)
+				}
 				continue
 			}
-			frozen := false
-			if f.cap > 0 && f.rate >= f.cap-timeEpsilon {
-				f.rate = f.cap
-				frozen = true
-			}
-			if !frozen {
-				for _, l := range f.path {
-					if l.capLeft <= timeEpsilon {
-						frozen = true
-						break
-					}
-				}
-			}
-			if frozen {
-				f.frozen = true
-				unfrozen--
-				progressed = true
-				for _, l := range f.path {
-					l.users--
-				}
+			for _, l := range f.path {
+				l.users--
 			}
 		}
-		if !progressed && delta <= timeEpsilon {
-			// Numerical stall: leave everything at current rates.
-			break
+		if len(rest) == len(flows) && delta <= timeEpsilon {
+			break // numerical stall: everyone left keeps the level reached
 		}
+		flows = rest
+	}
+	for _, f := range flows {
+		f.frozen = true
 	}
 }
 
 // scheduleCompletion finds the flow that will finish first at current rates
-// and schedules its completion; any previously scheduled completion event is
-// invalidated via the generation counter.
+// and schedules its completion, stopping any previously scheduled one.
 func (s *Simulation) scheduleCompletion() {
-	s.completionGen++
-	gen := s.completionGen
+	if s.completion != nil {
+		s.completion.Stop()
+	}
 	best := math.Inf(1)
 	found := false
 	for _, f := range s.flowList {
@@ -465,25 +489,26 @@ func (s *Simulation) scheduleCompletion() {
 			found = true
 		}
 	}
-	if !found {
-		return
+	if found {
+		s.completion = s.push(s.now+best, s.completeFinished)
 	}
-	s.push(s.now+best, func() {
-		if gen != s.completionGen {
-			return // stale: rates changed since this was scheduled
-		}
-		s.completeFinished()
-	})
 }
 
 // completeFinished retires every flow whose remaining bytes reached zero.
 // onDone callbacks run in deterministic (start, name) order; the rate
-// reallocation they trigger is batched with any same-instant starts.
+// reallocation they trigger is batched with any same-instant starts. The
+// list borrows the flush's flow scratch and takes it off the Simulation
+// meanwhile: a callback that observes rates flushes mid-loop, and that flush
+// must not write over the list being walked.
 func (s *Simulation) completeFinished() {
 	s.advance()
-	var finished []*Flow
+	finished := s.flows
+	s.flows = nil
+	// A flow due within the clock's resolution at now is finished too: its
+	// completion event could not move the clock and would recur for ever.
+	tick := math.Nextafter(s.now, math.Inf(1)) - s.now
 	for _, f := range s.flowList {
-		if !f.done && f.remaining <= 1e-6 { // byte-level epsilon
+		if !f.done && f.remaining <= max(1e-6, f.rate*tick) { // byte-level epsilon
 			finished = append(finished, f)
 		}
 	}
@@ -501,6 +526,8 @@ func (s *Simulation) completeFinished() {
 			f.onDone()
 		}
 	}
+	clear(finished)
+	s.flows = finished[:0]
 }
 
 // ActiveFlows reports the number of in-progress flows.

@@ -64,10 +64,12 @@ func (t *table) attachAlloc() {
 	}
 }
 
-// taken probes the ip index for one address.
+// taken probes the ip index for one address. Both buffers stay on the stack:
+// the probe runs once per discovery and once per address NextFreeIP skips.
 func (c *allocCursor) taken(a uint32) bool {
-	var buf [2 + len("255.255.255.255")]byte
-	key := appendIPv4(append(buf[:0], "\x00S"...), a)
+	var ip [len("255.255.255.255")]byte
+	var buf [2 + len(ip)]byte
+	key := appendKeyPart(buf[:0], TextValue(string(appendIPv4(ip[:0], a))))
 	return len(c.ipIdx.buckets[string(key)]) > 0
 }
 

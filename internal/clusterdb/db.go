@@ -386,14 +386,12 @@ func (d *Database) execUpdate(s updateStmt) (*Result, error) {
 	}()
 	for ri := range t.rows {
 		env.rows = [][]Value{t.rows[ri]}
-		if s.where != nil {
-			v, err := eval(s.where, env)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				continue
-			}
+		match, err := holds(s.where, env)
+		if err != nil {
+			return nil, err
+		}
+		if !match {
+			continue
 		}
 		// Stage the new row so uniqueness is checked before anything
 		// commits; within one row later SET clauses see earlier ones, the
@@ -433,29 +431,24 @@ func (d *Database) execDelete(s deleteStmt) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("clusterdb: no such table %q", s.table)
 	}
-	env := &rowEnv{tables: []*boundTable{{alias: s.table, t: t}}}
-	kept := t.rows[:0]
-	deleted := 0
+	env := &rowEnv{tables: []*boundTable{{alias: s.table, t: t}}, rows: make([][]Value, 1)}
+	// Decide, then move: the survivors collect in a slice of their own, so a
+	// WHERE that fails on a later row returns with the rows, the indexes and
+	// the allocation cursor exactly as they were.
+	kept := make([][]Value, 0, len(t.rows))
 	for _, row := range t.rows {
-		keep := true
-		if s.where != nil {
-			env.rows = [][]Value{row}
-			v, err := eval(s.where, env)
-			if err != nil {
-				return nil, err
-			}
-			keep = !v.Truthy()
-		} else {
-			keep = false
+		env.rows[0] = row
+		doomed, err := holds(s.where, env)
+		if err != nil {
+			return nil, err
 		}
-		if keep {
+		if !doomed {
 			kept = append(kept, row)
-		} else {
-			deleted++
 		}
 	}
-	t.rows = kept
+	deleted := len(t.rows) - len(kept)
 	if deleted > 0 {
+		t.rows = kept
 		// Deletion shifts row positions; rebuilding is O(N) but deletes are
 		// the rarest mutation (decommissioning hardware).
 		t.rebuildIndexes()
@@ -533,7 +526,8 @@ func (d *Database) pointLookup(tableName, col string, v Value) (rows [][]Value, 
 		if len(ix.spec.cols) != 1 || ix.spec.cols[0] != col {
 			continue
 		}
-		part, pOK, empty := canonicalKeyPart(t.cols[ix.colIdx[0]].Type, v)
+		var buf [64]byte
+		key, pOK, empty := canonicalKeyPart(buf[:0], t.cols[ix.colIdx[0]].Type, v)
 		if empty {
 			d.indexSelects.Add(1)
 			return nil, true
@@ -541,7 +535,7 @@ func (d *Database) pointLookup(tableName, col string, v Value) (rows [][]Value, 
 		if !pOK {
 			return nil, false // '07'=7-style coercion: only a scan is exact
 		}
-		bucket := ix.buckets[part]
+		bucket := ix.buckets[string(key)]
 		rows = make([][]Value, len(bucket))
 		for i, ri := range bucket {
 			rows[i] = t.rows[ri]

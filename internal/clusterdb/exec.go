@@ -2,6 +2,7 @@ package clusterdb
 
 import (
 	"fmt"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -20,10 +21,12 @@ type boundTable struct {
 }
 
 // rowEnv is the name-resolution environment for one candidate joined row:
-// rows[i] is the current row of tables[i].
+// rows[i] is the current row of tables[i]. agg, set only while HAVING is
+// evaluated, resolves an aggregate sub-expression to its group's value.
 type rowEnv struct {
 	tables []*boundTable
 	rows   [][]Value
+	agg    func(aggExpr) (Value, bool)
 }
 
 // lookup resolves a column reference against the environment. Unqualified
@@ -105,6 +108,11 @@ func eval(ex expr, env *rowEnv) (Value, error) {
 	case binaryExpr:
 		return evalBinary(e, env)
 	case aggExpr:
+		if env.agg != nil {
+			if v, ok := env.agg(e); ok {
+				return v, nil
+			}
+		}
 		return Value{}, fmt.Errorf("clusterdb: aggregate %s() is only allowed in a select list", e.fn)
 	}
 	return Value{}, fmt.Errorf("clusterdb: cannot evaluate %T", ex)
@@ -214,11 +222,33 @@ func likeMatch(s, pattern string) (bool, error) {
 	return rx.MatchString(s), nil
 }
 
-// execSelect runs a SELECT: a nested-loop join over the FROM tables,
-// filtered by WHERE, projected, ordered, and limited. Callers hold the read
-// lock.
-func (d *Database) execSelect(s selectStmt) (*Result, error) {
-	// Bind tables.
+// holds reports whether a predicate accepts the environment's current rows;
+// a nil predicate accepts everything. WHERE in SELECT, UPDATE and DELETE,
+// and HAVING, all ask here.
+func holds(pred expr, env *rowEnv) (bool, error) {
+	if pred == nil {
+		return true, nil
+	}
+	v, err := eval(pred, env)
+	return err == nil && v.Truthy(), err
+}
+
+// query is one SELECT bound to its tables: the row source both consumers
+// (plain and grouped) read through.
+type query struct {
+	s   selectStmt
+	out []outCol
+	env *rowEnv
+	// The minimal planner's answer when a hash index covers a single-table
+	// equality predicate: the matching row positions of tables[0] in scan
+	// order. Meaningful only when useIndex is set.
+	cand     []int
+	useIndex bool
+}
+
+// bind resolves a SELECT's tables and projection and asks the planner for
+// candidates. Callers hold the read lock.
+func (d *Database) bind(s selectStmt) (*query, error) {
 	bound := make([]*boundTable, 0, len(s.tables))
 	seen := map[string]bool{}
 	for _, ref := range s.tables {
@@ -264,104 +294,128 @@ func (d *Database) execSelect(s selectStmt) (*Result, error) {
 		out = append(out, outCol{name: name, ex: item.ex})
 	}
 
-	env := &rowEnv{tables: bound, rows: make([][]Value, len(bound))}
-
-	// The minimal planner: route a single-table equality predicate through
-	// a hash index when one covers it. cand holds the matching row
-	// positions in scan order; the full WHERE is still evaluated on each,
-	// so results are byte-identical to the scan path by construction.
-	var cand []int
-	useIndex := false
+	q := &query{s: s, out: out, env: &rowEnv{tables: bound, rows: make([][]Value, len(bound))}}
 	if d.indexRouting.Load() && len(bound) == 1 {
-		cand, useIndex = indexCandidates(bound[0], s.where)
+		q.cand, q.useIndex = indexCandidates(bound[0], s.where)
 	}
-	if useIndex {
+	if q.useIndex {
 		d.indexSelects.Add(1)
 	} else {
 		d.scanSelects.Add(1)
 	}
+	return q, nil
+}
 
-	// Aggregate mode: if any select item is an aggregate, all must be, and
-	// the query yields exactly one row computed over the matching rows.
-	aggMode := false
-	for _, oc := range out {
-		if _, ok := oc.ex.(aggExpr); ok {
-			aggMode = true
-			break
-		}
-	}
-	if len(s.groupBy) > 0 {
-		return d.execGroupBy(s, bound, out, env, cand, useIndex)
-	}
-	if aggMode {
-		return d.execAggregate(s, bound, out, env, cand, useIndex)
-	}
-
-	type sortedRow struct {
-		cells []Value
-		keys  []Value
-	}
-	var results []sortedRow
-
-	// Nested-loop join over the cartesian product.
-	var loop func(depth int) error
+// each is the nested-loop join: it calls visit once for every combination of
+// rows the WHERE accepts, with env holding that combination. Index
+// candidates are ascending positions, so the visit order is a scan's, and
+// the full WHERE is still evaluated on each, so an indexed answer is
+// byte-identical to the scanned one by construction.
+func (q *query) each(visit func() error) error {
+	var loop func(int) error
 	loop = func(depth int) error {
-		if depth == len(bound) {
-			if s.where != nil {
-				v, err := eval(s.where, env)
-				if err != nil {
-					return err
-				}
-				if !v.Truthy() {
-					return nil
-				}
+		if depth == len(q.env.tables) {
+			ok, err := holds(q.s.where, q.env)
+			if err != nil || !ok {
+				return err
 			}
-			row := sortedRow{cells: make([]Value, len(out))}
-			for i, oc := range out {
-				v, err := eval(oc.ex, env)
-				if err != nil {
-					return err
-				}
-				row.cells[i] = v
-			}
-			for _, k := range s.orderBy {
-				v, err := eval(k.ex, env)
-				if err != nil {
-					return err
-				}
-				row.keys = append(row.keys, v)
-			}
-			results = append(results, row)
-			return nil
+			return visit()
 		}
-		for _, r := range planRows(bound[depth].t, depth, cand, useIndex) {
-			env.rows[depth] = r
+		rows := q.env.tables[depth].t.rows
+		indexed := q.useIndex && depth == 0
+		n := len(rows)
+		if indexed {
+			n = len(q.cand)
+		}
+		for i := 0; i < n; i++ {
+			pos := i
+			if indexed {
+				pos = q.cand[i]
+			}
+			q.env.rows[depth] = rows[pos]
 			if err := loop(depth + 1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := loop(0); err != nil {
+	return loop(0)
+}
+
+// execSelect runs a SELECT: the join filtered by WHERE, consumed row by row
+// or group by group, then limited. Callers hold the read lock.
+func (d *Database) execSelect(s selectStmt) (*Result, error) {
+	q, err := d.bind(s)
+	if err != nil {
 		return nil, err
 	}
+	consume := q.plain
+	if len(s.groupBy) > 0 {
+		consume = q.grouped
+	}
+	for _, oc := range q.out {
+		if _, ok := oc.ex.(aggExpr); ok {
+			consume = q.grouped
+		}
+	}
+	rows, err := consume()
+	if err != nil {
+		return nil, err
+	}
+	if s.limit >= 0 && len(rows) > s.limit {
+		rows = rows[:s.limit]
+	}
+	res := &Result{Columns: make([]string, len(q.out)), Rows: rows, Affected: len(rows)}
+	for i, oc := range q.out {
+		res.Columns[i] = oc.name
+	}
+	return res, nil
+}
 
+// plain projects every joined row, then applies DISTINCT and ORDER BY. The
+// sort keys ride behind the projection as hidden trailing cells, as HAVING's
+// aggregates do in grouped, and are cut off at the end.
+func (q *query) plain() ([][]Value, error) {
+	s, width := q.s, len(q.out)
+	exprs := make([]expr, 0, width+len(s.orderBy))
+	for _, oc := range q.out {
+		exprs = append(exprs, oc.ex)
+	}
+	for _, k := range s.orderBy {
+		exprs = append(exprs, k.ex)
+	}
+	var rows [][]Value
+	err := q.each(func() error {
+		row := make([]Value, len(exprs))
+		for i, ex := range exprs {
+			v, err := eval(ex, q.env)
+			if err != nil {
+				return err
+			}
+			row[i] = v
+		}
+		rows = append(rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	if s.distinct {
 		seenRows := map[string]bool{}
-		dedup := results[:0]
-		for _, r := range results {
-			key := rowKey(r.cells)
+		dedup := rows[:0]
+		for _, r := range rows {
+			key := rowKey(r[:width])
 			if !seenRows[key] {
 				seenRows[key] = true
 				dedup = append(dedup, r)
 			}
 		}
-		results = dedup
+		rows = dedup
 	}
 	if len(s.orderBy) > 0 {
-		sort.SliceStable(results, func(i, j int) bool {
+		sort.SliceStable(rows, func(i, j int) bool {
 			for k, key := range s.orderBy {
-				c := Compare(results[i].keys[k], results[j].keys[k])
+				c := Compare(rows[i][width+k], rows[j][width+k])
 				if c == 0 {
 					continue
 				}
@@ -373,33 +427,19 @@ func (d *Database) execSelect(s selectStmt) (*Result, error) {
 			return false
 		})
 	}
-	if s.limit >= 0 && len(results) > s.limit {
-		results = results[:s.limit]
+	for i := range rows {
+		rows[i] = rows[i][:width]
 	}
-
-	res := &Result{Columns: make([]string, len(out))}
-	for i, oc := range out {
-		res.Columns[i] = oc.name
-	}
-	for _, r := range results {
-		res.Rows = append(res.Rows, r.cells)
-	}
-	res.Affected = len(res.Rows)
-	return res, nil
+	return rows, nil
 }
 
-// planRows yields the rows the planner chose for one FROM table: the index
-// candidates at depth 0 when a plan exists, every row otherwise. Candidate
-// positions are ascending, so the visit order matches a scan exactly.
-func planRows(t *table, depth int, cand []int, useIndex bool) [][]Value {
-	if !useIndex || depth != 0 {
-		return t.rows
+// rowKey builds a collision-safe identity for DISTINCT and GROUP BY.
+func rowKey(cells []Value) string {
+	var b []byte
+	for _, v := range cells {
+		b = appendKeyPart(b, v)
 	}
-	rows := make([][]Value, len(cand))
-	for i, pos := range cand {
-		rows[i] = t.rows[pos]
-	}
-	return rows
+	return string(b)
 }
 
 // aggState accumulates one aggregate column.
@@ -410,222 +450,131 @@ type aggState struct {
 	seen     bool
 }
 
-// execAggregate evaluates a select list made entirely of aggregates.
-func (d *Database) execAggregate(s selectStmt, bound []*boundTable, out []outCol, env *rowEnv, cand []int, useIndex bool) (*Result, error) {
-	aggs := make([]aggExpr, len(out))
-	for i, oc := range out {
-		a, ok := oc.ex.(aggExpr)
-		if !ok {
-			return nil, fmt.Errorf("clusterdb: column %q must be an aggregate when aggregates are selected (GROUP BY is not supported)", oc.name)
-		}
-		aggs[i] = a
-	}
-	states := make([]aggState, len(aggs))
-	var loop func(depth int) error
-	loop = func(depth int) error {
-		if depth == len(bound) {
-			if s.where != nil {
-				v, err := eval(s.where, env)
-				if err != nil {
-					return err
-				}
-				if !v.Truthy() {
-					return nil
-				}
-			}
-			for i, a := range aggs {
-				st := &states[i]
-				if a.star {
-					st.count++
-					continue
-				}
-				v, err := eval(a.x, env)
-				if err != nil {
-					return err
-				}
-				if v.Null {
-					continue // SQL aggregates skip NULLs
-				}
-				st.count++
-				if n, ok := v.AsInt(); ok {
-					st.sum += n
-				} else if a.fn == "sum" {
-					return fmt.Errorf("clusterdb: SUM over non-numeric value %q", v.String())
-				}
-				if !st.seen || Compare(v, st.min) < 0 {
-					st.min = v
-				}
-				if !st.seen || Compare(v, st.max) > 0 {
-					st.max = v
-				}
-				st.seen = true
-			}
-			return nil
-		}
-		for _, r := range planRows(bound[depth].t, depth, cand, useIndex) {
-			env.rows[depth] = r
-			if err := loop(depth + 1); err != nil {
-				return err
-			}
-		}
+// add folds the environment's current rows into the aggregate.
+func (st *aggState) add(a aggExpr, env *rowEnv) error {
+	if a.star {
+		st.count++
 		return nil
 	}
-	if err := loop(0); err != nil {
-		return nil, err
+	v, err := eval(a.x, env)
+	if err != nil {
+		return err
 	}
-	res := &Result{Columns: make([]string, len(out))}
-	row := make([]Value, len(out))
-	for i, a := range aggs {
-		res.Columns[i] = out[i].name
-		st := states[i]
-		switch a.fn {
-		case "count":
-			row[i] = IntValue(st.count)
-		case "sum":
-			row[i] = IntValue(st.sum)
-		case "min":
-			if st.seen {
-				row[i] = st.min
-			} else {
-				row[i] = NullValue()
-			}
-		case "max":
-			if st.seen {
-				row[i] = st.max
-			} else {
-				row[i] = NullValue()
-			}
-		}
+	if v.Null {
+		return nil // SQL aggregates skip NULLs
 	}
-	res.Rows = [][]Value{row}
-	res.Affected = 1
-	return res, nil
+	st.count++
+	if n, ok := v.AsInt(); ok {
+		st.sum += n
+	} else if a.fn == "sum" {
+		return fmt.Errorf("clusterdb: SUM over non-numeric value %q", v.String())
+	}
+	if !st.seen || Compare(v, st.min) < 0 {
+		st.min = v
+	}
+	if !st.seen || Compare(v, st.max) > 0 {
+		st.max = v
+	}
+	st.seen = true
+	return nil
 }
 
-// rowKey builds a collision-safe identity for DISTINCT comparison.
-func rowKey(cells []Value) string {
-	var b strings.Builder
-	for _, v := range cells {
-		if v.Null {
-			b.WriteString("\x00N")
-		} else if v.IsInt {
-			fmt.Fprintf(&b, "\x00I%d", v.Int)
-		} else {
-			fmt.Fprintf(&b, "\x00S%s", v.Str)
-		}
+// value finalises the aggregate; MIN and MAX of nothing are NULL.
+func (st *aggState) value(fn string) Value {
+	switch {
+	case fn == "count":
+		return IntValue(st.count)
+	case fn == "sum":
+		return IntValue(st.sum)
+	case fn == "min" && st.seen:
+		return st.min
+	case fn == "max" && st.seen:
+		return st.max
 	}
-	return b.String()
+	return NullValue()
 }
 
-// execGroupBy evaluates SELECT ... GROUP BY: rows partition by the group
-// key; aggregate select items accumulate per group and non-aggregate items
-// take the group's first row (classic MySQL 3.23 semantics, which the Rocks
-// frontend ran). Groups come back sorted by key; ORDER BY is not supported
-// together with GROUP BY.
-func (d *Database) execGroupBy(s selectStmt, bound []*boundTable, out []outCol, env *rowEnv, cand []int, useIndex bool) (*Result, error) {
-	if len(s.orderBy) > 0 {
+// grouped serves GROUP BY and the all-aggregate select list. The second is a
+// GROUP BY over zero keys whose one group exists before any row is read, so
+// COUNT(*) over no rows is one row of 0 while GROUP BY over no rows is none.
+// Aggregate items accumulate per group and other items take the group's
+// first row (classic MySQL 3.23 semantics, which the Rocks frontend ran).
+// Groups come back sorted by key; ORDER BY is not supported together with
+// GROUP BY.
+func (q *query) grouped() ([][]Value, error) {
+	s := q.s
+	if len(s.groupBy) > 0 && len(s.orderBy) > 0 {
 		return nil, fmt.Errorf("clusterdb: ORDER BY with GROUP BY is not supported (groups are returned sorted by key)")
 	}
 	// HAVING may reference aggregates not in the select list; accumulate
 	// them as hidden trailing columns, dropped before returning.
-	visible := len(out)
+	out := q.out
 	if s.having != nil {
 		for _, a := range collectAggs(s.having) {
 			out = append(out, outCol{name: "__having__", ex: a})
 		}
 	}
-	type groupAcc struct {
+	type group struct {
 		key    []Value
 		states []aggState
-		first  []Value // first-row values for non-aggregate items
+		row    []Value // the output row: first-row values now, aggregates at the end
 	}
-	groups := map[string]*groupAcc{}
-	var order []string
-
-	var loop func(depth int) error
-	loop = func(depth int) error {
-		if depth == len(bound) {
-			if s.where != nil {
-				v, err := eval(s.where, env)
-				if err != nil {
-					return err
-				}
-				if !v.Truthy() {
-					return nil
-				}
+	groups := map[string]*group{}
+	var order []*group
+	open := func(k string, key []Value) *group {
+		g := &group{key: key, states: make([]aggState, len(out)), row: make([]Value, len(out))}
+		groups[k] = g
+		order = append(order, g)
+		return g
+	}
+	if len(s.groupBy) == 0 {
+		for _, oc := range out {
+			if _, isAgg := oc.ex.(aggExpr); !isAgg {
+				return nil, fmt.Errorf("clusterdb: column %q must be an aggregate or named in GROUP BY", oc.name)
 			}
-			key := make([]Value, len(s.groupBy))
-			for i, g := range s.groupBy {
-				v, err := eval(g, env)
-				if err != nil {
-					return err
-				}
-				key[i] = v
-			}
-			k := rowKey(key)
-			g, ok := groups[k]
-			if !ok {
-				g = &groupAcc{key: key, states: make([]aggState, len(out)), first: make([]Value, len(out))}
-				for i, oc := range out {
-					if _, isAgg := oc.ex.(aggExpr); !isAgg {
-						v, err := eval(oc.ex, env)
-						if err != nil {
-							return err
-						}
-						g.first[i] = v
-					}
-				}
-				groups[k] = g
-				order = append(order, k)
-			}
-			for i, oc := range out {
-				a, isAgg := oc.ex.(aggExpr)
-				if !isAgg {
-					continue
-				}
-				st := &g.states[i]
-				if a.star {
-					st.count++
-					continue
-				}
-				v, err := eval(a.x, env)
-				if err != nil {
-					return err
-				}
-				if v.Null {
-					continue
-				}
-				st.count++
-				if n, ok := v.AsInt(); ok {
-					st.sum += n
-				} else if a.fn == "sum" {
-					return fmt.Errorf("clusterdb: SUM over non-numeric value %q", v.String())
-				}
-				if !st.seen || Compare(v, st.min) < 0 {
-					st.min = v
-				}
-				if !st.seen || Compare(v, st.max) > 0 {
-					st.max = v
-				}
-				st.seen = true
-			}
-			return nil
 		}
-		for _, r := range planRows(bound[depth].t, depth, cand, useIndex) {
-			env.rows[depth] = r
-			if err := loop(depth + 1); err != nil {
+		open("", nil)
+	}
+
+	err := q.each(func() error {
+		key := make([]Value, len(s.groupBy))
+		for i, g := range s.groupBy {
+			v, err := eval(g, q.env)
+			if err != nil {
 				return err
+			}
+			key[i] = v
+		}
+		k := rowKey(key)
+		g, ok := groups[k]
+		if !ok {
+			g = open(k, key)
+			for i, oc := range out {
+				if _, isAgg := oc.ex.(aggExpr); !isAgg {
+					v, err := eval(oc.ex, q.env)
+					if err != nil {
+						return err
+					}
+					g.row[i] = v
+				}
+			}
+		}
+		for i, oc := range out {
+			if a, isAgg := oc.ex.(aggExpr); isAgg {
+				if err := g.states[i].add(a, q.env); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
-	}
-	if err := loop(0); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 
 	// Sorted group keys give deterministic output.
 	sort.Slice(order, func(i, j int) bool {
-		a, b := groups[order[i]].key, groups[order[j]].key
+		a, b := order[i].key, order[j].key
 		for k := range a {
 			if c := Compare(a[k], b[k]); c != 0 {
 				return c < 0
@@ -634,65 +583,34 @@ func (d *Database) execGroupBy(s selectStmt, bound []*boundTable, out []outCol, 
 		return false
 	})
 
-	res := &Result{Columns: make([]string, visible)}
-	for i := 0; i < visible; i++ {
-		res.Columns[i] = out[i].name
-	}
-	for _, k := range order {
-		g := groups[k]
-		row := make([]Value, len(out))
+	// HAVING sees no row, only its group's aggregates: eval resolves each
+	// aggregate sub-expression to the column that accumulated it.
+	var row []Value
+	having := &rowEnv{agg: func(a aggExpr) (Value, bool) {
+		for i, oc := range out {
+			if reflect.DeepEqual(oc.ex, a) {
+				return row[i], true
+			}
+		}
+		return Value{}, false
+	}}
+	var rows [][]Value
+	for _, g := range order {
+		row = g.row
 		for i, oc := range out {
 			if a, isAgg := oc.ex.(aggExpr); isAgg {
-				st := g.states[i]
-				switch a.fn {
-				case "count":
-					row[i] = IntValue(st.count)
-				case "sum":
-					row[i] = IntValue(st.sum)
-				case "min":
-					if st.seen {
-						row[i] = st.min
-					} else {
-						row[i] = NullValue()
-					}
-				case "max":
-					if st.seen {
-						row[i] = st.max
-					} else {
-						row[i] = NullValue()
-					}
-				}
-			} else {
-				row[i] = g.first[i]
+				row[i] = g.states[i].value(a.fn)
 			}
 		}
-		if s.having != nil {
-			// Evaluate HAVING with aggregate sub-expressions replaced by
-			// this group's computed values.
-			aggVals := map[int]Value{}
-			for i := range out {
-				if _, isAgg := out[i].ex.(aggExpr); isAgg {
-					aggVals[i] = row[i]
-				}
-			}
-			rewritten := substituteAggs(s.having, out, aggVals)
-			// Non-aggregate references in HAVING resolve against... nothing
-			// row-wise; restrict HAVING to aggregate terms and literals.
-			v, err := eval(rewritten, &rowEnv{})
-			if err != nil {
-				return nil, fmt.Errorf("clusterdb: HAVING: %w (only aggregates and literals are allowed)", err)
-			}
-			if !v.Truthy() {
-				continue
-			}
+		ok, err := holds(s.having, having)
+		if err != nil {
+			return nil, fmt.Errorf("clusterdb: HAVING: %w (only aggregates and literals are allowed)", err)
 		}
-		res.Rows = append(res.Rows, row[:visible])
+		if ok {
+			rows = append(rows, row[:len(q.out)])
+		}
 	}
-	if s.limit >= 0 && len(res.Rows) > s.limit {
-		res.Rows = res.Rows[:s.limit]
-	}
-	res.Affected = len(res.Rows)
-	return res, nil
+	return rows, nil
 }
 
 // collectAggs gathers every aggregate sub-expression in an expr tree.
@@ -719,52 +637,4 @@ func collectAggs(ex expr) []aggExpr {
 	}
 	walk(ex)
 	return out
-}
-
-// substituteAggs replaces aggregate sub-expressions with literals holding
-// the group's computed values (matched structurally against the out list).
-func substituteAggs(ex expr, out []outCol, vals map[int]Value) expr {
-	var rewrite func(e expr) expr
-	rewrite = func(e expr) expr {
-		switch t := e.(type) {
-		case aggExpr:
-			for i := range out {
-				if a, ok := out[i].ex.(aggExpr); ok && sameAgg(a, t) {
-					if v, have := vals[i]; have {
-						return literal{v: v}
-					}
-				}
-			}
-			return e
-		case binaryExpr:
-			return binaryExpr{op: t.op, l: rewrite(t.l), r: rewrite(t.r)}
-		case notExpr:
-			return notExpr{x: rewrite(t.x)}
-		case isNullExpr:
-			return isNullExpr{x: rewrite(t.x), neg: t.neg}
-		case inExpr:
-			list := make([]expr, len(t.list))
-			for i, it := range t.list {
-				list[i] = rewrite(it)
-			}
-			return inExpr{x: rewrite(t.x), list: list, neg: t.neg}
-		default:
-			return e
-		}
-	}
-	return rewrite(ex)
-}
-
-// sameAgg compares aggregate expressions structurally (function, star, and
-// a column-reference argument).
-func sameAgg(a, b aggExpr) bool {
-	if a.fn != b.fn || a.star != b.star {
-		return false
-	}
-	if a.x == nil && b.x == nil {
-		return true
-	}
-	ar, aok := a.x.(columnRef)
-	br, bok := b.x.(columnRef)
-	return aok && bok && ar == br
 }

@@ -3,6 +3,7 @@ package clusterdb
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -49,7 +50,23 @@ var autoIndexSpecs = map[string][]indexSpec{
 	},
 }
 
-// index is one hash index: bucket keys use the rowKey encoding over the
+// appendKeyPart appends one cell in the key encoding every hash in the
+// package shares (index buckets, probe keys, the allocation cursor's address
+// probe, DISTINCT and GROUP BY identities): NUL, a type tag, the payload. A
+// probe finds a stored row only while both sides spell this byte for byte,
+// which is why it is spelled once.
+func appendKeyPart(b []byte, v Value) []byte {
+	switch {
+	case v.Null:
+		return append(b, "\x00N"...)
+	case v.IsInt:
+		return strconv.AppendInt(append(b, "\x00I"...), v.Int, 10)
+	default:
+		return append(append(b, "\x00S"...), v.Str...)
+	}
+}
+
+// index is one hash index: bucket keys are the appendKeyPart encoding of the
 // indexed columns, and each bucket holds row positions in ascending order so
 // an indexed SELECT visits rows in exactly the order a scan would.
 type index struct {
@@ -84,20 +101,15 @@ func (t *table) attachIndexes() {
 // column is NULL: NULL equals nothing, so such rows can never be returned by
 // an equality probe and are left out of the buckets entirely.
 func (ix *index) keyFor(row []Value) (string, bool) {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, ci := range ix.colIdx {
-		v := row[ci]
-		if v.Null {
+		if row[ci].Null {
 			return "", false
 		}
-		if v.IsInt {
-			fmt.Fprintf(&b, "\x00I%d", v.Int)
-		} else {
-			b.WriteString("\x00S")
-			b.WriteString(v.Str)
-		}
+		b = appendKeyPart(b, row[ci])
 	}
-	return b.String(), true
+	return string(b), true
 }
 
 // enforceable reports whether uniqueness applies to this row's key: sparse
@@ -254,25 +266,20 @@ func indexCandidates(bt *boundTable, where expr) (cand []int, used bool) {
 // compatible equality literal. empty=true means the predicate can match no
 // stored row (e.g. col = NULL), which is itself a usable — empty — plan.
 func (ix *index) probeKey(t *table, eq map[string]Value) (key string, ok, empty bool) {
-	var b strings.Builder
+	var b []byte
 	for i, col := range ix.spec.cols {
 		lit, have := eq[col]
 		if !have {
 			return "", false, false
 		}
-		part, pOK, pEmpty := canonicalKeyPart(t.cols[ix.colIdx[i]].Type, lit)
-		if pEmpty {
-			return "", true, true
+		if b, ok, empty = canonicalKeyPart(b, t.cols[ix.colIdx[i]].Type, lit); !ok || empty {
+			return "", ok, empty
 		}
-		if !pOK {
-			return "", false, false
-		}
-		b.WriteString(part)
 	}
-	return b.String(), true, false
+	return string(b), true, false
 }
 
-// canonicalKeyPart converts a probe literal to the stored encoding for one
+// canonicalKeyPart appends a probe literal in the stored encoding for one
 // key column, or reports why it can't:
 //
 //   - NULL probes match nothing (SQL equality), on any column type.
@@ -284,23 +291,21 @@ func (ix *index) probeKey(t *table, eq map[string]Value) (key string, ok, empty 
 //     integer probe, however, compares *numerically* against numeric-looking
 //     strings ('07' = 7 under Compare), which a hash key can't express — the
 //     planner bows out and the scan path answers it.
-func canonicalKeyPart(ct Type, v Value) (part string, ok, empty bool) {
+func canonicalKeyPart(b []byte, ct Type, v Value) (key []byte, ok, empty bool) {
 	if v.Null {
-		return "", true, true
+		return b, true, true
 	}
-	switch ct {
-	case TypeInt:
+	if ct == TypeInt {
 		n, isInt := v.AsInt()
 		if !isInt {
-			return "", true, true
+			return b, true, true
 		}
-		return fmt.Sprintf("\x00I%d", n), true, false
-	default:
-		if v.IsInt {
-			return "", false, false
-		}
-		return "\x00S" + v.Str, true, false
+		return appendKeyPart(b, IntValue(n)), true, false
 	}
+	if v.IsInt {
+		return b, false, false
+	}
+	return appendKeyPart(b, v), true, false
 }
 
 // whereSafe reports whether evaluating the WHERE clause over *any* subset of

@@ -6,8 +6,15 @@
 //
 // The engine supports CREATE TABLE, DROP TABLE, INSERT, UPDATE, DELETE, and
 // SELECT with multi-table joins, WHERE expressions (AND/OR/NOT, comparisons,
-// LIKE, IN), ORDER BY, and LIMIT. Two column types exist, INT and TEXT,
-// which is all the Rocks schema uses.
+// LIKE, IN), aggregates, GROUP BY/HAVING, DISTINCT, ORDER BY, and LIMIT. Two
+// column types exist, INT and TEXT, which is all the Rocks schema uses.
+//
+// There is one executor (exec.go, DESIGN.md §13): every statement that reads
+// rows does it through query.each, the only nested-loop join, and holds, the
+// only predicate test; aggregates accumulate in aggState, an all-aggregate
+// select list being a GROUP BY over zero keys; and appendKeyPart spells every
+// hash key (index buckets, probes, DISTINCT and GROUP BY identities). A
+// statement that fails leaves rows, indexes and allocation cursor consistent.
 package clusterdb
 
 import (

@@ -72,9 +72,11 @@ func TestChaosStormSelfHeals(t *testing.T) {
 	// 1 + MaxRetries wedges, then the budget is gone.
 	inj.AddRule(faults.Rule{Op: faults.OpInstallWedge, Hosts: lemon.MAC(), Count: 4})
 	// Background noise over everyone: a sprinkle of latency (added last so
-	// the targeted rules above match first).
+	// the targeted rules above match first). An install puts two requests
+	// on the package seam, its manifest and its one stream, so the sixteen
+	// that finish offer this rule some thirty-two draws; it needs six.
 	inj.AddRule(faults.Rule{
-		Op: faults.OpHTTPPackage, Hosts: "*", Prob: 0.25, Count: 12,
+		Op: faults.OpHTTPPackage, Hosts: "*", Prob: 0.5, Count: 6,
 		Mode: faults.ModeLatency, Latency: time.Millisecond,
 	})
 

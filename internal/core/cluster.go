@@ -541,6 +541,8 @@ func (c *Cluster) installerConfig(n *node.Node) installer.Config {
 	if c.cfg.Faults != nil && n != c.Frontend {
 		identities := func() []string { return []string{n.MAC(), n.Name(), n.IP()} }
 		cfg.HTTP = &http.Client{
+			// As the installer's own default: per request, so per package
+			// stream — a stream it cuts short resumes where it stopped.
 			Timeout:   60 * time.Second,
 			Transport: faults.NewTransport(c.cfg.Faults, nil, identities),
 		}

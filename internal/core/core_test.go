@@ -134,6 +134,37 @@ func TestClusterConsistency(t *testing.T) {
 	}
 }
 
+// TestShootNodeStartsAFreshInstallLog: a node shot any number of times
+// carries the transcript of its latest install, in memory and on its disk,
+// not one per install it has ever been through — a reinstalled node is the
+// node a fresh install produces (§4), and the frontend's memory does not grow
+// with the reinstalls it has performed.
+func TestShootNodeStartsAFreshInstallLog(t *testing.T) {
+	c := newCluster(t)
+	n := addComputes(t, c, 1)[0]
+	lines := len(n.InstallLog())
+	file, err := n.Disk().ReadFile("/root/install.log")
+	if err != nil || lines == 0 {
+		t.Fatalf("first install left %d log lines, install.log: %v", lines, err)
+	}
+	for install := 2; install <= 3; install++ {
+		if err := c.ShootNode(n.Name()); err != nil {
+			t.Fatal(err)
+		}
+		if !WaitState(n, node.StateUp, integrationTimeout) {
+			t.Fatalf("node stuck in %s after shoot", n.State())
+		}
+		got, err := n.Disk().ReadFile("/root/install.log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Installs() != install || len(n.InstallLog()) != lines || string(got) != string(file) {
+			t.Errorf("install %d (counter %d): %d log lines and %d bytes on disk, the first left %d and %d",
+				install, n.Installs(), len(n.InstallLog()), len(got), lines, len(file))
+		}
+	}
+}
+
 func TestShootNodeWatchShowsEKV(t *testing.T) {
 	c := newCluster(t)
 	nodes := addComputes(t, c, 1)

@@ -152,10 +152,16 @@ func TestRelayCorruptPeerDemoted(t *testing.T) {
 	relayNode := addComputes(t, c, 1)[0]
 	waitRelayEvent(t, c, lifecycle.EventRelayUp, relayNode.Name(), 0)
 
-	// Start the victim and wait until its package phase is underway (its
-	// listing fetch is done once the first package lands), then corrupt its
-	// next package fetch — which goes to the peer, the preferred source.
+	// Start the victim and corrupt its package stream — which goes to the
+	// peer, the preferred source — but not its manifest, the request before
+	// it on the same seam. Between the two the installer asks the relay
+	// registry for sources: a latency fault holds it there (on a seam of its
+	// own, so the package ledger below counts corruptions only) while the
+	// corruption is armed for the next package request.
 	victim := node.New(hardware.PIIICompute(c.MACs(), 733))
+	inj.AddRule(faults.Rule{
+		Op: faults.OpHTTPRelays, Hosts: victim.MAC(), Count: 1, Mode: faults.ModeLatency, Latency: 500 * time.Millisecond,
+	})
 	ie, err := c.StartInsertEthers(clusterdb.MembershipCompute, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -163,9 +169,9 @@ func TestRelayCorruptPeerDemoted(t *testing.T) {
 	defer ie.Stop()
 	c.PowerOn(victim)
 	deadline := time.Now().Add(integrationTimeout)
-	for victim.PackageDB().Len() == 0 {
+	for inj.CountOp(faults.OpHTTPRelays) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("victim never started installing packages (state %s)", victim.State())
+			t.Fatalf("victim never asked the relay registry for sources (state %s)", victim.State())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -404,7 +404,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rocks_reports_scheduled_total", "rocks_reports_pass_seconds",
 		// dist (/v1/diststats)
 		"rocks_dist_listing_requests_total", "rocks_dist_manifest_requests_total",
-		"rocks_dist_package_requests_total",
+		"rocks_dist_package_requests_total", "rocks_dist_bundle_requests_total",
 		"rocks_dist_not_found_total", "rocks_dist_package_bytes_total",
 		"rocks_dist_packages",
 		"rocks_dist_mirror_packages_listed", "rocks_dist_mirror_packages_skipped",
@@ -459,6 +459,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Serving two installs touched the dist server.
 	if got, _ := s.Value("rocks_dist_package_requests_total"); got == 0 {
 		t.Error("dist package counter never moved")
+	}
+	// Streams per install is readable from the scrape: one, fault-free.
+	if got, installs := s.Sum("rocks_dist_bundle_requests_total"), s.Sum("rocks_installer_installs_total"); got != installs {
+		t.Errorf("%v bundle requests for %v installs, want one each", got, installs)
 	}
 	// In-memory database: WAL present but disabled.
 	if got, _ := s.Value("rocks_db_wal_enabled"); got != 0 {

@@ -9,6 +9,15 @@
 // edited XML configuration framework on top. Because inherited packages are
 // shared rather than copied, a derived distribution costs only its local
 // additions (the paper: ~25 MB, built in under a minute).
+//
+// The package also holds the distribution protocol both ways (http.go,
+// fetch.go): the read-only tree every frontend and relay serves — manifest,
+// listing, one GET per package file, the paper's wget-able layout — and, on
+// the same tree, the bundle verb an installer uses instead of the GETs: one
+// request naming every package its profile resolved to, one stream of
+// checksummed members back. Fetcher is the one client of all of it, and
+// verify the one place a fetched body is checked against the manifest,
+// whichever verb carried it.
 package dist
 
 import (

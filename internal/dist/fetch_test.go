@@ -32,11 +32,35 @@ func injected(mode faults.Mode, count int) func(http.RoundTripper) http.RoundTri
 	}
 }
 
+// fetchOne fetches one entry with one of the fetcher's two package verbs: the
+// GET of Package (subtests keep their bare names), or the bundle of Packages
+// asked for that entry alone.
+var fetchOne = []struct {
+	verb  string // subtest name prefix
+	fetch func(f *Fetcher, base string, e ManifestEntry) (*rpm.Package, error)
+}{
+	{"", func(f *Fetcher, base string, e ManifestEntry) (*rpm.Package, error) {
+		p, _, err := f.Package(context.Background(), base, e)
+		return p, err
+	}},
+	{"bundle/", func(f *Fetcher, base string, e ManifestEntry) (p *rpm.Package, err error) {
+		done, err := f.Packages(context.Background(), base, []ManifestEntry{e}, func(_ int, got *rpm.Package, _ int64) error {
+			p = got
+			return nil
+		})
+		if (err == nil) != (done == 1) || (p != nil) != (done == 1) {
+			return nil, fmt.Errorf("Packages = %d, %v with a package delivered: %v", done, err, p != nil)
+		}
+		return p, err
+	}},
+}
+
 // TestFetcherConformance drives the one distribution client through every
 // fault it classifies, against both kinds of server that speak the protocol
-// (a distribution's and a relay's bare repository): same classification,
-// same retry count, and an error naming the file and the source URL,
-// whichever server and whichever consumer.
+// (a distribution's and a relay's bare repository) and through both of its
+// package verbs (one GET, or one bundle): same bodies accepted and rejected,
+// same classification, same retry count, and an error naming the file and
+// the source URL, whichever server, whichever verb and whichever consumer.
 func TestFetcherConformance(t *testing.T) {
 	const file = "alpha-1.0-1.i386.rpm"
 	cases := []struct {
@@ -49,6 +73,7 @@ func TestFetcherConformance(t *testing.T) {
 		corrupt   bool // final error wraps ErrCorruptBody
 		corrupted int  // attempts that failed verification
 		errHas    string
+		bundleHas string // what a bundle's error says instead, if not errHas
 	}{
 		{name: "clean", wantOK: true},
 		{name: "500 then ok", fault: injected(faults.ModeError500, 1), wantOK: true, retries: 1},
@@ -64,10 +89,15 @@ func TestFetcherConformance(t *testing.T) {
 				return roundTripperFunc(func(r *http.Request) (*http.Response, error) {
 					r = r.Clone(r.Context())
 					r.URL.Path = strings.Replace(r.URL.Path, "alpha", "beta", 1)
+					if r.Body != nil {
+						asked, _ := io.ReadAll(r.Body)
+						ask := strings.Replace(string(asked), "alpha", "beta", 1)
+						r.Body, r.ContentLength, r.GetBody = io.NopCloser(strings.NewReader(ask)), int64(len(ask)), nil
+					}
 					return next.RoundTrip(r)
 				})
 			}},
-		{name: "404", entry: "ghost-1.0-1.i386", errHas: "HTTP 404"},
+		{name: "404", entry: "ghost-1.0-1.i386", errHas: "HTTP 404", bundleHas: "does not hold it"},
 		{name: "4xx is not retried", errHas: "HTTP 403",
 			fault: func(http.RoundTripper) http.RoundTripper {
 				return roundTripperFunc(func(r *http.Request) (*http.Response, error) {
@@ -90,54 +120,60 @@ func TestFetcherConformance(t *testing.T) {
 		if err != nil || !verified || len(entries) != 2 {
 			t.Fatalf("%s: Index = %v, verified %v, %v", kind, entries, verified, err)
 		}
-		for _, tc := range cases {
-			t.Run(kind+"/"+tc.name, func(t *testing.T) {
-				client := &http.Client{Transport: srv.Client().Transport}
-				if tc.fault != nil {
-					client.Transport = tc.fault(client.Transport)
-				}
-				retries := 0
-				f := &Fetcher{HTTP: client, Attempts: 3, Backoff: time.Millisecond,
-					OnRetry: func(string, error, int, time.Duration) { retries++ }}
-				want := entries[0] // alpha, with its manifest digest
-				if tc.entry != "" {
-					want = ManifestEntry{NVRA: tc.entry}
-				}
-				var p *rpm.Package
-				corrupted := 0
-				err := f.Do(context.Background(), want.NVRA+".rpm", func() error {
-					var err error
-					p, _, err = f.Package(context.Background(), srv.URL, want)
-					if errors.Is(err, ErrCorruptBody) {
-						corrupted++
+		for _, verb := range fetchOne {
+			for _, tc := range cases {
+				t.Run(kind+"/"+verb.verb+tc.name, func(t *testing.T) {
+					client := &http.Client{Transport: srv.Client().Transport}
+					if tc.fault != nil {
+						client.Transport = tc.fault(client.Transport)
 					}
-					return err
+					retries := 0
+					f := &Fetcher{HTTP: client, Attempts: 3, Backoff: time.Millisecond,
+						OnRetry: func(string, error, int, time.Duration) { retries++ }}
+					want := entries[0] // alpha, with its manifest digest
+					if tc.entry != "" {
+						want = ManifestEntry{NVRA: tc.entry}
+					}
+					var p *rpm.Package
+					corrupted := 0
+					err := f.Do(context.Background(), want.NVRA+".rpm", func() error {
+						var err error
+						p, err = verb.fetch(f, srv.URL, want)
+						if errors.Is(err, ErrCorruptBody) {
+							corrupted++
+						}
+						return err
+					})
+					if retries != tc.retries || corrupted != tc.corrupted {
+						t.Errorf("retries = %d, corrupt attempts = %d; want %d, %d", retries, corrupted, tc.retries, tc.corrupted)
+					}
+					if tc.wantOK {
+						if err != nil {
+							t.Fatal(err)
+						}
+						if p.Filename() != file || p.Digest != want.Digest || p.Files[0].Data[0] != 'a' {
+							t.Errorf("fetched %s digest %s, want the clean alpha", p.Filename(), p.Digest)
+						}
+						return
+					}
+					if err == nil {
+						t.Fatal("want an error")
+					}
+					if IsTransient(err) != tc.transient || errors.Is(err, ErrCorruptBody) != tc.corrupt {
+						t.Errorf("transient = %v, corrupt = %v; want %v, %v: %v",
+							IsTransient(err), errors.Is(err, ErrCorruptBody), tc.transient, tc.corrupt, err)
+					}
+					errHas := tc.errHas
+					if verb.verb != "" && tc.bundleHas != "" {
+						errHas = tc.bundleHas
+					}
+					for _, s := range []string{want.NVRA + ".rpm", srv.URL, errHas} {
+						if !strings.Contains(err.Error(), s) {
+							t.Errorf("error does not mention %q: %v", s, err)
+						}
+					}
 				})
-				if retries != tc.retries || corrupted != tc.corrupted {
-					t.Errorf("retries = %d, corrupt attempts = %d; want %d, %d", retries, corrupted, tc.retries, tc.corrupted)
-				}
-				if tc.wantOK {
-					if err != nil {
-						t.Fatal(err)
-					}
-					if p.Filename() != file || p.Digest != want.Digest || p.Files[0].Data[0] != 'a' {
-						t.Errorf("fetched %s digest %s, want the clean alpha", p.Filename(), p.Digest)
-					}
-					return
-				}
-				if err == nil {
-					t.Fatal("want an error")
-				}
-				if IsTransient(err) != tc.transient || errors.Is(err, ErrCorruptBody) != tc.corrupt {
-					t.Errorf("transient = %v, corrupt = %v; want %v, %v: %v",
-						IsTransient(err), errors.Is(err, ErrCorruptBody), tc.transient, tc.corrupt, err)
-				}
-				for _, s := range []string{want.NVRA + ".rpm", srv.URL, tc.errHas} {
-					if !strings.Contains(err.Error(), s) {
-						t.Errorf("error does not mention %q: %v", s, err)
-					}
-				}
-			})
+			}
 		}
 	}
 }

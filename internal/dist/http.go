@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"bufio"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
@@ -30,12 +33,53 @@ const (
 	manifestPath = "/RedHat/base/manifest"
 )
 
+// The bundle verb: a POST to the package directory asks for many packages in
+// one request and is answered with one stream. The request body is one
+// path-escaped NVRA per line, spelled as the manifest spells them. The answer
+// is one member per requested NVRA, in request order: a 16-byte header — the
+// body's length (8 bytes, big-endian), the CRC-32 of the body, and the CRC-32
+// of those twelve bytes — then exactly that many bytes, the same bytes a GET
+// of the file returns. The reserved length bundleNotHeld, with no bytes after
+// the header, stands for a package the tree does not hold (a relay's store
+// may be partial). The two checksums are about the wire, not the source: a
+// bit flipped in transit is caught wherever it lands — in a length, where it
+// would otherwise shear every later member, or in tar padding and package
+// metadata, which the payload digest does not cover — and is charged to the
+// member it hit. What a source may serve is still decided by verify alone.
+// Fetcher.Packages is the client.
+const (
+	bundleHeaderLen = 16
+	bundleNotHeld   = ^uint64(0)
+	// A request is bounded before anything is looked up. Red Hat 7.2 ships
+	// under two thousand packages; a longer list is not an install.
+	maxBundleRequest = 1 << 20
+	maxBundleMembers = 1 << 14
+	// bundleBuffer is what one stream buffers on either side of the wire, so
+	// a 4 KB body costs a fraction of a socket write, not one.
+	bundleBuffer = 64 << 10
+)
+
+// putBundleHeader fills in a member's header.
+func putBundleHeader(h *[bundleHeaderLen]byte, length uint64, bodySum uint32) {
+	binary.BigEndian.PutUint64(h[0:8], length)
+	binary.BigEndian.PutUint32(h[8:12], bodySum)
+	binary.BigEndian.PutUint32(h[12:16], crc32.ChecksumIEEE(h[:12]))
+}
+
+// parseBundleHeader reads a member's header back; ok is false when the
+// header's own checksum does not hold.
+func parseBundleHeader(h *[bundleHeaderLen]byte) (length uint64, bodySum uint32, ok bool) {
+	return binary.BigEndian.Uint64(h[0:8]), binary.BigEndian.Uint32(h[8:12]),
+		binary.BigEndian.Uint32(h[12:16]) == crc32.ChecksumIEEE(h[:12])
+}
+
 // ServeStats counts what a distribution server handed out; /v1/diststats
 // exposes them. A re-mirror of an unchanged tree shows ManifestRequests
 // advancing while PackageRequests stands still — the delta pass at work.
 type ServeStats struct {
 	ListingRequests  uint64 `json:"listing_requests"`
 	ManifestRequests uint64 `json:"manifest_requests"`
+	BundleRequests   uint64 `json:"bundle_requests"`
 	PackageRequests  uint64 `json:"package_requests"`
 	PackageBytes     int64  `json:"package_bytes"`
 	NotFound         uint64 `json:"not_found"`
@@ -45,6 +89,7 @@ type ServeStats struct {
 //
 //	GET {prefix}/RedHat/RPMS/             → newline-separated package listing
 //	GET {prefix}/RedHat/RPMS/<file>.rpm   → the package in its on-disk format
+//	POST {prefix}/RedHat/RPMS/            → the named packages, one framed stream
 //	GET {prefix}/RedHat/base/manifest     → "NVRA size digest source" per line
 //	GET {prefix}/profiles/graph.dot       → the framework's graph (diagnostic)
 //
@@ -63,6 +108,7 @@ type Server struct {
 
 	listing  atomic.Uint64
 	manifest atomic.Uint64
+	bundles  atomic.Uint64
 	packages atomic.Uint64
 	bytes    atomic.Int64
 	notFound atomic.Uint64
@@ -108,6 +154,7 @@ func (s *Server) RegisterMetrics(r *metrics.Registry) {
 	}
 	counter("rocks_dist_listing_requests_total", "RedHat/RPMS/ directory listings served.", &s.listing)
 	counter("rocks_dist_manifest_requests_total", "Digest manifests served.", &s.manifest)
+	counter("rocks_dist_bundle_requests_total", "Bundle requests answered: one stream of package bodies each.", &s.bundles)
 	counter("rocks_dist_package_requests_total", "Package bodies served.", &s.packages)
 	counter("rocks_dist_not_found_total", "Requests for packages the tree does not hold.", &s.notFound)
 	r.CounterFunc("rocks_dist_package_bytes_total", "Package body bytes served.",
@@ -121,6 +168,7 @@ func (s *Server) Stats() ServeStats {
 	return ServeStats{
 		ListingRequests:  s.listing.Load(),
 		ManifestRequests: s.manifest.Load(),
+		BundleRequests:   s.bundles.Load(),
 		PackageRequests:  s.packages.Load(),
 		PackageBytes:     s.bytes.Load(),
 		NotFound:         s.notFound.Load(),
@@ -130,6 +178,10 @@ func (s *Server) Stats() ServeStats {
 func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, rpmsPath)
 	if rest == "" {
+		if r.Method == http.MethodPost {
+			s.serveBundle(w, r)
+			return
+		}
 		s.listing.Add(1)
 		names := s.repo().NVRAs()
 		for i, nvra := range names {
@@ -165,8 +217,51 @@ func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 	s.bytes.Add(int64(n))
 }
 
+// serveBundle answers the bundle verb. Every body is the repository entry's
+// one encoding (Repository.Body), so a member of a stream and a GET of the
+// same file are the same bytes, and the stream goes out through one buffered
+// writer. The counters move per body, as they do for a GET.
+func (s *Server) serveBundle(w http.ResponseWriter, r *http.Request) {
+	req, err := io.ReadAll(io.LimitReader(r.Body, maxBundleRequest+1))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	names := strings.Fields(string(req))
+	if len(req) > maxBundleRequest || len(names) > maxBundleMembers {
+		http.Error(w, "bundle request too large", http.StatusRequestEntityTooLarge)
+		return
+	}
+	s.bundles.Add(1)
+	repo := s.repo()
+	w.Header().Set("Content-Type", "application/octet-stream")
+	bw := bufio.NewWriterSize(w, bundleBuffer)
+	var header [bundleHeaderLen]byte
+	for _, name := range names {
+		body := repo.Body(unescapeField(name))
+		if body == nil {
+			s.notFound.Add(1)
+			putBundleHeader(&header, bundleNotHeld, 0)
+			bw.Write(header[:])
+			continue
+		}
+		putBundleHeader(&header, uint64(len(body)), crc32.ChecksumIEEE(body))
+		bw.Write(header[:])
+		// A failed write is a connection-level failure (bufio keeps the
+		// first one); nothing recoverable server-side.
+		if _, err := bw.Write(body); err != nil {
+			return
+		}
+		s.packages.Add(1)
+		s.bytes.Add(int64(len(body)))
+	}
+	bw.Flush()
+}
+
 func (s *Server) serveManifest(w http.ResponseWriter, r *http.Request) {
 	s.manifest.Add(1)
+	text := FormatManifest(Manifest(s.repo()))
 	w.Header().Set("Content-Type", "text/plain")
-	io.WriteString(w, FormatManifest(Manifest(s.repo())))
+	w.Header().Set("Content-Length", strconv.Itoa(len(text)))
+	io.WriteString(w, text)
 }

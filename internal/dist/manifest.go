@@ -53,7 +53,15 @@ func Manifest(repo *rpm.Repository) []ManifestEntry {
 // exactly four fields. NVRA and source are path-escaped so a package name
 // carrying whitespace cannot shear the whitespace-delimited line apart.
 func FormatManifest(entries []ManifestEntry) string {
+	// Sized once: three separators, the newline, a "-" source and up to
+	// nineteen digits of size beside the fields themselves. Escaping that
+	// lengthens a name is rare enough to grow for.
+	size := 0
+	for _, e := range entries {
+		size += len(e.NVRA) + len(e.Digest) + len(e.Source) + 24
+	}
 	var b strings.Builder
+	b.Grow(size)
 	for _, e := range entries {
 		src := e.Source
 		if src == "" {

@@ -4,11 +4,14 @@ import (
 	"archive/tar"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -96,11 +99,12 @@ func TestServedBodyIsTheEncoding(t *testing.T) {
 }
 
 // TestServeWorkIndependentOfRepoSize counts, it does not time: one package
-// GET through the server allocates the same number of objects whether the
-// repository holds a hundred packages or ten thousand. A lookup that formats
-// an NVRA per stored package, or a body encoded per request, fails this.
+// GET through the server, and one bundle of three, allocate the same number
+// of objects whether the repository holds a hundred packages or ten thousand.
+// A lookup that formats an NVRA per stored package, or a body encoded per
+// request, fails this.
 func TestServeWorkIndependentOfRepoSize(t *testing.T) {
-	allocsPerGet := func(packages int) float64 {
+	allocs := func(packages int) (perGet, perBundle float64) {
 		repo := rpm.NewRepository("r")
 		for i := 0; i < packages; i++ {
 			repo.Add(rpm.New(fmt.Sprintf("pkg%05d", i), v("1.0", "1"), rpm.ArchI386,
@@ -108,15 +112,141 @@ func TestServeWorkIndependentOfRepoSize(t *testing.T) {
 		}
 		h := NewRepoServer(repo)
 		file := fmt.Sprintf("pkg%05d-1.0-1.i386.rpm", packages/2)
-		return testing.AllocsPerRun(20, func() {
+		perGet = testing.AllocsPerRun(20, func() {
 			if rec := get(h, file); rec.Code != http.StatusOK {
 				t.Fatalf("GET %s = HTTP %d", file, rec.Code)
 			}
 		})
+		ask := fmt.Sprintf("pkg%05d-1.0-1.i386\npkg%05d-1.0-1.i386\npkg%05d-1.0-1.i386\n", 0, packages/2, packages-1)
+		perBundle = testing.AllocsPerRun(20, func() {
+			if rec := post(h, ask); rec.Code != http.StatusOK || len(members(t, rec.Body.Bytes())) != 3 {
+				t.Fatalf("bundle = HTTP %d", rec.Code)
+			}
+		})
+		return perGet, perBundle
 	}
-	small, large := allocsPerGet(100), allocsPerGet(10000)
-	if small != large {
-		t.Errorf("one GET allocates %.0f objects from 100 packages and %.0f from 10 000", small, large)
+	smallGet, smallBundle := allocs(100)
+	largeGet, largeBundle := allocs(10000)
+	if smallGet != largeGet {
+		t.Errorf("one GET allocates %.0f objects from 100 packages and %.0f from 10 000", smallGet, largeGet)
+	}
+	if smallBundle != largeBundle {
+		t.Errorf("one bundle of three allocates %.0f objects from 100 packages and %.0f from 10 000", smallBundle, largeBundle)
+	}
+}
+
+// post serves one bundle request straight through a handler.
+func post(h http.Handler, ask string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", rpmsPath, strings.NewReader(ask)))
+	return rec
+}
+
+// members takes a bundle answer apart by the header layout http.go documents,
+// checking both checksums; a nil member is the "not held" marker.
+func members(t *testing.T, answer []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for len(answer) > 0 {
+		if len(answer) < 16 {
+			t.Fatalf("%d bytes where a member header should be", len(answer))
+		}
+		h, rest := answer[:16], answer[16:]
+		if binary.BigEndian.Uint32(h[12:]) != crc32.ChecksumIEEE(h[:12]) {
+			t.Fatalf("member %d: header checksum does not hold", len(out))
+		}
+		n := binary.BigEndian.Uint64(h)
+		if n == ^uint64(0) {
+			out, answer = append(out, nil), rest
+			continue
+		}
+		if n > uint64(len(rest)) {
+			t.Fatalf("member %d claims %d bytes, %d follow", len(out), n, len(rest))
+		}
+		if binary.BigEndian.Uint32(h[8:]) != crc32.ChecksumIEEE(rest[:n]) {
+			t.Fatalf("member %d: body checksum does not hold", len(out))
+		}
+		out, answer = append(out, rest[:n]), rest[n:]
+	}
+	return out
+}
+
+// TestBundleIsTheGetBodiesInRequestOrder is the bundle verb's contract, read
+// off the wire without the client: one member per requested NVRA in request
+// order (a repeat is served twice), each the bytes a GET of that file returns,
+// the "not held" marker and a not_found count for a package the tree lacks,
+// one bundle request and one package request per body on the counters, and a
+// request over either bound refused before anything is looked up.
+func TestBundleIsTheGetBodiesInRequestOrder(t *testing.T) {
+	repo := rpm.NewRepository("r")
+	for _, name := range []string{"alpha", "beta", "gamma", "odd name"} {
+		repo.Add(payloadPkg(name, "1.0", "1", name[:1]))
+	}
+	srv := NewRepoServer(repo)
+	asked := []string{"gamma-1.0-1.i386", "ghost-1.0-1.i386", "alpha-1.0-1.i386", "odd name-1.0-1.i386", "gamma-1.0-1.i386"}
+	var ask strings.Builder
+	for _, nvra := range asked {
+		ask.WriteString(url.PathEscape(nvra) + "\n")
+	}
+	rec := post(srv, ask.String())
+	if rec.Code != http.StatusOK {
+		t.Fatalf("bundle = HTTP %d: %s", rec.Code, rec.Body)
+	}
+	got := members(t, rec.Body.Bytes())
+	if len(got) != len(asked) {
+		t.Fatalf("%d members for %d names", len(got), len(asked))
+	}
+	var bytesServed int64
+	for i, nvra := range asked {
+		want := get(srv, url.PathEscape(nvra+".rpm")).Body.Bytes()
+		if nvra == "ghost-1.0-1.i386" {
+			want = nil
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Errorf("member %d (%s) is not the body a GET returns", i, nvra)
+		}
+		bytesServed += 2 * int64(len(want)) // once in the bundle, once by the GET above
+	}
+	// Five GETs above, one of them the 404 for ghost.
+	want := ServeStats{BundleRequests: 1, PackageRequests: 4 + 4, PackageBytes: bytesServed, NotFound: 1 + 1}
+	if stats := srv.Stats(); stats != want {
+		t.Errorf("stats = %+v, want %+v", stats, want)
+	}
+
+	for name, ask := range map[string]string{
+		"too many members": strings.Repeat("a\n", maxBundleMembers+1),
+		"too many bytes":   strings.Repeat("a", maxBundleRequest+1),
+	} {
+		if rec := post(srv, ask); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: HTTP %d, want 413", name, rec.Code)
+		}
+	}
+	if stats := srv.Stats(); stats != want {
+		t.Errorf("refused requests moved the counters: %+v, want %+v", stats, want)
+	}
+}
+
+// TestManifestDeclaresItsLength: the manifest goes out under a Content-Length,
+// so Fetcher.Get reads it into one buffer, and FormatManifest sizes its
+// builder once.
+func TestManifestDeclaresItsLength(t *testing.T) {
+	d := Build("d", nil, Source{"redhat", SyntheticRedHat()})
+	rec := httptest.NewRecorder()
+	NewServer(d).ServeHTTP(rec, httptest.NewRequest("GET", manifestPath, nil))
+	text := FormatManifest(Manifest(d.Repo))
+	if rec.Body.String() != text || rec.Header().Get("Content-Length") != strconv.Itoa(len(text)) {
+		t.Fatalf("manifest: %d bytes under Content-Length %q, want %d", rec.Body.Len(), rec.Header().Get("Content-Length"), len(text))
+	}
+	// One builder of about the text's size (made, then copied into, under the
+	// race detector), plus what fmt boxes per line; a builder grown by
+	// doubling allocates the text more than four times over.
+	entries := Manifest(d.Repo)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	FormatManifest(entries)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(3*len(text)+64*len(entries)); got > limit {
+		t.Errorf("FormatManifest allocated %d bytes for %d bytes of text (limit %d)", got, len(text), limit)
 	}
 }
 

@@ -44,8 +44,8 @@ func (f responderFunc) HandleDHCP(p dhcp.Packet) (dhcp.Packet, bool) { return f(
 // Transport wraps an HTTP transport with fault injection. Requests are
 // classified by path: the kickstart CGI consults OpHTTPKickstart rules, the
 // two /v1 calls an installer makes their own seams, and everything else —
-// the distribution protocol: manifest, listing, RPM payloads — consults
-// OpHTTPPackage. The identities callback supplies the requesting host's
+// the distribution protocol: manifest, listing, RPM payloads alone or as a
+// stream — consults OpHTTPPackage. The identities callback supplies the requesting host's
 // names at call time — a node learns its hostname mid-install, so identity
 // must be late-bound.
 type Transport struct {

@@ -6,6 +6,15 @@
 // HTTP, execute %post scripts, rebuild the Myrinet driver from source when
 // the hardware probe demands it, and reboot. Progress is written to the
 // node's eKV port so shoot-node can watch remotely.
+//
+// The package phase is one stream per (install, source): the installer
+// resolves the profile's package names against the manifest, asks the best
+// source once for all of them (dist.Fetcher.Packages), and unpacks each
+// package as it arrives verified. A fault-free install makes five requests —
+// kickstart file, manifest, relay lookup, the stream, facts report — however
+// many packages it installs. A stream that ends early resumes at the package
+// it stopped at: what it had verified stays installed and is never asked for
+// again, and the retry budget is that package's, not the stream's.
 package installer
 
 import (
@@ -50,11 +59,13 @@ type Config struct {
 	DisableEKV bool
 	// InteractiveRetryWait, when positive, keeps a failed package fetch
 	// alive: the installer prompts on eKV and waits this long for a user
-	// to type "retry" (try the package again) or "abort" (§6.3: "we've
+	// to type "retry" (resume at the failed package) or "abort" (§6.3: "we've
 	// also inserted code that allows users to interact with the
 	// installation"). Zero disables interaction and fails immediately.
 	InteractiveRetryWait time.Duration
-	// FetchRetries grants every HTTP fetch (kickstart, index, package)
+	// FetchRetries grants every HTTP fetch (kickstart, index, and each
+	// package of the package stream: a stream that fails spends a retry of
+	// the package it stopped at, and what it delivered before is kept)
 	// that many automatic retries on transient failures — connection
 	// errors, 5xx responses, truncated bodies — before the install fails.
 	// The large-cluster experience reports (CERN, Brookhaven) are blunt
@@ -88,7 +99,7 @@ type Config struct {
 	//
 	// With RelayStore also set, the installer asks /v1/relays once per
 	// install for prioritized peer sources — identifying itself by MAC, so
-	// the registry can prefer same-rack peers — and fetches each package
+	// the registry can prefer same-rack peers — and streams its packages
 	// peer-first with the frontend as fallback.
 	FrontendURL string
 	// RelayStore, when set, puts this install in the relay tier: peers are
@@ -104,7 +115,11 @@ type Config struct {
 }
 
 // defaultClient bounds every request: http.DefaultClient has no timeout, so
-// one hung kickstart or package request could wedge an install forever.
+// one hung kickstart or package request could wedge an install forever. The
+// package phase is one request per stream, so there the 60 s bound one
+// stream, not one package — and because a stream cut short resumes where it
+// stopped under a fresh budget, that limits how long a stalled source can
+// hold an install, not how long an install may take.
 var defaultClient = &http.Client{Timeout: 60 * time.Second}
 
 func (c Config) withDefaults() Config {
@@ -193,6 +208,7 @@ func Run(ctx context.Context, n *node.Node, cfg Config) (*Result, error) {
 	runStart := time.Now()
 	n.SetState(node.StateInstalling)
 	n.ClearReinstall()
+	n.ResetInstallLog()
 
 	var screen io.Writer = io.Discard
 	var ekvSrv *ekv.Server
@@ -539,9 +555,24 @@ func resolveIndex(ctx context.Context, f *dist.Fetcher, distURL, arch string) (m
 	return best, nil
 }
 
+// resolveEntries looks every package name up in the resolved index, in
+// profile order. A name the distribution does not carry fails here, naming
+// the package, before anything is asked of a source.
+func resolveEntries(best map[string]dist.ManifestEntry, names []string) ([]dist.ManifestEntry, error) {
+	entries := make([]dist.ManifestEntry, len(names))
+	for i, name := range names {
+		e, ok := best[name]
+		if !ok {
+			return nil, fmt.Errorf("installer: package %q not present in distribution", name)
+		}
+		entries[i] = e
+	}
+	return entries, nil
+}
+
 // installPackages resolves the profile's package names against the served
-// distribution (newest version per name) and downloads and unpacks each
-// one.
+// distribution (newest version per name), asks a source for all of them in
+// one stream, and unpacks each one as it arrives verified.
 func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetcher, p *kickstart.Profile, distURL string, screen io.Writer, ekvSrv *ekv.Server) (int, int64, error) {
 	n.ResetPackageDB()
 	best, err := resolveIndex(ctx, f, distURL, n.HW.Arch)
@@ -550,69 +581,105 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 	}
 
 	// Ask the relay registry for peer sources (best-effort): packages are
-	// then fetched peer-first with the frontend as fallback. Every body is
+	// then streamed peer-first with the frontend as fallback. Every body is
 	// verified against the frontend's manifest digests regardless of which
-	// source served it — a corrupt or lying peer is demoted and the fetch
-	// moves elsewhere, so garbage never reaches the disk.
+	// source served it — a corrupt or lying peer is demoted and the rest of
+	// the stream is asked elsewhere, so garbage never reaches the disk.
 	srcs := newSourceSet(fetchRelaySources(ctx, cfg, n.MAC()), distURL)
 	if len(srcs.peers) > 0 {
 		fmt.Fprintf(screen, "relay registry offered %d peer source(s)\n", len(srcs.peers))
 	}
 
+	names := p.Packages
 	var total int64
 	// The Figure 7 status panel's Total/Completed/Remaining accounting:
 	// package sizes come from the manifest when the server provides one.
 	var grandTotal int64
-	for _, name := range p.Packages {
+	for _, name := range names {
 		grandTotal += best[name].Size
 	}
 	start := time.Now()
-	for i := 0; i < len(p.Packages); i++ {
-		// Cancellation lands between packages: the package being written
-		// finishes (no torn files on disk), then the loop exits promptly.
-		if cerr := ctx.Err(); cerr != nil {
-			return i, total, fmt.Errorf("installer: package installation aborted after %d/%d packages: %w",
-				i, len(p.Packages), cerr)
-		}
-		name := p.Packages[i]
-		var pkg *rpm.Package
-		err := f.Do(ctx, name, func() error {
-			var ferr error
-			pkg, ferr = fetchVerified(ctx, n, cfg, f, screen, srcs, best, name)
-			return ferr
-		})
-		if err != nil {
-			// The eKV keyboard gives the administrator a chance to fix
-			// the distribution and retry without restarting the install.
-			if cfg.InteractiveRetryWait > 0 && ekvSrv != nil && ctx.Err() == nil {
-				fmt.Fprintf(screen, "FAILED: %v\ntype 'retry' to try %s again, 'abort' to give up\n", err, name)
-				if awaitRetry(ctx, ekvSrv, cfg.InteractiveRetryWait) {
-					fmt.Fprintf(screen, "retrying %s\n", name)
-					// Refresh the index: the fix may be a new package.
-					if refreshed, rerr := resolveIndex(ctx, f, distURL, n.HW.Arch); rerr == nil {
-						best = refreshed
-					}
-					i--
-					continue
-				}
-			}
-			return i, total, err
-		}
+	done := 0 // packages on the disk; the stream resumes here
+	unpack := func(pkg *rpm.Package) error {
 		for _, file := range pkg.Files {
 			if err := n.Disk().WriteFile(file.Path, file.Data, file.Mode); err != nil {
-				return i, total, fmt.Errorf("installer: unpacking %s: %w", pkg.NVRA(), err)
+				return fmt.Errorf("installer: unpacking %s: %w", pkg.NVRA(), err)
 			}
 		}
 		n.PackageDB().Install(pkg.Metadata)
 		total += pkg.Size
+		done++
 		// Redraw the Figure 7 panel for every package, exactly as the
 		// paper's screenshot shows — when there is a screen to draw it on.
 		if ekvSrv != nil {
-			writeStatusPanel(screen, pkg, i+1, len(p.Packages), total, grandTotal, time.Since(start))
+			writeStatusPanel(screen, pkg, done, len(names), total, grandTotal, time.Since(start))
+		}
+		return nil
+	}
+
+	// fetchRest streams names[done:] onto the disk. The retry budget belongs
+	// to the package a stream failed at: one that put packages on the disk
+	// first has spent the first attempt of the package it stopped at, not
+	// another of the one it started from, and carried hands that failure to
+	// the next budget — so a stream cut short any number of times resumes
+	// where it stopped, and only a package that keeps failing exhausts one.
+	fetchRest := func() error {
+		rest, err := resolveEntries(best, names[done:])
+		if err != nil {
+			return err
+		}
+		var carried error
+		for len(rest) > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			err := f.Do(ctx, rest[0].NVRA+".rpm", func() error {
+				if err := carried; err != nil {
+					carried = nil
+					return err
+				}
+				before := done
+				err := streamVerified(ctx, n, cfg, f, screen, srcs, rest, unpack)
+				rest = rest[done-before:]
+				if err != nil && done > before && dist.IsTransient(err) {
+					carried, err = err, nil
+				}
+				return err
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for {
+		err := fetchRest()
+		if err == nil {
+			break
+		}
+		// Cancellation lands between packages: the package being written
+		// finishes (no torn files on disk), then the stream is dropped.
+		if cerr := ctx.Err(); cerr != nil {
+			return done, total, fmt.Errorf("installer: package installation aborted after %d/%d packages: %w",
+				done, len(names), cerr)
+		}
+		// The eKV keyboard gives the administrator a chance to fix the
+		// distribution and retry without restarting the install.
+		if cfg.InteractiveRetryWait <= 0 || ekvSrv == nil {
+			return done, total, err
+		}
+		fmt.Fprintf(screen, "FAILED: %v\ntype 'retry' to resume at %s, 'abort' to give up\n", err, names[done])
+		if !awaitRetry(ctx, ekvSrv, cfg.InteractiveRetryWait) {
+			return done, total, err
+		}
+		fmt.Fprintf(screen, "resuming at %s\n", names[done])
+		// Refresh the index: the fix may be a new package.
+		if refreshed, rerr := resolveIndex(ctx, f, distURL, n.HW.Arch); rerr == nil {
+			best = refreshed
 		}
 	}
-	fmt.Fprintf(screen, " Total  : %d packages, %dM\n", len(p.Packages), total>>20)
-	return len(p.Packages), total, nil
+	fmt.Fprintf(screen, " Total  : %d packages, %dM\n", len(names), total>>20)
+	return len(names), total, nil
 }
 
 // writeStatusPanel renders the installation panel of Figure 7.

@@ -4,9 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,9 +35,22 @@ type testFrontend struct {
 	bus     *dhcp.Bus
 	dhcpd   *dhcp.Server
 	dist    *dist.Distribution
+	distSrv *dist.Server
 	appcfg  map[string]string // IP → appliance
 	archcfg map[string]string // IP → arch
 	peers   []Source          // what the /v1/relays registry hands out
+	// requests counts what reached the server, by "METHOD path" with the
+	// /install/dist prefix and any package file name cut off.
+	requests sync.Map     // string → *atomic.Int64
+	conns    atomic.Int64 // connections accepted
+}
+
+// count returns how many requests of one kind the frontend has served.
+func (fe *testFrontend) count(kind string) int64 {
+	if v, ok := fe.requests.Load(kind); ok {
+		return v.(*atomic.Int64).Load()
+	}
+	return 0
 }
 
 func newTestFrontend(t *testing.T) *testFrontend {
@@ -46,8 +63,9 @@ func newTestFrontend(t *testing.T) *testFrontend {
 	fe.dist = dist.Build("rocks", kickstart.DefaultFramework(),
 		dist.Source{Name: "redhat", Repo: dist.SyntheticRedHat()})
 
+	fe.distSrv = dist.NewServer(fe.dist)
 	mux := http.NewServeMux()
-	mux.Handle("/install/dist/", http.StripPrefix("/install/dist", dist.NewServer(fe.dist)))
+	mux.Handle("/install/dist/", http.StripPrefix("/install/dist", fe.distSrv))
 	mux.HandleFunc("/install/kickstart.cgi", func(w http.ResponseWriter, r *http.Request) {
 		ip := r.Header.Get(ClientIPHeader)
 		app, ok := fe.appcfg[ip]
@@ -70,7 +88,25 @@ func newTestFrontend(t *testing.T) *testFrontend {
 	mux.HandleFunc("/v1/relays", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]interface{}{"data": map[string]interface{}{"sources": fe.peers}})
 	})
-	fe.srv = httptest.NewServer(mux)
+	mux.HandleFunc("/v1/facts", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, `{"data":{}}`)
+	})
+	fe.srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		kind := strings.TrimPrefix(r.URL.Path, "/install/dist")
+		if strings.HasSuffix(kind, ".rpm") {
+			kind = kind[:strings.LastIndexByte(kind, '/')+1] + "*.rpm"
+		}
+		n, _ := fe.requests.LoadOrStore(r.Method+" "+kind, new(atomic.Int64))
+		n.(*atomic.Int64).Add(1)
+		mux.ServeHTTP(w, r)
+	}))
+	fe.srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			fe.conns.Add(1)
+		}
+	}
+	fe.srv.Start()
 	t.Cleanup(fe.srv.Close)
 
 	fe.dhcpd = dhcp.NewServer("frontend-0", syslogd.New())
@@ -641,6 +677,13 @@ type roundTripperFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripperFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
+// isPackageStream reports whether a request is the installer asking a source
+// for package bodies (the bundle verb), as opposed to the manifest or the
+// kickstart file.
+func isPackageStream(r *http.Request) bool {
+	return r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/RedHat/RPMS/")
+}
+
 // corruptPackagesClient returns a client that routes package-body fetches
 // through the bit-flipping fault transport and everything else (manifest,
 // kickstart) through the clean one — corruption lands only on RPM
@@ -649,7 +692,7 @@ func corruptPackagesClient(fe *testFrontend, inj *faults.Injector) *http.Client 
 	clean := fe.srv.Client().Transport
 	faulty := faults.NewTransport(inj, clean, nil)
 	return &http.Client{Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
-		if strings.HasSuffix(r.URL.Path, ".rpm") {
+		if isPackageStream(r) {
 			return faulty.RoundTrip(r)
 		}
 		return clean.RoundTrip(r)
@@ -745,6 +788,18 @@ func TestPersistentCorruptionFailsInstallNamingFile(t *testing.T) {
 	}
 }
 
+// trickle delivers a response body in reads of at most a kilobyte, calling
+// before ahead of each: a test sees the stream between any two packages.
+type trickle struct {
+	io.ReadCloser
+	before func()
+}
+
+func (t *trickle) Read(p []byte) (int, error) {
+	t.before()
+	return t.ReadCloser.Read(p[:min(len(p), 1024)])
+}
+
 // waitAborted blocks until the node's install-aborted event is on the bus,
 // bounded by the given context.Context.
 func waitAborted(t *testing.T, ctx context.Context, bus *lifecycle.Bus, nodeName string) lifecycle.Event {
@@ -767,15 +822,21 @@ func TestRunCancelledMidPackageLoop(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var pkgFetches int32
 	inner := fe.srv.Client().Transport
 	cfg := fe.config()
 	cfg.Events = lifecycle.NewBus(256)
 	cfg.HTTP = &http.Client{Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
-		if strings.HasSuffix(r.URL.Path, ".rpm") && atomic.AddInt32(&pkgFetches, 1) == 3 {
-			cancel() // yank the plug mid-package-loop
+		resp, err := inner.RoundTrip(r)
+		if err == nil && isPackageStream(r) {
+			// Hand the stream over a kilobyte at a time, and yank the plug
+			// once the third package it delivered is on the disk.
+			resp.Body = &trickle{ReadCloser: resp.Body, before: func() {
+				if n.PackageDB().Len() >= 3 {
+					cancel()
+				}
+			}}
 		}
-		return inner.RoundTrip(r)
+		return resp, err
 	})}
 
 	start := time.Now()
@@ -962,6 +1023,357 @@ func TestManifestFaultKeepsPeersTrustless(t *testing.T) {
 	for _, p := range cfg.RelayStore.All() {
 		if want := fe.dist.Repo.Get(p.NVRA()); want == nil || p.Digest != want.Digest {
 			t.Errorf("relay store holds %s with a digest the frontend never advertised", p.NVRA())
+		}
+	}
+}
+
+// TestInstallIsOneStream is the request budget of a fault-free install: one
+// kickstart file, one manifest, one stream carrying every package, one facts
+// report — and one relay lookup when the relay tier is on. Nothing is asked
+// for per package.
+func TestInstallIsOneStream(t *testing.T) {
+	for _, relays := range []bool{false, true} {
+		fe := newTestFrontend(t)
+		n := newComputeNode()
+		fe.admit(n, "10.255.255.254", "compute-0-0", "compute")
+		cfg := fe.config()
+		cfg.DisableEKV = true
+		cfg.FrontendURL = fe.srv.URL
+		want := map[string]int64{
+			"GET /install/kickstart.cgi": 1,
+			"GET /RedHat/base/manifest":  1,
+			"POST /RedHat/RPMS/":         1,
+			"POST /v1/facts":             1,
+		}
+		if relays {
+			cfg.RelayStore = rpm.NewRepository("store")
+			want["GET /v1/relays"] = 1
+		}
+		res, err := Run(context.Background(), n, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Packages != 162 || n.PackageDB().Len() != 162 {
+			t.Errorf("relays %v: installed %d packages (%d in the database), want 162", relays, res.Packages, n.PackageDB().Len())
+		}
+		var total int64
+		fe.requests.Range(func(kind, count any) bool {
+			got := count.(*atomic.Int64).Load()
+			total += got
+			if got != want[kind.(string)] {
+				t.Errorf("relays %v: %d × %s, want %d", relays, got, kind, want[kind.(string)])
+			}
+			return true
+		})
+		if total != int64(len(want)) || total > 5 {
+			t.Errorf("relays %v: an install made %d requests, want %d", relays, total, len(want))
+		}
+		if stats := fe.distSrv.Stats(); stats.BundleRequests != 1 || stats.PackageRequests != 162 || stats.ManifestRequests != 1 {
+			t.Errorf("relays %v: serve stats %+v, want one manifest and one bundle of 162 bodies", relays, stats)
+		}
+		// The stream is read to its end, so its connection carries the
+		// requests after it: this install's facts report, and the next's.
+		n.ForceReinstall()
+		if _, err := Run(context.Background(), n, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := fe.conns.Load(); got != 1 {
+			t.Errorf("relays %v: two installs dialed %d connections, want 1", relays, got)
+		}
+	}
+}
+
+// TestStreamResumesWhereItStopped is the failure contract of the package
+// stream. However a stream ends early — cut off, refused, damaged in
+// transit, or served by a peer that lacks a package or lies about one — the
+// packages it had verified stay installed and are never asked for again, the
+// next stream asks for exactly the rest, the failure is charged where it
+// belongs (a retry of the failed package's budget for the frontend; a
+// demotion and nothing else for a peer), and every package is installed
+// exactly once.
+func TestStreamResumesWhereItStopped(t *testing.T) {
+	// What a clean install asks for, in order, and each body's size on the
+	// wire: the midpoint faults are placed by these.
+	ref := newTestFrontend(t)
+	var order []string
+	{
+		n := newComputeNode()
+		ref.admit(n, "10.255.255.254", "compute-0-0", "compute")
+		cfg := ref.config()
+		cfg.DisableEKV = true
+		cfg.HTTP = &http.Client{Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
+			if isPackageStream(r) {
+				ask, _ := io.ReadAll(r.Body)
+				order = strings.Fields(string(ask))
+				r.Body = io.NopCloser(strings.NewReader(string(ask)))
+			}
+			return ref.srv.Client().Transport.RoundTrip(r)
+		})}
+		if _, err := Run(context.Background(), n, cfg); err != nil || len(order) != 162 {
+			t.Fatalf("reference install: %v, asked for %d packages", err, len(order))
+		}
+	}
+	// The member a fault at the middle byte of a stream for order[from:]
+	// lands in: the first whose frame (16-byte header, then the body) ends
+	// past the midpoint.
+	midpoint := func(from int) int {
+		var ends []int
+		end := 0
+		for _, nvra := range order[from:] {
+			end += 16 + len(ref.dist.Repo.Body(nvra))
+			ends = append(ends, end)
+		}
+		for i, e := range ends {
+			if e > end/2 {
+				return from + i
+			}
+		}
+		return len(order)
+	}
+	mid := midpoint(0)
+	if mid < 40 || mid > 120 {
+		t.Fatalf("midpoint of the stream falls in member %d of 162", mid)
+	}
+
+	const hole = 57 // the member a bad peer fails at
+	cases := []struct {
+		name string
+		mode faults.Mode // injected once on the first stream; "" = none
+		peer func(t *testing.T, good *rpm.Repository) *rpm.Repository
+		// What must follow: the member the first stream stops at, whether
+		// that costs the frontend's retry budget, whether it is a corrupt
+		// body, and whether a peer was demoted for it.
+		stopsAt          int
+		retries, corrupt uint64
+		demoted          bool
+	}{
+		{name: "cut off mid-stream", mode: faults.ModeTruncate, stopsAt: mid, retries: 1},
+		{name: "refused with a 500", mode: faults.ModeError500, stopsAt: 0, retries: 1},
+		{name: "a bit flipped at the midpoint", mode: faults.ModeCorrupt, stopsAt: mid, retries: 1, corrupt: 1},
+		{name: "a peer that does not hold a member", stopsAt: hole, demoted: true,
+			peer: func(t *testing.T, good *rpm.Repository) *rpm.Repository {
+				partial := rpm.NewRepository("partial")
+				for _, p := range good.All() {
+					if p.NVRA() != order[hole] {
+						partial.Add(p)
+					}
+				}
+				return partial
+			}},
+		{name: "a peer that lies about a member", stopsAt: hole, corrupt: 1, demoted: true,
+			peer: func(t *testing.T, good *rpm.Repository) *rpm.Repository {
+				liar := rpm.NewRepository("liar")
+				for _, p := range good.All() {
+					if p.NVRA() == order[hole] {
+						q := *p
+						q.Digest = "" // restamped over the tampered payload: the body verifies against itself
+						q.Files = append([]rpm.FileEntry{{Path: "/etc/lie", Mode: 0o644, Data: []byte("not what the frontend built")}}, p.Files...)
+						p = &q
+					}
+					liar.Add(p)
+				}
+				return liar
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fe := newTestFrontend(t)
+			n := newComputeNode()
+			fe.admit(n, "10.255.255.254", "compute-0-0", "compute")
+			cfg := fe.config()
+			cfg.DisableEKV = true
+			cfg.FetchRetries = 2
+			cfg.FetchBackoff = time.Millisecond
+			cfg.Events = lifecycle.NewBus(512)
+			cfg.Stats = &Stats{}
+			var peerSrv *dist.Server
+			var peerURL string
+			if tc.peer != nil {
+				peerSrv = dist.NewRepoServer(tc.peer(t, fe.dist.Repo))
+				peer := httptest.NewServer(peerSrv)
+				defer peer.Close()
+				peerURL = peer.URL
+				fe.peers = []Source{{URL: peer.URL, Kind: SourcePeer, Node: "compute-0-9"}}
+				cfg.FrontendURL = fe.srv.URL
+				cfg.RelayStore = rpm.NewRepository("store")
+			}
+			// Every stream request, as asked: of whom, and for what.
+			type ask struct {
+				host  string
+				nvras []string
+			}
+			var asks []ask
+			inj := faults.NewInjector(1)
+			if tc.mode != "" {
+				inj.AddRule(faults.Rule{Op: faults.OpHTTPPackage, Mode: tc.mode, Count: 1})
+			}
+			clean := fe.srv.Client().Transport
+			faulty := faults.NewTransport(inj, clean, nil)
+			cfg.HTTP = &http.Client{Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
+				if !isPackageStream(r) {
+					return clean.RoundTrip(r)
+				}
+				body, _ := io.ReadAll(r.Body)
+				asks = append(asks, ask{"http://" + r.URL.Host, strings.Fields(string(body))})
+				r.Body = io.NopCloser(strings.NewReader(string(body)))
+				return faulty.RoundTrip(r)
+			})}
+
+			res, err := Run(context.Background(), n, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !inj.Exhausted() {
+				t.Error("the fault was never injected")
+			}
+			s := cfg.Stats
+			if res.Packages != 162 || n.PackageDB().Len() != 162 || s.PeerFetches.Load()+s.FrontendFetches.Load() != 162 {
+				t.Errorf("installed %d packages, %d in the database, %d verified bodies accepted; want 162 of each",
+					res.Packages, n.PackageDB().Len(), s.PeerFetches.Load()+s.FrontendFetches.Load())
+			}
+
+			// Two streams: everything, then exactly what the first did not
+			// deliver — of the frontend, whoever was asked first.
+			first := fe.srv.URL + "/install/dist"
+			if tc.peer != nil {
+				first = peerURL
+			}
+			if len(asks) != 2 || !strings.HasPrefix(first, asks[0].host) || !strings.HasPrefix(fe.srv.URL, asks[1].host) ||
+				!slices.Equal(asks[0].nvras, order) || !slices.Equal(asks[1].nvras, order[tc.stopsAt:]) {
+				t.Errorf("%d streams; the second asked %s for %d packages, want the frontend for the %d from %s on",
+					len(asks), asks[len(asks)-1].host, len(asks[len(asks)-1].nvras), 162-tc.stopsAt, order[tc.stopsAt])
+			}
+			// Bodies served: the frontend's counter is exact (its streams run
+			// to the end); a peer dropped mid-stream may have written more
+			// than was read, but never has fewer than were accepted from it.
+			fromFrontend := uint64(162)
+			served := uint64(162 + 162 - tc.stopsAt)
+			if tc.mode == faults.ModeError500 {
+				served = 162 // the refusal never reached the server
+			}
+			if tc.peer != nil {
+				fromFrontend, served = uint64(162-tc.stopsAt), uint64(162-tc.stopsAt)
+				if got := peerSrv.Stats().PackageRequests; got < uint64(tc.stopsAt) {
+					t.Errorf("peer served %d bodies, accepted %d", got, tc.stopsAt)
+				}
+			}
+			if got := fe.distSrv.Stats().PackageRequests; got != served {
+				t.Errorf("frontend served %d bodies, want %d", got, served)
+			}
+			if got, peer := s.FrontendFetches.Load(), s.PeerFetches.Load(); got != fromFrontend || peer != 162-fromFrontend {
+				t.Errorf("accepted %d bodies from the frontend and %d from the peer, want %d and %d", got, peer, fromFrontend, 162-fromFrontend)
+			}
+
+			// The failure is charged where it belongs.
+			if got := s.FetchRetries.Load(); got != tc.retries {
+				t.Errorf("fetch retries = %d, want %d", got, tc.retries)
+			}
+			if got := s.PackagesCorrupt.Load(); got != tc.corrupt {
+				t.Errorf("corrupt bodies discarded = %d, want %d", got, tc.corrupt)
+			}
+			corrupt := cfg.Events.Recent(lifecycle.Filter{Type: lifecycle.EventPackageCorrupt})
+			if len(corrupt) != int(tc.corrupt) {
+				t.Errorf("package-corrupt events = %+v, want %d", corrupt, tc.corrupt)
+			}
+			for _, e := range corrupt {
+				source := SourceFrontend + " " + first
+				if tc.peer != nil {
+					source = SourcePeer + " " + peerURL
+				}
+				if !strings.Contains(e.Detail, order[tc.stopsAt]+".rpm") || !strings.Contains(e.Detail, "source: "+source) {
+					t.Errorf("package-corrupt event %q does not name %s.rpm and %s", e.Detail, order[tc.stopsAt], source)
+				}
+			}
+			demoted := cfg.Events.Recent(lifecycle.Filter{Type: lifecycle.EventRelayDemoted})
+			if got := s.PeerDemotions.Load(); (got == 1) != tc.demoted || len(demoted) != int(got) {
+				t.Errorf("peer demotions = %d with events %+v, want demoted = %v", got, demoted, tc.demoted)
+			}
+			for _, e := range demoted {
+				if !strings.Contains(e.Detail, "peer "+peerURL) || !strings.Contains(e.Detail, order[tc.stopsAt]+".rpm") {
+					t.Errorf("relay-demoted event %q does not name the peer and %s.rpm", e.Detail, order[tc.stopsAt])
+				}
+			}
+
+			// Nothing a source made up reached the disk or the relay store.
+			if _, err := n.Disk().ReadFile("/etc/lie"); err == nil {
+				t.Error("a lying peer's payload reached the disk")
+			}
+			if cfg.RelayStore != nil {
+				if cfg.RelayStore.Len() != 162 {
+					t.Errorf("relay store holds %d packages, want 162", cfg.RelayStore.Len())
+				}
+				for _, p := range cfg.RelayStore.All() {
+					if want := fe.dist.Repo.Get(p.NVRA()); want == nil || p.Digest != want.Digest {
+						t.Errorf("relay store holds %s with a digest the frontend never advertised", p.NVRA())
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBudgetBelongsToTheFailedPackage: a source that damages every stream it
+// sends still delivers what comes before the damage, so each retry starts
+// further on under a fresh budget — until the stream is one package long and
+// the damage is all there is. Only then does a budget run out, and the error
+// names that package.
+func TestBudgetBelongsToTheFailedPackage(t *testing.T) {
+	fe := newTestFrontend(t)
+	n := newComputeNode()
+	fe.admit(n, "10.255.255.254", "compute-0-0", "compute")
+	inj := faults.NewInjector(23, faults.Rule{Op: faults.OpHTTPPackage, Mode: faults.ModeCorrupt})
+	cfg := fe.config()
+	cfg.HTTP = corruptPackagesClient(fe, inj)
+	cfg.DisableEKV = true
+	cfg.FetchRetries = 2
+	cfg.FetchBackoff = time.Millisecond
+	cfg.Stats = &Stats{}
+
+	_, err := Run(context.Background(), n, cfg)
+	if err == nil || !dist.IsTransient(err) || !errors.Is(err, dist.ErrCorruptBody) || !strings.Contains(err.Error(), "after 3 attempts") {
+		t.Fatalf("err = %v, want a corrupt body's exhausted budget", err)
+	}
+	// 162 packages halve to one in eight streams; the last package takes the
+	// three attempts of its own budget. Every failure but the last was a retry.
+	if got := n.PackageDB().Len(); got != 161 {
+		t.Errorf("%d packages installed before the budget ran out, want all but the last", got)
+	}
+	if streams, corrupt, retries := fe.distSrv.Stats().BundleRequests, cfg.Stats.PackagesCorrupt.Load(), cfg.Stats.FetchRetries.Load(); streams != corrupt || retries != corrupt-1 || streams < 8 {
+		t.Errorf("%d streams, %d corrupt bodies, %d retries; want every stream corrupt and every failure but the last retried", streams, corrupt, retries)
+	}
+}
+
+// TestReinstallStartsAFreshInstallLog: the install log is the transcript of
+// the install that built the node. However many times the node has been
+// reinstalled, InstallLog() and /root/install.log are what one install
+// leaves — a reinstalled node is the node a fresh install produces.
+func TestReinstallStartsAFreshInstallLog(t *testing.T) {
+	fe := newTestFrontend(t)
+	n := newComputeNode()
+	fe.admit(n, "10.255.255.254", "compute-0-0", "compute")
+	cfg := fe.config()
+	cfg.DisableEKV = true
+	var lines int
+	var file string
+	for install := 1; install <= 3; install++ {
+		n.ForceReinstall()
+		if _, err := Run(context.Background(), n, cfg); err != nil {
+			t.Fatal(err)
+		}
+		onDisk, err := n.Disk().ReadFile("/root/install.log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if install == 1 {
+			lines, file = len(n.InstallLog()), string(onDisk)
+			if lines == 0 || file != strings.Join(n.InstallLog(), "\n")+"\n" {
+				t.Fatalf("first install: %d log lines, %d bytes on disk", lines, len(file))
+			}
+			continue
+		}
+		if got := len(n.InstallLog()); got != lines || string(onDisk) != file {
+			t.Errorf("install %d: %d log lines and %d bytes on disk, the first left %d and %d",
+				install, got, len(onDisk), lines, len(file))
 		}
 	}
 }

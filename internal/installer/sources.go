@@ -89,44 +89,48 @@ func fetchRelaySources(ctx context.Context, cfg Config, mac string) []Source {
 	return peers
 }
 
-// fetchVerified fetches one package from the best available source; the
-// fetcher verifies the body end to end against the frontend's manifest
-// entry, which is what makes peers trustless. A peer that errors or serves
-// a corrupt body is demoted and the fetch moves to the next source
-// immediately (no retry budget spent); only a frontend failure propagates
-// to the caller's retry loop. Verified packages land in the node's relay
-// store so this node can re-serve them after install-complete.
-func fetchVerified(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetcher, screen io.Writer, srcs *sourceSet, best map[string]dist.ManifestEntry, name string) (*rpm.Package, error) {
-	e, ok := best[name]
-	if !ok {
-		return nil, fmt.Errorf("installer: package %q not present in distribution", name)
-	}
+// streamVerified asks the best available source for every package the
+// entries name, in one stream, and hands each member to unpack as it
+// arrives; the fetcher has verified it end to end against the frontend's
+// manifest entry by then, which is what makes peers trustless. A peer that
+// errors, serves a corrupt body or does not hold a package is demoted and
+// the rest of the list is asked of the next source immediately (no retry
+// budget spent); only a frontend failure propagates to the caller's retry
+// loop. Verified packages land in the node's relay store so this node can
+// re-serve them after install-complete.
+func streamVerified(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetcher, screen io.Writer, srcs *sourceSet, entries []dist.ManifestEntry, unpack func(*rpm.Package) error) error {
 	for {
 		src := srcs.pick()
-		start := time.Now()
-		pkg, nbytes, err := f.Package(ctx, src.URL, e)
-		if err != nil {
-			if errors.Is(err, dist.ErrCorruptBody) {
-				// The event names the source that served the body, so a
-				// relay demotion is auditable in /v1/events.
-				cfg.Stats.corrupt()
-				emit(cfg, n, lifecycle.EventPackageCorrupt,
-					fmt.Sprintf("%s.rpm failed digest verification (source: %s)", e.NVRA, src))
-				fmt.Fprintf(screen, "package %s.rpm from %s failed digest verification; discarding\n", e.NVRA, src)
+		var unpackErr error
+		last := time.Now()
+		got, err := f.Packages(ctx, src.URL, entries, func(_ int, pkg *rpm.Package, nbytes int64) error {
+			now := time.Now()
+			cfg.Stats.fetched(src.Kind, nbytes, now.Sub(last))
+			last = now
+			if cfg.RelayStore != nil {
+				cfg.RelayStore.Add(pkg)
 			}
-			if src.Kind == SourcePeer && ctx.Err() == nil {
-				cfg.Stats.demotePeer()
-				srcs.demote(src)
-				fmt.Fprintf(screen, "demoting relay %s: %v\n", src.URL, err)
-				emit(cfg, n, lifecycle.EventRelayDemoted, fmt.Sprintf("%s demoted: %v", src, err))
-				continue
-			}
-			return nil, err
+			unpackErr = unpack(pkg)
+			return unpackErr
+		})
+		if err == nil || unpackErr != nil {
+			return err
 		}
-		cfg.Stats.fetched(src.Kind, nbytes, time.Since(start))
-		if cfg.RelayStore != nil {
-			cfg.RelayStore.Add(pkg)
+		entries = entries[got:] // err is the failure of entries[0] now
+		if errors.Is(err, dist.ErrCorruptBody) {
+			// The event names the source that served the body, so a
+			// relay demotion is auditable in /v1/events.
+			cfg.Stats.corrupt()
+			emit(cfg, n, lifecycle.EventPackageCorrupt,
+				fmt.Sprintf("%s.rpm failed digest verification (source: %s)", entries[0].NVRA, src))
+			fmt.Fprintf(screen, "package %s.rpm from %s failed digest verification; discarding\n", entries[0].NVRA, src)
 		}
-		return pkg, nil
+		if src.Kind != SourcePeer || ctx.Err() != nil {
+			return err
+		}
+		cfg.Stats.demotePeer()
+		srcs.demote(src)
+		fmt.Fprintf(screen, "demoting relay %s: %v\n", src.URL, err)
+		emit(cfg, n, lifecycle.EventRelayDemoted, fmt.Sprintf("%s demoted: %v", src, err))
 	}
 }

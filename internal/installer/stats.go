@@ -38,8 +38,9 @@ type Stats struct {
 	FrontendBytes   atomic.Uint64
 	PeerDemotions   atomic.Uint64
 
-	// Latency distributions (the ROADMAP observability follow-on):
-	// per-package verified-fetch latency and whole-install duration.
+	// Latency distributions (the ROADMAP observability follow-on): the
+	// time from one verified package of a stream to the next (the first is
+	// timed from the request) and whole-install duration.
 	// Created lazily so a zero Stats works; RegisterMetrics exposes them
 	// as histogram families.
 	histOnce       sync.Once
@@ -75,7 +76,8 @@ func (s *Stats) demotePeer() {
 	}
 }
 
-// fetched records one verified package body by source kind.
+// fetched records one verified package body by source kind, and how long
+// after the stream's previous one (or its request) it was handed over.
 func (s *Stats) fetched(kind string, bytes int64, d time.Duration) {
 	if s == nil {
 		return
@@ -141,7 +143,7 @@ func (s *Stats) RegisterMetrics(r *metrics.Registry) {
 		"Peer relays dropped from an install's source set after corrupt or failing responses.",
 		func() float64 { return float64(s.PeerDemotions.Load()) })
 	r.RegisterHistogram("rocks_installer_fetch_seconds",
-		"Per-package verified fetch latency in seconds.", s.FetchSeconds)
+		"Seconds from one verified package of a stream to the next; the first from the request.", s.FetchSeconds)
 	r.RegisterHistogram("rocks_installer_install_seconds",
 		"Whole-install wall-clock duration in seconds, successful installs only.", s.InstallSeconds)
 }

@@ -233,7 +233,15 @@ func (n *Node) Logf(format string, args ...interface{}) {
 	n.installLog = append(n.installLog, fmt.Sprintf(format, args...))
 }
 
-// InstallLog returns the accumulated log lines.
+// ResetInstallLog starts a fresh log (start of an install): the log is the
+// transcript of the install that built the node, not of every one before it.
+func (n *Node) ResetInstallLog() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.installLog = nil
+}
+
+// InstallLog returns the log lines of the current or latest install.
 func (n *Node) InstallLog() []string {
 	n.mu.Lock()
 	defer n.mu.Unlock()

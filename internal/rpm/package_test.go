@@ -109,6 +109,35 @@ func TestPackageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCopiesWhatItKeeps: a package read from a buffer shares no memory
+// with it. The distribution client decodes every member of a stream out of
+// one reused buffer, so whatever Read kept by reference — a payload slice, a
+// string aliased over the bytes — the next member would overwrite. Scribble
+// over the buffer after decoding and the package must still be, byte for
+// byte and to its digest, the one that was encoded.
+func TestReadCopiesWhatItKeeps(t *testing.T) {
+	p := New("dhcp", v("2.0", "5"), ArchI386,
+		FileEntry{Path: "/usr/sbin/dhcpd", Mode: 0o755, Data: []byte("#!binary dhcpd")},
+		FileEntry{Path: "/etc/sysconfig/dhcpd", Mode: 0o644, Data: bytes.Repeat([]byte("DHCPD_INTERFACES\n"), 300)},
+	)
+	p.Summary, p.Requires, p.PostScript, p.BuildRequires = "DHCP server", []string{"glibc"}, "chkconfig dhcpd on", []string{"gcc"}
+	want := p.Bytes()
+	buf := append([]byte(nil), want...)
+	q, err := Read(bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xA5
+	}
+	if !bytes.Equal(q.Bytes(), want) {
+		t.Error("the decoded package changed when the buffer it was read from was overwritten")
+	}
+	if q.Digest != PayloadDigest(q.Files) || q.Digest != PayloadDigest(p.Files) {
+		t.Errorf("digest %s no longer matches the payload", q.Digest)
+	}
+}
+
 func TestPackageBytesDeterministic(t *testing.T) {
 	p := New("glibc", v("2.2.4", "24"), ArchI386,
 		FileEntry{Path: "/lib/libc.so.6", Mode: 0o755, Data: []byte("glibc payload")})

@@ -271,44 +271,46 @@ func (c *Cluster) opKill(r *http.Request) (interface{}, *apiError) {
 }
 
 // opShoot reinstalls the named nodes (node=a&node=b). With watch=1 it waits
-// for the first node's eKV port and reports it so the CLI can attach. A
-// name the cluster does not track is a 404; a node that vanishes from
-// tracking between the shot and the watch is a 500 — never a crash.
+// for the first node's eKV port and reports it so the CLI can attach; the
+// installer hands the port over itself (node.WatchEKV), so the wait cannot
+// miss a short installation. A name the cluster does not track is a 404.
 func (c *Cluster) opShoot(r *http.Request) (interface{}, *apiError) {
 	r.ParseForm()
 	names := r.Form["node"]
 	if len(names) == 0 {
 		return nil, apiErrorf(http.StatusBadRequest, "missing_parameter", "missing node parameter")
 	}
+	var watched *node.Node
+	port := make(chan string, 1)
+	if r.FormValue("watch") == "1" {
+		if n, ok := c.NodeByName(names[0]); ok {
+			watched = n
+			n.WatchEKV(func(addr string) { port <- addr })
+		}
+	}
 	if err := c.ShootNode(names...); err != nil {
+		if watched != nil {
+			watched.WatchEKV(nil)
+		}
 		if errors.Is(err, ErrUnknownNode) {
 			return nil, apiErrorf(http.StatusNotFound, "unknown_node", "%v", err)
 		}
 		return nil, apiErrorf(http.StatusBadRequest, "shoot_failed", "%v", err)
 	}
 	resp := map[string]string{"status": "reinstalling"}
-	if r.FormValue("watch") == "1" {
-		n, ok := c.NodeByName(names[0])
-		if !ok {
-			return nil, apiErrorf(http.StatusInternalServerError, "node_untracked",
-				"node %s was shot but is no longer tracked", names[0])
-		}
+	if watched != nil {
 		// The watch ends early when the client hangs up or the cluster shuts
-		// down — a poll must never pin the handler to its full deadline.
-		deadline := time.Now().Add(10 * time.Second)
-	watch:
-		for time.Now().Before(deadline) {
-			if addr := n.EKVAddr(); addr != "" {
-				resp["ekv"] = addr
-				break
-			}
-			select {
-			case <-time.After(2 * time.Millisecond):
-			case <-r.Context().Done():
-				break watch
-			case <-c.ctx.Done():
-				break watch
-			}
+		// down — it must never pin the handler to its full deadline.
+		deadline := time.NewTimer(10 * time.Second)
+		defer deadline.Stop()
+		select {
+		case resp["ekv"] = <-port:
+		case <-deadline.C:
+		case <-r.Context().Done():
+		case <-c.ctx.Done():
+		}
+		if resp["ekv"] == "" {
+			watched.WatchEKV(nil)
 		}
 	}
 	return resp, nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +179,29 @@ func TestShootNodeWatchShowsEKV(t *testing.T) {
 	}
 	if !WaitState(nodes[0], node.StateUp, integrationTimeout) {
 		t.Fatal("node never came back")
+	}
+}
+
+// TestShootNodeWatchNeverMissesAnInstall: an install lasts a millisecond or
+// two, less than any poll of the node's eKV address can be trusted to catch.
+// The watcher is handed the port by the installer itself, so fifty shoots in
+// a row, on one processor, each return a client that saw the install through.
+func TestShootNodeWatchNeverMissesAnInstall(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := newCluster(t)
+	nodes := addComputes(t, c, 1)
+	for shot := 1; shot <= 50; shot++ {
+		client, err := c.ShootNodeWatch("compute-0-0", integrationTimeout)
+		if err != nil {
+			t.Fatalf("shoot %d: %v", shot, err)
+		}
+		if !client.WaitFor("Package Installation", integrationTimeout) {
+			t.Fatalf("shoot %d: eKV screen = %q", shot, client.Screen())
+		}
+		client.Close()
+		if !WaitState(nodes[0], node.StateUp, integrationTimeout) {
+			t.Fatalf("shoot %d: node never came back", shot)
+		}
 	}
 }
 

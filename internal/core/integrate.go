@@ -133,23 +133,36 @@ func (c *Cluster) ShootNode(names ...string) error {
 
 // ShootNodeWatch shoots one node and attaches to its eKV port, returning
 // the attached client (the xterm shoot-node pops open). The caller closes
-// the client.
+// the client. The watcher is registered before the node is shot and attaches
+// on the installer's own goroutine, which goes on only once the eKV server
+// has the client: the screen is complete however short the installation.
 func (c *Cluster) ShootNodeWatch(name string, timeout time.Duration) (*ekv.Client, error) {
 	n, ok := c.NodeByName(name)
 	if !ok {
 		return nil, fmt.Errorf("core: no node named %q", name)
 	}
+	var client *ekv.Client
+	var err error
+	attached := make(chan struct{})
+	n.WatchEKV(func(addr string) {
+		if client, err = ekv.Attach(addr); err == nil {
+			<-client.Receiving()
+		}
+		close(attached)
+	})
 	if err := c.ShootNode(name); err != nil {
+		n.WatchEKV(nil)
 		return nil, err
 	}
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if addr := n.EKVAddr(); addr != "" {
-			return ekv.Attach(addr)
-		}
-		time.Sleep(2 * time.Millisecond)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	select {
+	case <-attached:
+		return client, err
+	case <-deadline.C:
+		n.WatchEKV(nil)
+		return nil, fmt.Errorf("core: %s never exposed an eKV port", name)
 	}
-	return nil, fmt.Errorf("core: %s never exposed an eKV port", name)
 }
 
 // StuckJob identifies one reinstall job that had not finished when

@@ -295,7 +295,7 @@ func readBundle(ctx context.Context, r io.Reader, base string, entries []Manifes
 	br := bufio.NewReaderSize(r, bundleBuffer)
 	var (
 		header [bundleHeaderLen]byte
-		// One buffer for every member of the stream: rpm.Read copies what
+		// One buffer for every member of the stream: rpm.Decode copies what
 		// the package keeps, so the next member may overwrite this one.
 		member  bytes.Buffer
 		limited = io.LimitedReader{R: br}
@@ -364,7 +364,7 @@ func corruptBody(file, base, why string) error {
 // source.
 func verify(body []byte, e ManifestEntry, base string) (*rpm.Package, error) {
 	file := e.NVRA + ".rpm"
-	p, err := rpm.Read(bytes.NewReader(body))
+	p, err := rpm.Decode(body)
 	if err != nil {
 		return nil, corruptBody(file, base, err.Error())
 	}

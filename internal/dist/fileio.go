@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,10 +32,9 @@ func WriteTree(repo *rpm.Repository, dir string) (int, error) {
 	if err := os.MkdirAll(rpms, 0o755); err != nil {
 		return 0, fmt.Errorf("dist: %w", err)
 	}
-	var manifest []ManifestEntry
 	written := make(map[string]bool)
 	n := 0
-	for _, p := range repo.All() {
+	for _, p := range repo.Sorted() {
 		f, err := os.Create(filepath.Join(rpms, p.Filename()))
 		if err != nil {
 			return n, fmt.Errorf("dist: %w", err)
@@ -47,9 +47,6 @@ func WriteTree(repo *rpm.Repository, dir string) (int, error) {
 			return n, fmt.Errorf("dist: writing %s: %w", p.Filename(), err)
 		}
 		written[p.Filename()] = true
-		manifest = append(manifest, ManifestEntry{
-			NVRA: p.NVRA(), Size: p.Size, Digest: p.Digest, Source: p.Source,
-		})
 		n++
 	}
 	// Sync: anything in RedHat/RPMS/ this pass did not write is a leftover
@@ -66,9 +63,8 @@ func WriteTree(repo *rpm.Repository, dir string) (int, error) {
 			return n, fmt.Errorf("dist: removing stale %s: %w", e.Name(), err)
 		}
 	}
-	sort.Slice(manifest, func(i, j int) bool { return manifest[i].NVRA < manifest[j].NVRA })
 	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"),
-		[]byte(FormatManifest(manifest)), 0o644); err != nil {
+		[]byte(FormatManifest(Manifest(repo))), 0o644); err != nil {
 		return n, fmt.Errorf("dist: writing MANIFEST: %w", err)
 	}
 	return n, nil
@@ -111,6 +107,15 @@ func readManifestFile(dir string) (map[string]ManifestEntry, error) {
 	return byNVRA, nil
 }
 
+// readPackage decodes one file of a tree.
+func readPackage(path string) (*rpm.Package, error) {
+	body, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return rpm.Decode(body)
+}
+
 // ReadTree loads every .rpm under dir/RedHat/RPMS/ into a repository named
 // after the source name. When the tree carries a MANIFEST (everything
 // WriteTree produced does), the contents are checked against it: a package
@@ -134,12 +139,7 @@ func ReadTree(dir, name string) (*rpm.Repository, error) {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".rpm") {
 			continue
 		}
-		f, err := os.Open(filepath.Join(rpms, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("dist: reading %s: %w", e.Name(), err)
-		}
-		p, err := rpm.Read(f)
-		f.Close()
+		p, err := readPackage(filepath.Join(rpms, e.Name()))
 		if err != nil {
 			return nil, fmt.Errorf("dist: reading %s: %w", e.Name(), err)
 		}
@@ -197,7 +197,8 @@ func (v TreeVerify) Summary() string {
 // VerifyTree audits a materialized tree against its MANIFEST without
 // building a repository, collecting every discrepancy instead of stopping
 // at the first (ReadTree's job). It errors only when the directory is not
-// a tree or carries no MANIFEST to verify against.
+// a tree, carries no MANIFEST to verify against, or holds a file that is not
+// in the package format at all (rpm.ErrFormat).
 func VerifyTree(dir string) (TreeVerify, error) {
 	var v TreeVerify
 	rpms := filepath.Join(dir, "RedHat", "RPMS")
@@ -218,16 +219,13 @@ func VerifyTree(dir string) (TreeVerify, error) {
 			continue
 		}
 		v.Packages++
-		f, err := os.Open(filepath.Join(rpms, e.Name()))
-		if err != nil {
-			v.Tampered = append(v.Tampered, e.Name())
-			seen[strings.TrimSuffix(e.Name(), ".rpm")] = true
-			continue
+		p, err := readPackage(filepath.Join(rpms, e.Name()))
+		if errors.Is(err, rpm.ErrFormat) {
+			// Not damage: a tree of another format has nothing to audit.
+			return v, fmt.Errorf("dist: reading %s: %w", e.Name(), err)
 		}
-		p, err := rpm.Read(f)
-		f.Close()
 		if err != nil {
-			// Undecodable bytes under a .rpm name: corrupt by definition.
+			// Unreadable or undecodable bytes under a .rpm name: corrupt.
 			// The MANIFEST entry this file materialized is present-but-bad,
 			// not missing — mark it seen so it is reported exactly once.
 			v.Tampered = append(v.Tampered, e.Name())

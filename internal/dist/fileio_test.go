@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -252,5 +253,41 @@ func TestTreeRoundTripThroughBuild(t *testing.T) {
 	d := Build("fromdisk", nil, Source{Name: "mirror", Repo: repo})
 	if d.Repo.Len() != SyntheticRedHat().Len() {
 		t.Errorf("lost packages: %d vs %d", d.Repo.Len(), SyntheticRedHat().Len())
+	}
+}
+
+// TestOldFormatTreeSaysWhatItIs: a tree materialized before the package
+// format changed holds tar archives under its .rpm names. Nothing decodes
+// them any more, and neither reader calls that damage: both fail naming the
+// first such file and saying it is not a package of this format and that the
+// tree must be re-materialized with rocks-dist.
+func TestOldFormatTreeSaysWhatItIs(t *testing.T) {
+	dir := t.TempDir()
+	repo := rpm.NewRepository("src")
+	repo.Add(rpm.New("alpha", v("1.0", "1"), rpm.ArchI386))
+	repo.Add(rpm.New("beta", v("1.0", "1"), rpm.ArchI386))
+	if _, err := WriteTree(repo, dir); err != nil {
+		t.Fatal(err)
+	}
+	// The old format's first 512 bytes: a tar header naming metadata.json.
+	old := make([]byte, 512)
+	copy(old, "metadata.json")
+	copy(old[100:], "0000644\x000000000\x000000000\x0000000000523\x0000000000000\x00011660\x00 0")
+	copy(old[257:], "ustar\x0000")
+	if err := os.WriteFile(filepath.Join(dir, "RedHat", "RPMS", "alpha-1.0-1.i386.rpm"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, readErr := ReadTree(dir, "x")
+	_, verifyErr := VerifyTree(dir)
+	for what, err := range map[string]error{"ReadTree": readErr, "VerifyTree": verifyErr} {
+		if !errors.Is(err, rpm.ErrFormat) {
+			t.Errorf("%s = %v, want rpm.ErrFormat", what, err)
+			continue
+		}
+		for _, want := range []string{"alpha-1.0-1.i386.rpm", "not a package of this format", "re-materialized with rocks-dist"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s = %v, which does not say %q", what, err, want)
+			}
+		}
 	}
 }

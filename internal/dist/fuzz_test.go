@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -70,10 +71,10 @@ func FuzzBundle(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		// The fixed part is the stream's read buffer, the most a claimed
 		// length may presize (twice: under the race detector bytes.Buffer
-		// makes its new slice and then copies it), and the tar and JSON
-		// decoders' own buffers per member; the multiple is FuzzRead's, and
-		// as much again for the re-encoding the check above does.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(bundleBuffer+2*maxPresize+256<<10+32*len(answer)); got > limit {
+		// makes its new slice and then copies it), and a package and an
+		// error's text per member; the multiple is FuzzRead's, and as much
+		// again for the re-encoding the check above does.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(bundleBuffer+2*maxPresize+8<<10+40*len(answer)); got > limit {
 			t.Fatalf("readBundle allocated %d bytes for %d bytes of input (limit %d)", got, len(answer), limit)
 		}
 		if done != delivered || (err == nil) != (done == len(entries)) {
@@ -82,30 +83,85 @@ func FuzzBundle(f *testing.F) {
 	})
 }
 
+var updateCorpus = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzBundle from bundleSeeds")
+
+// bundleSeeds forges FuzzBundle's checked-in corpus: answers to the request
+// for alpha, then beta.
+func bundleSeeds(t *testing.T) map[string][]byte {
+	_, bodies := fuzzEntries()
+	alpha, beta := bodies[0], bodies[1]
+	good := bundleOf(alpha, beta)
+	second := bundleHeaderLen + len(alpha) // where beta's member starts
+	flipped := func(b []byte, i int) []byte {
+		b = bytes.Clone(b)
+		b[i] ^= 0x01
+		return b
+	}
+	// alpha's Size, which follows its architecture and empty summary: a
+	// header field neither the payload digest nor the NVRA covers.
+	size := bytes.Index(alpha, []byte("\x04i386\x00")) + 6
+	payload := bytes.Index(beta, []byte("bbbbbbbb"))
+	if size < 6 || payload < 0 {
+		t.Fatal("the package encoding moved under bundleSeeds' landmarks")
+	}
+	var claim [bundleHeaderLen]byte
+	putBundleHeader(&claim, uint64(len(alpha))+1000, crc32.ChecksumIEEE(alpha))
+	return map[string][]byte{
+		"good-two-members":    good,
+		"trailing-bytes":      append(bytes.Clone(good), "and more"...),
+		"not-held-second":     bundleOf(alpha, nil),
+		"torn-header":         good[:second+7],
+		"torn-body":           good[:second+bundleHeaderLen+len(beta)/2],
+		"length-beyond-input": append(claim[:], alpha...),
+		// The member's own checksum recomputed, as a forging peer would: only
+		// the payload digest inside the package catches it.
+		"flipped-payload-bit": bundleOf(alpha, flipped(beta, payload)),
+		// Damage in transit to a field no digest covers: only the member's
+		// checksum catches it.
+		"flipped-metadata-bit": flipped(good, bundleHeaderLen+size),
+		"flipped-length-bit":   flipped(good, second+7),
+		"swapped-members":      bundleOf(beta, alpha),
+		"empty":                nil,
+	}
+}
+
 // TestBundleCorpus reads FuzzBundle's checked-in corpus as a table: each
 // seed, how far the stream gets, and how the failure is classified. It keeps
-// the corpus honest — a seed that no longer means what its name says (the
-// package encoding changed under it, say) fails here and is regenerated, not
-// silently replayed as noise.
+// the corpus honest — every file is the bytes bundleSeeds forges, so a corpus
+// the package encoding changed under fails here and is rewritten (go test
+// ./internal/dist -run TestBundleCorpus -update), not silently replayed as
+// noise — and each seed means what its name says.
 func TestBundleCorpus(t *testing.T) {
 	entries, _ := fuzzEntries()
+	seeds := bundleSeeds(t)
 	for name, want := range map[string]struct {
 		done                     int
 		transient, corrupt, held bool // of the error, when done < 2; held false = "not held"
 	}{
-		"good-two-members":    {done: 2},
-		"trailing-bytes":      {done: 2},
-		"not-held-second":     {done: 1},
-		"torn-header":         {done: 1, transient: true, held: true},
-		"torn-body":           {done: 1, transient: true, held: true},
-		"length-beyond-input": {done: 0, transient: true, held: true},
-		"flipped-payload-bit": {done: 1, transient: true, corrupt: true, held: true},
-		"flipped-padding-bit": {done: 0, transient: true, corrupt: true, held: true},
-		"flipped-length-bit":  {done: 1, transient: true, corrupt: true, held: true},
-		"swapped-members":     {done: 0, transient: true, corrupt: true, held: true},
-		"empty":               {done: 0, transient: true, held: true},
+		"good-two-members":     {done: 2},
+		"trailing-bytes":       {done: 2},
+		"not-held-second":      {done: 1},
+		"torn-header":          {done: 1, transient: true, held: true},
+		"torn-body":            {done: 1, transient: true, held: true},
+		"length-beyond-input":  {done: 0, transient: true, held: true},
+		"flipped-payload-bit":  {done: 1, transient: true, corrupt: true, held: true},
+		"flipped-metadata-bit": {done: 0, transient: true, corrupt: true, held: true},
+		"flipped-length-bit":   {done: 1, transient: true, corrupt: true, held: true},
+		"swapped-members":      {done: 0, transient: true, corrupt: true, held: true},
+		"empty":                {done: 0, transient: true, held: true},
 	} {
-		answer := readSeed(t, filepath.Join("testdata", "fuzz", "FuzzBundle", name))
+		path := filepath.Join("testdata", "fuzz", "FuzzBundle", name)
+		if *updateCorpus {
+			file := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seeds[name])) + ")\n"
+			if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		answer := readSeed(t, path)
+		if !bytes.Equal(answer, seeds[name]) {
+			t.Errorf("%s is not what bundleSeeds forges; rerun with -update", name)
+			continue
+		}
 		done, err := readBundle(context.Background(), bytes.NewReader(answer), "seed", entries,
 			func(int, *rpm.Package, int64) error { return nil })
 		if done != want.done || (err == nil) != (want.done == 2) {

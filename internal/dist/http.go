@@ -43,9 +43,9 @@ const (
 // the header, stands for a package the tree does not hold (a relay's store
 // may be partial). The two checksums are about the wire, not the source: a
 // bit flipped in transit is caught wherever it lands — in a length, where it
-// would otherwise shear every later member, or in tar padding and package
-// metadata, which the payload digest does not cover — and is charged to the
-// member it hit. What a source may serve is still decided by verify alone.
+// would otherwise shear every later member, or in a package's header fields,
+// which the payload digest does not cover — and is charged to the member it
+// hit. What a source may serve is still decided by verify alone.
 // Fetcher.Packages is the client.
 const (
 	bundleHeaderLen = 16
@@ -55,7 +55,8 @@ const (
 	maxBundleRequest = 1 << 20
 	maxBundleMembers = 1 << 14
 	// bundleBuffer is what one stream buffers on either side of the wire, so
-	// a 4 KB body costs a fraction of a socket write, not one.
+	// a body of a few hundred bytes costs a fraction of a socket write, not
+	// one.
 	bundleBuffer = 64 << 10
 )
 
@@ -260,6 +261,7 @@ func (s *Server) serveBundle(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) serveManifest(w http.ResponseWriter, r *http.Request) {
 	s.manifest.Add(1)
+	// Built per request: nothing is kept that a change could leave stale.
 	text := FormatManifest(Manifest(s.repo()))
 	w.Header().Set("Content-Type", "text/plain")
 	w.Header().Set("Content-Length", strconv.Itoa(len(text)))

@@ -1,11 +1,14 @@
 package dist
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"rocks/internal/rpm"
 )
@@ -31,20 +34,15 @@ type ManifestEntry struct {
 	Source string
 }
 
-// Manifest builds the sorted manifest of a repository. Every package in a
-// repository carries its digest (Repository.Add stamps it), so concurrent
-// manifest requests only read.
+// Manifest builds the manifest of a repository from its NVRA-ordered view.
+// Every package in a repository carries its digest (Repository.Add stamps
+// it), so concurrent manifest requests only read.
 func Manifest(repo *rpm.Repository) []ManifestEntry {
-	var entries []ManifestEntry
-	for _, p := range repo.All() {
-		entries = append(entries, ManifestEntry{
-			NVRA:   p.NVRA(),
-			Size:   p.Size,
-			Digest: p.Digest,
-			Source: p.Source,
-		})
+	pkgs := repo.Sorted()
+	entries := make([]ManifestEntry, len(pkgs))
+	for i, p := range pkgs {
+		entries[i] = ManifestEntry{NVRA: p.NVRA(), Size: p.Size, Digest: p.Digest, Source: p.Source}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].NVRA < entries[j].NVRA })
 	return entries
 }
 
@@ -62,12 +60,14 @@ func FormatManifest(entries []ManifestEntry) string {
 	}
 	var b strings.Builder
 	b.Grow(size)
+	var num [24]byte // " <size> "
 	for _, e := range entries {
-		src := e.Source
-		if src == "" {
-			src = "-"
-		}
-		fmt.Fprintf(&b, "%s %d %s %s\n", url.PathEscape(e.NVRA), e.Size, e.Digest, url.PathEscape(src))
+		b.WriteString(url.PathEscape(e.NVRA))
+		b.Write(append(strconv.AppendInt(append(num[:0], ' '), e.Size, 10), ' '))
+		b.WriteString(e.Digest)
+		b.WriteByte(' ')
+		b.WriteString(url.PathEscape(cmp.Or(e.Source, "-")))
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -75,32 +75,71 @@ func FormatManifest(entries []ManifestEntry) string {
 // unescapeField undoes FormatManifest's escaping, tolerating unescaped
 // legacy values (a stray % that is not a valid escape passes through raw).
 func unescapeField(s string) string {
-	if u, err := url.PathUnescape(s); err == nil {
-		return u
+	if strings.Contains(s, "%") {
+		if u, err := url.PathUnescape(s); err == nil {
+			return u
+		}
 	}
 	return s
 }
 
-// ParseManifest parses manifest lines. The pre-digest three-field format
-// ("NVRA size source") is still accepted — its entries carry an empty
-// Digest, and consumers skip digest verification for them.
-func ParseManifest(data []byte) ([]ManifestEntry, error) {
-	var entries []ManifestEntry
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
+// cutField returns the first field of s — empty when there is none — and
+// what follows it, delimiting fields by white space as strings.Fields does.
+func cutField(s string) (field, rest string) {
+	start := -1
+	for i := 0; i < len(s); {
+		c := s[i]
+		if ' ' < c && c < utf8.RuneSelf && start >= 0 {
+			i++ // inside a field, the usual byte
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("dist: manifest line %d: %q has %d fields, want at least 3", ln+1, line, len(fields))
+		space, width := c == ' ' || '\t' <= c && c <= '\r', 1
+		if c >= utf8.RuneSelf {
+			r, w := utf8.DecodeRuneInString(s[i:])
+			space, width = unicode.IsSpace(r), w
+		}
+		if space && start >= 0 {
+			return s[start:i], s[i:]
+		} else if !space && start < 0 {
+			start = i
+		}
+		i += width
+	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
+}
+
+// ParseManifest parses manifest lines. The pre-digest three-field format
+// ("NVRA size source") is still accepted — its entries carry an empty
+// Digest, and consumers skip digest verification for them. It walks the text
+// once: the entries' strings are pieces of one copy of it.
+func ParseManifest(data []byte) ([]ManifestEntry, error) {
+	entries := make([]ManifestEntry, 0, bytes.Count(data, []byte{'\n'})+1)
+	for ln, text := 1, string(data); text != ""; ln++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		var fields [4]string
+		n, rest := 0, line
+		for n < len(fields) {
+			if fields[n], rest = cutField(rest); fields[n] == "" {
+				break
+			}
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		if n < 3 {
+			return nil, fmt.Errorf("dist: manifest line %d: %q has %d fields, want at least 3", ln, strings.TrimSpace(line), n)
 		}
 		size, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("dist: manifest line %d: bad size %q: %w", ln+1, fields[1], err)
+			return nil, fmt.Errorf("dist: manifest line %d: bad size %q: %w", ln, fields[1], err)
 		}
 		e := ManifestEntry{NVRA: unescapeField(fields[0]), Size: size}
-		if len(fields) >= 4 {
+		if n == 4 {
 			e.Digest, e.Source = fields[2], unescapeField(fields[3])
 		} else {
 			// Legacy format: the third field is provenance, no digest.

@@ -1,14 +1,13 @@
 package dist
 
 import (
-	"archive/tar"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -250,28 +249,36 @@ func TestManifestDeclaresItsLength(t *testing.T) {
 	}
 }
 
-// TestOversizeHeaderIsACorruptBody: a body whose payload header claims 1 GiB
-// while a few bytes follow — a forging peer, or a transfer torn and spliced —
-// is a corrupt body like any other: a plain error from rpm.Read, transient
-// and ErrCorruptBody from Fetcher.Package, and no buffer of the claimed size.
+// TestSyntheticManifestPinned: the manifest of the synthetic distribution is,
+// byte for byte, the text it was before the package encoding and the manifest
+// round were rewritten — same order, same digests, same spelling — so every
+// tree, mirror and installer that keyed on the old text keys on this one.
+func TestSyntheticManifestPinned(t *testing.T) {
+	d := Build("d", nil, Source{"redhat", SyntheticRedHat()})
+	text := FormatManifest(Manifest(d.Repo))
+	if got, want := fmt.Sprintf("%x", sha256.Sum256([]byte(text))), "7c3d02360ffe3d3c1de26527907c152160924a5e009a4abf69332cd6c7e12224"; got != want || len(text) != 34977 {
+		t.Errorf("manifest is %d bytes hashing to %s, want 34977 hashing to %s", len(text), got, want)
+	}
+}
+
+// TestOversizeHeaderIsACorruptBody: a body whose header claims 1 GiB for a
+// file while a few bytes follow — a forging peer, or a transfer torn and
+// spliced — is a corrupt body like any other: a plain error from rpm.Read,
+// transient and ErrCorruptBody from Fetcher.Package, and no buffer of the
+// claimed size.
 func TestOversizeHeaderIsACorruptBody(t *testing.T) {
 	good := payloadPkg("alpha", "1.0", "1", "a")
+	// The package format (internal/rpm/package.go): a five-byte magic, the
+	// header's length in four bytes, the header — whose last number is the
+	// one file's data length, 4096 in two bytes — and the payload. Put 1 GiB
+	// (five bytes) in its place, say so in the header's length, and follow it
+	// with 100 bytes of payload.
+	body := good.Bytes()
+	headerEnd := 9 + int(binary.BigEndian.Uint32(body[5:9]))
 	var forged bytes.Buffer
-	tr, tw := tar.NewReader(bytes.NewReader(good.Bytes())), tar.NewWriter(&forged)
-	for i := 0; i < 2; i++ {
-		hdr, err := tr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(tr)
-		if i == 1 {
-			hdr.Size, body = 1<<30, body[:100]
-		}
-		if err := tw.WriteHeader(hdr); err != nil {
-			t.Fatal(err)
-		}
-		tw.Write(body)
-	}
+	forged.Write(binary.AppendUvarint(body[:headerEnd-2:headerEnd-2], 1<<30))
+	forged.Write(body[headerEnd : headerEnd+100])
+	binary.BigEndian.PutUint32(forged.Bytes()[5:9], uint32(headerEnd-9+3))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := rpm.Read(bytes.NewReader(forged.Bytes()))

@@ -171,10 +171,11 @@ func (s *Server) readLoop(conn net.Conn) {
 // Client is an attached eKV viewer — the programmatic stand-in for the
 // xterm shoot-node pops open.
 type Client struct {
-	conn net.Conn
-	mu   sync.Mutex
-	buf  bytes.Buffer
-	done chan struct{}
+	conn  net.Conn
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	first chan struct{} // closed by the first bytes captured, or the hangup
+	done  chan struct{}
 }
 
 // Attach dials a node's eKV port and begins capturing its screen.
@@ -183,9 +184,10 @@ func Attach(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ekv: attach %s: %w", addr, err)
 	}
-	c := &Client{conn: conn, done: make(chan struct{})}
+	c := &Client{conn: conn, first: make(chan struct{}), done: make(chan struct{})}
 	go func() {
 		defer close(c.done)
+		var first sync.Once
 		buf := make([]byte, 4096)
 		for {
 			n, err := conn.Read(buf)
@@ -194,6 +196,9 @@ func Attach(addr string) (*Client, error) {
 				c.buf.Write(buf[:n])
 				c.mu.Unlock()
 			}
+			if n > 0 || err != nil {
+				first.Do(func() { close(c.first) })
+			}
 			if err != nil {
 				return
 			}
@@ -201,6 +206,12 @@ func Attach(addr string) (*Client, error) {
 	}()
 	return c, nil
 }
+
+// Receiving is closed once the client has captured its first bytes, or the
+// server has hung up. A server replays its screen to a client as it accepts
+// it, so when the screen is not empty this is when the client is known to be
+// attached: everything written from then on reaches it.
+func (c *Client) Receiving() <-chan struct{} { return c.first }
 
 // Done is closed when the server side hangs up (the node rebooted).
 func (c *Client) Done() <-chan struct{} { return c.done }

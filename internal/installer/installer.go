@@ -222,12 +222,17 @@ func Run(ctx context.Context, n *node.Node, cfg Config) (*Result, error) {
 			n.SetEKVAddr("")
 			ekvSrv.Close()
 		}()
-		n.SetEKVAddr(ekvSrv.Addr())
 		screen = ekvSrv
 	}
 	res := &Result{}
 
 	fmt.Fprintf(screen, "Red Hat Linux (C) 2000 Red Hat, Inc.  [Rocks eKV]\n")
+	if ekvSrv != nil {
+		// Published with the banner already on the screen: whoever attaches
+		// is sent at least that, so its first bytes tell a watcher the server
+		// has it (core.ShootNodeWatch waits for them here, inside this call).
+		n.SetEKVAddr(ekvSrv.Addr())
+	}
 
 	if err := ctx.Err(); err != nil {
 		return fail(cfg, n, ekvSrv, fmt.Errorf("installer: install aborted before start: %w", err))

@@ -283,24 +283,36 @@ func TestEKVObservableDuringInstall(t *testing.T) {
 	n := newComputeNode()
 	fe.admit(n, "10.255.255.254", "compute-0-0", "compute")
 
+	// Attach as the eKV port comes up, mid-install. The installer hands the
+	// address over and waits for the watcher (node.WatchEKV): an install
+	// lasts a millisecond or two, and a poll of EKVAddr attached after it as
+	// often as during it.
+	type attached struct {
+		c   *ekv.Client
+		err error
+	}
+	up := make(chan attached, 1)
+	n.WatchEKV(func(addr string) {
+		c, err := ekv.Attach(addr)
+		if err == nil {
+			<-c.Receiving()
+		}
+		up <- attached{c, err}
+	})
 	done := make(chan error, 1)
 	go func() {
 		_, err := Run(context.Background(), n, fe.config())
 		done <- err
 	}()
-	// Wait for the eKV port to come up, then attach mid-install.
-	var addr string
-	deadline := time.Now().Add(5 * time.Second)
-	for addr == "" && time.Now().Before(deadline) {
-		addr = n.EKVAddr()
-		time.Sleep(time.Millisecond)
-	}
-	if addr == "" {
+	var c *ekv.Client
+	select {
+	case a := <-up:
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		c = a.c
+	case <-time.After(5 * time.Second):
 		t.Fatal("eKV never came up")
-	}
-	c, err := ekv.Attach(addr)
-	if err != nil {
-		t.Fatal(err)
 	}
 	defer c.Close()
 	if !c.WaitFor("Package Installation", 5*time.Second) {

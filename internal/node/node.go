@@ -49,6 +49,7 @@ type Node struct {
 	installLog    []string
 	installs      int // how many times this node has been (re)installed
 	ekvAddr       string
+	ekvWatch      func(addr string) // told the next eKV address, once
 
 	// OnReboot, when set, is invoked (in a new goroutine) when a command
 	// executed on the node requests a reboot — shoot-node's
@@ -263,11 +264,29 @@ func (n *Node) Installs() int {
 }
 
 // SetEKVAddr records the node's current eKV endpoint ("" when not
-// installing).
+// installing) and hands a new one to WatchEKV's watcher before it returns:
+// the installer calls it, so the installation waits for the watcher.
 func (n *Node) SetEKVAddr(addr string) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.ekvAddr = addr
+	var watch func(string)
+	if addr != "" {
+		watch, n.ekvWatch = n.ekvWatch, nil
+	}
+	n.mu.Unlock()
+	if watch != nil {
+		watch(addr)
+	}
+}
+
+// WatchEKV registers fn to be called once, on the installer's goroutine, with
+// the address of the eKV port the node's next installation opens: registered
+// before the node is shot, it cannot miss an installation however short. A
+// nil fn withdraws the watcher.
+func (n *Node) WatchEKV(fn func(addr string)) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.ekvWatch = fn
 }
 
 // EKVAddr returns the eKV endpoint to attach to during installation.

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -366,4 +367,22 @@ func TestDiskRemoveAllAndEnsure(t *testing.T) {
 	if q := d.EnsurePartition("/export"); q != p {
 		t.Error("EnsurePartition should be idempotent")
 	}
+}
+
+// TestWatchEKVIsToldOnce: a watcher hears of the next eKV port from inside
+// SetEKVAddr, not of the port closing, and not of the install after.
+func TestWatchEKVIsToldOnce(t *testing.T) {
+	n := testNode()
+	var told []string
+	n.WatchEKV(func(addr string) { told = append(told, addr+" while EKVAddr="+n.EKVAddr()) })
+	n.SetEKVAddr("")
+	n.SetEKVAddr("127.0.0.1:1")
+	n.SetEKVAddr("")
+	n.SetEKVAddr("127.0.0.1:2")
+	if want := []string{"127.0.0.1:1 while EKVAddr=127.0.0.1:1"}; !reflect.DeepEqual(told, want) {
+		t.Errorf("watcher told %q, want %q", told, want)
+	}
+	n.WatchEKV(func(string) { t.Error("a withdrawn watcher was told") })
+	n.WatchEKV(nil)
+	n.SetEKVAddr("127.0.0.1:3")
 }

@@ -1,17 +1,20 @@
 package rpm
 
 import (
-	"archive/tar"
 	"bytes"
+	"cmp"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
-	"time"
 )
 
 // Arch names the hardware architectures Rocks supports. The Meteor cluster
@@ -118,114 +121,203 @@ func New(name string, version Version, arch string, files ...FileEntry) *Package
 	return p
 }
 
-const metadataEntry = "metadata.json"
+// The package file format, a header and a payload as in an RPM: the magic
+// and the format's number; the header's length, 4 bytes big-endian; the
+// header — Name, Epoch, Version, Release, Arch, Summary, Size, Requires,
+// Source, Digest, PostScript, BuildRequires, the file count, and per file
+// Path, Mode and data length; then the files' data, back to back. A string is
+// its length and its bytes, a list its count and its strings, every number an
+// unsigned varint. Nothing is padded and nothing follows the last file's
+// data. Bytes is the only encoder and Decode the only decoder.
+const fileMagic = "\xedRKS\x01"
 
-// WriteTo serializes the package in the on-disk format: a tar archive whose
-// first entry is metadata.json (the Metadata plus scripts) and whose
-// remaining entries are the payload files. It implements io.WriterTo.
-func (p *Package) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	tw := tar.NewWriter(cw)
-	hdr := struct {
-		Metadata
-		PostScript    string   `json:"post_script,omitempty"`
-		BuildRequires []string `json:"build_requires,omitempty"`
-	}{p.Metadata, p.PostScript, p.BuildRequires}
-	hdr.Digest = PayloadDigest(p.Files)
-	meta, err := json.MarshalIndent(hdr, "", "  ")
-	if err != nil {
-		return cw.n, err
-	}
-	if err := writeTarFile(tw, metadataEntry, 0o644, meta); err != nil {
-		return cw.n, err
-	}
-	for _, f := range p.Files {
-		if err := writeTarFile(tw, "payload"+f.Path, f.Mode, f.Data); err != nil {
-			return cw.n, err
+// ErrFormat marks bytes that do not open with the magic: not a damaged
+// package but none at all — a file in the tar format this one replaced, say.
+var ErrFormat = errors.New("not a package of this format (a tree written in an older one must be re-materialized with rocks-dist)")
+
+// Bytes serializes the package in the file format. Digest is stamped from the
+// files as they are, and an unset file mode written as 0644.
+func (p *Package) Bytes() []byte {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	list := func(b []byte, l []string) []byte {
+		b = binary.AppendUvarint(b, uint64(len(l)))
+		for _, s := range l {
+			b = str(b, s)
 		}
+		return b
 	}
-	return cw.n, tw.Close()
+	// One buffer, unless the header outgrows the room left for a usual one.
+	b := append(make([]byte, 0, 256+payloadSize(p.Files)), fileMagic+"\x00\x00\x00\x00"...)
+	b = str(b, p.Name)
+	b = binary.AppendUvarint(b, uint64(p.Version.Epoch))
+	b = str(str(str(str(b, p.Version.Version), p.Version.Release), p.Arch), p.Summary)
+	b = binary.AppendUvarint(b, uint64(p.Size))
+	b = str(list(b, p.Requires), p.Source)
+	b = str(str(b, PayloadDigest(p.Files)), p.PostScript)
+	b = binary.AppendUvarint(list(b, p.BuildRequires), uint64(len(p.Files)))
+	for _, f := range p.Files {
+		b = binary.AppendUvarint(str(b, f.Path), uint64(cmp.Or(f.Mode, 0o644)))
+		b = binary.AppendUvarint(b, uint64(len(f.Data)))
+	}
+	header := len(fileMagic) + 4
+	binary.BigEndian.PutUint32(b[header-4:], uint32(len(b)-header))
+	for _, f := range p.Files {
+		b = append(b, f.Data...)
+	}
+	return b
 }
 
-// Read parses a package from its on-disk tar format.
+// WriteTo writes the package in the file format. It implements io.WriterTo.
+func (p *Package) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(p.Bytes())
+	return int64(n), err
+}
+
+// Read decodes a package from a stream of unknown length — a file of a tree
+// on disk — by reading all of it.
 func Read(r io.Reader) (*Package, error) {
-	tr := tar.NewReader(r)
-	sized, _ := r.(interface{ Len() int })
-	first, err := tr.Next()
+	body, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("rpm: reading package: %w", err)
 	}
-	if first.Name != metadataEntry {
-		return nil, fmt.Errorf("rpm: first entry is %q, want %q", first.Name, metadataEntry)
+	return Decode(body)
+}
+
+// Decode parses a package from the bytes of its file, which may be a peer's:
+// every length and count is a claim, tested against the bytes left before it
+// sizes anything, and the payload digest is recomputed. The package shares no
+// memory with body — the header is copied once and every string is a piece of
+// the copy, the payload once and every file's data a piece of that — so the
+// caller may reuse body at once. What Decode accepts, Bytes encodes back to
+// the same bytes.
+func Decode(body []byte) (*Package, error) {
+	rest, ok := bytes.CutPrefix(body, []byte(fileMagic))
+	if !ok {
+		return nil, fmt.Errorf("rpm: %w", ErrFormat)
 	}
-	var hdr struct {
-		Metadata
-		PostScript    string   `json:"post_script"`
-		BuildRequires []string `json:"build_requires"`
+	if len(rest) < 4 {
+		return nil, errors.New("rpm: package cut short before its header")
 	}
-	if err := json.NewDecoder(tr).Decode(&hdr); err != nil {
-		return nil, fmt.Errorf("rpm: decoding metadata: %w", err)
+	end := 4 + int64(binary.BigEndian.Uint32(rest))
+	if end > int64(len(rest)) {
+		return nil, fmt.Errorf("rpm: header claims %d bytes, %d left in the package", end-4, len(rest)-4)
 	}
-	p := &Package{Metadata: hdr.Metadata, PostScript: hdr.PostScript, BuildRequires: hdr.BuildRequires}
-	for {
-		th, err := tr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("rpm: reading payload: %w", err)
-		}
-		data, err := readPayload(tr, th.Size, sized)
-		if err != nil {
-			return nil, fmt.Errorf("rpm: reading payload %q: %w", th.Name, err)
-		}
-		p.Files = append(p.Files, FileEntry{
-			Path: strings.TrimPrefix(th.Name, "payload"),
-			Mode: uint32(th.Mode),
-			Data: data,
-		})
+	h, payload := header{s: string(rest[4:end])}, rest[end:]
+	p := &Package{}
+	p.Name = h.str("name")
+	p.Version.Epoch = int(h.uvarint("epoch"))
+	p.Version.Version, p.Version.Release = h.str("version"), h.str("release")
+	p.Arch, p.Summary = h.str("architecture"), h.str("summary")
+	p.Size = int64(h.uvarint("size"))
+	p.Requires, p.Source = h.list("requires"), h.str("source")
+	p.Digest, p.PostScript = h.str("digest"), h.str("post script")
+	p.BuildRequires = h.list("build requires")
+	// A file costs the header at least three bytes: path length, mode, length.
+	if n := h.length("file table", 3); n > 0 {
+		p.Files = make([]FileEntry, n)
 	}
-	if p.Digest != "" {
-		if got := PayloadDigest(p.Files); got != p.Digest {
-			return nil, fmt.Errorf("rpm: %s: payload digest mismatch (corrupted package)", p.NVRA())
+	for i := range p.Files {
+		f := &p.Files[i]
+		f.Path = h.str("file path")
+		mode, n := h.uvarint("file mode"), h.uvarint("file length")
+		switch {
+		case h.err != nil:
+			return nil, h.err
+		case mode == 0 || mode > math.MaxUint32:
+			return nil, fmt.Errorf("rpm: file %q has mode %#o, which the encoder does not write", f.Path, mode)
+		case n > uint64(len(payload)):
+			return nil, fmt.Errorf("rpm: file %q claims %d bytes, %d left in the package", f.Path, n, len(payload))
 		}
+		// Data aliases body until the whole package has been checked.
+		f.Mode, f.Data, payload = uint32(mode), payload[:n], payload[n:]
+	}
+	switch {
+	case h.err != nil:
+		return nil, h.err
+	case len(h.s) > 0 || len(payload) > 0:
+		return nil, fmt.Errorf("rpm: %d bytes of header and %d of payload after the last file", len(h.s), len(payload))
+	case p.Digest != PayloadDigest(p.Files):
+		return nil, fmt.Errorf("rpm: %s: payload digest mismatch (corrupted package)", p.NVRA())
+	}
+	kept := bytes.Clone(rest[end:])
+	for i := range p.Files {
+		n := len(p.Files[i].Data)
+		p.Files[i].Data, kept = kept[:n:n], kept[n:]
 	}
 	return p, nil
 }
 
-// readPayload reads the payload file the tar reader stands at. A source that
-// can say how many bytes it has left (a fetched body held in memory) gets one
-// buffer of the size the file's header claims — once the claim is known to
-// fit in what is left, so a forged or torn header costs an error and never an
-// allocation of the size it names. A stream of unknown length (a file of a
-// tree on disk) is read as its bytes arrive.
-func readPayload(tr *tar.Reader, size int64, sized interface{ Len() int }) ([]byte, error) {
-	if sized == nil {
-		return io.ReadAll(tr)
+// header is what is left to read of a header and the first thing wrong with
+// it; after a failure every read returns zero.
+type header struct {
+	s   string
+	err error
+}
+
+// uvarint reads one number, spelled the one way the encoder spells it: one
+// padded with zero groups is refused.
+func (h *header) uvarint(what string) uint64 {
+	v, n := binary.Uvarint([]byte(h.s[:min(len(h.s), binary.MaxVarintLen64)]))
+	if n <= 0 || n > 1 && h.s[n-1] == 0 {
+		if h.err == nil {
+			h.err = fmt.Errorf("rpm: %s: number cut short or misspelled", what)
+		}
+		h.s = ""
+		return 0
 	}
-	if left := int64(sized.Len()); size > left {
-		return nil, fmt.Errorf("header claims %d bytes, %d left in the package", size, left)
+	h.s = h.s[n:]
+	return v
+}
+
+// length reads how many entries of at least each bytes follow: one the bytes
+// left cannot hold is refused before it sizes anything.
+func (h *header) length(what string, each int) int {
+	n := h.uvarint(what)
+	if n > uint64(len(h.s)/each) {
+		h.s, h.err = "", fmt.Errorf("rpm: %s claims %d, %d bytes left in the header", what, n, len(h.s))
+		return 0
 	}
-	data := make([]byte, size)
-	_, err := io.ReadFull(tr, data)
-	return data, err
+	return int(n)
+}
+
+// str reads one string, a piece of the header's copy.
+func (h *header) str(what string) string {
+	s := h.s[:h.length(what, 1)]
+	h.s = h.s[len(s):]
+	return s
+}
+
+// list reads one list of strings.
+func (h *header) list(what string) (l []string) {
+	if n := h.length(what, 1); n > 0 {
+		l = make([]string, n)
+	}
+	for i := range l {
+		l[i] = h.str(what)
+	}
+	return l
 }
 
 // PayloadDigest computes the canonical SHA-256 over a payload: file paths,
-// modes, and contents in path order.
+// modes (unset read as 0644), and contents in path order.
 func PayloadDigest(files []FileEntry) string {
-	sorted := append([]FileEntry(nil), files...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
+	byPath := func(a, b FileEntry) int { return strings.Compare(a.Path, b.Path) }
+	if !slices.IsSortedFunc(files, byPath) {
+		// Only files not listed in path order already pay for a sorted copy.
+		files = slices.Clone(files)
+		slices.SortStableFunc(files, byPath)
+	}
 	h := sha256.New()
-	for _, f := range sorted {
-		mode := f.Mode
-		if mode == 0 {
-			mode = 0o644 // the default the tar writer applies
-		}
-		fmt.Fprintf(h, "%s\x00%o\x00%d\x00", f.Path, mode, len(f.Data))
+	line := make([]byte, 0, 128) // path NUL mode-in-octal NUL length NUL
+	for _, f := range files {
+		line = append(append(line[:0], f.Path...), 0)
+		line = append(strconv.AppendUint(line, uint64(cmp.Or(f.Mode, 0o644)), 8), 0)
+		line = append(strconv.AppendInt(line, int64(len(f.Data)), 10), 0)
+		h.Write(line)
 		h.Write(f.Data)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // EnsureDigest returns the package's payload digest, computing and stamping
@@ -242,17 +334,6 @@ func (p *Package) EnsureDigest() string {
 	return p.Digest
 }
 
-// Bytes serializes the package to a byte slice.
-func (p *Package) Bytes() []byte {
-	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		// Writing to a bytes.Buffer cannot fail; a failure here means the
-		// package itself is malformed beyond repair.
-		panic("rpm: serializing package: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
 // SortMetadata orders package descriptions by name, then by version (oldest
 // first), then by architecture, giving repositories a stable listing order.
 func SortMetadata(ms []Metadata) {
@@ -265,31 +346,4 @@ func SortMetadata(ms []Metadata) {
 		}
 		return ms[i].Arch < ms[j].Arch
 	})
-}
-
-func writeTarFile(tw *tar.Writer, name string, mode uint32, data []byte) error {
-	if mode == 0 {
-		mode = 0o644
-	}
-	if err := tw.WriteHeader(&tar.Header{
-		Name:    name,
-		Mode:    int64(mode),
-		Size:    int64(len(data)),
-		ModTime: time.Unix(0, 0), // fixed timestamp keeps package bytes deterministic
-	}); err != nil {
-		return err
-	}
-	_, err := tw.Write(data)
-	return err
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

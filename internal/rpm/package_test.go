@@ -148,7 +148,7 @@ func TestPackageBytesDeterministic(t *testing.T) {
 
 func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("this is not a package")); err == nil {
-		t.Error("Read should reject non-tar input")
+		t.Error("Read should reject input that is not a package")
 	}
 }
 
@@ -188,8 +188,8 @@ func TestPayloadDigestVerification(t *testing.T) {
 	if q.Digest == "" || q.Digest != PayloadDigest(q.Files) {
 		t.Errorf("digest = %q", q.Digest)
 	}
-	// Flip one payload byte (tar data blocks have no checksum of their
-	// own): the digest check must catch it.
+	// Flip one payload byte (the payload has no checksum of its own): the
+	// digest check must catch it.
 	idx := bytes.Index(raw, []byte("the real library bytes"))
 	if idx < 0 {
 		t.Fatal("payload not found in raw package")
@@ -210,5 +210,23 @@ func TestPayloadDigestOrderIndependent(t *testing.T) {
 	}
 	if PayloadDigest(a) == PayloadDigest(a[:1]) {
 		t.Error("different payloads should differ")
+	}
+}
+
+// TestPayloadDigestPinned holds PayloadDigest to literal values computed
+// before the encoding changed: every manifest, delta mirror and tree on disk
+// keys on this hash, so however it is computed it must stay this function of
+// (path, mode with 0 read as 0644, length, bytes) in path order.
+func TestPayloadDigestPinned(t *testing.T) {
+	files := []FileEntry{
+		{Path: "/usr/sbin/dhcpd", Mode: 0o755, Data: []byte("#!binary dhcpd")},
+		{Path: "/etc/sysconfig/dhcpd", Data: []byte("DHCPD_INTERFACES=\"\"\n")},
+		{Path: "/etc/empty", Mode: 0o600},
+	}
+	if got, want := PayloadDigest(files), "936ed7f06c1e6573537c42916b34ae2181f14b17578780c4f0d4234456278b8e"; got != want {
+		t.Errorf("PayloadDigest = %s, want %s", got, want)
+	}
+	if got, want := PayloadDigest(nil), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"; got != want {
+		t.Errorf("PayloadDigest of no files = %s, want %s", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -22,6 +23,9 @@ type Repository struct {
 	name   string
 	byName map[string][]*entry // every version of a name, unsorted
 	byNVRA map[string]*entry
+	// sorted is every package in NVRA order, a manifest's. Add and Remove
+	// build its successor and never write into it, so Sorted hands it out.
+	sorted []*Package
 }
 
 // entry is one stored package together with its wire encoding. The encoding
@@ -61,7 +65,14 @@ func (r *Repository) Add(p *Package) {
 	p.EnsureDigest()
 	nvra := p.NVRA()
 	e := &entry{pkg: p}
-	if old := r.byNVRA[nvra]; old != nil && old.pkg.Name == p.Name {
+	old := r.byNVRA[nvra]
+	i := r.position(nvra)
+	next := append(append(make([]*Package, 0, len(r.sorted)+1), r.sorted[:i]...), p)
+	if old != nil {
+		i++ // p takes old's place
+	}
+	r.sorted = append(next, r.sorted[i:]...)
+	if old != nil && old.pkg.Name == p.Name {
 		list := r.byName[p.Name]
 		list[slices.Index(list, old)] = e
 	} else {
@@ -72,6 +83,15 @@ func (r *Repository) Add(p *Package) {
 		r.byName[p.Name] = append(r.byName[p.Name], e)
 	}
 	r.byNVRA[nvra] = e
+}
+
+// position finds where the package with the given NVRA stands, or would
+// stand, in sorted. Callers hold the lock.
+func (r *Repository) position(nvra string) int {
+	i, _ := slices.BinarySearchFunc(r.sorted, nvra, func(p *Package, nvra string) int {
+		return strings.Compare(p.NVRA(), nvra)
+	})
+	return i
 }
 
 // unlink takes an entry out of its name's list. Callers hold the write lock.
@@ -97,6 +117,8 @@ func (r *Repository) Remove(nvra string) bool {
 	}
 	delete(r.byNVRA, nvra)
 	r.unlink(e)
+	i := r.position(nvra)
+	r.sorted = slices.Delete(slices.Clone(r.sorted), i, i+1)
 	return true
 }
 
@@ -203,6 +225,14 @@ func (r *Repository) All() []*Package {
 		return a.Arch < b.Arch
 	})
 	return out
+}
+
+// Sorted returns every package in NVRA order — its manifest's — without
+// copying or sorting. The slice is never written again; callers must not.
+func (r *Repository) Sorted() []*Package {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.sorted
 }
 
 // Len reports the number of packages (all versions counted) in the

@@ -346,3 +346,41 @@ func TestRepositoryNVRASharedByTwoNames(t *testing.T) {
 		t.Fatalf("after Remove: Len = %d, Names = %v", r.Len(), r.Names())
 	}
 }
+
+// TestRepositorySortedView: Sorted is every package in NVRA order after any
+// sequence of adds, replacements and removals, with nothing sorted per call,
+// and a view handed out earlier is never written again — a manifest being
+// built from it does not see a half-applied Add.
+func TestRepositorySortedView(t *testing.T) {
+	names := []string{"glibc", "kernel", "kernel-smp", "a", "a-1"}
+	versions := []string{"1.0", "1-2", "2", "10.0"}
+	rng := rand.New(rand.NewSource(7))
+	pick := func(from []string) string { return from[rng.Intn(len(from))] }
+	repo, ref := NewRepository("r"), map[string]*Package{}
+	for step := 0; step < 2000; step++ {
+		held := repo.Sorted()
+		before := append([]*Package(nil), held...)
+		p := New(pick(names), v(pick(versions), pick([]string{"1", "3"})), pick([]string{ArchI386, ArchNoarch}))
+		if rng.Intn(3) == 0 {
+			repo.Remove(p.NVRA())
+			delete(ref, p.NVRA())
+		} else {
+			repo.Add(p)
+			ref[p.NVRA()] = p
+		}
+		for i := range before {
+			if held[i] != before[i] {
+				t.Fatalf("step %d: a view handed out before the change was written to at %d", step, i)
+			}
+		}
+		view := repo.Sorted()
+		if len(view) != len(ref) || len(view) != repo.Len() {
+			t.Fatalf("step %d: Sorted holds %d packages, the repository %d, the reference %d", step, len(view), repo.Len(), len(ref))
+		}
+		for i, q := range view {
+			if ref[q.NVRA()] != q || i > 0 && view[i-1].NVRA() >= q.NVRA() {
+				t.Fatalf("step %d: Sorted[%d] = %s after %s: stale or out of order", step, i, q.NVRA(), view[max(i-1, 0)].NVRA())
+			}
+		}
+	}
+}

@@ -1,8 +1,9 @@
 // Package rpm implements the package-management substrate that Rocks builds
 // on: versioned binary packages (name-version-release-arch), the rpmvercmp
 // version-ordering algorithm used to decide which of two packages is newer,
-// an on-disk package file format, repositories, and a per-node database of
-// installed packages.
+// a binary package file format (a header and a payload, one encoder and one
+// decoder: package.go), repositories, and a per-node database of installed
+// packages.
 //
 // The paper's management strategy (§5) rests on three rules, the first of
 // which is "all software deployed on Rocks clusters are in RPMs". This

@@ -10,7 +10,14 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"rocks/internal/lifecycle"
 )
+
+// Backlog is how many messages a collector keeps for retrospective reads: a
+// frontend logs about five lines per install for as long as it runs, and what
+// is read back is the recent past.
+const Backlog = 4096
 
 // Message is one syslog entry.
 type Message struct {
@@ -29,7 +36,7 @@ func (m Message) String() string {
 // for concurrent use.
 type Collector struct {
 	mu   sync.Mutex
-	msgs []Message
+	msgs lifecycle.Ring[Message] // the newest Backlog messages, under mu
 	subs map[int]chan Message
 	next int
 	seq  int64
@@ -37,7 +44,7 @@ type Collector struct {
 
 // New creates an empty collector.
 func New() *Collector {
-	return &Collector{subs: make(map[int]chan Message)}
+	return &Collector{msgs: lifecycle.NewRing[Message](Backlog), subs: make(map[int]chan Message)}
 }
 
 // Log records a message and delivers it to all subscribers. Slow
@@ -47,7 +54,7 @@ func (c *Collector) Log(host, tag, format string, args ...interface{}) {
 	c.mu.Lock()
 	c.seq++
 	m := Message{Seq: c.seq, Host: host, Tag: tag, Text: fmt.Sprintf(format, args...)}
-	c.msgs = append(c.msgs, m)
+	c.msgs.Push(m)
 	for _, ch := range c.subs {
 		select {
 		case ch <- m:
@@ -77,24 +84,22 @@ func (c *Collector) Subscribe() (<-chan Message, func()) {
 	}
 }
 
-// Messages returns a copy of everything logged so far.
-func (c *Collector) Messages() []Message {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Message(nil), c.msgs...)
-}
+// Messages returns a copy of the backlog, oldest first.
+func (c *Collector) Messages() []Message { return c.Grep("") }
 
-// Grep returns logged messages whose text contains substr, oldest first.
+// Grep returns the backlog's messages whose text contains substr, oldest
+// first.
 func (c *Collector) Grep(substr string) []Message {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []Message
-	for _, m := range c.msgs {
-		if strings.Contains(m.Text, substr) {
-			out = append(out, m)
-		}
-	}
-	return out
+	return c.msgs.Select(0, func(m *Message) bool { return strings.Contains(m.Text, substr) })
+}
+
+// Evicted counts messages the backlog has let go to make room for newer ones.
+func (c *Collector) Evicted() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.msgs.Evicted()
 }
 
 // WaitFor polls until a logged message satisfies pred or the timeout

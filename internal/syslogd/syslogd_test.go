@@ -1,6 +1,8 @@
 package syslogd
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -142,4 +144,44 @@ func TestConcurrentLoggers(t *testing.T) {
 		}
 		seen[m.Seq] = true
 	}
+}
+
+// TestBacklogIsBounded: a frontend logs a few lines per install for as long
+// as it runs, so what the collector keeps cannot be everything. After 100 000
+// messages it holds the newest Backlog of them, in order, says how many it let
+// go, and its live heap is that of a collector that logged a tenth as many.
+func TestBacklogIsBounded(t *testing.T) {
+	liveAfter := func(n int) (*Collector, uint64) {
+		c := New()
+		for i := 0; i < n; i++ {
+			c.Log("frontend-0", "kickstart.cgi", "served compute-0-%d profile, message %d", i%256, i)
+		}
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return c, m.HeapAlloc
+	}
+	small, tenth := liveAfter(10_000)
+	c, full := liveAfter(100_000)
+	msgs := c.Messages()
+	if len(msgs) != Backlog || c.Evicted() != 100_000-Backlog {
+		t.Fatalf("kept %d messages and evicted %d of 100000, want %d kept", len(msgs), c.Evicted(), Backlog)
+	}
+	for i, m := range msgs {
+		n := 100_000 - Backlog + i
+		if m.Seq != int64(n+1) || !strings.HasSuffix(m.Text, fmt.Sprintf("message %d", n)) {
+			t.Fatalf("message %d of the backlog is seq %d %q, want the %dth logged", i, m.Seq, m.Text, n)
+		}
+	}
+	if got := c.Grep("message 99999"); len(got) != 1 {
+		t.Errorf("Grep found the newest message %d times", len(got))
+	}
+	if _, ok := c.WaitFor(func(m Message) bool { return strings.HasSuffix(m.Text, "message 0") }, time.Millisecond); ok {
+		t.Error("WaitFor's backlog pass found a message the backlog let go")
+	}
+	// Ten times the messages: unbounded, about 9 MB more live; bounded, none.
+	if full > tenth+1<<20 {
+		t.Errorf("live heap %d bytes after 100000 messages, %d after 10000", full, tenth)
+	}
+	runtime.KeepAlive(small)
 }

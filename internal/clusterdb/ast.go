@@ -3,6 +3,8 @@ package clusterdb
 // The statement and expression AST produced by the parser and consumed by
 // the executor.
 
+import "regexp"
+
 type statement interface{ stmt() }
 
 type createTableStmt struct {
@@ -78,6 +80,7 @@ type expr interface{ exprNode() }
 type binaryExpr struct {
 	op   string // "and" "or" "=" "!=" "<" ">" "<=" ">=" "+" "-" "like"
 	l, r expr
+	rx   map[string]*regexp.Regexp // a bound LIKE's compiled patterns, by their text
 }
 
 type notExpr struct{ x expr }

@@ -119,7 +119,8 @@ func (r *Result) Strings() []string {
 
 // Format renders the result as the ASCII table the paper prints (Tables II
 // and III): a header row of column names and one row per tuple, columns
-// padded to their widest member.
+// padded to their widest member. One pass over the values finds the widths,
+// a second appends them; no cell becomes a string on the way.
 func (r *Result) Format() string {
 	if len(r.Columns) == 0 {
 		return fmt.Sprintf("OK, %d row(s) affected\n", r.Affected)
@@ -128,35 +129,38 @@ func (r *Result) Format() string {
 	for i, c := range r.Columns {
 		widths[i] = len(c)
 	}
-	cells := make([][]string, len(r.Rows))
-	for ri, row := range r.Rows {
-		cells[ri] = make([]string, len(row))
-		for ci, v := range row {
-			s := v.String()
-			cells[ri][ci] = s
-			if ci < len(widths) && len(s) > widths[ci] {
-				widths[ci] = len(s)
-			}
+	var cell []byte
+	for _, row := range r.Rows {
+		for i, v := range row {
+			cell = v.appendText(cell[:0])
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
-	var b strings.Builder
-	writeRow := func(fields []string) {
-		for i, f := range fields {
-			if i > 0 {
-				b.WriteString("  ")
+	line := 0 // a full row's length: every column padded, two spaces between, a newline
+	for _, w := range widths {
+		line += w + 2
+	}
+	const spaces = "                                "
+	b := make([]byte, 0, line*(len(r.Rows)+1))
+	for ri := -1; ri < len(r.Rows); ri++ { // -1 is the header
+		n := len(r.Columns)
+		if ri >= 0 {
+			n = len(r.Rows[ri])
+		}
+		for i := 0; i < n; i++ {
+			from := len(b)
+			if ri < 0 {
+				b = append(b, r.Columns[i]...)
+			} else {
+				b = r.Rows[ri][i].appendText(b)
 			}
-			b.WriteString(f)
-			if pad := widths[i] - len(f); pad > 0 && i < len(fields)-1 {
-				b.WriteString(strings.Repeat(" ", pad))
+			for pad := from + widths[i] + 2 - len(b); pad > 0 && i < n-1; pad -= len(spaces) {
+				b = append(b, spaces[:min(pad, len(spaces))]...)
 			}
 		}
-		b.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	writeRow(r.Columns)
-	for _, row := range cells {
-		writeRow(row)
-	}
-	return b.String()
+	return text(b)
 }
 
 // Exec parses and executes any supported statement.
@@ -344,7 +348,7 @@ func (d *Database) insertRows(s insertStmt, bulk bool) (*Result, error) {
 			row[i] = NullValue()
 		}
 		for i, ex := range exprs {
-			v, err := evalConst(ex)
+			v, err := eval(bound(ex, nil), &rowEnv{}) // no row to read: a name here names nothing
 			if err != nil {
 				return nil, err
 			}
@@ -375,6 +379,10 @@ func (d *Database) execUpdate(s updateStmt) (*Result, error) {
 		return nil, fmt.Errorf("clusterdb: no such table %q", s.table)
 	}
 	env := &rowEnv{tables: []*boundTable{{alias: s.table, t: t}}}
+	where, vals := bound(s.where, env.tables), make([]expr, len(s.sets))
+	for i, set := range s.sets {
+		vals[i] = bound(set.val, env.tables)
+	}
 	affected := 0
 	// Rows already updated stay updated when a later row errors, so the
 	// cursor rebuild must run on every way out.
@@ -386,7 +394,7 @@ func (d *Database) execUpdate(s updateStmt) (*Result, error) {
 	}()
 	for ri := range t.rows {
 		env.rows = [][]Value{t.rows[ri]}
-		match, err := holds(s.where, env)
+		match, err := holds(where, env)
 		if err != nil {
 			return nil, err
 		}
@@ -398,12 +406,12 @@ func (d *Database) execUpdate(s updateStmt) (*Result, error) {
 		// same visibility the old in-place update gave.
 		staged := append([]Value(nil), t.rows[ri]...)
 		env.rows = [][]Value{staged}
-		for _, set := range s.sets {
+		for i, set := range s.sets {
 			ci := t.colIndex(set.col)
 			if ci < 0 {
 				return nil, fmt.Errorf("clusterdb: table %q has no column %q", s.table, set.col)
 			}
-			v, err := eval(set.val, env)
+			v, err := eval(vals[i], env)
 			if err != nil {
 				return nil, err
 			}
@@ -432,13 +440,14 @@ func (d *Database) execDelete(s deleteStmt) (*Result, error) {
 		return nil, fmt.Errorf("clusterdb: no such table %q", s.table)
 	}
 	env := &rowEnv{tables: []*boundTable{{alias: s.table, t: t}}, rows: make([][]Value, 1)}
+	where := bound(s.where, env.tables)
 	// Decide, then move: the survivors collect in a slice of their own, so a
 	// WHERE that fails on a later row returns with the rows, the indexes and
 	// the allocation cursor exactly as they were.
 	kept := make([][]Value, 0, len(t.rows))
 	for _, row := range t.rows {
 		env.rows[0] = row
-		doomed, err := holds(s.where, env)
+		doomed, err := holds(where, env)
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package clusterdb
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -41,21 +42,37 @@ type tableView struct {
 	rows [][]Value
 }
 
-// view snapshots every table, in name order, under one hold of the read
-// lock. It reuses dst's storage.
-func (d *Database) view(dst []tableView) []tableView {
+// view snapshots the named tables that exist, or with no names every table in
+// name order, under one hold of the read lock. It reuses dst's storage.
+func (d *Database) view(dst []tableView, names ...string) []tableView {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	names := d.tableNamesLocked()
+	if names == nil {
+		names = d.tableNamesLocked()
+	}
 	for len(dst) < len(names) {
 		dst = append(dst, tableView{})
 	}
-	dst = dst[:len(names)]
-	for i, name := range names {
-		t := d.tables[name]
-		dst[i] = tableView{t: t, rows: append(dst[i].rows[:0], t.rows...)}
+	n := 0
+	for _, name := range names {
+		if t, ok := d.tables[name]; ok {
+			dst[n] = tableView{t: t, rows: append(dst[n].rows[:0], t.rows...)}
+			n++
+		}
 	}
-	return dst
+	return dst[:n]
+}
+
+// inIDOrder returns the view's rows in id order: the ORDER BY id every report
+// and listing has always had. Storage order is already id order unless ids
+// were inserted out of sequence; only then is the view's copy sorted.
+func (v *tableView) inIDOrder(idCol int) [][]Value {
+	rows := v.rows
+	byID := func(i, j int) bool { return Compare(rows[i][idCol], rows[j][idCol]) < 0 }
+	if !sort.SliceIsSorted(rows, byID) {
+		sort.SliceStable(rows, byID)
+	}
+	return rows
 }
 
 // appendDump appends the SQL text of the viewed tables.

@@ -20,52 +20,89 @@ type boundTable struct {
 	t     *table
 }
 
-// rowEnv is the name-resolution environment for one candidate joined row:
-// rows[i] is the current row of tables[i]. agg, set only while HAVING is
-// evaluated, resolves an aggregate sub-expression to its group's value.
+// rowEnv is one candidate joined row: rows[i] is the current row of
+// tables[i]. agg, set only while HAVING is evaluated, resolves an aggregate
+// sub-expression to its group's value.
 type rowEnv struct {
 	tables []*boundTable
 	rows   [][]Value
 	agg    func(aggExpr) (Value, bool)
 }
 
-// lookup resolves a column reference against the environment. Unqualified
-// names must be unambiguous across the joined tables, mirroring MySQL.
-func (e *rowEnv) lookup(ref columnRef) (Value, error) {
-	found := -1
-	foundCol := -1
-	for ti, bt := range e.tables {
+// slot is a column reference after bind: the joined table and the column
+// within it, or the error the name resolves to, raised when a row evaluates
+// the reference and not before (a query over no rows never sees it).
+type slot struct {
+	ti, ci int
+	err    error
+}
+
+func (slot) exprNode() {}
+
+// resolve finds the slot a column reference names. Unqualified names must be
+// unambiguous across the joined tables, mirroring MySQL.
+func resolve(ref columnRef, tables []*boundTable) slot {
+	found := slot{ti: -1}
+	for ti, bt := range tables {
 		if ref.table != "" && bt.alias != ref.table {
 			continue
 		}
 		if ci := bt.t.colIndex(ref.name); ci >= 0 {
-			if found >= 0 {
-				return Value{}, fmt.Errorf("clusterdb: column %q is ambiguous", ref.name)
+			if found.ti >= 0 {
+				return slot{err: fmt.Errorf("clusterdb: column %q is ambiguous", ref.name)}
 			}
-			found, foundCol = ti, ci
+			found = slot{ti: ti, ci: ci}
 		}
 	}
-	if found < 0 {
-		if ref.table != "" {
-			return Value{}, fmt.Errorf("clusterdb: unknown column %s.%s", ref.table, ref.name)
-		}
-		return Value{}, fmt.Errorf("clusterdb: unknown column %q", ref.name)
+	if found.ti < 0 && ref.table != "" {
+		return slot{err: fmt.Errorf("clusterdb: unknown column %s.%s", ref.table, ref.name)}
 	}
-	return e.rows[found][foundCol], nil
+	if found.ti < 0 {
+		return slot{err: fmt.Errorf("clusterdb: unknown column %q", ref.name)}
+	}
+	return found
 }
 
-// evalConst evaluates an expression with no column references (INSERT
-// values).
-func evalConst(ex expr) (Value, error) {
-	return eval(ex, &rowEnv{})
+// bound rewrites a parsed expression for one execution over tables: every
+// column reference becomes its slot and every LIKE gets a memo for its
+// compiled patterns. Only bound expressions are evaluated. The parsed tree
+// belongs to the plan cache and is left alone, and nothing bound outlives the
+// execution, so a table dropped and recreated under one SQL text is resolved
+// afresh. An aggregate's argument is bound by grouped, where it is read.
+func bound(ex expr, tables []*boundTable) expr {
+	switch e := ex.(type) {
+	case columnRef:
+		return resolve(e, tables)
+	case notExpr:
+		return notExpr{bound(e.x, tables)}
+	case isNullExpr:
+		return isNullExpr{bound(e.x, tables), e.neg}
+	case inExpr:
+		list := make([]expr, len(e.list))
+		for i, item := range e.list {
+			list[i] = bound(item, tables)
+		}
+		return inExpr{bound(e.x, tables), list, e.neg}
+	case binaryExpr:
+		e.l, e.r = bound(e.l, tables), bound(e.r, tables)
+		if e.op == "like" {
+			e.rx = map[string]*regexp.Regexp{}
+		}
+		return e
+	}
+	return ex // a literal, an aggregate, or no expression at all
 }
 
+// eval evaluates a bound expression.
 func eval(ex expr, env *rowEnv) (Value, error) {
 	switch e := ex.(type) {
 	case literal:
 		return e.v, nil
-	case columnRef:
-		return env.lookup(e)
+	case slot:
+		if e.err != nil {
+			return Value{}, e.err
+		}
+		return env.rows[e.ti][e.ci], nil
 	case notExpr:
 		v, err := eval(e.x, env)
 		if err != nil {
@@ -180,11 +217,11 @@ func evalBinary(e binaryExpr, env *rowEnv) (Value, error) {
 		if l.Null || r.Null {
 			return boolValue(false), nil
 		}
-		ok, err := likeMatch(l.String(), r.String())
+		rx, err := likePattern(e.rx, r.String())
 		if err != nil {
 			return Value{}, err
 		}
-		return boolValue(ok), nil
+		return boolValue(rx.MatchString(l.String())), nil
 	case "+", "-":
 		li, lok := l.AsInt()
 		ri, rok := r.AsInt()
@@ -199,9 +236,14 @@ func evalBinary(e binaryExpr, env *rowEnv) (Value, error) {
 	return Value{}, fmt.Errorf("clusterdb: unknown operator %q", e.op)
 }
 
-// likeMatch implements SQL LIKE: % matches any run, _ matches one character;
-// matching is case-insensitive like MySQL's default collation.
-func likeMatch(s, pattern string) (bool, error) {
+// likePattern compiles a LIKE pattern unless memo, the expression's own for
+// this execution, already holds it: % matches any run, _ one character,
+// anything else itself; matching is case-insensitive like MySQL's default
+// collation.
+func likePattern(memo map[string]*regexp.Regexp, pattern string) (*regexp.Regexp, error) {
+	if rx, ok := memo[pattern]; ok {
+		return rx, nil
+	}
 	var re strings.Builder
 	re.WriteString("(?is)^")
 	for _, c := range pattern {
@@ -217,9 +259,10 @@ func likeMatch(s, pattern string) (bool, error) {
 	re.WriteString("$")
 	rx, err := regexp.Compile(re.String())
 	if err != nil {
-		return false, fmt.Errorf("clusterdb: bad LIKE pattern %q: %v", pattern, err)
+		return nil, fmt.Errorf("clusterdb: bad LIKE pattern %q: %v", pattern, err)
 	}
-	return rx.MatchString(s), nil
+	memo[pattern] = rx
+	return rx, nil
 }
 
 // holds reports whether a predicate accepts the environment's current rows;
@@ -236,9 +279,10 @@ func holds(pred expr, env *rowEnv) (bool, error) {
 // query is one SELECT bound to its tables: the row source both consumers
 // (plain and grouped) read through.
 type query struct {
-	s   selectStmt
-	out []outCol
-	env *rowEnv
+	s     selectStmt
+	where expr // s.where, bound
+	out   []outCol
+	env   *rowEnv
 	// The minimal planner's answer when a hash index covers a single-table
 	// equality predicate: the matching row positions of tables[0] in scan
 	// order. Meaningful only when useIndex is set.
@@ -246,10 +290,10 @@ type query struct {
 	useIndex bool
 }
 
-// bind resolves a SELECT's tables and projection and asks the planner for
-// candidates. Callers hold the read lock.
+// bind resolves a SELECT's tables, projection and WHERE and asks the planner,
+// which reads the WHERE as parsed, for candidates. Callers hold the read lock.
 func (d *Database) bind(s selectStmt) (*query, error) {
-	bound := make([]*boundTable, 0, len(s.tables))
+	tables := make([]*boundTable, 0, len(s.tables))
 	seen := map[string]bool{}
 	for _, ref := range s.tables {
 		t, ok := d.tables[ref.name]
@@ -260,19 +304,19 @@ func (d *Database) bind(s selectStmt) (*query, error) {
 			return nil, fmt.Errorf("clusterdb: duplicate table alias %q", ref.alias)
 		}
 		seen[ref.alias] = true
-		bound = append(bound, &boundTable{alias: ref.alias, t: t})
+		tables = append(tables, &boundTable{alias: ref.alias, t: t})
 	}
 
 	// Expand the projection list.
 	var out []outCol
 	for _, item := range s.items {
 		if item.star {
-			for _, bt := range bound {
+			for ti, bt := range tables {
 				if item.table != "" && bt.alias != item.table {
 					continue
 				}
-				for _, c := range bt.t.cols {
-					out = append(out, outCol{name: c.Name, ex: columnRef{table: bt.alias, name: c.Name}})
+				for ci, c := range bt.t.cols {
+					out = append(out, outCol{name: c.Name, ex: slot{ti: ti, ci: ci}})
 				}
 			}
 			if item.table != "" && !seen[item.table] {
@@ -291,12 +335,12 @@ func (d *Database) bind(s selectStmt) (*query, error) {
 				name = "expr"
 			}
 		}
-		out = append(out, outCol{name: name, ex: item.ex})
+		out = append(out, outCol{name: name, ex: bound(item.ex, tables)})
 	}
 
-	q := &query{s: s, out: out, env: &rowEnv{tables: bound, rows: make([][]Value, len(bound))}}
-	if d.indexRouting.Load() && len(bound) == 1 {
-		q.cand, q.useIndex = indexCandidates(bound[0], s.where)
+	q := &query{s: s, where: bound(s.where, tables), out: out, env: &rowEnv{tables: tables, rows: make([][]Value, len(tables))}}
+	if d.indexRouting.Load() && len(tables) == 1 {
+		q.cand, q.useIndex = indexCandidates(tables[0], s.where)
 	}
 	if q.useIndex {
 		d.indexSelects.Add(1)
@@ -315,7 +359,7 @@ func (q *query) each(visit func() error) error {
 	var loop func(int) error
 	loop = func(depth int) error {
 		if depth == len(q.env.tables) {
-			ok, err := holds(q.s.where, q.env)
+			ok, err := holds(q.where, q.env)
 			if err != nil || !ok {
 				return err
 			}
@@ -382,7 +426,7 @@ func (q *query) plain() ([][]Value, error) {
 		exprs = append(exprs, oc.ex)
 	}
 	for _, k := range s.orderBy {
-		exprs = append(exprs, k.ex)
+		exprs = append(exprs, bound(k.ex, q.env.tables))
 	}
 	var rows [][]Value
 	err := q.each(func() error {
@@ -450,13 +494,14 @@ type aggState struct {
 	seen     bool
 }
 
-// add folds the environment's current rows into the aggregate.
-func (st *aggState) add(a aggExpr, env *rowEnv) error {
+// add folds the environment's current rows into the aggregate; x is its
+// argument, bound.
+func (st *aggState) add(a aggExpr, x expr, env *rowEnv) error {
 	if a.star {
 		st.count++
 		return nil
 	}
-	v, err := eval(a.x, env)
+	v, err := eval(x, env)
 	if err != nil {
 		return err
 	}
@@ -514,6 +559,19 @@ func (q *query) grouped() ([][]Value, error) {
 			out = append(out, outCol{name: "__having__", ex: a})
 		}
 	}
+	// Keys and aggregate arguments are bound here, where rows are read. The
+	// aggregates themselves stay as parsed, in the select list and in HAVING
+	// alike, which is how HAVING finds the column that accumulated one; a
+	// bare column in HAVING, which sees a group and no row, names nothing.
+	keys, args, having := make([]expr, len(s.groupBy)), make([]expr, len(out)), bound(s.having, nil)
+	for i, g := range s.groupBy {
+		keys[i] = bound(g, q.env.tables)
+	}
+	for i, oc := range out {
+		if a, isAgg := oc.ex.(aggExpr); isAgg {
+			args[i] = bound(a.x, q.env.tables)
+		}
+	}
 	type group struct {
 		key    []Value
 		states []aggState
@@ -537,8 +595,8 @@ func (q *query) grouped() ([][]Value, error) {
 	}
 
 	err := q.each(func() error {
-		key := make([]Value, len(s.groupBy))
-		for i, g := range s.groupBy {
+		key := make([]Value, len(keys))
+		for i, g := range keys {
 			v, err := eval(g, q.env)
 			if err != nil {
 				return err
@@ -561,7 +619,7 @@ func (q *query) grouped() ([][]Value, error) {
 		}
 		for i, oc := range out {
 			if a, isAgg := oc.ex.(aggExpr); isAgg {
-				if err := g.states[i].add(a, q.env); err != nil {
+				if err := g.states[i].add(a, args[i], q.env); err != nil {
 					return err
 				}
 			}
@@ -586,7 +644,7 @@ func (q *query) grouped() ([][]Value, error) {
 	// HAVING sees no row, only its group's aggregates: eval resolves each
 	// aggregate sub-expression to the column that accumulated it.
 	var row []Value
-	having := &rowEnv{agg: func(a aggExpr) (Value, bool) {
+	groupEnv := &rowEnv{agg: func(a aggExpr) (Value, bool) {
 		for i, oc := range out {
 			if reflect.DeepEqual(oc.ex, a) {
 				return row[i], true
@@ -602,7 +660,7 @@ func (q *query) grouped() ([][]Value, error) {
 				row[i] = g.states[i].value(a.fn)
 			}
 		}
-		ok, err := holds(s.having, having)
+		ok, err := holds(having, groupEnv)
 		if err != nil {
 			return nil, fmt.Errorf("clusterdb: HAVING: %w (only aggregates and literals are allowed)", err)
 		}

@@ -2,8 +2,8 @@ package clusterdb
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
+	"unsafe"
 )
 
 // Report generators ("dbreport" in Rocks): each renders a service-specific
@@ -55,34 +55,40 @@ func (d *Database) RenderReports(r *Reports) error {
 	return r.render(reportHosts | reportDHCP | reportPBS)
 }
 
-// renderOne renders a single report for the per-file entry points.
-func renderOne(db *Database, want reportSet) (Reports, error) {
-	r := Reports{views: db.view(nil)}
+// renderOne renders a single report, from a view of the tables it reads, for
+// the per-file entry points.
+func renderOne(db *Database, want reportSet, tables ...string) (Reports, error) {
+	r := Reports{views: db.view(nil, tables...)}
 	err := r.render(want)
 	return r, err
 }
 
+// text hands a buffer over as a string, not a copy of it (a dhcpd.conf is 140
+// bytes a node). Only for a buffer the caller built and lets go of as it
+// returns: nothing may write to it again.
+func text(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
 // HostsReport renders /etc/hosts: localhost, then one line per node with its
 // private address, fully-qualified name, and short name.
 func HostsReport(db *Database) (string, error) {
-	r, err := renderOne(db, reportHosts)
-	return string(r.Hosts), err
+	r, err := renderOne(db, reportHosts, "nodes", "site")
+	return text(r.Hosts), err
 }
 
 // DHCPReport renders /etc/dhcpd.conf: one subnet declaration for the private
 // network and a host block binding every known MAC to its fixed address.
 // Unknown MACs fall through to insert-ethers discovery.
 func DHCPReport(db *Database) (string, error) {
-	r, err := renderOne(db, reportDHCP)
-	return string(r.DHCP), err
+	r, err := renderOne(db, reportDHCP, "nodes", "site")
+	return text(r.DHCP), err
 }
 
 // PBSNodesReport renders the PBS server's nodes file: one line per compute
 // node with its processor count (np=) — the membership join decides what
 // counts as a compute node.
 func PBSNodesReport(db *Database) (string, error) {
-	r, err := renderOne(db, reportPBS)
-	return string(r.PBSNodes), err
+	r, err := renderOne(db, reportPBS, "nodes", "memberships")
+	return text(r.PBSNodes), err
 }
 
 // sized empties b for reuse; a fresh buffer is first given room for n bytes,
@@ -170,6 +176,9 @@ func (r *Reports) render(want reportSet) error {
 		b = append(append(append(b, "\toption domain-name-servers "...), site[2]...), ";\n"...)
 		b = append(append(append(b, "\tnext-server "...), site[2]...), ";\n"...)
 		r.DHCP = append(b, "}\n\n"...)
+		if r.Bound == nil {
+			r.Bound = make([]DHCPHost, 0, len(nodes.rows))
+		}
 		r.Bound = r.Bound[:0]
 	}
 	// computeIDs are the ids of the memberships marked compute='yes': a node
@@ -193,12 +202,8 @@ func (r *Reports) render(want reportSet) error {
 		r.PBSNodes = append(sized(r.PBSNodes, 128+24*len(nodes.rows)), "# PBS nodes file -- generated by dbreport; do not edit by hand\n"...)
 	}
 
-	rows := nodes.rows
-	byID := func(i, j int) bool { return Compare(rows[i][idCol], rows[j][idCol]) < 0 }
-	if !sort.SliceIsSorted(rows, byID) {
-		sort.SliceStable(rows, byID) // the view's copy; the dump is already rendered
-	}
-	for _, row := range rows {
+	// Sorting the view's copy is safe: the dump is already rendered.
+	for _, row := range nodes.inIDOrder(idCol) {
 		mac, name, ip := row[macCol].String(), row[nameCol].String(), row[ipCol].String()
 		if want&reportHosts != 0 && ip != "" {
 			b := append(append(r.Hosts, ip...), '\t')

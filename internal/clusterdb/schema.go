@@ -114,23 +114,31 @@ type Node struct {
 	CPUs       int
 }
 
-func nodeFromRow(row []Value) Node {
+// nodeFromRow reads a Node out of a row whose nodeCols are at positions c.
+func nodeFromRow(row []Value, c []int) Node {
 	geti := func(v Value) int { n, _ := v.AsInt(); return int(n) }
 	return Node{
-		ID:         geti(row[0]),
-		MAC:        row[1].String(),
-		Name:       row[2].String(),
-		Membership: geti(row[3]),
-		Rack:       geti(row[4]),
-		Rank:       geti(row[5]),
-		IP:         row[6].String(),
-		Comment:    row[7].String(),
-		Arch:       row[8].String(),
-		CPUs:       geti(row[9]),
+		ID:         geti(row[c[0]]),
+		MAC:        row[c[1]].String(),
+		Name:       row[c[2]].String(),
+		Membership: geti(row[c[3]]),
+		Rack:       geti(row[c[4]]),
+		Rank:       geti(row[c[5]]),
+		IP:         row[c[6]].String(),
+		Comment:    row[c[7]].String(),
+		Arch:       row[c[8]].String(),
+		CPUs:       geti(row[c[9]]),
 	}
 }
 
 const nodeCols = "id, mac, name, membership, rack, rank, ip, comment, arch, cpus"
+
+// nodeColOrder is where nodeCols are in a row that was selected as nodeCols,
+// and in a stored row of the standard schema.
+var (
+	nodeColNames = strings.Split(nodeCols, ", ")
+	nodeColOrder = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+)
 
 // InsertNode adds a node row, allocating the next ID if n.ID is zero. It
 // returns the stored node (with the allocated ID).
@@ -167,21 +175,51 @@ func InsertNode(db *Database, n Node) (Node, error) {
 // sqlEscape doubles single quotes for embedding in a literal.
 func sqlEscape(s string) string { return strings.ReplaceAll(s, "'", "''") }
 
-// Nodes returns all node rows, optionally filtered by a WHERE fragment
-// (e.g. "membership = 2"), ordered by id.
-func Nodes(db *Database, where string) ([]Node, error) {
-	q := "SELECT " + nodeCols + " FROM nodes"
+// NodeList is node rows in id order, each read into a Node when At asks.
+type NodeList struct {
+	rows [][]Value
+	cols []int // where nodeCols are in a row
+}
+
+// ListNodes reads the nodes table in id order: every row, from one view of
+// the table (counted as the scan it is), or through SQL the rows a WHERE
+// fragment (e.g. "membership = 2") keeps.
+func ListNodes(db *Database, where string) (NodeList, error) {
 	if where != "" {
-		q += " WHERE " + where
+		res, err := db.Query("SELECT " + nodeCols + " FROM nodes WHERE " + where + " ORDER BY id")
+		if err != nil {
+			return NodeList{}, err
+		}
+		return NodeList{res.Rows, nodeColOrder}, nil
 	}
-	q += " ORDER BY id"
-	res, err := db.Query(q)
+	views := db.view(nil, "nodes")
+	if len(views) == 0 {
+		return NodeList{}, fmt.Errorf("clusterdb: no such table %q", "nodes")
+	}
+	cols, err := views[0].columns(nodeColNames...)
+	if err != nil {
+		return NodeList{}, err
+	}
+	db.scanSelects.Add(1)
+	return NodeList{views[0].inIDOrder(cols[0]), cols}, nil
+}
+
+// Len is the number of nodes.
+func (l NodeList) Len() int { return len(l.rows) }
+
+// At returns the i-th node.
+func (l NodeList) At(i int) Node { return nodeFromRow(l.rows[i], l.cols) }
+
+// Nodes returns all node rows, optionally filtered by a WHERE fragment,
+// ordered by id.
+func Nodes(db *Database, where string) ([]Node, error) {
+	list, err := ListNodes(db, where)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Node, 0, len(res.Rows))
-	for _, r := range res.Rows {
-		out = append(out, nodeFromRow(r))
+	out := make([]Node, list.Len())
+	for i := range out {
+		out[i] = list.At(i)
 	}
 	return out, nil
 }
@@ -215,7 +253,7 @@ func oneNodeByCol(db *Database, col, val string) (Node, bool, error) {
 	case 0:
 		return Node{}, false, nil
 	case 1:
-		return nodeFromRow(rows[0]), true, nil
+		return nodeFromRow(rows[0], nodeColOrder), true, nil
 	}
 	return Node{}, false, fmt.Errorf("clusterdb: %d nodes match %s = '%s'; expected at most one",
 		len(rows), col, sqlEscape(val))

@@ -11,7 +11,8 @@
 //
 // There is one executor (exec.go, DESIGN.md §13): every statement that reads
 // rows does it through query.each, the only nested-loop join, and holds, the
-// only predicate test; aggregates accumulate in aggState, an all-aggregate
+// only predicate test, over expressions whose column references bound has
+// resolved once for the execution; aggregates accumulate in aggState, an all-aggregate
 // select list being a GROUP BY over zero keys; and appendKeyPart spells every
 // hash key (index buckets, probes, DISTINCT and GROUP BY identities). A
 // statement that fails leaves rows, indexes and allocation cursor consistent.
@@ -67,6 +68,15 @@ func (v Value) String() string {
 	default:
 		return v.Str
 	}
+}
+
+// appendText appends what String returns, without making a string of an
+// integer's digits.
+func (v Value) appendText(b []byte) []byte {
+	if v.IsInt && !v.Null {
+		return strconv.AppendInt(b, v.Int, 10)
+	}
+	return append(b, v.String()...)
 }
 
 // AsInt coerces the value to an integer; strings parse if numeric.

@@ -12,6 +12,7 @@ import (
 
 	"rocks/internal/clusterdb"
 	"rocks/internal/dist"
+	"rocks/internal/federation"
 	"rocks/internal/hardware"
 	"rocks/internal/lifecycle"
 	"rocks/internal/node"
@@ -80,6 +81,14 @@ type ForkHostResult struct {
 type SQLResponse struct {
 	Result string `json:"result"`
 	Exec   bool   `json:"exec,omitempty"`
+}
+
+func (q SQLResponse) appendJSON(b []byte, flush func([]byte) []byte) []byte {
+	b = federation.AppendJSONString(append(b, `{"result":`...), q.Result, flush)
+	if q.Exec {
+		b = append(b, `,"exec":true`...)
+	}
+	return append(b, '}')
 }
 
 // ReinstallResult reports what a cluster-wide reinstall actually achieved.

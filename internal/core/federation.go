@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -418,30 +419,71 @@ type NodesResponse struct {
 	Deduped int                      `json:"deduped,omitempty"`
 }
 
+// appendJSON renders every field as json.Marshal does, so a parent's merged
+// reply takes the same path as a leaf's.
+func (n NodesResponse) appendJSON(b []byte, flush func([]byte) []byte) []byte {
+	b = federation.AppendJSONString(append(b, `{"shard":`...), n.Shard, nil)
+	if n.Nodes == nil {
+		b = append(b, `,"nodes":null`...)
+	} else {
+		b = append(b, `,"nodes":[`...)
+		for i := range n.Nodes {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = flush(n.Nodes[i].AppendJSON(b))
+		}
+		b = append(b, ']')
+	}
+	b = appendShards(b, n.Shards, n.Partial)
+	if n.Deduped != 0 {
+		b = strconv.AppendInt(append(b, `,"deduped":`...), int64(n.Deduped), 10)
+	}
+	return append(b, '}')
+}
+
+// appendShards appends the provenance fields merged replies share, each
+// omitted when empty. There is a status per child, not per node, so
+// encoding/json renders them.
+func appendShards(b []byte, shards []federation.ShardStatus, partial bool) []byte {
+	if len(shards) > 0 {
+		enc, _ := json.Marshal(shards) // strings, booleans and a count: it cannot fail
+		b = append(append(b, `,"shards":`...), enc...)
+	}
+	if partial {
+		b = append(b, `,"partial":true`...)
+	}
+	return b
+}
+
+// opNodes lists the nodes table in id order, each row joined with the
+// node's live state and the recency a cross-shard merge compares.
 func (c *Cluster) opNodes(r *http.Request) (interface{}, *apiError) {
-	rows, err := clusterdb.Nodes(c.DB, "")
+	list, err := clusterdb.ListNodes(c.DB, "")
 	if err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, "db_error", "%v", err)
 	}
-	// The recency a cross-shard node merge compares.
 	last := c.events.LastEvents()
-	resp := NodesResponse{Shard: c.fed.shard.Name, Nodes: make([]federation.NodeRow, 0, len(rows))}
-	for _, n := range rows {
-		row := federation.NodeRow{
+	resp := NodesResponse{Shard: c.fed.shard.Name, Nodes: make([]federation.NodeRow, list.Len())}
+	// One hold of c.mu for the listing, not one per row; State takes the
+	// node's own lock inside it, the c.mu → node.mu order there has always
+	// been. The reply is written after the hold, by writeV1Data.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range resp.Nodes {
+		n := list.At(i)
+		seen, ok := last[n.MAC]
+		if !ok {
+			seen = last[n.Name]
+		}
+		resp.Nodes[i] = federation.NodeRow{
 			Name: n.Name, MAC: n.MAC, IP: n.IP, Membership: n.Membership,
 			Rack: n.Rack, Rank: n.Rank, Arch: n.Arch, CPUs: n.CPUs,
+			LastSeq: seen.Seq, LastEvent: seen.Time,
 		}
-		c.mu.Lock()
 		if tracked, ok := c.nodes[n.MAC]; ok {
-			row.State = string(tracked.State())
+			resp.Nodes[i].State = string(tracked.State())
 		}
-		c.mu.Unlock()
-		if e, ok := last[n.MAC]; ok {
-			row.LastSeq, row.LastEvent = e.Seq, e.Time
-		} else if e, ok := last[n.Name]; ok {
-			row.LastSeq, row.LastEvent = e.Seq, e.Time
-		}
-		resp.Nodes = append(resp.Nodes, row)
 	}
 	return resp, nil
 }
@@ -542,6 +584,13 @@ type DBReportResponse struct {
 	Kind    string                   `json:"kind"`
 	Shards  []federation.ShardStatus `json:"shards,omitempty"`
 	Partial bool                     `json:"partial,omitempty"`
+}
+
+func (d DBReportResponse) appendJSON(b []byte, flush func([]byte) []byte) []byte {
+	b = federation.AppendJSONString(append(b, `{"shard":`...), d.Shard, nil)
+	b = federation.AppendJSONString(append(b, `,"report":`...), d.Report, flush)
+	b = federation.AppendJSONString(append(b, `,"kind":`...), d.Kind, nil)
+	return append(appendShards(b, d.Shards, d.Partial), '}')
 }
 
 // opDBReport serves the dbreport tool's views over the control plane, so

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"net/http"
+	"sync"
 )
 
 // The /v1 surface wraps every endpoint in one discipline: a JSON envelope
@@ -104,11 +105,60 @@ func auditActor(r *http.Request) string {
 	return "anonymous"
 }
 
+// jsonAppender is a payload that appends its own JSON: the three whose
+// length is the fleet's (nodes, dbreport, sql). Each appends exactly what
+// json.Marshal renders for it (FuzzV1Reply), offering b to flush as it goes:
+// flush hands back a buffer to go on appending to, emptied if it was full.
+// Not json.Marshaler: encoding/json re-scans and compacts whatever a
+// MarshalJSON returns, which for a 400 KB listing was half the handler.
+type jsonAppender interface {
+	appendJSON(b []byte, flush func([]byte) []byte) []byte
+}
+
+// A reply is appended into a buffer of fixed capacity that is written out
+// whenever it passes replyFlushAt, so what a connection holds while it
+// answers does not grow with the fleet. The capacity leaves room for the
+// largest single append between two flushes (an escaped window of a string).
+const (
+	replyFlushAt = 16 << 10
+	replyBufCap  = 32 << 10
+)
+
+var replyBufs = sync.Pool{New: func() any { return new([replyBufCap]byte) }}
+
+// writeV1Data is the one writer of the {"data": ...} envelope. A payload
+// that is not a jsonAppender is rendered by encoding/json, as ever, and its
+// bytes are written from where they are rather than copied through the buffer.
 func writeV1Data(w http.ResponseWriter, v interface{}) {
+	a, appends := v.(jsonAppender)
+	var enc []byte
+	if !appends {
+		var err error
+		if enc, err = json.Marshal(v); err != nil {
+			writeV1Error(w, apiErrorf(http.StatusInternalServerError, "encode_failed", "%v", err))
+			return
+		}
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(struct {
-		Data interface{} `json:"data"`
-	}{v})
+	buf := replyBufs.Get().(*[replyBufCap]byte)
+	// A Write that fails means the client has gone; there is no one to tell.
+	flush := func(b []byte) []byte {
+		if len(b) < replyFlushAt {
+			return b
+		}
+		w.Write(b)
+		return b[:0]
+	}
+	b := append(buf[:0], `{"data":`...)
+	if appends {
+		b = a.appendJSON(b, flush)
+	} else {
+		w.Write(b)
+		w.Write(enc)
+		b = b[:0]
+	}
+	w.Write(append(b, "}\n"...))
+	replyBufs.Put(buf)
 }
 
 func writeV1Error(w http.ResponseWriter, e *apiError) {

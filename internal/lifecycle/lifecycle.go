@@ -266,17 +266,25 @@ func (b *Bus) Recent(f Filter) []Event {
 	return b.ring.Select(f.Limit, f.Matches)
 }
 
-// LastEvents indexes the ring's most recent event per identity — every
-// hostname and every MAC an event carries — reading the ring in place.
-func (b *Bus) LastEvents() map[string]Event {
-	idx := make(map[string]Event)
+// Recency is when an identity was last heard from: the sequence number and
+// time of its newest event still in the ring.
+type Recency struct {
+	Seq  uint64
+	Time time.Time
+}
+
+// LastEvents indexes the recency of every identity the ring still holds an
+// event for — every hostname and every MAC — in one pass from the newest
+// event back, reading the ring in place.
+func (b *Bus) LastEvents() map[string]Recency {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	idx := make(map[string]Recency, b.ring.Len())
 	for i := b.ring.Len() - 1; i >= 0; i-- {
 		e := b.ring.At(i)
 		for _, id := range [2]string{e.Node, e.MAC} {
 			if _, seen := idx[id]; id != "" && !seen {
-				idx[id] = *e
+				idx[id] = Recency{e.Seq, e.Time}
 			}
 		}
 	}

@@ -51,6 +51,33 @@ func refNextID(t *testing.T, db *Database) int {
 	return next
 }
 
+// refNextRank is NextRank as it was before the cursor answered it, kept as
+// the oracle: SELECT the cabinet's ranks, copy the integers into a set and
+// count up from zero to the first one missing.
+func refNextRank(t *testing.T, db *Database, membership, rack int) int {
+	t.Helper()
+	res, err := db.Query(fmt.Sprintf(
+		"SELECT rank FROM nodes WHERE membership = %d AND rack = %d", membership, rack))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := make(map[int]bool, len(res.Rows))
+	for _, row := range res.Rows {
+		if n, isInt := row[0].AsInt(); isInt {
+			ranks[int(n)] = true
+		}
+	}
+	for r := 0; ; r++ {
+		if !ranks[r] {
+			return r
+		}
+	}
+}
+
+// allocRacks and allocMemberships are where TestAllocatorMatchesReference puts
+// its rows; the last of each stays empty, the cabinet nothing was ever in.
+const allocRacks, allocMemberships = 4, 3
+
 // checkAllocator compares the cursor's answers with the references, and
 // checks the answers do not depend on index routing.
 func checkAllocator(t *testing.T, db *Database, step int, op string) {
@@ -62,6 +89,14 @@ func checkAllocator(t *testing.T, db *Database, step int, op string) {
 		if err != nil || ip != wantIP {
 			t.Fatalf("step %d (%s), routing %v: NextFreeIP = %q, %v; reference %q", step, op, routing, ip, err, wantIP)
 		}
+		for m := MembershipCompute; m < MembershipCompute+allocMemberships; m++ {
+			for rack := 0; rack < allocRacks; rack++ {
+				want := refNextRank(t, db, m, rack)
+				if rank, err := NextRank(db, m, rack); err != nil || rank != want {
+					t.Fatalf("step %d (%s), routing %v: NextRank(%d, %d) = %d, %v; reference %d", step, op, routing, m, rack, rank, err, want)
+				}
+			}
+		}
 	}
 	db.SetIndexRouting(true)
 	if id, ok := db.nextNodeID(); !ok || id != wantID {
@@ -71,9 +106,10 @@ func checkAllocator(t *testing.T, db *Database, step int, op string) {
 
 // TestAllocatorMatchesReference drives the nodes table through a seeded
 // random sequence of everything that can move the allocation cursor —
-// allocated and explicit out-of-order inserts, deletes, ip/id/MAC updates,
-// Restore, and close → snapshot load + WAL replay → reopen — and checks
-// after every step that the O(1) answers are the reference scan's.
+// allocated and explicit out-of-order inserts (NULL and negative ranks among
+// them), deletes from the middle of a cabinet, ip/id/MAC/rank/rack/membership
+// updates, Restore, and close → snapshot load + WAL replay → reopen — and
+// checks after every step that the O(1) answers are the reference scans'.
 func TestAllocatorMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -96,7 +132,6 @@ func TestAllocatorMatchesReference(t *testing.T) {
 				serial++
 				n.MAC = fmt.Sprintf("02:00:00:00:%02x:%02x", serial>>8, serial&255)
 				n.Name = fmt.Sprintf("n-%d", serial)
-				n.Membership = MembershipCompute
 				// One insert in four allocates its id by the max(id) scan.
 				db.SetIndexRouting(rng.Intn(4) != 0)
 				defer db.SetIndexRouting(true)
@@ -111,23 +146,52 @@ func TestAllocatorMatchesReference(t *testing.T) {
 				names = append(names, n.Name)
 			}
 			pick := func() string { return names[rng.Intn(len(names))] }
+			// A cabinet that gets rows: the last rack and membership never do.
+			cabinet := func() (membership, rack int) {
+				return MembershipCompute + rng.Intn(allocMemberships-1), rng.Intn(allocRacks - 1)
+			}
 			nearTop := func() string { return fmt.Sprintf("10.255.%d.%d", 255-rng.Intn(2), rng.Intn(256)) }
 			checkAllocator(t, db, 0, "empty")
 			for step := 1; step <= 400; step++ {
 				op := "insert"
-				switch k := rng.Intn(20); {
+				switch k := rng.Intn(24); {
+				case k >= 20 && len(names) > 0:
+					// Whatever the new value, the cursor must match what the
+					// table then holds.
+					col := []string{"rank", "rack", "membership"}[k%3]
+					op = "update " + col
+					val := fmt.Sprint(rng.Intn(6) - 1)
+					if rng.Intn(8) == 0 {
+						val = "NULL"
+					}
+					mustExec(t, db, fmt.Sprintf("UPDATE nodes SET %s = %s WHERE name = '%s'", col, val, pick()))
 				case k < 9 || len(names) == 0: // what insert-ethers does
+					m, rack := cabinet()
+					rank, err := NextRank(db, m, rack)
+					if err != nil {
+						t.Fatal(err)
+					}
 					ip, err := NextFreeIP(db)
 					if err != nil {
 						t.Fatal(err)
 					}
-					insert(Node{IP: ip})
-				case k < 12:
+					insert(Node{Membership: m, Rack: rack, Rank: rank, IP: ip})
+				case k < 11:
 					op = "insert explicit"
-					// Out-of-order id and an address near the top: sometimes a
-					// duplicate (rejected), sometimes below the cursor,
-					// sometimes exactly on it.
-					insert(Node{ID: 1 + rng.Intn(1000), IP: nearTop()})
+					// Out-of-order id and rank (one in four negative) and an
+					// address near the top: sometimes a duplicate (rejected),
+					// sometimes below the cursor, sometimes exactly on it.
+					m, rack := cabinet()
+					insert(Node{ID: 1 + rng.Intn(1000), Membership: m, Rack: rack, Rank: rng.Intn(16) - 4, IP: nearTop()})
+				case k < 12:
+					op = "insert NULL rank"
+					serial++
+					m, rack := cabinet()
+					name := fmt.Sprintf("n-%d", serial)
+					mustExec(t, db, fmt.Sprintf(
+						"INSERT INTO nodes (id, mac, name, membership, rack, rank, ip) VALUES (%d, '02:aa:00:00:%02x:%02x', '%s', %d, %d, NULL, '10.9.%d.%d')",
+						refNextID(t, db), serial>>8, serial&255, name, m, rack, serial>>8, serial&255))
+					names = append(names, name)
 				case k < 14:
 					op = "delete"
 					i := rng.Intn(len(names))
@@ -186,7 +250,8 @@ func TestAllocatorMatchesReference(t *testing.T) {
 
 // TestAllocatorProbesStayConstant pins the O(1) claim by count: once the
 // cursor is past the allocated block, an allocation is one index probe and
-// no scan SELECT, however many addresses are taken.
+// no scan SELECT, however many addresses are taken; and a whole discovery
+// into a cabinet of 255 machines costs what one into a cabinet of 1 does.
 func TestAllocatorProbesStayConstant(t *testing.T) {
 	db := initDB(t)
 	for i := 0; i < 600; i++ {
@@ -208,5 +273,37 @@ func TestAllocatorProbesStayConstant(t *testing.T) {
 		if after.ScanSelects != before.ScanSelects {
 			t.Fatalf("allocation %d ran %d scan SELECTs, want 0", i, after.ScanSelects-before.ScanSelects)
 		}
+	}
+	// A discovery's work does not depend on what its cabinet holds: rack 1
+	// gets 255 machines, rack 2 one. After that a discovery into either runs
+	// one SELECT (the membership's name, through memberships_id), none for the
+	// rank, one nodes_ip probe, and as many allocations as into the other.
+	for i := 0; i < 256; i++ {
+		if _, err := InsertDiscovered(db, Node{MAC: fmt.Sprintf("r%d", i), Membership: MembershipCompute, Rack: 1 + i/255}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serial := 0
+	cost := func(rack int) (counts [4]uint64, allocs float64) {
+		before := db.Stats()
+		const runs = 20
+		allocs = testing.AllocsPerRun(runs, func() {
+			serial++
+			if _, err := InsertDiscovered(db, Node{MAC: fmt.Sprintf("d%d", serial), Membership: MembershipCompute, Rack: rack}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		after := db.Stats()
+		return [4]uint64{after.AllocProbes - before.AllocProbes, after.IndexSelects - before.IndexSelects,
+			after.ScanSelects - before.ScanSelects, after.PlanCacheMisses - before.PlanCacheMisses}, allocs
+	}
+	full, fullAllocs := cost(1)
+	empty, emptyAllocs := cost(2)
+	if want := [4]uint64{21, 21, 0, 0}; full != want || empty != want { // AllocsPerRun warms up with one run more
+		t.Errorf("21 discoveries made {ip probes, index SELECTs, scan SELECTs, parses} %v into the cabinet of 255, %v into the cabinet of 1, want %v", full, empty, want)
+	}
+	t.Logf("a discovery allocates %.0f times into the cabinet of 255, %.0f into the cabinet of 1", fullAllocs, emptyAllocs)
+	if d := fullAllocs - emptyAllocs; d < -2 || d > 2 {
+		t.Errorf("a discovery allocates %.0f times into a cabinet of 255 and %.0f into a cabinet of 1", fullAllocs, emptyAllocs)
 	}
 }

@@ -185,6 +185,13 @@ func (d *Database) Exec(sql string) (*Result, error) {
 func (d *Database) execMutation(sql string, st statement) (*Result, error) {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
+	return d.mutateLocked(sql, st)
+}
+
+// mutateLocked is execMutation under the caller's hold of writeMu: a schema
+// helper chooses a statement's values (the next id, rank and address) and
+// applies it with no writer in between. st is parse(sql), parsed or built.
+func (d *Database) mutateLocked(sql string, st statement) (*Result, error) {
 	if d.dur != nil {
 		if err := d.dur.append(d.changeSeq.Load()+1, sql); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package clusterdb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -88,14 +89,8 @@ func appendDump(b []byte, views []tableView) []byte {
 		}
 		b = append(b, ");\n"...)
 		for _, row := range v.rows {
-			b = append(append(append(b, "INSERT INTO "...), v.t.name...), " VALUES ("...)
-			for i, cell := range row {
-				if i > 0 {
-					b = append(b, ", "...)
-				}
-				b = appendLiteral(b, cell)
-			}
-			b = append(b, ");\n"...)
+			b = append(append(append(b, "INSERT INTO "...), v.t.name...), " VALUES "...)
+			b = append(appendTuple(b, row), ";\n"...)
 		}
 	}
 	return b
@@ -140,6 +135,39 @@ func appendLiteral(b []byte, v Value) []byte {
 		s = s[i+1:]
 	}
 	return append(append(b, s...), '\'')
+}
+
+// appendTuple appends a row as the parenthesized literal list of an INSERT.
+func appendTuple(b []byte, row []Value) []byte {
+	b = append(b, '(')
+	for i, cell := range row {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendLiteral(b, cell)
+	}
+	return append(b, ')')
+}
+
+// literalInsert builds the single-row INSERT of values the caller is holding:
+// the statement parse would produce, and the text it would produce it from.
+// The text is logged and replayed like any other; the lexer and parser are
+// not asked to find the values again. The one integer the dialect cannot spell
+// (the parser reads -n as 0 - n) is refused before anything is logged.
+func literalInsert(table string, cols []string, row []Value) (insertStmt, string, error) {
+	exprs := make([]expr, len(row))
+	for i, v := range row {
+		switch {
+		case v.IsInt && v.Int == math.MinInt64:
+			return insertStmt{}, "", fmt.Errorf("clusterdb: integer %d has no literal", v.Int)
+		case v.IsInt && v.Int < 0:
+			exprs[i] = binaryExpr{op: "-", l: literal{v: IntValue(0)}, r: literal{v: IntValue(-v.Int)}}
+		default:
+			exprs[i] = literal{v: v}
+		}
+	}
+	b := append(make([]byte, 0, 256), "INSERT INTO "+table+" ("+strings.Join(cols, ", ")+") VALUES "...)
+	return insertStmt{table: table, cols: cols, rows: [][]expr{exprs}}, string(appendTuple(b, row)), nil
 }
 
 // sqlLiteral is appendLiteral as a string, for error messages.

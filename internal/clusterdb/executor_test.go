@@ -41,7 +41,7 @@ func checkStructures(t *testing.T, d *Database, when string) {
 		if tb.alloc != nil {
 			fresh := *tb.alloc
 			fresh.rebuild(tb.rows)
-			if fresh != *tb.alloc {
+			if !reflect.DeepEqual(fresh, *tb.alloc) {
 				t.Fatalf("%s: allocation cursor %+v, its rebuild %+v", when, *tb.alloc, fresh)
 			}
 		}

@@ -22,7 +22,11 @@ const fuzzJoinBudget = 5000
 //     identical dumps;
 //   - after every mutation, failing or not, no stored row occupies two
 //     positions, every index equals a rebuild of itself and the allocation
-//     cursor equals its rebuild (checkStructures).
+//     cursor equals its rebuild (checkStructures);
+//   - the script itself, as the text of every text column of a node, gives a
+//     built INSERT whose text is the formatted one and parses back to it
+//     (checkBuiltIsParsed), and InsertNode of it and Exec of that text fail
+//     alike and leave identical dumps.
 //
 // The corpus in testdata/fuzz/FuzzSQL is differentialQueries, the paper's two
 // join queries, the DELETE whose WHERE fails part-way, the HAVING forms and
@@ -48,6 +52,17 @@ func FuzzSQL(f *testing.F) {
 		on, off := seeded(true), seeded(false)
 		sameError := func(a, b error) bool {
 			return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+		}
+		hostile := Node{ID: 7000, MAC: script, Name: script, Membership: MembershipCompute,
+			Rack: len(script) - 40, Rank: len(stmts), IP: script, Comment: script, Arch: script, CPUs: 1}
+		if hostile.Arch == "" {
+			hostile.Arch = "i386" // InsertNode's default, applied before the statement is built
+		}
+		checkBuiltIsParsed(t, hostile)
+		_, builtErr := InsertNode(on, hostile)
+		_, textErr := off.Exec(sprintfInsertNode(hostile))
+		if !sameError(builtErr, textErr) || on.Dump() != off.Dump() {
+			t.Fatalf("InsertNode(%q): %v; Exec of its text: %v; same dumps: %v", script, builtErr, textErr, on.Dump() == off.Dump())
 		}
 		for _, sql := range stmts {
 			st, err := parse(sql)

@@ -11,9 +11,11 @@ import "sync"
 // The cache is generation-capped rather than LRU: statements live in a
 // current map, and when that fills the whole map rotates to "previous" and
 // a fresh current starts. A hit in the previous generation promotes the
-// entry, so the working set survives rotation while one-shot texts (INSERTs
-// with inlined values) age out after at most two generations. This keeps
-// the cache bounded without per-hit bookkeeping.
+// entry, so the working set survives rotation while one-shot texts (an
+// administrator's rocksql statements, a facts report's values) age out after
+// at most two generations. This keeps the cache bounded without per-hit
+// bookkeeping. A discovery's INSERT never comes here: it is built, not
+// parsed (schema.go, insertNodeLocked).
 //
 // Cached statements are shared across goroutines: the executor never
 // mutates an AST, so a parsed statement is immutable after parse() returns.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -143,6 +144,38 @@ var (
 // InsertNode adds a node row, allocating the next ID if n.ID is zero. It
 // returns the stored node (with the allocated ID).
 func InsertNode(db *Database, n Node) (Node, error) {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	return insertNodeLocked(db, n)
+}
+
+// InsertDiscovered is insert-ethers' sequence for a new machine (§6.4) as one
+// operation on the database: n arrives with Name, Rank, IP and ID unset and is
+// stored as <basename>-<rack>-<rank> at the lowest free rank of its
+// (membership, rack), the next free address and the next id. Allocation and
+// insert share one hold of writeMu, so two sessions are never handed the same
+// rank or address.
+func InsertDiscovered(db *Database, n Node) (Node, error) {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	base, err := MembershipBasename(db, n.Membership)
+	if err != nil {
+		return n, err
+	}
+	if n.Rank, err = NextRank(db, n.Membership, n.Rack); err != nil {
+		return n, err
+	}
+	if n.IP, err = NextFreeIP(db); err != nil {
+		return n, err
+	}
+	n.Name = base + "-" + strconv.Itoa(n.Rack) + "-" + strconv.Itoa(n.Rank)
+	return insertNodeLocked(db, n)
+}
+
+// insertNodeLocked is InsertNode under the caller's hold of writeMu. The
+// statement is built from the values in hand, not formatted into SQL for the
+// parser to find them again; its text is what the log keeps and replays.
+func insertNodeLocked(db *Database, n Node) (Node, error) {
 	if n.ID == 0 {
 		id, ok := db.nextNodeID()
 		if !ok {
@@ -165,11 +198,19 @@ func InsertNode(db *Database, n Node) (Node, error) {
 	if n.Arch == "" {
 		n.Arch = "i386"
 	}
-	_, err := db.Exec(fmt.Sprintf(
-		`INSERT INTO nodes (%s) VALUES (%d, '%s', '%s', %d, %d, %d, '%s', '%s', '%s', %d)`,
-		nodeCols, n.ID, sqlEscape(n.MAC), sqlEscape(n.Name), n.Membership,
-		n.Rack, n.Rank, sqlEscape(n.IP), sqlEscape(n.Comment), sqlEscape(n.Arch), n.CPUs))
+	st, text, err := nodeInsert(n)
+	if err == nil {
+		_, err = db.mutateLocked(text, st)
+	}
 	return n, err
+}
+
+// nodeInsert is the INSERT of one nodes row and its text, columns as nodeCols.
+func nodeInsert(n Node) (insertStmt, string, error) {
+	i := func(v int) Value { return IntValue(int64(v)) }
+	return literalInsert("nodes", nodeColNames, []Value{
+		i(n.ID), TextValue(n.MAC), TextValue(n.Name), i(n.Membership), i(n.Rack),
+		i(n.Rank), TextValue(n.IP), TextValue(n.Comment), TextValue(n.Arch), i(n.CPUs)})
 }
 
 // sqlEscape doubles single quotes for embedding in a literal.
@@ -385,10 +426,13 @@ func NextFreeIP(db *Database) (string, error) {
 // NextRank returns the next free rank within a rack for the given
 // membership: insert-ethers names nodes compute-<rack>-<rank> in discovery
 // order (§6.4).
+//
+// The allocation cursor (alloc.go) holds the answer; without it the cabinet
+// is read through the (membership, rack) index and counted.
 func NextRank(db *Database, membership, rack int) (int, error) {
-	// Fetch only the rank column: the (membership, rack) index narrows the
-	// rows and the discovery loop doesn't pay to materialize (and sort)
-	// every sibling node just to find a free number.
+	if rank, ok := db.nextRank(membership, rack); ok {
+		return rank, nil
+	}
 	res, err := db.Query(fmt.Sprintf(
 		"SELECT rank FROM nodes WHERE membership = %d AND rack = %d", membership, rack))
 	if err != nil {

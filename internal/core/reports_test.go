@@ -422,3 +422,64 @@ func TestDiscoveryWorkStaysFlat(t *testing.T) {
 		t.Errorf("nodes table has %d rows (%v), want %d", len(rows), err, racks*perRack+1)
 	}
 }
+
+// TestHostsReadBesideReportPasses: every pass overwrites /etc/hosts in the
+// bytes the last pass left, under the disk's lock, and ReadFile copies out
+// under it — so a reader beside the passes only ever sees one pass's whole
+// file: every line ended, the rack's machines listed 0…k−1 with none torn or
+// repeated. Run under -race.
+func TestHostsReadBesideReportPasses(t *testing.T) {
+	c := newCluster(t)
+	ie, err := c.StartInsertEthers(clusterdb.MembershipCompute, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ie.Stop()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 120; i++ {
+			if err := ie.Discover(fmt.Sprintf("02:cd:00:00:00:%02x", i)); err != nil {
+				t.Errorf("discover %d: %v", i, err)
+			}
+			if err := c.WriteReports(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	most := 0
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		hosts, err := c.Frontend.Disk().ReadFile("/etc/hosts")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(string(hosts), "\n") {
+			t.Fatalf("/etc/hosts does not end in a newline: %q", hosts)
+		}
+		k := 0
+		for _, line := range strings.Split(strings.TrimSuffix(string(hosts), "\n"), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 2 && !strings.HasPrefix(line, "#") && line != "" {
+				t.Fatalf("torn line %q in\n%s", line, hosts)
+			}
+			if len(f) > 0 && strings.HasPrefix(f[len(f)-1], "compute-5-") {
+				if f[len(f)-1] != fmt.Sprintf("compute-5-%d", k) {
+					t.Fatalf("line %q where compute-5-%d belongs in\n%s", line, k, hosts)
+				}
+				k++
+			}
+		}
+		if k < most {
+			t.Fatalf("/etc/hosts went back from %d machines to %d", most, k)
+		}
+		most = k
+	}
+	if most != 120 {
+		t.Fatalf("the last pass listed %d of 120 machines", most)
+	}
+}

@@ -184,30 +184,17 @@ func (ie *InsertEthers) insert(mac string) error {
 		}
 		return nil
 	}
-	base, err := clusterdb.MembershipBasename(cfg.DB, cfg.Membership)
-	if err != nil {
-		return err
-	}
-	rank, err := clusterdb.NextRank(cfg.DB, cfg.Membership, cfg.Rack)
-	if err != nil {
-		return err
-	}
-	ip, err := clusterdb.NextFreeIP(cfg.DB)
-	if err != nil {
-		return err
-	}
-	n := clusterdb.Node{
+	// Name, rank, address and id are the database's to choose, in the same
+	// hold of its write lock as the insert: another session on another rack
+	// cannot be handed the same address.
+	n, err := clusterdb.InsertDiscovered(cfg.DB, clusterdb.Node{
 		MAC:        mac,
-		Name:       fmt.Sprintf("%s-%d-%d", base, cfg.Rack, rank),
 		Membership: cfg.Membership,
 		Rack:       cfg.Rack,
-		Rank:       rank,
-		IP:         ip,
 		Comment:    "Discovered by insert-ethers",
 		Arch:       cfg.Arch,
 		CPUs:       cfg.CPUs,
-	}
-	n, err = clusterdb.InsertNode(cfg.DB, n)
+	})
 	if err != nil {
 		return err
 	}

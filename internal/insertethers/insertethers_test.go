@@ -3,6 +3,7 @@ package insertethers
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -305,5 +306,100 @@ func TestDiscoveryEvents(t *testing.T) {
 	}
 	if len(replaced) != 1 || replaced[0].MAC != "bb:bb:bb:bb:bb:02" {
 		t.Errorf("replaced events = %v", replaced)
+	}
+}
+
+// TestConcurrentSessionsNeverCollide: insert-ethers sessions on different
+// racks — and two on the same rack — discover at once against one durable
+// database. Rank, address and id are allocated in the same hold of the
+// database's write lock as the insert, so no two discoveries are handed the
+// same one: every Discover succeeds, identities are unique, each rack's ranks
+// are exactly 0…n−1, the log holds one record per row, and the database
+// reopens byte-identical. (With allocation and insert under separate holds
+// this failed with "duplicate value … for unique index nodes_ip", and the
+// failing INSERT stayed in the log to fail again on every replay.)
+func TestConcurrentSessionsNeverCollide(t *testing.T) {
+	dir := t.TempDir()
+	opts := clusterdb.Options{SnapshotEvery: -1} // keep every record in the log until Close
+	db, _, err := clusterdb.Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { db.Close() }()
+	if err := clusterdb.InitSchema(db); err != nil {
+		t.Fatal(err)
+	}
+	log := syslogd.New()
+	dhcpd := dhcp.NewServer("frontend-0", log)
+	const perSession = 64
+	racks := []int{0, 1, 2, 3, 4, 4}
+	seeded := db.Stats().WAL.RecordsAppended
+	var wg sync.WaitGroup
+	for s, rack := range racks {
+		ie, err := Start(Config{DB: db, Syslog: log, DHCP: dhcpd, NextServer: "http://10.1.1.1", Rack: rack})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ie.Stop)
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < perSession; i++ {
+				if err := ie.Discover(fmt.Sprintf("00:16:3e:00:%02x:%02x", s, i)); err != nil {
+					t.Errorf("session %d, discovery %d: %v", s, i, err)
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+
+	nodes, err := clusterdb.Nodes(db, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := perSession * len(racks)
+	if got := db.Stats().WAL.RecordsAppended - seeded; len(nodes) != want || got != uint64(want) {
+		t.Fatalf("%d rows from %d log records, want %d of each", len(nodes), got, want)
+	}
+	seen := map[string]bool{}
+	ranks := map[int][]bool{}
+	for _, n := range nodes {
+		for _, identity := range []string{"name " + n.Name, "ip " + n.IP, "mac " + n.MAC, fmt.Sprint("id ", n.ID),
+			fmt.Sprintf("place %d/%d/%d", n.Membership, n.Rack, n.Rank)} {
+			if seen[identity] {
+				t.Errorf("two rows share %s", identity)
+			}
+			seen[identity] = true
+		}
+		if n.Name != fmt.Sprintf("compute-%d-%d", n.Rack, n.Rank) {
+			t.Errorf("row %d is named %s at rack %d rank %d", n.ID, n.Name, n.Rack, n.Rank)
+		}
+		if ranks[n.Rack] == nil {
+			ranks[n.Rack] = make([]bool, want)
+		}
+		ranks[n.Rack][n.Rank] = true
+	}
+	for _, rack := range racks {
+		machines := perSession
+		if rack == 4 {
+			machines = 2 * perSession
+		}
+		for rank, held := range ranks[rack] {
+			if held != (rank < machines) {
+				t.Fatalf("rack %d: rank %d held = %v with %d machines discovered", rack, rank, held, machines)
+			}
+		}
+	}
+
+	before := db.Dump()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var info clusterdb.RecoveryInfo
+	if db, info, err = clusterdb.Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	if info.ReplayErrors != 0 || db.Dump() != before {
+		t.Fatalf("reopened database differs from the one closed (%s)", info)
 	}
 }

@@ -33,6 +33,10 @@ type Partition struct {
 // Disk is a node's system disk: a set of partitions keyed by mountpoint.
 // File operations route to the partition with the longest matching
 // mountpoint prefix, like a VFS. Disk is safe for concurrent use.
+//
+// The disk owns its files' bytes: they leave it only as a copy (ReadFile),
+// what it is handed is copied in, and every access holds mu. That is what
+// lets WriteFile overwrite a file in the array it already occupies.
 type Disk struct {
 	mu    sync.RWMutex
 	Parts map[string]*Partition
@@ -104,7 +108,8 @@ func (d *Disk) partitionFor(path string) (*Partition, error) {
 	return found, nil
 }
 
-// WriteFile stores a file on the partition owning the path.
+// WriteFile stores a file on the partition owning the path, over the bytes of
+// the file it replaces when they fit: a steady report pass allocates nothing.
 func (d *Disk) WriteFile(path string, data []byte, mode uint32) error {
 	if !strings.HasPrefix(path, "/") {
 		return fmt.Errorf("node: path %q is not absolute", path)
@@ -118,7 +123,7 @@ func (d *Disk) WriteFile(path string, data []byte, mode uint32) error {
 	if mode == 0 {
 		mode = 0o644
 	}
-	p.files[path] = File{Data: append([]byte(nil), data...), Mode: mode}
+	p.files[path] = File{Data: append(p.files[path].Data[:0], data...), Mode: mode}
 	return nil
 }
 

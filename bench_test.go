@@ -343,46 +343,19 @@ func BenchmarkProfileGeneration(b *testing.B) {
 	})
 }
 
-// BenchmarkMirrorWorkers measures the parallel rocks-dist mirror pass at 1
-// and 8 workers against a parent with 2 ms of per-request latency — the
-// campus-to-department distance of Figure 6, where the worker pool's job is
-// to keep round trips in flight rather than serializing on them.
-func BenchmarkMirrorWorkers(b *testing.B) {
-	parent := dist.Build("npaci", kickstart.DefaultFramework(),
-		dist.Source{Name: "redhat", Repo: dist.SyntheticRedHat()})
-	inner := dist.NewServer(parent)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(2 * time.Millisecond)
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var n int
-			for i := 0; i < b.N; i++ {
-				repo, _, err := dist.Mirror(context.Background(), srv.URL, "bench", dist.MirrorOptions{
-					Fetcher: dist.Fetcher{HTTP: srv.Client()}, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n = repo.Len()
-			}
-			b.ReportMetric(float64(n), "packages")
-		})
-	}
-}
-
 // BenchmarkMirrorDelta compares a full replication pass against a delta
-// pass over an unchanged parent and a 20-package update: the delta pays
-// only for changed digests, so an unchanged re-mirror transfers zero
-// package bodies regardless of distribution size.
+// pass over an unchanged parent and a 20-package update, against a parent
+// with 2 ms of per-request latency (the campus-to-department distance of
+// Figure 6): the delta pays only for changed digests, so an unchanged
+// re-mirror transfers zero package bodies regardless of distribution size,
+// and every pass that fetches anything asks for it in one stream.
 func BenchmarkMirrorDelta(b *testing.B) {
 	base := dist.SyntheticRedHat()
 	parent := dist.Build("npaci", kickstart.DefaultFramework(),
 		dist.Source{Name: "redhat", Repo: base})
 	inner := dist.NewServer(parent)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(2 * time.Millisecond) // per-request wire latency, as in BenchmarkMirrorWorkers
+		time.Sleep(2 * time.Millisecond) // per-request wire latency
 		inner.ServeHTTP(w, r)
 	}))
 	defer srv.Close()

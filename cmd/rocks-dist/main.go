@@ -77,7 +77,6 @@ func cmdBuild(args []string) {
 	srcs := fs.String("src", "", "comma-separated source trees, in precedence order")
 	mirrors := fs.String("mirror", "", "comma-separated parent distribution URLs to replicate first")
 	profiles := fs.String("profiles", "", "site profiles directory (nodes/*.xml, graphs/*.xml) layered over the defaults")
-	workers := fs.Int("mirror-workers", 8, "concurrent package fetches per mirrored parent")
 	retries := fs.Int("mirror-retries", 3, "fetch attempts per package before the replication pass fails")
 	delta := fs.Bool("delta", false, "delta mirror: reuse packages already materialized in -out whose manifest digest is unchanged")
 	fs.Parse(args)
@@ -96,7 +95,7 @@ func cmdBuild(args []string) {
 	var sources []dist.Source
 	for _, u := range splitList(*mirrors) {
 		repo, report, err := dist.Mirror(context.Background(), u, "mirror:"+u,
-			dist.MirrorOptions{Fetcher: dist.Fetcher{Attempts: *retries}, Workers: *workers, Baseline: baseline})
+			dist.MirrorOptions{Fetcher: dist.Fetcher{Attempts: *retries}, Baseline: baseline})
 		if err != nil {
 			die(err)
 		}

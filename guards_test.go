@@ -1,0 +1,296 @@
+package rocks_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// srcFile is one file of the repository the guards read.
+type srcFile struct {
+	path string // slash-separated, relative to the repository root
+	text string
+	ast  *ast.File // non-test Go files only
+}
+
+func (f srcFile) isGo() bool         { return strings.HasSuffix(f.path, ".go") }
+func (f srcFile) isTest() bool       { return strings.HasSuffix(f.path, "_test.go") }
+func (f srcFile) in(dir string) bool { return strings.HasPrefix(f.path, dir+"/") }
+
+// readTree reads every Go file, workflow and document under docs/, parsing
+// the non-test Go files. This file is left out: it spells every name it
+// forbids.
+func readTree(t *testing.T, fset *token.FileSet) []srcFile {
+	t.Helper()
+	var files []srcFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == ".git" || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		if path == "guards_test.go" || !(strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".yml") || strings.HasPrefix(path, "docs/")) {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		f := srcFile{path: path, text: string(text)}
+		if f.isGo() && !f.isTest() {
+			if f.ast, err = parser.ParseFile(fset, path, text, 0); err != nil {
+				return err
+			}
+		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// pkgCall reports whether n calls pkg.name for one of names.
+func pkgCall(n ast.Node, pkg string, names ...string) bool {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == pkg && slices.Contains(names, sel.Sel.Name)
+}
+
+// methodCall returns the method name of a call x.m(...), or "".
+func methodCall(n ast.Node) (*ast.CallExpr, string) {
+	if call, ok := n.(*ast.CallExpr); ok {
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			return call, sel.Sel.Name
+		}
+	}
+	return nil, ""
+}
+
+// endsAtListing reports whether a URL expression ends at the package
+// directory itself — the RedHat/RPMS/ listing, not a file under it.
+func endsAtListing(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.BinaryExpr:
+			e = x.Y
+		case *ast.Ident:
+			return x.Name == "rpmsPath"
+		case *ast.BasicLit:
+			return x.Kind == token.STRING && strings.HasSuffix(strings.Trim(x.Value, "\"`"), "RedHat/RPMS/")
+		default:
+			return false
+		}
+	}
+}
+
+// TestStructuralGuards holds the tree to decisions earlier changes made and
+// DESIGN.md records: what was collapsed to one stays one, and what was
+// retired does not come back. A failure names the file and line.
+func TestStructuralGuards(t *testing.T) {
+	fset := token.NewFileSet()
+	files := readTree(t, fset)
+	inspect := func(t *testing.T, keep func(srcFile) bool, visit func(n ast.Node) string) {
+		t.Helper()
+		for _, f := range files {
+			if f.ast == nil || !keep(f) {
+				continue
+			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				if n != nil {
+					if why := visit(n); why != "" {
+						t.Errorf("%s: %s", fset.Position(n.Pos()), why)
+					}
+				}
+				return true
+			})
+		}
+	}
+	all := func(srcFile) bool { return true }
+
+	t.Run("no context.TODO", func(t *testing.T) {
+		// Every long-running path takes a real context threaded from the
+		// cluster root; a context.TODO() punts on propagation.
+		inspect(t, all, func(n ast.Node) string {
+			if pkgCall(n, "context", "TODO") {
+				return "context.TODO() in non-test code; thread a real context instead"
+			}
+			return ""
+		})
+	})
+
+	t.Run("one client per wire protocol", func(t *testing.T) {
+		// The distribution protocol has one client (dist.Fetcher) and the
+		// control plane one (apiclient.Client); nothing else builds a
+		// request. Exempt: cluster-health's /metrics scrape (Prometheus text
+		// is neither protocol) and the benchmark harness, which measures
+		// from outside.
+		exempt := []string{"internal/dist", "internal/apiclient", "internal/bench", "cmd/rocks-bench", "cmd/cluster-health"}
+		inspect(t, func(f srcFile) bool {
+			for _, dir := range exempt {
+				if f.in(dir) {
+					return false
+				}
+			}
+			return true
+		}, func(n ast.Node) string {
+			if pkgCall(n, "http", "NewRequest", "NewRequestWithContext", "Get", "Post", "Head", "PostForm") {
+				return "hand-rolled HTTP request; use dist.Fetcher or apiclient.Client"
+			}
+			if call, m := methodCall(n); m == "Do" && len(call.Args) == 1 {
+				if id, ok := call.Args[0].(*ast.Ident); ok && strings.HasPrefix(id.Name, "req") {
+					return "hand-rolled HTTP request; use dist.Fetcher or apiclient.Client"
+				}
+			}
+			return ""
+		})
+	})
+
+	t.Run("one way to pull packages", func(t *testing.T) {
+		// The client pulls a set of packages one way: the verified bundle
+		// stream, resumed where it stopped (Fetcher.Stream). The per-file
+		// client verb, the mirror's worker pool and any client-side read of
+		// the unverified RedHat/RPMS/ listing are retired; the server still
+		// serves both for a plain HTTP client.
+		inspect(t, all, func(n ast.Node) string {
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				if x.Name.Name == "Package" && x.Recv != nil && strings.Contains(typeNames(x.Recv), "Fetcher") {
+					return "Fetcher.Package is retired; pull through Fetcher.Packages and Fetcher.Stream"
+				}
+			case *ast.TypeSpec:
+				if st, ok := x.Type.(*ast.StructType); ok && x.Name.Name == "MirrorOptions" {
+					for _, field := range st.Fields.List {
+						for _, name := range field.Names {
+							if name.Name == "Workers" {
+								return "MirrorOptions.Workers is retired: a mirror pass is one stream"
+							}
+						}
+					}
+				}
+			}
+			// A GET of the package directory: Get, or open with any method
+			// but the bundle verb's POST.
+			call, m := methodCall(n)
+			if m != "Get" && m != "open" {
+				return ""
+			}
+			for _, arg := range call.Args {
+				if sel, ok := arg.(*ast.SelectorExpr); ok && sel.Sel.Name == "MethodPost" {
+					return ""
+				}
+			}
+			for _, arg := range call.Args {
+				if endsAtListing(arg) {
+					return "a client read of the RedHat/RPMS/ listing: an index comes from the digest manifest only"
+				}
+			}
+			return ""
+		})
+	})
+
+	t.Run("one fleet model", func(t *testing.T) {
+		// internal/experiments has one simulator (DESIGN.md §10): exactly
+		// one non-test line there builds a simnet.Simulation.
+		n := 0
+		inspect(t, func(f srcFile) bool { return f.in("internal/experiments") }, func(node ast.Node) string {
+			if pkgCall(node, "simnet", "New") {
+				n++
+			}
+			return ""
+		})
+		if n != 1 {
+			t.Errorf("internal/experiments builds %d simulations; RunInstallCurve's is the only one", n)
+		}
+	})
+
+	t.Run("one executor", func(t *testing.T) {
+		// clusterdb reads rows in one place (DESIGN.md §13): query.each is
+		// the only nested-loop join, aggState.add the only accumulator, and
+		// appendKeyPart the only spelling of the bucket-key tags.
+		var joins, accumulators, keyFiles int
+		keyTag := regexp.MustCompile(`"\\x00[SI]`)
+		for _, f := range files {
+			if f.ast == nil || !f.in("internal/clusterdb") {
+				continue
+			}
+			joins += strings.Count(f.text, "func(depth int) error")
+			accumulators += strings.Count(f.text, "st.seen = true")
+			if keyTag.MatchString(f.text) {
+				keyFiles++
+			}
+		}
+		if joins != 1 || accumulators != 1 || keyFiles != 1 {
+			t.Errorf("internal/clusterdb has %d nested-loop joins, %d aggregate accumulators and the key tags spelled in %d files; want one of each",
+				joins, accumulators, keyFiles)
+		}
+	})
+
+	t.Run("retired names", func(t *testing.T) {
+		// By where each may not appear.
+		goFile := func(f srcFile) bool { return f.isGo() }
+		goOrDocs := func(f srcFile) bool { return f.isGo() || f.in("docs") }
+		for _, r := range []struct {
+			pattern string
+			where   func(srcFile) bool
+			why     string
+		}{
+			{`/admin/`, all, "the /admin surface is retired; use /v1"},
+			{`DisableProfileCache|SetPlanCache`, goOrDocs, "the kickstart profile cache and the parse memo have no off switch"},
+			{`nodeResolver|renderKey`, goFile, "the CGI reads the database and renders the profile per request"},
+			{`f\.(Phase|Source) [!=]= ""`, func(f srcFile) bool { return f.ast != nil && f.in("internal/core") },
+				"select events with lifecycle.Filter.Matches, not a restated predicate"},
+			{`append\(ch\.mirror\[:0\]`, func(f srcFile) bool { return f.isGo() && f.in("internal") },
+				"the federation mirror is a lifecycle.Ring; push into it, do not shift the slice"},
+			{`execAggregate|execGroupBy|planRows|substituteAggs|sameAgg`, goFile, "read rows through query.each"},
+			{`mirror-workers`, goOrDocs, "a mirror pass is one stream; there is no worker pool to size"},
+			{`FullSync`, goFile, "a discovery applies its own DHCP binding; the report pass reconciles the rest"},
+		} {
+			re := regexp.MustCompile(r.pattern)
+			for _, f := range files {
+				if !r.where(f) {
+					continue
+				}
+				for i, line := range strings.Split(f.text, "\n") {
+					if re.MatchString(line) {
+						t.Errorf("%s:%d: %s is retired: %s", f.path, i+1, re.FindString(line), r.why)
+					}
+				}
+			}
+		}
+	})
+}
+
+// typeNames renders a receiver list's types, for matching by name.
+func typeNames(fl *ast.FieldList) string {
+	var b strings.Builder
+	for _, f := range fl.List {
+		ast.Inspect(f.Type, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				b.WriteString(id.Name)
+			}
+			return true
+		})
+	}
+	return b.String()
+}

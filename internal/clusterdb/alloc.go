@@ -1,6 +1,10 @@
 package clusterdb
 
-import "strconv"
+import (
+	"errors"
+	"fmt"
+	"strconv"
+)
 
 // The private network NextFreeIP allocates from, as host-order integers:
 // addresses are handed out from 10.255.255.254 downward and the space is
@@ -52,28 +56,33 @@ type allocCursor struct {
 	rankNext map[[2]int64]int64
 }
 
-// attachAlloc gives the nodes table its cursor, provided it has the columns
-// the cursor summarizes and the single-column ip index it verifies against; a
-// foreign table that merely shares the name stays plain and its callers scan.
+// attachAlloc gives a new nodes table its cursor when it has what the cursor
+// needs; InitSchema's table always does.
 func (t *table) attachAlloc() {
-	if t.name != "nodes" {
-		return
+	if t.name == "nodes" {
+		t.alloc, _ = t.newAllocCursor()
 	}
+}
+
+// newAllocCursor builds the nodes table's cursor from its rows, or names what
+// the table lacks for one: a column the cursor summarizes, or the
+// single-column ip index it verifies against.
+func (t *table) newAllocCursor() (*allocCursor, error) {
 	var at [5]int
 	for i, col := range [...]Column{{"id", TypeInt}, {"ip", TypeText}, {"membership", TypeInt}, {"rack", TypeInt}, {"rank", TypeInt}} {
 		if at[i] = t.colIndex(col.Name); at[i] < 0 || t.cols[at[i]].Type != col.Type {
-			return
+			return nil, fmt.Errorf("clusterdb: nodes cannot allocate: it has no %s column of type %s", col.Name, col.Type)
 		}
 	}
 	c := &allocCursor{idCol: at[0], ipCol: at[1], memCol: at[2], rackCol: at[3], rankCol: at[4]}
 	for _, ix := range t.indexes {
 		if len(ix.colIdx) == 1 && ix.colIdx[0] == c.ipCol {
 			c.ipIdx = ix
-			c.rebuild(nil)
-			t.alloc = c
-			return
+			c.rebuild(t.rows)
+			return c, nil
 		}
 	}
+	return nil, errors.New("clusterdb: nodes cannot allocate: it has no single-column index on ip")
 }
 
 // taken probes the ip index for one address. Both buffers stay on the stack:
@@ -95,7 +104,7 @@ func (c *allocCursor) noteInsert(row []Value) {
 	}
 	m, k, r := row[c.memCol], row[c.rackCol], row[c.rankCol]
 	if m.Null || k.Null || r.Null || r.Int < 0 {
-		return // the rows NextRank's SELECT and count-up loop never saw
+		return // a row with no cabinet or no rank holds no rank
 	}
 	c.rankHeld[[3]int64{m.Int, k.Int, r.Int}] = true
 	cabinet := [2]int64{m.Int, k.Int}
@@ -122,63 +131,28 @@ func (c *allocCursor) rebuild(rows [][]Value) {
 	}
 }
 
-// cursorLocked returns the nodes table's cursor, or nil when index routing
-// is off or the table carries none (the callers' callers then scan). Callers
-// hold d.mu.
-func (d *Database) cursorLocked() *allocCursor {
-	if !d.indexRouting.Load() {
-		return nil
+// cursorLocked returns the nodes table's allocation cursor, whatever the
+// planner's index routing says: the cursor is maintained either way. A nodes
+// table without one is an error naming what it lacks. Callers hold d.mu.
+func (d *Database) cursorLocked() (*allocCursor, error) {
+	t, ok := d.tables["nodes"]
+	if !ok {
+		return nil, fmt.Errorf("clusterdb: no such table %q", "nodes")
 	}
-	if t, ok := d.tables["nodes"]; ok {
-		return t.alloc
+	if t.alloc == nil {
+		_, err := t.newAllocCursor()
+		return nil, err
 	}
-	return nil
+	return t.alloc, nil
 }
 
-// nextNodeID returns max(id)+1 from the cursor; ok is false without one.
-func (d *Database) nextNodeID() (id int, ok bool) {
+// nextNodeID returns max(id)+1, or 1 for a table without ids.
+func (d *Database) nextNodeID() (int, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	c := d.cursorLocked()
-	if c == nil {
-		return 0, false
+	c, err := d.cursorLocked()
+	if err != nil || !c.hasID {
+		return 1, err
 	}
-	if !c.hasID {
-		return 1, true
-	}
-	return int(c.maxID) + 1, true
-}
-
-// nextRank answers NextRank from the cursor: the lowest rank no row of the
-// (membership, rack) holds. ok is false without a cursor.
-func (d *Database) nextRank(membership, rack int) (rank int, ok bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	c := d.cursorLocked()
-	if c == nil {
-		return 0, false
-	}
-	return int(c.rankNext[[2]int64{int64(membership), int64(rack)}]), true
-}
-
-// nextFreeIP answers NextFreeIP from the cursor: it starts at ipNext and
-// still verifies every candidate against the nodes_ip index, so the answer
-// is the one the full top-down probe would give. ip is empty when the space
-// is exhausted; ok is false without a cursor.
-func (d *Database) nextFreeIP() (ip string, ok bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	c := d.cursorLocked()
-	if c == nil {
-		return "", false
-	}
-	a := c.ipNext
-	for a >= ipBottom && c.taken(a) {
-		a--
-	}
-	d.allocProbes.Add(uint64(c.ipNext-a) + 1)
-	if a < ipBottom {
-		return "", true
-	}
-	return string(appendIPv4(nil, a)), true
+	return int(c.maxID) + 1, nil
 }

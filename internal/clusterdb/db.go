@@ -57,8 +57,7 @@ type Database struct {
 	dur *durability
 
 	// The fast path: a parse memo and per-plan counters. Index routing
-	// defaults on; the oracle tests and benchmarks flip it off to get the
-	// scan baseline.
+	// defaults on; the oracle tests flip it off to get the scan baseline.
 	plans        planCache
 	indexRouting atomic.Bool
 	// indexSelects/scanSelects count how each SELECT was answered; they are
@@ -79,9 +78,10 @@ func New() *Database {
 }
 
 // SetIndexRouting enables or disables the planner's use of hash indexes for
-// SELECTs. Indexes are always *maintained* (uniqueness still holds); this
-// only routes reads back through the full-scan path — the ablation knob the
-// benchmarks use.
+// SELECTs. Indexes and the allocation cursor are always *maintained*
+// (uniqueness still holds, and allocation answers from the cursor either
+// way); this only routes reads back through the full-scan path — the
+// planner differential of the oracle tests and FuzzSQL.
 func (d *Database) SetIndexRouting(on bool) { d.indexRouting.Store(on) }
 
 // parseSQL is parse() behind the plan cache.

@@ -177,18 +177,9 @@ func InsertDiscovered(db *Database, n Node) (Node, error) {
 // parser to find them again; its text is what the log keeps and replays.
 func insertNodeLocked(db *Database, n Node) (Node, error) {
 	if n.ID == 0 {
-		id, ok := db.nextNodeID()
-		if !ok {
-			// No allocation cursor (index routing off, foreign schema): one
-			// aggregate scan.
-			res, err := db.Query(`SELECT max(id) FROM nodes`)
-			if err != nil {
-				return n, err
-			}
-			id = 1
-			if last, isInt := res.Rows[0][0].AsInt(); isInt {
-				id = int(last) + 1
-			}
+		id, err := db.nextNodeID()
+		if err != nil {
+			return n, err
 		}
 		n.ID = id
 	}
@@ -396,59 +387,39 @@ var errIPExhausted = errors.New("clusterdb: private address space exhausted")
 // node is reused before the allocation moves further down.
 //
 // The nodes table's allocation cursor (alloc.go) makes this one index probe
-// however many addresses are allocated; without it — index routing off, or a
-// nodes table of a foreign shape — the used set is built by one scan and the
-// address space is walked from the top.
+// however many addresses are allocated.
 func NextFreeIP(db *Database) (string, error) {
-	if ip, ok := db.nextFreeIP(); ok {
-		if ip == "" {
-			return "", errIPExhausted
-		}
-		return ip, nil
-	}
-	ns, err := Nodes(db, "")
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	c, err := db.cursorLocked()
 	if err != nil {
 		return "", err
 	}
-	used := make(map[string]bool, len(ns))
-	for _, n := range ns {
-		used[n.IP] = true
+	// Start at the cursor and still verify every candidate against the
+	// nodes_ip index, so the answer is the one the full top-down probe gives.
+	a := c.ipNext
+	for a >= ipBottom && c.taken(a) {
+		a--
 	}
-	var buf [len("255.255.255.255")]byte
-	for a := ipTop; a >= ipBottom; a-- {
-		if s := appendIPv4(buf[:0], a); !used[string(s)] {
-			return string(s), nil
-		}
+	db.allocProbes.Add(uint64(c.ipNext-a) + 1)
+	if a < ipBottom {
+		return "", errIPExhausted
 	}
-	return "", errIPExhausted
+	return string(appendIPv4(nil, a)), nil
 }
 
 // NextRank returns the next free rank within a rack for the given
 // membership: insert-ethers names nodes compute-<rack>-<rank> in discovery
-// order (§6.4).
-//
-// The allocation cursor (alloc.go) holds the answer; without it the cabinet
-// is read through the (membership, rack) index and counted.
+// order (§6.4). The allocation cursor (alloc.go) holds the answer: the lowest
+// rank no row of the (membership, rack) holds.
 func NextRank(db *Database, membership, rack int) (int, error) {
-	if rank, ok := db.nextRank(membership, rack); ok {
-		return rank, nil
-	}
-	res, err := db.Query(fmt.Sprintf(
-		"SELECT rank FROM nodes WHERE membership = %d AND rack = %d", membership, rack))
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	c, err := db.cursorLocked()
 	if err != nil {
 		return 0, err
 	}
-	ranks := make(map[int]bool, len(res.Rows))
-	for _, row := range res.Rows {
-		if n, isInt := row[0].AsInt(); isInt {
-			ranks[int(n)] = true
-		}
-	}
-	for r := 0; ; r++ {
-		if !ranks[r] {
-			return r, nil
-		}
-	}
+	return int(c.rankNext[[2]int64{int64(membership), int64(rack)}]), nil
 }
 
 // MembershipBasename returns the hostname prefix for a membership: the

@@ -146,6 +146,23 @@ func TestNextRank(t *testing.T) {
 	}
 }
 
+// TestAllocationNeedsTheCursor: the allocator answers only from its cursor,
+// so a nodes table without what the cursor summarizes cannot allocate, and
+// says what it lacks.
+func TestAllocationNeedsTheCursor(t *testing.T) {
+	db := New()
+	if _, err := NextFreeIP(db); err == nil || !strings.Contains(err.Error(), `no such table "nodes"`) {
+		t.Errorf("no nodes table: NextFreeIP error %v", err)
+	}
+	mustExec(t, db, `CREATE TABLE nodes (id INT, mac TEXT, membership INT, rack INT, rank INT)`)
+	if _, err := NextRank(db, MembershipCompute, 0); err == nil || !strings.Contains(err.Error(), "no ip column of type TEXT") {
+		t.Errorf("nodes without ip: NextRank error %v", err)
+	}
+	if _, err := InsertNode(db, Node{MAC: "a", Name: "n"}); err == nil || !strings.Contains(err.Error(), "cannot allocate") {
+		t.Errorf("nodes without ip: InsertNode error %v", err)
+	}
+}
+
 func TestApplianceForMembership(t *testing.T) {
 	db := initDB(t)
 	name, graph, root, err := ApplianceForMembership(db, MembershipCompute)

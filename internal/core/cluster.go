@@ -568,9 +568,10 @@ func (c *Cluster) bootOnce(ctx context.Context, n *node.Node) error {
 }
 
 // comeUp transitions an installed node to Up: bind NIS, mount home over
-// NFS, register the PBS mom (compute nodes), and index the hostname.
+// NFS, register the PBS mom (compute nodes), and index the hostname. The
+// state change comes last, just before the up event, so whoever sees a node
+// up sees it registered with PBS and scheduled.
 func (c *Cluster) comeUp(n *node.Node) error {
-	n.SetState(node.StateUp)
 	name := n.Name()
 	if name == "" {
 		return fmt.Errorf("core: node %s has no hostname after boot", n.MAC())
@@ -597,6 +598,7 @@ func (c *Cluster) comeUp(n *node.Node) error {
 	}
 	c.Syslog.Log(name, "rocks", "node up (kernel %s, %d packages)",
 		n.KernelVersion(), n.PackageDB().Len())
+	n.SetState(node.StateUp)
 	c.events.Publish(lifecycle.Event{
 		Node:   name,
 		MAC:    n.MAC(),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +105,51 @@ func TestIntegrateComputeNodes(t *testing.T) {
 	pbsNodes, _ := c.Frontend.Disk().ReadFile("/opt/pbs/server_priv/nodes")
 	if !strings.Contains(string(pbsNodes), "compute-0-0 np=1") {
 		t.Errorf("PBS nodes file = %q", pbsNodes)
+	}
+}
+
+// TestUpMeansKnownToPBS: a node is up only once PBS knows its mom. A watcher
+// polling every node's state throughout an integration never sees an up
+// compute node that PBS.Moms() lacks.
+func TestUpMeansKnownToPBS(t *testing.T) {
+	c := newCluster(t)
+	stop, done := make(chan struct{}), make(chan struct{})
+	up := map[string]bool{}
+	var unknown []string
+	go func() {
+		defer close(done)
+		for {
+			// One last pass after stop, so every node addComputes saw up
+			// is counted.
+			var last bool
+			select {
+			case <-stop:
+				last = true
+			default:
+			}
+			for _, n := range c.Nodes() {
+				if n == c.Frontend || n.State() != node.StateUp || up[n.Name()] {
+					continue
+				}
+				if !slices.Contains(c.PBS.Moms(), n.Name()) {
+					unknown = append(unknown, n.Name())
+				}
+				up[n.Name()] = true
+			}
+			if last {
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	addComputes(t, c, 3)
+	close(stop)
+	<-done
+	if len(unknown) > 0 {
+		t.Errorf("%v seen up before PBS knew their moms", unknown)
+	}
+	if len(up) != 3 {
+		t.Errorf("watcher saw %d nodes up, want 3", len(up))
 	}
 }
 

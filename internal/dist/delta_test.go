@@ -37,7 +37,7 @@ func TestMirrorDeltaRefetchesNothingWhenUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep1.ManifestUsed || rep1.Fetched != parent.Repo.Len() || rep1.Skipped != 0 {
+	if rep1.Fetched != parent.Repo.Len() || rep1.Skipped != 0 {
 		t.Fatalf("full pass report = %+v", rep1)
 	}
 	if rep1.Verified != rep1.Fetched {
@@ -127,8 +127,9 @@ func TestMirrorDeltaFetchesOnlyChanged(t *testing.T) {
 }
 
 // TestMirrorEscapedFilenames: a package name carrying a space must survive
-// the full serve→listing→manifest→fetch chain, on both the manifest path
-// and the legacy listing-only path.
+// the full serve→manifest→stream chain. A legacy parent that serves only the
+// escaped listing is refused, naming the manifest it lacks, and its listing
+// is never read: the listing path is gone, not weakened.
 func TestMirrorEscapedFilenames(t *testing.T) {
 	repo := rpm.NewRepository("r")
 	repo.Add(payloadPkg("odd name", "1.0", "1", "z"))
@@ -142,12 +143,12 @@ func TestMirrorEscapedFilenames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.ManifestUsed || rep.Verified != 2 {
+	if rep.Verified != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
 	odd := mirrored.Get("odd name-1.0-1.i386")
 	if odd == nil {
-		t.Fatal("space-named package lost in manifest-path mirror")
+		t.Fatal("space-named package lost in the mirror")
 	}
 	if odd.Files[0].Data[0] != 'z' {
 		t.Error("space-named package payload corrupted")
@@ -162,16 +163,14 @@ func TestMirrorEscapedFilenames(t *testing.T) {
 		inner.ServeHTTP(w, r)
 	}))
 	defer legacy.Close()
+	before := inner.Stats()
 	mirrored2, rep2, err := Mirror(context.Background(), legacy.URL, "m2",
 		MirrorOptions{Fetcher: Fetcher{HTTP: legacy.Client(), Backoff: time.Millisecond}})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || IsTransient(err) || !strings.Contains(err.Error(), legacy.URL+manifestPath) || mirrored2 != nil {
+		t.Fatalf("legacy parent: mirror %v, err %v; want a permanent refusal naming the manifest", mirrored2, err)
 	}
-	if rep2.ManifestUsed || rep2.Verified != 0 {
-		t.Fatalf("legacy report = %+v, want no manifest and nothing verified", rep2)
-	}
-	if mirrored2.Get("odd name-1.0-1.i386") == nil {
-		t.Error("space-named package lost in listing-path mirror")
+	if rep2.Fetched != 0 || inner.Stats() != before {
+		t.Errorf("legacy parent: report %+v, serve stats %+v from %+v; want nothing asked beyond the manifest", rep2, inner.Stats(), before)
 	}
 }
 
@@ -196,9 +195,9 @@ func TestManifestEscapesOddNames(t *testing.T) {
 }
 
 // TestMirrorUnderCorruption drives the faults bit-flip injector through the
-// mirror client: bounded corruption is detected by digest, retried, and
-// accounted; unbounded corruption exhausts the retry budget and fails
-// naming the file — a corrupt body never reaches the built repository.
+// mirror client's package stream: bounded corruption is detected by digest,
+// retried, and accounted; unbounded corruption exhausts the retry budget and
+// fails naming the file — a corrupt body never reaches the built repository.
 func TestMirrorUnderCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -220,10 +219,10 @@ func TestMirrorUnderCorruption(t *testing.T) {
 			inj := faults.NewInjector(7, faults.Rule{
 				Op: faults.OpHTTPPackage, Mode: faults.ModeCorrupt, Count: tc.count})
 			faulty := faults.Middleware(inj, "X-Client-IP", inner)
-			// Corrupt only package bodies: the manifest and listing arrive
-			// clean, which is what isolates the digest check under test.
+			// Corrupt only the package stream: the manifest arrives clean,
+			// which is what isolates the digest check under test.
 			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if strings.HasSuffix(r.URL.Path, ".rpm") {
+				if r.Method == http.MethodPost {
 					faulty.ServeHTTP(w, r)
 					return
 				}
@@ -232,13 +231,15 @@ func TestMirrorUnderCorruption(t *testing.T) {
 			defer srv.Close()
 
 			got, rep, err := Mirror(context.Background(), srv.URL, "m", MirrorOptions{
-				Fetcher: Fetcher{HTTP: srv.Client(), Attempts: 3, Backoff: time.Millisecond}, Workers: 1})
+				Fetcher: Fetcher{HTTP: srv.Client(), Attempts: 3, Backoff: time.Millisecond}})
 			if tc.wantErr {
-				if err == nil {
+				if err == nil || got != nil {
 					t.Fatal("mirror of a persistently corrupting parent must fail")
 				}
-				// Workers:1 fetches in listing order; the first file wins.
-				if !strings.Contains(err.Error(), "alpha-1.0-1.i386.rpm") {
+				// The flipped bit lands at each stream's midpoint, so every
+				// stream delivers the members before it and the next asks
+				// for the rest: the last member is the one left failing.
+				if !strings.Contains(err.Error(), "gamma-1.0-1.i386.rpm") {
 					t.Errorf("error does not name the corrupt file: %v", err)
 				}
 				if !strings.Contains(err.Error(), "attempts") {

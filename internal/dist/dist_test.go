@@ -2,8 +2,10 @@ package dist
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -354,56 +356,118 @@ func TestPropertyBuildIdempotent(t *testing.T) {
 	}
 }
 
-// TestMirrorParallelWorkers: a wide worker pool must produce exactly the
-// same repository as the serial mirror.
-func TestMirrorParallelWorkers(t *testing.T) {
-	parent := Build("npaci", kickstart.DefaultFramework(), Source{"redhat", SyntheticRedHat()})
-	srv := httptest.NewServer(NewServer(parent))
-	defer srv.Close()
-
-	mirrored, _, err := Mirror(context.Background(), srv.URL, "wide", MirrorOptions{Fetcher: Fetcher{HTTP: srv.Client()}, Workers: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mirrored.Len() != parent.Repo.Len() {
-		t.Fatalf("mirrored %d packages, parent has %d", mirrored.Len(), parent.Repo.Len())
-	}
-	for _, orig := range parent.Repo.All() {
-		if mirrored.Get(orig.NVRA()) == nil {
-			t.Fatalf("parallel mirror missing %s", orig.NVRA())
+// TestMirrorIsOneStream counts requests at the server: a full mirror is the
+// manifest and one stream, a 20-update delta the same, an unchanged delta the
+// manifest alone. A stream cut after k members resumes at member k, with no
+// member fetched twice and the one retry charged to member k.
+func TestMirrorIsOneStream(t *testing.T) {
+	base := SyntheticRedHat()
+	parent := NewServer(Build("npaci", kickstart.DefaultFramework(), Source{"redhat", base}))
+	updated := NewServer(Build("npaci", kickstart.DefaultFramework(),
+		Source{"redhat", base}, Source{"updates", GenerateUpdates(base, 20, 5)}))
+	var (
+		mu       sync.Mutex
+		target   = parent
+		requests int
+		asks     [][]string
+		cut      int // members the next stream delivers before it is cut; 0 = all
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		requests++
+		to := target
+		if r.Method == http.MethodPost {
+			body, _ := io.ReadAll(r.Body)
+			ask := strings.Fields(string(body))
+			asks = append(asks, ask)
+			if cut > 0 {
+				ask, cut = ask[:cut], 0
+			}
+			r.Body = io.NopCloser(strings.NewReader(strings.Join(ask, "\n")))
 		}
+		mu.Unlock()
+		to.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	var retried []string
+	mirror := func(to *Server, baseline *rpm.Repository, cutAt int) (*rpm.Repository, MirrorReport, int) {
+		t.Helper()
+		mu.Lock()
+		target, requests, asks, cut, retried = to, 0, nil, cutAt, nil
+		mu.Unlock()
+		f := Fetcher{HTTP: srv.Client(), Backoff: time.Millisecond,
+			OnRetry: func(what string, _ error, _ int, _ time.Duration) { retried = append(retried, what) }}
+		repo, rep, err := Mirror(context.Background(), srv.URL, "m", MirrorOptions{Fetcher: f, Baseline: baseline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		return repo, rep, requests
+	}
+
+	full, rep, n := mirror(parent, nil, 0)
+	if n != 2 || rep.Fetched != rep.Listed || full.Len() != rep.Listed || len(retried) != 0 {
+		t.Errorf("full mirror: %d requests, report %+v; want the manifest and one stream of everything", n, rep)
+	}
+	if _, rep, n = mirror(updated, full, 0); n != 2 || rep.Fetched == 0 || rep.Fetched+rep.Skipped != rep.Listed {
+		t.Errorf("20-update delta: %d requests, report %+v; want the manifest and one stream of the changes", n, rep)
+	}
+	if _, rep, n = mirror(parent, full, 0); n != 1 || rep.Fetched != 0 || rep.Skipped != rep.Listed {
+		t.Errorf("unchanged delta: %d requests, report %+v; want the manifest alone", n, rep)
+	}
+
+	const k = 100
+	bodies := parent.Stats().PackageRequests
+	cutRepo, rep, n := mirror(parent, nil, k)
+	if n != 3 || len(asks) != 2 || !slices.Equal(asks[1], asks[0][k:]) {
+		t.Fatalf("stream cut after %d members: %d requests; the second asked for %d members from %v, want the %d from %s",
+			k, n, len(asks[len(asks)-1]), asks[len(asks)-1][:1], len(asks[0])-k, asks[0][k])
+	}
+	if got := parent.Stats().PackageRequests - bodies; got != uint64(rep.Listed) || cutRepo.Len() != rep.Listed {
+		t.Errorf("stream cut after %d members: %d bodies served for %d packages", k, got, rep.Listed)
+	}
+	if want := asks[0][k] + ".rpm"; len(retried) != 1 || retried[0] != want {
+		t.Errorf("stream cut after %d members: retries %v, want one, of %s", k, retried, want)
 	}
 }
 
-// TestMirrorRetriesTransientErrors: each package download 500s once before
-// succeeding; the retry loop must absorb that without failing the pass.
+// TestMirrorRetriesTransientErrors: every stream is refused with a 500 the
+// first time it is asked for, and every stream answered is cut short after
+// 100 members; the resume loop must absorb both without failing the pass.
 func TestMirrorRetriesTransientErrors(t *testing.T) {
 	parent := Build("npaci", kickstart.DefaultFramework(), Source{"redhat", SyntheticRedHat()})
 	inner := NewServer(parent)
 	var mu sync.Mutex
-	failedOnce := map[string]bool{}
+	refused := map[string]bool{} // by the first package a stream asks for
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, ".rpm") {
+		if r.Method == http.MethodPost {
+			body, _ := io.ReadAll(r.Body)
+			ask := strings.Fields(string(body))
 			mu.Lock()
-			first := !failedOnce[r.URL.Path]
-			failedOnce[r.URL.Path] = true
+			first := !refused[ask[0]]
+			refused[ask[0]] = true
 			mu.Unlock()
 			if first {
 				http.Error(w, "transient", http.StatusInternalServerError)
 				return
 			}
+			r.Body = io.NopCloser(strings.NewReader(strings.Join(ask[:min(len(ask), 100)], "\n")))
 		}
 		inner.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 
 	mirrored, _, err := Mirror(context.Background(), srv.URL, "flaky", MirrorOptions{
-		Fetcher: Fetcher{HTTP: srv.Client(), Attempts: 3, Backoff: time.Millisecond}, Workers: 4})
+		Fetcher: Fetcher{HTTP: srv.Client(), Attempts: 3, Backoff: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mirrored.Len() != parent.Repo.Len() {
 		t.Fatalf("mirrored %d packages, parent has %d", mirrored.Len(), parent.Repo.Len())
+	}
+	if got := inner.Stats().PackageRequests; got != uint64(parent.Repo.Len()) {
+		t.Errorf("%d bodies served for %d packages", got, parent.Repo.Len())
 	}
 }
 

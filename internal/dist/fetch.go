@@ -20,11 +20,11 @@ import (
 // tree — rocks-dist mirroring a parent (§6.2.3), a child frontend's delta
 // re-mirror, an installing node pulling packages from the frontend or a peer
 // relay (§6.3) — fetches through one Fetcher, so there is one classification
-// of failures, one retry loop, and one place where a network-fetched body is
-// checked against the manifest (verify), whether it came alone (Package, the
-// mirror's verb: it works against a stock tree) or as a member of a stream
-// (Packages, the installer's). Consumers keep their policy (which source to
-// try, whom to demote, what to report where) and none of the transport.
+// of failures, one retry loop, one way to pull a set of packages (a verified
+// stream, Packages, resumed where it stopped by Stream) and one place where a
+// network-fetched body is checked against the manifest (verify). Consumers
+// keep their policy (which source to try, whom to demote, what to report
+// where) and none of the transport.
 
 // ErrCorruptBody marks a fetched package body that failed verification: it
 // no longer decodes (the embedded digest caught a torn or flipped transfer),
@@ -53,7 +53,7 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t)
 }
 
-// statusError is a non-200 answer; Index keys its listing fallback on 404.
+// statusError is a non-200 answer; Index names a 404 for what it means.
 type statusError struct {
 	code int
 	msg  string
@@ -197,79 +197,76 @@ func (f *Fetcher) Get(ctx context.Context, u string, header http.Header) ([]byte
 	return buf.Bytes(), nil
 }
 
-// Index retrieves what the distribution at base advertises, with retries.
-// It asks for the digest manifest; the entries then carry sizes and the
-// payload digest every fetched body must match, and verified is true. Only
-// when the server answers 404 for the manifest — a stock mirror that has
-// never heard of one, the paper's wget case — does it fall back to the bare
-// RedHat/RPMS/ listing, whose entries carry a name and nothing else
-// (verified false: no delta, no verification). Any other manifest failure
-// is retried and then returned: a fault must never be able to switch
-// verification off.
-func (f *Fetcher) Index(ctx context.Context, base string) (entries []ManifestEntry, verified bool, err error) {
-	base = strings.TrimSuffix(base, "/")
-	err = f.Do(ctx, "manifest", func() error {
-		body, err := f.Get(ctx, base+manifestPath, nil)
+// Index retrieves the digest manifest of the distribution at base, with
+// retries: the entries carry the size and payload digest every fetched body
+// must match. There is no unverified index. A 404 is permanent and says the
+// server serves no digest manifest; a tree without one is read from disk
+// (ReadTree), where every body is checked as it decodes.
+func (f *Fetcher) Index(ctx context.Context, base string) ([]ManifestEntry, error) {
+	u := strings.TrimSuffix(base, "/") + manifestPath
+	var entries []ManifestEntry
+	err := f.Do(ctx, "manifest", func() error {
+		body, err := f.Get(ctx, u, nil)
 		if err != nil {
 			return err
 		}
 		if entries, err = ParseManifest(body); err != nil {
 			// A garbled manifest is a torn transfer.
-			return Transient(fmt.Errorf("dist: fetching %s: %w", base+manifestPath, err))
+			return Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
 		}
 		return nil
 	})
-	if err == nil {
-		return entries, true, nil
-	}
 	var se *statusError
-	if !errors.As(err, &se) || se.code != http.StatusNotFound {
-		return nil, false, err
+	if errors.As(err, &se) && se.code == http.StatusNotFound {
+		return nil, fmt.Errorf("dist: %s serves no digest manifest, and nothing is fetched unverified: %w", base, err)
 	}
-	err = f.Do(ctx, "package listing", func() error {
-		body, err := f.Get(ctx, base+rpmsPath, nil)
+	return entries, err
+}
+
+// Stream pulls entries until every one has been delivered, resuming at the
+// member a pull stopped at. pull asks for rest, a suffix of entries, and
+// returns how many members it delivered and the error that stopped it. The
+// retry budget (Do) belongs to the member a pull failed at: a pull that
+// delivered anything has spent the first attempt of the member it stopped
+// at, not another of the one it started from, so a stream cut short any
+// number of times resumes where it stopped, and only a member that keeps
+// failing exhausts one. A done context stops it between pulls.
+func (f *Fetcher) Stream(ctx context.Context, entries []ManifestEntry, pull func(rest []ManifestEntry) (done int, err error)) error {
+	var carried error
+	for len(entries) > 0 {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		err := f.Do(ctx, entries[0].NVRA+".rpm", func() error {
+			if err := carried; err != nil {
+				carried = nil
+				return err
+			}
+			done, err := pull(entries)
+			entries = entries[done:]
+			if err != nil && done > 0 && IsTransient(err) {
+				carried, err = err, nil
+			}
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		entries = entries[:0]
-		for _, field := range strings.Fields(string(body)) {
-			if nvra, ok := strings.CutSuffix(unescapeField(field), ".rpm"); ok {
-				entries = append(entries, ManifestEntry{NVRA: nvra})
-			}
-		}
-		return nil
-	})
-	return entries, false, err
-}
-
-// Package makes one attempt to fetch the package an index entry names from
-// the distribution at base (the frontend, a parent, or a peer relay — any
-// server of the protocol, a stock tree included) with one GET, and verifies
-// the body end to end (verify). It returns the decoded package and the number
-// of body bytes transferred. Errors name the file and the source.
-func (f *Fetcher) Package(ctx context.Context, base string, e ManifestEntry) (*rpm.Package, int64, error) {
-	body, err := f.Get(ctx, strings.TrimSuffix(base, "/")+rpmsPath+url.PathEscape(e.NVRA+".rpm"), nil)
-	if err != nil {
-		return nil, 0, err
 	}
-	p, err := verify(body, e, base)
-	if err != nil {
-		return nil, 0, err
-	}
-	return p, int64(len(body)), nil
+	return nil
 }
 
 // Packages makes one attempt to fetch every package the entries name from
 // the distribution at base with one request (the bundle verb, http.go), and
 // hands each member to each as it arrives — its index in entries, the
-// decoded package and its body bytes — after verifying it exactly as Package
-// does. It returns how many members were verified and accepted by each, in
-// request order, and the error that stopped it: the failure of member done,
+// decoded package and its body bytes — after verifying it end to end
+// (verify). It returns how many members were verified and accepted by each,
+// in request order, and the error that stopped it: the failure of member done,
 // naming its file and the source. A torn stream is transient, a member that
 // fails verification transient and ErrCorruptBody, a member the tree does
 // not hold permanent (the 404 of a GET); an error from each comes back as it
 // is. Cancellation lands between members. A caller resumes by asking for
-// entries[done:], of this source or another.
+// entries[done:], of this source or another; Stream does that.
 func (f *Fetcher) Packages(ctx context.Context, base string, entries []ManifestEntry, each func(i int, p *rpm.Package, n int64) error) (done int, err error) {
 	if len(entries) == 0 {
 		return 0, nil
@@ -357,11 +354,10 @@ func corruptBody(file, base, why string) error {
 
 // verify is the one place where a network-fetched body is checked against
 // the manifest: it must decode (the embedded digest catches a torn or flipped
-// payload), identify as the entry's NVRA, and — when the entry carries a
-// digest — hash to it. The manifest always comes from the trusted side, so a
-// source that serves anything else cannot get it past this function; every
-// failure is transient and wraps ErrCorruptBody, naming the file and the
-// source.
+// payload), identify as the entry's NVRA, and hash to the entry's digest.
+// The manifest always comes from the trusted side, so a source that serves
+// anything else cannot get it past this function; every failure is transient
+// and wraps ErrCorruptBody, naming the file and the source.
 func verify(body []byte, e ManifestEntry, base string) (*rpm.Package, error) {
 	file := e.NVRA + ".rpm"
 	p, err := rpm.Decode(body)
@@ -373,7 +369,7 @@ func verify(body []byte, e ManifestEntry, base string) (*rpm.Package, error) {
 		// payload digest cannot see.
 		return nil, corruptBody(file, base, "body identifies as "+p.Filename())
 	}
-	if e.Digest != "" && p.EnsureDigest() != e.Digest {
+	if p.EnsureDigest() != e.Digest {
 		return nil, corruptBody(file, base, "payload digest does not match the distribution manifest")
 	}
 	return p, nil

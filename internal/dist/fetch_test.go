@@ -32,35 +32,54 @@ func injected(mode faults.Mode, count int) func(http.RoundTripper) http.RoundTri
 	}
 }
 
-// fetchOne fetches one entry with one of the fetcher's two package verbs: the
-// GET of Package (subtests keep their bare names), or the bundle of Packages
-// asked for that entry alone.
+// fetchOne fetches one entry under the fetcher's budget, the two ways the
+// client pulls packages: the resume loop every consumer pulls through
+// (Stream over Packages; subtests keep their bare names), or one bundle
+// (Packages) retried as a whole under Do. corrupt counts the attempts that
+// failed verification.
 var fetchOne = []struct {
 	verb  string // subtest name prefix
-	fetch func(f *Fetcher, base string, e ManifestEntry) (*rpm.Package, error)
+	fetch func(f *Fetcher, base string, e ManifestEntry, corrupt *int) (*rpm.Package, error)
 }{
-	{"", func(f *Fetcher, base string, e ManifestEntry) (*rpm.Package, error) {
-		p, _, err := f.Package(context.Background(), base, e)
+	{"", func(f *Fetcher, base string, e ManifestEntry, corrupt *int) (p *rpm.Package, err error) {
+		ctx := context.Background()
+		err = f.Stream(ctx, []ManifestEntry{e}, func(rest []ManifestEntry) (int, error) {
+			return bundleOne(f, base, rest[0], corrupt, &p)
+		})
 		return p, err
 	}},
-	{"bundle/", func(f *Fetcher, base string, e ManifestEntry) (p *rpm.Package, err error) {
-		done, err := f.Packages(context.Background(), base, []ManifestEntry{e}, func(_ int, got *rpm.Package, _ int64) error {
-			p = got
-			return nil
+	{"bundle/", func(f *Fetcher, base string, e ManifestEntry, corrupt *int) (p *rpm.Package, err error) {
+		err = f.Do(context.Background(), e.NVRA+".rpm", func() error {
+			_, err := bundleOne(f, base, e, corrupt, &p)
+			return err
 		})
-		if (err == nil) != (done == 1) || (p != nil) != (done == 1) {
-			return nil, fmt.Errorf("Packages = %d, %v with a package delivered: %v", done, err, p != nil)
-		}
 		return p, err
 	}},
 }
 
+// bundleOne makes one attempt at a bundle of e alone, keeping what arrived.
+func bundleOne(f *Fetcher, base string, e ManifestEntry, corrupt *int, p **rpm.Package) (int, error) {
+	*p = nil
+	done, err := f.Packages(context.Background(), base, []ManifestEntry{e}, func(_ int, got *rpm.Package, _ int64) error {
+		*p = got
+		return nil
+	})
+	if errors.Is(err, ErrCorruptBody) {
+		*corrupt++
+	}
+	if (err == nil) != (done == 1) || (*p != nil) != (done == 1) {
+		return done, fmt.Errorf("Packages = %d, %v with a package delivered: %v", done, err, *p != nil)
+	}
+	return done, err
+}
+
 // TestFetcherConformance drives the one distribution client through every
 // fault it classifies, against both kinds of server that speak the protocol
-// (a distribution's and a relay's bare repository) and through both of its
-// package verbs (one GET, or one bundle): same bodies accepted and rejected,
-// same classification, same retry count, and an error naming the file and
-// the source URL, whichever server, whichever verb and whichever consumer.
+// (a distribution's and a relay's bare repository) and both ways a package
+// is pulled (the resume loop, or one bundle retried whole): same bodies
+// accepted and rejected, same classification, same retry count, and an
+// error naming the file and the source URL, whichever server and whichever
+// consumer.
 func TestFetcherConformance(t *testing.T) {
 	const file = "alpha-1.0-1.i386.rpm"
 	cases := []struct {
@@ -73,7 +92,6 @@ func TestFetcherConformance(t *testing.T) {
 		corrupt   bool // final error wraps ErrCorruptBody
 		corrupted int  // attempts that failed verification
 		errHas    string
-		bundleHas string // what a bundle's error says instead, if not errHas
 	}{
 		{name: "clean", wantOK: true},
 		{name: "500 then ok", fault: injected(faults.ModeError500, 1), wantOK: true, retries: 1},
@@ -97,7 +115,7 @@ func TestFetcherConformance(t *testing.T) {
 					return next.RoundTrip(r)
 				})
 			}},
-		{name: "404", entry: "ghost-1.0-1.i386", errHas: "HTTP 404", bundleHas: "does not hold it"},
+		{name: "404", entry: "ghost-1.0-1.i386", errHas: "does not hold it"},
 		{name: "4xx is not retried", errHas: "HTTP 403",
 			fault: func(http.RoundTripper) http.RoundTripper {
 				return roundTripperFunc(func(r *http.Request) (*http.Response, error) {
@@ -116,9 +134,9 @@ func TestFetcherConformance(t *testing.T) {
 	for kind, handler := range servers {
 		srv := httptest.NewServer(handler)
 		defer srv.Close()
-		entries, verified, err := (&Fetcher{HTTP: srv.Client()}).Index(context.Background(), srv.URL)
-		if err != nil || !verified || len(entries) != 2 {
-			t.Fatalf("%s: Index = %v, verified %v, %v", kind, entries, verified, err)
+		entries, err := (&Fetcher{HTTP: srv.Client()}).Index(context.Background(), srv.URL)
+		if err != nil || len(entries) != 2 {
+			t.Fatalf("%s: Index = %v, %v", kind, entries, err)
 		}
 		for _, verb := range fetchOne {
 			for _, tc := range cases {
@@ -134,16 +152,8 @@ func TestFetcherConformance(t *testing.T) {
 					if tc.entry != "" {
 						want = ManifestEntry{NVRA: tc.entry}
 					}
-					var p *rpm.Package
 					corrupted := 0
-					err := f.Do(context.Background(), want.NVRA+".rpm", func() error {
-						var err error
-						p, err = verb.fetch(f, srv.URL, want)
-						if errors.Is(err, ErrCorruptBody) {
-							corrupted++
-						}
-						return err
-					})
+					p, err := verb.fetch(f, srv.URL, want, &corrupted)
 					if retries != tc.retries || corrupted != tc.corrupted {
 						t.Errorf("retries = %d, corrupt attempts = %d; want %d, %d", retries, corrupted, tc.retries, tc.corrupted)
 					}
@@ -163,11 +173,7 @@ func TestFetcherConformance(t *testing.T) {
 						t.Errorf("transient = %v, corrupt = %v; want %v, %v: %v",
 							IsTransient(err), errors.Is(err, ErrCorruptBody), tc.transient, tc.corrupt, err)
 					}
-					errHas := tc.errHas
-					if verb.verb != "" && tc.bundleHas != "" {
-						errHas = tc.bundleHas
-					}
-					for _, s := range []string{want.NVRA + ".rpm", srv.URL, errHas} {
+					for _, s := range []string{want.NVRA + ".rpm", srv.URL, tc.errHas} {
 						if !strings.Contains(err.Error(), s) {
 							t.Errorf("error does not mention %q: %v", s, err)
 						}
@@ -192,7 +198,7 @@ func TestFetcherCancelInsideBackoff(t *testing.T) {
 	f := &Fetcher{HTTP: srv.Client(), Attempts: 10, Backoff: time.Hour,
 		OnRetry: func(string, error, int, time.Duration) { cancel() }}
 	start := time.Now()
-	_, _, err := f.Index(ctx, srv.URL)
+	_, err := f.Index(ctx, srv.URL)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in the chain", err)
 	}
@@ -201,22 +207,27 @@ func TestFetcherCancelInsideBackoff(t *testing.T) {
 	}
 }
 
-// TestIndexFallsBackOnlyOn404 is the verification-downgrade regression: the
-// unverified listing is for a server that has no manifest (404), never for
-// one whose manifest request failed. A 5xx is retried — one injected fault
-// costs a retry, not the digests — and a manifest that stays broken fails
-// the fetch naming the manifest, with the listing never asked for.
-func TestIndexFallsBackOnlyOn404(t *testing.T) {
+// TestIndexRefusesAMissingManifest is the verification-downgrade
+// regression: there is no unverified index. A 5xx on the manifest is retried
+// — one injected fault costs a retry, not the digests — and a manifest that
+// stays broken fails the fetch naming it. A server that answers 404 for the
+// manifest is refused at once, permanently, naming the manifest's URL. The
+// listing is never asked for, by Index or by a mirror pass.
+func TestIndexRefusesAMissingManifest(t *testing.T) {
 	repo := rpm.NewRepository("r")
 	repo.Add(payloadPkg("alpha", "1.0", "1", "a"))
 	server := NewServer(Build("d", nil, Source{"r", repo}))
 	var manifestFails atomic.Int64 // how many manifest requests still fail
 	var status atomic.Int64
 	status.Store(http.StatusInternalServerError)
+	var manifestAsked atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == manifestPath && manifestFails.Add(-1) >= 0 {
-			http.Error(w, "no", int(status.Load()))
-			return
+		if r.URL.Path == manifestPath {
+			manifestAsked.Add(1)
+			if manifestFails.Add(-1) >= 0 {
+				http.Error(w, "no", int(status.Load()))
+				return
+			}
 		}
 		server.ServeHTTP(w, r)
 	}))
@@ -224,28 +235,37 @@ func TestIndexFallsBackOnlyOn404(t *testing.T) {
 	f := &Fetcher{HTTP: srv.Client(), Attempts: 3, Backoff: time.Millisecond}
 
 	manifestFails.Store(1)
-	entries, verified, err := f.Index(context.Background(), srv.URL)
-	if err != nil || !verified || len(entries) != 1 || entries[0].Digest == "" {
-		t.Fatalf("one 500: entries %+v, verified %v, err %v; want the verified manifest", entries, verified, err)
+	entries, err := f.Index(context.Background(), srv.URL)
+	if err != nil || len(entries) != 1 || entries[0].Digest == "" {
+		t.Fatalf("one 500: entries %+v, err %v; want the manifest", entries, err)
 	}
 
 	manifestFails.Store(1 << 30)
-	_, _, err = f.Index(context.Background(), srv.URL)
+	_, err = f.Index(context.Background(), srv.URL)
 	if err == nil || !IsTransient(err) || !strings.Contains(err.Error(), srv.URL+manifestPath) {
 		t.Fatalf("broken manifest: err = %v, want a transient failure naming the manifest", err)
 	}
-	_, _, err = Mirror(context.Background(), srv.URL, "m", MirrorOptions{Fetcher: *f})
-	if err == nil || !strings.Contains(err.Error(), srv.URL+manifestPath) {
-		t.Fatalf("mirror of a parent with a broken manifest: err = %v, want a failure naming the manifest", err)
-	}
-	if n := server.Stats().ListingRequests; n != 0 {
-		t.Errorf("listing requested %d times behind a failing manifest, want 0", n)
-	}
 
 	status.Store(http.StatusNotFound)
-	entries, verified, err = f.Index(context.Background(), srv.URL)
-	if err != nil || verified || len(entries) != 1 || entries[0] != (ManifestEntry{NVRA: "alpha-1.0-1.i386"}) {
-		t.Fatalf("manifest-less server: entries %+v, verified %v, err %v; want the bare listing", entries, verified, err)
+	for _, index := range []func() error{
+		func() error { _, err := f.Index(context.Background(), srv.URL); return err },
+		func() error {
+			_, _, err := Mirror(context.Background(), srv.URL, "m", MirrorOptions{Fetcher: *f})
+			return err
+		},
+	} {
+		manifestAsked.Store(0)
+		err := index()
+		if err == nil || IsTransient(err) || !strings.Contains(err.Error(), srv.URL+manifestPath) ||
+			!strings.Contains(err.Error(), "serves no digest manifest") {
+			t.Fatalf("manifest-less server: err = %v, want a permanent refusal naming the manifest", err)
+		}
+		if n := manifestAsked.Load(); n != 1 {
+			t.Errorf("a 404 manifest was asked for %d times, want once", n)
+		}
+	}
+	if st := server.Stats(); st.ListingRequests != 0 || st.BundleRequests != 0 {
+		t.Errorf("behind a failing manifest: %d listings and %d bundles requested, want none", st.ListingRequests, st.BundleRequests)
 	}
 }
 
@@ -275,12 +295,21 @@ func TestConcurrentManifestAndPackageServing(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 4; i++ {
-				entries, verified, err := f.Index(context.Background(), srv.URL)
-				if err != nil || !verified || len(entries) != packages {
-					t.Errorf("Index = %d entries, verified %v, %v", len(entries), verified, err)
+				entries, err := f.Index(context.Background(), srv.URL)
+				if err != nil || len(entries) != packages {
+					t.Errorf("Index = %d entries, %v", len(entries), err)
 					return
 				}
-				if _, _, err := f.Package(context.Background(), srv.URL, entries[(g*4+i)%packages]); err != nil {
+				// The same package by GET and as a bundle member.
+				e := entries[(g*4+i)%packages]
+				body, err := f.Get(context.Background(), srv.URL+rpmsPath+e.NVRA+".rpm", nil)
+				if err == nil {
+					_, err = verify(body, e, srv.URL)
+				}
+				if err == nil {
+					_, err = f.Packages(context.Background(), srv.URL, []ManifestEntry{e}, func(int, *rpm.Package, int64) error { return nil })
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}

@@ -87,7 +87,8 @@ func Materialize(d *Distribution, dir string) (int, error) {
 }
 
 // readManifestFile loads dir/MANIFEST into an NVRA-keyed map. A missing
-// MANIFEST returns nil (a hand-assembled tree; verification is skipped).
+// MANIFEST returns nil: a hand-assembled tree, whose bodies are still each
+// checked against their own digest as they decode.
 func readManifestFile(dir string) (map[string]ManifestEntry, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
 	if os.IsNotExist(err) {
@@ -148,7 +149,7 @@ func ReadTree(dir, name string) (*rpm.Repository, error) {
 			if !listed || p.Filename() != e.Name() {
 				return nil, fmt.Errorf("dist: %s: %s is not in MANIFEST (orphaned file)", dir, e.Name())
 			}
-			if m.Digest != "" && p.EnsureDigest() != m.Digest {
+			if p.EnsureDigest() != m.Digest {
 				return nil, fmt.Errorf("dist: %s: %s does not match its MANIFEST digest (tampered tree)", dir, e.Name())
 			}
 			seen[p.NVRA()] = true
@@ -238,7 +239,7 @@ func VerifyTree(dir string) (TreeVerify, error) {
 			continue
 		}
 		seen[p.NVRA()] = true
-		if m.Digest != "" && p.EnsureDigest() != m.Digest {
+		if p.EnsureDigest() != m.Digest {
 			v.Tampered = append(v.Tampered, e.Name())
 			continue
 		}

@@ -111,10 +111,9 @@ func cutField(s string) (field, rest string) {
 	return s[start:], ""
 }
 
-// ParseManifest parses manifest lines. The pre-digest three-field format
-// ("NVRA size source") is still accepted — its entries carry an empty
-// Digest, and consumers skip digest verification for them. It walks the text
-// once: the entries' strings are pieces of one copy of it.
+// ParseManifest parses manifest lines, four fields each: an entry without a
+// digest could not be fetched, so a shorter line is refused. It walks the
+// text once: the entries' strings are pieces of one copy of it.
 func ParseManifest(data []byte) ([]ManifestEntry, error) {
 	entries := make([]ManifestEntry, 0, bytes.Count(data, []byte{'\n'})+1)
 	for ln, text := 1, string(data); text != ""; ln++ {
@@ -131,20 +130,14 @@ func ParseManifest(data []byte) ([]ManifestEntry, error) {
 		if n == 0 {
 			continue
 		}
-		if n < 3 {
-			return nil, fmt.Errorf("dist: manifest line %d: %q has %d fields, want at least 3", ln, strings.TrimSpace(line), n)
+		if n < 4 {
+			return nil, fmt.Errorf("dist: manifest line %d: %q has %d fields, want 4", ln, strings.TrimSpace(line), n)
 		}
 		size, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("dist: manifest line %d: bad size %q: %w", ln, fields[1], err)
 		}
-		e := ManifestEntry{NVRA: unescapeField(fields[0]), Size: size}
-		if n == 4 {
-			e.Digest, e.Source = fields[2], unescapeField(fields[3])
-		} else {
-			// Legacy format: the third field is provenance, no digest.
-			e.Source = unescapeField(fields[2])
-		}
+		e := ManifestEntry{NVRA: unescapeField(fields[0]), Size: size, Digest: fields[2], Source: unescapeField(fields[3])}
 		if e.Source == "-" {
 			e.Source = ""
 		}

@@ -28,19 +28,14 @@ func parseManifestFields(data []byte) ([]ManifestEntry, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("dist: manifest line %d: %q has %d fields, want at least 3", ln+1, line, len(fields))
+		if len(fields) < 4 {
+			return nil, fmt.Errorf("dist: manifest line %d: %q has %d fields, want 4", ln+1, line, len(fields))
 		}
 		size, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("dist: manifest line %d: bad size %q: %w", ln+1, fields[1], err)
 		}
-		e := ManifestEntry{NVRA: unescape(fields[0]), Size: size}
-		if len(fields) >= 4 {
-			e.Digest, e.Source = fields[2], unescape(fields[3])
-		} else {
-			e.Source = unescape(fields[2])
-		}
+		e := ManifestEntry{NVRA: unescape(fields[0]), Size: size, Digest: fields[2], Source: unescape(fields[3])}
 		if e.Source == "-" {
 			e.Source = ""
 		}
@@ -56,9 +51,9 @@ func parseManifestFields(data []byte) ([]ManifestEntry, error) {
 // or error text — and must read back exactly what FormatManifest wrote for
 // entries whose names carry spaces, percent signs, newlines and bytes that
 // are not text at all. The corpus in testdata/fuzz/FuzzManifest is the
-// synthetic distribution's manifest, a legacy three-field line, a bad size, a
-// lone %, CR-LF line endings, a line of nothing but separators and a line of
-// two fields.
+// synthetic distribution's manifest, a pre-digest three-field line (which
+// both must refuse), a bad size, a lone %, CR-LF line endings, a line of
+// nothing but separators and a line of two fields.
 func FuzzManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ParseManifest(data)

@@ -13,7 +13,7 @@ import (
 
 // TestMirrorCancelReturnsWithinOneBackoff is the regression test for the
 // uncancellable retry loop: against a parent that answers every package
-// fetch with a 500 and a deliberately enormous retry schedule, cancelling
+// stream with a 500 and a deliberately enormous retry schedule, cancelling
 // the pass's context must abort it within one backoff step — not leave it
 // grinding through the budget long after the cluster shut down.
 func TestMirrorCancelReturnsWithinOneBackoff(t *testing.T) {
@@ -22,9 +22,7 @@ func TestMirrorCancelReturnsWithinOneBackoff(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case strings.HasSuffix(r.URL.Path, "/RedHat/base/manifest"):
-			http.NotFound(w, r) // legacy parent: listing-only pass
-		case strings.HasSuffix(r.URL.Path, "/RedHat/RPMS/"):
-			io.WriteString(w, "ghost-1.0-1.i386.rpm\n")
+			io.WriteString(w, "ghost-1.0-1.i386 1 0123abcd -\n")
 		default:
 			once.Do(func() { close(firstFetch) })
 			http.Error(w, "permanently broken", http.StatusInternalServerError)
@@ -48,7 +46,7 @@ func TestMirrorCancelReturnsWithinOneBackoff(t *testing.T) {
 	select {
 	case <-firstFetch:
 	case <-time.After(30 * time.Second):
-		t.Fatal("mirror never attempted a package fetch")
+		t.Fatal("mirror never asked for a package stream")
 	}
 	cancel()
 

@@ -264,7 +264,7 @@ func TestSyntheticManifestPinned(t *testing.T) {
 // TestOversizeHeaderIsACorruptBody: a body whose header claims 1 GiB for a
 // file while a few bytes follow — a forging peer, or a transfer torn and
 // spliced — is a corrupt body like any other: a plain error from rpm.Read,
-// transient and ErrCorruptBody from Fetcher.Package, and no buffer of the
+// transient and ErrCorruptBody from Fetcher.Packages, and no buffer of the
 // claimed size.
 func TestOversizeHeaderIsACorruptBody(t *testing.T) {
 	good := payloadPkg("alpha", "1.0", "1", "a")
@@ -289,11 +289,17 @@ func TestOversizeHeaderIsACorruptBody(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Errorf("rpm.Read of %d forged bytes allocated %d bytes", forged.Len(), got)
 	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write(forged.Bytes()) }))
+	// Served as a bundle member whose frame is intact: only the body lies.
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var header [bundleHeaderLen]byte
+		putBundleHeader(&header, uint64(forged.Len()), crc32.ChecksumIEEE(forged.Bytes()))
+		w.Write(append(header[:], forged.Bytes()...))
+	}))
 	defer srv.Close()
 	f := &Fetcher{HTTP: srv.Client()}
-	_, _, err = f.Package(context.Background(), srv.URL, ManifestEntry{NVRA: good.NVRA(), Digest: good.EnsureDigest()})
+	_, err = f.Packages(context.Background(), srv.URL, []ManifestEntry{{NVRA: good.NVRA(), Digest: good.EnsureDigest()}},
+		func(int, *rpm.Package, int64) error { return nil })
 	if !errors.Is(err, ErrCorruptBody) || !IsTransient(err) {
-		t.Fatalf("Fetcher.Package = %v, want a transient ErrCorruptBody", err)
+		t.Fatalf("Fetcher.Packages = %v, want a transient ErrCorruptBody", err)
 	}
 }

@@ -51,13 +51,6 @@ type Config struct {
 	// events so timelines show a node's life from its very first
 	// DHCPDISCOVER.
 	Events *lifecycle.Bus
-	// FullSync restores the legacy behavior of rebuilding the entire DHCP
-	// binding table from the database after every discovery — the
-	// "regenerate dhcpd.conf and restart dhcpd" cost the paper's tools
-	// paid per node. Default false: each discovery applies only its own
-	// binding delta, and the table is reconciled with the database once
-	// per report pass instead of once per node.
-	FullSync bool
 }
 
 // InsertEthers is one running discovery session.
@@ -167,9 +160,7 @@ func (ie *InsertEthers) insert(mac string) error {
 		if err := clusterdb.RebindNodeMAC(cfg.DB, replace, mac); err != nil {
 			return err
 		}
-		if err := ie.syncOne(old.MAC, mac, old.IP, old.Name); err != nil {
-			return err
-		}
+		ie.syncOne(old.MAC, mac, old.IP, old.Name)
 		cfg.Syslog.Log("frontend-0", "insert-ethers",
 			"replaced %s: %s -> %s", replace, old.MAC, mac)
 		ie.emit(lifecycle.Event{Node: old.Name, MAC: mac, Type: lifecycle.EventReplaced,
@@ -201,9 +192,7 @@ func (ie *InsertEthers) insert(mac string) error {
 	// Hand the node its DHCP binding so its next DISCOVER succeeds. The
 	// delta path touches only this node's entry; the wholesale rebuild
 	// (dbreport + dhcpd restart) is left to the coalesced report pass.
-	if err := ie.syncOne("", n.MAC, n.IP, n.Name); err != nil {
-		return err
-	}
+	ie.syncOne("", n.MAC, n.IP, n.Name)
 	cfg.Syslog.Log("frontend-0", "insert-ethers",
 		"inserted %s (%s) at %s", n.Name, n.MAC, n.IP)
 	ie.emit(lifecycle.Event{Node: n.Name, MAC: n.MAC, Type: lifecycle.EventBound,
@@ -225,20 +214,17 @@ func (ie *InsertEthers) Discover(mac string) error {
 }
 
 // syncOne applies a single node's DHCP binding delta: drop the old MAC's
-// binding (hardware replacement) and bind the new one. Under FullSync it
-// instead rebuilds the whole table the way the original tools did.
-func (ie *InsertEthers) syncOne(oldMAC, mac, ip, hostname string) error {
+// binding (hardware replacement) and bind the new one. The table is
+// reconciled with the database as a whole once per report pass, not once
+// per node.
+func (ie *InsertEthers) syncOne(oldMAC, mac, ip, hostname string) {
 	cfg := ie.cfg
-	if cfg.FullSync {
-		return SyncDHCP(cfg.DB, cfg.DHCP, cfg.NextServer)
-	}
 	if oldMAC != "" && oldMAC != mac {
 		cfg.DHCP.RemoveBinding(oldMAC)
 	}
 	if mac != "" && ip != "" {
 		cfg.DHCP.SetBinding(mac, dhcp.Binding{IP: ip, Hostname: hostname, NextServer: cfg.NextServer})
 	}
-	return nil
 }
 
 // SyncDHCP regenerates the DHCP server's bindings from the nodes table —

@@ -537,12 +537,12 @@ func applyPartitioning(n *node.Node, p *kickstart.Profile, screen io.Writer) err
 	return nil
 }
 
-// resolveIndex asks the fetcher what the distribution advertises and resolves
-// the newest compatible version of every package name.
-// Against a frontend the entries carry the manifest's sizes (for progress
-// accounting) and the payload digest every fetched body must match.
+// resolveIndex asks the fetcher for the distribution's manifest and resolves
+// the newest compatible version of every package name. The entries carry
+// the sizes (for progress accounting) and the payload digest every fetched
+// body must match.
 func resolveIndex(ctx context.Context, f *dist.Fetcher, distURL, arch string) (map[string]dist.ManifestEntry, error) {
-	entries, _, err := f.Index(ctx, distURL)
+	entries, err := f.Index(ctx, distURL)
 	if err != nil {
 		return nil, err
 	}
@@ -622,40 +622,18 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 		return nil
 	}
 
-	// fetchRest streams names[done:] onto the disk. The retry budget belongs
-	// to the package a stream failed at: one that put packages on the disk
-	// first has spent the first attempt of the package it stopped at, not
-	// another of the one it started from, and carried hands that failure to
-	// the next budget — so a stream cut short any number of times resumes
-	// where it stopped, and only a package that keeps failing exhausts one.
+	// fetchRest streams names[done:] onto the disk, resumed where it stops
+	// under the budget of the package it stopped at (dist.Fetcher.Stream).
 	fetchRest := func() error {
 		rest, err := resolveEntries(best, names[done:])
 		if err != nil {
 			return err
 		}
-		var carried error
-		for len(rest) > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			err := f.Do(ctx, rest[0].NVRA+".rpm", func() error {
-				if err := carried; err != nil {
-					carried = nil
-					return err
-				}
-				before := done
-				err := streamVerified(ctx, n, cfg, f, screen, srcs, rest, unpack)
-				rest = rest[done-before:]
-				if err != nil && done > before && dist.IsTransient(err) {
-					carried, err = err, nil
-				}
-				return err
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+		return f.Stream(ctx, rest, func(rest []dist.ManifestEntry) (int, error) {
+			before := done
+			err := streamVerified(ctx, n, cfg, f, screen, srcs, rest, unpack)
+			return done - before, err
+		})
 	}
 	for {
 		err := fetchRest()

@@ -246,6 +246,41 @@ func TestStructuralGuards(t *testing.T) {
 		}
 	})
 
+	t.Run("one composition root", func(t *testing.T) {
+		// core.Cluster builds and wires the subsystems and owns the Close
+		// order (DESIGN.md §14); none of them holds the cluster or is handed
+		// it: no core type but Cluster has a *Cluster field, and no function
+		// but New and Cluster's methods takes or returns one.
+		mentions := func(e ast.Expr) bool {
+			found := false
+			ast.Inspect(e, func(n ast.Node) bool {
+				if star, ok := n.(*ast.StarExpr); ok {
+					if id, ok := star.X.(*ast.Ident); ok && id.Name == "Cluster" {
+						found = true
+					}
+				}
+				return !found
+			})
+			return found
+		}
+		inspect(t, func(f srcFile) bool { return f.in("internal/core") }, func(n ast.Node) string {
+			switch x := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := x.Type.(*ast.StructType); ok && x.Name.Name != "Cluster" && mentions(st) {
+					return x.Name.Name + " holds a *Cluster; give it only what it uses"
+				}
+			case *ast.FuncDecl:
+				if (x.Recv != nil && typeNames(x.Recv) == "Cluster") || (x.Recv == nil && x.Name.Name == "New") {
+					return ""
+				}
+				if mentions(x.Type) {
+					return x.Name.Name + " takes or returns a *Cluster; only New and Cluster's methods may"
+				}
+			}
+			return ""
+		})
+	})
+
 	t.Run("retired names", func(t *testing.T) {
 		// By where each may not appear.
 		goFile := func(f srcFile) bool { return f.isGo() }
@@ -265,6 +300,8 @@ func TestStructuralGuards(t *testing.T) {
 			{`execAggregate|execGroupBy|planRows|substituteAggs|sameAgg`, goFile, "read rows through query.each"},
 			{`mirror-workers`, goOrDocs, "a mirror pass is one stream; there is no worker pool to size"},
 			{`FullSync`, goFile, "a discovery applies its own DHCP binding; the report pass reconciles the rest"},
+			{`InstallRetries`, goOrDocs, "the installer retries a fetch twice; there is no knob"},
+			{`relays [!=]= nil`, goFile, "the relay registry always exists; EnableRelays starts its watcher"},
 		} {
 			re := regexp.MustCompile(r.pattern)
 			for _, f := range files {

@@ -1,16 +1,16 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"rocks/internal/clusterdb"
+	"rocks/internal/ctools"
 	"rocks/internal/dist"
 	"rocks/internal/federation"
 	"rocks/internal/hardware"
@@ -101,13 +101,14 @@ type ReinstallResult struct {
 }
 
 func (c *Cluster) registerAdmin(mux *http.ServeMux) {
-	for _, ep := range append(c.apiEndpoints(), c.auditEndpoint()) {
-		mux.HandleFunc("/v1/"+ep.name, c.v1Handler(ep))
+	eps := append(c.apiEndpoints(), c.relays.endpoint(), c.remedy.endpoint(), c.facts.endpoint(), c.audit.endpoint())
+	for _, ep := range append(eps, c.fed.endpoints()...) {
+		mux.HandleFunc("/v1/"+ep.name, c.audit.handler(ep))
 	}
 }
 
-// apiEndpoints enumerates the control plane: seven mutations and the
-// read-only views.
+// apiEndpoints enumerates the control plane Cluster serves itself: seven
+// mutations and the read-only views; the subsystems add their own.
 func (c *Cluster) apiEndpoints() []endpoint {
 	return []endpoint{
 		{
@@ -166,43 +167,14 @@ func (c *Cluster) apiEndpoints() []endpoint {
 			run:    c.opReinstall,
 		},
 		{name: "consistency", run: c.opConsistency},
-		{name: "relays", run: c.opRelays},
 		{name: "health", run: c.opHealth},
-		{name: "supervisor", run: c.opSupervisor},
 		{name: "dbstats", run: c.opDBStats},
 		{name: "diststats", run: c.opDistStats},
-		{name: "events", run: c.opEvents, fanout: c.fanEvents},
-		{
-			name:  "facts",
-			audit: "facts-report",
-			// First-boot agent reports are telemetry, not administration:
-			// accept POST, never audit (a cluster-wide reinstall's report
-			// burst would bury the log).
-			mutates: func(*http.Request) bool { return false },
-			run:     c.opFacts,
-		},
-		// The federated management hierarchy: merged queries fan out to
-		// child frontends; registration and event forwarding come up from
-		// them; remirror cascades down the distribution tree.
-		{name: "nodes", run: c.opNodes, fanout: c.fanNodes},
-		{name: "dbreport", run: c.opDBReport, fanout: c.fanDBReport},
-		{name: "federation", run: c.opFederation},
-		{
-			name:  "federation/register",
-			audit: "federation-register",
-			detail: func(r *http.Request) string {
-				return fmt.Sprintf("shard %q url %q", r.FormValue("shard"), r.FormValue("url"))
-			},
-			run: c.opFedRegister,
-		},
-		{
-			name:  "federation/events",
-			audit: "federation-forward",
-			// Forwarded batches are telemetry, not administration: accept
-			// POST, never audit (a 20ms-interval stream would bury the log).
-			mutates: func(*http.Request) bool { return false },
-			run:     c.opFedEvents,
-		},
+		// On a federated parent the merged queries fan out to child
+		// frontends, and remirror cascades down the distribution tree.
+		{name: "events", run: c.opEvents, fanout: fan(c.fed, c.fed.fanEvents)},
+		{name: "nodes", run: c.opNodes, fanout: fan(c.fed, c.fed.fanNodes)},
+		{name: "dbreport", run: c.opDBReport, fanout: fan(c.fed, c.fed.fanDBReport)},
 		{
 			name:  "federation/remirror",
 			audit: "federation-remirror",
@@ -210,7 +182,7 @@ func (c *Cluster) apiEndpoints() []endpoint {
 				return "cascade re-mirror"
 			},
 			run:    c.opFedRemirror,
-			fanout: c.fanRemirror,
+			fanout: fan(c.fed, c.fed.fanRemirror),
 		},
 	}
 }
@@ -248,15 +220,7 @@ func (c *Cluster) opFork(r *http.Request) (interface{}, *apiError) {
 	if err != nil {
 		return nil, apiErrorf(http.StatusBadRequest, "fork_failed", "%v", err)
 	}
-	resp := ForkResponse{}
-	for _, hr := range results {
-		out := ForkHostResult{Host: hr.Host, Output: hr.Output}
-		if hr.Err != nil {
-			out.Error = hr.Err.Error()
-		}
-		resp.Results = append(resp.Results, out)
-	}
-	return resp, nil
+	return forkResponse(results, 0), nil
 }
 
 func (c *Cluster) opKill(r *http.Request) (interface{}, *apiError) {
@@ -268,6 +232,10 @@ func (c *Cluster) opKill(r *http.Request) (interface{}, *apiError) {
 	if err != nil {
 		return nil, apiErrorf(http.StatusBadRequest, "kill_failed", "%v", err)
 	}
+	return forkResponse(results, killed), nil
+}
+
+func forkResponse(results []ctools.HostResult, killed int) ForkResponse {
 	resp := ForkResponse{Killed: killed}
 	for _, hr := range results {
 		out := ForkHostResult{Host: hr.Host, Output: hr.Output}
@@ -276,7 +244,7 @@ func (c *Cluster) opKill(r *http.Request) (interface{}, *apiError) {
 		}
 		resp.Results = append(resp.Results, out)
 	}
-	return resp, nil
+	return resp
 }
 
 // opShoot reinstalls the named nodes (node=a&node=b). With watch=1 it waits
@@ -429,7 +397,8 @@ poll:
 	if timeoutErr != nil {
 		notUp = append(notUp, timeoutErr.StuckHosts()...)
 	}
-	notUp = dedupSorted(notUp)
+	slices.Sort(notUp)
+	notUp = slices.Compact(notUp)
 	res := ReinstallResult{Converged: jobErr == nil && len(notUp) == 0, NotUp: notUp}
 	if res.Converged {
 		res.Status = "cluster reinstalled"
@@ -447,31 +416,12 @@ func (c *Cluster) opConsistency(r *http.Request) (interface{}, *apiError) {
 	return map[string]interface{}{"reference": ref, "divergent": divergent}, nil
 }
 
-// opSupervisor exposes the remediation supervisor's state: whether one is
-// running, its structured event log (reconstructed from the bounded
-// lifecycle ring — Dropped counts events the ring has evicted), and the
-// quarantine list.
-func (c *Cluster) opSupervisor(r *http.Request) (interface{}, *apiError) {
-	resp := struct {
-		Running     bool              `json:"running"`
-		Events      []SupervisorEvent `json:"events"`
-		Dropped     uint64            `json:"dropped"`
-		Quarantined []string          `json:"quarantined"`
-	}{Quarantined: c.Quarantined(), Dropped: c.events.Evicted()}
-	if s := c.Supervisor(); s != nil {
-		resp.Running = true
-		resp.Events = s.Events()
-	}
-	return resp, nil
-}
-
 // opDBStats exposes the database fast path's instrumentation: plan-cache
 // traffic, index-vs-scan SELECT counts, per-index key counts, the WAL and
 // snapshot counters (durable databases), what recovery found at startup,
 // the report coalescer's write/skip counters, and the kickstart profile
 // cache. The same figures are scrapeable on /metrics.
 func (c *Cluster) opDBStats(r *http.Request) (interface{}, *apiError) {
-	ksHits, ksMisses, ksInvalidations := c.KickstartCacheStats()
 	resp := struct {
 		DB        clusterdb.DBStats       `json:"db"`
 		Recovery  *clusterdb.RecoveryInfo `json:"recovery,omitempty"`
@@ -482,9 +432,7 @@ func (c *Cluster) opDBStats(r *http.Request) (interface{}, *apiError) {
 			Invalidations uint64 `json:"invalidations"`
 		} `json:"kickstart_cache"`
 	}{DB: c.DB.Stats(), Recovery: c.recovery, Reports: c.ReportStats()}
-	resp.Kickstart.Hits = ksHits
-	resp.Kickstart.Misses = ksMisses
-	resp.Kickstart.Invalidations = ksInvalidations
+	resp.Kickstart.Hits, resp.Kickstart.Misses, resp.Kickstart.Invalidations = c.KickstartCacheStats()
 	return resp, nil
 }
 
@@ -494,12 +442,16 @@ func (c *Cluster) opDBStats(r *http.Request) (interface{}, *apiError) {
 // latter), and, when this frontend replicated a parent, the mirror pass's
 // skipped/fetched/verified accounting.
 func (c *Cluster) opDistStats(r *http.Request) (interface{}, *apiError) {
-	return struct {
+	resp := struct {
 		Name   string             `json:"name"`
 		Build  dist.BuildReport   `json:"build"`
 		Serve  dist.ServeStats    `json:"serve"`
 		Mirror *dist.MirrorReport `json:"mirror,omitempty"`
-	}{Name: c.Dist.Name, Build: c.Dist.Report, Serve: c.distSrv.Stats(), Mirror: c.mirrorReport}, nil
+	}{Name: c.Dist.Name, Build: c.Dist.Report, Serve: c.distSrv.Stats()}
+	if c.cfg.ParentURL != "" {
+		resp.Mirror = c.mirror.Load()
+	}
+	return resp, nil
 }
 
 // opEvents serves the lifecycle bus: the recent event ring, filtered by
@@ -507,103 +459,27 @@ func (c *Cluster) opDistStats(r *http.Request) (interface{}, *apiError) {
 // timeline), type, phase, source, and since (sequence number); limit keeps
 // the most recent N matches. The response carries the bus's high-water
 // sequence and how many old events the bounded ring has dropped, so a
-// client polling with since= can detect gaps.
+// client polling with since= can detect gaps. The filter rides along in the
+// payload for the fan-out.
 func (c *Cluster) opEvents(r *http.Request) (interface{}, *apiError) {
-	f, aerr := c.eventFilter(r)
+	since, aerr := formInt(r, "since", 0, 0)
 	if aerr != nil {
 		return nil, aerr
 	}
-	return EventsResponse{Events: c.events.Recent(f), Seq: c.events.Seq(), Dropped: c.events.Evicted()}, nil
-}
-
-// eventFilter parses the /v1/events query string, for the local read, the
-// fan-out's merge limit and the dark-child mirror fallback alike.
-func (c *Cluster) eventFilter(r *http.Request) (lifecycle.Filter, *apiError) {
-	since, aerr := formInt(r, "since", 0, 0)
-	if aerr != nil {
-		return lifecycle.Filter{}, aerr
-	}
 	limit, aerr := formInt(r, "limit", 0, 0)
 	if aerr != nil {
-		return lifecycle.Filter{}, aerr
+		return nil, aerr
 	}
 	var f lifecycle.Filter
 	if nodeID := r.FormValue("node"); nodeID != "" {
-		f = c.nodeFilter(nodeID)
+		f = c.dir.filter(nodeID)
 	}
 	f.Type = lifecycle.EventType(r.FormValue("type"))
 	f.Phase = lifecycle.Phase(r.FormValue("phase"))
 	f.Source = r.FormValue("source")
 	f.SinceSeq = uint64(since)
 	f.Limit = limit
-	return f, nil
-}
-
-// opFacts is the install loop's reporting edge. POST ingests one
-// first-boot agent's JSON report: the frontend persists it (WAL-covered),
-// diffs it against the profile the database expects, and publishes
-// drift-detected events the supervisor acts on; ?shard= marks a report a
-// registered federated child is relaying upstream, stored with provenance
-// and never re-diffed. GET serves the assembled inventory with per-node
-// freshness and each node's current drift verdict.
-func (c *Cluster) opFacts(r *http.Request) (interface{}, *apiError) {
-	if r.Method != http.MethodPost {
-		return c.FactsInventory(), nil
-	}
-	shard := r.URL.Query().Get("shard")
-	if shard != "" {
-		c.fed.mu.Lock()
-		_, known := c.fed.children[shard]
-		c.fed.mu.Unlock()
-		if !known {
-			return nil, apiErrorf(http.StatusNotFound, "unknown_shard",
-				"shard %q is not registered; POST /v1/federation/register first", shard)
-		}
-	}
-	var f hardware.Facts
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	if err := dec.Decode(&f); err != nil {
-		return nil, apiErrorf(http.StatusBadRequest, "bad_body", "decoding facts report: %v", err)
-	}
-	if f.MAC == "" {
-		return nil, apiErrorf(http.StatusBadRequest, "missing_parameter", "facts report has no mac")
-	}
-	if err := c.ingestFacts(f, shard); err != nil {
-		return nil, apiErrorf(http.StatusInternalServerError, "facts_failed", "recording facts: %v", err)
-	}
-	return map[string]string{"status": "recorded", "mac": f.MAC}, nil
-}
-
-// auditEndpoint serves the mutation audit log, filtered by op, actor,
-// outcome, since (sequence), and limit.
-func (c *Cluster) auditEndpoint() endpoint {
-	return endpoint{
-		name: "audit",
-		run: func(r *http.Request) (interface{}, *apiError) {
-			since, aerr := formInt(r, "since", 0, 0)
-			if aerr != nil {
-				return nil, aerr
-			}
-			limit, aerr := formInt(r, "limit", 0, 0)
-			if aerr != nil {
-				return nil, aerr
-			}
-			entries := c.audit.recent(auditFilter{
-				Op:       r.FormValue("op"),
-				Actor:    r.FormValue("actor"),
-				Outcome:  r.FormValue("outcome"),
-				SinceSeq: uint64(since),
-				Limit:    limit,
-			})
-			seq, evicted, errCount := c.audit.stats()
-			return struct {
-				Entries []AuditEntry `json:"entries"`
-				Seq     uint64       `json:"seq"`
-				Dropped uint64       `json:"dropped"`
-				Errors  uint64       `json:"errors"`
-			}{entries, seq, evicted, errCount}, nil
-		},
-	}
+	return EventsResponse{Events: c.events.Recent(f), Seq: c.events.Seq(), Dropped: c.events.Evicted(), filter: f}, nil
 }
 
 // formInt parses an optional integer parameter: absent means def, but bad
@@ -634,19 +510,4 @@ func formOr(r *http.Request, key, def string) string {
 		return s
 	}
 	return def
-}
-
-// dedupSorted sorts and deduplicates in place.
-func dedupSorted(in []string) []string {
-	if len(in) == 0 {
-		return nil
-	}
-	sort.Strings(in)
-	out := in[:1]
-	for _, s := range in[1:] {
-		if s != out[len(out)-1] {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"net/http"
 	"sync"
 	"time"
 
 	"rocks/internal/lifecycle"
+	"rocks/internal/metrics"
 )
 
 // The audit log answers "who changed the cluster, and did it work?" — the
@@ -32,12 +34,16 @@ type AuditEntry struct {
 	Status  int    `json:"status"`
 }
 
-// auditLog is a bounded ring of AuditEntries, safe for concurrent use.
+// auditLog is the control plane's record: a bounded ring of AuditEntries,
+// safe for concurrent use, and the per-operation request counter every /v1
+// call advances.
 type auditLog struct {
 	mu     sync.Mutex
 	ring   lifecycle.Ring[AuditEntry]
 	seq    uint64
 	errors uint64
+
+	requests *metrics.CounterVec
 }
 
 // record stamps the entry with a sequence number and timestamp and appends
@@ -57,31 +63,59 @@ func (a *auditLog) record(e AuditEntry) AuditEntry {
 	return e
 }
 
-// auditFilter selects entries; zero fields match everything.
-type auditFilter struct {
-	Op       string
-	Actor    string
-	Outcome  string
-	SinceSeq uint64
-	Limit    int // 0 = unlimited; otherwise the most recent N matches
-}
-
-// recent returns matching entries still in the ring, oldest first.
-func (a *auditLog) recent(f auditFilter) []AuditEntry {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ring.Select(f.Limit, func(e *AuditEntry) bool {
-		return (f.Op == "" || e.Op == f.Op) &&
-			(f.Actor == "" || e.Actor == f.Actor) &&
-			(f.Outcome == "" || e.Outcome == f.Outcome) &&
-			e.Seq > f.SinceSeq
-	})
-}
-
 // stats snapshots the log's counters for /metrics and the /v1/audit header
 // fields.
 func (a *auditLog) stats() (seq, evicted, errors uint64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.seq, a.ring.Evicted(), a.errors
+}
+
+// endpoint serves the mutation audit log still in the ring, oldest first,
+// filtered by op, actor, outcome and since (sequence) — an absent parameter
+// matches everything — and limit (the most recent N matches).
+func (a *auditLog) endpoint() endpoint {
+	return endpoint{
+		name: "audit",
+		run: func(r *http.Request) (interface{}, *apiError) {
+			since, aerr := formInt(r, "since", 0, 0)
+			if aerr != nil {
+				return nil, aerr
+			}
+			limit, aerr := formInt(r, "limit", 0, 0)
+			if aerr != nil {
+				return nil, aerr
+			}
+			op, actor, outcome := r.FormValue("op"), r.FormValue("actor"), r.FormValue("outcome")
+			a.mu.Lock()
+			entries := a.ring.Select(limit, func(e *AuditEntry) bool {
+				return (op == "" || e.Op == op) && (actor == "" || e.Actor == actor) &&
+					(outcome == "" || e.Outcome == outcome) && e.Seq > uint64(since)
+			})
+			a.mu.Unlock()
+			seq, evicted, errCount := a.stats()
+			return struct {
+				Entries []AuditEntry `json:"entries"`
+				Seq     uint64       `json:"seq"`
+				Dropped uint64       `json:"dropped"`
+				Errors  uint64       `json:"errors"`
+			}{entries, seq, evicted, errCount}, nil
+		},
+	}
+}
+
+// registerMetrics exposes per-op control-plane traffic and the log's
+// counters.
+func (a *auditLog) registerMetrics(r *metrics.Registry) {
+	a.requests = r.CounterVec("rocks_api_requests_total",
+		"Control-plane requests by operation.", "op")
+	r.CounterFunc("rocks_audit_entries_total",
+		"Mutating control-plane calls recorded in the audit log.",
+		func() float64 { seq, _, _ := a.stats(); return float64(seq) })
+	r.CounterFunc("rocks_audit_errors_total",
+		"Audited calls that failed.",
+		func() float64 { _, _, errs := a.stats(); return float64(errs) })
+	r.CounterFunc("rocks_audit_evictions_total",
+		"Audit entries evicted from the bounded ring.",
+		func() float64 { _, ev, _ := a.stats(); return float64(ev) })
 }

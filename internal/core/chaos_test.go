@@ -34,7 +34,6 @@ func TestChaosStormSelfHeals(t *testing.T) {
 		DHCPRetry:           2 * time.Millisecond,
 		DisableEKV:          true,
 		Faults:              inj,
-		InstallRetries:      2,
 		InstallRetryBackoff: 2 * time.Millisecond,
 	})
 	if err != nil {
@@ -184,28 +183,28 @@ func TestChaosStormSelfHeals(t *testing.T) {
 	// up as a failed cycle, the lemon burned exactly its budget, and both
 	// recoverable machines were logged recovered.
 	victims := map[string]bool{crasher.MAC(): true, flakyPower.MAC(): true, lemon.MAC(): true}
-	perMAC := map[string]map[EventType]int{}
+	perMAC := map[string]map[lifecycle.EventType]int{}
 	for _, e := range sup.Events() {
 		if !victims[e.MAC] {
 			t.Errorf("supervisor touched a healthy node: %s", e)
 			continue
 		}
 		if perMAC[e.MAC] == nil {
-			perMAC[e.MAC] = map[EventType]int{}
+			perMAC[e.MAC] = map[lifecycle.EventType]int{}
 		}
 		perMAC[e.MAC][e.Type]++
 	}
-	if n := perMAC[flakyPower.MAC()][EventPowerCycleFailed]; n != 1 {
+	if n := perMAC[flakyPower.MAC()][lifecycle.EventPowerCycleFailed]; n != 1 {
 		t.Errorf("failed cycles on flaky-power node = %d, want 1 (one injected veto)", n)
 	}
-	if perMAC[crasher.MAC()][EventPowerCycle] < 1 || perMAC[crasher.MAC()][EventRecovered] != 1 {
+	if perMAC[crasher.MAC()][lifecycle.EventPowerCycle] < 1 || perMAC[crasher.MAC()][lifecycle.EventRecovered] != 1 {
 		t.Errorf("crasher events = %v, want ≥1 power-cycle and exactly 1 recovered", perMAC[crasher.MAC()])
 	}
-	if perMAC[flakyPower.MAC()][EventPowerCycle] < 1 || perMAC[flakyPower.MAC()][EventRecovered] != 1 {
+	if perMAC[flakyPower.MAC()][lifecycle.EventPowerCycle] < 1 || perMAC[flakyPower.MAC()][lifecycle.EventRecovered] != 1 {
 		t.Errorf("flaky-power events = %v", perMAC[flakyPower.MAC()])
 	}
 	lemonEvents := perMAC[lemon.MAC()]
-	if lemonEvents[EventPowerCycle] != 3 || lemonEvents[EventQuarantine] != 1 || lemonEvents[EventRecovered] != 0 {
+	if lemonEvents[lifecycle.EventPowerCycle] != 3 || lemonEvents[lifecycle.EventQuarantine] != 1 || lemonEvents[lifecycle.EventRecovered] != 0 {
 		t.Errorf("lemon events = %v, want exactly 3 cycles and 1 quarantine", lemonEvents)
 	}
 

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rocks/internal/clusterdb"
@@ -69,12 +69,9 @@ type Config struct {
 	// traffic corrupted per-node, PDU cycle commands vetoed, and installs
 	// wedged at stage boundaries. Nil means no injection (production).
 	Faults *faults.Injector
-	// InstallRetries bounds the installer's automatic, non-interactive
-	// retries per fetch before the install crashes. Zero means the
-	// default (2); negative disables automatic retries.
-	InstallRetries int
-	// InstallRetryBackoff is the initial wait between those retries
-	// (doubling per attempt); zero means the installer default.
+	// InstallRetryBackoff is the initial wait between the installer's
+	// automatic, non-interactive retries of a fetch (two, doubling per
+	// attempt); zero means the installer default.
 	InstallRetryBackoff time.Duration
 	// DBDir, when set, makes the cluster database durable: mutations append
 	// to a write-ahead log in this directory and Close snapshots it, so a
@@ -110,14 +107,33 @@ type Config struct {
 	FederationTimeout time.Duration
 }
 
-// Cluster is a running Rocks cluster.
+// scope is the goroutine lifetime every subsystem starts work under: the
+// cluster's root context, which Close cancels first, and the WaitGroup it
+// then drains.
+type scope struct {
+	ctx context.Context
+	wg  *sync.WaitGroup
+}
+
+// spawn runs f on a goroutine Close waits for.
+func (s scope) spawn(f func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		f()
+	}()
+}
+
+// Cluster is a running Rocks cluster. It is the composition root: it builds
+// the services and the subsystems below, wires them, owns the Close order,
+// and runs the node lifecycle proper (power-on, boot, come-up, the CGI).
 type Cluster struct {
 	cfg Config
 
-	// ctx is the cluster's root context: every long-running path — node
-	// installs, the supervisor, monitors, the report coalescer — derives
-	// from it, so Close cancels all in-flight work deterministically.
-	ctx    context.Context
+	// Every long-running path — node installs, the supervisor, monitors,
+	// relays, the federation forwarder — runs under the root scope, so Close
+	// cancels all in-flight work deterministically.
+	scope
 	cancel context.CancelFunc
 
 	// events is the lifecycle spine: installer, monitor, supervisor,
@@ -143,60 +159,39 @@ type Cluster struct {
 	httpSrv *http.Server
 	baseURL string
 	// distSrv serves c.Dist under /install/dist/ and counts its traffic;
-	// mirrorReport records the parent replication pass when ParentURL was
-	// set. Both feed /v1/diststats. mirrorRepo keeps the mirrored repo
-	// itself as the delta baseline for Remirror, and localSources the
-	// pre-mirror source list a rebuild layers under the fresh mirror.
+	// mirror is the last parent replication pass (zero without a parent).
+	// Both feed /v1/diststats. mirrorRepo keeps the mirrored repo itself as
+	// the delta baseline for Remirror, and localSources the pre-mirror
+	// source list a rebuild layers under the fresh mirror.
 	distSrv      *dist.Server
-	mirrorReport *dist.MirrorReport
+	mirror       atomic.Pointer[dist.MirrorReport]
 	mirrorRepo   *rpm.Repository
 	localSources []dist.Source
 	ksAttrs      map[string]string // shared kickstart attributes; never mutated after startHTTP
 	ksCache      *kickstart.ProfileCache
 
-	mu          sync.Mutex
-	nodes       map[string]*node.Node // by MAC
-	byName      map[string]*node.Node
-	outlets     int
-	quarantined map[string]bool
-	quarSeq     int64 // bumps on every quarantine-set change (report guard)
-	supervisor  *Supervisor
+	// The subsystems (DESIGN.md §14). Each owns its state, its lock, its /v1
+	// endpoints and its /metrics families, and takes only what it uses.
+	dir     *directory
+	relays  *relayRegistry
+	fed     *fedState
+	facts   *factsState
+	reports *reportCoalescer
+	remedy  *remediation
+	audit   *auditLog
 
-	// supStats counts remediation actions across supervisor restarts;
-	// installStats does the same for installer outcomes across node churn.
-	supStats     supervisorStats
+	// installStats counts installer outcomes across node churn;
+	// metricsReg is the one scrapeable surface (/metrics) every layer
+	// registers on; cgiSeconds times kickstart.cgi request latency.
 	installStats installer.Stats
-
-	// metricsReg is the one scrapeable surface (/metrics) every layer's
-	// counters register on; audit records every mutating control-plane
-	// call; apiReqs counts control-plane traffic per operation.
-	metricsReg *metrics.Registry
-	audit      *auditLog
-	apiReqs    *metrics.CounterVec
-
-	// relays is the peer distribution registry (nil unless EnableRelays).
-	relays *relayRegistry
-
-	// fed is the federation half: shard declaration, upstream link when
-	// this frontend is a child, child registry when it is a parent. Always
-	// non-nil. cgiSeconds times kickstart.cgi request latency.
-	fed        *fedState
-	cgiSeconds *metrics.Histogram
-
-	// facts is the inventory half of the install loop: every node's latest
-	// first-boot report, its drift verdict against the database's expected
-	// profile, and the per-field drift counters /metrics exposes. Always
-	// non-nil; the durable rows live in clusterdb's facts table.
-	facts *factsState
-
-	reports reportCoalescer
+	metricsReg   *metrics.Registry
+	cgiSeconds   *metrics.Histogram
 
 	// recovery records what Open found when DBDir was set and held a
 	// previous life's database; nil for fresh or in-memory databases.
 	recovery *clusterdb.RecoveryInfo
 
-	wg     sync.WaitGroup
-	closed bool
+	closeOnce sync.Once
 }
 
 // New builds and boots a cluster frontend: database, distribution, HTTP
@@ -237,13 +232,13 @@ func New(cfg Config) (*Cluster, error) {
 	// and Remirror — is cancellable by the same cancel Close calls.
 	ctx, cancel := context.WithCancel(context.Background())
 	localSources := cfg.Sources
-	var mirrorReport *dist.MirrorReport
+	mirrorReport := &dist.MirrorReport{}
 	var mirrorRepo *rpm.Repository
 	if cfg.ParentURL != "" {
-		// Default options: a 60s-timeout client (a wedged parent must not
-		// hang frontend construction forever), 8 parallel fetch workers,
-		// and bounded per-file retries. Every fetched body is verified
-		// against the parent's digest manifest when it serves one.
+		// Default options: a 60s-timeout client, so a wedged parent cannot
+		// hang frontend construction forever. The pass is one stream of
+		// what the parent's digest manifest lists, every body verified
+		// against it as it arrives.
 		mirror, report, err := dist.Mirror(ctx, cfg.ParentURL, "parent-mirror", dist.MirrorOptions{})
 		if err != nil {
 			cancel()
@@ -259,6 +254,8 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:          cfg,
+		scope:        scope{ctx: ctx, wg: new(sync.WaitGroup)},
+		cancel:       cancel,
 		events:       lifecycle.NewBus(lifecycle.DefaultRingSize),
 		Syslog:       syslogd.New(),
 		Bus:          dhcp.NewBus(),
@@ -266,14 +263,15 @@ func New(cfg Config) (*Cluster, error) {
 		NFS:          nfs.NewServer(),
 		PBS:          pbs.NewServer(),
 		PDU:          power.NewPDU("pdu-0-0"),
+		Frontend:     node.New(hardware.Frontend(macs)),
 		macs:         macs,
-		nodes:        make(map[string]*node.Node),
-		byName:       make(map[string]*node.Node),
-		quarantined:  make(map[string]bool),
+		mirrorRepo:   mirrorRepo,
 		localSources: localSources,
+		dir:          newDirectory(),
+		audit:        &auditLog{ring: lifecycle.NewRing[AuditEntry](auditRingSize)},
+		metricsReg:   metrics.NewRegistry(),
 	}
-	c.ctx, c.cancel = ctx, cancel
-	c.facts = newFactsState()
+	c.mirror.Store(mirrorReport)
 	if cfg.DBDir != "" {
 		// Durable database: recover whatever a previous life left behind —
 		// the node bindings a frontend crash mid-discovery-storm would
@@ -309,8 +307,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.Dist = dist.Build(cfg.Name, cfg.Framework, cfg.Sources...)
 	c.distSrv = dist.NewServer(c.Dist)
-	c.mirrorReport = mirrorReport
-	c.mirrorRepo = mirrorRepo
 	// The CGI's memo: reinstall storms hit one (appliance, arch) class
 	// hundreds of times; one traversal serves them all (§4, §6.1).
 	c.ksCache = kickstart.NewProfileCache(c.Dist.Framework)
@@ -337,38 +333,47 @@ func New(cfg Config) (*Cluster, error) {
 		e := lifecycle.Event{Phase: lifecycle.PhaseRemediate, Type: t, Source: "pdu", Detail: detail}
 		// Outlets are labeled by MAC; surface the hostname when one exists.
 		e.Node = label
-		c.mu.Lock()
-		if n, ok := c.nodes[label]; ok {
+		if n, ok := c.dir.machine(label); ok {
 			e.MAC = label
 			if name := n.Name(); name != "" {
 				e.Node = name
 			}
 		}
-		c.mu.Unlock()
 		c.events.Publish(e)
 	})
 
-	// One scrapeable surface for every layer's counters, plus the audit
-	// log the control plane records mutations into. Both must exist
-	// before startHTTP registers their endpoints.
-	c.audit = &auditLog{ring: lifecycle.NewRing[AuditEntry](auditRingSize)}
-	if cfg.EnableRelays {
-		c.relays = newRelayRegistry(c)
+	// The frontend's address comes first: the subsystems hand it out.
+	addr := cfg.ListenAddr
+	if addr == "" {
+		addr = "127.0.0.1:0"
 	}
-	c.fed = newFedState(c)
-	c.registerMetrics()
-
-	if err := c.startHTTP(); err != nil {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
 		c.DB.Close()
-		return nil, err
+		return nil, fmt.Errorf("core: frontend HTTP: %w", err)
 	}
+	c.httpLn, c.baseURL = ln, "http://"+ln.Addr().String()
+
+	// The subsystems, each given only what it uses, then their families on
+	// the one registry and their endpoints on the one mux.
+	c.relays = newRelayRegistry(c.scope, c.DB, c.events, c.Syslog)
+	if cfg.EnableRelays {
+		c.relays.watch()
+	}
+	c.fed = newFedState(cfg, c.scope, c.events, c.metricsReg)
+	c.facts = newFactsState(c.DB, c.events, c.dir, c.fed)
+	c.reports = &reportCoalescer{ctx: ctx, db: c.DB, dhcpd: c.DHCPd, frontend: c.Frontend,
+		dir: c.dir, nextServer: c.baseURL, log: c.Syslog}
+	c.remedy = &remediation{ctx: ctx, events: c.events, log: c.Syslog, db: c.DB, pdu: c.PDU,
+		pbs: c.PBS, dir: c.dir, facts: c.facts, reports: c.reports, frontendMAC: c.Frontend.MAC()}
+	c.registerMetrics()
+	c.startHTTP()
 
 	// Install the frontend through its own services. A recovered database
 	// already holds the frontend's row; rebind it to this life's MAC (the
 	// allocator restarts from scratch, so it usually matches anyway) instead
 	// of tripping the unique name index.
-	fe := node.New(hardware.Frontend(c.macs))
-	c.Frontend = fe
+	fe := c.Frontend
 	if existing, ok, err := clusterdb.NodeByName(c.DB, "frontend-0"); err != nil {
 		c.Close()
 		return nil, err
@@ -400,7 +405,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		// The inventory the previous life collected survives with the rows:
 		// /v1/facts answers from the recovered table immediately.
-		if err := c.loadFacts(); err != nil {
+		if err := c.facts.load(); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -422,7 +427,7 @@ func New(cfg Config) (*Cluster, error) {
 		// Announce this child's shard upstream and start streaming its
 		// lifecycle events; an unreachable parent fails construction the
 		// same way a failed parent mirror does.
-		if err := c.fed.registerWithParent(); err != nil {
+		if err := c.fed.registerWithParent(c.baseURL); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("core: registering with parent frontend: %w", err)
 		}
@@ -445,22 +450,7 @@ func (c *Cluster) Events() *lifecycle.Bus { return c.events }
 // result is the /v1/events?node=X view — discover through install, up,
 // dark, and remediation — in publish order.
 func (c *Cluster) NodeTimeline(hostOrMAC string) []lifecycle.Event {
-	return c.events.Recent(c.nodeFilter(hostOrMAC))
-}
-
-// nodeFilter selects a node's events under both of its identities: the one
-// given and, when the node is tracked, the other (its MAC for a hostname,
-// its hostname for a MAC).
-func (c *Cluster) nodeFilter(hostOrMAC string) lifecycle.Filter {
-	f := lifecycle.Filter{Node: hostOrMAC}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n, ok := c.byName[hostOrMAC]; ok {
-		f.Alias = n.MAC()
-	} else if n, ok := c.nodes[hostOrMAC]; ok {
-		f.Alias = n.Name()
-	}
-	return f
+	return c.events.Recent(c.dir.filter(hostOrMAC))
 }
 
 // Handler exposes the frontend's HTTP mux for in-process dispatch — load
@@ -481,24 +471,36 @@ func (c *Cluster) MACs() *hardware.MACAllocator { return c.macs }
 // trackNode registers a node in the cluster's indexes and installs its
 // reboot hook.
 func (c *Cluster) trackNode(n *node.Node) {
-	c.mu.Lock()
-	c.nodes[n.MAC()] = n
-	c.mu.Unlock()
+	c.dir.track(n)
 	n.OnReboot = func() {
 		// The node rebooted (shoot-node, reinstall job, or plain reboot):
 		// it leaves the batch pool immediately and comes back through the
 		// boot path.
-		if name := n.Name(); name != "" {
+		name := n.Name()
+		if name != "" {
 			c.PBS.UnregisterMom(name)
 		}
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			if err := c.bootOnce(c.ctx, n); err != nil {
-				c.Syslog.Log("frontend-0", "rocks", "node %s failed to boot: %v", n.Name(), err)
-			}
-		}()
+		c.boot(n, false, "node "+name+" failed to boot")
 	}
+}
+
+// boot takes a node through one power-on in the background, under the root
+// scope, and logs a failure as "<failed>: <error>". A hard cycle (the PDU's,
+// the crash cart's repair) first powers the machine off and forces a
+// reinstall (§4); its goroutine marks the node booting as it starts.
+func (c *Cluster) boot(n *node.Node, cycle bool, failed string) {
+	if cycle {
+		n.PowerOff()
+		n.ForceReinstall()
+	}
+	c.spawn(func() {
+		if cycle {
+			n.SetState(node.StateBooting)
+		}
+		if err := c.bootOnce(c.ctx, n); err != nil {
+			c.Syslog.Log("frontend-0", "rocks", "%s: %v", failed, err)
+		}
+	})
 }
 
 // installerConfig builds the per-node install configuration. Leaving HTTP
@@ -507,24 +509,17 @@ func (c *Cluster) trackNode(n *node.Node) {
 // node's identities (MAC always, name and IP once assigned — a node learns
 // its hostname mid-install, so identities are late-bound).
 func (c *Cluster) installerConfig(n *node.Node) installer.Config {
-	retries := c.cfg.InstallRetries
-	switch {
-	case retries == 0:
-		retries = 2
-	case retries < 0:
-		retries = 0
-	}
 	cfg := installer.Config{
 		Bus:          c.Bus,
 		DHCPRetry:    c.cfg.DHCPRetry,
 		DHCPTimeout:  c.cfg.DHCPTimeout,
 		DisableEKV:   c.cfg.DisableEKV,
-		FetchRetries: retries,
+		FetchRetries: 2,
 		FetchBackoff: c.cfg.InstallRetryBackoff,
 		Events:       c.events,
 		Stats:        &c.installStats,
 	}
-	if c.relays != nil && n != c.Frontend {
+	if c.cfg.EnableRelays && n != c.Frontend {
 		// Each install accumulates its verified packages in a fresh store;
 		// the registry promotes it to a serving relay on install-complete.
 		store := rpm.NewRepository(n.MAC() + "-relay")
@@ -576,9 +571,7 @@ func (c *Cluster) comeUp(n *node.Node) error {
 	if name == "" {
 		return fmt.Errorf("core: node %s has no hostname after boot", n.MAC())
 	}
-	c.mu.Lock()
-	c.byName[name] = n
-	c.mu.Unlock()
+	c.dir.named(name, n)
 
 	// ypbind: pull the account map and materialize /etc/passwd.nis.
 	b := nis.Bind(c.NIS)
@@ -611,23 +604,10 @@ func (c *Cluster) comeUp(n *node.Node) error {
 }
 
 // NodeByName returns a tracked node.
-func (c *Cluster) NodeByName(name string) (*node.Node, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.byName[name]
-	return n, ok
-}
+func (c *Cluster) NodeByName(name string) (*node.Node, bool) { return c.dir.node(name) }
 
 // Nodes returns all tracked nodes keyed by MAC (a copy).
-func (c *Cluster) Nodes() map[string]*node.Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]*node.Node, len(c.nodes))
-	for k, v := range c.nodes {
-		out[k] = v
-	}
-	return out
-}
+func (c *Cluster) Nodes() map[string]*node.Node { return c.dir.all() }
 
 // Quarantine pulls a node out of service without removing it: the host is
 // marked offline in PBS (never scheduled again), its mom is unregistered
@@ -636,52 +616,14 @@ func (c *Cluster) Nodes() map[string]*node.Node {
 // PDU outlet survive so the machine can be repaired and returned with
 // Unquarantine. Host may be a hostname or, for nodes that died before
 // naming, a MAC.
-func (c *Cluster) Quarantine(host string) error {
-	c.mu.Lock()
-	c.quarantined[host] = true
-	c.quarSeq++
-	c.mu.Unlock()
-	c.PBS.SetOffline(host, true)
-	c.PBS.UnregisterMom(host)
-	c.Syslog.Log("frontend-0", "rocks", "quarantined %s: offline in PBS, awaiting repair", host)
-	return c.WriteReports()
-}
+func (c *Cluster) Quarantine(host string) error { return c.remedy.quarantine(host) }
 
 // Unquarantine returns a repaired node to service. The node rejoins the
 // batch pool on its next successful boot (its mom re-registers in comeUp).
-func (c *Cluster) Unquarantine(host string) error {
-	c.mu.Lock()
-	delete(c.quarantined, host)
-	c.quarSeq++
-	c.mu.Unlock()
-	c.PBS.SetOffline(host, false)
-	c.Syslog.Log("frontend-0", "rocks", "unquarantined %s", host)
-	c.supStats.unquarantines.Add(1)
-	c.events.Publish(lifecycle.Event{
-		Node: host, Phase: lifecycle.PhaseRemediate,
-		Type: lifecycle.EventUnquarantine, Source: "cluster",
-	})
-	return c.WriteReports()
-}
+func (c *Cluster) Unquarantine(host string) error { return c.remedy.unquarantine(host) }
 
 // IsQuarantined reports whether the host is quarantined.
-func (c *Cluster) IsQuarantined(host string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.quarantined[host]
-}
-
-// Quarantined lists quarantined hosts, sorted.
-func (c *Cluster) Quarantined() []string {
-	c.mu.Lock()
-	out := make([]string, 0, len(c.quarantined))
-	for h := range c.quarantined {
-		out = append(out, h)
-	}
-	c.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
+func (c *Cluster) IsQuarantined(host string) bool { return c.dir.isQuarantined(host) }
 
 // AddUser creates an account on the frontend: an NIS map entry plus a home
 // directory on the NFS export. Compute nodes see it without reinstalling.
@@ -695,42 +637,32 @@ func (c *Cluster) AddUser(name string, uid int) error {
 
 // Close shuts the cluster down deterministically: the root context is
 // cancelled first, which aborts in-flight installs at their next phase
-// boundary and reaps every context-started monitor loop; then the
-// supervisor, report timer, and HTTP listener stop, and the node goroutines
-// drain. After Close returns, no cluster goroutine is left running.
+// boundary and reaps every context-started loop (the relay watcher, the
+// federation forwarder, monitors); then the report timer, the supervisor,
+// the relay listeners and the HTTP server stop, so nothing new is served
+// or armed, and the scope's goroutines drain. The database closes last.
+// After Close returns, no cluster goroutine is left running.
 func (c *Cluster) Close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	sup := c.supervisor
-	c.mu.Unlock()
-	c.cancel()
-	c.stopReportTimer()
-	if sup != nil {
-		sup.Stop()
-	}
-	if c.relays != nil {
+	c.closeOnce.Do(func() {
+		c.cancel()
+		c.reports.stop()
+		if sup := c.remedy.current(); sup != nil {
+			sup.Stop()
+		}
 		c.relays.closeAll()
-	}
-	if c.httpSrv != nil {
 		// Close the server, not just the listener: accepted keep-alive
-		// connections (an installer's pooled conns, a parent's fan-out
-		// client) would otherwise keep answering after shutdown — a closed
-		// frontend must go dark, not half-dark.
+		// connections (an installer's pooled conns, a parent's fan-out client)
+		// would otherwise keep answering after shutdown — a closed frontend must
+		// go dark, not half-dark.
 		c.httpSrv.Close()
-	}
-	if c.httpLn != nil {
 		c.httpLn.Close()
-	}
-	c.wg.Wait()
-	// Last: a final snapshot bounds the next Open's replay. After wg.Wait
-	// no cluster goroutine can still be writing.
-	if err := c.DB.Close(); err != nil {
-		c.Syslog.Log("frontend-0", "clusterdb", "closing database: %v", err)
-	}
+		c.wg.Wait()
+		// Last: a final snapshot bounds the next Open's replay. After wg.Wait
+		// no cluster goroutine can still be writing.
+		if err := c.DB.Close(); err != nil {
+			c.Syslog.Log("frontend-0", "clusterdb", "closing database: %v", err)
+		}
+	})
 }
 
 // Recovery reports what the durable database recovered at startup: nil when

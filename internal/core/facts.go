@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"rocks/internal/clusterdb"
 	"rocks/internal/hardware"
 	"rocks/internal/lifecycle"
+	"rocks/internal/metrics"
 )
 
 // This file is the frontend half of the facts-driven inventory loop. The
@@ -24,9 +27,9 @@ import (
 // freshness, and a federated child forwards each report upstream so the
 // parent's inventory carries shard provenance.
 
-// driftFields is the comparator's full field vocabulary, pre-seeded into
-// the drift counters so the rocks_facts_drift_total family is present on
-// /metrics (at zero) before any drift ever occurs.
+// driftFields is the comparator's full field vocabulary: the
+// rocks_facts_drift_total family carries a series for each, at zero before
+// any drift ever occurs.
 var driftFields = []string{"arch", "cpus", "mem_mb", "disk", "nics"}
 
 // factsRecord is one node's latest report plus its drift verdict.
@@ -36,10 +39,16 @@ type factsRecord struct {
 	drift      []hardware.Drift
 }
 
-// factsState is the cluster's in-memory inventory view: its own nodes'
-// latest reports (backed by the durable facts table) plus reports forwarded
-// up from federated children, keyed by shard.
+// factsState is the inventory subsystem: its own nodes' latest reports
+// (backed by the durable facts table, diffed against the directory's
+// machines) plus reports forwarded up from federated children, keyed by
+// shard, and the counters the rocks_facts_* families read.
 type factsState struct {
+	db     *clusterdb.Database
+	events *lifecycle.Bus
+	dir    *directory
+	fed    *fedState
+
 	mu      sync.Mutex
 	records map[string]*factsRecord            // own nodes, by MAC
 	fwd     map[string]map[string]*factsRecord // shard → MAC → record
@@ -47,49 +56,43 @@ type factsState struct {
 	drift   map[string]uint64 // drift events by field
 }
 
-func newFactsState() *factsState {
-	fs := &factsState{
+func newFactsState(db *clusterdb.Database, events *lifecycle.Bus, dir *directory, fed *fedState) *factsState {
+	return &factsState{
+		db: db, events: events, dir: dir, fed: fed,
 		records: make(map[string]*factsRecord),
 		fwd:     make(map[string]map[string]*factsRecord),
 		drift:   make(map[string]uint64, len(driftFields)),
 	}
-	for _, f := range driftFields {
-		fs.drift[f] = 0
-	}
-	return fs
 }
 
-// ingestFacts records one agent report. shard is federation provenance:
+// ingest records one agent report. shard is federation provenance:
 // empty for this frontend's own nodes, the child's shard name for a report
 // forwarded upstream (provenance-only — the parent has no expected profile
 // for another frontend's node, so forwarded reports are never diffed here;
 // the child already did that and published the drift events).
-func (c *Cluster) ingestFacts(f hardware.Facts, shard string) error {
+func (fs *factsState) ingest(f hardware.Facts, shard string) error {
 	now := time.Now()
 	if shard != "" {
-		c.facts.mu.Lock()
-		m := c.facts.fwd[shard]
+		fs.mu.Lock()
+		m := fs.fwd[shard]
 		if m == nil {
 			m = make(map[string]*factsRecord)
-			c.facts.fwd[shard] = m
+			fs.fwd[shard] = m
 		}
 		m[f.MAC] = &factsRecord{facts: f, reportedAt: now}
-		c.facts.reports++
-		c.facts.mu.Unlock()
+		fs.reports++
+		fs.mu.Unlock()
 		return nil
 	}
 
-	c.mu.Lock()
-	n := c.nodes[f.MAC]
-	c.mu.Unlock()
 	rec := &factsRecord{facts: f, reportedAt: now}
-	if n != nil {
+	if n, ok := fs.dir.machine(f.MAC); ok {
 		rec.drift = hardware.DiffFacts(n.HW, f)
 	}
 
 	// Persist before publishing: a crash between the two loses events (the
 	// ring is volatile anyway) but never a recorded report.
-	if err := clusterdb.UpsertFacts(c.DB, clusterdb.Facts{
+	if err := clusterdb.UpsertFacts(fs.db, clusterdb.Facts{
 		MAC: f.MAC, Name: f.Name, Arch: f.Arch, CPUs: f.CPUs, MemMB: f.MemMB,
 		DiskType: string(f.Disk.Type), DiskMB: f.Disk.SizeMB,
 		NICs:       strings.Join(hardware.CanonicalNICs(f.NICs), ";"),
@@ -98,28 +101,28 @@ func (c *Cluster) ingestFacts(f hardware.Facts, shard string) error {
 		return err
 	}
 
-	c.facts.mu.Lock()
-	prev := c.facts.records[f.MAC]
+	fs.mu.Lock()
+	prev := fs.records[f.MAC]
 	hadDrift := prev != nil && len(prev.drift) > 0
-	c.facts.records[f.MAC] = rec
-	c.facts.reports++
+	fs.records[f.MAC] = rec
+	fs.reports++
 	for _, d := range rec.drift {
-		c.facts.drift[d.Field]++
+		fs.drift[d.Field]++
 	}
-	c.facts.mu.Unlock()
+	fs.mu.Unlock()
 
 	name := f.Name
 	if name == "" {
 		name = f.MAC
 	}
-	c.events.Publish(lifecycle.Event{
+	fs.events.Publish(lifecycle.Event{
 		Node: name, MAC: f.MAC, Phase: lifecycle.PhaseRun,
 		Type: lifecycle.EventFactsReported, Source: "facts",
 		Detail: fmt.Sprintf("arch=%s cpus=%d mem=%dMB disk=%s nics=%d drift=%d",
 			f.Arch, f.CPUs, f.MemMB, hardware.DiskString(f.Disk), len(f.NICs), len(rec.drift)),
 	})
 	for _, d := range rec.drift {
-		c.events.Publish(lifecycle.Event{
+		fs.events.Publish(lifecycle.Event{
 			Node: name, MAC: f.MAC, Phase: lifecycle.PhaseRun,
 			Type: lifecycle.EventDriftDetected, Source: "facts",
 			Detail: fmt.Sprintf("field=%s expected=%q got=%q actionable=%v",
@@ -127,7 +130,7 @@ func (c *Cluster) ingestFacts(f hardware.Facts, shard string) error {
 		})
 	}
 	if hadDrift && len(rec.drift) == 0 {
-		c.events.Publish(lifecycle.Event{
+		fs.events.Publish(lifecycle.Event{
 			Node: name, MAC: f.MAC, Phase: lifecycle.PhaseRun,
 			Type: lifecycle.EventDriftCleared, Source: "facts",
 			Detail: "report matches expected profile",
@@ -137,22 +140,22 @@ func (c *Cluster) ingestFacts(f hardware.Facts, shard string) error {
 	// A child frontend forwards the report upstream with its shard name, so
 	// the parent's merged inventory carries provenance. Best-effort and
 	// asynchronous: a dark parent must never stall a node's first boot.
-	c.fed.forwardFacts(f)
+	fs.fed.forwardFacts(f)
 	return nil
 }
 
-// loadFacts rehydrates the in-memory inventory from the durable facts
+// load rehydrates the in-memory inventory from the durable facts
 // table — what a recovered frontend knew before the crash. Drift is not
 // recomputed here: the previous life's machines are not tracked yet, and
 // each node's next first-boot report re-diffs it anyway.
-func (c *Cluster) loadFacts() error {
-	rows, err := clusterdb.AllFacts(c.DB)
+func (fs *factsState) load() error {
+	rows, err := clusterdb.AllFacts(fs.db)
 	if err != nil {
 		return err
 	}
-	c.facts.mu.Lock()
+	fs.mu.Lock()
 	for _, row := range rows {
-		c.facts.records[row.MAC] = &factsRecord{
+		fs.records[row.MAC] = &factsRecord{
 			facts: hardware.Facts{
 				MAC: row.MAC, Name: row.Name, Arch: row.Arch, CPUs: row.CPUs,
 				MemMB: row.MemMB,
@@ -162,7 +165,19 @@ func (c *Cluster) loadFacts() error {
 			reportedAt: time.Unix(0, row.ReportedAt),
 		}
 	}
-	c.facts.mu.Unlock()
+	fs.mu.Unlock()
+	return nil
+}
+
+// forget drops a decommissioned machine's facts row and drift verdict, so
+// the inventory never reports a ghost.
+func (fs *factsState) forget(mac string) error {
+	if err := clusterdb.DeleteFacts(fs.db, mac); err != nil {
+		return err
+	}
+	fs.mu.Lock()
+	delete(fs.records, mac)
+	fs.mu.Unlock()
 	return nil
 }
 
@@ -191,10 +206,10 @@ func decodeNICs(s string) []hardware.NIC {
 // actionableDriftFields returns the actionable divergent fields from the
 // node's latest report, or nil when the node is clean (or unreported). The
 // supervisor polls this each tick to drive drift remediation.
-func (c *Cluster) actionableDriftFields(mac string) []string {
-	c.facts.mu.Lock()
-	defer c.facts.mu.Unlock()
-	rec := c.facts.records[mac]
+func (fs *factsState) actionableDriftFields(mac string) []string {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	rec := fs.records[mac]
 	if rec == nil {
 		return nil
 	}
@@ -249,19 +264,21 @@ func factsEntry(rec *factsRecord, shard string, now time.Time) FactsEntry {
 }
 
 // FactsInventory assembles the served inventory, sorted by (shard, node).
-func (c *Cluster) FactsInventory() FactsResponse {
+func (c *Cluster) FactsInventory() FactsResponse { return c.facts.inventory() }
+
+func (fs *factsState) inventory() FactsResponse {
 	now := time.Now()
-	c.facts.mu.Lock()
-	resp := FactsResponse{Facts: make([]FactsEntry, 0, len(c.facts.records)), Reports: c.facts.reports}
-	for _, rec := range c.facts.records {
+	fs.mu.Lock()
+	resp := FactsResponse{Facts: make([]FactsEntry, 0, len(fs.records)), Reports: fs.reports}
+	for _, rec := range fs.records {
 		resp.Facts = append(resp.Facts, factsEntry(rec, "", now))
 	}
-	for shard, m := range c.facts.fwd {
+	for shard, m := range fs.fwd {
 		for _, rec := range m {
 			resp.Facts = append(resp.Facts, factsEntry(rec, shard, now))
 		}
 	}
-	c.facts.mu.Unlock()
+	fs.mu.Unlock()
 	sort.Slice(resp.Facts, func(i, j int) bool {
 		if resp.Facts[i].Shard != resp.Facts[j].Shard {
 			return resp.Facts[i].Shard < resp.Facts[j].Shard
@@ -271,19 +288,68 @@ func (c *Cluster) FactsInventory() FactsResponse {
 	return resp
 }
 
-// factsReportCount and factsDriftCounts feed the /metrics families.
-func (c *Cluster) factsReportCount() uint64 {
-	c.facts.mu.Lock()
-	defer c.facts.mu.Unlock()
-	return c.facts.reports
+// endpoint is the install loop's reporting edge. POST ingests one
+// first-boot agent's JSON report: the frontend persists it (WAL-covered),
+// diffs it against the profile the database expects, and publishes
+// drift-detected events the supervisor acts on; ?shard= marks a report a
+// registered federated child is relaying upstream, stored with provenance
+// and never re-diffed. GET serves the assembled inventory with per-node
+// freshness and each node's current drift verdict.
+func (fs *factsState) endpoint() endpoint {
+	return endpoint{
+		name:  "facts",
+		audit: "facts-report",
+		// First-boot agent reports are telemetry, not administration:
+		// accept POST, never audit (a cluster-wide reinstall's report
+		// burst would bury the log).
+		mutates: func(*http.Request) bool { return false },
+		run: func(r *http.Request) (interface{}, *apiError) {
+			if r.Method != http.MethodPost {
+				return fs.inventory(), nil
+			}
+			shard := r.URL.Query().Get("shard")
+			if shard != "" {
+				if _, aerr := fs.fed.registered(shard); aerr != nil {
+					return nil, aerr
+				}
+			}
+			var f hardware.Facts
+			dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
+			if err := dec.Decode(&f); err != nil {
+				return nil, apiErrorf(http.StatusBadRequest, "bad_body", "decoding facts report: %v", err)
+			}
+			if f.MAC == "" {
+				return nil, apiErrorf(http.StatusBadRequest, "missing_parameter", "facts report has no mac")
+			}
+			if err := fs.ingest(f, shard); err != nil {
+				return nil, apiErrorf(http.StatusInternalServerError, "facts_failed", "recording facts: %v", err)
+			}
+			return map[string]string{"status": "recorded", "mac": f.MAC}, nil
+		},
+	}
 }
 
-func (c *Cluster) factsDriftCounts() map[string]uint64 {
-	c.facts.mu.Lock()
-	defer c.facts.mu.Unlock()
-	out := make(map[string]uint64, len(c.facts.drift))
-	for k, v := range c.facts.drift {
-		out[k] = v
-	}
-	return out
+// registerMetrics exposes the facts-driven inventory loop: reports ingested
+// (own nodes and forwarded) and drift events by divergent field. The drift
+// family is pre-seeded with every comparator field, so all series exist at
+// zero before any report lands.
+func (fs *factsState) registerMetrics(r *metrics.Registry) {
+	r.CounterFunc("rocks_facts_reports_total",
+		"Facts reports ingested from first-boot agents and child forwarders.",
+		func() float64 {
+			fs.mu.Lock()
+			defer fs.mu.Unlock()
+			return float64(fs.reports)
+		})
+	r.CounterVecFunc("rocks_facts_drift_total",
+		"Drift events published, by divergent field.", []string{"field"},
+		func() []metrics.Sample {
+			out := make([]metrics.Sample, 0, len(driftFields))
+			fs.mu.Lock()
+			defer fs.mu.Unlock()
+			for _, f := range driftFields {
+				out = append(out, metrics.Sample{Labels: []string{f}, Value: float64(fs.drift[f])})
+			}
+			return out
+		})
 }

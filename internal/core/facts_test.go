@@ -140,27 +140,27 @@ func TestFactsDriftChaosConverges(t *testing.T) {
 	// reinstall counts match the skew budgets, and only the lemon was
 	// quarantined.
 	victims := map[string]bool{flipper: true, chronic: true, lemon: true}
-	perMAC := map[string]map[EventType]int{}
+	perMAC := map[string]map[lifecycle.EventType]int{}
 	for _, e := range sup.Events() {
 		if !victims[e.MAC] {
 			t.Errorf("supervisor touched a healthy node: %s", e)
 			continue
 		}
 		if perMAC[e.MAC] == nil {
-			perMAC[e.MAC] = map[EventType]int{}
+			perMAC[e.MAC] = map[lifecycle.EventType]int{}
 		}
 		perMAC[e.MAC][e.Type]++
 	}
 	for mac, want := range map[string]int{flipper: 1, chronic: 2, lemon: 2} {
-		if got := perMAC[mac][EventDriftReinstall]; got != want {
+		if got := perMAC[mac][lifecycle.EventDriftReinstall]; got != want {
 			t.Errorf("drift reinstalls for %s = %d, want %d\nevents:\n%s", mac, got, want, sup.EventLog())
 		}
 	}
-	if perMAC[flipper][EventRecovered] != 1 || perMAC[chronic][EventRecovered] != 1 {
+	if perMAC[flipper][lifecycle.EventRecovered] != 1 || perMAC[chronic][lifecycle.EventRecovered] != 1 {
 		t.Errorf("recoveries = %d/%d (flipper/chronic), want 1/1",
-			perMAC[flipper][EventRecovered], perMAC[chronic][EventRecovered])
+			perMAC[flipper][lifecycle.EventRecovered], perMAC[chronic][lifecycle.EventRecovered])
 	}
-	if perMAC[lemon][EventQuarantine] != 1 || perMAC[lemon][EventRecovered] != 0 {
+	if perMAC[lemon][lifecycle.EventQuarantine] != 1 || perMAC[lemon][lifecycle.EventRecovered] != 0 {
 		t.Errorf("lemon events = %v, want exactly 1 quarantine and no recovery", perMAC[lemon])
 	}
 	quarantines := c.Events().Recent(lifecycle.Filter{MAC: lemon, Type: lifecycle.EventQuarantine})

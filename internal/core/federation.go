@@ -20,6 +20,8 @@ import (
 	"rocks/internal/federation"
 	"rocks/internal/hardware"
 	"rocks/internal/lifecycle"
+	"rocks/internal/metrics"
+	"rocks/internal/node"
 )
 
 // The federated frontend hierarchy makes the management plane match the
@@ -54,9 +56,12 @@ const defaultFederationTimeout = 2 * time.Second
 // fedState is a cluster's federation half: its own shard declaration, the
 // upstream link when it is a child, and the downstream registry when it
 // is a parent. Always constructed (cheap when unused) so every query path
-// can consult it without nil checks.
+// can consult it without nil checks. own is this frontend's registry, the
+// first part of a merged /metrics.
 type fedState struct {
-	c         *Cluster
+	run       scope
+	events    *lifecycle.Bus
+	own       *metrics.Registry
 	shard     federation.Shard
 	parentURL string
 	client    *http.Client // bounded client for all federation HTTP
@@ -94,33 +99,34 @@ type fedChild struct {
 	lastExpoAt time.Time
 }
 
-func newFedState(c *Cluster) *fedState {
-	timeout := c.cfg.FederationTimeout
+func newFedState(cfg Config, run scope, events *lifecycle.Bus, own *metrics.Registry) *fedState {
+	timeout := cfg.FederationTimeout
 	if timeout <= 0 {
 		timeout = defaultFederationTimeout
 	}
 	return &fedState{
-		c:         c,
-		shard:     c.cfg.Shard,
-		parentURL: strings.TrimSuffix(c.cfg.Parent, "/"),
+		run:       run,
+		events:    events,
+		own:       own,
+		shard:     cfg.Shard,
+		parentURL: cfg.Parent,
 		client:    &http.Client{Timeout: timeout},
 		children:  make(map[string]*fedChild),
 	}
 }
 
 // Role reports how this frontend participates in the hierarchy.
-func (c *Cluster) Role() string {
-	if c.fed.parentURL != "" {
+func (c *Cluster) Role() string { return c.fed.role() }
+
+func (f *fedState) role() string {
+	if f.parentURL != "" {
 		return RoleChild
 	}
-	if len(c.fed.childSnapshot()) > 0 {
+	if len(f.childSnapshot()) > 0 {
 		return RoleParent
 	}
 	return RoleStandalone
 }
-
-// Shard returns this frontend's shard declaration.
-func (c *Cluster) Shard() federation.Shard { return c.fed.shard }
 
 // childSnapshot returns the registered children sorted by shard name —
 // the deterministic fan-out order every merged query uses.
@@ -181,6 +187,15 @@ func (f *fedState) getForwarder() *lifecycle.Forwarder {
 	return f.forwarder
 }
 
+// forwardStats reads the child-side forwarder's traffic; zero until it
+// starts.
+func (f *fedState) forwardStats() (sent, errs, drops uint64) {
+	if fw := f.getForwarder(); fw != nil {
+		return fw.Stats()
+	}
+	return 0, 0, 0
+}
+
 // upstreamClient builds an apiclient for this frontend's parent.
 func (f *fedState) upstreamClient() *apiclient.Client {
 	return &apiclient.Client{
@@ -190,61 +205,93 @@ func (f *fedState) upstreamClient() *apiclient.Client {
 	}
 }
 
-// registerWithParent announces this child's shard and URL upstream. New
-// calls it synchronously: a child that cannot reach its declared parent
-// fails construction the same way a failed parent mirror does.
-func (f *fedState) registerWithParent() error {
+// registerWithParent announces this child's shard and its own base URL
+// upstream. New calls it synchronously: a child that cannot reach its
+// declared parent fails construction the same way a failed parent mirror
+// does.
+func (f *fedState) registerWithParent(self string) error {
 	params := url.Values{
 		"shard": {f.shard.String()},
-		"url":   {f.c.baseURL},
+		"url":   {self},
 	}
 	if f.shard.Membership != 0 {
 		params.Set("membership", fmt.Sprint(f.shard.Membership))
 	}
-	return f.upstreamClient().Post(f.c.ctx, "federation/register", params, nil)
+	return f.upstreamClient().Post(f.run.ctx, "federation/register", params, nil)
 }
 
 // startForwarder begins streaming this child's lifecycle events to the
-// parent. The goroutine is tracked on the cluster WaitGroup so Close
-// remains leak-free.
+// parent. The goroutine runs under the cluster's scope so Close remains
+// leak-free.
 func (f *fedState) startForwarder() {
 	cl := f.upstreamClient()
 	query := url.Values{"shard": {f.shard.Name}}
 	// The forwarder posts what is still queued on its way out, after the
 	// cluster context is cancelled; the bounded client is what ends a post.
-	ctx := context.WithoutCancel(f.c.ctx)
-	fw := lifecycle.StartForwarder(f.c.ctx, f.c.events, lifecycle.ForwarderOptions{FlushInterval: 20 * time.Millisecond},
+	ctx := context.WithoutCancel(f.run.ctx)
+	fw := lifecycle.StartForwarder(f.run.ctx, f.events, lifecycle.ForwarderOptions{FlushInterval: 20 * time.Millisecond},
 		func(events []lifecycle.Event) error {
 			return cl.PostJSON(ctx, "federation/events", query, events, nil)
 		})
 	f.mu.Lock()
 	f.forwarder = fw
 	f.mu.Unlock()
-	f.c.wg.Add(1)
-	go func() {
-		defer f.c.wg.Done()
-		<-fw.Done()
-	}()
+	f.run.spawn(func() { <-fw.Done() })
 }
 
 // forwardFacts relays a facts report upstream under this frontend's own
 // shard name, so the parent's merged inventory carries subtree provenance.
 // Best-effort and asynchronous — a dark parent must never stall a node's
-// first boot — but accounted, and the goroutine is tracked on the cluster
-// WaitGroup and carries the cluster context so Close stays leak-free.
+// first boot — but accounted, and the goroutine runs under the cluster's
+// scope so Close stays leak-free.
 func (f *fedState) forwardFacts(facts hardware.Facts) {
 	if f.parentURL == "" {
 		return
 	}
-	f.c.wg.Add(1)
-	go func() {
-		defer f.c.wg.Done()
-		if err := f.upstreamClient().PostJSON(f.c.ctx, "facts", url.Values{"shard": {f.shard.Name}}, facts, nil); err != nil {
+	f.run.spawn(func() {
+		if err := f.upstreamClient().PostJSON(f.run.ctx, "facts", url.Values{"shard": {f.shard.Name}}, facts, nil); err != nil {
 			f.factsForwardErrors.Add(1)
 			return
 		}
 		f.factsForwarded.Add(1)
-	}()
+	})
+}
+
+// registered returns the child registered under a shard name, or the 404 a
+// post from an unregistered shard gets.
+func (f *fedState) registered(shard string) (*fedChild, *apiError) {
+	f.mu.Lock()
+	ch := f.children[shard]
+	f.mu.Unlock()
+	if ch == nil {
+		return nil, apiErrorf(http.StatusNotFound, "unknown_shard",
+			"shard %q is not registered; POST /v1/federation/register first", shard)
+	}
+	return ch, nil
+}
+
+// endpoints are the hierarchy's own: the federation view, and registration
+// and event forwarding coming up from children.
+func (f *fedState) endpoints() []endpoint {
+	return []endpoint{
+		{name: "federation", run: f.view},
+		{
+			name:  "federation/register",
+			audit: "federation-register",
+			detail: func(r *http.Request) string {
+				return fmt.Sprintf("shard %q url %q", r.FormValue("shard"), r.FormValue("url"))
+			},
+			run: f.register,
+		},
+		{
+			name:  "federation/events",
+			audit: "federation-forward",
+			// Forwarded batches are telemetry, not administration: accept
+			// POST, never audit (a 20ms-interval stream would bury the log).
+			mutates: func(*http.Request) bool { return false },
+			run:     f.ingestEvents,
+		},
+	}
 }
 
 // FederationChildInfo is one child's row in the /v1/federation view.
@@ -275,15 +322,15 @@ type FederationResponse struct {
 	FactsForwardErrors uint64 `json:"facts_forward_errors,omitempty"`
 }
 
-func (c *Cluster) opFederation(r *http.Request) (interface{}, *apiError) {
+func (f *fedState) view(r *http.Request) (interface{}, *apiError) {
 	resp := FederationResponse{
-		Role:     c.Role(),
-		Shard:    c.fed.shard,
-		Parent:   c.fed.parentURL,
+		Role:     f.role(),
+		Shard:    f.shard,
+		Parent:   f.parentURL,
 		Children: []FederationChildInfo{},
-		Received: c.fed.received.Load(),
+		Received: f.received.Load(),
 	}
-	for _, ch := range c.fed.childSnapshot() {
+	for _, ch := range f.childSnapshot() {
 		ch.mu.Lock()
 		resp.Children = append(resp.Children, FederationChildInfo{
 			Shard: ch.shard, URL: ch.url, Registered: ch.registered,
@@ -292,19 +339,17 @@ func (c *Cluster) opFederation(r *http.Request) (interface{}, *apiError) {
 		})
 		ch.mu.Unlock()
 	}
-	if fw := c.fed.getForwarder(); fw != nil {
-		resp.Forwarded, resp.ForwardErrors, resp.ForwardDrops = fw.Stats()
-	}
-	resp.FactsForwarded = c.fed.factsForwarded.Load()
-	resp.FactsForwardErrors = c.fed.factsForwardErrors.Load()
+	resp.Forwarded, resp.ForwardErrors, resp.ForwardDrops = f.forwardStats()
+	resp.FactsForwarded = f.factsForwarded.Load()
+	resp.FactsForwardErrors = f.factsForwardErrors.Load()
 	return resp, nil
 }
 
-// opFedRegister admits (or re-admits) a child frontend. Re-registration
+// register admits (or re-admits) a child frontend. Re-registration
 // under the same shard name replaces the URL and keeps going — a child
 // restart re-announces itself; its mirror restarts empty because the new
 // life's bus restarts its sequence numbers.
-func (c *Cluster) opFedRegister(r *http.Request) (interface{}, *apiError) {
+func (f *fedState) register(r *http.Request) (interface{}, *apiError) {
 	spec := r.FormValue("shard")
 	if spec == "" {
 		return nil, apiErrorf(http.StatusBadRequest, "missing_parameter", "missing shard parameter")
@@ -326,7 +371,7 @@ func (c *Cluster) opFedRegister(r *http.Request) (interface{}, *apiError) {
 		return nil, apiErrorf(http.StatusBadRequest, "bad_parameter",
 			"parameter url: %q is not an absolute http URL", childURL)
 	}
-	if shard.Name == c.fed.shard.Name {
+	if shard.Name == f.shard.Name {
 		return nil, apiErrorf(http.StatusConflict, "shard_conflict",
 			"shard %q is this frontend's own shard", shard.Name)
 	}
@@ -337,34 +382,30 @@ func (c *Cluster) opFedRegister(r *http.Request) (interface{}, *apiError) {
 		lastSeen:   time.Now(),
 		mirror:     lifecycle.NewRing[lifecycle.Event](fedMirrorRing),
 	}
-	ch.client = &apiclient.Client{Base: ch.url, Actor: "federation/" + c.fed.shard.Name, HTTP: c.fed.client}
-	c.fed.mu.Lock()
-	c.fed.children[shard.Name] = ch
-	c.fed.mu.Unlock()
-	c.fed.registrations.Add(1)
-	c.events.Publish(lifecycle.Event{
+	ch.client = &apiclient.Client{Base: ch.url, Actor: "federation/" + f.shard.Name, HTTP: f.client}
+	f.mu.Lock()
+	f.children[shard.Name] = ch
+	f.mu.Unlock()
+	f.registrations.Add(1)
+	f.events.Publish(lifecycle.Event{
 		Node: "frontend-0", Phase: lifecycle.PhaseRun, Type: lifecycle.EventUp,
 		Source: "federation", Detail: fmt.Sprintf("child frontend %s registered (%s)", shard, ch.url),
 	})
-	return map[string]interface{}{"status": "registered", "parent": c.fed.shard.Name}, nil
+	return map[string]interface{}{"status": "registered", "parent": f.shard.Name}, nil
 }
 
-// opFedEvents is the upstream forwarder's sink: POST ingests a JSON array
+// ingestEvents is the upstream forwarder's sink: POST ingests a JSON array
 // of a registered child's events into its mirror (and relays them further
 // up when this frontend is itself a child); GET reads the ingest totals.
 // The endpoint accepts POST without auditing each batch — forwarding is
 // telemetry, not an administrative mutation.
-func (c *Cluster) opFedEvents(r *http.Request) (interface{}, *apiError) {
+func (f *fedState) ingestEvents(r *http.Request) (interface{}, *apiError) {
 	if r.Method != http.MethodPost {
-		return map[string]uint64{"received": c.fed.received.Load()}, nil
+		return map[string]uint64{"received": f.received.Load()}, nil
 	}
-	shardName := r.URL.Query().Get("shard")
-	c.fed.mu.Lock()
-	ch := c.fed.children[shardName]
-	c.fed.mu.Unlock()
-	if ch == nil {
-		return nil, apiErrorf(http.StatusNotFound, "unknown_shard",
-			"shard %q is not registered; POST /v1/federation/register first", shardName)
+	ch, aerr := f.registered(r.URL.Query().Get("shard"))
+	if aerr != nil {
+		return nil, aerr
 	}
 	var events []lifecycle.Event
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 16<<20))
@@ -372,8 +413,8 @@ func (c *Cluster) opFedEvents(r *http.Request) (interface{}, *apiError) {
 		return nil, apiErrorf(http.StatusBadRequest, "bad_body", "decoding event batch: %v", err)
 	}
 	ch.ingest(events)
-	c.fed.received.Add(uint64(len(events)))
-	if fw := c.fed.getForwarder(); fw != nil {
+	f.received.Add(uint64(len(events)))
+	if fw := f.getForwarder(); fw != nil {
 		// Mid-tier: relay the grandchild's events (shard-stamped by ingest)
 		// further up the hierarchy.
 		fw.Enqueue(events)
@@ -406,6 +447,18 @@ func fanOut[T any](f *fedState, children []*fedChild, call func(ch *fedChild, ou
 	}
 	wg.Wait()
 	return resps, sts
+}
+
+// fan adapts a merge to an endpoint's fanout: with no child registered the
+// local payload passes through untouched, and a merge never fails — a dark
+// child is flagged in it, not returned as an error.
+func fan[T any](f *fedState, merge func(r *http.Request, local T, children []*fedChild) T) func(*http.Request, interface{}) (interface{}, *apiError) {
+	return func(r *http.Request, payload interface{}) (interface{}, *apiError) {
+		if children := f.childSnapshot(); len(children) > 0 {
+			return merge(r, payload.(T), children), nil
+		}
+		return payload, nil
+	}
 }
 
 // NodesResponse is the /v1/nodes payload: this frontend's population
@@ -464,40 +517,35 @@ func (c *Cluster) opNodes(r *http.Request) (interface{}, *apiError) {
 		return nil, apiErrorf(http.StatusInternalServerError, "db_error", "%v", err)
 	}
 	last := c.events.LastEvents()
-	resp := NodesResponse{Shard: c.fed.shard.Name, Nodes: make([]federation.NodeRow, list.Len())}
-	// One hold of c.mu for the listing, not one per row; State takes the
-	// node's own lock inside it, the c.mu → node.mu order there has always
-	// been. The reply is written after the hold, by writeV1Data.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range resp.Nodes {
-		n := list.At(i)
-		seen, ok := last[n.MAC]
-		if !ok {
-			seen = last[n.Name]
+	resp := NodesResponse{Shard: c.cfg.Shard.Name, Nodes: make([]federation.NodeRow, list.Len())}
+	// One hold of the directory lock for the listing, not one per row; State
+	// takes the node's own lock inside it, the directory → node order there
+	// has always been. The reply is written after the hold, by writeV1Data.
+	c.dir.with(func(byMAC map[string]*node.Node) {
+		for i := range resp.Nodes {
+			n := list.At(i)
+			seen, ok := last[n.MAC]
+			if !ok {
+				seen = last[n.Name]
+			}
+			resp.Nodes[i] = federation.NodeRow{
+				Name: n.Name, MAC: n.MAC, IP: n.IP, Membership: n.Membership,
+				Rack: n.Rack, Rank: n.Rank, Arch: n.Arch, CPUs: n.CPUs,
+				LastSeq: seen.Seq, LastEvent: seen.Time,
+			}
+			if tracked, ok := byMAC[n.MAC]; ok {
+				resp.Nodes[i].State = string(tracked.State())
+			}
 		}
-		resp.Nodes[i] = federation.NodeRow{
-			Name: n.Name, MAC: n.MAC, IP: n.IP, Membership: n.Membership,
-			Rack: n.Rack, Rank: n.Rank, Arch: n.Arch, CPUs: n.CPUs,
-			LastSeq: seen.Seq, LastEvent: seen.Time,
-		}
-		if tracked, ok := c.nodes[n.MAC]; ok {
-			resp.Nodes[i].State = string(tracked.State())
-		}
-	}
+	})
 	return resp, nil
 }
 
 // fanNodes merges every child's /v1/nodes into the local listing. A dark
 // child contributes a failed ShardStatus and flips Partial; it never
 // turns the merged read into an error.
-func (c *Cluster) fanNodes(r *http.Request, payload interface{}) (interface{}, *apiError) {
-	children := c.fed.childSnapshot()
-	local := payload.(NodesResponse)
-	if len(children) == 0 {
-		return local, nil
-	}
-	resps, sts := fanOut(c.fed, children, func(ch *fedChild, out *NodesResponse) error {
+func (f *fedState) fanNodes(r *http.Request, local NodesResponse, children []*fedChild) NodesResponse {
+	resps, sts := fanOut(f, children, func(ch *fedChild, out *NodesResponse) error {
 		return ch.client.Get(r.Context(), "nodes", nil, out)
 	})
 	batches := []federation.NodeBatch{{Shard: local.Shard, Nodes: local.Nodes}}
@@ -517,8 +565,8 @@ func (c *Cluster) fanNodes(r *http.Request, payload interface{}) (interface{}, *
 	nodes, deduped := federation.MergeNodes(batches)
 	merged.Nodes = nodes
 	merged.Deduped += deduped
-	c.fed.deduped.Add(uint64(deduped))
-	return merged, nil
+	f.deduped.Add(uint64(deduped))
+	return merged
 }
 
 // EventsResponse is the /v1/events payload. The federation fields are
@@ -531,32 +579,29 @@ type EventsResponse struct {
 	Shards  []federation.ShardStatus `json:"shards,omitempty"`
 	Partial bool                     `json:"partial,omitempty"`
 	Deduped int                      `json:"deduped,omitempty"`
+	// filter is what the local read selected with: the fan-out's merge
+	// limit and the dark-child mirror fallback apply the same one.
+	filter lifecycle.Filter
 }
 
 // fanEvents merges child event streams into the local view: live child
 // queries when possible, each child's forwarded mirror (flagged stale)
 // when it is dark, deduplicated on (MAC, seq) so a node whose child
 // re-registered mid-query cannot appear twice.
-func (c *Cluster) fanEvents(r *http.Request, payload interface{}) (interface{}, *apiError) {
-	children := c.fed.childSnapshot()
-	local := payload.(EventsResponse)
-	if len(children) == 0 {
-		return local, nil
-	}
-	filter, _ := c.eventFilter(r) // opEvents ran first and rejected a bad one
+func (f *fedState) fanEvents(r *http.Request, local EventsResponse, children []*fedChild) EventsResponse {
 	params := url.Values{}
 	for k, vs := range r.URL.Query() {
 		params[k] = vs
 	}
-	resps, sts := fanOut(c.fed, children, func(ch *fedChild, out *EventsResponse) error {
+	resps, sts := fanOut(f, children, func(ch *fedChild, out *EventsResponse) error {
 		return ch.client.Get(r.Context(), "events", params, out)
 	})
-	merged := EventsResponse{Seq: local.Seq, Dropped: local.Dropped, Shard: c.fed.shard.Name}
-	batches := []federation.EventBatch{{Shard: c.fed.shard.Name, Events: local.Events}}
+	merged := EventsResponse{Seq: local.Seq, Dropped: local.Dropped, Shard: f.shard.Name}
+	batches := []federation.EventBatch{{Shard: f.shard.Name, Events: local.Events}}
 	for i, st := range sts {
 		if !st.OK {
 			// Dark child: fall back to the forwarded mirror, honestly flagged.
-			mirror := children[i].mirrorEvents(filter)
+			mirror := children[i].mirrorEvents(local.filter)
 			st.Stale, st.Count = true, len(mirror)
 			merged.Partial = true
 			batches = append(batches, federation.EventBatch{Shard: st.Shard, Events: mirror})
@@ -569,11 +614,11 @@ func (c *Cluster) fanEvents(r *http.Request, payload interface{}) (interface{}, 
 		batches = append(batches, federation.EventBatch{Shard: st.Shard, Events: resps[i].Events})
 		merged.Shards = append(append(merged.Shards, st), resps[i].Shards...)
 	}
-	events, deduped := federation.MergeEvents(batches, filter.Limit)
+	events, deduped := federation.MergeEvents(batches, local.filter.Limit)
 	merged.Events = events
 	merged.Deduped += deduped
-	c.fed.deduped.Add(uint64(deduped))
-	return merged, nil
+	f.deduped.Add(uint64(deduped))
+	return merged
 }
 
 // DBReportResponse is the /v1/dbreport payload: one of clusterdb's
@@ -618,18 +663,13 @@ func (c *Cluster) opDBReport(r *http.Request) (interface{}, *apiError) {
 	if err != nil {
 		return nil, apiErrorf(http.StatusInternalServerError, "report_failed", "%v", err)
 	}
-	return DBReportResponse{Shard: c.fed.shard.Name, Report: report, Kind: kind}, nil
+	return DBReportResponse{Shard: c.cfg.Shard.Name, Report: report, Kind: kind}, nil
 }
 
 // fanDBReport concatenates child reports under per-shard headings.
-func (c *Cluster) fanDBReport(r *http.Request, payload interface{}) (interface{}, *apiError) {
-	children := c.fed.childSnapshot()
-	local := payload.(DBReportResponse)
-	if len(children) == 0 {
-		return local, nil
-	}
+func (f *fedState) fanDBReport(r *http.Request, local DBReportResponse, children []*fedChild) DBReportResponse {
 	params := url.Values{"report": {local.Kind}}
-	resps, sts := fanOut(c.fed, children, func(ch *fedChild, out *DBReportResponse) error {
+	resps, sts := fanOut(f, children, func(ch *fedChild, out *DBReportResponse) error {
 		return ch.client.Get(r.Context(), "dbreport", params, out)
 	})
 	var b strings.Builder
@@ -652,7 +692,7 @@ func (c *Cluster) fanDBReport(r *http.Request, payload interface{}) (interface{}
 		}
 	}
 	merged.Report = b.String()
-	return merged, nil
+	return merged
 }
 
 // --- cascading re-mirror ------------------------------------------------
@@ -675,7 +715,7 @@ func (c *Cluster) Remirror() (dist.MirrorReport, error) {
 	rebuilt := dist.Build(c.cfg.Name, c.cfg.Framework, sources...)
 	*c.Dist = *rebuilt
 	c.mirrorRepo = mirror
-	c.mirrorReport = &report
+	c.mirror.Store(&report)
 	c.events.Publish(lifecycle.Event{
 		Node: "frontend-0", Phase: lifecycle.PhaseRun, Type: lifecycle.EventUp,
 		Source: "federation", Detail: fmt.Sprintf("re-mirrored parent: %d listed, %d reused, %d fetched",
@@ -696,7 +736,7 @@ type RemirrorResult struct {
 }
 
 func (c *Cluster) opFedRemirror(r *http.Request) (interface{}, *apiError) {
-	res := RemirrorResult{Shard: c.fed.shard.Name}
+	res := RemirrorResult{Shard: c.cfg.Shard.Name}
 	if c.cfg.ParentURL != "" {
 		report, err := c.Remirror()
 		if err != nil {
@@ -710,13 +750,8 @@ func (c *Cluster) opFedRemirror(r *http.Request) (interface{}, *apiError) {
 // fanRemirror cascades the re-mirror to children *after* this level has
 // re-mirrored (opFedRemirror ran first), so each level pulls from an
 // already-updated parent — top-down, exactly like the distribution tree.
-func (c *Cluster) fanRemirror(r *http.Request, payload interface{}) (interface{}, *apiError) {
-	children := c.fed.childSnapshot()
-	local := payload.(RemirrorResult)
-	if len(children) == 0 {
-		return local, nil
-	}
-	resps, sts := fanOut(c.fed, children, func(ch *fedChild, out *RemirrorResult) error {
+func (f *fedState) fanRemirror(r *http.Request, local RemirrorResult, children []*fedChild) RemirrorResult {
+	resps, sts := fanOut(f, children, func(ch *fedChild, out *RemirrorResult) error {
 		return ch.client.Post(r.Context(), "federation/remirror", nil, out)
 	})
 	for i, st := range sts {
@@ -726,29 +761,29 @@ func (c *Cluster) fanRemirror(r *http.Request, payload interface{}) (interface{}
 		}
 		local.Partial = local.Partial || !st.OK || resps[i].Partial
 	}
-	return local, nil
+	return local
 }
 
 // --- scrape federation --------------------------------------------------
 
-// metricsHandler serves /metrics. A parent aggregates child expositions
+// serveMetrics serves /metrics. A parent aggregates child expositions
 // into its own with per-shard labels; a dark child's last successful
 // exposition is re-served in place of a live scrape (its series keep their
 // last values rather than vanishing), with rocks_federation_child_up at 0
 // and rocks_federation_child_last_scrape_seconds growing so alerting can
 // see the staleness. The merged text still satisfies the strict parser,
 // histograms included.
-func (c *Cluster) metricsHandler(w http.ResponseWriter, r *http.Request) {
+func (f *fedState) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	var own strings.Builder
-	c.metricsReg.WriteText(&own)
-	children := c.fed.childSnapshot()
+	f.own.WriteText(&own)
+	children := f.childSnapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if len(children) == 0 {
 		io.WriteString(w, own.String())
 		return
 	}
-	texts, sts := fanOut(c.fed, children, func(ch *fedChild, out *string) error {
-		resp, err := c.fed.client.Get(ch.url + "/metrics")
+	texts, sts := fanOut(f, children, func(ch *fedChild, out *string) error {
+		resp, err := f.client.Get(ch.url + "/metrics")
 		if err != nil {
 			return err
 		}
@@ -778,4 +813,67 @@ func (c *Cluster) metricsHandler(w http.ResponseWriter, r *http.Request) {
 		shards = append(shards, federation.ShardExposition{Shard: ch.shard.Name, Text: texts[i]})
 	}
 	io.WriteString(w, federation.MergeExpositions(own.String(), shards))
+}
+
+// registerMetrics exposes the management hierarchy's own health. The
+// families exist (reading zero) on standalone frontends.
+func (f *fedState) registerMetrics(r *metrics.Registry) {
+	r.GaugeFunc("rocks_federation_children",
+		"Child frontends currently registered with this parent.",
+		func() float64 { return float64(len(f.childSnapshot())) })
+	r.GaugeVecFunc("rocks_federation_child_up",
+		"1 while the labeled child shard answered its last fan-out.", []string{"shard"},
+		func() []metrics.Sample {
+			children := f.childSnapshot()
+			out := make([]metrics.Sample, 0, len(children))
+			for _, ch := range children {
+				up := 1.0
+				ch.mu.Lock()
+				if ch.dark {
+					up = 0
+				}
+				name := ch.shard.Name
+				ch.mu.Unlock()
+				out = append(out, metrics.Sample{Labels: []string{name}, Value: up})
+			}
+			return out
+		})
+	r.CounterFunc("rocks_federation_registrations_total",
+		"Child registration calls accepted, including re-registrations.",
+		func() float64 { return float64(f.registrations.Load()) })
+	r.CounterFunc("rocks_federation_events_received_total",
+		"Lifecycle events ingested from child forwarders.",
+		func() float64 { return float64(f.received.Load()) })
+	r.CounterFunc("rocks_federation_events_forwarded_total",
+		"Lifecycle events this child streamed to its parent.",
+		func() float64 { sent, _, _ := f.forwardStats(); return float64(sent) })
+	r.CounterFunc("rocks_federation_forward_errors_total",
+		"Upstream event batches that failed to post.",
+		func() float64 { _, errs, _ := f.forwardStats(); return float64(errs) })
+	r.CounterFunc("rocks_federation_fanout_errors_total",
+		"Child fetches that failed during merged queries and scrapes.",
+		func() float64 { return float64(f.fanoutErrors.Load()) })
+	r.CounterFunc("rocks_federation_merge_deduped_total",
+		"Duplicate rows and events dropped by merged queries.",
+		func() float64 { return float64(f.deduped.Load()) })
+	r.GaugeVecFunc("rocks_federation_child_last_scrape_seconds",
+		"Seconds since the labeled child shard last answered a /metrics "+
+			"scrape; its stale exposition is re-served while it is dark. "+
+			"Example alert: rocks_federation_child_last_scrape_seconds > 120.",
+		[]string{"shard"},
+		func() []metrics.Sample {
+			children := f.childSnapshot()
+			out := make([]metrics.Sample, 0, len(children))
+			for _, ch := range children {
+				ch.mu.Lock()
+				at := ch.lastExpoAt
+				name := ch.shard.Name
+				ch.mu.Unlock()
+				if at.IsZero() {
+					continue // never scraped; nothing to age
+				}
+				out = append(out, metrics.Sample{Labels: []string{name}, Value: time.Since(at).Seconds()})
+			}
+			return out
+		})
 }

@@ -5,42 +5,13 @@ import (
 	"time"
 
 	"rocks/internal/monitor"
-	"rocks/internal/node"
 )
 
 // Ping answers a management-Ethernet reachability probe for a tracked node.
 // Per §4, the network is up while Linux runs (node Up) and during
 // installation (eKV is reachable); a node that is off, mid-boot, or crashed
 // is dark.
-func (c *Cluster) Ping(host string) (bool, string) {
-	n, ok := c.NodeByName(host)
-	if !ok {
-		// Fall back to MAC addressing, then to the name the node itself
-		// carries: a node that crashed mid-install has a hostname (DHCP
-		// assigned it) but never reached comeUp, which is what populates
-		// the byName index.
-		c.mu.Lock()
-		n, ok = c.nodes[host]
-		if !ok {
-			for _, cand := range c.nodes {
-				if cand.Name() == host {
-					n, ok = cand, true
-					break
-				}
-			}
-		}
-		c.mu.Unlock()
-		if !ok {
-			return false, "unknown host"
-		}
-	}
-	switch st := n.State(); st {
-	case node.StateUp, node.StateInstalling:
-		return true, string(st)
-	default:
-		return false, string(st)
-	}
-}
+func (c *Cluster) Ping(host string) (bool, string) { return c.dir.ping(host) }
 
 // NewMonitor starts a health monitor over the cluster's current nodes
 // (frontend included). New nodes must be added with Watch. The monitor

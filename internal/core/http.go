@@ -14,9 +14,10 @@ import (
 	"rocks/internal/clusterdb"
 	"rocks/internal/installer"
 	"rocks/internal/kickstart"
+	"rocks/internal/node"
 )
 
-// startHTTP brings up the frontend's web service on a loopback port:
+// startHTTP serves the frontend's web service on its listener:
 //
 //	/install/kickstart.cgi  — dynamic kickstart generation (§6.1)
 //	/install/dist/...       — the distribution tree (RPMs over HTTP, §5)
@@ -24,17 +25,8 @@ import (
 //	/tables/nodes           — Table II rendered from the live database
 //	/tables/memberships     — Table III
 //	/graph.dot              — the kickstart graph (Figure 4)
-func (c *Cluster) startHTTP() error {
-	addr := c.cfg.ListenAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("core: frontend HTTP: %w", err)
-	}
-	c.httpLn = ln
-	c.baseURL = "http://" + ln.Addr().String()
+//	/metrics, /v1/...       — the scrape and the control plane
+func (c *Cluster) startHTTP() {
 	// The shared attribute set every kickstart request substitutes. Built
 	// once: it is also the profile cache's key, and it must never be
 	// mutated per request (per-node values ride in Request.NodeAttrs).
@@ -43,7 +35,10 @@ func (c *Cluster) startHTTP() error {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/install/kickstart.cgi", c.kickstartCGI)
 	mux.Handle("/install/dist/", http.StripPrefix("/install/dist", c.distSrv))
-	mux.HandleFunc("/status", c.statusHandler)
+	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(c.Status())
+	})
 	mux.HandleFunc("/tables/nodes", func(w http.ResponseWriter, r *http.Request) {
 		report, err := clusterdb.NodesTableReport(c.DB)
 		writeReport(w, report, err)
@@ -56,20 +51,17 @@ func (c *Cluster) startHTTP() error {
 		io.WriteString(w, c.Dist.Framework.DOT())
 	})
 	mux.HandleFunc("/install/frontend-form", c.frontendForm)
-	mux.HandleFunc("/metrics", c.metricsHandler)
+	mux.HandleFunc("/metrics", c.fed.serveMetrics)
 	c.registerAdmin(mux)
 	c.httpSrv = &http.Server{Handler: mux}
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
+	c.spawn(func() {
 		// Serve only returns on listener failure or shutdown; anything but
 		// the expected close is worth a syslog line, not silence.
-		if err := c.httpSrv.Serve(ln); err != nil &&
+		if err := c.httpSrv.Serve(c.httpLn); err != nil &&
 			!errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
 			c.Syslog.Log("frontend-0", "httpd", "frontend HTTP serve: %v", err)
 		}
-	}()
-	return nil
+	})
 }
 
 func writeReport(w http.ResponseWriter, report string, err error) {
@@ -86,11 +78,7 @@ func writeReport(w http.ResponseWriter, report string, err error) {
 // architecture, and return the rendered kickstart file.
 func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	defer func() {
-		if c.cgiSeconds != nil {
-			c.cgiSeconds.Observe(time.Since(start).Seconds())
-		}
-	}()
+	defer func() { c.cgiSeconds.Observe(time.Since(start).Seconds()) }()
 	ip := r.Header.Get(installer.ClientIPHeader)
 	if ip == "" {
 		host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -163,30 +151,24 @@ type NodeStatus struct {
 
 // Status snapshots every tracked node, sorted by name.
 func (c *Cluster) Status() []NodeStatus {
-	// Unlock via defer: a panic in a node accessor must not leak the lock
-	// and freeze every other status/tracking path.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	nodes := make([]NodeStatus, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, NodeStatus{
-			Name:     n.Name(),
-			MAC:      n.MAC(),
-			IP:       n.IP(),
-			State:    string(n.State()),
-			Kernel:   n.KernelVersion(),
-			Packages: n.PackageDB().Len(),
-			Installs: n.Installs(),
-			EKV:      n.EKVAddr(),
-		})
-	}
+	var nodes []NodeStatus
+	c.dir.with(func(byMAC map[string]*node.Node) {
+		nodes = make([]NodeStatus, 0, len(byMAC))
+		for _, n := range byMAC {
+			nodes = append(nodes, NodeStatus{
+				Name:     n.Name(),
+				MAC:      n.MAC(),
+				IP:       n.IP(),
+				State:    string(n.State()),
+				Kernel:   n.KernelVersion(),
+				Packages: n.PackageDB().Len(),
+				Installs: n.Installs(),
+				EKV:      n.EKVAddr(),
+			})
+		}
+	})
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
 	return nodes
-}
-
-func (c *Cluster) statusHandler(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(c.Status())
 }
 
 // StatusTable renders Status as aligned text for CLI display.

@@ -41,35 +41,16 @@ func (c *Cluster) StartInsertEthers(membership, rack int) (*insertethers.InsertE
 // the cluster (reboot hook, PDU outlet). The node installs itself if its
 // disk is blank or a reinstall was forced.
 func (c *Cluster) PowerOn(n *node.Node) {
-	c.mu.Lock()
-	_, tracked := c.nodes[n.MAC()]
-	c.outlets++
-	outlet := c.outlets
-	c.mu.Unlock()
+	outlet, tracked := c.dir.plug(n.MAC())
 	if !tracked {
 		c.trackNode(n)
 	}
 	c.PDU.Connect(outlet, n.MAC(), power.TargetFunc(func() {
 		// A hard power cycle forces the node to reinstall itself (§4).
-		n.PowerOff()
-		n.ForceReinstall()
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			n.SetState(node.StateBooting)
-			if err := c.bootOnce(c.ctx, n); err != nil {
-				c.Syslog.Log("frontend-0", "rocks", "node %s failed after power cycle: %v", n.MAC(), err)
-			}
-		}()
+		c.boot(n, true, "node "+n.MAC()+" failed after power cycle")
 	}))
 	n.SetState(node.StateBooting)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		if err := c.bootOnce(c.ctx, n); err != nil {
-			c.Syslog.Log("frontend-0", "rocks", "node %s failed to integrate: %v", n.MAC(), err)
-		}
-	}()
+	c.boot(n, false, "node "+n.MAC()+" failed to integrate")
 }
 
 // WaitState polls until the node reaches the state or the timeout expires.
@@ -229,21 +210,15 @@ func (c *Cluster) ReinstallCluster(timeout time.Duration) error {
 	}
 }
 
-// execLookup adapts the cluster's name index to the ctools Lookup contract.
-func (c *Cluster) execLookup(host string) (rexec.Executor, bool) {
-	n, ok := c.NodeByName(host)
-	return n, ok
-}
-
 // Fork is cluster-fork: run a command on the nodes selected by an SQL query
 // (the default query selects all compute nodes).
 func (c *Cluster) Fork(query, cmd string) ([]ctools.HostResult, error) {
-	return ctools.Fork(c.DB, c.execLookup, query, cmd)
+	return ctools.Fork(c.DB, c.dir.executor, query, cmd)
 }
 
 // Kill is cluster-kill: terminate a named process on the selected nodes.
 func (c *Cluster) Kill(query, process string) ([]ctools.HostResult, int, error) {
-	return ctools.Kill(c.DB, c.execLookup, query, process)
+	return ctools.Kill(c.DB, c.dir.executor, query, process)
 }
 
 // RexecDaemons returns rexec daemons for the named (up) hosts, in order.
@@ -292,9 +267,7 @@ func (c *Cluster) ConsistencyReport() (reference string, divergent []string, err
 // view (state, install log tail) and, when repair is requested, clears the
 // fault and boots the machine fresh.
 func (c *Cluster) CrashCart(mac string, repair bool) (string, error) {
-	c.mu.Lock()
-	n, ok := c.nodes[mac]
-	c.mu.Unlock()
+	n, ok := c.dir.machine(mac)
 	if !ok {
 		return "", fmt.Errorf("core: no machine with MAC %s on the floor", mac)
 	}
@@ -309,16 +282,7 @@ func (c *Cluster) CrashCart(mac string, repair bool) (string, error) {
 	}
 	if repair {
 		fmt.Fprintf(&b, "repair: replacing hardware and reinstalling\n")
-		n.PowerOff()
-		n.ForceReinstall()
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			n.SetState(node.StateBooting)
-			if err := c.bootOnce(c.ctx, n); err != nil {
-				c.Syslog.Log("frontend-0", "rocks", "crash-cart repair of %s failed: %v", mac, err)
-			}
-		}()
+		c.boot(n, true, "crash-cart repair of "+mac+" failed")
 	}
 	return b.String(), nil
 }
@@ -333,11 +297,9 @@ func (c *Cluster) Decommission(name string) error {
 		return fmt.Errorf("core: no node named %q", name)
 	}
 	c.PBS.UnregisterMom(name)
-	if c.relays != nil {
-		// No lifecycle event marks a decommission; withdraw directly so the
-		// registry never offers a powered-off machine as a source.
-		c.relays.withdraw(name, "decommissioned")
-	}
+	// No lifecycle event marks a decommission; withdraw directly so the
+	// registry never offers a powered-off machine as a source.
+	c.relays.withdraw(name, "decommissioned")
 	if outlet, wired := c.PDU.OutletFor(n.MAC()); wired {
 		c.PDU.Disconnect(outlet)
 	}
@@ -345,18 +307,10 @@ func (c *Cluster) Decommission(name string) error {
 	if err := clusterdb.DeleteNode(c.DB, name); err != nil {
 		return err
 	}
-	// The machine is leaving for good: its facts row and drift verdict go
-	// with it, so the inventory never reports a ghost.
-	if err := clusterdb.DeleteFacts(c.DB, n.MAC()); err != nil {
+	if err := c.facts.forget(n.MAC()); err != nil {
 		return err
 	}
-	c.facts.mu.Lock()
-	delete(c.facts.records, n.MAC())
-	c.facts.mu.Unlock()
-	c.mu.Lock()
-	delete(c.byName, name)
-	delete(c.nodes, n.MAC())
-	c.mu.Unlock()
+	c.dir.forget(name, n.MAC())
 	c.Syslog.Log("frontend-0", "rocks", "decommissioned %s (%s)", name, n.MAC())
 	return c.WriteReports()
 }

@@ -13,7 +13,9 @@ import (
 	"rocks/internal/dist"
 	"rocks/internal/installer"
 	"rocks/internal/lifecycle"
+	"rocks/internal/metrics"
 	"rocks/internal/rpm"
+	"rocks/internal/syslogd"
 )
 
 // The relay distribution tier breaks the frontend-NIC bottleneck of mass
@@ -50,7 +52,10 @@ type relayEntry struct {
 // a missed withdrawal serves stale-but-digest-valid bodies until the next
 // event), which is exactly why installers verify every body.
 type relayRegistry struct {
-	c *Cluster
+	run    scope
+	db     *clusterdb.Database
+	events *lifecycle.Bus
+	log    *syslogd.Collector
 
 	mu      sync.Mutex
 	closed  bool
@@ -66,29 +71,31 @@ type relayRegistry struct {
 	crossRack    atomic.Uint64 // sources handed out across rack boundaries
 }
 
-// newRelayRegistry builds the registry and starts its bus-watching
-// goroutine (tracked on the cluster's WaitGroup, reaped by ctx cancel).
-func newRelayRegistry(c *Cluster) *relayRegistry {
-	r := &relayRegistry{
-		c:       c,
+// newRelayRegistry builds the registry. It exists whether or not relays are
+// enabled, serving nothing until watch starts it.
+func newRelayRegistry(run scope, db *clusterdb.Database, events *lifecycle.Bus, log *syslogd.Collector) *relayRegistry {
+	return &relayRegistry{
+		run: run, db: db, events: events, log: log,
 		pending: make(map[string]*rpm.Repository),
 		live:    make(map[string]*relayEntry),
 	}
-	events, cancel := c.events.Subscribe(256)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
+}
+
+// watch starts the bus-watching goroutine (EnableRelays), reaped by the
+// scope's cancel.
+func (r *relayRegistry) watch() {
+	events, cancel := r.events.Subscribe(256)
+	r.run.spawn(func() {
 		defer cancel()
 		for {
 			select {
 			case e := <-events:
 				r.observe(e)
-			case <-c.ctx.Done():
+			case <-r.run.ctx.Done():
 				return
 			}
 		}
-	}()
-	return r
+	})
 }
 
 // expect records the store an in-flight install is accumulating verified
@@ -133,7 +140,7 @@ func (r *relayRegistry) promote(mac, name string) {
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		r.c.Syslog.Log("frontend-0", "relay", "cannot start relay for %s: %v", name, err)
+		r.log.Log("frontend-0", "relay", "cannot start relay for %s: %v", name, err)
 		return
 	}
 	entry := &relayEntry{
@@ -157,16 +164,14 @@ func (r *relayRegistry) promote(mac, name string) {
 	r.live[mac] = entry
 	r.mu.Unlock()
 	httpSrv := &http.Server{Handler: entry.srv}
-	r.c.wg.Add(1)
-	go func() {
-		defer r.c.wg.Done()
+	r.run.spawn(func() {
 		if err := httpSrv.Serve(ln); err != nil &&
 			!errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
-			r.c.Syslog.Log("frontend-0", "relay", "relay %s serve: %v", name, err)
+			r.log.Log("frontend-0", "relay", "relay %s serve: %v", name, err)
 		}
-	}()
+	})
 	r.started.Add(1)
-	r.c.events.Publish(lifecycle.Event{
+	r.events.Publish(lifecycle.Event{
 		Node: name, MAC: mac, Phase: lifecycle.PhaseRun,
 		Type: lifecycle.EventRelayUp, Source: "relay",
 		Detail: fmt.Sprintf("serving %d packages at %s", len(store.All()), entry.url),
@@ -194,7 +199,7 @@ func (r *relayRegistry) withdraw(id, reason string) {
 	if entry == nil {
 		return
 	}
-	r.c.events.Publish(lifecycle.Event{
+	r.events.Publish(lifecycle.Event{
 		Node: entry.name, MAC: entry.mac, Phase: lifecycle.PhaseRun,
 		Type: lifecycle.EventRelayDown, Source: "relay", Detail: reason,
 	})
@@ -214,7 +219,7 @@ func (r *relayRegistry) retire(e *relayEntry) {
 // the node is unknown (topology stays the registry's concern — installers
 // never learn rack numbers, they just receive a better-ordered list).
 func (r *relayRegistry) rackOf(mac string) int {
-	n, ok, err := clusterdb.NodeByMAC(r.c.DB, mac)
+	n, ok, err := clusterdb.NodeByMAC(r.db, mac)
 	if err != nil || !ok {
 		return -1
 	}
@@ -249,16 +254,7 @@ func (r *relayRegistry) sources(rack int) []installer.Source {
 	if rack >= 0 {
 		// Stable partition: same-rack first, rotation order preserved
 		// within each class.
-		near := make([]*relayEntry, 0, n)
-		far := make([]*relayEntry, 0, n)
-		for _, e := range rotated {
-			if e.rack == rack {
-				near = append(near, e)
-			} else {
-				far = append(far, e)
-			}
-		}
-		rotated = append(near, far...)
+		sort.SliceStable(rotated, func(i, j int) bool { return rotated[i].rack == rack && rotated[j].rack != rack })
 	}
 	count := min(n, maxRelaySources)
 	out := make([]installer.Source, 0, count)
@@ -315,31 +311,57 @@ type RelaysResponse struct {
 	Live    int                `json:"live"`
 }
 
-// opRelays serves the relay registry (read-only). With relays disabled the
-// endpoint exists and returns an empty list, so installers and scrapers
-// never depend on configuration for the surface's presence. The asker's
-// rack comes from its mac parameter (installers send their own MAC) via
-// the nodes table, or an explicit rack parameter; without either the list
-// is rack-blind, exactly as before.
-func (c *Cluster) opRelays(r *http.Request) (interface{}, *apiError) {
-	resp := RelaysResponse{Sources: []installer.Source{}}
-	if c.relays != nil {
+// endpoint serves the registry (read-only). With relays disabled it exists
+// and returns an empty list, so installers and scrapers never depend on
+// configuration for the surface's presence. The asker's rack comes from its
+// mac parameter (installers send their own MAC) via the nodes table, or an
+// explicit rack parameter; without either the list is rack-blind.
+func (r *relayRegistry) endpoint() endpoint {
+	return endpoint{name: "relays", run: func(req *http.Request) (interface{}, *apiError) {
 		rack := -1
-		if mac := r.FormValue("mac"); mac != "" {
-			rack = c.relays.rackOf(mac)
-		} else if r.FormValue("rack") != "" {
-			n, aerr := formInt(r, "rack", -1, 0)
+		if mac := req.FormValue("mac"); mac != "" {
+			rack = r.rackOf(mac)
+		} else if req.FormValue("rack") != "" {
+			n, aerr := formInt(req, "rack", -1, 0)
 			if aerr != nil {
 				return nil, aerr
 			}
 			rack = n
 		}
-		if srcs := c.relays.sources(rack); srcs != nil {
-			resp.Sources = srcs
+		resp := RelaysResponse{Sources: r.sources(rack), Live: r.liveCount()}
+		if resp.Sources == nil {
+			resp.Sources = []installer.Source{}
 		}
-		resp.Live = c.relays.liveCount()
-	}
-	return resp, nil
+		return resp, nil
+	}}
+}
+
+// registerMetrics exposes the relay tier. Relay serve traffic is the load
+// the frontend NIC did not carry — compare
+// rocks_dist_relay_package_bytes_total against rocks_dist_package_bytes_total
+// for the offload ratio.
+func (r *relayRegistry) registerMetrics(reg *metrics.Registry) {
+	reg.GaugeFunc("rocks_dist_relays",
+		"Completed nodes currently re-serving their verified package trees.",
+		func() float64 { return float64(r.liveCount()) })
+	reg.CounterFunc("rocks_dist_relays_started_total",
+		"Relays promoted after install-complete.",
+		func() float64 { return float64(r.started.Load()) })
+	reg.CounterFunc("rocks_dist_relays_withdrawn_total",
+		"Relays withdrawn on reinstall, dark, quarantine, or decommission.",
+		func() float64 { return float64(r.withdrawn.Load()) })
+	reg.CounterFunc("rocks_dist_relay_package_requests_total",
+		"Package bodies served by peer relays, live and retired.",
+		func() float64 { reqs, _ := r.serveTotals(); return float64(reqs) })
+	reg.CounterFunc("rocks_dist_relay_package_bytes_total",
+		"Package body bytes served by peer relays, live and retired.",
+		func() float64 { _, bytes := r.serveTotals(); return float64(bytes) })
+	reg.CounterFunc("rocks_dist_relay_same_rack_total",
+		"Relay sources handed to installers in the installer's own rack.",
+		func() float64 { return float64(r.sameRack.Load()) })
+	reg.CounterFunc("rocks_dist_relay_cross_rack_total",
+		"Relay sources handed out across rack boundaries (no same-rack peer).",
+		func() float64 { return float64(r.crossRack.Load()) })
 }
 
 func firstNonEmpty(a, b string) string {

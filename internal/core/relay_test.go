@@ -27,7 +27,6 @@ func newRelayCluster(t *testing.T, inj *faults.Injector) *Cluster {
 		DisableEKV:          true,
 		EnableRelays:        true,
 		Faults:              inj,
-		InstallRetries:      2,
 		InstallRetryBackoff: 2 * time.Millisecond,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"time"
@@ -8,6 +9,8 @@ import (
 	"rocks/internal/clusterdb"
 	"rocks/internal/dhcp"
 	"rocks/internal/metrics"
+	"rocks/internal/node"
+	"rocks/internal/syslogd"
 )
 
 // The dbreport step (§6.4) regenerates every service configuration file
@@ -25,9 +28,19 @@ import (
 // short enough that a lone insert's reports land before anyone looks.
 const reportDebounce = 2 * time.Millisecond
 
-// reportCoalescer tracks what the last written reports reflected and the
-// coalesced pass in flight.
+// reportCoalescer is the dbreport subsystem: what the last written reports
+// reflected, the coalesced pass in flight, and the rocks_reports_* families.
+// It reads the database, the directory's quarantine set and the DHCP
+// server's bindings, and writes the frontend's disk.
 type reportCoalescer struct {
+	ctx        context.Context // a cancelled one arms no further pass
+	db         *clusterdb.Database
+	dhcpd      *dhcp.Server
+	frontend   *node.Node
+	dir        *directory
+	nextServer string
+	log        *syslogd.Collector
+
 	mu      sync.Mutex
 	written bool  // at least one successful write recorded
 	dbSeq   int64 // database ChangeSeq the written reports reflect
@@ -68,54 +81,13 @@ type ReportStats struct {
 }
 
 // ReportStats snapshots the coalescer's counters.
-func (c *Cluster) ReportStats() ReportStats {
-	c.reports.mu.Lock()
-	defer c.reports.mu.Unlock()
-	return ReportStats{Writes: c.reports.writes, Skips: c.reports.skips, Scheduled: c.reports.scheduled}
-}
+func (c *Cluster) ReportStats() ReportStats { return c.reports.stats() }
 
 // WriteReports regenerates the service configuration files from the
 // database onto the frontend's disk — the dbreport step (§6.4). It is
 // change-sequence-guarded: when neither the database nor the quarantine set
 // has moved since the last successful write, nothing regenerates.
-func (c *Cluster) WriteReports() error {
-	if !c.Frontend.Disk().Bootable() {
-		return nil // frontend still installing
-	}
-	c.reports.genMu.Lock()
-	defer c.reports.genMu.Unlock()
-
-	// Snapshot the generations BEFORE generating: a mutation racing the
-	// generation below at worst marks these reports stale and costs one
-	// extra regeneration on the next call — never a silently stale file.
-	dbSeq := c.DB.ChangeSeq()
-	c.mu.Lock()
-	quarSeq := c.quarSeq
-	c.mu.Unlock()
-
-	c.reports.mu.Lock()
-	if c.reports.written && c.reports.dbSeq == dbSeq && c.reports.quarSeq == quarSeq {
-		c.reports.skips++
-		c.reports.mu.Unlock()
-		return nil
-	}
-	c.reports.mu.Unlock()
-
-	start := time.Now()
-	if err := c.writeReportsNow(); err != nil {
-		return err
-	}
-	took := time.Since(start)
-	c.reports.passSeconds.Observe(took.Seconds())
-	c.reports.mu.Lock()
-	c.reports.lastPass = took
-	c.reports.written = true
-	c.reports.dbSeq = dbSeq
-	c.reports.quarSeq = quarSeq
-	c.reports.writes++
-	c.reports.mu.Unlock()
-	return nil
-}
+func (c *Cluster) WriteReports() error { return c.reports.write() }
 
 // ScheduleReports requests a report regeneration soon: the first request in
 // a burst arms a timer, and every further request before the pass it fires
@@ -123,8 +95,79 @@ func (c *Cluster) WriteReports() error {
 // one more pass after it otherwise. The insert-ethers hot loop calls this per
 // discovery, turning K discoveries into O(K) binding deltas plus a few
 // coalesced regenerations.
-func (c *Cluster) ScheduleReports() {
-	r := &c.reports
+func (c *Cluster) ScheduleReports() { c.reports.schedule() }
+
+// FlushReports cancels any pending debounce and regenerates synchronously
+// (a no-op when the reports are already current). Callers that hand control
+// back to an administrator — the end of an integration batch, a CLI exit —
+// use it so the files on disk match the database they just mutated.
+func (c *Cluster) FlushReports() error {
+	c.reports.stop()
+	return c.reports.write()
+}
+
+func (r *reportCoalescer) stats() ReportStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return ReportStats{Writes: r.writes, Skips: r.skips, Scheduled: r.scheduled}
+}
+
+// registerMetrics exposes the /v1/dbstats "reports" block and what one
+// regeneration costs — the figure the coalescer spaces passes by.
+func (r *reportCoalescer) registerMetrics(reg *metrics.Registry) {
+	reg.CounterFunc("rocks_reports_writes_total",
+		"Report regenerations actually performed.",
+		func() float64 { return float64(r.stats().Writes) })
+	reg.CounterFunc("rocks_reports_skips_total",
+		"WriteReports calls coalesced away (another write already pending).",
+		func() float64 { return float64(r.stats().Skips) })
+	reg.CounterFunc("rocks_reports_scheduled_total",
+		"WriteReports calls that scheduled a deferred regeneration.",
+		func() float64 { return float64(r.stats().Scheduled) })
+	// Buckets from 100 µs (a rack) to 1 s (a fleet no frontend holds).
+	r.passSeconds = reg.Histogram("rocks_reports_pass_seconds",
+		"Wall-clock seconds one report regeneration (render, write, DHCP reconcile) took.",
+		[]float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1})
+}
+
+func (r *reportCoalescer) write() error {
+	if !r.frontend.Disk().Bootable() {
+		return nil // frontend still installing
+	}
+	r.genMu.Lock()
+	defer r.genMu.Unlock()
+
+	// Snapshot the generations BEFORE generating: a mutation racing the
+	// generation below at worst marks these reports stale and costs one
+	// extra regeneration on the next call — never a silently stale file.
+	dbSeq := r.db.ChangeSeq()
+	quarantined, quarSeq := r.dir.quarantineSet()
+
+	r.mu.Lock()
+	if r.written && r.dbSeq == dbSeq && r.quarSeq == quarSeq {
+		r.skips++
+		r.mu.Unlock()
+		return nil
+	}
+	r.mu.Unlock()
+
+	start := time.Now()
+	if err := r.writeNow(quarantined); err != nil {
+		return err
+	}
+	took := time.Since(start)
+	r.passSeconds.Observe(took.Seconds())
+	r.mu.Lock()
+	r.lastPass = took
+	r.written = true
+	r.dbSeq = dbSeq
+	r.quarSeq = quarSeq
+	r.writes++
+	r.mu.Unlock()
+	return nil
+}
+
+func (r *reportCoalescer) schedule() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.scheduled++
@@ -132,53 +175,35 @@ func (c *Cluster) ScheduleReports() {
 		r.again = true
 		return
 	}
-	if c.ctx.Err() != nil {
-		return // shutting down: stopReportTimer already ran or will run
+	if r.ctx.Err() != nil {
+		return // shutting down: stop already ran or will run
 	}
 	r.pending = true
-	c.armReportTimerLocked()
+	r.timer = time.AfterFunc(max(reportDebounce, r.lastPass), r.pass)
 }
 
-// armReportTimerLocked arms the next coalesced pass one debounce away, or
-// one pass-duration if passes have come to cost more. Callers hold
-// reports.mu.
-func (c *Cluster) armReportTimerLocked() {
-	c.reports.timer = time.AfterFunc(max(reportDebounce, c.reports.lastPass), c.coalescedPass)
-}
-
-// coalescedPass is the timer's body: one regeneration, then either another
-// timer — when a request arrived that this pass may not have seen — a full
+// pass is the timer's body: one regeneration, then either another timer —
+// when a request arrived that this pass may not have seen — a full
 // pass-duration away, or nothing.
-func (c *Cluster) coalescedPass() {
-	r := &c.reports
+func (r *reportCoalescer) pass() {
 	r.mu.Lock()
 	r.again = false
 	r.mu.Unlock()
-	if err := c.WriteReports(); err != nil {
-		c.Syslog.Log("frontend-0", "dbreport", "coalesced report regeneration: %v", err)
+	if err := r.write(); err != nil {
+		r.log.Log("frontend-0", "dbreport", "coalesced report regeneration: %v", err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.again && c.ctx.Err() == nil {
-		c.armReportTimerLocked()
+	if r.again && r.ctx.Err() == nil {
+		r.timer = time.AfterFunc(max(reportDebounce, r.lastPass), r.pass)
 	} else {
 		r.pending = false
 	}
 }
 
-// FlushReports cancels any pending debounce and regenerates synchronously
-// (a no-op when the reports are already current). Callers that hand control
-// back to an administrator — the end of an integration batch, a CLI exit —
-// use it so the files on disk match the database they just mutated.
-func (c *Cluster) FlushReports() error {
-	c.stopReportTimer()
-	return c.WriteReports()
-}
-
-// stopReportTimer kills an armed coalesced pass without flushing. A pass
-// whose timer already fired is left to finish and settle the state itself.
-func (c *Cluster) stopReportTimer() {
-	r := &c.reports
+// stop kills an armed coalesced pass without flushing. A pass whose timer
+// already fired is left to finish and settle the state itself.
+func (r *reportCoalescer) stop() {
 	r.mu.Lock()
 	if r.timer != nil && r.timer.Stop() {
 		r.pending, r.again = false, false
@@ -186,57 +211,50 @@ func (c *Cluster) stopReportTimer() {
 	r.mu.Unlock()
 }
 
-// writeReportsNow unconditionally regenerates every report. Callers hold
-// reports.genMu.
-func (c *Cluster) writeReportsNow() error {
-	r := &c.reports.files
+// writeNow unconditionally regenerates every report, marking the
+// quarantined hosts offline. Callers hold genMu.
+func (r *reportCoalescer) writeNow(quarantined map[string]bool) error {
+	f := &r.files
 	// The DHCP stamp precedes the database read, so the reconcile below
 	// never removes a binding insert-ethers set for a row this read missed.
-	since := c.DHCPd.Generation()
-	if err := c.DB.RenderReports(r); err != nil {
+	since := r.dhcpd.Generation()
+	if err := r.db.RenderReports(f); err != nil {
 		return err
 	}
-	d := c.Frontend.Disk()
-	if err := d.WriteFile("/etc/hosts", r.Hosts, 0o644); err != nil {
+	d := r.frontend.Disk()
+	if err := d.WriteFile("/etc/hosts", f.Hosts, 0o644); err != nil {
 		return err
 	}
-	if err := d.WriteFile("/etc/dhcpd.conf", r.DHCP, 0o644); err != nil {
+	if err := d.WriteFile("/etc/dhcpd.conf", f.DHCP, 0o644); err != nil {
 		return err
 	}
-	if err := d.WriteFile("/opt/pbs/server_priv/nodes", c.annotateOffline(r.PBSNodes), 0o644); err != nil {
+	if err := d.WriteFile("/opt/pbs/server_priv/nodes", annotateOffline(f.PBSNodes, quarantined), 0o644); err != nil {
 		return err
 	}
 	// Back the configuration database up alongside the reports (the
 	// mysqldump a careful Rocks site cron'd); rocksql -dump reads it.
-	if err := d.WriteFile("/var/db/cluster.sql", r.Dump, 0o600); err != nil {
+	if err := d.WriteFile("/var/db/cluster.sql", f.Dump, 0o600); err != nil {
 		return err
 	}
-	want := c.reports.want[:0]
-	for _, h := range r.Bound {
-		want = append(want, dhcp.Host{MAC: h.MAC, Binding: dhcp.Binding{IP: h.IP, Hostname: h.Name, NextServer: c.baseURL}})
+	want := r.want[:0]
+	for _, h := range f.Bound {
+		want = append(want, dhcp.Host{MAC: h.MAC, Binding: dhcp.Binding{IP: h.IP, Hostname: h.Name, NextServer: r.nextServer}})
 	}
-	c.reports.want = want
-	c.DHCPd.Reconcile(since, want)
+	r.want = want
+	r.dhcpd.Reconcile(since, want)
 	return nil
 }
 
 // annotateOffline appends the pbsnodes "offline" mark to quarantined hosts'
 // lines in the PBS nodes report, so the administrator reading the file sees
 // exactly which machines the supervisor pulled from service.
-func (c *Cluster) annotateOffline(report []byte) []byte {
-	c.mu.Lock()
-	if len(c.quarantined) == 0 {
-		c.mu.Unlock()
+func annotateOffline(report []byte, quarantined map[string]bool) []byte {
+	if len(quarantined) == 0 {
 		return report
 	}
-	q := make(map[string]bool, len(c.quarantined))
-	for h := range c.quarantined {
-		q[h] = true
-	}
-	c.mu.Unlock()
 	lines := strings.Split(string(report), "\n")
 	for i, line := range lines {
-		if f := strings.Fields(line); len(f) > 0 && q[f[0]] {
+		if f := strings.Fields(line); len(f) > 0 && quarantined[f[0]] {
 			lines[i] = line + " offline"
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,8 +12,12 @@ import (
 
 	"rocks/internal/clusterdb"
 	"rocks/internal/lifecycle"
+	"rocks/internal/metrics"
 	"rocks/internal/monitor"
 	"rocks/internal/node"
+	"rocks/internal/pbs"
+	"rocks/internal/power"
+	"rocks/internal/syslogd"
 )
 
 // The supervisor closes the remediation loop the paper leaves open. §4's
@@ -73,67 +78,63 @@ func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
 	return cfg
 }
 
-// EventType classifies a supervisor action. It is the lifecycle bus's event
-// vocabulary; the aliases below preserve the supervisor's original names.
-type EventType = lifecycle.EventType
+// remediation is the self-healing subsystem: the quarantine actions, the
+// running supervisor (if any), the counters every supervisor adds to, and
+// the supervisor endpoint and families. A supervisor reads the directory for
+// nodes and quarantine and the facts subsystem for drift, cycles through the
+// PDU, and names a node from the database.
+type remediation struct {
+	ctx         context.Context // a supervisor's loops derive from it
+	events      *lifecycle.Bus
+	log         *syslogd.Collector
+	db          *clusterdb.Database
+	pdu         *power.PDU
+	pbs         *pbs.Server
+	dir         *directory
+	facts       *factsState
+	reports     *reportCoalescer
+	frontendMAC string
 
-// The supervisor's vocabulary of actions.
-const (
-	// EventPowerCycle: a hard cycle was issued and the PDU obeyed; the
-	// node is reinstalling itself.
-	EventPowerCycle = lifecycle.EventPowerCycle
-	// EventPowerCycleFailed: the cycle command failed (PDU fault, unwired
-	// outlet); the attempt still burned budget and backoff applies.
-	EventPowerCycleFailed = lifecycle.EventPowerCycleFailed
-	// EventQuarantine: retry budget exhausted; node marked offline.
-	EventQuarantine = lifecycle.EventQuarantine
-	// EventRecovered: a previously failing node reached Up; budget
-	// refunded.
-	EventRecovered = lifecycle.EventRecovered
-	// EventDriftReinstall: an Up node's reported facts show actionable
-	// drift; a cycle-to-reinstall was ordered to chase it.
-	EventDriftReinstall = lifecycle.EventDriftReinstall
-)
-
-// supervisorStats counts remediation actions by type. It lives on the
-// Cluster rather than the Supervisor so the counters stay monotonic
-// across supervisor restarts.
-type supervisorStats struct {
+	// Remediation actions by type. They live here rather than on a
+	// Supervisor so they stay monotonic across supervisor restarts.
 	powerCycles     atomic.Uint64
 	powerCycleFails atomic.Uint64
 	quarantines     atomic.Uint64
 	unquarantines   atomic.Uint64
 	recoveries      atomic.Uint64
 	driftReinstalls atomic.Uint64
+
+	mu      sync.Mutex
+	running *Supervisor
 }
 
-func (st *supervisorStats) count(t EventType) {
+func (m *remediation) count(t lifecycle.EventType) {
 	switch t {
-	case EventPowerCycle:
-		st.powerCycles.Add(1)
-	case EventPowerCycleFailed:
-		st.powerCycleFails.Add(1)
-	case EventQuarantine:
-		st.quarantines.Add(1)
+	case lifecycle.EventPowerCycle:
+		m.powerCycles.Add(1)
+	case lifecycle.EventPowerCycleFailed:
+		m.powerCycleFails.Add(1)
+	case lifecycle.EventQuarantine:
+		m.quarantines.Add(1)
 	case lifecycle.EventUnquarantine:
-		st.unquarantines.Add(1)
-	case EventRecovered:
-		st.recoveries.Add(1)
-	case EventDriftReinstall:
-		st.driftReinstalls.Add(1)
+		m.unquarantines.Add(1)
+	case lifecycle.EventRecovered:
+		m.recoveries.Add(1)
+	case lifecycle.EventDriftReinstall:
+		m.driftReinstalls.Add(1)
 	}
 }
 
 // SupervisorEvent is one structured log entry, reconstructed from the
 // supervisor's events on the lifecycle bus.
 type SupervisorEvent struct {
-	Seq     int       `json:"seq"`
-	Time    time.Time `json:"time"`
-	Host    string    `json:"host"`
-	MAC     string    `json:"mac"`
-	Type    EventType `json:"type"`
-	Attempt int       `json:"attempt,omitempty"`
-	Detail  string    `json:"detail,omitempty"`
+	Seq     int                 `json:"seq"`
+	Time    time.Time           `json:"time"`
+	Host    string              `json:"host"`
+	MAC     string              `json:"mac"`
+	Type    lifecycle.EventType `json:"type"`
+	Attempt int                 `json:"attempt,omitempty"`
+	Detail  string              `json:"detail,omitempty"`
 }
 
 // String renders the event for logs.
@@ -160,7 +161,7 @@ type remedRecord struct {
 
 // Supervisor is the closed-loop remediation daemon.
 type Supervisor struct {
-	c   *Cluster
+	r   *remediation
 	cfg SupervisorConfig
 	mon *monitor.Monitor
 
@@ -181,13 +182,15 @@ type Supervisor struct {
 // the lifecycle bus; the supervisor consumes them from a subscription. Both
 // loops run under the cluster's root context, so Close reaps them; the
 // caller may also Stop explicitly.
-func (c *Cluster) StartSupervisor(cfg SupervisorConfig) *Supervisor {
+func (c *Cluster) StartSupervisor(cfg SupervisorConfig) *Supervisor { return c.remedy.start(cfg) }
+
+func (m *remediation) start(cfg SupervisorConfig) *Supervisor {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(c.ctx)
-	mon := monitor.New(monitor.PingerFunc(c.Ping), cfg.Patience, 0)
-	mon.PublishTo(c.events)
+	ctx, cancel := context.WithCancel(m.ctx)
+	mon := monitor.New(monitor.PingerFunc(m.dir.ping), cfg.Patience, 0)
+	mon.PublishTo(m.events)
 	s := &Supervisor{
-		c:      c,
+		r:      m,
 		cfg:    cfg,
 		mon:    mon,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
@@ -196,20 +199,90 @@ func (c *Cluster) StartSupervisor(cfg SupervisorConfig) *Supervisor {
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
-	s.sub, s.unsub = c.events.Subscribe(lifecycle.DefaultRingSize)
-	c.mu.Lock()
-	c.supervisor = s
-	c.mu.Unlock()
+	s.sub, s.unsub = m.events.Subscribe(lifecycle.DefaultRingSize)
+	m.mu.Lock()
+	m.running = s
+	m.mu.Unlock()
 	mon.StartCtx(ctx, cfg.Interval)
 	go s.run(ctx)
 	return s
 }
 
-// Supervisor returns the running supervisor, if any.
-func (c *Cluster) Supervisor() *Supervisor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.supervisor
+func (m *remediation) current() *Supervisor {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.running
+}
+
+func (m *remediation) quarantine(host string) error {
+	m.dir.quarantine(host, true)
+	m.pbs.SetOffline(host, true)
+	m.pbs.UnregisterMom(host)
+	m.log.Log("frontend-0", "rocks", "quarantined %s: offline in PBS, awaiting repair", host)
+	return m.reports.write()
+}
+
+func (m *remediation) unquarantine(host string) error {
+	m.dir.quarantine(host, false)
+	m.pbs.SetOffline(host, false)
+	m.log.Log("frontend-0", "rocks", "unquarantined %s", host)
+	m.count(lifecycle.EventUnquarantine)
+	m.events.Publish(lifecycle.Event{
+		Node: host, Phase: lifecycle.PhaseRemediate,
+		Type: lifecycle.EventUnquarantine, Source: "cluster",
+	})
+	return m.reports.write()
+}
+
+// endpoint exposes the remediation supervisor's state: whether one is
+// running, its structured event log (reconstructed from the bounded
+// lifecycle ring — Dropped counts events the ring has evicted), and the
+// quarantine list.
+func (m *remediation) endpoint() endpoint {
+	return endpoint{name: "supervisor", run: func(r *http.Request) (interface{}, *apiError) {
+		resp := struct {
+			Running     bool              `json:"running"`
+			Events      []SupervisorEvent `json:"events"`
+			Dropped     uint64            `json:"dropped"`
+			Quarantined []string          `json:"quarantined"`
+		}{Quarantined: m.dir.quarantinedHosts(), Dropped: m.events.Evicted()}
+		if s := m.current(); s != nil {
+			resp.Running = true
+			resp.Events = s.Events()
+		}
+		return resp, nil
+	}}
+}
+
+// registerMetrics exposes the /v1/supervisor figures, and the reinstalls
+// ordered to chase actionable facts drift.
+func (m *remediation) registerMetrics(r *metrics.Registry) {
+	r.CounterFunc("rocks_supervisor_power_cycles_total",
+		"Hard power cycles the supervisor commanded.",
+		func() float64 { return float64(m.powerCycles.Load()) })
+	r.CounterFunc("rocks_supervisor_power_cycle_failures_total",
+		"Cycle commands the PDU refused or botched.",
+		func() float64 { return float64(m.powerCycleFails.Load()) })
+	r.CounterFunc("rocks_supervisor_quarantines_total",
+		"Nodes pulled from service after exhausting their retry budget.",
+		func() float64 { return float64(m.quarantines.Load()) })
+	r.CounterFunc("rocks_supervisor_unquarantines_total",
+		"Repaired nodes returned to service.",
+		func() float64 { return float64(m.unquarantines.Load()) })
+	r.CounterFunc("rocks_supervisor_recoveries_total",
+		"Failing nodes that reached Up and had their budget refunded.",
+		func() float64 { return float64(m.recoveries.Load()) })
+	r.GaugeFunc("rocks_supervisor_running",
+		"1 while a remediation supervisor is attached.",
+		func() float64 {
+			if m.current() != nil {
+				return 1
+			}
+			return 0
+		})
+	r.CounterFunc("rocks_facts_reinstalls_total",
+		"Reinstalls the supervisor ordered to remediate actionable drift.",
+		func() float64 { return float64(m.driftReinstalls.Load()) })
 }
 
 // run consumes bus events between ticks; each tick drains the backlog and
@@ -276,14 +349,11 @@ func (s *Supervisor) Stop() {
 	s.mon.Stop()
 }
 
-// Monitor exposes the supervisor's embedded health monitor.
-func (s *Supervisor) Monitor() *monitor.Monitor { return s.mon }
-
 // tick is one pass: refresh the watch set, then remediate against the
 // health picture accumulated from the monitor's bus events.
 func (s *Supervisor) tick() {
-	nodes := s.c.Nodes()
-	frontendMAC := s.c.Frontend.MAC()
+	nodes := s.r.dir.all()
+	frontendMAC := s.r.frontendMAC
 
 	// Keep the monitor watching every node under its best-known identity.
 	// A node's name arrives mid-install, so identities are late-bound.
@@ -340,9 +410,9 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node) {
 		// across reinstalls burns down the budget instead of resetting it.
 		// Benign drift (cpus, mem_mb) never reaches here: it is recorded in
 		// the inventory and the timeline only.
-		if fields := s.c.actionableDriftFields(mac); len(fields) > 0 {
+		if fields := s.r.facts.actionableDriftFields(mac); len(fields) > 0 {
 			drift := strings.Join(fields, ",")
-			s.remediateLocked(now, rec, mac, n, EventDriftReinstall,
+			s.remediateLocked(now, rec, mac, n, lifecycle.EventDriftReinstall,
 				"chasing drift in "+drift, "reinstalling to chase drift in "+drift)
 			return
 		}
@@ -350,7 +420,7 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node) {
 			rec.failing = false
 			rec.attempts = 0
 			rec.next = time.Time{}
-			s.record(rec.watchedAs, mac, EventRecovered, 0, "node reached up; retry budget refunded")
+			s.record(rec.watchedAs, mac, lifecycle.EventRecovered, 0, "node reached up; retry budget refunded")
 		}
 		s.mu.Unlock()
 		return
@@ -367,7 +437,7 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node) {
 			return
 		}
 	}
-	s.remediateLocked(now, rec, mac, n, EventPowerCycle,
+	s.remediateLocked(now, rec, mac, n, lifecycle.EventPowerCycle,
 		"in state "+string(st), "node reinstalling (was "+string(st)+")")
 }
 
@@ -379,7 +449,7 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node) {
 // publishes; exhausted and reinstalling word the reason into the
 // quarantine's and the cycle's detail. Called with s.mu held; releases it.
 func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string, n *node.Node,
-	cycled EventType, exhausted, reinstalling string) {
+	cycled lifecycle.EventType, exhausted, reinstalling string) {
 	rec.failing = true
 	if now.Before(rec.next) {
 		s.mu.Unlock()
@@ -390,12 +460,12 @@ func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string
 		attempts := rec.attempts
 		host := s.displayName(mac, n)
 		s.mu.Unlock()
-		if err := s.c.Quarantine(host); err != nil {
-			s.c.Syslog.Log("frontend-0", "supervisor", "quarantining %s: %v", host, err)
+		if err := s.r.quarantine(host); err != nil {
+			s.r.log.Log("frontend-0", "supervisor", "quarantining %s: %v", host, err)
 		}
 		// Published after Quarantine took effect, so a bus waiter that
 		// wakes on this event observes the node already offline.
-		s.record(host, mac, EventQuarantine, attempts,
+		s.record(host, mac, lifecycle.EventQuarantine, attempts,
 			fmt.Sprintf("retry budget (%d) exhausted %s; marking offline", s.cfg.MaxRetries, exhausted))
 		return
 	}
@@ -405,13 +475,13 @@ func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string
 	host := s.displayName(mac, n)
 	s.mu.Unlock()
 
-	outlet, wired := s.c.PDU.OutletFor(mac)
+	outlet, wired := s.r.pdu.OutletFor(mac)
 	if !wired {
-		s.record(host, mac, EventPowerCycleFailed, attempt, "no PDU outlet wired")
+		s.record(host, mac, lifecycle.EventPowerCycleFailed, attempt, "no PDU outlet wired")
 		return
 	}
-	if err := s.c.PDU.HardCycle(outlet); err != nil {
-		s.record(host, mac, EventPowerCycleFailed, attempt, err.Error())
+	if err := s.r.pdu.HardCycle(outlet); err != nil {
+		s.record(host, mac, lifecycle.EventPowerCycleFailed, attempt, err.Error())
 		return
 	}
 	s.record(host, mac, cycled, attempt, fmt.Sprintf("outlet %d cycled; %s", outlet, reinstalling))
@@ -435,7 +505,7 @@ func (s *Supervisor) displayName(mac string, n *node.Node) string {
 	if name := n.Name(); name != "" {
 		return name
 	}
-	if row, ok, err := clusterdb.NodeByMAC(s.c.DB, mac); err == nil && ok && row.Name != "" {
+	if row, ok, err := clusterdb.NodeByMAC(s.r.db, mac); err == nil && ok && row.Name != "" {
 		return row.Name
 	}
 	return mac
@@ -445,9 +515,9 @@ func (s *Supervisor) displayName(mac string, n *node.Node) string {
 // bounded ring is the event log now; there is no private slice to grow
 // without limit. Safe with or without s.mu held (the bus has its own lock
 // and never calls back).
-func (s *Supervisor) record(host, mac string, t EventType, attempt int, detail string) {
-	s.c.supStats.count(t)
-	e := s.c.events.Publish(lifecycle.Event{
+func (s *Supervisor) record(host, mac string, t lifecycle.EventType, attempt int, detail string) {
+	s.r.count(t)
+	e := s.r.events.Publish(lifecycle.Event{
 		Node:    host,
 		MAC:     mac,
 		Phase:   lifecycle.PhaseRemediate,
@@ -456,14 +526,14 @@ func (s *Supervisor) record(host, mac string, t EventType, attempt int, detail s
 		Attempt: attempt,
 		Detail:  detail,
 	})
-	s.c.Syslog.Log("frontend-0", "supervisor", "%s", e.String())
+	s.r.log.Log("frontend-0", "supervisor", "%s", e.String())
 }
 
 // Events returns the supervisor's action log in order, reconstructed from
 // the lifecycle ring (bounded: entries evicted from the ring are gone; the
 // drop count is on /v1/supervisor).
 func (s *Supervisor) Events() []SupervisorEvent {
-	events := s.c.events.Recent(lifecycle.Filter{Source: "supervisor"})
+	events := s.r.events.Recent(lifecycle.Filter{Source: "supervisor"})
 	out := make([]SupervisorEvent, len(events))
 	for i, e := range events {
 		out[i] = SupervisorEvent{

@@ -67,16 +67,16 @@ func TestSupervisorRevivesCrashedNode(t *testing.T) {
 	ctx, cancelWait := context.WithTimeout(context.Background(), integrationTimeout)
 	defer cancelWait()
 	if _, err := c.Events().WaitFor(ctx, lifecycle.Filter{
-		Node: "compute-0-0", Type: EventRecovered, Source: "supervisor",
+		Node: "compute-0-0", Type: lifecycle.EventRecovered, Source: "supervisor",
 	}); err != nil {
 		t.Fatalf("no recovered event: %v\nevents:\n%s", err, s.EventLog())
 	}
 	var cycled bool
 	for _, e := range s.EventsFor("compute-0-0") {
 		switch e.Type {
-		case EventPowerCycle:
+		case lifecycle.EventPowerCycle:
 			cycled = true
-		case EventQuarantine:
+		case lifecycle.EventQuarantine:
 			t.Fatalf("healthy retry quarantined:\n%s", s.EventLog())
 		}
 	}
@@ -107,7 +107,7 @@ func TestSupervisorQuarantinesHopelessNode(t *testing.T) {
 	ctx, cancelWait := context.WithTimeout(context.Background(), integrationTimeout)
 	defer cancelWait()
 	if _, err := c.Events().WaitFor(ctx, lifecycle.Filter{
-		Node: "compute-0-0", Type: EventQuarantine,
+		Node: "compute-0-0", Type: lifecycle.EventQuarantine,
 	}); err != nil {
 		t.Fatalf("node never quarantined: %v; state=%s events:\n%s", err, n.State(), s.EventLog())
 	}
@@ -121,9 +121,9 @@ func TestSupervisorQuarantinesHopelessNode(t *testing.T) {
 	var cycles, quarantines int
 	for _, e := range s.EventsFor("compute-0-0") {
 		switch e.Type {
-		case EventPowerCycle, EventPowerCycleFailed:
+		case lifecycle.EventPowerCycle, lifecycle.EventPowerCycleFailed:
 			cycles++
-		case EventQuarantine:
+		case lifecycle.EventQuarantine:
 			quarantines++
 		}
 	}

@@ -50,10 +50,10 @@ func (ep endpoint) methodCheck(r *http.Request) *apiError {
 	return nil
 }
 
-// v1Handler serves one endpoint.
-func (c *Cluster) v1Handler(ep endpoint) http.HandlerFunc {
+// handler serves one endpoint, counting the request and auditing the call.
+func (a *auditLog) handler(ep endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		c.apiReqs.With(ep.name).Inc()
+		a.requests.With(ep.name).Inc()
 		if aerr := ep.methodCheck(r); aerr != nil {
 			w.Header().Set("Allow", ep.allowedMethods())
 			writeV1Error(w, aerr)
@@ -63,7 +63,7 @@ func (c *Cluster) v1Handler(ep endpoint) http.HandlerFunc {
 		if aerr == nil && ep.fanout != nil {
 			payload, aerr = ep.fanout(r, payload)
 		}
-		c.auditOp(ep, r, aerr)
+		a.recordOp(ep, r, aerr)
 		if aerr != nil {
 			writeV1Error(w, aerr)
 			return
@@ -72,9 +72,9 @@ func (c *Cluster) v1Handler(ep endpoint) http.HandlerFunc {
 	}
 }
 
-// auditOp records a mutating call's outcome; reads and non-mutating sql
+// recordOp records a mutating call's outcome; reads and non-mutating sql
 // queries pass through unrecorded.
-func (c *Cluster) auditOp(ep endpoint, r *http.Request, aerr *apiError) {
+func (a *auditLog) recordOp(ep endpoint, r *http.Request, aerr *apiError) {
 	if ep.audit == "" || (ep.mutates != nil && !ep.mutates(r)) {
 		return
 	}
@@ -93,7 +93,7 @@ func (c *Cluster) auditOp(ep endpoint, r *http.Request, aerr *apiError) {
 		e.Error = aerr.Message
 		e.Status = aerr.Status
 	}
-	c.audit.record(e)
+	a.record(e)
 }
 
 // auditActor identifies the caller: the X-Rocks-Actor header when the

@@ -54,16 +54,10 @@ func (c *Cluster) frontendForm(w http.ResponseWriter, r *http.Request) {
 		frontendFormTmpl.Execute(w, vals)
 		return
 	}
-	read := func(key, def string) string {
-		if v := r.FormValue(key); v != "" {
-			return v
-		}
-		return def
-	}
-	attrs := kickstart.DefaultAttrs(read("disturl", vals.DistURL), FrontendIP)
-	attrs["Kickstart_Timezone"] = read("timezone", vals.Timezone)
-	attrs["Kickstart_RootPW"] = read("rootpw", vals.RootPW)
-	attrs["Kickstart_PublicHostname"] = "frontend-0." + read("domain", vals.Domain)
+	attrs := kickstart.DefaultAttrs(formOr(r, "disturl", vals.DistURL), FrontendIP)
+	attrs["Kickstart_Timezone"] = formOr(r, "timezone", vals.Timezone)
+	attrs["Kickstart_RootPW"] = formOr(r, "rootpw", vals.RootPW)
+	attrs["Kickstart_PublicHostname"] = "frontend-0." + formOr(r, "domain", vals.Domain)
 	profile, err := c.Dist.Framework.Generate(kickstart.Request{
 		Appliance: "frontend",
 		Arch:      "i386",

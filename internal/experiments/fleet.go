@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"cmp"
-	"container/heap"
-	"fmt"
 	"math"
+	"math/bits"
 	"sort"
+	"strconv"
 
 	"rocks/internal/simnet"
 )
@@ -27,7 +27,8 @@ import (
 // FleetParams parameterizes the fleet model. One rule for every field: a
 // zero value takes its DefaultFleetParams value (so a zero Relay, StreamBps
 // or MirrorBytes means off, and Shards ≤ 1 the unsharded fleet). Running
-// with Nodes ≤ 0 panics.
+// with Nodes ≤ 0, or any other count or duration negative, panics naming
+// the field.
 type FleetParams struct {
 	// Nodes is the fleet size; RackSize nodes share one uplink.
 	Nodes    int
@@ -126,7 +127,12 @@ type CompletionCurve struct {
 // curve. Deterministic: same params, same curve.
 func RunInstallCurve(p FleetParams) CompletionCurve {
 	if p.Nodes <= 0 {
-		panic("experiments: need at least one node")
+		panic("experiments: FleetParams.Nodes must be at least one")
+	}
+	for i, v := range [...]float64{float64(p.RackSize), float64(p.Frontends), float64(p.SourceStreams), p.DISecs, p.PreSecs, p.PostSecs} {
+		if v < 0 {
+			panic("experiments: FleetParams." + [...]string{"RackSize", "Frontends", "SourceStreams", "DISecs", "PreSecs", "PostSecs"}[i] + " is negative")
+		}
 	}
 	p = p.withDefaults()
 	// Every child mirrors concurrently, fair-sharing the top NIC: each sees
@@ -157,68 +163,91 @@ func RunInstallCurve(p FleetParams) CompletionCurve {
 	return finishCurve(out)
 }
 
-// installSource is one place the scheduler can draw a package stream from.
-type installSource struct {
-	nic   *simnet.Link
-	rack  int // -1 for a frontend
-	index int // position in fleetRun.sources
-	free  int
+// source is one place the scheduler can draw a package stream from, named by
+// its index in fleetRun.srcs: the frontends, then relays in completion order.
+type source struct {
+	nic  *simnet.Link
+	rack int32 // -1 for a frontend
+	pos  int32 // a relay's position among its rack's, in completion order
+	free int32
 }
 
-// freeSet is a min-heap of source indices (container/heap). An index is
-// pushed when its source gains a free slot and dropped, lazily, when it
-// surfaces with none.
-type freeSet struct{ sort.IntSlice }
+// bitset is a set over [0, n): a bit per member and a summary bit per
+// non-empty word, so the lowest member costs len(sum) + 1 words — 26 over
+// 100 001 sources.
+type bitset struct{ words, sum []uint64 }
 
-func (h *freeSet) Push(x any) { h.IntSlice = append(h.IntSlice, x.(int)) }
-func (h *freeSet) Pop() any {
-	n := len(h.IntSlice) - 1
-	x := h.IntSlice[n]
-	h.IntSlice = h.IntSlice[:n]
-	return x
+func newBitset(n int) bitset { return bitset{make([]uint64, (n+63)/64), make([]uint64, (n+4095)/4096)} }
+
+func (b bitset) set(i int32, on bool) {
+	w := &b.words[i/64]
+	if on {
+		*w |= 1 << (i % 64)
+		b.sum[i/4096] |= 1 << (i / 64 % 64)
+	} else if *w &^= 1 << (i % 64); *w == 0 {
+		b.sum[i/4096] &^= 1 << (i / 64 % 64)
+	}
 }
 
-// fleetRun is the state of one unsharded simulation. It is one struct, and
-// the per-install callbacks are its methods closed over (receiver, source,
-// node) only: written as nested closures that each capture the parameter
-// set, the same scheduler allocated 100 MB more per 100 000-node repetition
-// (DESIGN.md §10).
+// lowest returns the set's least member, or -1 if it is empty.
+func (b bitset) lowest() int32 {
+	for j, s := range b.sum {
+		if s != 0 {
+			w := j*64 + bits.TrailingZeros64(s)
+			return int32(w*64 + bits.TrailingZeros64(b.words[w]))
+		}
+	}
+	return -1
+}
+
+// fleetRun is the state of one unsharded simulation, every row sized once.
+// The per-install callbacks are its methods closed over (receiver, node)
+// only: as nested closures that each captured the parameter set, the same
+// scheduler allocated 100 MB more per 100 000-node repetition (DESIGN.md §10).
 type fleetRun struct {
-	p       FleetParams
-	sim     *simnet.Simulation
-	uplink  []*simnet.Link
-	nodeNIC []*simnet.Link
-	// sources starts as the frontends; in relay mode completed nodes append
-	// in completion order (deterministic). Nodes are admitted in index
-	// order, so the queue for a slot is just the nodes from next on.
-	sources []*installSource
-	next    int
+	p      FleetParams
+	sim    *simnet.Simulation
+	uplink []*simnet.Link
+	// srcOf[n] is the source serving node n's install. Nodes are admitted in
+	// index order, so the queue for a slot is just the nodes from next on.
+	srcs  []source
+	srcOf []int32
+	next  int
 	// Every source with a free slot is in anyFree and, if it is a relay, in
-	// its rack's set, so admission is O(log sources) rather than a scan.
-	anyFree  freeSet
-	rackFree []freeSet
+	// its rack's rackFree by position; rackSrc maps a position to the source.
+	anyFree  bitset
+	rackFree []bitset
+	rackSrc  [][]int32
 	// pkgs is the per-package split of one install, burst mode only.
 	pkgs  []PackageWork
 	curve CompletionCurve
 }
 
+// newFleetRun sizes the rows for a source per frontend and, relaying, per node.
+func newFleetRun(p FleetParams) *fleetRun {
+	r := &fleetRun{p: p, sim: simnet.New(), srcOf: make([]int32, p.Nodes), curve: CompletionCurve{Params: p, Times: make([]float64, 0, p.Nodes)}}
+	r.uplink = make([]*simnet.Link, (p.Nodes+p.RackSize-1)/p.RackSize)
+	sources := p.Frontends
+	if p.Relay {
+		sources += p.Nodes
+		r.rackFree, r.rackSrc = make([]bitset, len(r.uplink)), make([][]int32, len(r.uplink))
+		for k := range r.rackFree {
+			r.rackFree[k], r.rackSrc[k] = newBitset(p.RackSize), make([]int32, 0, p.RackSize)
+		}
+	}
+	r.srcs, r.anyFree = make([]source, 0, sources), newBitset(sources)
+	return r
+}
+
 // simulate runs one unsharded fleet; the returned Times are in completion
 // order and the quantiles unset.
 func simulate(p FleetParams) CompletionCurve {
-	r := &fleetRun{p: p, sim: simnet.New(), curve: CompletionCurve{Params: p, Times: make([]float64, 0, p.Nodes)}}
-	r.uplink = make([]*simnet.Link, (p.Nodes+p.RackSize-1)/p.RackSize)
-	r.rackFree = make([]freeSet, len(r.uplink))
+	r := newFleetRun(p)
 	for i := 0; i < p.Frontends; i++ {
-		r.addSource(r.sim.NewLink(fmt.Sprintf("frontend-%d-nic", i), p.FrontendBps), -1)
+		r.addSource(r.sim.NewLink("frontend-"+strconv.Itoa(i)+"-nic", p.FrontendBps), -1)
 	}
 	for i := range r.uplink {
-		r.uplink[i] = r.sim.NewLink(fmt.Sprintf("rack-%d-uplink", i), p.UplinkBps)
-	}
-	// A node's NIC is named for what it is, not which: its index in nodeNIC
-	// says which, and 100 000 formatted names nobody reads were 1.6 MB live.
-	r.nodeNIC = make([]*simnet.Link, p.Nodes)
-	for i := range r.nodeNIC {
-		r.nodeNIC[i] = r.sim.NewLink("node-nic", p.NodeBps)
+		r.uplink[i] = r.sim.NewLink("rack-"+strconv.Itoa(i)+"-uplink", p.UplinkBps)
 	}
 	if p.StreamBps > 0 {
 		cpu := max(p.DISecs-p.TotalBytes/p.StreamBps, 0)
@@ -242,79 +271,79 @@ func (r *fleetRun) powerOn() {
 	}
 	// Frontend-only: every node joins the fair-share scrum at once.
 	for ; r.next < r.p.Nodes; r.next++ {
-		r.start(r.sources[r.next%r.p.Frontends], r.next)
+		r.start(int32(r.next%r.p.Frontends), r.next)
 	}
 }
 
 // addSource appends a source with every slot free.
 func (r *fleetRun) addSource(nic *simnet.Link, rack int) {
-	r.sources = append(r.sources, &installSource{nic: nic, rack: rack, index: len(r.sources)})
-	r.release(r.sources[len(r.sources)-1], r.p.SourceStreams)
+	s := source{nic: nic, rack: int32(rack)}
+	if rack >= 0 {
+		s.pos = int32(len(r.rackSrc[rack]))
+		r.rackSrc[rack] = append(r.rackSrc[rack], int32(len(r.srcs)))
+	}
+	r.srcs = append(r.srcs, s)
+	r.release(int32(len(r.srcs)-1), int32(r.p.SourceStreams))
 }
 
-// release frees n of src's slots.
-func (r *fleetRun) release(src *installSource, n int) {
-	if src.free == 0 && n > 0 {
-		heap.Push(&r.anyFree, src.index)
-		if src.rack >= 0 {
-			heap.Push(&r.rackFree[src.rack], src.index)
+// release frees n of source i's slots (n = -1 takes one).
+func (r *fleetRun) release(i, n int32) {
+	s := &r.srcs[i]
+	if had := s.free > 0; had != (s.free+n > 0) {
+		r.anyFree.set(i, !had)
+		if s.rack >= 0 {
+			r.rackFree[s.rack].set(s.pos, !had)
 		}
 	}
-	src.free += n
-}
-
-// lowestFree returns the lowest-index source in h with a free slot.
-func (r *fleetRun) lowestFree(h *freeSet) *installSource {
-	for h.Len() > 0 {
-		if src := r.sources[h.IntSlice[0]]; src.free > 0 {
-			return src
-		}
-		heap.Pop(h)
-	}
-	return nil
+	s.free += n
 }
 
 // pick chooses the source for a node in rack: the first same-rack relay with
 // a free slot (no uplink crossing), else the first source of any kind with
 // one — the frontends sit at the head of the list, so they seed the first
-// wave and backstop thereafter.
-func (r *fleetRun) pick(rack int) *installSource {
-	if src := r.lowestFree(&r.rackFree[rack]); src != nil {
-		return src
+// wave and backstop thereafter. It returns -1 if no source has a slot.
+func (r *fleetRun) pick(rack int) int32 {
+	if pos := r.rackFree[rack].lowest(); pos >= 0 {
+		return r.rackSrc[rack][pos]
 	}
-	return r.lowestFree(&r.anyFree)
+	return r.anyFree.lowest()
 }
 
 // dispatch admits waiting nodes, in order, while some source has a slot.
 func (r *fleetRun) dispatch() {
 	for r.next < r.p.Nodes {
-		src := r.pick(r.rackOf(r.next))
-		if src == nil {
+		i := r.pick(r.rackOf(r.next))
+		if i < 0 {
 			return
 		}
-		src.free--
+		r.release(i, -1)
 		r.next++
-		r.start(src, r.next-1)
+		r.start(i, r.next-1)
 	}
 }
 
-// start begins node n's install from src.
-func (r *fleetRun) start(src *installSource, n int) {
+// start begins node n's install from source i. Until a node serves, its NIC
+// carries only its own install (one flow at a time, in burst mode too), and
+// under max-min a link one flow crosses is just a cap on it: the install is
+// capped at NodeBps as well, and the NIC becomes a link in installed.
+func (r *fleetRun) start(i int32, n int) {
+	r.srcOf[n] = i
+	src := &r.srcs[i]
 	var path []*simnet.Link
 	switch rack := r.rackOf(n); {
 	case src.rack < 0:
-		path = []*simnet.Link{src.nic, r.uplink[rack], r.nodeNIC[n]}
+		path = []*simnet.Link{src.nic, r.uplink[rack]}
 		r.curve.FrontendBytes += r.p.TotalBytes
-	case src.rack == rack:
+	case int(src.rack) == rack:
 		// Same rack: the stream never leaves the rack switch.
-		path = []*simnet.Link{src.nic, r.nodeNIC[n]}
+		path = []*simnet.Link{src.nic}
 		r.curve.PeerBytes += r.p.TotalBytes
 	default:
-		path = []*simnet.Link{src.nic, r.uplink[src.rack], r.uplink[rack], r.nodeNIC[n]}
+		path = []*simnet.Link{src.nic, r.uplink[src.rack], r.uplink[rack]}
 		r.curve.PeerBytes += r.p.TotalBytes
 	}
 	if r.pkgs != nil {
-		r.burst(src, n, path, 0)
+		r.burst(n, path, 0)
 		return
 	}
 	// Anaconda overlaps the next package's download with the current
@@ -322,36 +351,36 @@ func (r *fleetRun) start(src *installSource, n int) {
 	// wire-speed bursts — the paper's "each reinstalling node demands
 	// 1 MB/sec". One flow per install, capped at that demand, completes
 	// when download AND install are both done.
-	r.sim.StartFlow(fmt.Sprintf("install-%d", n), r.p.TotalBytes, path, r.p.TotalBytes/r.p.DISecs,
-		func() { r.transferred(src, n) })
+	r.sim.StartFlow("install-"+strconv.Itoa(n), r.p.TotalBytes, path, min(r.p.TotalBytes/r.p.DISecs, r.p.NodeBps),
+		func() { r.transferred(n) })
 }
 
 // burst is the ablation's demand model: package i at the single-stream
 // ceiling, then a stall for its CPU time, then the next.
-func (r *fleetRun) burst(src *installSource, n int, path []*simnet.Link, i int) {
+func (r *fleetRun) burst(n int, path []*simnet.Link, i int) {
 	if i == len(r.pkgs) {
-		r.transferred(src, n)
+		r.transferred(n)
 		return
 	}
-	w := r.pkgs[i]
-	r.sim.StartFlow(fmt.Sprintf("n%d-%s", n, w.Name), w.Bytes, path, r.p.StreamBps, func() {
-		r.sim.After(w.CPUSecs, func() { r.burst(src, n, path, i+1) })
+	w := &r.pkgs[i]
+	r.sim.StartFlow("n"+strconv.Itoa(n)+"-"+w.Name, w.Bytes, path, min(r.p.StreamBps, r.p.NodeBps), func() {
+		r.sim.After(w.CPUSecs, func() { r.burst(n, path, i+1) })
 	})
 }
 
 // transferred runs when node n has its last byte: the source's slot frees
 // now, but the node only completes — and, in relay mode, becomes a source —
 // after its post phase (install-complete).
-func (r *fleetRun) transferred(src *installSource, n int) {
-	r.release(src, 1)
+func (r *fleetRun) transferred(n int) {
+	r.release(r.srcOf[n], 1)
 	r.dispatch()
 	r.sim.After(r.p.PostSecs, func() { r.installed(n) })
 }
 
 func (r *fleetRun) installed(n int) {
 	r.curve.Times = append(r.curve.Times, r.sim.Now())
-	if r.p.Relay {
-		r.addSource(r.nodeNIC[n], r.rackOf(n))
+	if r.p.Relay { // a NIC is named for what it is; its source index says which
+		r.addSource(r.sim.NewLink("node-nic", r.p.NodeBps), r.rackOf(n))
 		r.dispatch()
 	}
 }

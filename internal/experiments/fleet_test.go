@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +51,39 @@ func TestFleetGoldens(t *testing.T) {
 		eq("8 shards time-to-last", fed.DeltaMirror.TimeToLast, g.fedDelta)
 		eq("8 shards, full mirror, time-to-last", fed.FullMirror.TimeToLast, g.fedFull)
 		eq("mirror phase", fed.FullMirror.MirrorSecs, 156.52169070036516)
+	}
+}
+
+// TestFleetNICGoldens pins runs whose node NIC binds, recorded while every
+// node's NIC was a link on its install's path: at 0.5 MB/s it is below the
+// ~1 MB/s demand, and in burst mode below each package's stream too. With
+// relays in burst mode a relay's NIC binds as well. TestFleetGoldens cannot
+// see how a NIC is modelled, since at the default rate it never binds.
+func TestFleetNICGoldens(t *testing.T) {
+	for _, g := range []struct {
+		nodes          int
+		relay          bool
+		streamBps      float64
+		last, at90     float64
+		waves          int
+		frontend, peer float64
+	}{
+		{7, false, 0, 844.9998607635498, 844.9998607635498, 1, 1.651506689e+09, 0},
+		{7, false, singleStreamBps, 1037.9998700459796, 1037.9998700459796, 1, 1.651506689e+09, 0},
+		{7, true, 0, 844.9998607635498, 844.9998607635498, 1, 1.651506689e+09, 0},
+		{7, true, singleStreamBps, 1037.9998700459796, 1037.9998700459796, 1, 1.651506689e+09, 0},
+		{300, false, 0, 6264.563401263694, 6264.563401263694, 1, 7.07788581e+10, 0},
+		{300, false, singleStreamBps, 6457.563410546131, 6457.563410546131, 1, 7.07788581e+10, 0},
+		{300, true, 0, 6129.998329162598, 6129.998329162598, 10, 1.0380899188e+10, 6.0397958912e+10},
+		{300, true, singleStreamBps, 7094.998375574754, 7094.998375574754, 10, 1.0380899188e+10, 6.0397958912e+10},
+	} {
+		c := RunInstallCurve(FleetParams{Nodes: g.nodes, Relay: g.relay, NodeBps: mbps(0.5), StreamBps: g.streamBps})
+		if c.TimeToLast != g.last || c.TimeTo90 != g.at90 || c.Waves != g.waves ||
+			c.FrontendBytes != g.frontend || c.PeerBytes != g.peer {
+			t.Errorf("%d nodes, relay %v, stream %v: last %v, 90%% %v, %d waves, bytes (%v, %v); recorded %v, %v, %d, (%v, %v)",
+				g.nodes, g.relay, g.streamBps, c.TimeToLast, c.TimeTo90, c.Waves, c.FrontendBytes, c.PeerBytes,
+				g.last, g.at90, g.waves, g.frontend, g.peer)
+		}
 	}
 }
 
@@ -101,6 +135,34 @@ func TestFleetParamsZeroMeansDefault(t *testing.T) {
 			t.Errorf("%s: partial struct ran as %+v (last %v), want %+v (last %v)",
 				tc.name, got.Params, got.TimeToLast, want.Params, want.TimeToLast)
 		}
+	}
+}
+
+// TestFleetParamsNegativePanics is the rest of the struct's one rule: a
+// negative count or duration panics naming the field, rather than crashing
+// deep in the model or finishing at a time that means nothing. Shards is
+// not a count that can be wrong: at or below one it is the unsharded fleet.
+func TestFleetParamsNegativePanics(t *testing.T) {
+	for field, p := range map[string]FleetParams{
+		"Nodes":         {Nodes: -1},
+		"SourceStreams": {Nodes: 4, Relay: true, SourceStreams: -1},
+		"Frontends":     {Nodes: 4, Frontends: -1},
+		"RackSize":      {Nodes: 4, RackSize: -1},
+		"DISecs":        {Nodes: 4, DISecs: -1},
+		"PreSecs":       {Nodes: 4, PreSecs: -1},
+		"PostSecs":      {Nodes: 4, PostSecs: -1},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "FleetParams."+field) {
+					t.Errorf("%s < 0: panicked with %q, want one naming FleetParams.%s", field, msg, field)
+				}
+			}()
+			RunInstallCurve(p)
+		}()
+	}
+	if got := RunInstallCurve(FleetParams{Nodes: 4, Shards: -3}); len(got.PerShard) != 1 {
+		t.Errorf("Shards -3 ran %d shards, want the unsharded fleet", len(got.PerShard))
 	}
 }
 

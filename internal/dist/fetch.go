@@ -182,19 +182,24 @@ func (f *Fetcher) Get(ctx context.Context, u string, header http.Header) ([]byte
 		return nil, err
 	}
 	defer resp.Body.Close()
-	// io.ReadAll, but into a buffer sized up front when the server declared
-	// a length (every package body and the manifest; the spare MinRead lets
-	// ReadFrom see EOF without growing). The declaration is a peer's claim,
-	// so it sizes at most maxPresize; a longer body grows as its bytes
-	// actually arrive.
-	var buf bytes.Buffer
-	if n := resp.ContentLength; n > 0 {
-		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
+	body, err := readDeclared(resp.Body, resp.ContentLength)
+	if err != nil {
 		return nil, Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
 	}
-	return buf.Bytes(), nil
+	return body, nil
+}
+
+// readDeclared is io.ReadAll into a buffer sized up front by a declared
+// length (the spare MinRead lets ReadFrom see EOF without growing). The
+// declaration is a peer's claim, so it sizes at most maxPresize; a longer
+// body grows as its bytes actually arrive.
+func readDeclared(r io.Reader, declared int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if declared > 0 {
+		buf.Grow(int(min(declared, maxPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // Index retrieves the digest manifest of the distribution at base, with
@@ -289,7 +294,10 @@ func (f *Fetcher) Packages(ctx context.Context, base string, entries []ManifestE
 // length in it is the source's claim: a member's buffer is sized by at most
 // maxPresize up front and grows as bytes actually arrive, as in Get.
 func readBundle(ctx context.Context, r io.Reader, base string, entries []ManifestEntry, each func(i int, p *rpm.Package, n int64) error) (int, error) {
-	br := bufio.NewReaderSize(r, bundleBuffer)
+	br := bundleReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer bundleReaders.Put(br)
+	defer br.Reset(nil) // runs first
 	var (
 		header [bundleHeaderLen]byte
 		// One buffer for every member of the stream: rpm.Decode copies what
@@ -359,18 +367,17 @@ func corruptBody(file, base, why string) error {
 // anything else cannot get it past this function; every failure is transient
 // and wraps ErrCorruptBody, naming the file and the source.
 func verify(body []byte, e ManifestEntry, base string) (*rpm.Package, error) {
-	file := e.NVRA + ".rpm"
 	p, err := rpm.Decode(body)
 	if err != nil {
-		return nil, corruptBody(file, base, err.Error())
+		return nil, corruptBody(e.NVRA+".rpm", base, err.Error())
 	}
-	if p.Filename() != file {
+	if !p.IsNVRA(e.NVRA) {
 		// A substituted file, or a bit flip in the metadata region that the
 		// payload digest cannot see.
-		return nil, corruptBody(file, base, "body identifies as "+p.Filename())
+		return nil, corruptBody(e.NVRA+".rpm", base, "body identifies as "+p.Filename())
 	}
 	if p.EnsureDigest() != e.Digest {
-		return nil, corruptBody(file, base, "payload digest does not match the distribution manifest")
+		return nil, corruptBody(e.NVRA+".rpm", base, "payload digest does not match the distribution manifest")
 	}
 	return p, nil
 }

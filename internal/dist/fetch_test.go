@@ -339,3 +339,49 @@ func TestConcurrentManifestAndPackageServing(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyIdentity: verify accepts a body exactly when its NVRA is the
+// entry's — what comparing the two spelled strings accepted — including an
+// NVRA two (name, version, release) splits spell alike ("a-1" 2-3, "a"
+// 1-2-3: one identity, as in a Repository), and refuses a body off by one
+// character in any field in the words it always has.
+func TestVerifyIdentity(t *testing.T) {
+	pkg := func(name, ver, rel, arch string) *rpm.Package {
+		return rpm.New(name, v(ver, rel), arch, rpm.FileEntry{Path: "/usr/lib/" + name, Data: []byte(name)})
+	}
+	for _, c := range []struct {
+		body     *rpm.Package
+		nvra     string
+		accepted bool
+	}{
+		{pkg("a", "1", "2", "i386"), "a-1-2.i386", true},
+		{pkg("a-1", "2", "3", "i386"), "a-1-2-3.i386", true},
+		{pkg("a", "1-2", "3", "i386"), "a-1-2-3.i386", true},
+		{pkg("a", "1", "2-3", "i386"), "a-1-2-3.i386", true},
+		{pkg("b", "1", "2", "i386"), "a-1-2.i386", false},
+		{pkg("ab", "1", "2", "i386"), "a-1-2.i386", false},
+		{pkg("", "1", "2", "i386"), "a-1-2.i386", false},
+		{pkg("a", "0", "2", "i386"), "a-1-2.i386", false},
+		{pkg("a", "11", "2", "i386"), "a-1-2.i386", false},
+		{pkg("a", "1", "3", "i386"), "a-1-2.i386", false},
+		{pkg("a", "1", "", "i386"), "a-1-2.i386", false},
+		{pkg("a", "1", "2", "i486"), "a-1-2.i386", false},
+		{pkg("a", "1", "2", "i386x"), "a-1-2.i386", false},
+		{pkg("a", "1", "2", "i38"), "a-1-2.i386", false},
+		{pkg("a", "1", "2", "i386"), "a-1-2.i386.", false},
+		{pkg("a", "1", "2", "i386"), "a-1-2-i386", false},
+	} {
+		body := c.body.Bytes()
+		p, err := verify(body, ManifestEntry{NVRA: c.nvra, Digest: c.body.EnsureDigest()}, "src")
+		if c.accepted {
+			if err != nil || p.NVRA() != c.nvra {
+				t.Errorf("%s as %s: %v, want it accepted", c.body.NVRA(), c.nvra, err)
+			}
+			continue
+		}
+		want := fmt.Sprintf("dist: verifying %s.rpm from src: %v (body identifies as %s)", c.nvra, ErrCorruptBody, c.body.Filename())
+		if err == nil || err.Error() != want || !errors.Is(err, ErrCorruptBody) || !IsTransient(err) {
+			t.Errorf("%s as %s: %v, want a transient %q", c.body.NVRA(), c.nvra, err, want)
+		}
+	}
+}

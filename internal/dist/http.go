@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"rocks/internal/metrics"
@@ -58,6 +59,14 @@ const (
 	// a body of a few hundred bytes costs a fraction of a socket write, not
 	// one.
 	bundleBuffer = 64 << 10
+)
+
+// The buffers streams and manifests go through, kept between requests. A
+// stream's is Reset to nil before it goes back, so it pins no connection.
+var (
+	bundleWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, bundleBuffer) }}
+	bundleReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bundleBuffer) }}
+	manifestTexts = sync.Pool{New: func() any { return new([]byte) }}
 )
 
 // putBundleHeader fills in a member's header.
@@ -220,25 +229,33 @@ func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 
 // serveBundle answers the bundle verb. Every body is the repository entry's
 // one encoding (Repository.Body), so a member of a stream and a GET of the
-// same file are the same bytes, and the stream goes out through one buffered
-// writer. The counters move per body, as they do for a GET.
+// same file are the same bytes, and the stream goes out through one pooled
+// buffered writer. The counters move per body, as they do for a GET.
 func (s *Server) serveBundle(w http.ResponseWriter, r *http.Request) {
-	req, err := io.ReadAll(io.LimitReader(r.Body, maxBundleRequest+1))
+	req, err := readDeclared(io.LimitReader(r.Body, maxBundleRequest+1), r.ContentLength)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	names := strings.Fields(string(req))
-	if len(req) > maxBundleRequest || len(names) > maxBundleMembers {
+	// Names are counted only as far as the bound before any is looked up: a
+	// refused request costs its own bytes, not a string per name in it.
+	text, members := string(req), 0
+	for name, rest := cutField(text); name != "" && members <= maxBundleMembers; name, rest = cutField(rest) {
+		members++
+	}
+	if len(req) > maxBundleRequest || members > maxBundleMembers {
 		http.Error(w, "bundle request too large", http.StatusRequestEntityTooLarge)
 		return
 	}
 	s.bundles.Add(1)
 	repo := s.repo()
 	w.Header().Set("Content-Type", "application/octet-stream")
-	bw := bufio.NewWriterSize(w, bundleBuffer)
+	bw := bundleWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	defer bundleWriters.Put(bw)
+	defer bw.Reset(nil) // runs first
 	var header [bundleHeaderLen]byte
-	for _, name := range names {
+	for name, rest := cutField(text); name != ""; name, rest = cutField(rest) {
 		body := repo.Body(unescapeField(name))
 		if body == nil {
 			s.notFound.Add(1)
@@ -262,8 +279,15 @@ func (s *Server) serveBundle(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveManifest(w http.ResponseWriter, r *http.Request) {
 	s.manifest.Add(1)
 	// Built per request: nothing is kept that a change could leave stale.
-	text := FormatManifest(Manifest(s.repo()))
+	buf := manifestTexts.Get().(*[]byte)
+	text := (*buf)[:0]
+	for _, p := range s.repo().Sorted() {
+		nvra := p.NVRAPieces()
+		text = appendManifestLine(text, p.Size, p.Digest, p.Source, nvra[:]...)
+	}
 	w.Header().Set("Content-Type", "text/plain")
 	w.Header().Set("Content-Length", strconv.Itoa(len(text)))
-	io.WriteString(w, text)
+	w.Write(text)
+	*buf = text
+	manifestTexts.Put(buf)
 }

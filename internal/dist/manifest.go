@@ -47,9 +47,7 @@ func Manifest(repo *rpm.Repository) []ManifestEntry {
 }
 
 // FormatManifest renders manifest lines, one entry per line, trailing
-// newline included. An empty source is written as "-" so every line has
-// exactly four fields. NVRA and source are path-escaped so a package name
-// carrying whitespace cannot shear the whitespace-delimited line apart.
+// newline included (appendManifestLine).
 func FormatManifest(entries []ManifestEntry) string {
 	// Sized once: three separators, the newline, a "-" source and up to
 	// nineteen digits of size beside the fields themselves. Escaping that
@@ -58,18 +56,25 @@ func FormatManifest(entries []ManifestEntry) string {
 	for _, e := range entries {
 		size += len(e.NVRA) + len(e.Digest) + len(e.Source) + 24
 	}
-	var b strings.Builder
-	b.Grow(size)
-	var num [24]byte // " <size> "
+	b := make([]byte, 0, size)
 	for _, e := range entries {
-		b.WriteString(url.PathEscape(e.NVRA))
-		b.Write(append(strconv.AppendInt(append(num[:0], ' '), e.Size, 10), ' '))
-		b.WriteString(e.Digest)
-		b.WriteByte(' ')
-		b.WriteString(url.PathEscape(cmp.Or(e.Source, "-")))
-		b.WriteByte('\n')
+		b = appendManifestLine(b, e.Size, e.Digest, e.Source, e.NVRA)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendManifestLine is the one spelling of a manifest line. An empty source
+// is written as "-" so every line has exactly four fields. NVRA and source
+// are path-escaped so a package name carrying whitespace cannot shear the
+// line apart. The NVRA comes whole or as rpm.Metadata.NVRAPieces: escaping
+// goes byte by byte and never touches a separator, so either way is the same.
+func appendManifestLine(b []byte, size int64, digest, source string, nvra ...string) []byte {
+	for _, piece := range nvra {
+		b = append(b, url.PathEscape(piece)...)
+	}
+	b = append(strconv.AppendInt(append(b, ' '), size, 10), ' ')
+	b = append(append(b, digest...), ' ')
+	return append(append(b, url.PathEscape(cmp.Or(source, "-"))...), '\n')
 }
 
 // unescapeField undoes FormatManifest's escaping, tolerating unescaped

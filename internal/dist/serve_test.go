@@ -225,6 +225,67 @@ func TestBundleIsTheGetBodiesInRequestOrder(t *testing.T) {
 	}
 }
 
+// TestRefusingABundleCostsItsBytes: a request naming more members than the
+// bound is refused with the same answer however it is counted, and what the
+// refusal allocates is a small multiple of the request — reading it, and
+// one string of it — not a string per name in it. Splitting the whole body
+// before counting allocated 14 times its size for one-letter names.
+func TestRefusingABundleCostsItsBytes(t *testing.T) {
+	srv := NewRepoServer(rpm.NewRepository("r"))
+	ask := strings.Repeat("a\n", maxBundleRequest/2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := post(srv, ask)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != "bundle request too large\n" {
+		t.Fatalf("HTTP %d %q, want 413 naming the bound", rec.Code, rec.Body)
+	}
+	// The read buffer twice under the race detector (bytes.Buffer makes its
+	// slice, then copies it), the string once, and room for the recorder.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(ask)); got > limit {
+		t.Errorf("refusing %d bytes of %d names allocated %d bytes (limit %d)", len(ask), len(ask)/2, got, limit)
+	}
+	if stats := srv.Stats(); stats != (ServeStats{}) {
+		t.Errorf("a refused request moved the counters: %+v", stats)
+	}
+}
+
+// TestStreamBuffersAreReused: once warm, a bundle round trip between a
+// relay's server and the fetcher, over HTTP, allocates less than one stream
+// buffer on the two sides together: the server's writer and the client's
+// reader come back from their pools rather than being made per stream.
+func TestStreamBuffersAreReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of what is put back")
+	}
+	repo := rpm.NewRepository("r")
+	var entries []ManifestEntry
+	for _, name := range []string{"alpha", "beta", "gamma"} {
+		p := rpm.New(name, v("1.0", "1"), rpm.ArchI386, rpm.FileEntry{Path: "/usr/lib/" + name, Data: []byte(name)})
+		repo.Add(p)
+		entries = append(entries, ManifestEntry{NVRA: p.NVRA(), Digest: p.Digest})
+	}
+	ts := httptest.NewServer(NewRepoServer(repo))
+	defer ts.Close()
+	f := &Fetcher{HTTP: ts.Client()}
+	round := func() {
+		if done, err := f.Packages(context.Background(), ts.URL, entries, func(int, *rpm.Package, int64) error { return nil }); err != nil || done != len(entries) {
+			t.Fatalf("Packages: %d of %d, %v", done, len(entries), err)
+		}
+	}
+	round() // a connection, the pools' first buffers, every body encoded
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / rounds; per >= bundleBuffer {
+		t.Errorf("a warm bundle round trip allocates %d bytes, at least a stream buffer (%d)", per, bundleBuffer)
+	}
+}
+
 // TestManifestDeclaresItsLength: the manifest goes out under a Content-Length,
 // so Fetcher.Get reads it into one buffer, and FormatManifest sizes its
 // builder once.

@@ -546,16 +546,18 @@ func resolveIndex(ctx context.Context, f *dist.Fetcher, distURL, arch string) (m
 	if err != nil {
 		return nil, err
 	}
-	best := map[string]dist.ManifestEntry{}
-	newest := map[string]rpm.Version{}
+	best := make(map[string]dist.ManifestEntry, len(entries))
 	for _, e := range entries {
-		m, err := rpm.ParseFilename(e.NVRA + ".rpm")
+		m, err := rpm.ParseNVRA(e.NVRA)
 		if err != nil || !rpm.ArchCompatible(arch, m.Arch) {
 			continue
 		}
-		if cur, ok := newest[m.Name]; !ok || rpm.Compare(m.Version, cur) > 0 {
-			best[m.Name], newest[m.Name] = e, m.Version
+		if cur, ok := best[m.Name]; ok {
+			if c, _ := rpm.ParseNVRA(cur.NVRA); rpm.Compare(m.Version, c.Version) <= 0 {
+				continue
+			}
 		}
+		best[m.Name] = e
 	}
 	return best, nil
 }

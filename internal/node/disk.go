@@ -63,15 +63,16 @@ func (d *Disk) EnsurePartition(mount string) *Partition {
 }
 
 // Format (re)creates the partition's filesystem, destroying its contents.
+// The file table is emptied, not replaced: a reinstall fills it again.
 func (d *Disk) Format(mount string) *Partition {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p, ok := d.Parts[mount]
 	if !ok {
-		p = &Partition{Mount: mount}
+		p = &Partition{Mount: mount, files: make(map[string]File)}
 		d.Parts[mount] = p
 	}
-	p.files = make(map[string]File)
+	clear(p.files)
 	p.Formatted = true
 	p.Generation++
 	return p
@@ -90,14 +91,13 @@ func (d *Disk) partitionFor(path string) (*Partition, error) {
 	best := ""
 	var found *Partition
 	for m, p := range d.Parts {
-		if !p.Formatted {
+		if !p.Formatted || len(m) <= len(best) {
 			continue
 		}
-		prefix := m
-		if prefix != "/" && !strings.HasSuffix(prefix, "/") {
-			prefix += "/"
-		}
-		if (path == m || strings.HasPrefix(path, prefix)) && len(m) > len(best) {
+		// path is m itself or lies below it: /state/partition10 is not
+		// below /state/partition1.
+		rest, ok := strings.CutPrefix(path, m)
+		if ok && (rest == "" || rest[0] == '/' || strings.HasSuffix(m, "/")) {
 			best = m
 			found = p
 		}

@@ -10,7 +10,9 @@ import (
 
 // TestPropertyDiskLastWriteWins: random sequences of writes/appends across
 // two partitions; reading any path returns exactly the accumulated state,
-// and reformatting the root never touches the state partition.
+// and reformatting the root never touches the state partition. A path is on
+// a partition when it is the mountpoint or lies below it, so
+// /state/partition10/x is on the root and goes with it.
 func TestPropertyDiskLastWriteWins(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -19,9 +21,10 @@ func TestPropertyDiskLastWriteWins(t *testing.T) {
 		d.Format("/state/partition1")
 		want := map[string][]byte{}
 		paths := []string{
-			"/etc/a", "/etc/b", "/usr/bin/x",
-			"/state/partition1/r1", "/state/partition1/r2",
+			"/etc/a", "/etc/b", "/usr/bin/x", "/state/partition10/x",
+			"/state/partition1/r1", "/state/partition1/r2", "/state/partition1",
 		}
+		onState := map[string]bool{"/state/partition1/r1": true, "/state/partition1/r2": true, "/state/partition1": true}
 		for op := 0; op < 50; op++ {
 			p := paths[r.Intn(len(paths))]
 			data := []byte(fmt.Sprintf("op%d", op))
@@ -47,7 +50,7 @@ func TestPropertyDiskLastWriteWins(t *testing.T) {
 		d.Format("/")
 		for p, w := range want {
 			got, err := d.ReadFile(p)
-			if len(p) > 7 && p[:7] == "/state/" {
+			if onState[p] {
 				if err != nil || string(got) != string(w) {
 					return false
 				}

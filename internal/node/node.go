@@ -80,11 +80,12 @@ func (n *Node) PackageDB() *rpm.Database {
 	return n.db
 }
 
-// ResetPackageDB clears the package database (start of a reinstall).
+// ResetPackageDB clears the package database (start of a reinstall), giving
+// the new one room for what the old one held.
 func (n *Node) ResetPackageDB() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.db = rpm.NewDatabase()
+	n.db = n.db.Successor()
 }
 
 // State returns the node's current state.

@@ -22,6 +22,13 @@ func NewDatabase() *Database {
 	return &Database{installed: make(map[string]Metadata)}
 }
 
+// Successor returns an empty database with room for what d holds, which a
+// reinstall installs again; d is left as it is for whoever still holds it.
+func (d *Database) Successor() *Database {
+	n := d.Len()
+	return &Database{installed: make(map[string]Metadata, n), order: make([]string, 0, n)}
+}
+
 // Install records a package as installed, replacing any prior version of
 // the same name (an upgrade).
 func (d *Database) Install(m Metadata) {

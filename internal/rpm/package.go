@@ -55,6 +55,23 @@ func (m Metadata) NVRA() string {
 	return m.Name + "-" + m.Version.Version + "-" + m.Version.Release + "." + m.Arch
 }
 
+// NVRAPieces is the NVRA in the pieces NVRA joins, separators included, for
+// comparing (IsNVRA) or writing (a manifest line) one without building it.
+func (m Metadata) NVRAPieces() [7]string {
+	return [...]string{m.Name, "-", m.Version.Version, "-", m.Version.Release, ".", m.Arch}
+}
+
+// IsNVRA reports whether s is the package's NVRA: exactly when s == m.NVRA().
+func (m Metadata) IsNVRA(s string) bool {
+	for _, piece := range m.NVRAPieces() {
+		var ok bool
+		if s, ok = strings.CutPrefix(s, piece); !ok {
+			return false
+		}
+	}
+	return s == ""
+}
+
 // Filename returns the package file name, NVRA plus the ".rpm" suffix.
 func (m Metadata) Filename() string { return m.NVRA() + ".rpm" }
 
@@ -72,29 +89,34 @@ type Package struct {
 	BuildRequires []string
 }
 
-// ParseFilename splits "name-version-release.arch.rpm" back into its parts.
-// Package names may themselves contain dashes, so the version and release
-// are taken as the last two dash-separated fields.
+// ParseFilename splits "name-version-release.arch.rpm" back into its parts:
+// the NVRA of the path's last element, which must end in ".rpm" (ParseNVRA).
 func ParseFilename(fn string) (Metadata, error) {
+	nvra, ok := strings.CutSuffix(path.Base(fn), ".rpm")
+	if !ok {
+		return Metadata{}, fmt.Errorf("rpm: %q does not end in .rpm", fn)
+	}
+	return ParseNVRA(nvra)
+}
+
+// ParseNVRA splits "name-version-release.arch" back into its parts. Package
+// names may themselves contain dashes, so the version and release are taken
+// as the last two dash-separated fields.
+func ParseNVRA(nvra string) (Metadata, error) {
 	var m Metadata
-	base := path.Base(fn)
-	if !strings.HasSuffix(base, ".rpm") {
-		return m, fmt.Errorf("rpm: %q does not end in .rpm", fn)
-	}
-	base = strings.TrimSuffix(base, ".rpm")
-	dot := strings.LastIndexByte(base, '.')
+	dot := strings.LastIndexByte(nvra, '.')
 	if dot < 0 {
-		return m, fmt.Errorf("rpm: %q has no architecture suffix", fn)
+		return m, fmt.Errorf("rpm: %q has no architecture suffix", nvra)
 	}
-	m.Arch = base[dot+1:]
-	nvr := base[:dot]
+	m.Arch = nvra[dot+1:]
+	nvr := nvra[:dot]
 	d2 := strings.LastIndexByte(nvr, '-')
 	if d2 <= 0 {
-		return m, fmt.Errorf("rpm: %q has no release field", fn)
+		return m, fmt.Errorf("rpm: %q has no release field", nvra)
 	}
 	d1 := strings.LastIndexByte(nvr[:d2], '-')
 	if d1 <= 0 {
-		return m, fmt.Errorf("rpm: %q has no version field", fn)
+		return m, fmt.Errorf("rpm: %q has no version field", nvra)
 	}
 	m.Name = nvr[:d1]
 	m.Version = Version{Version: nvr[d1+1 : d2], Release: nvr[d2+1:]}
@@ -236,7 +258,8 @@ func Decode(body []byte) (*Package, error) {
 		return nil, h.err
 	case len(h.s) > 0 || len(payload) > 0:
 		return nil, fmt.Errorf("rpm: %d bytes of header and %d of payload after the last file", len(h.s), len(payload))
-	case p.Digest != PayloadDigest(p.Files):
+	}
+	if digest := payloadDigest(p.Files); string(digest[:]) != p.Digest {
 		return nil, fmt.Errorf("rpm: %s: payload digest mismatch (corrupted package)", p.NVRA())
 	}
 	kept := bytes.Clone(rest[end:])
@@ -299,8 +322,15 @@ func (h *header) list(what string) (l []string) {
 }
 
 // PayloadDigest computes the canonical SHA-256 over a payload: file paths,
-// modes (unset read as 0644), and contents in path order.
+// modes (unset read as 0644), and contents in path order, in hex.
 func PayloadDigest(files []FileEntry) string {
+	digest := payloadDigest(files)
+	return string(digest[:])
+}
+
+// payloadDigest is PayloadDigest spelled on the stack: comparing it with a
+// package's Digest spells nothing on the heap.
+func payloadDigest(files []FileEntry) (digest [2 * sha256.Size]byte) {
 	byPath := func(a, b FileEntry) int { return strings.Compare(a.Path, b.Path) }
 	if !slices.IsSortedFunc(files, byPath) {
 		// Only files not listed in path order already pay for a sorted copy.
@@ -317,7 +347,8 @@ func PayloadDigest(files []FileEntry) string {
 		h.Write(f.Data)
 	}
 	var sum [sha256.Size]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
+	hex.Encode(digest[:], h.Sum(sum[:0]))
+	return digest
 }
 
 // EnsureDigest returns the package's payload digest, computing and stamping

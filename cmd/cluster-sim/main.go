@@ -235,8 +235,7 @@ func runDemo(c *core.Cluster) error {
 	}
 
 	fmt.Println("\n== health monitor (§4) ==")
-	mon := c.NewMonitor(time.Second, 0)
-	defer mon.Stop()
+	mon := c.NewMonitor(time.Second)
 	mon.Probe()
 	fmt.Print(mon.Report())
 

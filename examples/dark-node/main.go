@@ -34,8 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	mon := cluster.NewMonitor(30*time.Millisecond, 0)
-	defer mon.Stop()
+	mon := cluster.NewMonitor(30 * time.Millisecond)
 	mon.Probe()
 	fmt.Print(mon.Report())
 

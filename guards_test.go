@@ -281,6 +281,36 @@ func TestStructuralGuards(t *testing.T) {
 		})
 	})
 
+	t.Run("one health loop", func(t *testing.T) {
+		// Remediation is one loop (DESIGN.md §14): the supervisor probes
+		// through its monitor on its own tick and reads the classification
+		// back directly, not off the bus. The monitor is a classifier that
+		// starts no goroutine and owns no ticker. The listeners are the
+		// three sites the network seam will replace.
+		inspect(t, func(f srcFile) bool { return f.in("internal/monitor") }, func(n ast.Node) string {
+			if _, ok := n.(*ast.GoStmt); ok {
+				return "a go statement in internal/monitor; the owner's loop calls Probe"
+			}
+			if pkgCall(n, "time", "NewTicker") {
+				return "a ticker in internal/monitor; the owner's loop sets the pace"
+			}
+			return ""
+		})
+		inspect(t, func(f srcFile) bool { return f.path == "internal/core/supervisor.go" }, func(n ast.Node) string {
+			if _, m := methodCall(n); m == "Subscribe" {
+				return "the supervisor subscribes to the bus; it reads its monitor's Probe directly"
+			}
+			return ""
+		})
+		listeners := []string{"internal/core/cluster.go", "internal/core/relay.go", "internal/ekv/ekv.go"}
+		inspect(t, func(f srcFile) bool { return !slices.Contains(listeners, f.path) }, func(n ast.Node) string {
+			if pkgCall(n, "net", "Listen") {
+				return "a net.Listen outside the three sites the network seam will replace"
+			}
+			return ""
+		})
+	})
+
 	t.Run("retired names", func(t *testing.T) {
 		// By where each may not appear.
 		goFile := func(f srcFile) bool { return f.isGo() }

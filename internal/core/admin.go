@@ -431,7 +431,7 @@ func (c *Cluster) opDBStats(r *http.Request) (interface{}, *apiError) {
 			Misses        uint64 `json:"misses"`
 			Invalidations uint64 `json:"invalidations"`
 		} `json:"kickstart_cache"`
-	}{DB: c.DB.Stats(), Recovery: c.recovery, Reports: c.ReportStats()}
+	}{DB: c.DB.Stats(), Recovery: c.recovery, Reports: c.reports.stats()}
 	resp.Kickstart.Hits, resp.Kickstart.Misses, resp.Kickstart.Invalidations = c.KickstartCacheStats()
 	return resp, nil
 }

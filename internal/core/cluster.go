@@ -130,9 +130,9 @@ func (s scope) spawn(f func()) {
 type Cluster struct {
 	cfg Config
 
-	// Every long-running path — node installs, the supervisor, monitors,
-	// relays, the federation forwarder — runs under the root scope, so Close
-	// cancels all in-flight work deterministically.
+	// Every long-running path — node installs, the supervisor, relays, the
+	// federation forwarder — runs under the root scope, so Close cancels all
+	// in-flight work deterministically.
 	scope
 	cancel context.CancelFunc
 
@@ -364,7 +364,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.facts = newFactsState(c.DB, c.events, c.dir, c.fed)
 	c.reports = &reportCoalescer{ctx: ctx, db: c.DB, dhcpd: c.DHCPd, frontend: c.Frontend,
 		dir: c.dir, nextServer: c.baseURL, log: c.Syslog}
-	c.remedy = &remediation{ctx: ctx, events: c.events, log: c.Syslog, db: c.DB, pdu: c.PDU,
+	c.remedy = &remediation{run: c.scope, events: c.events, log: c.Syslog, db: c.DB, pdu: c.PDU,
 		pbs: c.PBS, dir: c.dir, facts: c.facts, reports: c.reports, frontendMAC: c.Frontend.MAC()}
 	c.registerMetrics()
 	c.startHTTP()
@@ -609,22 +609,6 @@ func (c *Cluster) NodeByName(name string) (*node.Node, bool) { return c.dir.node
 // Nodes returns all tracked nodes keyed by MAC (a copy).
 func (c *Cluster) Nodes() map[string]*node.Node { return c.dir.all() }
 
-// Quarantine pulls a node out of service without removing it: the host is
-// marked offline in PBS (never scheduled again), its mom is unregistered
-// (failing any running job — the honest consequence), and the reports
-// regenerate with the offline mark. The database row, DHCP binding, and
-// PDU outlet survive so the machine can be repaired and returned with
-// Unquarantine. Host may be a hostname or, for nodes that died before
-// naming, a MAC.
-func (c *Cluster) Quarantine(host string) error { return c.remedy.quarantine(host) }
-
-// Unquarantine returns a repaired node to service. The node rejoins the
-// batch pool on its next successful boot (its mom re-registers in comeUp).
-func (c *Cluster) Unquarantine(host string) error { return c.remedy.unquarantine(host) }
-
-// IsQuarantined reports whether the host is quarantined.
-func (c *Cluster) IsQuarantined(host string) bool { return c.dir.isQuarantined(host) }
-
 // AddUser creates an account on the frontend: an NIS map entry plus a home
 // directory on the NFS export. Compute nodes see it without reinstalling.
 func (c *Cluster) AddUser(name string, uid int) error {
@@ -638,9 +622,10 @@ func (c *Cluster) AddUser(name string, uid int) error {
 // Close shuts the cluster down deterministically: the root context is
 // cancelled first, which aborts in-flight installs at their next phase
 // boundary and reaps every context-started loop (the relay watcher, the
-// federation forwarder, monitors); then the report timer, the supervisor,
-// the relay listeners and the HTTP server stop, so nothing new is served
-// or armed, and the scope's goroutines drain. The database closes last.
+// federation forwarder, the supervisor); then the report timer, the
+// supervisor, the relay listeners and the HTTP server stop, so nothing new
+// is served or armed, and the scope's goroutines drain. The database closes
+// last.
 // After Close returns, no cluster goroutine is left running.
 func (c *Cluster) Close() {
 	c.closeOnce.Do(func() {

@@ -115,7 +115,10 @@ func (d *directory) filter(hostOrMAC string) lifecycle.Filter {
 	return f
 }
 
-// ping answers a management-Ethernet reachability probe (Cluster.Ping).
+// ping answers a management-Ethernet reachability probe for a tracked node.
+// Per §4, the network is up while Linux runs (node Up) and during
+// installation (eKV is reachable); a node that is off, mid-boot, or crashed
+// is dark.
 func (d *directory) ping(host string) (bool, string) {
 	n, ok := d.node(host)
 	if !ok {

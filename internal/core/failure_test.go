@@ -63,8 +63,7 @@ func TestHealthMonitorFlagsDarkNode(t *testing.T) {
 	nodes := addComputes(t, c, 1)
 	n := nodes[0]
 
-	mon := c.NewMonitor(50*time.Millisecond, 0)
-	defer mon.Stop()
+	mon := c.NewMonitor(50 * time.Millisecond)
 	mon.Probe()
 	if dark := mon.Dark(); len(dark) != 0 {
 		t.Fatalf("healthy cluster reported dark nodes: %v", dark)
@@ -196,8 +195,7 @@ func TestDecommission(t *testing.T) {
 func TestChurnChaos(t *testing.T) {
 	c := newCluster(t)
 	nodes := addComputes(t, c, 3)
-	mon := c.NewMonitor(time.Minute, 0)
-	defer mon.Stop()
+	mon := c.NewMonitor(time.Minute)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

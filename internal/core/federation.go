@@ -115,9 +115,7 @@ func newFedState(cfg Config, run scope, events *lifecycle.Bus, own *metrics.Regi
 	}
 }
 
-// Role reports how this frontend participates in the hierarchy.
-func (c *Cluster) Role() string { return c.fed.role() }
-
+// role reports how this frontend participates in the hierarchy.
 func (f *fedState) role() string {
 	if f.parentURL != "" {
 		return RoleChild

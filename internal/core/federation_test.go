@@ -452,7 +452,7 @@ func TestFederationRegisterValidation(t *testing.T) {
 			t.Errorf("register(%q,%q) code = %q, want %q", tc.shard, tc.url, e.Code, tc.code)
 		}
 	}
-	if got := parent.Role(); got != RoleStandalone {
+	if got := parent.fed.role(); got != RoleStandalone {
 		t.Errorf("failed registrations changed role to %q", got)
 	}
 }

@@ -7,21 +7,13 @@ import (
 	"rocks/internal/monitor"
 )
 
-// Ping answers a management-Ethernet reachability probe for a tracked node.
-// Per §4, the network is up while Linux runs (node Up) and during
-// installation (eKV is reachable); a node that is off, mid-boot, or crashed
-// is dark.
-func (c *Cluster) Ping(host string) (bool, string) { return c.dir.ping(host) }
-
-// NewMonitor starts a health monitor over the cluster's current nodes
-// (frontend included). New nodes must be added with Watch. The monitor
-// publishes up/dark transitions to the cluster's lifecycle bus, and its
-// background loop (when interval > 0) runs under the cluster's root
-// context, so Close reaps it; the caller may also Stop it earlier.
-func (c *Cluster) NewMonitor(patience, interval time.Duration) *monitor.Monitor {
-	m := monitor.New(monitor.PingerFunc(c.Ping), patience, 0)
+// NewMonitor returns a health monitor over the cluster's current nodes
+// (frontend included). New nodes must be added with Watch. The caller drives
+// it with Probe; each probe publishes up/dark transitions to the cluster's
+// lifecycle bus.
+func (c *Cluster) NewMonitor(patience time.Duration) *monitor.Monitor {
+	m := monitor.New(monitor.PingerFunc(c.dir.ping), patience)
 	m.PublishTo(c.events)
-	m.StartCtx(c.ctx, interval)
 	m.Watch("frontend-0")
 	for _, s := range c.Status() {
 		if s.Name != "" {
@@ -47,9 +39,9 @@ func (c *Cluster) opHealth(r *http.Request) (interface{}, *apiError) {
 		if name == "" {
 			name = s.MAC
 		}
-		alive, state := c.Ping(name)
+		alive, state := c.dir.ping(name)
 		rr := row{Host: name, Alive: alive, State: state,
-			Quarantined: c.IsQuarantined(name) || c.IsQuarantined(s.MAC)}
+			Quarantined: c.dir.isQuarantined(name) || c.dir.isQuarantined(s.MAC)}
 		if !alive {
 			if outlet, wired := c.PDU.OutletFor(s.MAC); wired {
 				rr.Outlet = outlet

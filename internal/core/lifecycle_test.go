@@ -132,10 +132,10 @@ func TestAdminEventsFilters(t *testing.T) {
 	}
 }
 
-// TestCloseReapsAllGoroutines is the regression test for the monitor leak:
-// Close cancels the cluster's root context, which must reap a background
-// monitor nobody stopped, a running supervisor, and an installer parked in
-// its DHCP discover loop. CI runs this under -race.
+// TestCloseReapsAllGoroutines: Close cancels the cluster's root context,
+// which must reap a running supervisor nobody stopped and an installer
+// parked in its DHCP discover loop. A monitor has no goroutine of its own to
+// leak. CI runs this under -race.
 func TestCloseReapsAllGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -153,12 +153,11 @@ func TestCloseReapsAllGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The three leak sources Close must reap on its own: a background
-	// monitor loop that is never explicitly stopped (the old bug), a
-	// supervisor with its own monitor and bus subscription, and a powered-on
-	// machine no insert-ethers session will ever admit — its installer
-	// retries DHCP discovery until the root context aborts it.
-	c.NewMonitor(20*time.Millisecond, 5*time.Millisecond)
+	// The leak sources Close must reap on its own: a supervisor's loop, and
+	// a powered-on machine no insert-ethers session will ever admit — its
+	// installer retries DHCP discovery until the root context aborts it. A
+	// monitor nobody drives holds no goroutine, so it has nothing to leak.
+	c.NewMonitor(20 * time.Millisecond)
 	c.StartSupervisor(tightSupervisor(13))
 	stray := node.New(hardware.PIIICompute(c.MACs(), 733))
 	c.PowerOn(stray)

@@ -80,9 +80,6 @@ type ReportStats struct {
 	Scheduled uint64 `json:"scheduled"`
 }
 
-// ReportStats snapshots the coalescer's counters.
-func (c *Cluster) ReportStats() ReportStats { return c.reports.stats() }
-
 // WriteReports regenerates the service configuration files from the
 // database onto the frontend's disk — the dbreport step (§6.4). It is
 // change-sequence-guarded: when neither the database nor the quarantine set
@@ -106,6 +103,7 @@ func (c *Cluster) FlushReports() error {
 	return c.reports.write()
 }
 
+// stats snapshots the coalescer's counters.
 func (r *reportCoalescer) stats() ReportStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()

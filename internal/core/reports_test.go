@@ -20,7 +20,7 @@ func TestCoalescedDiscoveryBurst(t *testing.T) {
 	c := newCluster(t)
 	const burst = 24
 
-	w0 := c.ReportStats().Writes
+	w0 := c.reports.stats().Writes
 	ie, err := c.StartInsertEthers(clusterdb.MembershipCompute, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestCoalescedDiscoveryBurst(t *testing.T) {
 			t.Errorf("DHCP binding for node %d missing (delta sync failed)", i)
 		}
 	}
-	writes := c.ReportStats().Writes - w0
+	writes := c.reports.stats().Writes - w0
 	if writes == 0 {
 		t.Fatal("burst never regenerated reports")
 	}
@@ -65,14 +65,14 @@ func TestWriteReportsChangeSeqGuard(t *testing.T) {
 	if err := c.WriteReports(); err != nil {
 		t.Fatal(err)
 	}
-	s0 := c.ReportStats()
+	s0 := c.reports.stats()
 	if err := c.WriteReports(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.WriteReports(); err != nil {
 		t.Fatal(err)
 	}
-	s1 := c.ReportStats()
+	s1 := c.reports.stats()
 	if s1.Writes != s0.Writes {
 		t.Errorf("no-op WriteReports regenerated: writes %d -> %d", s0.Writes, s1.Writes)
 	}
@@ -86,7 +86,7 @@ func TestWriteReportsChangeSeqGuard(t *testing.T) {
 	if err := c.WriteReports(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ReportStats().Writes; got != s1.Writes+1 {
+	if got := c.reports.stats().Writes; got != s1.Writes+1 {
 		t.Errorf("post-mutation writes = %d, want %d", got, s1.Writes+1)
 	}
 	// Quarantining (no DB mutation) also re-arms it: the PBS report
@@ -95,11 +95,11 @@ func TestWriteReportsChangeSeqGuard(t *testing.T) {
 	if err := c.WriteReports(); err != nil {
 		t.Fatal(err)
 	}
-	w := c.ReportStats().Writes
-	if err := c.Quarantine("compute-0-0"); err != nil {
+	w := c.reports.stats().Writes
+	if err := c.remedy.quarantine("compute-0-0"); err != nil {
 		t.Fatal(err)
 	}
-	if c.ReportStats().Writes <= w {
+	if c.reports.stats().Writes <= w {
 		t.Error("quarantine did not regenerate reports")
 	}
 }
@@ -248,20 +248,20 @@ func TestCoalescedPassesSpacedByTheirCost(t *testing.T) {
 	if err := clusterdb.SetSiteValue(c.DB, "Spacing", "1"); err != nil {
 		t.Fatal(err)
 	}
-	w := c.ReportStats().Writes
+	w := c.reports.stats().Writes
 	start := time.Now()
 	for i := 0; i < 50; i++ {
 		c.ScheduleReports()
 	}
 	time.Sleep(10 * reportDebounce)
-	if got := c.ReportStats().Writes; got != w && time.Since(start) < cost {
+	if got := c.reports.stats().Writes; got != w && time.Since(start) < cost {
 		t.Fatalf("a coalesced pass ran %v after a %v pass", time.Since(start), cost)
 	}
 	// FlushReports does not wait for the timer, and leaves nothing armed.
 	if err := c.FlushReports(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ReportStats().Writes; got != w+1 {
+	if got := c.reports.stats().Writes; got != w+1 {
 		t.Errorf("writes after flush = %d, want %d", got, w+1)
 	}
 	c.reports.mu.Lock()
@@ -277,10 +277,10 @@ func TestCoalescedPassesSpacedByTheirCost(t *testing.T) {
 	}
 	c.ScheduleReports()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.ReportStats().Writes == w+1 && time.Now().Before(deadline) {
+	for c.reports.stats().Writes == w+1 && time.Now().Before(deadline) {
 		time.Sleep(reportDebounce)
 	}
-	if got := c.ReportStats().Writes; got != w+2 {
+	if got := c.reports.stats().Writes; got != w+2 {
 		t.Errorf("lone request never served: writes = %d, want %d", got, w+2)
 	}
 }
@@ -316,10 +316,10 @@ func TestPassWritesWhatTheReportsRender(t *testing.T) {
 	}
 	// A binding nothing in the table explains must go; the frontend's stays.
 	c.DHCPd.SetBinding("02:cc:ff:ff:ff:ff", dhcp.Binding{IP: "10.4.0.99", Hostname: "ghost"})
-	if err := c.Quarantine("compute-4-1"); err != nil {
+	if err := c.remedy.quarantine("compute-4-1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Quarantine("compute-4-4"); err != nil {
+	if err := c.remedy.quarantine("compute-4-4"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.FlushReports(); err != nil {

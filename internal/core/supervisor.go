@@ -25,15 +25,15 @@ import (
 // cycle" — and §6.3's installer waits for a user to type "retry". The
 // large-cluster experience reports (CERN, Brookhaven; PAPERS.md) are
 // unanimous that at thousand-node scale transient install failures are
-// constant and the human in that loop is the bottleneck. The supervisor
-// consumes the monitor's up/dark transitions from the lifecycle bus plus
-// each node's state machine and applies the paper's own remedies
-// mechanically: a hard power cycle for dark nodes (which forces
-// reinstallation, §4), a re-shoot for crashed installs, capped exponential
-// backoff with jitter between attempts, and — when a node exhausts its
-// retry budget — quarantine: the node is marked offline in PBS and the
-// reports, so the cluster keeps scheduling at reduced capacity instead of
-// wedging on one bad machine. Every action is published to the cluster's
+// constant and the human in that loop is the bottleneck. On each tick the
+// supervisor probes every node through its monitor, reads that probe's
+// dark/up classification plus each node's state machine, and applies the
+// paper's own remedies mechanically: a hard power cycle for dark nodes
+// (which forces reinstallation, §4), a re-shoot for crashed installs,
+// capped exponential backoff with jitter between attempts, and — when a
+// node exhausts its retry budget — quarantine: the node is marked offline in
+// PBS and the reports, so the cluster keeps scheduling at reduced capacity
+// instead of wedging on one bad machine. Every action is published to the cluster's
 // lifecycle bus (the bounded ring that /v1/events serves), which chaos
 // tests reconcile against the fault injector's ledger.
 
@@ -43,7 +43,8 @@ type SupervisorConfig struct {
 	// remediation starts; it is also the monitor's patience. Crashed nodes
 	// skip the wait — their state is definitive. Default 5s.
 	Patience time.Duration
-	// Interval is the supervision tick. Default 500ms.
+	// Interval is the supervision tick: one probe pass, then one
+	// remediation pass. Default 500ms.
 	Interval time.Duration
 	// MaxRetries is the remediation budget per failure episode; a node
 	// still failing after that many power cycles is quarantined. A
@@ -84,7 +85,7 @@ func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
 // nodes and quarantine and the facts subsystem for drift, cycles through the
 // PDU, and names a node from the database.
 type remediation struct {
-	ctx         context.Context // a supervisor's loops derive from it
+	run         scope // a supervisor's loop runs under it
 	events      *lifecycle.Bus
 	log         *syslogd.Collector
 	db          *clusterdb.Database
@@ -165,29 +166,25 @@ type Supervisor struct {
 	cfg SupervisorConfig
 	mon *monitor.Monitor
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	recs    map[string]*remedRecord
-	health  map[string]monitor.Health // last health class per watched identity, from bus events
-	stopped bool
+	mu   sync.Mutex
+	rng  *rand.Rand
+	recs map[string]*remedRecord
 
-	sub    <-chan lifecycle.Event
-	unsub  func()
 	cancel context.CancelFunc
 	done   chan struct{}
 }
 
-// StartSupervisor launches the remediation loop over the cluster's nodes.
-// Its monitor probes in the background and publishes up/dark transitions to
-// the lifecycle bus; the supervisor consumes them from a subscription. Both
-// loops run under the cluster's root context, so Close reaps them; the
-// caller may also Stop explicitly.
+// StartSupervisor launches the remediation loop over the cluster's nodes,
+// stopping the supervisor already running, if any. The loop probes through
+// its monitor, which publishes up/dark transitions to the lifecycle bus, and
+// then remediates from that probe's classification. It runs under the
+// cluster's scope, so Close reaps it; the caller may also Stop explicitly.
 func (c *Cluster) StartSupervisor(cfg SupervisorConfig) *Supervisor { return c.remedy.start(cfg) }
 
 func (m *remediation) start(cfg SupervisorConfig) *Supervisor {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(m.ctx)
-	mon := monitor.New(monitor.PingerFunc(m.dir.ping), cfg.Patience, 0)
+	ctx, cancel := context.WithCancel(m.run.ctx)
+	mon := monitor.New(monitor.PingerFunc(m.dir.ping), cfg.Patience)
 	mon.PublishTo(m.events)
 	s := &Supervisor{
 		r:      m,
@@ -195,16 +192,19 @@ func (m *remediation) start(cfg SupervisorConfig) *Supervisor {
 		mon:    mon,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		recs:   make(map[string]*remedRecord),
-		health: make(map[string]monitor.Health),
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
-	s.sub, s.unsub = m.events.Subscribe(lifecycle.DefaultRingSize)
 	m.mu.Lock()
+	prev := m.running
 	m.running = s
 	m.mu.Unlock()
-	mon.StartCtx(ctx, cfg.Interval)
-	go s.run(ctx)
+	// One supervisor at a time: two would chase the same dark node with two
+	// retry budgets.
+	if prev != nil {
+		prev.Stop()
+	}
+	m.run.spawn(func() { s.loop(ctx) })
 	return s
 }
 
@@ -214,6 +214,13 @@ func (m *remediation) current() *Supervisor {
 	return m.running
 }
 
+// quarantine pulls a node out of service without removing it: the host is
+// marked offline in PBS (never scheduled again), its mom is unregistered
+// (failing any running job — the honest consequence), and the reports
+// regenerate with the offline mark. The database row, DHCP binding, and PDU
+// outlet survive so the machine can be repaired and returned with
+// unquarantine. Host may be a hostname or, for nodes that died before
+// naming, a MAC.
 func (m *remediation) quarantine(host string) error {
 	m.dir.quarantine(host, true)
 	m.pbs.SetOffline(host, true)
@@ -222,6 +229,8 @@ func (m *remediation) quarantine(host string) error {
 	return m.reports.write()
 }
 
+// unquarantine returns a repaired node to service. The node rejoins the batch
+// pool on its next successful boot (its mom re-registers in comeUp).
 func (m *remediation) unquarantine(host string) error {
 	m.dir.quarantine(host, false)
 	m.pbs.SetOffline(host, false)
@@ -285,9 +294,8 @@ func (m *remediation) registerMetrics(r *metrics.Registry) {
 		func() float64 { return float64(m.driftReinstalls.Load()) })
 }
 
-// run consumes bus events between ticks; each tick drains the backlog and
-// applies the remediation policy with a current health picture.
-func (s *Supervisor) run(ctx context.Context) {
+// loop ticks until the supervisor is stopped or the cluster closes.
+func (s *Supervisor) loop(ctx context.Context) {
 	defer close(s.done)
 	t := time.NewTicker(s.cfg.Interval)
 	defer t.Stop()
@@ -295,62 +303,22 @@ func (s *Supervisor) run(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case e := <-s.sub:
-			s.observe(e)
 		case <-t.C:
-			s.drain()
 			s.tick()
 		}
 	}
 }
 
-// observe folds one bus event into the supervisor's health picture. Only
-// the monitor's transitions matter here; the supervisor's own events and
-// the installer's phase events would be echoes.
-func (s *Supervisor) observe(e lifecycle.Event) {
-	if e.Source != "monitor" {
-		return
-	}
-	s.mu.Lock()
-	switch e.Type {
-	case lifecycle.EventDark:
-		s.health[e.Node] = monitor.HealthDark
-	case lifecycle.EventUp:
-		s.health[e.Node] = monitor.HealthUp
-	}
-	s.mu.Unlock()
-}
-
-// drain consumes every queued bus event without blocking.
-func (s *Supervisor) drain() {
-	for {
-		select {
-		case e := <-s.sub:
-			s.observe(e)
-		default:
-			return
-		}
-	}
-}
-
-// Stop halts the loop and the embedded monitor; idempotent. The cluster's
-// root context cancels the same way, so Close needs no special case.
+// Stop halts the loop and waits for its last tick; idempotent. The
+// cluster's root context cancels the same way, so Close needs no special
+// case.
 func (s *Supervisor) Stop() {
-	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		return
-	}
-	s.stopped = true
-	s.mu.Unlock()
 	s.cancel()
 	<-s.done
-	s.unsub()
-	s.mon.Stop()
 }
 
-// tick is one pass: refresh the watch set, then remediate against the
-// health picture accumulated from the monitor's bus events.
+// tick is one pass: refresh the watch set, probe it, then remediate against
+// what that probe found.
 func (s *Supervisor) tick() {
 	nodes := s.r.dir.all()
 	frontendMAC := s.r.frontendMAC
@@ -374,7 +342,6 @@ func (s *Supervisor) tick() {
 		if rec.watchedAs != identity {
 			if rec.watchedAs != "" {
 				s.mon.Unwatch(rec.watchedAs)
-				delete(s.health, rec.watchedAs)
 			}
 			s.mon.Watch(identity)
 			rec.watchedAs = identity
@@ -382,17 +349,24 @@ func (s *Supervisor) tick() {
 	}
 	s.mu.Unlock()
 
+	dark := make(map[string]bool)
+	for _, st := range s.mon.Probe() {
+		if st.Health == monitor.HealthDark {
+			dark[st.Host] = true
+		}
+	}
 	now := time.Now()
 	for mac, n := range nodes {
 		if mac == frontendMAC {
 			continue
 		}
-		s.superviseNode(now, mac, n)
+		s.superviseNode(now, mac, n, dark)
 	}
 }
 
-// superviseNode applies the remediation policy to one node.
-func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node) {
+// superviseNode applies the remediation policy to one node; dark is the
+// tick's probe classification by watched identity.
+func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node, dark map[string]bool) {
 	s.mu.Lock()
 	rec := s.recs[mac]
 	if rec == nil || rec.quarantined {
@@ -432,7 +406,7 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node) {
 	case node.StateCrashed:
 		// Definitive: no patience needed.
 	default: // off, booting
-		if s.health[rec.watchedAs] != monitor.HealthDark {
+		if !dark[rec.watchedAs] {
 			s.mu.Unlock()
 			return
 		}

@@ -83,7 +83,7 @@ func TestSupervisorRevivesCrashedNode(t *testing.T) {
 	if !cycled {
 		t.Fatalf("recovered without a power cycle:\n%s", s.EventLog())
 	}
-	if c.IsQuarantined("compute-0-0") {
+	if c.dir.isQuarantined("compute-0-0") {
 		t.Error("recovered node left quarantined")
 	}
 }
@@ -113,7 +113,7 @@ func TestSupervisorQuarantinesHopelessNode(t *testing.T) {
 	}
 	// The event is published after Quarantine takes effect, so the node is
 	// already offline when the waiter wakes.
-	if !c.IsQuarantined("compute-0-0") {
+	if !c.dir.isQuarantined("compute-0-0") {
 		t.Fatal("quarantine event published before the node went offline")
 	}
 
@@ -159,7 +159,7 @@ func TestSupervisorQuarantinesHopelessNode(t *testing.T) {
 	// Repair and return to service: unquarantine + power cycle brings the
 	// node back into the pool.
 	restore()
-	if err := c.Unquarantine("compute-0-0"); err != nil {
+	if err := c.remedy.unquarantine("compute-0-0"); err != nil {
 		t.Fatal(err)
 	}
 	outlet, _ := c.PDU.OutletFor(n.MAC())
@@ -226,7 +226,7 @@ func TestReinstallClusterTimeoutNamesStuck(t *testing.T) {
 func TestSupervisorAdminEndpoint(t *testing.T) {
 	c := newCluster(t)
 	addComputes(t, c, 1)
-	if err := c.Quarantine("compute-0-0"); err != nil {
+	if err := c.remedy.quarantine("compute-0-0"); err != nil {
 		t.Fatal(err)
 	}
 	s := c.StartSupervisor(tightSupervisor(3))
@@ -255,5 +255,23 @@ func TestSupervisorAdminEndpoint(t *testing.T) {
 		t.Error("supervisor endpoint missing dropped count")
 	} else if *resp.Dropped != 0 {
 		t.Errorf("dropped = %d, want 0", *resp.Dropped)
+	}
+}
+
+// TestStartSupervisorStopsThePrevious: a second StartSupervisor replaces the
+// first. Two running supervisors would chase the same dark node with two
+// retry budgets, and Close would stop only the newer one.
+func TestStartSupervisorStopsThePrevious(t *testing.T) {
+	c := newCluster(t)
+	first := c.StartSupervisor(tightSupervisor(1))
+	second := c.StartSupervisor(tightSupervisor(2))
+	defer second.Stop()
+	select {
+	case <-first.done:
+	default:
+		t.Fatal("the first supervisor is still running after a second was started")
+	}
+	if c.remedy.current() != second {
+		t.Error("the running supervisor is not the one started last")
 	}
 }

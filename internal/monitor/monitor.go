@@ -3,14 +3,14 @@
 // administrator is 'in the dark' from the moment the node is powered on (or
 // reset) to the time Linux brings up the Ethernet network"; a node that
 // stays unreachable either has a hardware fault or fell to a common-mode
-// service failure, and the remedy is a remote power cycle. The monitor
-// periodically probes every node over the management Ethernet, tracks when
-// each was last reachable, and classifies nodes so the administrator knows
-// exactly which outlets to cycle.
+// service failure, and the remedy is a remote power cycle. Each time its
+// owner calls Probe, the monitor probes every node over the management
+// Ethernet, tracks when each was last reachable, and classifies nodes so the
+// administrator knows exactly which outlets to cycle. It runs no goroutine of
+// its own: the owner's loop sets the pace.
 package monitor
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -61,12 +61,8 @@ type Monitor struct {
 	patience time.Duration
 	now      func() time.Time // injectable clock for tests
 
-	mu       sync.Mutex
-	hosts    map[string]*hostRecord
-	stopCh   chan struct{}
-	stopped  bool
-	running  bool
-	interval time.Duration
+	mu    sync.Mutex
+	hosts map[string]*hostRecord
 
 	// bus receives up/dark transition events; published remembers the last
 	// health class announced per host so steady state publishes nothing.
@@ -82,23 +78,15 @@ type hostRecord struct {
 }
 
 // New creates a monitor. patience is how long a host may be unreachable
-// before it is reported dark; interval is the background probe period
-// (zero disables the background loop; call Probe manually).
-func New(p Pinger, patience, interval time.Duration) *Monitor {
-	m := &Monitor{
+// before it is reported dark.
+func New(p Pinger, patience time.Duration) *Monitor {
+	return &Monitor{
 		pinger:    p,
 		patience:  patience,
-		interval:  interval,
 		now:       time.Now,
 		hosts:     make(map[string]*hostRecord),
-		stopCh:    make(chan struct{}),
 		published: make(map[string]Health),
 	}
-	if interval > 0 {
-		m.running = true
-		go m.loop(context.Background())
-	}
-	return m
 }
 
 // PublishTo routes up/dark transitions onto the lifecycle bus. A host that
@@ -109,25 +97,6 @@ func (m *Monitor) PublishTo(bus *lifecycle.Bus) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.bus = bus
-}
-
-// StartCtx starts the background probe loop under a context.Context: the
-// loop exits when ctx is cancelled (or Stop is called), which is how the
-// cluster's root context reaps every monitor on Close. interval <= 0 falls
-// back to the interval given to New. Starting an already-running monitor is
-// a no-op.
-func (m *Monitor) StartCtx(ctx context.Context, interval time.Duration) {
-	m.mu.Lock()
-	if interval > 0 {
-		m.interval = interval
-	}
-	if m.running || m.stopped || m.interval <= 0 {
-		m.mu.Unlock()
-		return
-	}
-	m.running = true
-	m.mu.Unlock()
-	go m.loop(ctx)
 }
 
 // SetClock injects a clock (tests).
@@ -158,8 +127,9 @@ func (m *Monitor) Unwatch(hosts ...string) {
 	}
 }
 
-// Probe runs one probe pass over every watched host.
-func (m *Monitor) Probe() {
+// Probe runs one probe pass over every watched host, publishes the
+// transitions it finds, and returns the classification it published from.
+func (m *Monitor) Probe() []HostStatus {
 	m.mu.Lock()
 	names := make([]string, 0, len(m.hosts))
 	for h := range m.hosts {
@@ -180,21 +150,23 @@ func (m *Monitor) Probe() {
 		}
 		m.mu.Unlock()
 	}
-	m.publishTransitions()
+	status := m.Status()
+	m.publishTransitions(status)
+	return status
 }
 
-// publishTransitions diffs the current classification against what was last
-// announced and publishes the deltas. A host first classified up is recorded
-// silently — the cluster's own up event is authoritative for that edge; the
-// monitor speaks when a host goes dark and when a dark host comes back.
-func (m *Monitor) publishTransitions() {
+// publishTransitions diffs a classification against what was last announced
+// and publishes the deltas. A host first classified up is recorded silently
+// — the cluster's own up event is authoritative for that edge; the monitor
+// speaks when a host goes dark and when a dark host comes back.
+func (m *Monitor) publishTransitions(status []HostStatus) {
 	m.mu.Lock()
 	bus := m.bus
 	m.mu.Unlock()
 	if bus == nil {
 		return
 	}
-	for _, st := range m.Status() {
+	for _, st := range status {
 		m.mu.Lock()
 		if _, watched := m.hosts[st.Host]; !watched {
 			m.mu.Unlock()
@@ -221,34 +193,6 @@ func (m *Monitor) publishTransitions() {
 				Detail: "answering again: " + st.Detail,
 			})
 		}
-	}
-}
-
-func (m *Monitor) loop(ctx context.Context) {
-	m.mu.Lock()
-	interval := m.interval
-	m.mu.Unlock()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-m.stopCh:
-			return
-		case <-t.C:
-			m.Probe()
-		}
-	}
-}
-
-// Stop halts the background loop; idempotent.
-func (m *Monitor) Stop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.stopped {
-		m.stopped = true
-		close(m.stopCh)
 	}
 }
 

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -60,7 +59,7 @@ func (c *testClock) advance(d time.Duration) {
 func newTestMonitor(patience time.Duration) (*Monitor, *fakeNet, *testClock) {
 	net := &fakeNet{}
 	clock := &testClock{t: time.Unix(1000, 0)}
-	m := New(net, patience, 0) // no background loop: tests drive Probe
+	m := New(net, patience)
 	m.SetClock(clock.now)
 	return m, net, clock
 }
@@ -216,7 +215,7 @@ func TestConcurrentProbeStatusWatch(t *testing.T) {
 			}
 		}()
 	}
-	worker(m.Probe)
+	worker(func() { m.Probe() })
 	worker(func() { m.Status() })
 	worker(func() { m.Dark() })
 	worker(func() { m.Report() })
@@ -233,24 +232,6 @@ func TestConcurrentProbeStatusWatch(t *testing.T) {
 	if st := m.Status(); len(st) < 4 {
 		t.Errorf("hosts lost during concurrency: %+v", st)
 	}
-}
-
-func TestBackgroundLoop(t *testing.T) {
-	net := &fakeNet{}
-	net.set("n", "up")
-	m := New(net, time.Minute, 2*time.Millisecond)
-	defer m.Stop()
-	m.Watch("n")
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := m.Status(); len(st) == 1 && st[0].Detail == "up" {
-			m.Stop()
-			m.Stop() // idempotent
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("background loop never probed")
 }
 
 // TestTransitionEvents: the monitor publishes exactly one dark event when a
@@ -306,37 +287,5 @@ func TestUnwatchForgetsPublishedState(t *testing.T) {
 	// New identity gets its own patience window: no immediate dark event.
 	if got := bus.Recent(lifecycle.Filter{Node: "compute-0-0"}); len(got) != 0 {
 		t.Fatalf("rebound host published before its patience expired: %v", got)
-	}
-}
-
-// TestStartCtx: the background loop starts under a context.Context and is
-// reaped by cancelling it — the root-context shutdown path Cluster.Close
-// relies on.
-func TestStartCtx(t *testing.T) {
-	net := &fakeNet{}
-	net.set("n", "up")
-	m := New(net, time.Minute, 0) // no loop yet
-	ctx, cancel := context.WithCancel(context.Background())
-	m.StartCtx(ctx, 2*time.Millisecond)
-	m.StartCtx(ctx, 2*time.Millisecond) // double start: no-op
-	m.Watch("n")
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := m.Status(); len(st) == 1 && st[0].Detail == "up" {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if st := m.Status(); len(st) != 1 || st[0].Detail != "up" {
-		t.Fatalf("loop never probed: %+v", st)
-	}
-	cancel()
-	// After cancellation the loop must stop probing: flip the pinger and
-	// verify the stale detail persists.
-	time.Sleep(10 * time.Millisecond)
-	net.set("n", "rebooting")
-	time.Sleep(20 * time.Millisecond)
-	if st := m.Status(); st[0].Detail != "up" {
-		t.Errorf("monitor kept probing after ctx cancel: %+v", st)
 	}
 }

@@ -284,9 +284,9 @@ func TestStructuralGuards(t *testing.T) {
 	t.Run("one health loop", func(t *testing.T) {
 		// Remediation is one loop (DESIGN.md §14): the supervisor probes
 		// through its monitor on its own tick and reads the classification
-		// back directly, not off the bus. The monitor is a classifier that
-		// starts no goroutine and owns no ticker. The listeners are the
-		// three sites the network seam will replace.
+		// back directly. The monitor is a classifier that starts no
+		// goroutine and owns no ticker. The listeners are the three sites
+		// the network seam will replace.
 		inspect(t, func(f srcFile) bool { return f.in("internal/monitor") }, func(n ast.Node) string {
 			if _, ok := n.(*ast.GoStmt); ok {
 				return "a go statement in internal/monitor; the owner's loop calls Probe"
@@ -296,16 +296,23 @@ func TestStructuralGuards(t *testing.T) {
 			}
 			return ""
 		})
-		inspect(t, func(f srcFile) bool { return f.path == "internal/core/supervisor.go" }, func(n ast.Node) string {
-			if _, m := methodCall(n); m == "Subscribe" {
-				return "the supervisor subscribes to the bus; it reads its monitor's Probe directly"
-			}
-			return ""
-		})
 		listeners := []string{"internal/core/cluster.go", "internal/core/relay.go", "internal/ekv/ekv.go"}
 		inspect(t, func(f srcFile) bool { return !slices.Contains(listeners, f.path) }, func(n ast.Node) string {
 			if pkgCall(n, "net", "Listen") {
 				return "a net.Listen outside the three sites the network seam will replace"
+			}
+			return ""
+		})
+	})
+
+	t.Run("the lifecycle bus is an output", func(t *testing.T) {
+		// internal/core publishes to the bus and never reads its own process
+		// back off it (DESIGN.md §14): the code that changes a node's state
+		// calls the subsystem that cares. The federation forwarder, which
+		// ships events upstream, subscribes inside internal/lifecycle.
+		inspect(t, func(f srcFile) bool { return f.in("internal/core") }, func(n ast.Node) string {
+			if _, m := methodCall(n); m == "Subscribe" {
+				return "a bus subscription in internal/core; call the subsystem where the state changes"
 			}
 			return ""
 		})
@@ -331,7 +338,10 @@ func TestStructuralGuards(t *testing.T) {
 			{`mirror-workers`, goOrDocs, "a mirror pass is one stream; there is no worker pool to size"},
 			{`FullSync`, goFile, "a discovery applies its own DHCP binding; the report pass reconciles the rest"},
 			{`InstallRetries`, goOrDocs, "the installer retries a fetch twice; there is no knob"},
-			{`relays [!=]= nil`, goFile, "the relay registry always exists; EnableRelays starts its watcher"},
+			{`relays [!=]= nil`, goFile, "the relay registry always exists; with EnableRelays off no install expects a store"},
+			{`NewMaui|\*Maui\)`, goFile, "a scheduling pass is pbs.Server.Schedule, run inline by comeUp and ReinstallCluster"},
+			{`rexec\.RunParallel|func RunParallel|TagOutput|RexecDaemons`, goFile, "a parallel run is cluster-fork (ctools.Fork) or mpirun"},
+			{`faults\.Middleware|func Middleware\(`, goFile, "HTTP faults are injected client-side, by faults.NewTransport"},
 		} {
 			re := regexp.MustCompile(r.pattern)
 			for _, f := range files {

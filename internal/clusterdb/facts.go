@@ -3,7 +3,6 @@ package clusterdb
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // This file stores the facts a node's first-boot agent reports about itself
@@ -13,8 +12,9 @@ import (
 // detection picks up where it left off.
 
 // Facts mirrors one row of the facts table: what one node most recently
-// claimed to be. NICs is the canonical encoded NIC set (see EncodeNICs) and
-// ReportedAt is the frontend's receive time in Unix nanoseconds.
+// claimed to be. NICs is the canonical NIC set (hardware.CanonicalNICs)
+// joined by ";", and ReportedAt is the frontend's receive time in Unix
+// nanoseconds.
 type Facts struct {
 	MAC        string
 	Name       string
@@ -26,11 +26,6 @@ type Facts struct {
 	NICs       string
 	ReportedAt int64
 }
-
-// EncodeNICs flattens a NIC set into the facts-table text encoding:
-// "type/mac/mbps" entries joined by ";". Callers sort entries first when a
-// canonical order matters.
-func EncodeNICs(entries []string) string { return strings.Join(entries, ";") }
 
 const factsCols = "mac, name, arch, cpus, mem_mb, disk_type, disk_mb, nics, reported_at"
 
@@ -72,19 +67,6 @@ func UpsertFacts(db *Database, f Facts) error {
 			strconv.FormatInt(f.ReportedAt, 10)))
 	}
 	return err
-}
-
-// FactsByMAC returns the most recent report for one node, if any.
-func FactsByMAC(db *Database, mac string) (Facts, bool, error) {
-	res, err := db.Query(fmt.Sprintf(
-		"SELECT %s FROM facts WHERE mac = '%s'", factsCols, sqlEscape(mac)))
-	if err != nil {
-		return Facts{}, false, err
-	}
-	if len(res.Rows) == 0 {
-		return Facts{}, false, nil
-	}
-	return factsFromRow(res.Rows[0]), true, nil
 }
 
 // AllFacts returns every stored report, ordered by node name.

@@ -357,15 +357,13 @@ func New(cfg Config) (*Cluster, error) {
 	// The subsystems, each given only what it uses, then their families on
 	// the one registry and their endpoints on the one mux.
 	c.relays = newRelayRegistry(c.scope, c.DB, c.events, c.Syslog)
-	if cfg.EnableRelays {
-		c.relays.watch()
-	}
 	c.fed = newFedState(cfg, c.scope, c.events, c.metricsReg)
 	c.facts = newFactsState(c.DB, c.events, c.dir, c.fed)
 	c.reports = &reportCoalescer{ctx: ctx, db: c.DB, dhcpd: c.DHCPd, frontend: c.Frontend,
 		dir: c.dir, nextServer: c.baseURL, log: c.Syslog}
 	c.remedy = &remediation{run: c.scope, events: c.events, log: c.Syslog, db: c.DB, pdu: c.PDU,
-		pbs: c.PBS, dir: c.dir, facts: c.facts, reports: c.reports, frontendMAC: c.Frontend.MAC()}
+		pbs: c.PBS, dir: c.dir, facts: c.facts, reports: c.reports, relays: c.relays,
+		frontendMAC: c.Frontend.MAC()}
 	c.registerMetrics()
 	c.startHTTP()
 
@@ -521,7 +519,7 @@ func (c *Cluster) installerConfig(n *node.Node) installer.Config {
 	}
 	if c.cfg.EnableRelays && n != c.Frontend {
 		// Each install accumulates its verified packages in a fresh store;
-		// the registry promotes it to a serving relay on install-complete.
+		// bootOnce promotes it to a serving relay when the install returns.
 		store := rpm.NewRepository(n.MAC() + "-relay")
 		c.relays.expect(n.MAC(), store)
 		cfg.RelayStore = store
@@ -555,6 +553,7 @@ func (c *Cluster) bootOnce(ctx context.Context, n *node.Node) error {
 		if _, err := installer.Run(ctx, n, c.installerConfig(n)); err != nil {
 			return err
 		}
+		c.relays.promote(n.MAC(), n.Name())
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -621,11 +620,10 @@ func (c *Cluster) AddUser(name string, uid int) error {
 
 // Close shuts the cluster down deterministically: the root context is
 // cancelled first, which aborts in-flight installs at their next phase
-// boundary and reaps every context-started loop (the relay watcher, the
-// federation forwarder, the supervisor); then the report timer, the
-// supervisor, the relay listeners and the HTTP server stop, so nothing new
-// is served or armed, and the scope's goroutines drain. The database closes
-// last.
+// boundary and reaps every context-started loop (the federation forwarder,
+// the supervisor); then the report timer, the supervisor, the relay
+// listeners and the HTTP server stop, so nothing new is served or armed,
+// and the scope's goroutines drain. The database closes last.
 // After Close returns, no cluster goroutine is left running.
 func (c *Cluster) Close() {
 	c.closeOnce.Do(func() {

@@ -14,7 +14,6 @@ import (
 	"rocks/internal/hardware"
 	"rocks/internal/node"
 	"rocks/internal/pbs"
-	"rocks/internal/rexec"
 )
 
 const integrationTimeout = 30 * time.Second
@@ -312,33 +311,11 @@ func TestNISUserVisibleOnComputeNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The account map is dynamic: nodes see it without reinstalling.
-	daemons, err := c.RexecDaemons("compute-0-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = daemons
 	n, _ := c.NodeByName("compute-0-0")
 	m, _ := c.NFS.Mount("/export/home", "/home", n.Name())
 	data, err := m.ReadFile("/home/bruno/.profile")
 	if err != nil || !strings.Contains(string(data), "bruno") {
 		t.Errorf("home dir = %q, %v", data, err)
-	}
-}
-
-func TestRexecAcrossCluster(t *testing.T) {
-	c := newCluster(t)
-	addComputes(t, c, 2)
-	daemons, err := c.RexecDaemons("compute-0-0", "compute-0-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := rexec.RunParallel(daemons, rexec.Request{Command: "hostname"})
-	if results[0].Stdout != "compute-0-0\n" || results[1].Stdout != "compute-0-1\n" {
-		t.Errorf("results = %+v", results)
-	}
-	tagged := rexec.TagOutput(results)
-	if !strings.Contains(tagged, "compute-0-1: compute-0-1") {
-		t.Errorf("tagged = %q", tagged)
 	}
 }
 

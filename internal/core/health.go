@@ -10,7 +10,8 @@ import (
 // NewMonitor returns a health monitor over the cluster's current nodes
 // (frontend included). New nodes must be added with Watch. The caller drives
 // it with Probe; each probe publishes up/dark transitions to the cluster's
-// lifecycle bus.
+// lifecycle bus. It only reports: acting on a dark node, withdrawing its
+// relay included, is the supervisor's.
 func (c *Cluster) NewMonitor(patience time.Duration) *monitor.Monitor {
 	m := monitor.New(monitor.PingerFunc(c.dir.ping), patience)
 	m.PublishTo(c.events)

@@ -13,7 +13,6 @@ import (
 	"rocks/internal/insertethers"
 	"rocks/internal/node"
 	"rocks/internal/power"
-	"rocks/internal/rexec"
 )
 
 // StartInsertEthers begins a discovery session for the given membership and
@@ -221,19 +220,6 @@ func (c *Cluster) Kill(query, process string) ([]ctools.HostResult, int, error) 
 	return ctools.Kill(c.DB, c.dir.executor, query, process)
 }
 
-// RexecDaemons returns rexec daemons for the named (up) hosts, in order.
-func (c *Cluster) RexecDaemons(names ...string) ([]*rexec.Daemon, error) {
-	out := make([]*rexec.Daemon, 0, len(names))
-	for _, name := range names {
-		n, ok := c.NodeByName(name)
-		if !ok {
-			return nil, fmt.Errorf("core: no node named %q", name)
-		}
-		out = append(out, rexec.NewDaemon(name, n))
-	}
-	return out, nil
-}
-
 // ConsistencyReport diffs every up compute node's package manifest against
 // the first one, answering §3.2's "what version of software X do I have on
 // node Y?" for the whole cluster at once. It returns the hosts whose
@@ -297,8 +283,8 @@ func (c *Cluster) Decommission(name string) error {
 		return fmt.Errorf("core: no node named %q", name)
 	}
 	c.PBS.UnregisterMom(name)
-	// No lifecycle event marks a decommission; withdraw directly so the
-	// registry never offers a powered-off machine as a source.
+	// The relay goes first, so the registry never offers a powered-off
+	// machine as a source.
 	c.relays.withdraw(name, "decommissioned")
 	if outlet, wired := c.PDU.OutletFor(n.MAC()); wired {
 		c.PDU.Disconnect(outlet)

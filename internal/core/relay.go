@@ -24,9 +24,10 @@ import (
 // frontend's /v1/relays registry hands each new installer a prioritized
 // source list. Peers are trustless — every body an installer accepts is
 // verified against the frontend's manifest digests — so the registry needs
-// no health checking beyond lifecycle bookkeeping: it registers a relay on
-// install-complete and withdraws it the moment the node leaves the serving
-// state (reinstall lease, dark, quarantine, decommission).
+// no health checking beyond bookkeeping. The code that changes a node's
+// serving state calls it: a completed install promotes the node, and an
+// install starting, the supervisor finding it dark, quarantine and
+// decommission withdraw it.
 
 // maxRelaySources caps how many peers one installer is offered. A short
 // list keeps the registry response tiny at 10k-node scale; rotation spreads
@@ -45,12 +46,8 @@ type relayEntry struct {
 }
 
 // relayRegistry tracks which nodes currently re-serve their install trees.
-// It is fed by the lifecycle bus: the installer's install-complete promotes
-// a node's accumulated package store to a serving relay, and lease/dark/
-// quarantine events withdraw it. Bus subscription is lossy under extreme
-// backlog; the failure mode is benign (a missed registration serves nothing,
-// a missed withdrawal serves stale-but-digest-valid bodies until the next
-// event), which is exactly why installers verify every body.
+// It announces relay-up and relay-down on the lifecycle bus and reads
+// nothing from it.
 type relayRegistry struct {
 	run    scope
 	db     *clusterdb.Database
@@ -72,7 +69,7 @@ type relayRegistry struct {
 }
 
 // newRelayRegistry builds the registry. It exists whether or not relays are
-// enabled, serving nothing until watch starts it.
+// enabled; with them off no install expects a store, so it serves nothing.
 func newRelayRegistry(run scope, db *clusterdb.Database, events *lifecycle.Bus, log *syslogd.Collector) *relayRegistry {
 	return &relayRegistry{
 		run: run, db: db, events: events, log: log,
@@ -81,46 +78,16 @@ func newRelayRegistry(run scope, db *clusterdb.Database, events *lifecycle.Bus, 
 	}
 }
 
-// watch starts the bus-watching goroutine (EnableRelays), reaped by the
-// scope's cancel.
-func (r *relayRegistry) watch() {
-	events, cancel := r.events.Subscribe(256)
-	r.run.spawn(func() {
-		defer cancel()
-		for {
-			select {
-			case e := <-events:
-				r.observe(e)
-			case <-r.run.ctx.Done():
-				return
-			}
-		}
-	})
-}
-
 // expect records the store an in-flight install is accumulating verified
-// packages into, keyed by the node's MAC. A reinstall overwrites the
-// previous expectation with a fresh store.
+// packages into, keyed by the node's MAC. The node's live relay, if any, is
+// withdrawn first: its tree is about to be wiped, so peers are never
+// pointed at it again. A reinstall overwrites the previous expectation with
+// a fresh store.
 func (r *relayRegistry) expect(mac string, store *rpm.Repository) {
+	r.withdraw(mac, "reinstalling")
 	r.mu.Lock()
 	r.pending[mac] = store
 	r.mu.Unlock()
-}
-
-// observe reacts to one lifecycle event.
-func (r *relayRegistry) observe(e lifecycle.Event) {
-	switch e.Type {
-	case lifecycle.EventInstallComplete:
-		r.promote(e.MAC, e.Node)
-	case lifecycle.EventLease:
-		// The node is reinstalling: its tree is about to be wiped, so its
-		// relay goes down before peers can be pointed at it again.
-		r.withdraw(e.MAC, "reinstalling")
-	case lifecycle.EventDark:
-		r.withdraw(firstNonEmpty(e.MAC, e.Node), "went dark")
-	case lifecycle.EventQuarantine:
-		r.withdraw(firstNonEmpty(e.MAC, e.Node), "quarantined")
-	}
 }
 
 // promote turns a completed install's package store into a serving relay on
@@ -158,7 +125,7 @@ func (r *relayRegistry) promote(mac, name string) {
 		return
 	}
 	if old, ok := r.live[mac]; ok {
-		// A relay survived a reinstall's withdrawal (lost event): replace it.
+		// Two boots of one machine raced to promote it: keep the newer.
 		r.retire(old)
 	}
 	r.live[mac] = entry
@@ -362,11 +329,4 @@ func (r *relayRegistry) registerMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("rocks_dist_relay_cross_rack_total",
 		"Relay sources handed out across rack boundaries (no same-rack peer).",
 		func() float64 { return float64(r.crossRack.Load()) })
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
 }

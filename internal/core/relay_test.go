@@ -330,3 +330,39 @@ func TestRelayRegistryChurn(t *testing.T) {
 		t.Errorf("started=%d withdrawn=%d, want %d each", s, wd, workers*cycles)
 	}
 }
+
+// TestRelayWithdrawnWhereServingStops: the code that takes a node out of
+// service withdraws its relay itself. Quarantine has withdrawn it by the
+// time it returns, and the supervisor withdraws a relay whose node its
+// probe finds dark.
+func TestRelayWithdrawnWhereServingStops(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node live integration")
+	}
+	c := newRelayCluster(t, nil)
+	nodes := addComputes(t, c, 2)
+	for _, n := range nodes {
+		waitRelayEvent(t, c, lifecycle.EventRelayUp, n.Name(), 0)
+	}
+	quarantined, dark := nodes[0], nodes[1]
+
+	since := c.Events().Seq()
+	if err := c.remedy.quarantine(quarantined.Name()); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range c.relays.sources(-1) {
+		if s.Node == quarantined.Name() {
+			t.Fatalf("quarantined %s still handed out as a source", s.Node)
+		}
+	}
+	if down := waitRelayEvent(t, c, lifecycle.EventRelayDown, quarantined.Name(), since); down.Detail != "quarantined" {
+		t.Errorf("relay-down detail = %q, want quarantined", down.Detail)
+	}
+
+	s := c.StartSupervisor(tightSupervisor(5))
+	defer s.Stop()
+	dark.PowerOff()
+	if down := waitRelayEvent(t, c, lifecycle.EventRelayDown, dark.Name(), since); down.Detail != "went dark" {
+		t.Errorf("relay-down detail = %q, want went dark", down.Detail)
+	}
+}

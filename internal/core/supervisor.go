@@ -83,7 +83,8 @@ func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
 // running supervisor (if any), the counters every supervisor adds to, and
 // the supervisor endpoint and families. A supervisor reads the directory for
 // nodes and quarantine and the facts subsystem for drift, cycles through the
-// PDU, and names a node from the database.
+// PDU, names a node from the database, and withdraws the relay of a node it
+// finds dark or quarantines.
 type remediation struct {
 	run         scope // a supervisor's loop runs under it
 	events      *lifecycle.Bus
@@ -94,6 +95,7 @@ type remediation struct {
 	dir         *directory
 	facts       *factsState
 	reports     *reportCoalescer
+	relays      *relayRegistry
 	frontendMAC string
 
 	// Remediation actions by type. They live here rather than on a
@@ -153,11 +155,11 @@ func (e SupervisorEvent) String() string {
 // remedRecord is the supervisor's per-node bookkeeping, keyed by MAC (the
 // only identity a node is guaranteed to have).
 type remedRecord struct {
-	watchedAs   string // identity registered with the monitor
-	attempts    int
-	next        time.Time // backoff gate for the next attempt
-	failing     bool
-	quarantined bool
+	watchedAs     string // identity registered with the monitor
+	attempts      int
+	next          time.Time // backoff gate for the next attempt
+	failing       bool
+	quarantinedAs string // the host the supervisor quarantined, "" if none
 }
 
 // Supervisor is the closed-loop remediation daemon.
@@ -219,9 +221,10 @@ func (m *remediation) current() *Supervisor {
 // (failing any running job — the honest consequence), and the reports
 // regenerate with the offline mark. The database row, DHCP binding, and PDU
 // outlet survive so the machine can be repaired and returned with
-// unquarantine. Host may be a hostname or, for nodes that died before
-// naming, a MAC.
+// unquarantine. Its relay, if it serves one, is withdrawn. Host may be a
+// hostname or, for nodes that died before naming, a MAC.
 func (m *remediation) quarantine(host string) error {
+	m.relays.withdraw(host, "quarantined")
 	m.dir.quarantine(host, true)
 	m.pbs.SetOffline(host, true)
 	m.pbs.UnregisterMom(host)
@@ -230,7 +233,8 @@ func (m *remediation) quarantine(host string) error {
 }
 
 // unquarantine returns a repaired node to service. The node rejoins the batch
-// pool on its next successful boot (its mom re-registers in comeUp).
+// pool on its next successful boot (its mom re-registers in comeUp); a
+// running supervisor starts it on a fresh episode with a full budget.
 func (m *remediation) unquarantine(host string) error {
 	m.dir.quarantine(host, false)
 	m.pbs.SetOffline(host, false)
@@ -349,10 +353,12 @@ func (s *Supervisor) tick() {
 	}
 	s.mu.Unlock()
 
+	// A dark node serves nothing: its relay goes before any remediation.
 	dark := make(map[string]bool)
 	for _, st := range s.mon.Probe() {
 		if st.Health == monitor.HealthDark {
 			dark[st.Host] = true
+			s.r.relays.withdraw(st.Host, "went dark")
 		}
 	}
 	now := time.Now()
@@ -369,9 +375,19 @@ func (s *Supervisor) tick() {
 func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node, dark map[string]bool) {
 	s.mu.Lock()
 	rec := s.recs[mac]
-	if rec == nil || rec.quarantined {
+	if rec == nil {
 		s.mu.Unlock()
 		return
+	}
+	if rec.quarantinedAs != "" {
+		// The directory owns the quarantine set: a host it no longer holds
+		// was repaired and starts a fresh episode with a full budget, gated
+		// by one patience so the repair's own power cycle goes first.
+		if s.r.dir.isQuarantined(rec.quarantinedAs) {
+			s.mu.Unlock()
+			return
+		}
+		*rec = remedRecord{watchedAs: rec.watchedAs, next: now.Add(s.cfg.Patience)}
 	}
 	st := n.State()
 	switch st {
@@ -430,9 +446,9 @@ func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string
 		return
 	}
 	if rec.attempts >= s.cfg.MaxRetries {
-		rec.quarantined = true
 		attempts := rec.attempts
 		host := s.displayName(mac, n)
+		rec.quarantinedAs = host
 		s.mu.Unlock()
 		if err := s.r.quarantine(host); err != nil {
 			s.r.log.Log("frontend-0", "supervisor", "quarantining %s: %v", host, err)

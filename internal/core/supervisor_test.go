@@ -175,6 +175,52 @@ func TestSupervisorQuarantinesHopelessNode(t *testing.T) {
 	}
 }
 
+// TestSupervisorResumesUnquarantinedNode: the running supervisor leaves a
+// quarantined node alone, and once an administrator unquarantines it the
+// node starts a fresh episode: the supervisor cycles it with a full budget
+// and brings it up, with no manual power cycle.
+func TestSupervisorResumesUnquarantinedNode(t *testing.T) {
+	c := newCluster(t)
+	n := addComputes(t, c, 1)[0]
+
+	restore := breakDist(c)
+	c.ShootNode("compute-0-0")
+	if !WaitState(n, node.StateCrashed, integrationTimeout) {
+		t.Fatalf("state = %s", n.State())
+	}
+	s := c.StartSupervisor(tightSupervisor(4))
+	defer s.Stop()
+	ctx, cancelWait := context.WithTimeout(context.Background(), integrationTimeout)
+	defer cancelWait()
+	if _, err := c.Events().WaitFor(ctx, lifecycle.Filter{
+		Node: "compute-0-0", Type: lifecycle.EventQuarantine,
+	}); err != nil {
+		t.Fatalf("node never quarantined: %v; state=%s events:\n%s", err, n.State(), s.EventLog())
+	}
+
+	// Repaired, but still quarantined: the supervisor keeps its hands off.
+	restore()
+	time.Sleep(10 * tightSupervisor(4).Interval)
+	if st := n.State(); st != node.StateCrashed {
+		t.Fatalf("the supervisor acted on a quarantined node: state %s\nevents:\n%s", st, s.EventLog())
+	}
+
+	since := c.Events().Seq()
+	if err := c.remedy.unquarantine("compute-0-0"); err != nil {
+		t.Fatal(err)
+	}
+	if !WaitState(n, node.StateUp, integrationTimeout) {
+		t.Fatalf("unquarantined node state = %s; the supervisor never resumed it\nevents:\n%s",
+			n.State(), s.EventLog())
+	}
+	cycles := c.Events().Recent(lifecycle.Filter{
+		Node: "compute-0-0", Type: lifecycle.EventPowerCycle, Source: "supervisor", SinceSeq: since,
+	})
+	if len(cycles) == 0 || cycles[0].Attempt != 1 {
+		t.Errorf("cycles after unquarantine = %+v, want the first at attempt 1 of a fresh budget", cycles)
+	}
+}
+
 // TestReinstallClusterTimeoutNamesStuck: when reinstall-cluster gives up,
 // the error names which nodes and jobs were stuck (satellite of ISSUE 1),
 // not just a count.

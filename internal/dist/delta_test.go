@@ -194,6 +194,11 @@ func TestManifestEscapesOddNames(t *testing.T) {
 	}
 }
 
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
 // TestMirrorUnderCorruption drives the faults bit-flip injector through the
 // mirror client's package stream: bounded corruption is detected by digest,
 // retried, and accounted; unbounded corruption exhausts the retry budget and
@@ -215,23 +220,23 @@ func TestMirrorUnderCorruption(t *testing.T) {
 				repo.Add(payloadPkg(name, "1.0", "1", string(seed)))
 			}
 			parent := Build("parent", nil, Source{"r", repo})
-			inner := NewServer(parent)
+			srv := httptest.NewServer(NewServer(parent))
+			defer srv.Close()
 			inj := faults.NewInjector(7, faults.Rule{
 				Op: faults.OpHTTPPackage, Mode: faults.ModeCorrupt, Count: tc.count})
-			faulty := faults.Middleware(inj, "X-Client-IP", inner)
+			direct := srv.Client().Transport
+			faulty := faults.NewTransport(inj, direct, nil)
 			// Corrupt only the package stream: the manifest arrives clean,
 			// which is what isolates the digest check under test.
-			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
 				if r.Method == http.MethodPost {
-					faulty.ServeHTTP(w, r)
-					return
+					return faulty.RoundTrip(r)
 				}
-				inner.ServeHTTP(w, r)
-			}))
-			defer srv.Close()
+				return direct.RoundTrip(r)
+			})}
 
 			got, rep, err := Mirror(context.Background(), srv.URL, "m", MirrorOptions{
-				Fetcher: Fetcher{HTTP: srv.Client(), Attempts: 3, Backoff: time.Millisecond}})
+				Fetcher: Fetcher{HTTP: client, Attempts: 3, Backoff: time.Millisecond}})
 			if tc.wantErr {
 				if err == nil || got != nil {
 					t.Fatal("mirror of a persistently corrupting parent must fail")

@@ -187,63 +187,51 @@ func TestFlipBit(t *testing.T) {
 	}
 }
 
-// TestTransportAndMiddlewareCorrupt: both HTTP seams deliver a complete,
+// TestTransportAndMiddlewareCorrupt: the transport delivers a complete,
 // correct-length 200 response with exactly one bit flipped — the silent
-// corruption only an end-to-end digest check can catch — and hand back the
-// clean bytes once the rule's budget is spent.
+// corruption only an end-to-end digest check can catch — and hands back the
+// clean bytes once the rule's budget is spent. (Named for the server-side
+// seam it also covered until that seam was deleted; the transport is the
+// only HTTP fault seam.)
 func TestTransportAndMiddlewareCorrupt(t *testing.T) {
 	clean := strings.Repeat("z", 800)
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, clean)
+	}))
+	defer backend.Close()
+	t.Run("transport", func(t *testing.T) {
+		inj := NewInjector(9, Rule{Op: OpHTTPPackage, Mode: ModeCorrupt, Count: 1})
+		client := &http.Client{Transport: NewTransport(inj, nil, nil)}
+		get := func() (int, []byte) {
+			resp, err := client.Get(backend.URL + "/RedHat/RPMS/pkg-1.0-1.i386.rpm")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, rerr := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if rerr != nil {
+				t.Fatalf("corrupt body must still read to completion: %v", rerr)
+			}
+			return resp.StatusCode, body
+		}
+		code, body := get()
+		if code != http.StatusOK || len(body) != len(clean) {
+			t.Fatalf("corrupted response: status %d, %d bytes, want 200 and %d", code, len(body), len(clean))
+		}
+		diff := 0
+		for i := range body {
+			if body[i] != clean[i] {
+				diff++
+			}
+		}
+		if diff != 1 {
+			t.Errorf("%d bytes differ, want exactly 1", diff)
+		}
+		code, body = get()
+		if code != http.StatusOK || string(body) != clean {
+			t.Errorf("after cap: status %d, body clean=%v", code, string(body) == clean)
+		}
 	})
-	for _, seam := range []string{"transport", "middleware"} {
-		t.Run(seam, func(t *testing.T) {
-			inj := NewInjector(9, Rule{Op: OpHTTPPackage, Mode: ModeCorrupt, Count: 1})
-			var url string
-			var client *http.Client
-			switch seam {
-			case "transport":
-				backend := httptest.NewServer(inner)
-				defer backend.Close()
-				url = backend.URL
-				client = &http.Client{Transport: NewTransport(inj, nil, nil)}
-			case "middleware":
-				srv := httptest.NewServer(Middleware(inj, "X-Client-IP", inner))
-				defer srv.Close()
-				url = srv.URL
-				client = http.DefaultClient
-			}
-			get := func() (int, []byte) {
-				resp, err := client.Get(url + "/RedHat/RPMS/pkg-1.0-1.i386.rpm")
-				if err != nil {
-					t.Fatal(err)
-				}
-				body, rerr := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if rerr != nil {
-					t.Fatalf("corrupt body must still read to completion: %v", rerr)
-				}
-				return resp.StatusCode, body
-			}
-			code, body := get()
-			if code != http.StatusOK || len(body) != len(clean) {
-				t.Fatalf("corrupted response: status %d, %d bytes, want 200 and %d", code, len(body), len(clean))
-			}
-			diff := 0
-			for i := range body {
-				if body[i] != clean[i] {
-					diff++
-				}
-			}
-			if diff != 1 {
-				t.Errorf("%d bytes differ, want exactly 1", diff)
-			}
-			code, body = get()
-			if code != http.StatusOK || string(body) != clean {
-				t.Errorf("after cap: status %d, body clean=%v", code, string(body) == clean)
-			}
-		})
-	}
 }
 
 func TestTransportClassifiesKickstart(t *testing.T) {
@@ -263,43 +251,50 @@ func TestTransportClassifiesKickstart(t *testing.T) {
 	}
 }
 
+// TestMiddlewareError500AndTruncate: a rule naming a host fires only for a
+// client whose identities callback names it, a wildcard rule then tears
+// the next body, and with both budgets spent the body arrives whole.
+// (Named for the server-side seam it covered until that seam was deleted.)
 func TestMiddlewareError500AndTruncate(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, strings.Repeat("y", 600))
-	})
+	}))
+	defer backend.Close()
 	inj := NewInjector(9,
 		Rule{Op: OpHTTPPackage, Hosts: "10.1.255.254", Count: 1},
 		Rule{Op: OpHTTPPackage, Mode: ModeTruncate, Count: 1},
 	)
-	srv := httptest.NewServer(Middleware(inj, "X-Rocks-Client-IP", inner))
-	defer srv.Close()
+	ids := []string{"10.1.255.254"}
+	client := &http.Client{Transport: NewTransport(inj, nil, func() []string { return ids })}
 
-	req, _ := http.NewRequest("GET", srv.URL+"/RedHat/RPMS/", nil)
-	req.Header.Set("X-Rocks-Client-IP", "10.1.255.254")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := client.Get(backend.URL + "/RedHat/RPMS/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Errorf("header-matched request: status %d, want 500", resp.StatusCode)
+		t.Errorf("host-matched request: status %d, want 500", resp.StatusCode)
+	}
+	if log := inj.Injected(); len(log) != 1 || log[0].Host != "10.1.255.254" {
+		t.Errorf("injection log = %+v, want one firing for 10.1.255.254", log)
 	}
 
-	resp, err = http.Get(srv.URL + "/RedHat/RPMS/")
+	ids = nil
+	resp, err = client.Get(backend.URL + "/RedHat/RPMS/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rerr := io.ReadAll(resp.Body)
+	body, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if rerr == nil {
-		t.Error("truncating middleware: read succeeded, want connection error")
+	if !errors.Is(rerr, io.ErrUnexpectedEOF) || len(body) != 300 {
+		t.Errorf("truncating transport: %d bytes, error %v; want 300 and unexpected EOF", len(body), rerr)
 	}
 
-	resp, err = http.Get(srv.URL + "/RedHat/RPMS/")
+	resp, err = client.Get(backend.URL + "/RedHat/RPMS/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || len(body) != 600 {
 		t.Errorf("after caps: status %d, %d bytes", resp.StatusCode, len(body))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -154,71 +153,6 @@ func (b *truncatedBody) Read(p []byte) (int, error) {
 }
 
 func (b *truncatedBody) Close() error { return nil }
-
-// Middleware interposes on the frontend's install endpoints server-side.
-// The requesting host's identity is taken from clientIPHeader when present
-// (the kickstart CGI contract) and the remote address otherwise.
-func Middleware(inj *Injector, clientIPHeader string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ids := []string{}
-		if ip := r.Header.Get(clientIPHeader); ip != "" {
-			ids = append(ids, ip)
-		}
-		if host, _, err := splitHostPort(r.RemoteAddr); err == nil {
-			ids = append(ids, host)
-		}
-		ids = append(ids, "*")
-		rule, fire := inj.ShouldInject(classifyPath(r.URL.Path), ids...)
-		if !fire {
-			next.ServeHTTP(w, r)
-			return
-		}
-		switch rule.Mode {
-		case ModeLatency:
-			time.Sleep(rule.Latency)
-			next.ServeHTTP(w, r)
-		case ModeTruncate, ModeCorrupt:
-			// Record the full response and advertise its status and length,
-			// then either send half — the server aborts the connection and
-			// the client sees an unexpected EOF — or deliver it complete
-			// with one bit flipped in the middle.
-			rec := &recorder{header: http.Header{}, code: http.StatusOK}
-			next.ServeHTTP(rec, r)
-			for k, v := range rec.header {
-				w.Header()[k] = v
-			}
-			w.Header().Set("Content-Length", strconv.Itoa(rec.body.Len()))
-			w.WriteHeader(rec.code)
-			if rule.Mode == ModeTruncate {
-				w.Write(rec.body.Bytes()[:rec.body.Len()/2])
-			} else {
-				w.Write(FlipBit(rec.body.Bytes()))
-			}
-		default: // ModeError500
-			http.Error(w, "faults: injected server error", http.StatusInternalServerError)
-		}
-	})
-}
-
-// splitHostPort is net.SplitHostPort without the import weight; RemoteAddr
-// in tests may already be a bare host.
-func splitHostPort(addr string) (string, string, error) {
-	if i := strings.LastIndex(addr, ":"); i >= 0 {
-		return addr[:i], addr[i+1:], nil
-	}
-	return addr, "", nil
-}
-
-// recorder buffers a handler's response for the truncating middleware.
-type recorder struct {
-	header http.Header
-	code   int
-	body   bytes.Buffer
-}
-
-func (r *recorder) Header() http.Header         { return r.header }
-func (r *recorder) WriteHeader(code int)        { r.code = code }
-func (r *recorder) Write(p []byte) (int, error) { return r.body.Write(p) }
 
 // PowerInterceptor adapts the injector to the PDU's interceptor hook: an
 // OpPowerCycle firing makes the hard-cycle command fail without touching

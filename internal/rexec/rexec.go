@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Executor runs a command on one machine; *node.Node satisfies it.
@@ -127,40 +126,4 @@ func (d *Daemon) Signal(sig, process string) (int, error) {
 		// Delivered but non-fatal (e.g. USR1).
 		return 0, nil
 	}
-}
-
-// RunParallel executes the request on every daemon concurrently — the
-// parallel-job launch path. Results come back in daemon order regardless of
-// completion order.
-func RunParallel(daemons []*Daemon, req Request) []Result {
-	results := make([]Result, len(daemons))
-	var wg sync.WaitGroup
-	for i, d := range daemons {
-		wg.Add(1)
-		go func(i int, d *Daemon) {
-			defer wg.Done()
-			results[i] = d.Run(req)
-		}(i, d)
-	}
-	wg.Wait()
-	return results
-}
-
-// TagOutput interleaves per-host stdout the way rexec prints parallel
-// output: every line prefixed with its origin host.
-func TagOutput(results []Result) string {
-	var b strings.Builder
-	for _, r := range results {
-		stream := r.Stdout
-		if r.Err != nil {
-			stream = r.Stderr
-		}
-		for _, line := range strings.Split(strings.TrimRight(stream, "\n"), "\n") {
-			if line == "" && stream == "" {
-				continue
-			}
-			fmt.Fprintf(&b, "%s: %s\n", r.Host, line)
-		}
-	}
-	return b.String()
 }

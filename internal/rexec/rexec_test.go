@@ -1,7 +1,6 @@
 package rexec
 
 import (
-	"strings"
 	"testing"
 
 	"rocks/internal/hardware"
@@ -96,47 +95,5 @@ func TestSignalForwarding(t *testing.T) {
 	}
 	if len(n.Processes()) != 0 {
 		t.Error("processes survived KILL")
-	}
-}
-
-func TestRunParallelOrderAndDownNodes(t *testing.T) {
-	n0 := upNode("compute-0-0")
-	n1 := upNode("compute-0-1")
-	n1.SetState(node.StateOff) // down node mid-fleet
-	n2 := upNode("compute-0-2")
-	daemons := []*Daemon{
-		NewDaemon("compute-0-0", n0),
-		NewDaemon("compute-0-1", n1),
-		NewDaemon("compute-0-2", n2),
-	}
-	results := RunParallel(daemons, Request{Command: "hostname"})
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
-	}
-	if results[0].Stdout != "compute-0-0\n" || results[2].Stdout != "compute-0-2\n" {
-		t.Errorf("ordering broken: %+v", results)
-	}
-	if results[1].Err == nil {
-		t.Error("down node should error")
-	}
-}
-
-func TestTagOutput(t *testing.T) {
-	n := upNode("c1")
-	n.SetState(node.StateOff)
-	bad := NewDaemon("c1", n).Run(Request{Command: "hostname"})
-	results := []Result{
-		{Host: "c0", Stdout: "line1\nline2\n"},
-		bad,
-	}
-	got := TagOutput(results)
-	want := []string{"c0: line1", "c0: line2", "c1: "}
-	for _, w := range want {
-		if !strings.Contains(got, w) {
-			t.Errorf("TagOutput missing %q:\n%s", w, got)
-		}
-	}
-	if strings.Count(got, "\n") != 3 {
-		t.Errorf("TagOutput = %q", got)
 	}
 }

@@ -54,6 +54,27 @@ func TestFleetGoldens(t *testing.T) {
 	}
 }
 
+// TestFleetGoldens100k pins the three times-to-last the harness's
+// modeled_100k workload reports as experiments.ttl_*: relay off, relay on,
+// and 8 shards with relay on, at 100 000 nodes. The harness checks only that
+// its repetitions agree with each other; this compares them with the record.
+func TestFleetGoldens100k(t *testing.T) {
+	const nodes = 100000
+	if got, want := RunInstallCurve(DefaultFleetParams(nodes, false)).TimeToLast, 1956916.1337545642; got != want {
+		t.Errorf("relay off time-to-last = %v, recorded %v", got, want)
+	}
+	if got, want := RunInstallCurve(DefaultFleetParams(nodes, true)).TimeToLast, 3630.551013888; got != want {
+		t.Errorf("relay on time-to-last = %v, recorded %v", got, want)
+	}
+	fed := RunInstallCurve(FleetParams{Nodes: nodes, Shards: 8, Relay: true})
+	if got, want := fed.TimeToLast, 3063.2550960639996; got != want {
+		t.Errorf("8 shards, relay on, time-to-last = %v, recorded %v", got, want)
+	}
+	if len(fed.PerShard) != 8 {
+		t.Errorf("8 shards ran %d per-shard curves, want 8", len(fed.PerShard))
+	}
+}
+
 // TestFleetNICGoldens pins runs whose node NIC binds, recorded while every
 // node's NIC was a link on its install's path: at 0.5 MB/s it is below the
 // ~1 MB/s demand, and in burst mode below each package's stream too. With

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -144,16 +145,24 @@ func RunInstallCurve(p FleetParams) CompletionCurve {
 		FrontendBytes: mirrored,
 		MirrorSecs:    mirrored / p.FrontendBps,
 	}
+	// A shard is an independent run whose one parameter is its size, and the
+	// round-robin remainder leaves at most two sizes: one run per size.
 	shard := p
 	shard.Shards, shard.MirrorBytes = 1, 0
+	var c CompletionCurve
 	for s := 0; s < p.Shards; s++ {
-		shard.Nodes = (p.Nodes + p.Shards - 1 - s) / p.Shards // the remainder goes round-robin
-		if shard.Nodes == 0 {
+		n := (p.Nodes + p.Shards - 1 - s) / p.Shards
+		if n == 0 {
 			continue
 		}
-		c := simulate(shard)
-		for i := range c.Times {
-			c.Times[i] += out.MirrorSecs
+		if n != c.Params.Nodes {
+			shard.Nodes = n
+			c = simulate(shard)
+			for i := range c.Times {
+				c.Times[i] += out.MirrorSecs
+			}
+		} else {
+			c.Times = slices.Clone(c.Times) // finishCurve sorts in place
 		}
 		out.FrontendBytes += c.FrontendBytes
 		out.PeerBytes += c.PeerBytes

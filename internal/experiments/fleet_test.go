@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -228,6 +229,35 @@ func TestShardsAreIndependentRuns(t *testing.T) {
 		if len(got.PerShard) != len(tc.sizes) {
 			t.Errorf("%d/%d: %d per-shard curves, want %d", tc.nodes, tc.shards, len(got.PerShard), len(tc.sizes))
 		}
+	}
+}
+
+// TestShardCurvesDoNotAlias: shards of one size share a run, not its slice.
+// Every per-shard curve owns its Times, so writing to one leaves the other
+// shards and the merged curve as they were.
+func TestShardCurvesDoNotAlias(t *testing.T) {
+	p := DefaultFleetParams(100, true)
+	p.Shards, p.MirrorBytes = 4, 5e8
+	got := RunInstallCurve(p)
+	if len(got.PerShard) != 4 {
+		t.Fatalf("%d per-shard curves, want 4", len(got.PerShard))
+	}
+	merged := slices.Clone(got.Times)
+	var shards [][]float64
+	for _, c := range got.PerShard {
+		shards = append(shards, slices.Clone(c.Times))
+	}
+	for i, c := range got.PerShard {
+		c.Times[0] = -1
+		for j, other := range got.PerShard {
+			if j != i && !slices.Equal(other.Times, shards[j]) {
+				t.Errorf("writing to shard %d's times changed shard %d's", i, j)
+			}
+		}
+		if !slices.Equal(got.Times, merged) {
+			t.Errorf("writing to shard %d's times changed the merged times", i)
+		}
+		shards[i][0] = -1
 	}
 }
 

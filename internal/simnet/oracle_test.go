@@ -13,6 +13,9 @@ import (
 // longer carries a generation stamp, so the reference keeps capLeft and users
 // in a map of its own. It re-rates every live flow from zero at every flush,
 // and is what "max-min fair" means to every number this repository records.
+// Its charge (advance) and its search for the next completion
+// (scheduleCompletion) are each a sweep of their own, as they were before the
+// flush folded both into the one sweep it makes.
 
 type refScratch struct {
 	capLeft float64
@@ -112,6 +115,43 @@ func (s *Simulation) waterfillRef() {
 		if !progressed && delta <= timeEpsilon {
 			break
 		}
+	}
+}
+
+// advance charges elapsed time against every active flow's remaining bytes.
+func (s *Simulation) advance() {
+	for _, f := range s.flowList {
+		if !f.done {
+			f.charge(s.now - s.charged)
+		}
+	}
+	s.charged = s.now
+}
+
+// scheduleCompletion finds the flow that will finish first at current rates
+// and schedules its completion, stopping any previously scheduled one.
+func (s *Simulation) scheduleCompletion() {
+	if s.completion != nil {
+		s.completion.Stop()
+	}
+	best := math.Inf(1)
+	found := false
+	for _, f := range s.flowList {
+		if f.rate <= 0 {
+			if f.remaining <= timeEpsilon {
+				// Zero-byte flow: completes now.
+				best = 0
+				found = true
+			}
+			continue
+		}
+		if t := f.remaining / f.rate; t < best {
+			best = t
+			found = true
+		}
+	}
+	if found {
+		s.completion = s.push(s.now+best, s.completeFinished)
 	}
 }
 

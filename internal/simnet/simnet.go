@@ -14,12 +14,14 @@
 // completions that land on the same virtual instant are absorbed into one
 // flush, run just before the clock moves (or on demand when rates are
 // observed), and the flush re-solves only the connected component of links
-// and flows those changes can reach. Every other flow keeps its rate. A flush
-// still sweeps the live flows three times (charge elapsed time and drop the
-// retired, collect the component in start order, find the next completion);
-// the water-filling rounds between walk the component alone, each round its
-// links and its still-unfrozen flows (DESIGN.md §12). That is what makes
-// whole-fleet experiments (100k–1M nodes reinstalling in waves) tractable.
+// and flows those changes can reach. Every other flow keeps its rate. A
+// completion instant sweeps the live flows twice: once to charge them and
+// find who finished, once in the flush to charge them again, drop the
+// retired, collect the component in start order and find the next
+// completion. The water-filling rounds between walk the component alone, each
+// round its links and its still-unfrozen flows (DESIGN.md §12). That is what
+// makes whole-fleet experiments (100k–1M nodes reinstalling in waves)
+// tractable.
 //
 // Virtual time is a float64 in seconds. All scheduling is deterministic:
 // events at equal times fire in the order they were scheduled, and onDone
@@ -50,9 +52,11 @@ type Simulation struct {
 
 	// flowList holds active flows in start order (start times are
 	// monotonic, so append order is (start, arrival) order). Retired flows
-	// are marked done and compacted out at the next rate flush.
+	// are marked done and compacted out at the next rate flush, and
+	// flowList[fresh:] started since.
 	flowList []*Flow
 	live     int
+	fresh    int
 
 	// charged is the virtual time up to which every live flow's remaining
 	// bytes are drained: flows are charged all together, so it is one clock
@@ -71,9 +75,9 @@ type Simulation struct {
 
 	// Flush scratch, kept between flushes: the links of the component being
 	// re-solved (the search's queue and the solve's active-link list are the
-	// same slice, never longer than numLinks) and its flows, which
-	// completeFinished borrows between flushes. rerated is how many flows
-	// the last flush re-rated.
+	// same slice, never longer than numLinks; a retiring flow queues its
+	// links at once) and its flows, which completeFinished borrows between
+	// flushes. rerated is how many flows the last flush re-rated.
 	links    []*Link
 	flows    []*Flow
 	rerated  int
@@ -300,9 +304,18 @@ func (f *Flow) Cancel() {
 	// Charge the flow's own transfer up to now; peers are charged at the
 	// next flush, before their rates change.
 	f.charge(f.sim.now - f.sim.charged)
+	f.sim.retire(f)
+}
+
+// retire takes a flow out of the live set and queues its links for the next
+// flush, whose search drops it from their lists. The queue is sized first, as
+// flush sizes it.
+func (s *Simulation) retire(f *Flow) {
 	f.done = true
-	f.sim.live--
-	f.sim.dirty = true
+	s.live--
+	s.dirty = true
+	s.links = slices.Grow(s.links, s.numLinks-len(s.links))
+	s.reach(f.path)
 }
 
 // charge drains the flow at its current rate for dt seconds.
@@ -334,14 +347,15 @@ func (f *Flow) Rate() float64 {
 // Elapsed returns how long the flow has been active.
 func (f *Flow) Elapsed() float64 { return f.sim.now - f.start }
 
-// advance charges elapsed time against every active flow's remaining bytes.
-func (s *Simulation) advance() {
-	for _, f := range s.flowList {
-		if !f.done {
-			f.charge(s.now - s.charged)
-		}
+// finishIn is how long the flow takes to finish at its rate: +Inf if never.
+func (f *Flow) finishIn() float64 {
+	if f.rate > 0 {
+		return f.remaining / f.rate
 	}
-	s.charged = s.now
+	if f.remaining <= timeEpsilon {
+		return 0 // zero-byte flow: completes now
+	}
+	return math.Inf(1)
 }
 
 // flush advances flows to the current instant at their old rates, re-solves
@@ -349,26 +363,15 @@ func (s *Simulation) advance() {
 // affect, and schedules the next completion event.
 func (s *Simulation) flush() {
 	s.dirty = false
-	// Sized once to the most they can hold: grown by append, a 100 000-entry
+	// Sized to the most they can hold: grown by append, a 100 000-entry
 	// slice leaves four times its size in garbage on the way (DESIGN.md §12).
-	s.links = slices.Grow(s.links, s.numLinks)
+	s.links = slices.Grow(s.links, s.numLinks-len(s.links))
 	s.flows = slices.Grow(s.flows, len(s.flowList))
-	// Seeds: the links of every flow that retired or started since the last
-	// flush. The same sweep charges the live and drops the retired,
-	// preserving start order.
-	kept := s.flowList[:0]
-	for _, f := range s.flowList {
-		if f.done || !f.frozen {
-			s.reach(f.path)
-		}
-		if !f.done {
-			f.charge(s.now - s.charged)
-			kept = append(kept, f)
-		}
+	// Seeds: the links of every flow started since the last flush; a retired
+	// flow queued its own when it retired.
+	for _, f := range s.flowList[s.fresh:] {
+		s.reach(f.path)
 	}
-	s.charged = s.now
-	clear(s.flowList[len(kept):])
-	s.flowList = kept
 	// Component: breadth-first over link → flows → links. Reaching a link
 	// drops its retired flows; whoever is left is in the component, so the
 	// link's user count is what is left.
@@ -388,25 +391,43 @@ func (s *Simulation) flush() {
 		clear(l.flows[len(kept):])
 		l.flows, l.users = kept, int32(len(kept))
 	}
-	// One more sweep collects the component in start order, so float noise
-	// is reproducible run to run.
-	minCap := math.Inf(1)
+	// One sweep charges the live, drops the retired and collects the
+	// component in start order, so float noise is reproducible run to run. A
+	// flow outside the component keeps its rate, so its finish time is known
+	// now; the solve gives each of the others its own as it freezes.
+	next, minCap := math.Inf(1), math.Inf(1)
+	kept := s.flowList[:0]
 	for _, f := range s.flowList {
-		if !f.frozen {
-			s.flows = append(s.flows, f)
-			if f.cap > 0 {
-				minCap = min(minCap, f.cap)
-			}
+		if f.done {
+			continue
+		}
+		f.charge(s.now - s.charged)
+		kept = append(kept, f)
+		if f.frozen {
+			next = min(next, f.finishIn())
+			continue
+		}
+		s.flows = append(s.flows, f)
+		if f.cap > 0 {
+			minCap = min(minCap, f.cap)
 		}
 	}
+	s.charged = s.now
+	clear(s.flowList[len(kept):])
+	s.flowList, s.fresh = kept, len(kept)
 	s.rerated = len(s.flows)
-	s.waterfill(minCap)
+	next = s.waterfill(minCap, next)
 	for _, l := range s.links {
 		l.queued = false
 	}
 	clear(s.flows) // a retired flow must not stay reachable from scratch
 	s.links, s.flows = s.links[:0], s.flows[:0]
-	s.scheduleCompletion()
+	if s.completion != nil {
+		s.completion.Stop()
+	}
+	if next < math.Inf(1) {
+		s.completion = s.push(s.now+next, s.completeFinished)
+	}
 }
 
 // reach brings a flow's links into the current flush: each is queued, with
@@ -425,8 +446,9 @@ func (s *Simulation) reach(path []*Link) {
 // zero, so they share one level; a flow freezes, and takes its rate, when the
 // level reaches its cap or one of its links saturates. minCap is the lowest
 // cap among s.flows. The pass allocates nothing, and each round costs the
-// component's links plus its still-unfrozen flows.
-func (s *Simulation) waterfill(minCap float64) {
+// component's links plus its still-unfrozen flows. It returns the earlier of
+// next and the soonest a re-rated flow finishes.
+func (s *Simulation) waterfill(minCap, next float64) float64 {
 	flows, level := s.flows, 0.0
 	for len(flows) > 0 {
 		// The common increment is limited by the tightest link share and
@@ -466,6 +488,7 @@ func (s *Simulation) waterfill(minCap float64) {
 				}
 				continue
 			}
+			next = min(next, f.finishIn())
 			for _, l := range f.path {
 				l.users--
 			}
@@ -477,63 +500,42 @@ func (s *Simulation) waterfill(minCap float64) {
 	}
 	for _, f := range flows {
 		f.frozen = true
+		next = min(next, f.finishIn())
 	}
+	return next
 }
 
-// scheduleCompletion finds the flow that will finish first at current rates
-// and schedules its completion, stopping any previously scheduled one.
-func (s *Simulation) scheduleCompletion() {
-	if s.completion != nil {
-		s.completion.Stop()
-	}
-	best := math.Inf(1)
-	found := false
-	for _, f := range s.flowList {
-		if f.rate <= 0 {
-			if f.remaining <= timeEpsilon {
-				// Zero-byte flow: completes now.
-				best = 0
-				found = true
-			}
-			continue
-		}
-		if t := f.remaining / f.rate; t < best {
-			best = t
-			found = true
-		}
-	}
-	if found {
-		s.completion = s.push(s.now+best, s.completeFinished)
-	}
-}
-
-// completeFinished retires every flow whose remaining bytes reached zero.
-// onDone callbacks run in deterministic (start, name) order; the rate
-// reallocation they trigger is batched with any same-instant starts. The
+// completeFinished charges every live flow up to now and, in the same sweep,
+// finds those whose remaining bytes reached zero, then retires them. onDone
+// callbacks run in deterministic (start, name) order; the rate reallocation
+// they trigger is batched with any same-instant starts. The
 // list borrows the flush's flow scratch and takes it off the Simulation
 // meanwhile: a callback that observes rates flushes mid-loop, and that flush
 // must not write over the list being walked.
 func (s *Simulation) completeFinished() {
-	s.advance()
 	finished := s.flows
 	s.flows = nil
 	// A flow due within the clock's resolution at now is finished too: its
 	// completion event could not move the clock and would recur for ever.
 	tick := math.Nextafter(s.now, math.Inf(1)) - s.now
 	for _, f := range s.flowList {
-		if !f.done && f.remaining <= max(1e-6, f.rate*tick) { // byte-level epsilon
+		if f.done {
+			continue
+		}
+		f.charge(s.now - s.charged)
+		if f.remaining <= max(1e-6, f.rate*tick) { // byte-level epsilon
 			finished = append(finished, f)
 		}
 	}
+	s.charged = s.now
 	sort.Slice(finished, func(i, j int) bool {
 		return finished[i].start < finished[j].start ||
 			(finished[i].start == finished[j].start && finished[i].Name < finished[j].Name)
 	})
 	for _, f := range finished {
-		f.done = true
-		s.live--
+		s.retire(f)
 	}
-	s.dirty = true
+	s.dirty = true // even if none finished: only a flush schedules the next event
 	for _, f := range finished {
 		if f.onDone != nil {
 			f.onDone()

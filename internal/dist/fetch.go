@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 
@@ -182,49 +181,76 @@ func (f *Fetcher) Get(ctx context.Context, u string, header http.Header) ([]byte
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := readDeclared(resp.Body, resp.ContentLength)
+	body, err := readDeclared(nil, resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
 	}
 	return body, nil
 }
 
-// readDeclared is io.ReadAll into a buffer sized up front by a declared
-// length (the spare MinRead lets ReadFrom see EOF without growing). The
-// declaration is a peer's claim, so it sizes at most maxPresize; a longer
-// body grows as its bytes actually arrive.
-func readDeclared(r io.Reader, declared int64) ([]byte, error) {
-	var buf bytes.Buffer
+// readDeclared is io.ReadAll into buf's storage, sized up front by a
+// declared length (the spare MinRead lets ReadFrom see EOF without growing).
+// The declaration is a peer's claim, so it sizes at most maxPresize; a
+// longer body grows as its bytes actually arrive.
+func readDeclared(buf []byte, r io.Reader, declared int64) ([]byte, error) {
+	b := bytes.NewBuffer(buf[:0])
 	if declared > 0 {
-		buf.Grow(int(min(declared, maxPresize)) + bytes.MinRead)
+		b.Grow(int(min(declared, maxPresize)) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }
 
-// Index retrieves the digest manifest of the distribution at base, with
-// retries: the entries carry the size and payload digest every fetched body
-// must match. There is no unverified index. A 404 is permanent and says the
-// server serves no digest manifest; a tree without one is read from disk
-// (ReadTree), where every body is checked as it decodes.
-func (f *Fetcher) Index(ctx context.Context, base string) ([]ManifestEntry, error) {
+// fetchManifest retrieves the digest manifest of the distribution at base,
+// with retries, into a pooled buffer and hands it to read, which keeps
+// nothing of it; a transient error from read is retried. There is no
+// unverified index: a 404 is permanent and says the server serves none.
+func (f *Fetcher) fetchManifest(ctx context.Context, base string, read func(text []byte) error) error {
 	u := strings.TrimSuffix(base, "/") + manifestPath
-	var entries []ManifestEntry
+	buf := manifestTexts.Get().(*[]byte)
+	defer manifestTexts.Put(buf)
 	err := f.Do(ctx, "manifest", func() error {
-		body, err := f.Get(ctx, u, nil)
+		resp, err := f.open(ctx, http.MethodGet, u, nil, nil)
 		if err != nil {
 			return err
 		}
-		if entries, err = ParseManifest(body); err != nil {
-			// A garbled manifest is a torn transfer.
+		defer resp.Body.Close()
+		if *buf, err = readDeclared(*buf, resp.Body, resp.ContentLength); err != nil {
 			return Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
 		}
-		return nil
+		if err = read(*buf); IsTransient(err) {
+			err = Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
+		}
+		return err
 	})
 	var se *statusError
 	if errors.As(err, &se) && se.code == http.StatusNotFound {
-		return nil, fmt.Errorf("dist: %s serves no digest manifest, and nothing is fetched unverified: %w", base, err)
+		return fmt.Errorf("dist: %s serves no digest manifest, and nothing is fetched unverified: %w", base, err)
 	}
+	return err
+}
+
+// Index retrieves and parses the digest manifest of the distribution at base:
+// the entries carry the size and payload digest every fetched body must match.
+func (f *Fetcher) Index(ctx context.Context, base string) ([]ManifestEntry, error) {
+	var entries []ManifestEntry
+	err := f.fetchManifest(ctx, base, func(text []byte) (err error) {
+		if entries, err = ParseManifest(text); err != nil {
+			err = Transient(err) // a garbled manifest is a torn transfer
+		}
+		return err
+	})
+	return entries, err
+}
+
+// Resolve retrieves the digest manifest of the distribution at base and
+// resolves names against it (Resolve).
+func (f *Fetcher) Resolve(ctx context.Context, base, arch string, names []string) ([]ManifestEntry, error) {
+	var entries []ManifestEntry
+	err := f.fetchManifest(ctx, base, func(text []byte) (err error) {
+		entries, err = Resolve(text, arch, names)
+		return err
+	})
 	return entries, err
 }
 
@@ -276,12 +302,15 @@ func (f *Fetcher) Packages(ctx context.Context, base string, entries []ManifestE
 	if len(entries) == 0 {
 		return 0, nil
 	}
-	var ask strings.Builder
+	size := 0
 	for _, e := range entries {
-		ask.WriteString(url.PathEscape(e.NVRA))
-		ask.WriteByte('\n')
+		size += len(e.NVRA) + 1 // a name that escapes longer grows the buffer
 	}
-	resp, err := f.open(ctx, http.MethodPost, strings.TrimSuffix(base, "/")+rpmsPath, nil, strings.NewReader(ask.String()))
+	ask := make([]byte, 0, size)
+	for _, e := range entries {
+		ask = append(appendPathEscaped(ask, e.NVRA), '\n')
+	}
+	resp, err := f.open(ctx, http.MethodPost, strings.TrimSuffix(base, "/")+rpmsPath, nil, bytes.NewReader(ask))
 	if err != nil {
 		// No answer is the first member's failure, and names its file.
 		return 0, fmt.Errorf("dist: asking for %s.rpm and %d more: %w", entries[0].NVRA, len(entries)-1, err)

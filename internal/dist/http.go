@@ -232,7 +232,7 @@ func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 // same file are the same bytes, and the stream goes out through one pooled
 // buffered writer. The counters move per body, as they do for a GET.
 func (s *Server) serveBundle(w http.ResponseWriter, r *http.Request) {
-	req, err := readDeclared(io.LimitReader(r.Body, maxBundleRequest+1), r.ContentLength)
+	req, err := readDeclared(nil, io.LimitReader(r.Body, maxBundleRequest+1), r.ContentLength)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

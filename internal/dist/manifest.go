@@ -9,6 +9,7 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"rocks/internal/rpm"
 )
@@ -70,11 +71,31 @@ func FormatManifest(entries []ManifestEntry) string {
 // goes byte by byte and never touches a separator, so either way is the same.
 func appendManifestLine(b []byte, size int64, digest, source string, nvra ...string) []byte {
 	for _, piece := range nvra {
-		b = append(b, url.PathEscape(piece)...)
+		b = appendPathEscaped(b, piece)
 	}
 	b = append(strconv.AppendInt(append(b, ' '), size, 10), ' ')
 	b = append(append(b, digest...), ' ')
-	return append(append(b, url.PathEscape(cmp.Or(source, "-"))...), '\n')
+	return append(appendPathEscaped(b, cmp.Or(source, "-")), '\n')
+}
+
+// pathKept[c] says url.PathEscape leaves byte c as it is.
+var pathKept = func() (kept [256]bool) {
+	for _, c := range []byte("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_.~$&+:=@") {
+		kept[c] = true
+	}
+	return kept
+}()
+
+// appendPathEscaped appends s as url.PathEscape spells it, making no string.
+func appendPathEscaped(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; pathKept[c] {
+			b = append(b, c)
+		} else {
+			b = append(b, '%', "0123456789ABCDEF"[c>>4], "0123456789ABCDEF"[c&15])
+		}
+	}
+	return b
 }
 
 // unescapeField undoes FormatManifest's escaping, tolerating unescaped
@@ -94,10 +115,6 @@ func cutField(s string) (field, rest string) {
 	start := -1
 	for i := 0; i < len(s); {
 		c := s[i]
-		if ' ' < c && c < utf8.RuneSelf && start >= 0 {
-			i++ // inside a field, the usual byte
-			continue
-		}
 		space, width := c == ' ' || '\t' <= c && c <= '\r', 1
 		if c >= utf8.RuneSelf {
 			r, w := utf8.DecodeRuneInString(s[i:])
@@ -108,7 +125,9 @@ func cutField(s string) (field, rest string) {
 		} else if !space && start < 0 {
 			start = i
 		}
-		i += width
+		for i += width; start >= 0 && i < len(s) && ' ' < s[i] && s[i] < utf8.RuneSelf; i++ {
+			// inside a field, the usual byte
+		}
 	}
 	if start < 0 {
 		return "", ""
@@ -116,12 +135,12 @@ func cutField(s string) (field, rest string) {
 	return s[start:], ""
 }
 
-// ParseManifest parses manifest lines, four fields each: an entry without a
-// digest could not be fetched, so a shorter line is refused. It walks the
-// text once: the entries' strings are pieces of one copy of it.
-func ParseManifest(data []byte) ([]ManifestEntry, error) {
-	entries := make([]ManifestEntry, 0, bytes.Count(data, []byte{'\n'})+1)
-	for ln, text := 1, string(data); text != ""; ln++ {
+// scanManifest is the one manifest parser: it walks the text once and hands
+// each line's entry, its strings pieces of the text, to each. Blank lines
+// are skipped; a line of fewer than four fields (an entry without a digest
+// could not be fetched) or with a bad size stops it, naming the line.
+func scanManifest(text string, each func(ManifestEntry)) error {
+	for ln := 1; text != ""; ln++ {
 		var line string
 		line, text, _ = strings.Cut(text, "\n")
 		var fields [4]string
@@ -136,17 +155,68 @@ func ParseManifest(data []byte) ([]ManifestEntry, error) {
 			continue
 		}
 		if n < 4 {
-			return nil, fmt.Errorf("dist: manifest line %d: %q has %d fields, want 4", ln, strings.TrimSpace(line), n)
+			return fmt.Errorf("dist: manifest line %d: %q has %d fields, want 4", ln, strings.TrimSpace(line), n)
 		}
 		size, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("dist: manifest line %d: bad size %q: %w", ln, fields[1], err)
+			return fmt.Errorf("dist: manifest line %d: bad size %q: %w", ln, fields[1], err)
 		}
 		e := ManifestEntry{NVRA: unescapeField(fields[0]), Size: size, Digest: fields[2], Source: unescapeField(fields[3])}
 		if e.Source == "-" {
 			e.Source = ""
 		}
-		entries = append(entries, e)
+		each(e)
+	}
+	return nil
+}
+
+// ParseManifest parses manifest lines (scanManifest). The entries' strings
+// are pieces of one copy of the text.
+func ParseManifest(data []byte) ([]ManifestEntry, error) {
+	entries := make([]ManifestEntry, 0, bytes.Count(data, []byte{'\n'})+1)
+	if err := scanManifest(string(data), func(e ManifestEntry) { entries = append(entries, e) }); err != nil {
+		return nil, err
+	}
+	return entries, nil
+}
+
+// Resolve is the installer's rule: for each name, in order, the entry of its
+// newest version built for an arch that installs on arch; on a tie, the
+// first in the manifest. Every line is checked as ParseManifest checks it,
+// and a garbled one is a torn transfer (transient); a line whose NVRA does
+// not parse is skipped. Only the winners' strings are copied out of
+// manifest, which the caller may then reuse.
+func Resolve(manifest []byte, arch string, names []string) ([]ManifestEntry, error) {
+	first := make(map[string]int, len(names)) // a name's first index in names
+	for i := len(names) - 1; i >= 0; i-- {
+		first[names[i]] = i
+	}
+	// A view, not a copy: what is kept of it is cloned below.
+	text := unsafe.String(unsafe.SliceData(manifest), len(manifest))
+	entries := make([]ManifestEntry, len(names))
+	if err := scanManifest(text, func(e ManifestEntry) {
+		m, err := rpm.ParseNVRA(e.NVRA)
+		i, wanted := first[m.Name]
+		if err != nil || !wanted || !rpm.ArchCompatible(arch, m.Arch) {
+			return
+		}
+		if cur := entries[i].NVRA; cur != "" {
+			if c, _ := rpm.ParseNVRA(cur); rpm.Compare(m.Version, c.Version) <= 0 {
+				return
+			}
+		}
+		entries[i] = e
+	}); err != nil {
+		return nil, Transient(err)
+	}
+	for i, name := range names {
+		if e := &entries[i]; first[name] < i {
+			*e = entries[first[name]]
+		} else if e.NVRA == "" { // in the words the installer has always used
+			return nil, fmt.Errorf("installer: package %q not present in distribution", name)
+		} else {
+			e.NVRA, e.Digest, e.Source = strings.Clone(e.NVRA), strings.Clone(e.Digest), strings.Clone(e.Source)
+		}
 	}
 	return entries, nil
 }

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"rocks/internal/rpm"
 )
 
 // parseManifestFields is the parser ParseManifest replaced — a []string of
@@ -50,7 +52,9 @@ func parseManifestFields(data []byte) ([]ManifestEntry, error) {
 // agree with the field-splitting parser it replaced on every input — entries
 // or error text — and must read back exactly what FormatManifest wrote for
 // entries whose names carry spaces, percent signs, newlines and bytes that
-// are not text at all. The corpus in testdata/fuzz/FuzzManifest is the
+// are not text at all. Resolve must never panic on the same bytes and must
+// pick what the installer's rule it took over picked (resolveIndexRef), or
+// refuse in its words. The corpus in testdata/fuzz/FuzzManifest is the
 // synthetic distribution's manifest, a pre-digest three-field line (which
 // both must refuse), a bad size, a lone %, CR-LF line endings, a line of
 // nothing but separators and a line of two fields.
@@ -63,6 +67,23 @@ func FuzzManifest(f *testing.F) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("ParseManifest made %q, the field-splitting parser %q", got, want)
+		}
+
+		// Resolve, on the same bytes, against the installer's rule it took
+		// over: every name a line spells, then only those the rule finds,
+		// for a node of each kind of architecture.
+		var names []string
+		for _, e := range got {
+			if m, err := rpm.ParseNVRA(e.NVRA); err == nil {
+				names = append(names, m.Name)
+			}
+		}
+		for _, arch := range []string{rpm.ArchI386, rpm.ArchAthlon, "alpha"} {
+			best := resolveIndexRef(got, arch)
+			found := slices.DeleteFunc(slices.Clone(names), func(name string) bool { _, ok := best[name]; return !ok })
+			for _, ask := range [][]string{names, found, append(found, "no-such-package")} {
+				checkResolve(t, data, arch, ask)
+			}
 		}
 
 		// The same bytes, cut into names: up to 24 bytes each, as they come.

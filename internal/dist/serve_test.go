@@ -129,7 +129,9 @@ func TestServeWorkIndependentOfRepoSize(t *testing.T) {
 	if smallGet != largeGet {
 		t.Errorf("one GET allocates %.0f objects from 100 packages and %.0f from 10 000", smallGet, largeGet)
 	}
-	if smallBundle != largeBundle {
+	// Under the race detector sync.Pool drops a quarter of what is put back,
+	// so a bundle's count is the pooled writer's luck, not the lookup's.
+	if smallBundle != largeBundle && !raceEnabled {
 		t.Errorf("one bundle of three allocates %.0f objects from 100 packages and %.0f from 10 000", smallBundle, largeBundle)
 	}
 }

@@ -537,55 +537,16 @@ func applyPartitioning(n *node.Node, p *kickstart.Profile, screen io.Writer) err
 	return nil
 }
 
-// resolveIndex asks the fetcher for the distribution's manifest and resolves
-// the newest compatible version of every package name. The entries carry
-// the sizes (for progress accounting) and the payload digest every fetched
-// body must match.
-func resolveIndex(ctx context.Context, f *dist.Fetcher, distURL, arch string) (map[string]dist.ManifestEntry, error) {
-	entries, err := f.Index(ctx, distURL)
-	if err != nil {
-		return nil, err
-	}
-	best := make(map[string]dist.ManifestEntry, len(entries))
-	for _, e := range entries {
-		m, err := rpm.ParseNVRA(e.NVRA)
-		if err != nil || !rpm.ArchCompatible(arch, m.Arch) {
-			continue
-		}
-		if cur, ok := best[m.Name]; ok {
-			if c, _ := rpm.ParseNVRA(cur.NVRA); rpm.Compare(m.Version, c.Version) <= 0 {
-				continue
-			}
-		}
-		best[m.Name] = e
-	}
-	return best, nil
-}
-
-// resolveEntries looks every package name up in the resolved index, in
-// profile order. A name the distribution does not carry fails here, naming
-// the package, before anything is asked of a source.
-func resolveEntries(best map[string]dist.ManifestEntry, names []string) ([]dist.ManifestEntry, error) {
-	entries := make([]dist.ManifestEntry, len(names))
-	for i, name := range names {
-		e, ok := best[name]
-		if !ok {
-			return nil, fmt.Errorf("installer: package %q not present in distribution", name)
-		}
-		entries[i] = e
-	}
-	return entries, nil
-}
-
 // installPackages resolves the profile's package names against the served
 // distribution (newest version per name), asks a source for all of them in
 // one stream, and unpacks each one as it arrives verified.
 func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetcher, p *kickstart.Profile, distURL string, screen io.Writer, ekvSrv *ekv.Server) (int, int64, error) {
 	n.ResetPackageDB()
-	best, err := resolveIndex(ctx, f, distURL, n.HW.Arch)
-	if err != nil {
-		return 0, 0, err
-	}
+	names := p.Packages
+	// One entry per name, in profile order, carrying the size and the
+	// payload digest its body must match. A name the distribution does not
+	// carry fails here, before anything is asked of a source.
+	entries, err := f.Resolve(ctx, distURL, n.HW.Arch, names)
 
 	// Ask the relay registry for peer sources (best-effort): packages are
 	// then streamed peer-first with the frontend as fallback. Every body is
@@ -597,14 +558,7 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 		fmt.Fprintf(screen, "relay registry offered %d peer source(s)\n", len(srcs.peers))
 	}
 
-	names := p.Packages
-	var total int64
-	// The Figure 7 status panel's Total/Completed/Remaining accounting:
-	// package sizes come from the manifest when the server provides one.
-	var grandTotal int64
-	for _, name := range names {
-		grandTotal += best[name].Size
-	}
+	var total, grandTotal int64 // Figure 7's Completed and Total bytes, by the manifest
 	start := time.Now()
 	done := 0 // packages on the disk; the stream resumes here
 	unpack := func(pkg *rpm.Package) error {
@@ -623,22 +577,20 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 		}
 		return nil
 	}
-
-	// fetchRest streams names[done:] onto the disk, resumed where it stops
-	// under the budget of the package it stopped at (dist.Fetcher.Stream).
-	fetchRest := func() error {
-		rest, err := resolveEntries(best, names[done:])
-		if err != nil {
-			return err
-		}
-		return f.Stream(ctx, rest, func(rest []dist.ManifestEntry) (int, error) {
-			before := done
-			err := streamVerified(ctx, n, cfg, f, screen, srcs, rest, unpack)
-			return done - before, err
-		})
-	}
 	for {
-		err := fetchRest()
+		if err == nil {
+			grandTotal = 0
+			for _, e := range entries {
+				grandTotal += e.Size
+			}
+			// Stream entries[done:] onto the disk, resumed where it stops
+			// under the budget of the package it stopped at.
+			err = f.Stream(ctx, entries[done:], func(rest []dist.ManifestEntry) (int, error) {
+				before := done
+				err := streamVerified(ctx, n, cfg, f, screen, srcs, rest, unpack)
+				return done - before, err
+			})
+		}
 		if err == nil {
 			break
 		}
@@ -650,7 +602,7 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 		}
 		// The eKV keyboard gives the administrator a chance to fix the
 		// distribution and retry without restarting the install.
-		if cfg.InteractiveRetryWait <= 0 || ekvSrv == nil {
+		if cfg.InteractiveRetryWait <= 0 || ekvSrv == nil || done == len(names) {
 			return done, total, err
 		}
 		fmt.Fprintf(screen, "FAILED: %v\ntype 'retry' to resume at %s, 'abort' to give up\n", err, names[done])
@@ -658,10 +610,8 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 			return done, total, err
 		}
 		fmt.Fprintf(screen, "resuming at %s\n", names[done])
-		// Refresh the index: the fix may be a new package.
-		if refreshed, rerr := resolveIndex(ctx, f, distURL, n.HW.Arch); rerr == nil {
-			best = refreshed
-		}
+		// Resolve again: the fix may be a new package.
+		entries, err = f.Resolve(ctx, distURL, n.HW.Arch, names)
 	}
 	fmt.Fprintf(screen, " Total  : %d packages, %dM\n", len(names), total>>20)
 	return len(names), total, nil

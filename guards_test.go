@@ -285,8 +285,8 @@ func TestStructuralGuards(t *testing.T) {
 		// Remediation is one loop (DESIGN.md §14): the supervisor probes
 		// through its monitor on its own tick and reads the classification
 		// back directly. The monitor is a classifier that starts no
-		// goroutine and owns no ticker. The listeners are the three sites
-		// the network seam will replace.
+		// goroutine and owns no ticker. The TCP listeners are the frontend's
+		// public one and eKV's; relays listen on the private network.
 		inspect(t, func(f srcFile) bool { return f.in("internal/monitor") }, func(n ast.Node) string {
 			if _, ok := n.(*ast.GoStmt); ok {
 				return "a go statement in internal/monitor; the owner's loop calls Probe"
@@ -296,10 +296,25 @@ func TestStructuralGuards(t *testing.T) {
 			}
 			return ""
 		})
-		listeners := []string{"internal/core/cluster.go", "internal/core/relay.go", "internal/ekv/ekv.go"}
+		listeners := []string{"internal/core/cluster.go", "internal/ekv/ekv.go"}
 		inspect(t, func(f srcFile) bool { return !slices.Contains(listeners, f.path) }, func(n ast.Node) string {
 			if pkgCall(n, "net", "Listen") {
-				return "a net.Listen outside the three sites the network seam will replace"
+				return "a net.Listen outside the frontend's public listener and eKV"
+			}
+			return ""
+		})
+	})
+
+	t.Run("the private network is in-process", func(t *testing.T) {
+		// internal/memnet never falls back to the kernel (DESIGN.md §8): it
+		// names no net.Listen* or net.Dial*, so no private address can reach
+		// a socket.
+		inspect(t, func(f srcFile) bool { return f.in("internal/memnet") }, func(n ast.Node) string {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "net" &&
+					(strings.HasPrefix(sel.Sel.Name, "Listen") || strings.HasPrefix(sel.Sel.Name, "Dial")) {
+					return "net." + sel.Sel.Name + " in internal/memnet; the private network opens no socket"
+				}
 			}
 			return ""
 		})

@@ -26,6 +26,7 @@ import (
 	"rocks/internal/installer"
 	"rocks/internal/kickstart"
 	"rocks/internal/lifecycle"
+	"rocks/internal/memnet"
 	"rocks/internal/metrics"
 	"rocks/internal/nfs"
 	"rocks/internal/nis"
@@ -158,6 +159,9 @@ type Cluster struct {
 	httpLn  net.Listener
 	httpSrv *http.Server
 	baseURL string
+	// private is every install's client. It dials only the private network,
+	// where httpSrv also listens at baseURL's address (DESIGN.md §8).
+	private *http.Client
 	// distSrv serves c.Dist under /install/dist/ and counts its traffic;
 	// mirror is the last parent replication pass (zero without a parent).
 	// Both feed /v1/diststats. mirrorRepo keeps the mirrored repo itself as
@@ -353,10 +357,24 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("core: frontend HTTP: %w", err)
 	}
 	c.httpLn, c.baseURL = ln, "http://"+ln.Addr().String()
+	// The private network: compute nodes reach the frontend and each other
+	// only over it, as over a Rocks cluster's private Ethernet (§5).
+	privNet := memnet.New()
+	privLn, err := privNet.Listen(ln.Addr().String())
+	if err != nil {
+		ln.Close()
+		c.DB.Close()
+		return nil, fmt.Errorf("core: frontend private listener: %w", err)
+	}
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.DialContext = privNet.DialContext
+	// As the installer's own default: a timeout per request, so per package
+	// stream — a stream it cuts short resumes where it stopped.
+	c.private = &http.Client{Timeout: 60 * time.Second, Transport: transport}
 
 	// The subsystems, each given only what it uses, then their families on
 	// the one registry and their endpoints on the one mux.
-	c.relays = newRelayRegistry(c.scope, c.DB, c.events, c.Syslog)
+	c.relays = newRelayRegistry(c.scope, c.DB, c.events, c.Syslog, privNet)
 	c.fed = newFedState(cfg, c.scope, c.events, c.metricsReg)
 	c.facts = newFactsState(c.DB, c.events, c.dir, c.fed)
 	c.reports = &reportCoalescer{ctx: ctx, db: c.DB, dhcpd: c.DHCPd, frontend: c.Frontend,
@@ -365,7 +383,7 @@ func New(cfg Config) (*Cluster, error) {
 		pbs: c.PBS, dir: c.dir, facts: c.facts, reports: c.reports, relays: c.relays,
 		frontendMAC: c.Frontend.MAC()}
 	c.registerMetrics()
-	c.startHTTP()
+	c.startHTTP(privLn)
 
 	// Install the frontend through its own services. A recovered database
 	// already holds the frontend's row; rebind it to this life's MAC (the
@@ -501,13 +519,14 @@ func (c *Cluster) boot(n *node.Node, cycle bool, failed string) {
 	})
 }
 
-// installerConfig builds the per-node install configuration. Leaving HTTP
-// nil lets the installer use its own bounded-timeout default client; under
-// fault injection each node gets a private client whose transport knows the
-// node's identities (MAC always, name and IP once assigned — a node learns
-// its hostname mid-install, so identities are late-bound).
+// installerConfig builds the per-node install configuration. Every install
+// fetches over the private network's client; under fault injection each
+// node gets its own client whose transport knows the node's identities (MAC
+// always, name and IP once assigned — a node learns its hostname
+// mid-install, so identities are late-bound) and wraps the private one.
 func (c *Cluster) installerConfig(n *node.Node) installer.Config {
 	cfg := installer.Config{
+		HTTP:         c.private,
 		Bus:          c.Bus,
 		DHCPRetry:    c.cfg.DHCPRetry,
 		DHCPTimeout:  c.cfg.DHCPTimeout,
@@ -534,10 +553,8 @@ func (c *Cluster) installerConfig(n *node.Node) installer.Config {
 	if c.cfg.Faults != nil && n != c.Frontend {
 		identities := func() []string { return []string{n.MAC(), n.Name(), n.IP()} }
 		cfg.HTTP = &http.Client{
-			// As the installer's own default: per request, so per package
-			// stream — a stream it cuts short resumes where it stopped.
-			Timeout:   60 * time.Second,
-			Transport: faults.NewTransport(c.cfg.Faults, nil, identities),
+			Timeout:   c.private.Timeout,
+			Transport: faults.NewTransport(c.cfg.Faults, c.private.Transport, identities),
 		}
 		cfg.FaultHook = faults.InstallHook(c.cfg.Faults, identities)
 		cfg.FactsHook = faults.FactsHook(c.cfg.Faults, identities)
@@ -639,6 +656,7 @@ func (c *Cluster) Close() {
 		// go dark, not half-dark.
 		c.httpSrv.Close()
 		c.httpLn.Close()
+		c.private.CloseIdleConnections()
 		c.wg.Wait()
 		// Last: a final snapshot bounds the next Open's replay. After wg.Wait
 		// no cluster goroutine can still be writing.

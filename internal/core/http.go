@@ -17,7 +17,8 @@ import (
 	"rocks/internal/node"
 )
 
-// startHTTP serves the frontend's web service on its listener:
+// startHTTP serves the frontend's web service on its public listener and
+// on private, its listener on the private network:
 //
 //	/install/kickstart.cgi  — dynamic kickstart generation (§6.1)
 //	/install/dist/...       — the distribution tree (RPMs over HTTP, §5)
@@ -26,7 +27,7 @@ import (
 //	/tables/memberships     — Table III
 //	/graph.dot              — the kickstart graph (Figure 4)
 //	/metrics, /v1/...       — the scrape and the control plane
-func (c *Cluster) startHTTP() {
+func (c *Cluster) startHTTP(private net.Listener) {
 	// The shared attribute set every kickstart request substitutes. Built
 	// once: it is also the profile cache's key, and it must never be
 	// mutated per request (per-node values ride in Request.NodeAttrs).
@@ -54,14 +55,16 @@ func (c *Cluster) startHTTP() {
 	mux.HandleFunc("/metrics", c.fed.serveMetrics)
 	c.registerAdmin(mux)
 	c.httpSrv = &http.Server{Handler: mux}
-	c.spawn(func() {
-		// Serve only returns on listener failure or shutdown; anything but
-		// the expected close is worth a syslog line, not silence.
-		if err := c.httpSrv.Serve(c.httpLn); err != nil &&
-			!errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
-			c.Syslog.Log("frontend-0", "httpd", "frontend HTTP serve: %v", err)
-		}
-	})
+	for _, ln := range []net.Listener{c.httpLn, private} {
+		c.spawn(func() {
+			// Serve only returns on listener failure or shutdown; anything but
+			// the expected close is worth a syslog line, not silence.
+			if err := c.httpSrv.Serve(ln); err != nil &&
+				!errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
+				c.Syslog.Log("frontend-0", "httpd", "frontend HTTP serve: %v", err)
+			}
+		})
+	}
 }
 
 func writeReport(w http.ResponseWriter, report string, err error) {

@@ -135,22 +135,31 @@ func TestAdminEventsFilters(t *testing.T) {
 // TestCloseReapsAllGoroutines: Close cancels the cluster's root context,
 // which must reap a running supervisor nobody stopped and an installer
 // parked in its DHCP discover loop. A monitor has no goroutine of its own to
-// leak. CI runs this under -race.
+// leak. With relays on, the private network's serve loops and connections,
+// to the frontend and to a relay, must end too. CI runs this under -race.
 func TestCloseReapsAllGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	c, err := New(Config{
-		Name:        "leak",
-		DHCPRetry:   2 * time.Millisecond,
-		DHCPTimeout: time.Hour, // only cancellation can end the stray's loop
+		Name:         "leak",
+		DHCPRetry:    2 * time.Millisecond,
+		DHCPTimeout:  time.Hour, // only cancellation can end the stray's loop
+		EnableRelays: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := []hardware.Profile{hardware.PIIICompute(c.MACs(), 733)}
-	if _, err := c.IntegrateNodes(profiles, clusterdb.MembershipCompute, 0, integrationTimeout); err != nil {
+	// One node at a time, so the second installs from the first's relay.
+	for range 2 {
+		profiles := []hardware.Profile{hardware.PIIICompute(c.MACs(), 733)}
+		if _, err := c.IntegrateNodes(profiles, clusterdb.MembershipCompute, 0, integrationTimeout); err != nil {
+			c.Close()
+			t.Fatal(err)
+		}
+	}
+	if c.installStats.PeerFetches.Load() == 0 {
 		c.Close()
-		t.Fatal(err)
+		t.Fatal("the second install fetched nothing from the first node's relay")
 	}
 
 	// The leak sources Close must reap on its own: a supervisor's loop, and
@@ -177,12 +186,11 @@ func TestCloseReapsAllGoroutines(t *testing.T) {
 		t.Error("stray node came up without a DHCP binding")
 	}
 
-	// The count settles back to the pre-cluster baseline. Idle HTTP
-	// keep-alive connections from the installs are the one legitimate
-	// straggler, so flush them while waiting.
+	// The count settles back to the pre-cluster baseline. Close has closed
+	// every connection the installs made, pooled ones included; their
+	// goroutines need only time to see it.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		if g := runtime.NumGoroutine(); g <= before {
 			return
 		}

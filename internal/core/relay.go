@@ -13,6 +13,7 @@ import (
 	"rocks/internal/dist"
 	"rocks/internal/installer"
 	"rocks/internal/lifecycle"
+	"rocks/internal/memnet"
 	"rocks/internal/metrics"
 	"rocks/internal/rpm"
 	"rocks/internal/syslogd"
@@ -34,25 +35,27 @@ import (
 // successive installers across the live relay population.
 const maxRelaySources = 8
 
-// relayEntry is one live relay: a loopback HTTP listener serving the node's
-// verified package tree at the same RPMS/manifest endpoints as the frontend.
+// relayEntry is one live relay: an HTTP server on the private network
+// serving the node's verified package tree at the same RPMS/manifest
+// endpoints as the frontend.
 type relayEntry struct {
-	mac  string
-	name string
-	url  string
-	rack int // the relay node's rack, -1 when unknown
-	srv  *dist.Server
-	ln   net.Listener
+	mac     string
+	name    string
+	url     string
+	rack    int // the relay node's rack, -1 when unknown
+	srv     *dist.Server
+	httpSrv *http.Server
 }
 
 // relayRegistry tracks which nodes currently re-serve their install trees.
 // It announces relay-up and relay-down on the lifecycle bus and reads
 // nothing from it.
 type relayRegistry struct {
-	run    scope
-	db     *clusterdb.Database
-	events *lifecycle.Bus
-	log    *syslogd.Collector
+	run     scope
+	db      *clusterdb.Database
+	events  *lifecycle.Bus
+	log     *syslogd.Collector
+	private *memnet.Network // relays listen here; installers dial it
 
 	mu      sync.Mutex
 	closed  bool
@@ -70,9 +73,9 @@ type relayRegistry struct {
 
 // newRelayRegistry builds the registry. It exists whether or not relays are
 // enabled; with them off no install expects a store, so it serves nothing.
-func newRelayRegistry(run scope, db *clusterdb.Database, events *lifecycle.Bus, log *syslogd.Collector) *relayRegistry {
+func newRelayRegistry(run scope, db *clusterdb.Database, events *lifecycle.Bus, log *syslogd.Collector, private *memnet.Network) *relayRegistry {
 	return &relayRegistry{
-		run: run, db: db, events: events, log: log,
+		run: run, db: db, events: events, log: log, private: private,
 		pending: make(map[string]*rpm.Repository),
 		live:    make(map[string]*relayEntry),
 	}
@@ -91,8 +94,8 @@ func (r *relayRegistry) expect(mac string, store *rpm.Repository) {
 }
 
 // promote turns a completed install's package store into a serving relay on
-// its own loopback listener. A node with no pending store (the frontend, or
-// a relay-disabled install) is ignored.
+// its own listener on the private network. A node with no pending store
+// (the frontend, or a relay-disabled install) is ignored.
 func (r *relayRegistry) promote(mac, name string) {
 	r.mu.Lock()
 	store, ok := r.pending[mac]
@@ -105,18 +108,19 @@ func (r *relayRegistry) promote(mac, name string) {
 	if len(store.All()) == 0 {
 		return
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := r.private.Listen("127.0.0.1:0")
 	if err != nil {
 		r.log.Log("frontend-0", "relay", "cannot start relay for %s: %v", name, err)
 		return
 	}
+	srv := dist.NewRepoServer(store)
 	entry := &relayEntry{
-		mac:  mac,
-		name: name,
-		url:  "http://" + ln.Addr().String(),
-		rack: r.rackOf(mac),
-		srv:  dist.NewRepoServer(store),
-		ln:   ln,
+		mac:     mac,
+		name:    name,
+		url:     "http://" + ln.Addr().String(),
+		rack:    r.rackOf(mac),
+		srv:     srv,
+		httpSrv: &http.Server{Handler: srv},
 	}
 	r.mu.Lock()
 	if r.closed {
@@ -130,9 +134,8 @@ func (r *relayRegistry) promote(mac, name string) {
 	}
 	r.live[mac] = entry
 	r.mu.Unlock()
-	httpSrv := &http.Server{Handler: entry.srv}
 	r.run.spawn(func() {
-		if err := httpSrv.Serve(ln); err != nil &&
+		if err := entry.httpSrv.Serve(ln); err != nil &&
 			!errors.Is(err, http.ErrServerClosed) && !errors.Is(err, net.ErrClosed) {
 			r.log.Log("frontend-0", "relay", "relay %s serve: %v", name, err)
 		}
@@ -172,10 +175,12 @@ func (r *relayRegistry) withdraw(id, reason string) {
 	})
 }
 
-// retire (mu held) closes a relay's listener and folds its serve counters
-// into the cumulative retired totals so /metrics never goes backwards.
+// retire (mu held) closes a relay's server, its listener and every
+// connection to it, so a withdrawn relay serves no pooled keep-alive
+// client, and folds its serve counters into the cumulative retired totals
+// so /metrics never goes backwards.
 func (r *relayRegistry) retire(e *relayEntry) {
-	e.ln.Close()
+	e.httpSrv.Close()
 	stats := e.srv.Stats()
 	r.retiredBytes.Add(stats.PackageBytes)
 	r.retiredReqs.Add(stats.PackageRequests)
@@ -258,14 +263,14 @@ func (r *relayRegistry) serveTotals() (requests uint64, bytes int64) {
 	return requests + r.retiredReqs.Load(), bytes + r.retiredBytes.Load()
 }
 
-// closeAll shuts every relay listener down and refuses later promotions;
+// closeAll shuts every relay server down and refuses later promotions;
 // called from Cluster.Close before the WaitGroup drain.
 func (r *relayRegistry) closeAll() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.closed = true
 	for mac, e := range r.live {
-		e.ln.Close()
+		e.httpSrv.Close()
 		delete(r.live, mac)
 	}
 }

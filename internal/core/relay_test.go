@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -364,5 +365,94 @@ func TestRelayWithdrawnWhereServingStops(t *testing.T) {
 	dark.PowerOff()
 	if down := waitRelayEvent(t, c, lifecycle.EventRelayDown, dark.Name(), since); down.Detail != "went dark" {
 		t.Errorf("relay-down detail = %q, want went dark", down.Detail)
+	}
+}
+
+// TestWithdrawnRelayStopsServing: withdrawing a relay closes its server, not
+// only its listener, so a client holding a pooled keep-alive connection to
+// it gets nothing more from it.
+func TestWithdrawnRelayStopsServing(t *testing.T) {
+	c := newRelayCluster(t, nil)
+	store := rpm.NewRepository("held")
+	store.Add(c.Dist.Repo.All()[0])
+	const mac, name = "02:ee:00:00:01:00", "held-0-0"
+	c.relays.expect(mac, store)
+	c.relays.promote(mac, name)
+	srcs := c.relays.sources(-1)
+	if len(srcs) != 1 {
+		t.Fatalf("sources after promote = %+v, want the one relay", srcs)
+	}
+	manifest := srcs[0].URL + "/RedHat/base/manifest"
+	get := func() error {
+		resp, err := c.private.Get(manifest)
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: %s", manifest, resp.Status)
+		}
+		return nil
+	}
+	// The body read to its end returns the connection to the client's pool.
+	if err := get(); err != nil {
+		t.Fatalf("live relay: %v", err)
+	}
+	c.relays.withdraw(mac, "reinstalling")
+	if err := get(); err == nil {
+		t.Fatal("a withdrawn relay answered a client that held a connection to it")
+	}
+}
+
+// TestInstallsUseOnlyThePrivateNetwork: with the frontend's public listener
+// closed, installs still come up. Every request an install makes rides the
+// private network: kickstart, manifest, bundle, /v1/relays and /v1/facts,
+// to the frontend and to relays, fault-injected ones included.
+func TestInstallsUseOnlyThePrivateNetwork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node live integration")
+	}
+	privateOnly := func(inj *faults.Injector) *Cluster {
+		c := newRelayCluster(t, inj)
+		if err := c.httpLn.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A pooled keep-alive connection would outlive the listener.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		return c
+	}
+
+	c := privateOnly(nil)
+	first := addComputes(t, c, 1)[0]
+	waitRelayEvent(t, c, lifecycle.EventRelayUp, first.Name(), 0)
+	// A relay-sourced install.
+	addComputes(t, c, 1)
+	if c.installStats.PeerFetches.Load() == 0 {
+		t.Error("the second install fetched nothing from the first node's relay")
+	}
+	// A fault-free reinstall.
+	since := c.Events().Seq()
+	if err := c.ShootNode(first.Name()); err != nil {
+		t.Fatal(err)
+	}
+	waitRelayEvent(t, c, lifecycle.EventUp, first.Name(), since)
+	if got := first.Installs(); got != 2 {
+		t.Errorf("%s installed %d times, want 2", first.Name(), got)
+	}
+
+	// A faulted install: the fault transport wraps the private one and
+	// still tears the kickstart response it passes through.
+	inj := faults.NewInjector(11)
+	inj.AddRule(faults.Rule{Op: faults.OpHTTPKickstart, Count: 1, Mode: faults.ModeTruncate})
+	f := privateOnly(inj)
+	addComputes(t, f, 1)
+	if got := inj.CountOp(faults.OpHTTPKickstart); got != 1 {
+		t.Errorf("kickstart faults injected = %d, want 1", got)
+	}
+	if f.installStats.FetchRetries.Load() == 0 {
+		t.Error("the torn kickstart was not retried")
 	}
 }

@@ -39,8 +39,8 @@ import (
 
 // ClientIPHeader carries the installing node's DHCP-assigned address to the
 // kickstart CGI. The real CGI keys on the TCP source address (§6.1); every
-// simulated node shares the loopback interface, so the address travels in a
-// header instead. The CGI prefers it over RemoteAddr.
+// simulated node dials from one host, so the address travels in a header
+// instead. The CGI prefers it over RemoteAddr.
 const ClientIPHeader = "X-Rocks-Client-IP"
 
 // Config wires an installation run to the cluster's services.

@@ -2,6 +2,7 @@ package clusterdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,6 +69,9 @@ type Database struct {
 	// allocation cursor: probes per allocation stays near 1 while the cursor
 	// holds.
 	allocProbes atomic.Uint64
+	// updateVisits counts the rows UPDATEs evaluated their WHERE on: every
+	// row of the table for a scan, each candidate when an index covers it.
+	updateVisits atomic.Uint64
 }
 
 // New creates an empty database.
@@ -78,10 +82,11 @@ func New() *Database {
 }
 
 // SetIndexRouting enables or disables the planner's use of hash indexes for
-// SELECTs. Indexes and the allocation cursor are always *maintained*
-// (uniqueness still holds, and allocation answers from the cursor either
-// way); this only routes reads back through the full-scan path — the
-// planner differential of the oracle tests and FuzzSQL.
+// SELECT and UPDATE. Indexes and the allocation cursor are always
+// *maintained* (uniqueness still holds, allocation answers from the cursor
+// and UpsertFacts finds a MAC's row through facts_mac either way); this only
+// routes statements back through the full-scan path — the planner
+// differential of the oracle tests and FuzzSQL.
 func (d *Database) SetIndexRouting(on bool) { d.indexRouting.Store(on) }
 
 // parseSQL is parse() behind the plan cache.
@@ -385,11 +390,25 @@ func (d *Database) execUpdate(s updateStmt) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("clusterdb: no such table %q", s.table)
 	}
-	env := &rowEnv{tables: []*boundTable{{alias: s.table, t: t}}}
+	env := &rowEnv{tables: []*boundTable{{alias: s.table, t: t}}, rows: make([][]Value, 1)}
 	where, vals := bound(s.where, env.tables), make([]expr, len(s.sets))
 	for i, set := range s.sets {
 		vals[i] = bound(set.val, env.tables)
 	}
+	// The planner's candidates, when an index covers the WHERE, are the rows
+	// a scan would match, in scan order: a row changes only when it is
+	// visited. They are copied, because indexUpdate edits their bucket.
+	var cand []int
+	routed := false
+	if d.indexRouting.Load() {
+		cand, routed = indexCandidates(env.tables[0], s.where)
+		cand = slices.Clone(cand)
+	}
+	n := len(t.rows)
+	if routed {
+		n = len(cand)
+	}
+	d.updateVisits.Add(uint64(n))
 	affected := 0
 	// Rows already updated stay updated when a later row errors, so the
 	// cursor rebuild must run on every way out.
@@ -399,8 +418,12 @@ func (d *Database) execUpdate(s updateStmt) (*Result, error) {
 			t.alloc.rebuild(t.rows)
 		}
 	}()
-	for ri := range t.rows {
-		env.rows = [][]Value{t.rows[ri]}
+	for i := 0; i < n; i++ {
+		ri := i
+		if routed {
+			ri = cand[i]
+		}
+		env.rows[0] = t.rows[ri]
 		match, err := holds(where, env)
 		if err != nil {
 			return nil, err
@@ -412,7 +435,7 @@ func (d *Database) execUpdate(s updateStmt) (*Result, error) {
 		// commits; within one row later SET clauses see earlier ones, the
 		// same visibility the old in-place update gave.
 		staged := append([]Value(nil), t.rows[ri]...)
-		env.rows = [][]Value{staged}
+		env.rows[0] = staged
 		for i, set := range s.sets {
 			ci := t.colIndex(set.col)
 			if ci < 0 {
@@ -538,26 +561,32 @@ func (d *Database) pointLookup(tableName, col string, v Value) (rows [][]Value, 
 	if !found {
 		return nil, false
 	}
+	bucket, ok := t.equal(col, v)
+	if !ok {
+		return nil, false
+	}
+	rows = make([][]Value, len(bucket))
+	for i, ri := range bucket {
+		rows[i] = t.rows[ri]
+	}
+	d.indexSelects.Add(1)
+	return rows, true
+}
+
+// equal returns the positions of the rows whose col equals v, in scan order,
+// from a single-column index on col. ok is false when no index covers col or
+// the probe needs a scan to be exact ('07' = 7). Callers hold mu or writeMu.
+func (t *table) equal(col string, v Value) (positions []int, ok bool) {
 	for _, ix := range t.indexes {
 		if len(ix.spec.cols) != 1 || ix.spec.cols[0] != col {
 			continue
 		}
 		var buf [64]byte
 		key, pOK, empty := canonicalKeyPart(buf[:0], t.cols[ix.colIdx[0]].Type, v)
-		if empty {
-			d.indexSelects.Add(1)
-			return nil, true
+		if empty || !pOK {
+			return nil, empty
 		}
-		if !pOK {
-			return nil, false // '07'=7-style coercion: only a scan is exact
-		}
-		bucket := ix.buckets[string(key)]
-		rows = make([][]Value, len(bucket))
-		for i, ri := range bucket {
-			rows[i] = t.rows[ri]
-		}
-		d.indexSelects.Add(1)
-		return rows, true
+		return ix.buckets[string(key)], true
 	}
 	return nil, false
 }

@@ -154,20 +154,51 @@ func appendTuple(b []byte, row []Value) []byte {
 // The text is logged and replayed like any other; the lexer and parser are
 // not asked to find the values again. The one integer the dialect cannot spell
 // (the parser reads -n as 0 - n) is refused before anything is logged.
-func literalInsert(table string, cols []string, row []Value) (insertStmt, string, error) {
+func literalInsert(table string, cols []string, row []Value) (statement, string, error) {
+	exprs, err := literalExprs(row)
+	if err != nil {
+		return nil, "", err
+	}
+	b := append(make([]byte, 0, 256), "INSERT INTO "+table+" ("+strings.Join(cols, ", ")+") VALUES "...)
+	return insertStmt{table: table, cols: cols, rows: [][]expr{exprs}}, string(appendTuple(b, row)), nil
+}
+
+// literalUpdate is literalInsert's UPDATE: the row whose first column equals
+// row[0] gets the rest of row, as "UPDATE t SET c1 = v1, ... WHERE c0 = v0".
+func literalUpdate(table string, cols []string, row []Value) (statement, string, error) {
+	exprs, err := literalExprs(row)
+	if err != nil {
+		return nil, "", err
+	}
+	st := updateStmt{table: table, sets: make([]setClause, len(cols)-1),
+		where: binaryExpr{op: "=", l: columnRef{name: cols[0]}, r: exprs[0]}}
+	b := append(make([]byte, 0, 256), "UPDATE "+table+" SET "...)
+	for i := 1; i < len(cols); i++ {
+		if i > 1 {
+			b = append(b, ", "...)
+		}
+		st.sets[i-1] = setClause{col: cols[i], val: exprs[i]}
+		b = appendLiteral(append(b, cols[i]+" = "...), row[i])
+	}
+	b = appendLiteral(append(b, " WHERE "+cols[0]+" = "...), row[0])
+	return st, string(b), nil
+}
+
+// literalExprs is each value as the expression the parser makes of its
+// literal.
+func literalExprs(row []Value) ([]expr, error) {
 	exprs := make([]expr, len(row))
 	for i, v := range row {
 		switch {
 		case v.IsInt && v.Int == math.MinInt64:
-			return insertStmt{}, "", fmt.Errorf("clusterdb: integer %d has no literal", v.Int)
+			return nil, fmt.Errorf("clusterdb: integer %d has no literal", v.Int)
 		case v.IsInt && v.Int < 0:
 			exprs[i] = binaryExpr{op: "-", l: literal{v: IntValue(0)}, r: literal{v: IntValue(-v.Int)}}
 		default:
 			exprs[i] = literal{v: v}
 		}
 	}
-	b := append(make([]byte, 0, 256), "INSERT INTO "+table+" ("+strings.Join(cols, ", ")+") VALUES "...)
-	return insertStmt{table: table, cols: cols, rows: [][]expr{exprs}}, string(appendTuple(b, row)), nil
+	return exprs, nil
 }
 
 // sqlLiteral is appendLiteral as a string, for error messages.

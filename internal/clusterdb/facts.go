@@ -2,7 +2,7 @@ package clusterdb
 
 import (
 	"fmt"
-	"strconv"
+	"strings"
 )
 
 // This file stores the facts a node's first-boot agent reports about itself
@@ -29,6 +29,8 @@ type Facts struct {
 
 const factsCols = "mac, name, arch, cpus, mem_mb, disk_type, disk_mb, nics, reported_at"
 
+var factsColNames = strings.Split(factsCols, ", ")
+
 func factsFromRow(row []Value) Facts {
 	geti := func(v Value) int { n, _ := v.AsInt(); return int(n) }
 	at, _ := row[8].AsInt()
@@ -46,25 +48,25 @@ func factsFromRow(row []Value) Facts {
 }
 
 // UpsertFacts records a node's latest report, replacing any previous row for
-// the same MAC. Both paths are plain SQL through Exec, so the write-ahead
-// log covers them.
+// the same MAC, as one operation: under one hold of writeMu it finds the
+// MAC's row through facts_mac, then logs and applies the UPDATE of that row
+// or the INSERT of a new one, so two reports for one MAC never both insert.
+// The statement is built, not parsed; its text is what the log replays.
 func UpsertFacts(db *Database, f Facts) error {
-	res, err := db.Exec(fmt.Sprintf(
-		`UPDATE facts SET name = '%s', arch = '%s', cpus = %d, mem_mb = %d,
-		 disk_type = '%s', disk_mb = %d, nics = '%s', reported_at = %s
-		 WHERE mac = '%s'`,
-		sqlEscape(f.Name), sqlEscape(f.Arch), f.CPUs, f.MemMB,
-		sqlEscape(f.DiskType), f.DiskMB, sqlEscape(f.NICs),
-		strconv.FormatInt(f.ReportedAt, 10), sqlEscape(f.MAC)))
-	if err != nil {
-		return err
+	i := func(v int) Value { return IntValue(int64(v)) }
+	row := []Value{TextValue(f.MAC), TextValue(f.Name), TextValue(f.Arch), i(f.CPUs), i(f.MemMB),
+		TextValue(f.DiskType), i(f.DiskMB), TextValue(f.NICs), IntValue(f.ReportedAt)}
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	build := literalInsert
+	if t, ok := db.tables["facts"]; ok {
+		if held, _ := t.equal("mac", row[0]); len(held) > 0 {
+			build = literalUpdate
+		}
 	}
-	if res.Affected == 0 {
-		_, err = db.Exec(fmt.Sprintf(
-			`INSERT INTO facts (%s) VALUES ('%s', '%s', '%s', %d, %d, '%s', %d, '%s', %s)`,
-			factsCols, sqlEscape(f.MAC), sqlEscape(f.Name), sqlEscape(f.Arch),
-			f.CPUs, f.MemMB, sqlEscape(f.DiskType), f.DiskMB, sqlEscape(f.NICs),
-			strconv.FormatInt(f.ReportedAt, 10)))
+	st, text, err := build("facts", factsColNames, row)
+	if err == nil {
+		_, err = db.mutateLocked(text, st)
 	}
 	return err
 }

@@ -29,8 +29,11 @@ const fuzzJoinBudget = 5000
 //     alike and leave identical dumps.
 //
 // The corpus in testdata/fuzz/FuzzSQL is differentialQueries, the paper's two
-// join queries, the DELETE whose WHERE fails part-way, the HAVING forms and
-// parser_edge_test.go's quoted-string escapes.
+// join queries, the DELETE whose WHERE fails part-way, the HAVING forms,
+// parser_edge_test.go's quoted-string escapes, and UPDATEs the planner routes
+// (update-*): one that moves its own indexed key, one of facts after an
+// INSERT, one that collides on a unique key part-way, one whose WHERE errors
+// and one that matches nothing.
 func FuzzSQL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script string) {
 		if len(script) > 2048 {

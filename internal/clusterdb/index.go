@@ -48,6 +48,9 @@ var autoIndexSpecs = map[string][]indexSpec{
 	"site": {
 		{name: "site_name", cols: []string{"name"}},
 	},
+	"facts": {
+		{name: "facts_mac", cols: []string{"mac"}},
+	},
 }
 
 // appendKeyPart appends one cell in the key encoding every hash in the

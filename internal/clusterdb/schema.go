@@ -197,7 +197,7 @@ func insertNodeLocked(db *Database, n Node) (Node, error) {
 }
 
 // nodeInsert is the INSERT of one nodes row and its text, columns as nodeCols.
-func nodeInsert(n Node) (insertStmt, string, error) {
+func nodeInsert(n Node) (statement, string, error) {
 	i := func(v int) Value { return IntValue(int64(v)) }
 	return literalInsert("nodes", nodeColNames, []Value{
 		i(n.ID), TextValue(n.MAC), TextValue(n.Name), i(n.Membership), i(n.Rack),

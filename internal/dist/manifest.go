@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"math/bits"
 	"net/url"
 	"strconv"
 	"strings"
@@ -87,6 +88,8 @@ var pathKept = func() (kept [256]bool) {
 }()
 
 // appendPathEscaped appends s as url.PathEscape spells it, making no string.
+// Byte by byte: a manifest line's pieces average four bytes, too short for a
+// copy per run of kept bytes (a memmove call each) to pay.
 func appendPathEscaped(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; pathKept[c] {
@@ -135,6 +138,40 @@ func cutField(s string) (field, rest string) {
 	return s[start:], ""
 }
 
+// wholeFields splits a line of four runs of printable ASCII with one space
+// between them, as FormatManifest writes every line, where cutField would.
+// It reports false for any other line, which cutField then reads.
+func wholeFields(line string, fields *[4]string) bool {
+	n, start := 0, 0
+	for i := printable(line); i < len(line); i += 1 + printable(line[i+1:]) {
+		if line[i] != ' ' || i == start || n == len(fields)-1 {
+			return false
+		}
+		fields[n], n, start = line[start:i], n+1, i+1
+	}
+	fields[n] = line[start:]
+	return n == len(fields)-1 && start < len(line)
+}
+
+// printable is how many of s's leading bytes are printable ASCII, '!' to
+// '~', eight at a time: the lowest byte out of range sets its top bit in x,
+// x-'!' or x+1, and no byte below it borrows or carries.
+func printable(s string) int {
+	const ones = 0x0101010101010101
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		x := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		if out := (x | (x - '!'*ones) | (x + ones)) & (0x80 * ones); out != 0 {
+			return i + bits.TrailingZeros64(out)/8
+		}
+	}
+	for i < len(s) && s[i]-'!' <= '~'-'!' {
+		i++
+	}
+	return i
+}
+
 // scanManifest is the one manifest parser: it walks the text once and hands
 // each line's entry, its strings pieces of the text, to each. Blank lines
 // are skipped; a line of fewer than four fields (an entry without a digest
@@ -144,12 +181,14 @@ func scanManifest(text string, each func(ManifestEntry)) error {
 		var line string
 		line, text, _ = strings.Cut(text, "\n")
 		var fields [4]string
-		n, rest := 0, line
-		for n < len(fields) {
-			if fields[n], rest = cutField(rest); fields[n] == "" {
-				break
+		n := len(fields)
+		if !wholeFields(line, &fields) {
+			rest := line
+			for n = 0; n < len(fields); n++ {
+				if fields[n], rest = cutField(rest); fields[n] == "" {
+					break
+				}
 			}
-			n++
 		}
 		if n == 0 {
 			continue
@@ -191,7 +230,7 @@ func Resolve(manifest []byte, arch string, names []string) ([]ManifestEntry, err
 	for i := len(names) - 1; i >= 0; i-- {
 		first[names[i]] = i
 	}
-	// A view, not a copy: what is kept of it is cloned below.
+	// A view, not a copy: what is kept of it is copied out below.
 	text := unsafe.String(unsafe.SliceData(manifest), len(manifest))
 	entries := make([]ManifestEntry, len(names))
 	if err := scanManifest(text, func(e ManifestEntry) {
@@ -209,14 +248,32 @@ func Resolve(manifest []byte, arch string, names []string) ([]ManifestEntry, err
 	}); err != nil {
 		return nil, Transient(err)
 	}
+	// Only a name's first ask holds its winner: the others and the missing
+	// names are empty.
+	size := 0
 	for i, name := range names {
-		if e := &entries[i]; first[name] < i {
-			*e = entries[first[name]]
-		} else if e.NVRA == "" { // in the words the installer has always used
+		if e := &entries[i]; e.NVRA != "" {
+			size += len(e.NVRA) + len(e.Digest) + len(e.Source)
+		} else if first[name] == i { // in the words the installer has always used
 			return nil, fmt.Errorf("installer: package %q not present in distribution", name)
+		}
+	}
+	var kept strings.Builder // every winner's strings, in one allocation
+	kept.Grow(size)
+	for i, name := range names {
+		if e := &entries[i]; e.NVRA != "" {
+			e.NVRA, e.Digest, e.Source = keep(&kept, e.NVRA), keep(&kept, e.Digest), keep(&kept, e.Source)
 		} else {
-			e.NVRA, e.Digest, e.Source = strings.Clone(e.NVRA), strings.Clone(e.Digest), strings.Clone(e.Source)
+			*e = entries[first[name]]
 		}
 	}
 	return entries, nil
+}
+
+// keep appends s to b and returns the copy. Bytes a Builder holds are never
+// written again, so the copy stays valid as b grows.
+func keep(b *strings.Builder, s string) string {
+	b.WriteString(s)
+	all := b.String()
+	return all[len(all)-len(s):]
 }

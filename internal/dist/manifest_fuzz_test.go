@@ -57,7 +57,9 @@ func parseManifestFields(data []byte) ([]ManifestEntry, error) {
 // refuse in its words. The corpus in testdata/fuzz/FuzzManifest is the
 // synthetic distribution's manifest, a pre-digest three-field line (which
 // both must refuse), a bad size, a lone %, CR-LF line endings, a line of
-// nothing but separators and a line of two fields.
+// nothing but separators and a line of two fields, and one file (fast-*) for
+// each way a line misses the scanner's whole-field path: two spaces, a tab, a
+// byte that is not ASCII, a space at either end, a % escape and a fifth field.
 func FuzzManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ParseManifest(data)

@@ -157,9 +157,9 @@ func TestResolveRule(t *testing.T) {
 
 // TestResolveCostsWhatItKeeps: resolving the synthetic compute profile
 // against the synthetic manifest allocates little beyond what it returns —
-// the entries and their strings — however much of the text it walks; the
-// reference path, which keeps every entry and a map of every name, is
-// logged beside it.
+// the entries and their strings — however much of the text it walks, and as
+// many times for the whole profile as for a tenth of it; the reference path,
+// which keeps every entry and a map of every name, is logged beside it.
 func TestResolveCostsWhatItKeeps(t *testing.T) {
 	d := Build("d", kickstart.DefaultFramework(), Source{"redhat", SyntheticRedHat()})
 	profile, err := d.Framework.Generate(kickstart.Request{Appliance: "compute", Arch: "i386",
@@ -192,6 +192,12 @@ func TestResolveCostsWhatItKeeps(t *testing.T) {
 		len(entries), len(text), got, float64(got)/float64(kept), kept, ref, float64(ref)/float64(kept))
 	if got > 2*kept {
 		t.Errorf("Resolve allocates %d bytes a call, more than twice the %d it returns", got, kept)
+	}
+	count := func(names []string) float64 {
+		return testing.AllocsPerRun(20, func() { Resolve(text, "i386", names) })
+	}
+	if all, tenth := count(profile.Packages), count(profile.Packages[:len(profile.Packages)/10]); all != tenth || all > 8 {
+		t.Errorf("Resolve allocates %v times for %d names and %v for %d; want the same few", all, len(profile.Packages), tenth, len(profile.Packages)/10)
 	}
 }
 

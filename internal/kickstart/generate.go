@@ -2,7 +2,6 @@ package kickstart
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -423,12 +422,4 @@ func (p *Profile) CommandValue(directive string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// SortedPackages returns the package list sorted (Render preserves
-// traversal order; comparisons in tests want a canonical order).
-func (p *Profile) SortedPackages() []string {
-	out := append([]string(nil), p.Packages...)
-	sort.Strings(out)
-	return out
 }

@@ -57,12 +57,13 @@ func (m Metadata) NVRA() string {
 
 // NVRAPieces is the NVRA in the pieces NVRA joins, separators included, for
 // comparing (IsNVRA) or writing (a manifest line) one without building it.
-func (m Metadata) NVRAPieces() [7]string {
+// It and IsNVRA take a pointer, so a call copies no Metadata.
+func (m *Metadata) NVRAPieces() [7]string {
 	return [...]string{m.Name, "-", m.Version.Version, "-", m.Version.Release, ".", m.Arch}
 }
 
 // IsNVRA reports whether s is the package's NVRA: exactly when s == m.NVRA().
-func (m Metadata) IsNVRA(s string) bool {
+func (m *Metadata) IsNVRA(s string) bool {
 	for _, piece := range m.NVRAPieces() {
 		var ok bool
 		if s, ok = strings.CutPrefix(s, piece); !ok {

@@ -344,9 +344,6 @@ func (f *Flow) Rate() float64 {
 	return f.rate
 }
 
-// Elapsed returns how long the flow has been active.
-func (f *Flow) Elapsed() float64 { return f.sim.now - f.start }
-
 // finishIn is how long the flow takes to finish at its rate: +Inf if never.
 func (f *Flow) finishIn() float64 {
 	if f.rate > 0 {

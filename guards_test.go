@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -333,6 +334,68 @@ func TestStructuralGuards(t *testing.T) {
 		})
 	})
 
+	t.Run("the frontend reaches a machine through the floor", func(t *testing.T) {
+		// internal/core holds a simulated machine in one file (DESIGN.md §14).
+		// Outside floor.go no non-test file names package node but node.Disk
+		// (the frontend disk the reports write) and, in cluster.go, the
+		// Cluster.Frontend field and its construction in New; and none calls
+		// NodeByName, Nodes, IntegrateNodes or WaitState, which would hold a
+		// machine through type inference. The rest of the frontend resolves a
+		// hostname through the database and pings, execs or cycles.
+		godsEye := []string{"NodeByName", "Nodes", "IntegrateNodes", "WaitState"}
+		for _, f := range files {
+			if f.ast == nil || !f.in("internal/core") || f.path == "internal/core/floor.go" {
+				continue
+			}
+			pkgs := map[string]bool{}
+			for _, imp := range f.ast.Imports {
+				name := path.Base(strings.Trim(imp.Path.Value, `"`))
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				pkgs[name] = true
+			}
+			isPkg := func(e ast.Expr) bool {
+				id, ok := e.(*ast.Ident)
+				return ok && id.Obj == nil && pkgs[id.Name]
+			}
+			frontend := func(names ...*ast.Ident) bool {
+				return f.path == "internal/core/cluster.go" && len(names) == 1 && names[0].Name == "Frontend"
+			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				why := ""
+				switch x := n.(type) {
+				case *ast.Field:
+					return !frontend(x.Names...)
+				case *ast.KeyValueExpr:
+					key, _ := x.Key.(*ast.Ident)
+					return key == nil || !frontend(key)
+				case *ast.SelectorExpr:
+					if id, ok := x.X.(*ast.Ident); ok && id.Name == "node" && isPkg(id) && x.Sel.Name != "Disk" {
+						why = "node." + x.Sel.Name + " outside floor.go; reach a machine through the floor"
+					}
+				case *ast.CallExpr:
+					var name string
+					switch fn := x.Fun.(type) {
+					case *ast.Ident:
+						name = fn.Name
+					case *ast.SelectorExpr:
+						if !isPkg(fn.X) {
+							name = fn.Sel.Name
+						}
+					}
+					if slices.Contains(godsEye, name) {
+						why = "a call to " + name + " outside floor.go; resolve the host through the database and ping, exec or cycle"
+					}
+				}
+				if why != "" {
+					t.Errorf("%s: %s", fset.Position(n.Pos()), why)
+				}
+				return true
+			})
+		}
+	})
+
 	t.Run("retired names", func(t *testing.T) {
 		// By where each may not appear.
 		goFile := func(f srcFile) bool { return f.isGo() }
@@ -357,6 +420,7 @@ func TestStructuralGuards(t *testing.T) {
 			{`NewMaui|\*Maui\)`, goFile, "a scheduling pass is pbs.Server.Schedule, run inline by comeUp and ReinstallCluster"},
 			{`rexec\.RunParallel|func RunParallel|TagOutput|RexecDaemons`, goFile, "a parallel run is cluster-fork (ctools.Fork) or mpirun"},
 			{`faults\.Middleware|func Middleware\(`, goFile, "HTTP faults are injected client-side, by faults.NewTransport"},
+			{`ComputeNodeNames|EventsFor|displayName`, goFile, "a node's name comes from its database row, compute nodes from cluster-fork's default query, and a node's supervisor events from the bus"},
 		} {
 			re := regexp.MustCompile(r.pattern)
 			for _, f := range files {

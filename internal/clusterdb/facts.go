@@ -48,23 +48,28 @@ func factsFromRow(row []Value) Facts {
 }
 
 // UpsertFacts records a node's latest report, replacing any previous row for
-// the same MAC, as one operation: under one hold of writeMu it finds the
-// MAC's row through facts_mac, then logs and applies the UPDATE of that row
-// or the INSERT of a new one, so two reports for one MAC never both insert.
-// The statement is built, not parsed; its text is what the log replays.
+// the same MAC, as one upsert keyed by MAC (facts_mac).
 func UpsertFacts(db *Database, f Facts) error {
 	i := func(v int) Value { return IntValue(int64(v)) }
-	row := []Value{TextValue(f.MAC), TextValue(f.Name), TextValue(f.Arch), i(f.CPUs), i(f.MemMB),
-		TextValue(f.DiskType), i(f.DiskMB), TextValue(f.NICs), IntValue(f.ReportedAt)}
+	return upsert(db, "facts", factsColNames, []Value{TextValue(f.MAC), TextValue(f.Name), TextValue(f.Arch),
+		i(f.CPUs), i(f.MemMB), TextValue(f.DiskType), i(f.DiskMB), TextValue(f.NICs), IntValue(f.ReportedAt)})
+}
+
+// upsert writes row, whose first column is the key, as one operation: under
+// one hold of writeMu it finds the key's row through that column's index,
+// then logs and applies the UPDATE of that row or the INSERT of a new one, so
+// two writers of one key never both insert. The statement is built, not
+// parsed; its text is what the log replays.
+func upsert(db *Database, table string, cols []string, row []Value) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	build := literalInsert
-	if t, ok := db.tables["facts"]; ok {
-		if held, _ := t.equal("mac", row[0]); len(held) > 0 {
+	if t, ok := db.tables[table]; ok {
+		if held, _ := t.equal(cols[0], row[0]); len(held) > 0 {
 			build = literalUpdate
 		}
 	}
-	st, text, err := build("facts", factsColNames, row)
+	st, text, err := build(table, cols, row)
 	if err == nil {
 		_, err = db.mutateLocked(text, st)
 	}

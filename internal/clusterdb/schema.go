@@ -362,19 +362,13 @@ func SiteValue(db *Database, name string) (string, error) {
 }
 
 // SetSiteValue writes one site-configuration attribute, inserting or
-// updating as needed.
+// updating as needed: one upsert keyed by name (site_name), so two writers
+// of a new attribute never both insert.
 func SetSiteValue(db *Database, name, value string) error {
-	res, err := db.Exec(fmt.Sprintf("UPDATE site SET value = '%s' WHERE name = '%s'",
-		sqlEscape(value), sqlEscape(name)))
-	if err != nil {
-		return err
-	}
-	if res.Affected == 0 {
-		_, err = db.Exec(fmt.Sprintf("INSERT INTO site VALUES ('%s', '%s')",
-			sqlEscape(name), sqlEscape(value)))
-	}
-	return err
+	return upsert(db, "site", siteColNames, []Value{TextValue(name), TextValue(value)})
 }
+
+var siteColNames = []string{"name", "value"}
 
 var errIPExhausted = errors.New("clusterdb: private address space exhausted")
 
@@ -440,19 +434,6 @@ func MembershipBasename(db *Database, membership int) (string, error) {
 	}
 	first := strings.Fields(strings.ToLower(name))[0]
 	return first, nil
-}
-
-// ComputeNodeNames returns the hostnames of all nodes whose membership is
-// marked compute='yes' — the join the paper's cluster-kill example performs.
-func ComputeNodeNames(db *Database) ([]string, error) {
-	res, err := db.Query(
-		`SELECT nodes.name FROM nodes, memberships
-		 WHERE nodes.membership = memberships.id AND memberships.compute = 'yes'
-		 ORDER BY nodes.id`)
-	if err != nil {
-		return nil, err
-	}
-	return res.Strings(), nil
 }
 
 // MembershipIDByName resolves a membership name ("Compute") to its ID.

@@ -3,6 +3,7 @@ package clusterdb
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -212,17 +213,82 @@ func TestAddMembership(t *testing.T) {
 	}
 }
 
-func TestComputeNodeNames(t *testing.T) {
-	db := initDB(t)
-	InsertNode(db, Node{MAC: "a", Name: "frontend-0", Membership: MembershipFrontend, IP: "10.1.1.1"})
-	InsertNode(db, Node{MAC: "b", Name: "compute-0-0", Membership: MembershipCompute, IP: "10.0.0.2"})
-	InsertNode(db, Node{MAC: "c", Name: "compute-0-1", Membership: MembershipCompute, IP: "10.0.0.3"})
-	got, err := ComputeNodeNames(db)
-	if err != nil {
-		t.Fatal(err)
+// TestSetSiteValueIsOneRow: concurrent writers of one new attribute leave one
+// row. Two Execs, UPDATE then INSERT on no row affected, let two writers both
+// see no row and both insert.
+func TestSetSiteValueIsOneRow(t *testing.T) {
+	for trial := 0; trial < 200; trial++ {
+		db := initDB(t)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 1; g <= 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := SetSiteValue(db, "NewAttr", fmt.Sprint(g)); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if res := mustExec(t, db, "SELECT value FROM site WHERE name = 'NewAttr'"); len(res.Rows) != 1 {
+			t.Fatalf("trial %d: %d site rows named NewAttr, want one", trial, len(res.Rows))
+		}
 	}
-	if strings.Join(got, " ") != "compute-0-0 compute-0-1" {
-		t.Errorf("ComputeNodeNames = %v", got)
+}
+
+// TestSetSiteValueLog pins what a write logs — the INSERT of a new
+// attribute's row with its column list, then the UPDATE of it — and replays a
+// log the two-Exec version wrote (UPDATE, then INSERT without a column list
+// when no row changed): hostile strings leave the same database either way,
+// before and after recovery.
+func TestSetSiteValueLog(t *testing.T) {
+	built, formatted, _ := twins(t)
+	wants := []string{
+		"INSERT INTO site (name, value) VALUES ('Kickstart_Multicast', '226.117.172.185')",
+		"UPDATE site SET value = '226.117.172.185' WHERE name = 'Kickstart_Multicast'",
+	}
+	for i, want := range wants {
+		before := len(walBytes(t, built.dur.dir))
+		if err := SetSiteValue(built, "Kickstart_Multicast", "226.117.172.185"); err != nil {
+			t.Fatal(err)
+		}
+		if got := string(walBytes(t, built.dur.dir)[before:]); !strings.HasSuffix(got, want) || len(got) != 16+len(want) {
+			t.Errorf("write %d logged %q, want one record of %q", i, got, want)
+		}
+	}
+	oldSet := func(name, value string) {
+		res := mustExec(t, formatted, fmt.Sprintf("UPDATE site SET value = '%s' WHERE name = '%s'",
+			sqlEscape(value), sqlEscape(name)))
+		if res.Affected == 0 {
+			mustExec(t, formatted, fmt.Sprintf("INSERT INTO site VALUES ('%s', '%s')", sqlEscape(name), sqlEscape(value)))
+		}
+	}
+	oldSet("Kickstart_Multicast", "226.117.172.185")
+	oldSet("Kickstart_Multicast", "226.117.172.185")
+	for _, s := range hostileStrings {
+		for _, value := range []string{s, s + s} {
+			if err := SetSiteValue(built, s, value); err != nil {
+				t.Fatalf("SetSiteValue(%q): %v", s, err)
+			}
+			oldSet(s, value)
+			if v, err := SiteValue(built, s); err != nil || v != value {
+				t.Fatalf("SetSiteValue(%q, %q) stored %q, %v", s, value, v, err)
+			}
+		}
+	}
+	if built.Dump() != formatted.Dump() {
+		t.Fatalf("built and formatted writes left different databases:\n%s\n---\n%s", built.Dump(), formatted.Dump())
+	}
+	for _, db := range []*Database{built, formatted} {
+		kill(db)
+		recovered, info := mustOpen(t, db.dur.dir, Options{SnapshotEvery: -1})
+		if info.ReplayErrors != 0 || recovered.Dump() != db.Dump() {
+			t.Fatalf("recovery of %s: %+v, dump differs: %v", db.dur.dir, info, recovered.Dump() != db.Dump())
+		}
+		recovered.Close()
 	}
 }
 

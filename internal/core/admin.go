@@ -13,9 +13,7 @@ import (
 	"rocks/internal/ctools"
 	"rocks/internal/dist"
 	"rocks/internal/federation"
-	"rocks/internal/hardware"
 	"rocks/internal/lifecycle"
-	"rocks/internal/node"
 )
 
 // The admin API is the simulation's control plane: what an administrator
@@ -249,89 +247,34 @@ func forkResponse(results []ctools.HostResult, killed int) ForkResponse {
 
 // opShoot reinstalls the named nodes (node=a&node=b). With watch=1 it waits
 // for the first node's eKV port and reports it so the CLI can attach; the
-// installer hands the port over itself (node.WatchEKV), so the wait cannot
-// miss a short installation. A name the cluster does not track is a 404.
+// installer hands the port over itself, so the wait cannot miss a short
+// installation, and it ends early when the client hangs up or the cluster
+// shuts down. A name the database does not hold is a 404.
 func (c *Cluster) opShoot(r *http.Request) (interface{}, *apiError) {
 	r.ParseForm()
 	names := r.Form["node"]
 	if len(names) == 0 {
 		return nil, apiErrorf(http.StatusBadRequest, "missing_parameter", "missing node parameter")
 	}
-	var watched *node.Node
-	port := make(chan string, 1)
+	var port string
+	var watched bool
+	var err error
 	if r.FormValue("watch") == "1" {
-		if n, ok := c.NodeByName(names[0]); ok {
-			watched = n
-			n.WatchEKV(func(addr string) { port <- addr })
-		}
+		watched, err = c.shootWatched(r.Context(), 10*time.Second, func(addr string) { port = addr }, names...)
+	} else {
+		err = c.ShootNode(names...)
 	}
-	if err := c.ShootNode(names...); err != nil {
-		if watched != nil {
-			watched.WatchEKV(nil)
-		}
+	if err != nil {
 		if errors.Is(err, ErrUnknownNode) {
 			return nil, apiErrorf(http.StatusNotFound, "unknown_node", "%v", err)
 		}
 		return nil, apiErrorf(http.StatusBadRequest, "shoot_failed", "%v", err)
 	}
 	resp := map[string]string{"status": "reinstalling"}
-	if watched != nil {
-		// The watch ends early when the client hangs up or the cluster shuts
-		// down — it must never pin the handler to its full deadline.
-		deadline := time.NewTimer(10 * time.Second)
-		defer deadline.Stop()
-		select {
-		case resp["ekv"] = <-port:
-		case <-deadline.C:
-		case <-r.Context().Done():
-		case <-c.ctx.Done():
-		}
-		if resp["ekv"] == "" {
-			watched.WatchEKV(nil)
-		}
+	if watched {
+		resp["ekv"] = port
 	}
 	return resp, nil
-}
-
-// opIntegrate powers on `count` new simulated machines and integrates them
-// (insert-ethers + sequential boot). Parameters: count, rack, membership,
-// mhz, wait (seconds).
-func (c *Cluster) opIntegrate(r *http.Request) (interface{}, *apiError) {
-	count, aerr := formInt(r, "count", 1, 1)
-	if aerr != nil {
-		return nil, aerr
-	}
-	rack, aerr := formInt(r, "rack", 0, 0)
-	if aerr != nil {
-		return nil, aerr
-	}
-	membership, aerr := formInt(r, "membership", clusterdb.MembershipCompute, 0)
-	if aerr != nil {
-		return nil, aerr
-	}
-	mhz, aerr := formInt(r, "mhz", 733, 1)
-	if aerr != nil {
-		return nil, aerr
-	}
-	waitSec, aerr := formInt(r, "wait", 60, 0)
-	if aerr != nil {
-		return nil, aerr
-	}
-	wait := time.Duration(waitSec) * time.Second
-
-	profiles := make([]hardware.Profile, count)
-	for i := range profiles {
-		profiles[i] = hardware.PIIICompute(c.macs, mhz)
-	}
-	nodes, err := c.IntegrateNodes(profiles, membership, rack, wait)
-	if err != nil {
-		return nil, apiErrorf(http.StatusInternalServerError, "integrate_failed", "%v", err)
-	}
-	var names []string
-	for _, n := range nodes {
-		names = append(names, n.Name())
-	}
-	return map[string]interface{}{"integrated": names}, nil
 }
 
 func (c *Cluster) opAddUser(r *http.Request) (interface{}, *apiError) {
@@ -374,13 +317,9 @@ func (c *Cluster) opReinstall(r *http.Request) (interface{}, *apiError) {
 poll:
 	for {
 		notUp = notUp[:0]
-		for _, n := range c.Nodes() {
-			if n.State() != node.StateUp {
-				name := n.Name()
-				if name == "" {
-					name = n.MAC()
-				}
-				notUp = append(notUp, name)
+		for _, mac := range c.floor.macs() {
+			if _, state := c.floor.ping(mac); state != hostUp {
+				notUp = append(notUp, hostname(c.DB, mac))
 			}
 		}
 		if len(notUp) == 0 || !time.Now().Before(deadline) {
@@ -472,7 +411,7 @@ func (c *Cluster) opEvents(r *http.Request) (interface{}, *apiError) {
 	}
 	var f lifecycle.Filter
 	if nodeID := r.FormValue("node"); nodeID != "" {
-		f = c.dir.filter(nodeID)
+		f = nodeFilter(c.DB, nodeID)
 	}
 	f.Type = lifecycle.EventType(r.FormValue("type"))
 	f.Phase = lifecycle.Phase(r.FormValue("phase"))

@@ -161,7 +161,7 @@ func TestKickstartCGIErrors(t *testing.T) {
 		t.Errorf("adduser without name: %d", code)
 	}
 	// Ping for unknown host.
-	if ok, detail := c.dir.ping("nobody"); ok || detail != "unknown host" {
+	if ok, detail := c.floor.ping("nobody"); ok || detail != "unknown host" {
 		t.Errorf("Ping(nobody) = %v %q", ok, detail)
 	}
 }

@@ -127,7 +127,8 @@ func (s scope) spawn(f func()) {
 
 // Cluster is a running Rocks cluster. It is the composition root: it builds
 // the services and the subsystems below, wires them, owns the Close order,
-// and runs the node lifecycle proper (power-on, boot, come-up, the CGI).
+// and serves the frontend (the CGI, the control plane). The machines and
+// their lifecycle (power-on, boot, come-up) are the floor's (floor.go).
 type Cluster struct {
 	cfg Config
 
@@ -176,6 +177,7 @@ type Cluster struct {
 
 	// The subsystems (DESIGN.md §14). Each owns its state, its lock, its /v1
 	// endpoints and its /metrics families, and takes only what it uses.
+	floor   *floor
 	dir     *directory
 	relays  *relayRegistry
 	fed     *fedState
@@ -299,6 +301,7 @@ func New(cfg Config) (*Cluster, error) {
 	} else {
 		c.DB = clusterdb.New()
 	}
+	c.floor = newFloor(c.DB)
 	// InitSchema is idempotent: on a recovered database (even one that
 	// crashed mid-bootstrap) it fills in only what is missing.
 	if err := clusterdb.InitSchema(c.DB); err != nil {
@@ -334,16 +337,9 @@ func New(cfg Config) (*Cluster, error) {
 			t = lifecycle.EventPowerCycleFailed
 			detail = fmt.Sprintf("outlet %d: %v", outlet, err)
 		}
-		e := lifecycle.Event{Phase: lifecycle.PhaseRemediate, Type: t, Source: "pdu", Detail: detail}
-		// Outlets are labeled by MAC; surface the hostname when one exists.
-		e.Node = label
-		if n, ok := c.dir.machine(label); ok {
-			e.MAC = label
-			if name := n.Name(); name != "" {
-				e.Node = name
-			}
-		}
-		c.events.Publish(e)
+		// Outlets are labeled by MAC; name the node from its row.
+		c.events.Publish(lifecycle.Event{Node: hostname(c.DB, label), MAC: label,
+			Phase: lifecycle.PhaseRemediate, Type: t, Source: "pdu", Detail: detail})
 	})
 
 	// The frontend's address comes first: the subsystems hand it out.
@@ -376,11 +372,11 @@ func New(cfg Config) (*Cluster, error) {
 	// the one registry and their endpoints on the one mux.
 	c.relays = newRelayRegistry(c.scope, c.DB, c.events, c.Syslog, privNet)
 	c.fed = newFedState(cfg, c.scope, c.events, c.metricsReg)
-	c.facts = newFactsState(c.DB, c.events, c.dir, c.fed)
-	c.reports = &reportCoalescer{ctx: ctx, db: c.DB, dhcpd: c.DHCPd, frontend: c.Frontend,
+	c.facts = newFactsState(c.DB, c.events, c.floor, c.fed)
+	c.reports = &reportCoalescer{ctx: ctx, db: c.DB, dhcpd: c.DHCPd, disk: c.Frontend.Disk(),
 		dir: c.dir, nextServer: c.baseURL, log: c.Syslog}
 	c.remedy = &remediation{run: c.scope, events: c.events, log: c.Syslog, db: c.DB, pdu: c.PDU,
-		pbs: c.PBS, dir: c.dir, facts: c.facts, reports: c.reports, relays: c.relays,
+		pbs: c.PBS, floor: c.floor, dir: c.dir, facts: c.facts, reports: c.reports, relays: c.relays,
 		frontendMAC: c.Frontend.MAC()}
 	c.registerMetrics()
 	c.startHTTP(privLn)
@@ -466,7 +462,29 @@ func (c *Cluster) Events() *lifecycle.Bus { return c.events }
 // result is the /v1/events?node=X view — discover through install, up,
 // dark, and remediation — in publish order.
 func (c *Cluster) NodeTimeline(hostOrMAC string) []lifecycle.Event {
-	return c.events.Recent(c.dir.filter(hostOrMAC))
+	return c.events.Recent(nodeFilter(c.DB, hostOrMAC))
+}
+
+// nodeFilter selects a node's events under both of its identities: the one
+// given and, when a database row holds it, the other (its MAC for a
+// hostname, its hostname for a MAC).
+func nodeFilter(db *clusterdb.Database, hostOrMAC string) lifecycle.Filter {
+	f := lifecycle.Filter{Node: hostOrMAC}
+	if row, ok, err := clusterdb.NodeByName(db, hostOrMAC); err == nil && ok {
+		f.Alias = row.MAC
+	} else {
+		f.Alias = hostname(db, hostOrMAC)
+	}
+	return f
+}
+
+// hostname names the node at mac from its database row (insert-ethers names
+// a node before its first lease), or is the MAC itself when no row holds it.
+func hostname(db *clusterdb.Database, mac string) string {
+	if row, ok, err := clusterdb.NodeByMAC(db, mac); err == nil && ok {
+		return row.Name
+	}
+	return mac
 }
 
 // Handler exposes the frontend's HTTP mux for in-process dispatch — load
@@ -483,147 +501,6 @@ func (c *Cluster) KickstartCacheStats() (hits, misses, invalidations uint64) {
 // hardware on the private segment must draw from it so addresses are
 // unique.
 func (c *Cluster) MACs() *hardware.MACAllocator { return c.macs }
-
-// trackNode registers a node in the cluster's indexes and installs its
-// reboot hook.
-func (c *Cluster) trackNode(n *node.Node) {
-	c.dir.track(n)
-	n.OnReboot = func() {
-		// The node rebooted (shoot-node, reinstall job, or plain reboot):
-		// it leaves the batch pool immediately and comes back through the
-		// boot path.
-		name := n.Name()
-		if name != "" {
-			c.PBS.UnregisterMom(name)
-		}
-		c.boot(n, false, "node "+name+" failed to boot")
-	}
-}
-
-// boot takes a node through one power-on in the background, under the root
-// scope, and logs a failure as "<failed>: <error>". A hard cycle (the PDU's,
-// the crash cart's repair) first powers the machine off and forces a
-// reinstall (§4); its goroutine marks the node booting as it starts.
-func (c *Cluster) boot(n *node.Node, cycle bool, failed string) {
-	if cycle {
-		n.PowerOff()
-		n.ForceReinstall()
-	}
-	c.spawn(func() {
-		if cycle {
-			n.SetState(node.StateBooting)
-		}
-		if err := c.bootOnce(c.ctx, n); err != nil {
-			c.Syslog.Log("frontend-0", "rocks", "%s: %v", failed, err)
-		}
-	})
-}
-
-// installerConfig builds the per-node install configuration. Every install
-// fetches over the private network's client; under fault injection each
-// node gets its own client whose transport knows the node's identities (MAC
-// always, name and IP once assigned — a node learns its hostname
-// mid-install, so identities are late-bound) and wraps the private one.
-func (c *Cluster) installerConfig(n *node.Node) installer.Config {
-	cfg := installer.Config{
-		HTTP:         c.private,
-		Bus:          c.Bus,
-		DHCPRetry:    c.cfg.DHCPRetry,
-		DHCPTimeout:  c.cfg.DHCPTimeout,
-		DisableEKV:   c.cfg.DisableEKV,
-		FetchRetries: 2,
-		FetchBackoff: c.cfg.InstallRetryBackoff,
-		Events:       c.events,
-		Stats:        &c.installStats,
-	}
-	if c.cfg.EnableRelays && n != c.Frontend {
-		// Each install accumulates its verified packages in a fresh store;
-		// bootOnce promotes it to a serving relay when the install returns.
-		store := rpm.NewRepository(n.MAC() + "-relay")
-		c.relays.expect(n.MAC(), store)
-		cfg.RelayStore = store
-	}
-	if n != c.Frontend {
-		// The first-boot facts agent: after install-complete the node
-		// probes its hardware and reports to the frontend, which diffs the
-		// report against the database's expected profile. The frontend
-		// itself does not report — it is the diffing side.
-		cfg.FrontendURL = c.baseURL
-	}
-	if c.cfg.Faults != nil && n != c.Frontend {
-		identities := func() []string { return []string{n.MAC(), n.Name(), n.IP()} }
-		cfg.HTTP = &http.Client{
-			Timeout:   c.private.Timeout,
-			Transport: faults.NewTransport(c.cfg.Faults, c.private.Transport, identities),
-		}
-		cfg.FaultHook = faults.InstallHook(c.cfg.Faults, identities)
-		cfg.FactsHook = faults.FactsHook(c.cfg.Faults, identities)
-	}
-	return cfg
-}
-
-// bootOnce takes a node through one power-on: install if needed, then come
-// up and join the cluster's services. The context bounds the whole boot —
-// cancelling it (Cluster.Close) aborts an in-flight install promptly.
-func (c *Cluster) bootOnce(ctx context.Context, n *node.Node) error {
-	if n.NeedsInstall() {
-		if _, err := installer.Run(ctx, n, c.installerConfig(n)); err != nil {
-			return err
-		}
-		c.relays.promote(n.MAC(), n.Name())
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return c.comeUp(n)
-}
-
-// comeUp transitions an installed node to Up: bind NIS, mount home over
-// NFS, register the PBS mom (compute nodes), and index the hostname. The
-// state change comes last, just before the up event, so whoever sees a node
-// up sees it registered with PBS and scheduled.
-func (c *Cluster) comeUp(n *node.Node) error {
-	name := n.Name()
-	if name == "" {
-		return fmt.Errorf("core: node %s has no hostname after boot", n.MAC())
-	}
-	c.dir.named(name, n)
-
-	// ypbind: pull the account map and materialize /etc/passwd.nis.
-	b := nis.Bind(c.NIS)
-	if m, _ := b.Refresh(); m != "" {
-		n.Disk().WriteFile("/etc/passwd.nis", []byte(m), 0o644)
-	}
-	// mount home (compute nodes only; the frontend *is* the server).
-	if n != c.Frontend {
-		if _, err := c.NFS.Mount("/export/home", "/home", name); err != nil {
-			c.Syslog.Log(name, "mount", "NFS mount failed: %v", err)
-		}
-	}
-	// pbs-mom registers with the server and a scheduling pass runs.
-	if _, ok := n.PackageDB().Query("pbs-mom"); ok {
-		c.PBS.RegisterMom(name, n)
-		c.PBS.Schedule()
-	}
-	c.Syslog.Log(name, "rocks", "node up (kernel %s, %d packages)",
-		n.KernelVersion(), n.PackageDB().Len())
-	n.SetState(node.StateUp)
-	c.events.Publish(lifecycle.Event{
-		Node:   name,
-		MAC:    n.MAC(),
-		Phase:  lifecycle.PhaseRun,
-		Type:   lifecycle.EventUp,
-		Source: "cluster",
-		Detail: fmt.Sprintf("kernel %s, %d packages", n.KernelVersion(), n.PackageDB().Len()),
-	})
-	return nil
-}
-
-// NodeByName returns a tracked node.
-func (c *Cluster) NodeByName(name string) (*node.Node, bool) { return c.dir.node(name) }
-
-// Nodes returns all tracked nodes keyed by MAC (a copy).
-func (c *Cluster) Nodes() map[string]*node.Node { return c.dir.all() }
 
 // AddUser creates an account on the frontend: an NIS map entry plus a home
 // directory on the NFS export. Compute nodes see it without reinstalling.

@@ -395,12 +395,25 @@ func TestHTTPEndpoints(t *testing.T) {
 	if !strings.Contains(get("/graph.dot"), "digraph rocks") {
 		t.Error("/graph.dot broken")
 	}
-	var status []NodeStatus
-	if err := json.Unmarshal([]byte(get("/status")), &status); err != nil {
-		t.Fatalf("status JSON: %v", err)
+	// Node states are served by /v1/nodes; the floor's /status is retired.
+	var listing struct {
+		Nodes []struct{ Name, State string }
 	}
-	if len(status) != 2 { // frontend + compute
-		t.Errorf("status rows = %d", len(status))
+	if err := json.Unmarshal([]byte(get("/v1/nodes")), &struct{ Data interface{} }{&listing}); err != nil {
+		t.Fatalf("/v1/nodes JSON: %v", err)
+	}
+	if len(listing.Nodes) != 2 { // frontend + compute
+		t.Fatalf("/v1/nodes rows = %d", len(listing.Nodes))
+	}
+	for _, n := range listing.Nodes {
+		if n.State != "up" {
+			t.Errorf("%s state = %q, want up", n.Name, n.State)
+		}
+	}
+	if resp, err := http.Get(c.BaseURL() + "/status"); err != nil || resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /status = %v, %v; want 404", resp, err)
+	} else {
+		resp.Body.Close()
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 // database records what every node *should* be; nothing in the paper ever
 // checks what a node actually *is* after first boot. Here the agent's
 // report lands (/v1/facts POST), is persisted in clusterdb (WAL-covered, so
-// it survives a frontend crash), and is diffed against the expected
-// hardware profile; each divergent field becomes a drift-detected lifecycle
+// it survives a frontend crash), and is diffed against the machine's
+// catalogue spec (floor.spec: the database holds only a node's arch and CPU
+// count); each divergent field becomes a drift-detected lifecycle
 // event, and actionable drift feeds the supervisor's remediation policy
 // (supervisor.go). The same endpoint serves the inventory with per-node
 // freshness, and a federated child forwards each report upstream so the
@@ -40,13 +41,13 @@ type factsRecord struct {
 }
 
 // factsState is the inventory subsystem: its own nodes' latest reports
-// (backed by the durable facts table, diffed against the directory's
-// machines) plus reports forwarded up from federated children, keyed by
+// (backed by the durable facts table, diffed against the floor's catalogue
+// specs) plus reports forwarded up from federated children, keyed by
 // shard, and the counters the rocks_facts_* families read.
 type factsState struct {
 	db     *clusterdb.Database
 	events *lifecycle.Bus
-	dir    *directory
+	floor  *floor
 	fed    *fedState
 
 	mu      sync.Mutex
@@ -56,9 +57,9 @@ type factsState struct {
 	drift   map[string]uint64 // drift events by field
 }
 
-func newFactsState(db *clusterdb.Database, events *lifecycle.Bus, dir *directory, fed *fedState) *factsState {
+func newFactsState(db *clusterdb.Database, events *lifecycle.Bus, floor *floor, fed *fedState) *factsState {
 	return &factsState{
-		db: db, events: events, dir: dir, fed: fed,
+		db: db, events: events, floor: floor, fed: fed,
 		records: make(map[string]*factsRecord),
 		fwd:     make(map[string]map[string]*factsRecord),
 		drift:   make(map[string]uint64, len(driftFields)),
@@ -86,8 +87,8 @@ func (fs *factsState) ingest(f hardware.Facts, shard string) error {
 	}
 
 	rec := &factsRecord{facts: f, reportedAt: now}
-	if n, ok := fs.dir.machine(f.MAC); ok {
-		rec.drift = hardware.DiffFacts(n.HW, f)
+	if hw, ok := fs.floor.spec(f.MAC); ok {
+		rec.drift = hardware.DiffFacts(hw, f)
 	}
 
 	// Persist before publishing: a crash between the two loses events (the

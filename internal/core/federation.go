@@ -21,7 +21,6 @@ import (
 	"rocks/internal/hardware"
 	"rocks/internal/lifecycle"
 	"rocks/internal/metrics"
-	"rocks/internal/node"
 )
 
 // The federated frontend hierarchy makes the management plane match the
@@ -516,26 +515,19 @@ func (c *Cluster) opNodes(r *http.Request) (interface{}, *apiError) {
 	}
 	last := c.events.LastEvents()
 	resp := NodesResponse{Shard: c.cfg.Shard.Name, Nodes: make([]federation.NodeRow, list.Len())}
-	// One hold of the directory lock for the listing, not one per row; State
-	// takes the node's own lock inside it, the directory → node order there
-	// has always been. The reply is written after the hold, by writeV1Data.
-	c.dir.with(func(byMAC map[string]*node.Node) {
-		for i := range resp.Nodes {
-			n := list.At(i)
-			seen, ok := last[n.MAC]
-			if !ok {
-				seen = last[n.Name]
-			}
-			resp.Nodes[i] = federation.NodeRow{
-				Name: n.Name, MAC: n.MAC, IP: n.IP, Membership: n.Membership,
-				Rack: n.Rack, Rank: n.Rank, Arch: n.Arch, CPUs: n.CPUs,
-				LastSeq: seen.Seq, LastEvent: seen.Time,
-			}
-			if tracked, ok := byMAC[n.MAC]; ok {
-				resp.Nodes[i].State = string(tracked.State())
-			}
+	for i := range resp.Nodes {
+		n := list.At(i)
+		seen, ok := last[n.MAC]
+		if !ok {
+			seen = last[n.Name]
 		}
-	})
+		resp.Nodes[i] = federation.NodeRow{
+			Name: n.Name, MAC: n.MAC, IP: n.IP, Membership: n.Membership,
+			Rack: n.Rack, Rank: n.Rank, Arch: n.Arch, CPUs: n.CPUs,
+			LastSeq: seen.Seq, LastEvent: seen.Time,
+		}
+	}
+	c.floor.states(resp.Nodes)
 	return resp, nil
 }
 

@@ -482,10 +482,10 @@ func TestMirrorFallbackMatchesLiveFilter(t *testing.T) {
 	from := mirrored[0].Seq - 1
 	mid := from + uint64(len(mirrored))/2
 
-	byName := child.dir.filter(nodes[0].Name())
-	byMAC := child.dir.filter(nodes[1].MAC())
+	byName := nodeFilter(child.DB, nodes[0].Name())
+	byMAC := nodeFilter(child.DB, nodes[1].MAC())
 	if byName.Alias != nodes[0].MAC() || byMAC.Alias != nodes[1].Name() {
-		t.Fatalf("directory.filter resolved aliases %q and %q", byName.Alias, byMAC.Alias)
+		t.Fatalf("nodeFilter resolved aliases %q and %q", byName.Alias, byMAC.Alias)
 	}
 	filters := map[string]lifecycle.Filter{
 		"all":          {},

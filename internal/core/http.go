@@ -1,20 +1,16 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
 	"rocks/internal/clusterdb"
 	"rocks/internal/installer"
 	"rocks/internal/kickstart"
-	"rocks/internal/node"
 )
 
 // startHTTP serves the frontend's web service on its public listener and
@@ -22,7 +18,6 @@ import (
 //
 //	/install/kickstart.cgi  — dynamic kickstart generation (§6.1)
 //	/install/dist/...       — the distribution tree (RPMs over HTTP, §5)
-//	/status                 — node states as JSON (the monitoring view)
 //	/tables/nodes           — Table II rendered from the live database
 //	/tables/memberships     — Table III
 //	/graph.dot              — the kickstart graph (Figure 4)
@@ -36,10 +31,6 @@ func (c *Cluster) startHTTP(private net.Listener) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/install/kickstart.cgi", c.kickstartCGI)
 	mux.Handle("/install/dist/", http.StripPrefix("/install/dist", c.distSrv))
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(c.Status())
-	})
 	mux.HandleFunc("/tables/nodes", func(w http.ResponseWriter, r *http.Request) {
 		report, err := clusterdb.NodesTableReport(c.DB)
 		writeReport(w, report, err)
@@ -138,50 +129,4 @@ func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, profile.Render())
 	c.Syslog.Log("frontend-0", "kickstart.cgi", "served %s profile to %s (%s)",
 		rootNode, n.Name, ip)
-}
-
-// NodeStatus is one row of the /status view.
-type NodeStatus struct {
-	Name     string `json:"name"`
-	MAC      string `json:"mac"`
-	IP       string `json:"ip"`
-	State    string `json:"state"`
-	Kernel   string `json:"kernel,omitempty"`
-	Packages int    `json:"packages"`
-	Installs int    `json:"installs"`
-	EKV      string `json:"ekv,omitempty"`
-}
-
-// Status snapshots every tracked node, sorted by name.
-func (c *Cluster) Status() []NodeStatus {
-	var nodes []NodeStatus
-	c.dir.with(func(byMAC map[string]*node.Node) {
-		nodes = make([]NodeStatus, 0, len(byMAC))
-		for _, n := range byMAC {
-			nodes = append(nodes, NodeStatus{
-				Name:     n.Name(),
-				MAC:      n.MAC(),
-				IP:       n.IP(),
-				State:    string(n.State()),
-				Kernel:   n.KernelVersion(),
-				Packages: n.PackageDB().Len(),
-				Installs: n.Installs(),
-				EKV:      n.EKVAddr(),
-			})
-		}
-	})
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	return nodes
-}
-
-// StatusTable renders Status as aligned text for CLI display.
-func (c *Cluster) StatusTable() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %-18s %-16s %-11s %-10s %4s\n",
-		"NAME", "MAC", "IP", "STATE", "KERNEL", "PKGS")
-	for _, s := range c.Status() {
-		fmt.Fprintf(&b, "%-14s %-18s %-16s %-11s %-10s %4d\n",
-			s.Name, s.MAC, s.IP, s.State, s.Kernel, s.Packages)
-	}
-	return b.String()
 }

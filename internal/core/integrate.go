@@ -8,11 +8,7 @@ import (
 
 	"rocks/internal/clusterdb"
 	"rocks/internal/ctools"
-	"rocks/internal/ekv"
-	"rocks/internal/hardware"
 	"rocks/internal/insertethers"
-	"rocks/internal/node"
-	"rocks/internal/power"
 )
 
 // StartInsertEthers begins a discovery session for the given membership and
@@ -36,71 +32,17 @@ func (c *Cluster) StartInsertEthers(membership, rack int) (*insertethers.InsertE
 	})
 }
 
-// PowerOn starts a node's boot lifecycle in the background and wires it to
-// the cluster (reboot hook, PDU outlet). The node installs itself if its
-// disk is blank or a reinstall was forced.
-func (c *Cluster) PowerOn(n *node.Node) {
-	outlet, tracked := c.dir.plug(n.MAC())
-	if !tracked {
-		c.trackNode(n)
-	}
-	c.PDU.Connect(outlet, n.MAC(), power.TargetFunc(func() {
-		// A hard power cycle forces the node to reinstall itself (§4).
-		c.boot(n, true, "node "+n.MAC()+" failed after power cycle")
-	}))
-	n.SetState(node.StateBooting)
-	c.boot(n, false, "node "+n.MAC()+" failed to integrate")
-}
-
-// WaitState polls until the node reaches the state or the timeout expires.
-func WaitState(n *node.Node, want node.State, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if n.State() == want {
-			return true
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return n.State() == want
-}
-
-// IntegrateNodes runs the full §6.4 integration for a batch of new
-// machines: start insert-ethers, power the nodes on sequentially, and wait
-// until each is installed and up. It returns the created nodes in order.
-func (c *Cluster) IntegrateNodes(profiles []hardware.Profile, membership, rack int, timeout time.Duration) ([]*node.Node, error) {
-	ie, err := c.StartInsertEthers(membership, rack)
-	if err != nil {
-		return nil, err
-	}
-	defer ie.Stop()
-	// The batch hands control back to the administrator when it returns;
-	// the reports on disk must reflect every node it integrated.
-	defer c.FlushReports()
-	nodes := make([]*node.Node, 0, len(profiles))
-	for i, hw := range profiles {
-		n := node.New(hw)
-		nodes = append(nodes, n)
-		c.PowerOn(n)
-		// Sequential boot keeps rack/rank assignment in physical order
-		// (§6.4's footnote: serial only so names map to locations).
-		if !WaitState(n, node.StateUp, timeout) {
-			return nodes, fmt.Errorf("core: node %d (%s) stuck in state %s", i, n.MAC(), n.State())
-		}
-	}
-	return nodes, nil
-}
+// ErrUnknownNode marks operations naming a host the database does not
+// name; the control plane maps it to a 404.
+var ErrUnknownNode = errors.New("unknown node")
 
 // ShootNode commands nodes to reinstall themselves over Ethernet and
 // returns immediately; the nodes transition installing → up in the
 // background (§6.3). Unreachable nodes produce errors — the administrator
 // then reaches for PDU.HardCycle.
-// ErrUnknownNode marks operations naming a host the cluster does not
-// track; the control plane maps it to a 404.
-var ErrUnknownNode = errors.New("unknown node")
-
 func (c *Cluster) ShootNode(names ...string) error {
 	for _, name := range names {
-		n, ok := c.NodeByName(name)
+		n, ok := c.floor.executor(name)
 		if !ok {
 			return fmt.Errorf("core: no node named %q: %w", name, ErrUnknownNode)
 		}
@@ -109,40 +51,6 @@ func (c *Cluster) ShootNode(names ...string) error {
 		}
 	}
 	return nil
-}
-
-// ShootNodeWatch shoots one node and attaches to its eKV port, returning
-// the attached client (the xterm shoot-node pops open). The caller closes
-// the client. The watcher is registered before the node is shot and attaches
-// on the installer's own goroutine, which goes on only once the eKV server
-// has the client: the screen is complete however short the installation.
-func (c *Cluster) ShootNodeWatch(name string, timeout time.Duration) (*ekv.Client, error) {
-	n, ok := c.NodeByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: no node named %q", name)
-	}
-	var client *ekv.Client
-	var err error
-	attached := make(chan struct{})
-	n.WatchEKV(func(addr string) {
-		if client, err = ekv.Attach(addr); err == nil {
-			<-client.Receiving()
-		}
-		close(attached)
-	})
-	if err := c.ShootNode(name); err != nil {
-		n.WatchEKV(nil)
-		return nil, err
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	select {
-	case <-attached:
-		return client, err
-	case <-deadline.C:
-		n.WatchEKV(nil)
-		return nil, fmt.Errorf("core: %s never exposed an eKV port", name)
-	}
 }
 
 // StuckJob identifies one reinstall job that had not finished when
@@ -212,65 +120,37 @@ func (c *Cluster) ReinstallCluster(timeout time.Duration) error {
 // Fork is cluster-fork: run a command on the nodes selected by an SQL query
 // (the default query selects all compute nodes).
 func (c *Cluster) Fork(query, cmd string) ([]ctools.HostResult, error) {
-	return ctools.Fork(c.DB, c.dir.executor, query, cmd)
+	return ctools.Fork(c.DB, c.floor.executor, query, cmd)
 }
 
 // Kill is cluster-kill: terminate a named process on the selected nodes.
 func (c *Cluster) Kill(query, process string) ([]ctools.HostResult, int, error) {
-	return ctools.Kill(c.DB, c.dir.executor, query, process)
+	return ctools.Kill(c.DB, c.floor.executor, query, process)
 }
 
 // ConsistencyReport diffs every up compute node's package manifest against
 // the first one, answering §3.2's "what version of software X do I have on
-// node Y?" for the whole cluster at once. It returns the hosts whose
-// manifests differ.
+// node Y?" for the whole cluster at once with §3.2's own tool:
+// cluster-fork rpm -qa. It returns the hosts whose manifests differ.
 func (c *Cluster) ConsistencyReport() (reference string, divergent []string, err error) {
-	names, err := clusterdb.ComputeNodeNames(c.DB)
+	results, err := c.Fork("", "rpm -qa")
 	if err != nil {
 		return "", nil, err
 	}
 	var refManifest string
-	for _, name := range names {
-		n, ok := c.NodeByName(name)
-		if !ok || n.State() != node.StateUp {
+	for _, r := range results {
+		if r.Err != nil {
+			continue // down: not part of the comparison
+		}
+		if reference == "" {
+			reference, refManifest = r.Host, r.Output
 			continue
 		}
-		m := n.PackageDB().Manifest()
-		if refManifest == "" {
-			reference, refManifest = name, m
-			continue
-		}
-		if m != refManifest {
-			divergent = append(divergent, name)
+		if r.Output != refManifest {
+			divergent = append(divergent, r.Host)
 		}
 	}
 	return reference, divergent, nil
-}
-
-// CrashCart is the last resort of §4: "If the compute node is still
-// unresponsive, physical intervention is required. For this case, we have a
-// crash cart — a monitor and a keyboard." It returns the node's console
-// view (state, install log tail) and, when repair is requested, clears the
-// fault and boots the machine fresh.
-func (c *Cluster) CrashCart(mac string, repair bool) (string, error) {
-	n, ok := c.dir.machine(mac)
-	if !ok {
-		return "", fmt.Errorf("core: no machine with MAC %s on the floor", mac)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "console %s (%s):\n", mac, n.State())
-	log := n.InstallLog()
-	if len(log) > 5 {
-		log = log[len(log)-5:]
-	}
-	for _, line := range log {
-		fmt.Fprintf(&b, "  %s\n", line)
-	}
-	if repair {
-		fmt.Fprintf(&b, "repair: replacing hardware and reinstalling\n")
-		c.boot(n, true, "crash-cart repair of "+mac+" failed")
-	}
-	return b.String(), nil
 }
 
 // Decommission removes a node from the cluster: the database row goes, the
@@ -278,7 +158,10 @@ func (c *Cluster) CrashCart(mac string, repair bool) (string, error) {
 // PDU outlet is freed, and the machine is powered off. The physical box can
 // leave the rack.
 func (c *Cluster) Decommission(name string) error {
-	n, ok := c.NodeByName(name)
+	row, ok, err := clusterdb.NodeByName(c.DB, name)
+	if err != nil {
+		return err
+	}
 	if !ok {
 		return fmt.Errorf("core: no node named %q", name)
 	}
@@ -286,17 +169,16 @@ func (c *Cluster) Decommission(name string) error {
 	// The relay goes first, so the registry never offers a powered-off
 	// machine as a source.
 	c.relays.withdraw(name, "decommissioned")
-	if outlet, wired := c.PDU.OutletFor(n.MAC()); wired {
+	if outlet, wired := c.PDU.OutletFor(row.MAC); wired {
 		c.PDU.Disconnect(outlet)
 	}
-	n.PowerOff()
+	c.floor.retire(row.MAC)
 	if err := clusterdb.DeleteNode(c.DB, name); err != nil {
 		return err
 	}
-	if err := c.facts.forget(n.MAC()); err != nil {
+	if err := c.facts.forget(row.MAC); err != nil {
 		return err
 	}
-	c.dir.forget(name, n.MAC())
-	c.Syslog.Log("frontend-0", "rocks", "decommissioned %s (%s)", name, n.MAC())
+	c.Syslog.Log("frontend-0", "rocks", "decommissioned %s (%s)", name, row.MAC)
 	return c.WriteReports()
 }

@@ -16,6 +16,7 @@ func (c *Cluster) registerMetrics() {
 	c.distSrv.RegisterMetrics(r)
 	c.events.RegisterMetrics(r)
 	c.installStats.RegisterMetrics(r)
+	c.floor.registerMetrics(r)
 	c.dir.registerMetrics(r)
 	c.relays.registerMetrics(r)
 	c.reports.registerMetrics(r)

@@ -36,7 +36,7 @@ type reportCoalescer struct {
 	ctx        context.Context // a cancelled one arms no further pass
 	db         *clusterdb.Database
 	dhcpd      *dhcp.Server
-	frontend   *node.Node
+	disk       *node.Disk // the frontend's
 	dir        *directory
 	nextServer string
 	log        *syslogd.Collector
@@ -129,7 +129,7 @@ func (r *reportCoalescer) registerMetrics(reg *metrics.Registry) {
 }
 
 func (r *reportCoalescer) write() error {
-	if !r.frontend.Disk().Bootable() {
+	if !r.disk.Bootable() {
 		return nil // frontend still installing
 	}
 	r.genMu.Lock()
@@ -219,7 +219,7 @@ func (r *reportCoalescer) writeNow(quarantined map[string]bool) error {
 	if err := r.db.RenderReports(f); err != nil {
 		return err
 	}
-	d := r.frontend.Disk()
+	d := r.disk
 	if err := d.WriteFile("/etc/hosts", f.Hosts, 0o644); err != nil {
 		return err
 	}

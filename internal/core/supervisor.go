@@ -14,7 +14,6 @@ import (
 	"rocks/internal/lifecycle"
 	"rocks/internal/metrics"
 	"rocks/internal/monitor"
-	"rocks/internal/node"
 	"rocks/internal/pbs"
 	"rocks/internal/power"
 	"rocks/internal/syslogd"
@@ -27,8 +26,8 @@ import (
 // unanimous that at thousand-node scale transient install failures are
 // constant and the human in that loop is the bottleneck. On each tick the
 // supervisor probes every node through its monitor, reads that probe's
-// dark/up classification plus each node's state machine, and applies the
-// paper's own remedies mechanically: a hard power cycle for dark nodes
+// dark/up classification and the state each node answered with, and applies
+// the paper's own remedies mechanically: a hard power cycle for dark nodes
 // (which forces reinstallation, §4), a re-shoot for crashed installs,
 // capped exponential backoff with jitter between attempts, and — when a
 // node exhausts its retry budget — quarantine: the node is marked offline in
@@ -81,10 +80,10 @@ func (cfg SupervisorConfig) withDefaults() SupervisorConfig {
 
 // remediation is the self-healing subsystem: the quarantine actions, the
 // running supervisor (if any), the counters every supervisor adds to, and
-// the supervisor endpoint and families. A supervisor reads the directory for
-// nodes and quarantine and the facts subsystem for drift, cycles through the
-// PDU, names a node from the database, and withdraws the relay of a node it
-// finds dark or quarantines.
+// the supervisor endpoint and families. A supervisor pings the floor's
+// machines, reads the directory for quarantine and the facts subsystem for
+// drift, cycles through the PDU, names a node from the database, and
+// withdraws the relay of a node it finds dark or quarantines.
 type remediation struct {
 	run         scope // a supervisor's loop runs under it
 	events      *lifecycle.Bus
@@ -92,6 +91,7 @@ type remediation struct {
 	db          *clusterdb.Database
 	pdu         *power.PDU
 	pbs         *pbs.Server
+	floor       *floor
 	dir         *directory
 	facts       *factsState
 	reports     *reportCoalescer
@@ -186,7 +186,7 @@ func (c *Cluster) StartSupervisor(cfg SupervisorConfig) *Supervisor { return c.r
 func (m *remediation) start(cfg SupervisorConfig) *Supervisor {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(m.run.ctx)
-	mon := monitor.New(monitor.PingerFunc(m.dir.ping), cfg.Patience)
+	mon := monitor.New(monitor.PingerFunc(m.floor.ping), cfg.Patience)
 	mon.PublishTo(m.events)
 	s := &Supervisor{
 		r:      m,
@@ -324,20 +324,15 @@ func (s *Supervisor) Stop() {
 // tick is one pass: refresh the watch set, probe it, then remediate against
 // what that probe found.
 func (s *Supervisor) tick() {
-	nodes := s.r.dir.all()
-	frontendMAC := s.r.frontendMAC
-
-	// Keep the monitor watching every node under its best-known identity.
-	// A node's name arrives mid-install, so identities are late-bound.
+	// Keep the monitor watching every node under its best-known identity:
+	// its database name, or its MAC until insert-ethers names it.
+	macs := s.r.floor.macs()
 	s.mu.Lock()
-	for mac, n := range nodes {
-		if mac == frontendMAC {
+	for _, mac := range macs {
+		if mac == s.r.frontendMAC {
 			continue
 		}
-		identity := n.Name()
-		if identity == "" {
-			identity = mac
-		}
+		identity := hostname(s.r.db, mac)
 		rec := s.recs[mac]
 		if rec == nil {
 			rec = &remedRecord{}
@@ -354,25 +349,23 @@ func (s *Supervisor) tick() {
 	s.mu.Unlock()
 
 	// A dark node serves nothing: its relay goes before any remediation.
-	dark := make(map[string]bool)
+	probed := make(map[string]monitor.HostStatus)
 	for _, st := range s.mon.Probe() {
+		probed[st.Host] = st
 		if st.Health == monitor.HealthDark {
-			dark[st.Host] = true
 			s.r.relays.withdraw(st.Host, "went dark")
 		}
 	}
 	now := time.Now()
-	for mac, n := range nodes {
-		if mac == frontendMAC {
-			continue
-		}
-		s.superviseNode(now, mac, n, dark)
+	for _, mac := range macs {
+		s.superviseNode(now, mac, probed) // the frontend has no record
 	}
 }
 
-// superviseNode applies the remediation policy to one node; dark is the
-// tick's probe classification by watched identity.
-func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node, dark map[string]bool) {
+// superviseNode applies the remediation policy to one node from the tick's
+// probe, by watched identity: the state the node answered with and, for a
+// node off or booting, whether it has been dark past the patience.
+func (s *Supervisor) superviseNode(now time.Time, mac string, probed map[string]monitor.HostStatus) {
 	s.mu.Lock()
 	rec := s.recs[mac]
 	if rec == nil {
@@ -389,9 +382,9 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node, dark
 		}
 		*rec = remedRecord{watchedAs: rec.watchedAs, next: now.Add(s.cfg.Patience)}
 	}
-	st := n.State()
-	switch st {
-	case node.StateUp:
+	st := probed[rec.watchedAs]
+	switch st.Detail {
+	case hostUp:
 		// Drift remediation: an Up node whose latest facts report shows
 		// actionable drift (wrong arch, disk, NIC set) is cycled so its
 		// reinstall re-probes the hardware. The episode shares the dark-node
@@ -402,7 +395,7 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node, dark
 		// the inventory and the timeline only.
 		if fields := s.r.facts.actionableDriftFields(mac); len(fields) > 0 {
 			drift := strings.Join(fields, ",")
-			s.remediateLocked(now, rec, mac, n, lifecycle.EventDriftReinstall,
+			s.remediateLocked(now, rec, mac, lifecycle.EventDriftReinstall,
 				"chasing drift in "+drift, "reinstalling to chase drift in "+drift)
 			return
 		}
@@ -414,21 +407,21 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node, dark
 		}
 		s.mu.Unlock()
 		return
-	case node.StateInstalling:
+	case hostInstalling:
 		// Alive: the install is visible on eKV. Progress stalls surface as
 		// a crash (wedge) or as darkness after the install dies.
 		s.mu.Unlock()
 		return
-	case node.StateCrashed:
+	case hostCrashed:
 		// Definitive: no patience needed.
 	default: // off, booting
-		if !dark[rec.watchedAs] {
+		if st.Health != monitor.HealthDark {
 			s.mu.Unlock()
 			return
 		}
 	}
-	s.remediateLocked(now, rec, mac, n, lifecycle.EventPowerCycle,
-		"in state "+string(st), "node reinstalling (was "+string(st)+")")
+	s.remediateLocked(now, rec, mac, lifecycle.EventPowerCycle,
+		"in state "+st.Detail, "node reinstalling (was "+st.Detail+")")
 }
 
 // remediateLocked is the one remediation path, for dark or crashed nodes and
@@ -438,7 +431,7 @@ func (s *Supervisor) superviseNode(now time.Time, mac string, n *node.Node, dark
 // node once the budget is gone. cycled is the event a successful cycle
 // publishes; exhausted and reinstalling word the reason into the
 // quarantine's and the cycle's detail. Called with s.mu held; releases it.
-func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string, n *node.Node,
+func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string,
 	cycled lifecycle.EventType, exhausted, reinstalling string) {
 	rec.failing = true
 	if now.Before(rec.next) {
@@ -447,7 +440,7 @@ func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string
 	}
 	if rec.attempts >= s.cfg.MaxRetries {
 		attempts := rec.attempts
-		host := s.displayName(mac, n)
+		host := rec.watchedAs
 		rec.quarantinedAs = host
 		s.mu.Unlock()
 		if err := s.r.quarantine(host); err != nil {
@@ -462,7 +455,7 @@ func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string
 	rec.attempts++
 	attempt := rec.attempts
 	rec.next = now.Add(s.backoffLocked(attempt))
-	host := s.displayName(mac, n)
+	host := rec.watchedAs
 	s.mu.Unlock()
 
 	outlet, wired := s.r.pdu.OutletFor(mac)
@@ -485,20 +478,6 @@ func (s *Supervisor) backoffLocked(attempt int) time.Duration {
 		d = s.cfg.MaxBackoff
 	}
 	return d + time.Duration(s.rng.Float64()*float64(d)/2)
-}
-
-// displayName resolves the best human name for a node: its hostname, the
-// database row bound to its MAC (insert-ethers names nodes before their
-// first successful boot), or the MAC itself. Caller may hold s.mu; only
-// cluster-level lookups happen here.
-func (s *Supervisor) displayName(mac string, n *node.Node) string {
-	if name := n.Name(); name != "" {
-		return name
-	}
-	if row, ok, err := clusterdb.NodeByMAC(s.r.db, mac); err == nil && ok && row.Name != "" {
-		return row.Name
-	}
-	return mac
 }
 
 // record publishes one supervisor action to the lifecycle bus — the
@@ -529,17 +508,6 @@ func (s *Supervisor) Events() []SupervisorEvent {
 		out[i] = SupervisorEvent{
 			Seq: i + 1, Time: e.Time,
 			Host: e.Node, MAC: e.MAC, Type: e.Type, Attempt: e.Attempt, Detail: e.Detail,
-		}
-	}
-	return out
-}
-
-// EventsFor filters the log by host or MAC.
-func (s *Supervisor) EventsFor(hostOrMAC string) []SupervisorEvent {
-	var out []SupervisorEvent
-	for _, e := range s.Events() {
-		if e.Host == hostOrMAC || e.MAC == hostOrMAC {
-			out = append(out, e)
 		}
 	}
 	return out

@@ -72,7 +72,7 @@ func TestSupervisorRevivesCrashedNode(t *testing.T) {
 		t.Fatalf("no recovered event: %v\nevents:\n%s", err, s.EventLog())
 	}
 	var cycled bool
-	for _, e := range s.EventsFor("compute-0-0") {
+	for _, e := range c.Events().Recent(lifecycle.Filter{Node: "compute-0-0", Source: "supervisor"}) {
 		switch e.Type {
 		case lifecycle.EventPowerCycle:
 			cycled = true
@@ -119,7 +119,7 @@ func TestSupervisorQuarantinesHopelessNode(t *testing.T) {
 
 	// Budget arithmetic: exactly MaxRetries cycles, then quarantine.
 	var cycles, quarantines int
-	for _, e := range s.EventsFor("compute-0-0") {
+	for _, e := range c.Events().Recent(lifecycle.Filter{Node: "compute-0-0", Source: "supervisor"}) {
 		switch e.Type {
 		case lifecycle.EventPowerCycle, lifecycle.EventPowerCycleFailed:
 			cycles++

@@ -160,6 +160,7 @@ type remedRecord struct {
 	next          time.Time // backoff gate for the next attempt
 	failing       bool
 	quarantinedAs string // the host the supervisor quarantined, "" if none
+	pass          uint64 // the last tick that found the node on the floor
 }
 
 // Supervisor is the closed-loop remediation daemon.
@@ -171,6 +172,7 @@ type Supervisor struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
 	recs map[string]*remedRecord
+	pass uint64 // ticks so far
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -325,9 +327,12 @@ func (s *Supervisor) Stop() {
 // what that probe found.
 func (s *Supervisor) tick() {
 	// Keep the monitor watching every node under its best-known identity:
-	// its database name, or its MAC until insert-ethers names it.
+	// its database name, or its MAC until insert-ethers names it; and only
+	// those on the floor, so a decommissioned one is neither probed nor
+	// remediated again.
 	macs := s.r.floor.macs()
 	s.mu.Lock()
+	s.pass++
 	for _, mac := range macs {
 		if mac == s.r.frontendMAC {
 			continue
@@ -344,6 +349,13 @@ func (s *Supervisor) tick() {
 			}
 			s.mon.Watch(identity)
 			rec.watchedAs = identity
+		}
+		rec.pass = s.pass
+	}
+	for mac, rec := range s.recs {
+		if rec.pass != s.pass {
+			s.mon.Unwatch(rec.watchedAs)
+			delete(s.recs, mac)
 		}
 	}
 	s.mu.Unlock()

@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"rocks/internal/dist"
 	"rocks/internal/lifecycle"
 	"rocks/internal/node"
 	"rocks/internal/pbs"
+	"rocks/internal/rpm"
 )
 
 // tightSupervisor is a supervisor config scaled to test time: installs in
@@ -319,5 +321,65 @@ func TestStartSupervisorStopsThePrevious(t *testing.T) {
 	}
 	if c.remedy.current() != second {
 		t.Error("the running supervisor is not the one started last")
+	}
+}
+
+// TestSupervisorForgetsDecommissionedNode: a node decommissioned under a
+// running supervisor leaves its watch set. The monitor stops probing it,
+// publishes no "dark … (unknown host)" event for a box that has left the
+// rack, and the relay registry hears its name no more.
+func TestSupervisorForgetsDecommissionedNode(t *testing.T) {
+	c := newCluster(t)
+	addComputes(t, c, 2)
+	cfg := tightSupervisor(3)
+	cfg.Patience = 20 * time.Millisecond
+	s := c.StartSupervisor(cfg)
+	defer s.Stop()
+	watched := func(host string) bool {
+		for _, st := range s.mon.Status() {
+			if st.Host == host {
+				return true
+			}
+		}
+		return false
+	}
+	waitWatched := func(host string, want bool) {
+		t.Helper()
+		for deadline := time.Now().Add(integrationTimeout); watched(host) != want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("monitor watching %s = %v, want %v", host, !want, want)
+			}
+		}
+	}
+	waitWatched("compute-0-1", true)
+	if err := c.Decommission("compute-0-1"); err != nil {
+		t.Fatal(err)
+	}
+	waitWatched("compute-0-1", false)
+
+	// From here on, a withdraw by the departed name would take this relay
+	// down, and a dark event for it would be a further one.
+	sentinel := &relayEntry{mac: "sentinel", name: "compute-0-1",
+		srv: dist.NewRepoServer(rpm.NewRepository("sentinel")), httpSrv: &http.Server{}}
+	c.relays.mu.Lock()
+	c.relays.live[sentinel.mac] = sentinel
+	c.relays.mu.Unlock()
+	since := c.Events().Seq()
+	time.Sleep(10 * cfg.Patience)
+
+	if watched("compute-0-1") {
+		t.Error("monitor watches compute-0-1 again after its decommission")
+	}
+	if !watched("compute-0-0") {
+		t.Error("monitor stopped watching compute-0-0, which is still on the floor")
+	}
+	if evs := c.Events().Recent(lifecycle.Filter{Node: "compute-0-1", Type: lifecycle.EventDark, SinceSeq: since}); len(evs) > 0 {
+		t.Errorf("dark event for a decommissioned node: %s", evs[0].Detail)
+	}
+	c.relays.mu.Lock()
+	_, live := c.relays.live[sentinel.mac]
+	c.relays.mu.Unlock()
+	if !live {
+		t.Error("the supervisor withdrew a relay by the name of decommissioned compute-0-1")
 	}
 }

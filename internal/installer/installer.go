@@ -562,10 +562,8 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 	start := time.Now()
 	done := 0 // packages on the disk; the stream resumes here
 	unpack := func(pkg *rpm.Package) error {
-		for _, file := range pkg.Files {
-			if err := n.Disk().WriteFile(file.Path, file.Data, file.Mode); err != nil {
-				return fmt.Errorf("installer: unpacking %s: %w", pkg.NVRA(), err)
-			}
+		if err := n.Disk().Unpack(pkg.Files); err != nil {
+			return fmt.Errorf("installer: unpacking %s: %w", pkg.NVRA(), err)
 		}
 		n.PackageDB().Install(pkg.Metadata)
 		total += pkg.Size

@@ -1039,6 +1039,49 @@ func TestManifestFaultKeepsPeersTrustless(t *testing.T) {
 	}
 }
 
+// TestRelayStoreOutlivesDiskWrites: the disk keeps an installed package's
+// bytes without a copy and the relay store serves the same package, so what
+// is done to the disk after the install — a rewrite in place, an append, a
+// format — must leave every body the store serves verifying against the
+// digest the frontend's manifest advertised.
+func TestRelayStoreOutlivesDiskWrites(t *testing.T) {
+	fe := newTestFrontend(t)
+	n := newComputeNode()
+	fe.admit(n, "10.255.255.254", "compute-0-0", "compute")
+	cfg := fe.config()
+	cfg.DisableEKV = true
+	cfg.FrontendURL = fe.srv.URL
+	cfg.RelayStore = rpm.NewRepository("store")
+	if _, err := Run(context.Background(), n, cfg); err != nil {
+		t.Fatal(err)
+	}
+	written := 0
+	for _, p := range cfg.RelayStore.All() {
+		for i, f := range p.Files {
+			var err error
+			if i%2 == 0 {
+				err = n.Disk().WriteFile(f.Path, make([]byte, len(f.Data)), f.Mode)
+			} else {
+				err = n.Disk().AppendFile(f.Path, []byte("appended\n"))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			written++
+		}
+	}
+	if written == 0 {
+		t.Fatal("the relay store holds no files to write over")
+	}
+	n.Disk().Format("/")
+	for _, nvra := range cfg.RelayStore.NVRAs() {
+		got, err := rpm.Decode(cfg.RelayStore.Body(nvra))
+		if want := fe.dist.Repo.Get(nvra); err != nil || want == nil || got.Digest != want.Digest {
+			t.Fatalf("relay store's %s no longer verifies against the manifest: %v", nvra, err)
+		}
+	}
+}
+
 // TestInstallIsOneStream is the request budget of a fault-free install: one
 // kickstart file, one manifest, one stream carrying every package, one facts
 // report — and one relay lookup when the relay tier is on. Nothing is asked

@@ -7,16 +7,22 @@
 package node
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+
+	"rocks/internal/rpm"
 )
 
 // File is one stored file on a partition.
 type File struct {
 	Data []byte
 	Mode uint32
+	// borrowed marks Data as a package's bytes (Unpack): kept, not owned.
+	borrowed bool
 }
 
 // Partition is a formatted region of the disk holding a file tree. Paths
@@ -34,12 +40,18 @@ type Partition struct {
 // File operations route to the partition with the longest matching
 // mountpoint prefix, like a VFS. Disk is safe for concurrent use.
 //
-// The disk owns its files' bytes: they leave it only as a copy (ReadFile),
-// what it is handed is copied in, and every access holds mu. That is what
-// lets WriteFile overwrite a file in the array it already occupies.
+// A file's bytes leave the disk only as a copy (ReadFile), and every access
+// holds mu. What WriteFile and AppendFile are handed is copied into arrays
+// the disk owns, which is what lets WriteFile overwrite a file in the array
+// it already occupies. What Unpack is handed is kept as it is: a verified
+// package's bytes, which a relay store may serve too, so the disk never
+// writes over them or appends into their spare capacity.
 type Disk struct {
 	mu    sync.RWMutex
 	Parts map[string]*Partition
+	// mounted is the formatted partitions, longest mountpoint first: the
+	// order partitionFor tries them in.
+	mounted []*Partition
 }
 
 // NewDisk returns an empty, unpartitioned disk.
@@ -73,6 +85,10 @@ func (d *Disk) Format(mount string) *Partition {
 		d.Parts[mount] = p
 	}
 	clear(p.files)
+	if !p.Formatted {
+		at := sort.Search(len(d.mounted), func(i int) bool { return len(d.mounted[i].Mount) < len(mount) })
+		d.mounted = slices.Insert(d.mounted, at, p)
+	}
 	p.Formatted = true
 	p.Generation++
 	return p
@@ -83,47 +99,60 @@ func (d *Disk) RemoveAll() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.Parts = make(map[string]*Partition)
+	d.mounted = nil
 }
 
-// partitionFor returns the partition whose mountpoint is the longest
-// prefix of path. Callers hold d.mu.
+// partitionFor returns the formatted partition whose mountpoint is the
+// longest prefix of path. Callers hold d.mu.
 func (d *Disk) partitionFor(path string) (*Partition, error) {
-	best := ""
-	var found *Partition
-	for m, p := range d.Parts {
-		if !p.Formatted || len(m) <= len(best) {
-			continue
-		}
-		// path is m itself or lies below it: /state/partition10 is not
-		// below /state/partition1.
-		rest, ok := strings.CutPrefix(path, m)
-		if ok && (rest == "" || rest[0] == '/' || strings.HasSuffix(m, "/")) {
-			best = m
-			found = p
+	if !strings.HasPrefix(path, "/") {
+		return nil, fmt.Errorf("node: path %q is not absolute", path)
+	}
+	for _, p := range d.mounted {
+		// path is the mountpoint itself or lies below it:
+		// /state/partition10 is not below /state/partition1.
+		rest, ok := strings.CutPrefix(path, p.Mount)
+		if ok && (rest == "" || rest[0] == '/' || strings.HasSuffix(p.Mount, "/")) {
+			return p, nil
 		}
 	}
-	if found == nil {
-		return nil, fmt.Errorf("node: no formatted partition holds %q", path)
-	}
-	return found, nil
+	return nil, fmt.Errorf("node: no formatted partition holds %q", path)
 }
 
 // WriteFile stores a file on the partition owning the path, over the bytes of
-// the file it replaces when they fit: a steady report pass allocates nothing.
+// the file it replaces when they fit and are the disk's own: a steady report
+// pass allocates nothing.
 func (d *Disk) WriteFile(path string, data []byte, mode uint32) error {
-	if !strings.HasPrefix(path, "/") {
-		return fmt.Errorf("node: path %q is not absolute", path)
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p, err := d.partitionFor(path)
 	if err != nil {
 		return err
 	}
-	if mode == 0 {
-		mode = 0o644
+	old := p.files[path]
+	if old.borrowed {
+		old.Data = nil
 	}
-	p.files[path] = File{Data: append(p.files[path].Data[:0], data...), Mode: mode}
+	p.files[path] = File{Data: append(old.Data[:0], data...), Mode: cmp.Or(mode, 0o644)}
+	return nil
+}
+
+// Unpack stores a verified package's files, each on the partition owning its
+// path, under one hold of the disk. It keeps the files' bytes rather than a
+// copy (see Disk). A path no formatted partition holds stops it there, with
+// the files before it stored.
+func (d *Disk) Unpack(files []rpm.FileEntry) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, f := range files {
+		p, err := d.partitionFor(f.Path)
+		if err != nil {
+			return err
+		}
+		// Capacity cut at the length: an append moves the file out.
+		data := f.Data[:len(f.Data):len(f.Data)]
+		p.files[f.Path] = File{Data: data, Mode: cmp.Or(f.Mode, 0o644), borrowed: true}
+	}
 	return nil
 }
 
@@ -137,10 +166,10 @@ func (d *Disk) AppendFile(path string, data []byte) error {
 		return err
 	}
 	f := p.files[path]
-	f.Data = append(f.Data, data...)
-	if f.Mode == 0 {
-		f.Mode = 0o644
-	}
+	// A borrowed file's capacity ends at its length (Unpack), so any bytes
+	// appended move it into an array of the disk's own.
+	f.Data, f.borrowed = append(f.Data, data...), f.borrowed && len(data) == 0
+	f.Mode = cmp.Or(f.Mode, 0o644)
 	p.files[path] = f
 	return nil
 }
@@ -177,10 +206,7 @@ func (d *Disk) List(prefix string) []string {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var out []string
-	for _, p := range d.Parts {
-		if !p.Formatted {
-			continue
-		}
+	for _, p := range d.mounted {
 		for path := range p.files {
 			if strings.HasPrefix(path, prefix) {
 				out = append(out, path)

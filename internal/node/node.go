@@ -408,11 +408,9 @@ func (n *Node) Exec(cmd string) (string, error) {
 		var b strings.Builder
 		d := n.Disk()
 		d.mu.RLock()
-		mounts := make([]string, 0, len(d.Parts))
-		for m, part := range d.Parts {
-			if part.Formatted {
-				mounts = append(mounts, m)
-			}
+		mounts := make([]string, 0, len(d.mounted))
+		for _, part := range d.mounted {
+			mounts = append(mounts, part.Mount)
 		}
 		d.mu.RUnlock()
 		sort.Strings(mounts)

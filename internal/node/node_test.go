@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"sync"
@@ -34,6 +35,89 @@ func TestDiskPartitionRouting(t *testing.T) {
 	got, err := d.ReadFile("/state/partition1/data.bin")
 	if err != nil || string(got) != "persist" {
 		t.Errorf("ReadFile = %q, %v", got, err)
+	}
+}
+
+// TestDiskRoutingRespectsMountBoundaries: /state/partition10/x is never on
+// /state/partition1 — whichever order the partitions were formatted in, and
+// after RemoveAll and a re-Format — and a path falls to the longest
+// formatted mountpoint above it.
+func TestDiskRoutingRespectsMountBoundaries(t *testing.T) {
+	d := NewDisk()
+	d.Format("/state/partition1")
+	refuse := func(path string) {
+		t.Helper()
+		if err := d.WriteFile(path, []byte("x"), 0); err == nil {
+			t.Errorf("write to %s accepted with no partition holding it", path)
+		}
+	}
+	on := func(path, mount string) {
+		t.Helper()
+		if err := d.WriteFile(path, []byte("x"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if p, _ := d.Partition(mount); p == nil || p.files[path].Data == nil {
+			t.Errorf("%s is not on %s", path, mount)
+		}
+	}
+	refuse("/state/partition10/x")
+	on("/state/partition1/x", "/state/partition1")
+	d.RemoveAll()
+	refuse("/state/partition1/x")
+	d.Format("/state/partition1")
+	refuse("/state/partition10/x")
+	on("/state/partition1", "/state/partition1")
+	d.Format("/")
+	d.Format("/state")
+	on("/state/partition10/x", "/state")
+	on("/state/partition1/x", "/state/partition1")
+	on("/etc/hosts", "/")
+	refuse("etc/hosts")
+}
+
+// TestUnpackKeepsThePackagesBytes: the disk keeps an unpacked package's
+// bytes rather than a copy, so nothing done to the disk afterwards — an
+// append, a rewrite at the same length, a format — may change them. The two
+// files are pieces of one array, as a decoded package's are, so an append
+// into the first one's spare capacity would run over the second.
+func TestUnpackKeepsThePackagesBytes(t *testing.T) {
+	payload := []byte("127.0.0.1 localhost\nwelcome\n")
+	pkg := rpm.New("setup", rpm.Version{Version: "1", Release: "1"}, rpm.ArchNoarch,
+		rpm.FileEntry{Path: "/etc/hosts", Mode: 0o644, Data: payload[:20]},
+		rpm.FileEntry{Path: "/etc/motd", Data: payload[20:]},
+	)
+	want := pkg.Bytes()
+	d := NewDisk()
+	d.Format("/")
+	if err := d.Unpack(pkg.Files); err != nil {
+		t.Fatal(err)
+	}
+	if mode, ok := d.Stat("/etc/motd"); !ok || mode != 0o644 {
+		t.Errorf("Stat(/etc/motd) = %#o, %v", mode, ok)
+	}
+	root, _ := d.Partition("/")
+	if kept := root.files["/etc/hosts"].Data; len(kept) == 0 || &kept[0] != &payload[0] {
+		t.Error("Unpack stored a copy of the package's bytes, not the bytes")
+	}
+	if err := d.AppendFile("/etc/hosts", []byte("::1\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteFile("/etc/motd", []byte("#######\n"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := d.ReadFile("/etc/hosts"); string(got) != "127.0.0.1 localhost\n::1\n" {
+		t.Errorf("/etc/hosts reads %q", got)
+	}
+	if got, _ := d.ReadFile("/etc/motd"); string(got) != "#######\n" {
+		t.Errorf("/etc/motd reads %q", got)
+	}
+	d.Format("/")
+	if !bytes.Equal(pkg.Bytes(), want) {
+		t.Errorf("writes to the disk changed the package it unpacked: payload now %q", payload)
+	}
+	d.RemoveAll()
+	if err := d.Unpack(pkg.Files); err == nil || !strings.Contains(err.Error(), "/etc/hosts") {
+		t.Errorf("Unpack with no partition holding its first path: %v", err)
 	}
 }
 

@@ -12,21 +12,21 @@ import (
 // have on node Y?", §3.2) are answered by querying this database; the Rocks
 // answer is that reinstallation makes the database identical on every node.
 type Database struct {
-	mu        sync.RWMutex
-	installed map[string]Metadata // keyed by package name; one version installed at a time
-	order     []string            // install order, for transcript-style listings
+	mu    sync.RWMutex
+	recs  []Metadata     // one slab, in no order
+	index map[string]int // package name → its record; one version installed at a time
 }
 
 // NewDatabase returns an empty installed-package database.
 func NewDatabase() *Database {
-	return &Database{installed: make(map[string]Metadata)}
+	return &Database{index: make(map[string]int)}
 }
 
 // Successor returns an empty database with room for what d holds, which a
 // reinstall installs again; d is left as it is for whoever still holds it.
 func (d *Database) Successor() *Database {
 	n := d.Len()
-	return &Database{installed: make(map[string]Metadata, n), order: make([]string, 0, n)}
+	return &Database{recs: make([]Metadata, 0, n), index: make(map[string]int, n)}
 }
 
 // Install records a package as installed, replacing any prior version of
@@ -34,27 +34,29 @@ func (d *Database) Successor() *Database {
 func (d *Database) Install(m Metadata) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.installed[m.Name]; !ok {
-		d.order = append(d.order, m.Name)
+	if i, ok := d.index[m.Name]; ok {
+		d.recs[i] = m
+		return
 	}
-	d.installed[m.Name] = m
+	d.index[m.Name] = len(d.recs)
+	d.recs = append(d.recs, m)
 }
 
 // Erase removes a package record; it reports whether the package was
-// installed.
+// installed. The last record takes the erased one's place.
 func (d *Database) Erase(name string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.installed[name]; !ok {
+	i, ok := d.index[name]
+	if !ok {
 		return false
 	}
-	delete(d.installed, name)
-	for i, n := range d.order {
-		if n == name {
-			d.order = append(d.order[:i:i], d.order[i+1:]...)
-			break
-		}
-	}
+	last := len(d.recs) - 1
+	d.recs[i] = d.recs[last]
+	d.index[d.recs[i].Name] = i
+	delete(d.index, name)
+	d.recs[last] = Metadata{}
+	d.recs = d.recs[:last]
 	return true
 }
 
@@ -62,18 +64,17 @@ func (d *Database) Erase(name string) bool {
 func (d *Database) Query(name string) (Metadata, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	m, ok := d.installed[name]
-	return m, ok
+	if i, ok := d.index[name]; ok {
+		return d.recs[i], true
+	}
+	return Metadata{}, false
 }
 
 // List returns every installed package in name order.
 func (d *Database) List() []Metadata {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]Metadata, 0, len(d.installed))
-	for _, m := range d.installed {
-		out = append(out, m)
-	}
+	out := append(make([]Metadata, 0, len(d.recs)), d.recs...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -82,7 +83,7 @@ func (d *Database) List() []Metadata {
 func (d *Database) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.installed)
+	return len(d.recs)
 }
 
 // Manifest renders one NVRA per line in name order — the canonical "software

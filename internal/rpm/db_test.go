@@ -41,6 +41,34 @@ func TestDatabaseErase(t *testing.T) {
 	}
 }
 
+// TestDatabaseEraseKeepsTheRest: erasing records from the front, the middle
+// and the end of the slab leaves every other record where Query finds it.
+func TestDatabaseEraseKeepsTheRest(t *testing.T) {
+	db := NewDatabase().Successor()
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	for i, n := range names {
+		db.Install(Metadata{Name: n, Version: v("1", strings.Repeat("1", i+1))})
+	}
+	for _, gone := range []string{"a", "d", "f"} {
+		if !db.Erase(gone) {
+			t.Fatalf("Erase(%q) found nothing", gone)
+		}
+	}
+	if got := db.Manifest(); got != "b-1-11.\nc-1-111.\ne-1-11111.\n" {
+		t.Errorf("Manifest after erasing a, d and f = %q", got)
+	}
+	for i, n := range names {
+		m, ok := db.Query(n)
+		if erased := n == "a" || n == "d" || n == "f"; ok == erased || ok && m.Version.Release != strings.Repeat("1", i+1) {
+			t.Errorf("Query(%q) = %+v, %v", n, m, ok)
+		}
+	}
+	db.Install(Metadata{Name: "a", Version: v("2", "1")})
+	if m, ok := db.Query("a"); !ok || m.Version.Version != "2" || db.Len() != 4 {
+		t.Errorf("reinstalling an erased name: Query = %+v, %v; Len = %d", m, ok, db.Len())
+	}
+}
+
 func TestDatabaseManifestSortedAndStable(t *testing.T) {
 	db := NewDatabase()
 	db.Install(Metadata{Name: "zsh", Version: v("3.0.8", "8"), Arch: ArchI386})

@@ -56,21 +56,24 @@ func (m Metadata) NVRA() string {
 }
 
 // NVRAPieces is the NVRA in the pieces NVRA joins, separators included, for
-// comparing (IsNVRA) or writing (a manifest line) one without building it.
-// It and IsNVRA take a pointer, so a call copies no Metadata.
+// writing one (a manifest line) without building it. It and IsNVRA take a
+// pointer, so a call copies no Metadata.
 func (m *Metadata) NVRAPieces() [7]string {
 	return [...]string{m.Name, "-", m.Version.Version, "-", m.Version.Release, ".", m.Arch}
 }
 
 // IsNVRA reports whether s is the package's NVRA: exactly when s == m.NVRA().
+// It compares the length, then each piece where it must sit in s.
 func (m *Metadata) IsNVRA(s string) bool {
-	for _, piece := range m.NVRAPieces() {
-		var ok bool
-		if s, ok = strings.CutPrefix(s, piece); !ok {
-			return false
-		}
+	name, ver, rel := m.Name, m.Version.Version, m.Version.Release
+	if len(s) != len(name)+len(ver)+len(rel)+len(m.Arch)+3 {
+		return false
 	}
-	return s == ""
+	i := len(name) // where each separator sits
+	j := i + 1 + len(ver)
+	k := j + 1 + len(rel)
+	return s[:i] == name && s[i] == '-' && s[i+1:j] == ver && s[j] == '-' &&
+		s[j+1:k] == rel && s[k] == '.' && s[k+1:] == m.Arch
 }
 
 // Filename returns the package file name, NVRA plus the ".rpm" suffix.

@@ -2,6 +2,7 @@ package rpm
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -115,6 +116,44 @@ func TestPackageRoundTrip(t *testing.T) {
 // string aliased over the bytes — the next member would overwrite. Scribble
 // over the buffer after decoding and the package must still be, byte for
 // byte and to its digest, the one that was encoded.
+// TestIsNVRAIsTheJoinedString: IsNVRA(s) is s == NVRA() for pieces and
+// strings drawn from an alphabet of separators and little else, so that
+// names, versions and releases run into one another and lengths collide.
+func TestIsNVRAIsTheJoinedString(t *testing.T) {
+	word := func(r *rand.Rand) string {
+		b := make([]byte, r.Intn(4))
+		for i := range b {
+			b[i] = "a1-."[r.Intn(4)]
+		}
+		return string(b)
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		m := Metadata{Name: word(r), Version: v(word(r), word(r)), Arch: word(r)}
+		candidates := []string{
+			m.NVRA(),
+			Metadata{Name: word(r), Version: v(word(r), word(r)), Arch: word(r)}.NVRA(),
+			m.NVRA() + word(r),
+			word(r) + m.NVRA(),
+			word(r) + word(r) + word(r) + word(r),
+		}
+		if s := m.NVRA(); len(s) > 0 {
+			i := r.Intn(len(s))
+			candidates = append(candidates, s[:i]+word(r)+s[i+1:], s[:i]+s[i+1:])
+		}
+		for _, s := range candidates {
+			if m.IsNVRA(s) != (s == m.NVRA()) {
+				t.Logf("%+v: IsNVRA(%q) = %v", m, s, m.IsNVRA(s))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestReadCopiesWhatItKeeps(t *testing.T) {
 	p := New("dhcp", v("2.0", "5"), ArchI386,
 		FileEntry{Path: "/usr/sbin/dhcpd", Mode: 0o755, Data: []byte("#!binary dhcpd")},

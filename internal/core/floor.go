@@ -46,13 +46,14 @@ const (
 // One lock covers both; a machine's own lock nests inside it.
 type floor struct {
 	db       *clusterdb.Database // resolves hostnames to MACs
+	held     *rpm.Held           // every package an install verified, once
 	mu       sync.Mutex
 	machines map[string]*node.Node // by MAC
 	outlets  int
 }
 
 func newFloor(db *clusterdb.Database) *floor {
-	return &floor{db: db, machines: make(map[string]*node.Node)}
+	return &floor{db: db, held: rpm.NewHeld(), machines: make(map[string]*node.Node)}
 }
 
 // plug hands out the next PDU outlet and reports whether the machine at mac
@@ -467,6 +468,7 @@ func (c *Cluster) installerConfig(n *node.Node) installer.Config {
 		FetchBackoff: c.cfg.InstallRetryBackoff,
 		Events:       c.events,
 		Stats:        &c.installStats,
+		Held:         c.floor.held,
 	}
 	if c.cfg.EnableRelays && n != c.Frontend {
 		// Each install accumulates its verified packages in a fresh store;

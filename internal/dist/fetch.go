@@ -93,6 +93,9 @@ type Fetcher struct {
 	// 1), and the wait before the next. Callers count and display retries
 	// here; it must not block.
 	OnRetry func(what string, err error, try int, wait time.Duration)
+	// Held, when set, is what Packages decodes the bodies it verifies
+	// through (rpm.Held.Decode); nil decodes every body afresh.
+	Held *rpm.Held
 }
 
 // Do runs attempt under the retry budget: transient failures are retried
@@ -316,21 +319,21 @@ func (f *Fetcher) Packages(ctx context.Context, base string, entries []ManifestE
 		return 0, fmt.Errorf("dist: asking for %s.rpm and %d more: %w", entries[0].NVRA, len(entries)-1, err)
 	}
 	defer resp.Body.Close()
-	return readBundle(ctx, resp.Body, base, entries, each)
+	return readBundle(ctx, f.Held, resp.Body, base, entries, each)
 }
 
 // readBundle reads a source's answer to a bundle request for entries. Every
 // length in it is the source's claim: a member's buffer is sized by at most
 // maxPresize up front and grows as bytes actually arrive, as in Get.
-func readBundle(ctx context.Context, r io.Reader, base string, entries []ManifestEntry, each func(i int, p *rpm.Package, n int64) error) (int, error) {
+func readBundle(ctx context.Context, held *rpm.Held, r io.Reader, base string, entries []ManifestEntry, each func(i int, p *rpm.Package, n int64) error) (int, error) {
 	br := bundleReaders.Get().(*bufio.Reader)
 	br.Reset(r)
 	defer bundleReaders.Put(br)
 	defer br.Reset(nil) // runs first
 	var (
 		header [bundleHeaderLen]byte
-		// One buffer for every member of the stream: rpm.Decode copies what
-		// the package keeps, so the next member may overwrite this one.
+		// One buffer for every member of the stream: a decoded package shares
+		// no memory with it, so the next member may overwrite this one.
 		member  bytes.Buffer
 		limited = io.LimitedReader{R: br}
 	)
@@ -368,7 +371,7 @@ func readBundle(ctx context.Context, r io.Reader, base string, entries []Manifes
 		if crc32.ChecksumIEEE(member.Bytes()) != bodySum {
 			return i, corruptBody(e.NVRA+".rpm", base, "body damaged in transit")
 		}
-		p, err := verify(member.Bytes(), e, base)
+		p, err := verify(held, member.Bytes(), e, base)
 		if err != nil {
 			return i, err
 		}
@@ -395,8 +398,8 @@ func corruptBody(file, base, why string) error {
 // The manifest always comes from the trusted side, so a source that serves
 // anything else cannot get it past this function; every failure is transient
 // and wraps ErrCorruptBody, naming the file and the source.
-func verify(body []byte, e ManifestEntry, base string) (*rpm.Package, error) {
-	p, err := rpm.Decode(body)
+func verify(held *rpm.Held, body []byte, e ManifestEntry, base string) (*rpm.Package, error) {
+	p, err := held.Decode(body)
 	if err != nil {
 		return nil, corruptBody(e.NVRA+".rpm", base, err.Error())
 	}
@@ -405,7 +408,7 @@ func verify(body []byte, e ManifestEntry, base string) (*rpm.Package, error) {
 		// payload digest cannot see.
 		return nil, corruptBody(e.NVRA+".rpm", base, "body identifies as "+p.Filename())
 	}
-	if p.EnsureDigest() != e.Digest {
+	if p.Digest != e.Digest {
 		return nil, corruptBody(e.NVRA+".rpm", base, "payload digest does not match the distribution manifest")
 	}
 	return p, nil

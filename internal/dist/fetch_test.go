@@ -304,7 +304,7 @@ func TestConcurrentManifestAndPackageServing(t *testing.T) {
 				e := entries[(g*4+i)%packages]
 				body, err := f.Get(context.Background(), srv.URL+rpmsPath+e.NVRA+".rpm", nil)
 				if err == nil {
-					_, err = verify(body, e, srv.URL)
+					_, err = verify(nil, body, e, srv.URL)
 				}
 				if err == nil {
 					_, err = f.Packages(context.Background(), srv.URL, []ManifestEntry{e}, func(int, *rpm.Package, int64) error { return nil })
@@ -372,7 +372,7 @@ func TestVerifyIdentity(t *testing.T) {
 		{pkg("a", "1", "2", "i386"), "a-1-2-i386", false},
 	} {
 		body := c.body.Bytes()
-		p, err := verify(body, ManifestEntry{NVRA: c.nvra, Digest: c.body.EnsureDigest()}, "src")
+		p, err := verify(nil, body, ManifestEntry{NVRA: c.nvra, Digest: c.body.EnsureDigest()}, "src")
 		if c.accepted {
 			if err != nil || p.NVRA() != c.nvra {
 				t.Errorf("%s as %s: %v, want it accepted", c.body.NVRA(), c.nvra, err)

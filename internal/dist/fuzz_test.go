@@ -57,12 +57,12 @@ func FuzzBundle(f *testing.F) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		delivered := 0
-		done, err := readBundle(context.Background(), bytes.NewReader(answer), "fuzz", entries,
+		done, err := readBundle(context.Background(), nil, bytes.NewReader(answer), "fuzz", entries,
 			func(i int, p *rpm.Package, n int64) error {
 				if i != delivered || n > int64(len(answer)) {
 					t.Fatalf("handed member %d of %d bytes after %d others, from %d bytes of input", i, n, delivered, len(answer))
 				}
-				if _, err := verify(p.Bytes(), entries[i], "fuzz"); err != nil {
+				if _, err := verify(nil, p.Bytes(), entries[i], "fuzz"); err != nil {
 					t.Fatalf("handed member %d, which the shared verify rejects: %v", i, err)
 				}
 				delivered++
@@ -162,7 +162,7 @@ func TestBundleCorpus(t *testing.T) {
 			t.Errorf("%s is not what bundleSeeds forges; rerun with -update", name)
 			continue
 		}
-		done, err := readBundle(context.Background(), bytes.NewReader(answer), "seed", entries,
+		done, err := readBundle(context.Background(), nil, bytes.NewReader(answer), "seed", entries,
 			func(int, *rpm.Package, int64) error { return nil })
 		if done != want.done || (err == nil) != (want.done == 2) {
 			t.Errorf("%s: done = %d, err = %v; want %d", name, done, err, want.done)

@@ -265,7 +265,7 @@ func TestStreamBuffersAreReused(t *testing.T) {
 	for _, name := range []string{"alpha", "beta", "gamma"} {
 		p := rpm.New(name, v("1.0", "1"), rpm.ArchI386, rpm.FileEntry{Path: "/usr/lib/" + name, Data: []byte(name)})
 		repo.Add(p)
-		entries = append(entries, ManifestEntry{NVRA: p.NVRA(), Digest: p.Digest})
+		entries = append(entries, ManifestEntry{NVRA: p.NVRA(), Digest: p.EnsureDigest()})
 	}
 	ts := httptest.NewServer(NewRepoServer(repo))
 	defer ts.Close()

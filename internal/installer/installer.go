@@ -108,6 +108,9 @@ type Config struct {
 	// to peers once the registry hears its install-complete event. Nil
 	// means frontend-only distribution.
 	RelayStore *rpm.Repository
+	// Held keeps the install's verified packages: installs sharing one
+	// share each package between their nodes. Nil means one of its own.
+	Held *rpm.Held
 	// FactsHook, when set, may perturb the profile the agent is about to
 	// report (the machine's real hardware is untouched). The faults package
 	// uses it to inject deterministic drift.
@@ -135,6 +138,9 @@ func (c Config) withDefaults() Config {
 	if c.FetchBackoff <= 0 {
 		c.FetchBackoff = 25 * time.Millisecond
 	}
+	if c.Held == nil {
+		c.Held = rpm.NewHeld()
+	}
 	return c
 }
 
@@ -151,6 +157,7 @@ func (c Config) fetcher(screen io.Writer) *dist.Fetcher {
 		HTTP:     c.HTTP,
 		Attempts: max(c.FetchRetries, 0) + 1,
 		Backoff:  c.FetchBackoff,
+		Held:     c.Held,
 		OnRetry: func(what string, err error, try int, wait time.Duration) {
 			c.Stats.retry()
 			fmt.Fprintf(screen, "transient failure fetching %s: %v; retry %d/%d in %s\n",
@@ -565,7 +572,7 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 		if err := n.Disk().Unpack(pkg.Files); err != nil {
 			return fmt.Errorf("installer: unpacking %s: %w", pkg.NVRA(), err)
 		}
-		n.PackageDB().Install(pkg.Metadata)
+		n.PackageDB().Install(&pkg.Metadata)
 		total += pkg.Size
 		done++
 		// Redraw the Figure 7 panel for every package, exactly as the

@@ -405,8 +405,8 @@ func TestInstallPicksNewestPackageVersion(t *testing.T) {
 	}
 }
 
-func newMeta(name, ver, rel string) rpm.Metadata {
-	return rpm.Metadata{Name: name, Version: rpm.Version{Version: ver, Release: rel}, Arch: "i386"}
+func newMeta(name, ver, rel string) *rpm.Metadata {
+	return &rpm.Metadata{Name: name, Version: rpm.Version{Version: ver, Release: rel}, Arch: "i386"}
 }
 
 // TestInteractiveRetryOverEKV exercises §6.3's interaction path: a package

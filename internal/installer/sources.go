@@ -10,6 +10,7 @@ import (
 
 	"rocks/internal/dist"
 	"rocks/internal/lifecycle"
+	"rocks/internal/metrics"
 	"rocks/internal/node"
 	"rocks/internal/rpm"
 )
@@ -102,10 +103,10 @@ func streamVerified(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetch
 	for {
 		src := srcs.pick()
 		var unpackErr error
-		last := time.Now()
+		tally, last := &Stats{FetchSeconds: metrics.NewHistogram(nil)}, time.Now()
 		got, err := f.Packages(ctx, src.URL, entries, func(_ int, pkg *rpm.Package, nbytes int64) error {
 			now := time.Now()
-			cfg.Stats.fetched(src.Kind, nbytes, now.Sub(last))
+			tally.fetched(src.Kind, nbytes, now.Sub(last))
 			last = now
 			if cfg.RelayStore != nil {
 				cfg.RelayStore.Add(pkg)
@@ -113,6 +114,8 @@ func streamVerified(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetch
 			unpackErr = unpack(pkg)
 			return unpackErr
 		})
+		// What a source delivered counts whether or not it then failed.
+		cfg.Stats.fold(tally)
 		if err == nil || unpackErr != nil {
 			return err
 		}

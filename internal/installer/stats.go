@@ -76,12 +76,9 @@ func (s *Stats) demotePeer() {
 	}
 }
 
-// fetched records one verified package body by source kind, and how long
-// after the stream's previous one (or its request) it was handed over.
+// fetched counts one verified body by source kind into a stream's own Stats
+// (made with FetchSeconds), timed from the stream's previous one or request.
 func (s *Stats) fetched(kind string, bytes int64, d time.Duration) {
-	if s == nil {
-		return
-	}
 	if kind == SourcePeer {
 		s.PeerFetches.Add(1)
 		s.PeerBytes.Add(uint64(bytes))
@@ -89,8 +86,21 @@ func (s *Stats) fetched(kind string, bytes int64, d time.Duration) {
 		s.FrontendFetches.Add(1)
 		s.FrontendBytes.Add(uint64(bytes))
 	}
-	s.hists()
 	s.FetchSeconds.Observe(d.Seconds())
+}
+
+// fold adds what a stream counted into a Stats of its own (fetched) to s,
+// which every install shares: once per stream, not once per package.
+func (s *Stats) fold(t *Stats) {
+	if s == nil {
+		return
+	}
+	s.PeerFetches.Add(t.PeerFetches.Load())
+	s.PeerBytes.Add(t.PeerBytes.Load())
+	s.FrontendFetches.Add(t.FrontendFetches.Load())
+	s.FrontendBytes.Add(t.FrontendBytes.Load())
+	s.hists()
+	s.FetchSeconds.Merge(t.FetchSeconds)
 }
 
 // observeInstall records one completed install's wall-clock duration.

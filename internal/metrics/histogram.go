@@ -66,6 +66,18 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 }
 
+// Merge adds o's observations to h, which must have o's bounds: a goroutine
+// may tally into a histogram of its own and fold it into a shared one once.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range o.buckets {
+		if n := o.buckets[i].Load(); n > 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+	h.count.Add(o.count.Load())
+	h.sum.add(o.sum.load())
+}
+
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 

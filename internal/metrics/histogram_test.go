@@ -57,6 +57,28 @@ func TestHistogramObserveAndExposition(t *testing.T) {
 	}
 }
 
+// TestHistogramMerge: observations tallied into two histograms and merged
+// expose exactly as the same observations made into one.
+func TestHistogramMerge(t *testing.T) {
+	bounds := []float64{0.1, 1, 10}
+	direct, shared, local := NewHistogram(bounds), NewHistogram(bounds), NewHistogram(bounds)
+	for i, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
+		direct.Observe(v)
+		if i%2 == 0 {
+			shared.Observe(v)
+		} else {
+			local.Observe(v)
+		}
+	}
+	shared.Merge(local)
+	var want, got strings.Builder
+	direct.writeTo(&want, "h")
+	shared.writeTo(&got, "h")
+	if got.String() != want.String() {
+		t.Errorf("merged:\n%s\nobserved directly:\n%s", got.String(), want.String())
+	}
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	h := NewHistogram([]float64{1, 2, 4, 8})
 	if !math.IsNaN(h.Quantile(0.5)) {

@@ -17,12 +17,10 @@ import (
 	"rocks/internal/rpm"
 )
 
-// File is one stored file on a partition.
+// File is one file the node wrote to a partition.
 type File struct {
 	Data []byte
 	Mode uint32
-	// borrowed marks Data as a package's bytes (Unpack): kept, not owned.
-	borrowed bool
 }
 
 // Partition is a formatted region of the disk holding a file tree. Paths
@@ -33,7 +31,22 @@ type Partition struct {
 	// Generation counts how many times the partition has been formatted;
 	// tests use it to prove non-root partitions survive reinstalls (§6.3).
 	Generation int
-	files      map[string]File
+	files      map[string]File           // written by the node, in arrays the disk owns
+	unpacked   map[string]*rpm.FileEntry // a verified package's own entries
+}
+
+func newPartition(mount string) *Partition {
+	return &Partition{Mount: mount, files: make(map[string]File), unpacked: make(map[string]*rpm.FileEntry)}
+}
+
+// lookup finds a file, the node's own or unpacked. Callers hold the disk's
+// lock.
+func (p *Partition) lookup(path string) (File, bool) {
+	f, ok := p.files[path]
+	if u := p.unpacked[path]; u != nil {
+		f, ok = File{Data: u.Data, Mode: cmp.Or(u.Mode, 0o644)}, true
+	}
+	return f, ok
 }
 
 // Disk is a node's system disk: a set of partitions keyed by mountpoint.
@@ -43,9 +56,10 @@ type Partition struct {
 // A file's bytes leave the disk only as a copy (ReadFile), and every access
 // holds mu. What WriteFile and AppendFile are handed is copied into arrays
 // the disk owns, which is what lets WriteFile overwrite a file in the array
-// it already occupies. What Unpack is handed is kept as it is: a verified
-// package's bytes, which a relay store may serve too, so the disk never
-// writes over them or appends into their spare capacity.
+// it already occupies. What Unpack is handed is kept as it is, by reference:
+// a verified package's file entries, which other nodes and relay stores hold
+// too, so the disk never writes into them; a write to such a path takes it
+// over with bytes of the disk's own.
 type Disk struct {
 	mu    sync.RWMutex
 	Parts map[string]*Partition
@@ -69,22 +83,23 @@ func (d *Disk) EnsurePartition(mount string) *Partition {
 	if p, ok := d.Parts[mount]; ok {
 		return p
 	}
-	p := &Partition{Mount: mount, files: make(map[string]File)}
+	p := newPartition(mount)
 	d.Parts[mount] = p
 	return p
 }
 
 // Format (re)creates the partition's filesystem, destroying its contents.
-// The file table is emptied, not replaced: a reinstall fills it again.
+// The file tables are emptied, not replaced: a reinstall fills them again.
 func (d *Disk) Format(mount string) *Partition {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p, ok := d.Parts[mount]
 	if !ok {
-		p = &Partition{Mount: mount, files: make(map[string]File)}
+		p = newPartition(mount)
 		d.Parts[mount] = p
 	}
 	clear(p.files)
+	clear(p.unpacked)
 	if !p.Formatted {
 		at := sort.Search(len(d.mounted), func(i int) bool { return len(d.mounted[i].Mount) < len(mount) })
 		d.mounted = slices.Insert(d.mounted, at, p)
@@ -129,29 +144,27 @@ func (d *Disk) WriteFile(path string, data []byte, mode uint32) error {
 	if err != nil {
 		return err
 	}
-	old := p.files[path]
-	if old.borrowed {
-		old.Data = nil
-	}
-	p.files[path] = File{Data: append(old.Data[:0], data...), Mode: cmp.Or(mode, 0o644)}
+	delete(p.unpacked, path)
+	old := p.files[path].Data
+	p.files[path] = File{Data: append(old[:0], data...), Mode: cmp.Or(mode, 0o644)}
 	return nil
 }
 
 // Unpack stores a verified package's files, each on the partition owning its
-// path, under one hold of the disk. It keeps the files' bytes rather than a
-// copy (see Disk). A path no formatted partition holds stops it there, with
-// the files before it stored.
+// path, under one hold of the disk. It keeps a reference to each entry rather
+// than a copy (see Disk). A path no formatted partition holds stops it there,
+// with the files before it stored.
 func (d *Disk) Unpack(files []rpm.FileEntry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, f := range files {
+	for i := range files {
+		f := &files[i]
 		p, err := d.partitionFor(f.Path)
 		if err != nil {
 			return err
 		}
-		// Capacity cut at the length: an append moves the file out.
-		data := f.Data[:len(f.Data):len(f.Data)]
-		p.files[f.Path] = File{Data: data, Mode: cmp.Or(f.Mode, 0o644), borrowed: true}
+		delete(p.files, f.Path)
+		p.unpacked[f.Path] = f
 	}
 	return nil
 }
@@ -166,10 +179,12 @@ func (d *Disk) AppendFile(path string, data []byte) error {
 		return err
 	}
 	f := p.files[path]
-	// A borrowed file's capacity ends at its length (Unpack), so any bytes
-	// appended move it into an array of the disk's own.
-	f.Data, f.borrowed = append(f.Data, data...), f.borrowed && len(data) == 0
-	f.Mode = cmp.Or(f.Mode, 0o644)
+	if u, ok := p.unpacked[path]; ok {
+		// The package's bytes become the disk's own before any are appended.
+		f = File{Data: slices.Clone(u.Data), Mode: u.Mode}
+		delete(p.unpacked, path)
+	}
+	f.Data, f.Mode = append(f.Data, data...), cmp.Or(f.Mode, 0o644)
 	p.files[path] = f
 	return nil
 }
@@ -182,7 +197,7 @@ func (d *Disk) ReadFile(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, ok := p.files[path]
+	f, ok := p.lookup(path)
 	if !ok {
 		return nil, fmt.Errorf("node: %s: no such file", path)
 	}
@@ -197,7 +212,7 @@ func (d *Disk) Stat(path string) (uint32, bool) {
 	if err != nil {
 		return 0, false
 	}
-	f, ok := p.files[path]
+	f, ok := p.lookup(path)
 	return f.Mode, ok
 }
 
@@ -212,6 +227,11 @@ func (d *Disk) List(prefix string) []string {
 				out = append(out, path)
 			}
 		}
+		for path := range p.unpacked {
+			if strings.HasPrefix(path, prefix) {
+				out = append(out, path)
+			}
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -222,7 +242,7 @@ func (d *Disk) FileCount(mount string) int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if p, ok := d.Parts[mount]; ok {
-		return len(p.files)
+		return len(p.files) + len(p.unpacked)
 	}
 	return 0
 }
@@ -245,6 +265,6 @@ func (d *Disk) Bootable() bool {
 	if !ok || !p.Formatted {
 		return false
 	}
-	_, hasKernel := p.files["/boot/vmlinuz"]
+	_, hasKernel := p.lookup("/boot/vmlinuz")
 	return hasKernel
 }

@@ -96,7 +96,7 @@ func TestUnpackKeepsThePackagesBytes(t *testing.T) {
 		t.Errorf("Stat(/etc/motd) = %#o, %v", mode, ok)
 	}
 	root, _ := d.Partition("/")
-	if kept := root.files["/etc/hosts"].Data; len(kept) == 0 || &kept[0] != &payload[0] {
+	if kept := root.unpacked["/etc/hosts"].Data; len(kept) == 0 || &kept[0] != &payload[0] {
 		t.Error("Unpack stored a copy of the package's bytes, not the bytes")
 	}
 	if err := d.AppendFile("/etc/hosts", []byte("::1\n")); err != nil {
@@ -233,7 +233,7 @@ func TestNodeExecCommands(t *testing.T) {
 	n.SetState(StateUp)
 	n.SetName("compute-0-0")
 	n.SetKernelVersion("2.4.9-31")
-	n.PackageDB().Install(rpm.Metadata{Name: "glibc",
+	n.PackageDB().Install(&rpm.Metadata{Name: "glibc",
 		Version: rpm.Version{Version: "2.2.4", Release: "24"}, Arch: "i386"})
 
 	out, err := n.Exec("uname -r")
@@ -429,7 +429,7 @@ func TestNodeAccessors(t *testing.T) {
 	if n.GMDriverFor() != "2.4.9" {
 		t.Error("GMDriverFor")
 	}
-	n.PackageDB().Install(rpm.Metadata{Name: "x", Version: rpm.Version{Version: "1", Release: "1"}})
+	n.PackageDB().Install(&rpm.Metadata{Name: "x", Version: rpm.Version{Version: "1", Release: "1"}})
 	n.ResetPackageDB()
 	if n.PackageDB().Len() != 0 {
 		t.Error("ResetPackageDB")

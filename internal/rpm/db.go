@@ -2,6 +2,7 @@ package rpm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,60 +13,55 @@ import (
 // have on node Y?", §3.2) are answered by querying this database; the Rocks
 // answer is that reinstallation makes the database identical on every node.
 type Database struct {
-	mu    sync.RWMutex
-	recs  []Metadata     // one slab, in no order
-	index map[string]int // package name → its record; one version installed at a time
+	mu   sync.RWMutex
+	recs []*Metadata // in name order; one version of a name installed at a time
 }
 
 // NewDatabase returns an empty installed-package database.
-func NewDatabase() *Database {
-	return &Database{index: make(map[string]int)}
-}
+func NewDatabase() *Database { return &Database{} }
 
 // Successor returns an empty database with room for what d holds, which a
 // reinstall installs again; d is left as it is for whoever still holds it.
-func (d *Database) Successor() *Database {
-	n := d.Len()
-	return &Database{recs: make([]Metadata, 0, n), index: make(map[string]int, n)}
+func (d *Database) Successor() *Database { return &Database{recs: make([]*Metadata, 0, d.Len())} }
+
+// find is where the record of name stands or would; callers hold the lock.
+func (d *Database) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(d.recs, name, func(m *Metadata, name string) int {
+		return strings.Compare(m.Name, name)
+	})
 }
 
 // Install records a package as installed, replacing any prior version of
-// the same name (an upgrade).
-func (d *Database) Install(m Metadata) {
+// the same name (an upgrade). It keeps m, not a copy: a verified package's
+// Metadata, which nothing writes and every node running it shares (Held).
+func (d *Database) Install(m *Metadata) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if i, ok := d.index[m.Name]; ok {
+	if i, ok := d.find(m.Name); ok {
 		d.recs[i] = m
-		return
+	} else {
+		d.recs = slices.Insert(d.recs, i, m)
 	}
-	d.index[m.Name] = len(d.recs)
-	d.recs = append(d.recs, m)
 }
 
 // Erase removes a package record; it reports whether the package was
-// installed. The last record takes the erased one's place.
+// installed.
 func (d *Database) Erase(name string) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	i, ok := d.index[name]
-	if !ok {
-		return false
+	i, ok := d.find(name)
+	if ok {
+		d.recs = slices.Delete(d.recs, i, i+1)
 	}
-	last := len(d.recs) - 1
-	d.recs[i] = d.recs[last]
-	d.index[d.recs[i].Name] = i
-	delete(d.index, name)
-	d.recs[last] = Metadata{}
-	d.recs = d.recs[:last]
-	return true
+	return ok
 }
 
 // Query returns the installed metadata for a package name, like `rpm -q`.
 func (d *Database) Query(name string) (Metadata, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if i, ok := d.index[name]; ok {
-		return d.recs[i], true
+	if i, ok := d.find(name); ok {
+		return *d.recs[i], true
 	}
 	return Metadata{}, false
 }
@@ -74,8 +70,10 @@ func (d *Database) Query(name string) (Metadata, bool) {
 func (d *Database) List() []Metadata {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := append(make([]Metadata, 0, len(d.recs)), d.recs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	out := make([]Metadata, len(d.recs))
+	for i, m := range d.recs {
+		out[i] = *m
+	}
 	return out
 }
 

@@ -7,7 +7,7 @@ import (
 
 func TestDatabaseInstallQuery(t *testing.T) {
 	db := NewDatabase()
-	db.Install(Metadata{Name: "ssh", Version: v("2.9p2", "12"), Arch: ArchI386})
+	db.Install(&Metadata{Name: "ssh", Version: v("2.9p2", "12"), Arch: ArchI386})
 	m, ok := db.Query("ssh")
 	if !ok || m.Version.Version != "2.9p2" {
 		t.Fatalf("Query = %+v, %v", m, ok)
@@ -19,8 +19,8 @@ func TestDatabaseInstallQuery(t *testing.T) {
 
 func TestDatabaseUpgradeReplaces(t *testing.T) {
 	db := NewDatabase()
-	db.Install(Metadata{Name: "glibc", Version: v("2.2.4", "13"), Arch: ArchI386})
-	db.Install(Metadata{Name: "glibc", Version: v("2.2.4", "24"), Arch: ArchI386})
+	db.Install(&Metadata{Name: "glibc", Version: v("2.2.4", "13"), Arch: ArchI386})
+	db.Install(&Metadata{Name: "glibc", Version: v("2.2.4", "24"), Arch: ArchI386})
 	if db.Len() != 1 {
 		t.Fatalf("Len = %d after upgrade, want 1", db.Len())
 	}
@@ -32,7 +32,7 @@ func TestDatabaseUpgradeReplaces(t *testing.T) {
 
 func TestDatabaseErase(t *testing.T) {
 	db := NewDatabase()
-	db.Install(Metadata{Name: "a", Version: v("1", "1")})
+	db.Install(&Metadata{Name: "a", Version: v("1", "1")})
 	if !db.Erase("a") || db.Erase("a") {
 		t.Error("Erase semantics wrong")
 	}
@@ -47,7 +47,7 @@ func TestDatabaseEraseKeepsTheRest(t *testing.T) {
 	db := NewDatabase().Successor()
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	for i, n := range names {
-		db.Install(Metadata{Name: n, Version: v("1", strings.Repeat("1", i+1))})
+		db.Install(&Metadata{Name: n, Version: v("1", strings.Repeat("1", i+1))})
 	}
 	for _, gone := range []string{"a", "d", "f"} {
 		if !db.Erase(gone) {
@@ -63,7 +63,7 @@ func TestDatabaseEraseKeepsTheRest(t *testing.T) {
 			t.Errorf("Query(%q) = %+v, %v", n, m, ok)
 		}
 	}
-	db.Install(Metadata{Name: "a", Version: v("2", "1")})
+	db.Install(&Metadata{Name: "a", Version: v("2", "1")})
 	if m, ok := db.Query("a"); !ok || m.Version.Version != "2" || db.Len() != 4 {
 		t.Errorf("reinstalling an erased name: Query = %+v, %v; Len = %d", m, ok, db.Len())
 	}
@@ -71,8 +71,8 @@ func TestDatabaseEraseKeepsTheRest(t *testing.T) {
 
 func TestDatabaseManifestSortedAndStable(t *testing.T) {
 	db := NewDatabase()
-	db.Install(Metadata{Name: "zsh", Version: v("3.0.8", "8"), Arch: ArchI386})
-	db.Install(Metadata{Name: "bash", Version: v("2.05", "8"), Arch: ArchI386})
+	db.Install(&Metadata{Name: "zsh", Version: v("3.0.8", "8"), Arch: ArchI386})
+	db.Install(&Metadata{Name: "bash", Version: v("2.05", "8"), Arch: ArchI386})
 	m := db.Manifest()
 	want := "bash-2.05-8.i386\nzsh-3.0.8-8.i386\n"
 	if m != want {
@@ -86,10 +86,10 @@ func TestDatabaseManifestSortedAndStable(t *testing.T) {
 func TestDatabaseDiff(t *testing.T) {
 	a := NewDatabase()
 	b := NewDatabase()
-	a.Install(Metadata{Name: "only-a", Version: v("1", "1"), Arch: ArchI386})
-	a.Install(Metadata{Name: "shared", Version: v("1.0", "1"), Arch: ArchI386})
-	b.Install(Metadata{Name: "shared", Version: v("1.0", "2"), Arch: ArchI386})
-	b.Install(Metadata{Name: "only-b", Version: v("1", "1"), Arch: ArchI386})
+	a.Install(&Metadata{Name: "only-a", Version: v("1", "1"), Arch: ArchI386})
+	a.Install(&Metadata{Name: "shared", Version: v("1.0", "1"), Arch: ArchI386})
+	b.Install(&Metadata{Name: "shared", Version: v("1.0", "2"), Arch: ArchI386})
+	b.Install(&Metadata{Name: "only-b", Version: v("1", "1"), Arch: ArchI386})
 
 	removed, added, changed := a.Diff(b)
 	if len(removed) != 1 || removed[0] != "only-a-1-1.i386" {
@@ -106,7 +106,7 @@ func TestDatabaseDiff(t *testing.T) {
 func TestDatabaseDiffEmptyMeansConsistent(t *testing.T) {
 	a := NewDatabase()
 	b := NewDatabase()
-	for _, m := range []Metadata{
+	for _, m := range []*Metadata{
 		{Name: "x", Version: v("1", "1"), Arch: ArchI386},
 		{Name: "y", Version: v("2", "1"), Arch: ArchI386},
 	} {

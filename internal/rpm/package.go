@@ -217,18 +217,11 @@ func Read(r io.Reader) (*Package, error) {
 // caller may reuse body at once. What Decode accepts, Bytes encodes back to
 // the same bytes.
 func Decode(body []byte) (*Package, error) {
-	rest, ok := bytes.CutPrefix(body, []byte(fileMagic))
-	if !ok {
-		return nil, fmt.Errorf("rpm: %w", ErrFormat)
+	hdr, payload, err := frame(body)
+	if err != nil {
+		return nil, err
 	}
-	if len(rest) < 4 {
-		return nil, errors.New("rpm: package cut short before its header")
-	}
-	end := 4 + int64(binary.BigEndian.Uint32(rest))
-	if end > int64(len(rest)) {
-		return nil, fmt.Errorf("rpm: header claims %d bytes, %d left in the package", end-4, len(rest)-4)
-	}
-	h, payload := header{s: string(rest[4:end])}, rest[end:]
+	h, whole := header{s: string(hdr)}, payload
 	p := &Package{}
 	p.Name = h.str("name")
 	p.Version.Epoch = int(h.uvarint("epoch"))
@@ -266,12 +259,28 @@ func Decode(body []byte) (*Package, error) {
 	if digest := payloadDigest(p.Files); string(digest[:]) != p.Digest {
 		return nil, fmt.Errorf("rpm: %s: payload digest mismatch (corrupted package)", p.NVRA())
 	}
-	kept := bytes.Clone(rest[end:])
+	kept := bytes.Clone(whole)
 	for i := range p.Files {
 		n := len(p.Files[i].Data)
 		p.Files[i].Data, kept = kept[:n:n], kept[n:]
 	}
 	return p, nil
+}
+
+// frame splits a package's file into its header and its payload.
+func frame(body []byte) (hdr, payload []byte, err error) {
+	rest, ok := bytes.CutPrefix(body, []byte(fileMagic))
+	if !ok {
+		return nil, nil, fmt.Errorf("rpm: %w", ErrFormat)
+	}
+	if len(rest) < 4 {
+		return nil, nil, errors.New("rpm: package cut short before its header")
+	}
+	end := 4 + int64(binary.BigEndian.Uint32(rest))
+	if end > int64(len(rest)) {
+		return nil, nil, fmt.Errorf("rpm: header claims %d bytes, %d left in the package", end-4, len(rest)-4)
+	}
+	return rest[4:end], rest[end:], nil
 }
 
 // header is what is left to read of a header and the first thing wrong with

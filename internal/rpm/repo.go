@@ -1,6 +1,7 @@
 package rpm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -49,20 +50,22 @@ func NewRepository(name string) *Repository {
 // Name returns the repository's name.
 func (r *Repository) Name() string { return r.name }
 
-// Add inserts a package, stamping its Source with the repository name if
-// the package does not already carry provenance, and its payload digest if
-// it was built in memory and never serialized: every package reachable
-// through a Repository carries its Digest, so the concurrent paths that
-// serve and verify repository contents only ever read the field. Adding a
-// package with an NVRA that is already present replaces the existing copy
-// (a re-pushed package wins, matching wget mirror semantics).
+// Add inserts a package. One that carries no provenance or no payload digest
+// (built in memory and never serialized) is stored as a copy stamped with the
+// repository's name and its digest, so every package reachable through a
+// Repository carries its Digest, and p itself — a verified package other
+// nodes may hold (Held) — is never written. Adding a package with an NVRA
+// that is already present replaces the existing copy (a re-pushed package
+// wins, matching wget mirror semantics).
 func (r *Repository) Add(p *Package) {
+	if p.Source == "" || p.Digest == "" {
+		q := *p
+		q.Source = cmp.Or(q.Source, r.name)
+		q.EnsureDigest()
+		p = &q
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if p.Source == "" {
-		p.Source = r.name
-	}
-	p.EnsureDigest()
 	nvra := p.NVRA()
 	e := &entry{pkg: p}
 	old := r.byNVRA[nvra]

@@ -258,6 +258,34 @@ func (r *scanRepo) nvras() []string {
 	return out
 }
 
+// stamped gives a package built in memory its provenance and digest, which
+// Add stores as it is handed over: not a stamped copy.
+func stamped(p *Package) *Package {
+	p.Source = "r"
+	p.EnsureDigest()
+	return p
+}
+
+// TestAddNeverWritesWhatItIsHanded: a package without provenance or digest is
+// stored as a stamped copy sharing its files, and the package handed over —
+// which may be a verified package many nodes hold — is left as it was.
+func TestAddNeverWritesWhatItIsHanded(t *testing.T) {
+	r := NewRepository("r")
+	p := New("a", v("1", "1"), ArchI386, FileEntry{Path: "/a", Data: []byte("a")})
+	r.Add(p)
+	got := r.Get(p.NVRA())
+	if p.Source != "" || p.Digest != "" {
+		t.Errorf("Add wrote to the package it was handed: Source %q, Digest %q", p.Source, p.Digest)
+	}
+	if got == p || got.Source != "r" || got.Digest != PayloadDigest(p.Files) || &got.Files[0] != &p.Files[0] {
+		t.Errorf("stored %+v, want a copy stamped %q with the files shared", got, "r")
+	}
+	q := stamped(New("b", v("1", "1"), ArchI386))
+	if r.Add(q); r.Get(q.NVRA()) != q {
+		t.Error("a package that carries provenance and digest was not stored as it is")
+	}
+}
+
 // TestRepositoryMatchesLinearScan drives the indexed repository and the old
 // linear scan through the same seeded sequence of adds (a third of them
 // re-pushing an NVRA already present, with a new payload), removes and
@@ -279,7 +307,7 @@ func TestRepositoryMatchesLinearScan(t *testing.T) {
 			m := Metadata{Name: pick(names), Version: v(pick(versions), pick(releases)), Arch: pick(arches)}
 			switch op := rng.Intn(10); {
 			case op < 5:
-				p := New(m.Name, m.Version, m.Arch, FileEntry{Path: "/f", Data: []byte(fmt.Sprint(step))})
+				p := stamped(New(m.Name, m.Version, m.Arch, FileEntry{Path: "/f", Data: []byte(fmt.Sprint(step))}))
 				repo.Add(p)
 				ref.add(p)
 			case op < 7:
@@ -337,7 +365,7 @@ func TestRepositoryMatchesLinearScan(t *testing.T) {
 func TestRepositoryNVRASharedByTwoNames(t *testing.T) {
 	r := NewRepository("r")
 	r.Add(New("a-1", v("2", "3"), ArchI386))
-	b := New("a", v("1-2", "3"), ArchI386)
+	b := stamped(New("a", v("1-2", "3"), ArchI386))
 	r.Add(b)
 	if r.Len() != 1 || r.Get("a-1-2-3.i386") != b || r.Newest("a-1", ArchI386) != nil || r.Newest("a", ArchI386) != b {
 		t.Fatalf("Len = %d, Names = %v: the replaced package is still reachable", r.Len(), r.Names())
@@ -360,7 +388,7 @@ func TestRepositorySortedView(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		held := repo.Sorted()
 		before := append([]*Package(nil), held...)
-		p := New(pick(names), v(pick(versions), pick([]string{"1", "3"})), pick([]string{ArchI386, ArchNoarch}))
+		p := stamped(New(pick(names), v(pick(versions), pick([]string{"1", "3"})), pick([]string{ArchI386, ArchNoarch})))
 		if rng.Intn(3) == 0 {
 			repo.Remove(p.NVRA())
 			delete(ref, p.NVRA())

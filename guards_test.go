@@ -306,6 +306,42 @@ func TestStructuralGuards(t *testing.T) {
 		})
 	})
 
+	t.Run("the supervisor decides in one pure function", func(t *testing.T) {
+		// The remediation policy is decide (DESIGN.md §14): what a tick knows
+		// of a machine in, the next record and an action out. tick gathers
+		// and applies; decide takes no lock, reads no clock, reaches no
+		// supervisor or remediation state and calls no PDU, PBS, bus or relay.
+		forbidden := []string{"mu", "pdu", "pbs", "events", "relays", "PDU", "PBS", "Publish", "HardCycle", "SetOffline", "withdraw", "quarantine"}
+		found := 0
+		inspect(t, func(f srcFile) bool { return f.path == "internal/core/supervisor.go" }, func(n ast.Node) string {
+			fn, ok := n.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || fn.Name.Name != "decide" {
+				return ""
+			}
+			found++
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				why := ""
+				if pkgCall(n, "time", "Now") {
+					why = "time.Now in decide; now is an input"
+				} else if sel, ok := n.(*ast.SelectorExpr); ok {
+					if id, ok := sel.X.(*ast.Ident); ok && (id.Name == "s" || id.Name == "m") {
+						why = id.Name + "." + sel.Sel.Name + " in decide; it sees only its record and its input"
+					} else if slices.Contains(forbidden, sel.Sel.Name) {
+						why = "." + sel.Sel.Name + " in decide; locks and effects belong to tick"
+					}
+				}
+				if why != "" {
+					t.Errorf("%s: %s", fset.Position(n.Pos()), why)
+				}
+				return true
+			})
+			return ""
+		})
+		if found != 1 {
+			t.Errorf("internal/core/supervisor.go declares %d functions decide; want one", found)
+		}
+	})
+
 	t.Run("the private network is in-process", func(t *testing.T) {
 		// internal/memnet never falls back to the kernel (DESIGN.md §8): it
 		// names no net.Listen* or net.Dial*, so no private address can reach

@@ -21,20 +21,17 @@ import (
 
 // The supervisor closes the remediation loop the paper leaves open. §4's
 // monitor ends at a human — it tells the administrator "which outlets to
-// cycle" — and §6.3's installer waits for a user to type "retry". The
-// large-cluster experience reports (CERN, Brookhaven; PAPERS.md) are
-// unanimous that at thousand-node scale transient install failures are
-// constant and the human in that loop is the bottleneck. On each tick the
-// supervisor probes every node through its monitor, reads that probe's
-// dark/up classification and the state each node answered with, and applies
-// the paper's own remedies mechanically: a hard power cycle for dark nodes
-// (which forces reinstallation, §4), a re-shoot for crashed installs,
-// capped exponential backoff with jitter between attempts, and — when a
-// node exhausts its retry budget — quarantine: the node is marked offline in
-// PBS and the reports, so the cluster keeps scheduling at reduced capacity
-// instead of wedging on one bad machine. Every action is published to the cluster's
-// lifecycle bus (the bounded ring that /v1/events serves), which chaos
-// tests reconcile against the fault injector's ledger.
+// cycle" — and §6.3's installer waits for a user to type "retry"; at
+// thousand-node scale (CERN, Brookhaven; PAPERS.md) transient install
+// failures are constant and that human is the bottleneck. Each tick probes
+// every node through the supervisor's monitor, and one pure function,
+// decide, turns what the tick knows of a node into its action: a hard power
+// cycle for a dark or crashed node (which forces reinstallation, §4) behind
+// capped exponential backoff with jitter, or, once the retry budget is
+// spent, quarantine — offline in PBS and the reports, so the cluster keeps
+// scheduling at reduced capacity. Every action is published to the lifecycle
+// bus (the bounded ring /v1/events serves), which chaos tests reconcile
+// against the fault injector's ledger.
 
 // SupervisorConfig tunes the remediation loop.
 type SupervisorConfig struct {
@@ -152,15 +149,19 @@ func (e SupervisorEvent) String() string {
 	return s
 }
 
-// remedRecord is the supervisor's per-node bookkeeping, keyed by MAC (the
-// only identity a node is guaranteed to have).
+// remedRecord is the remediation policy's state for one node.
 type remedRecord struct {
-	watchedAs     string // identity registered with the monitor
-	attempts      int
-	next          time.Time // backoff gate for the next attempt
-	failing       bool
-	quarantinedAs string // the host the supervisor quarantined, "" if none
-	pass          uint64 // the last tick that found the node on the floor
+	attempts    int
+	next        time.Time // backoff gate for the next attempt
+	failing     bool
+	quarantined bool // the directory held the node at the last decision
+}
+
+// tracked is the supervisor's entry for one node, keyed by its MAC.
+type tracked struct {
+	as   string // identity registered with the monitor
+	pass uint64 // the last tick that found the node on the floor
+	rec  remedRecord
 }
 
 // Supervisor is the closed-loop remediation daemon.
@@ -169,10 +170,10 @@ type Supervisor struct {
 	cfg SupervisorConfig
 	mon *monitor.Monitor
 
-	mu   sync.Mutex
-	rng  *rand.Rand
-	recs map[string]*remedRecord
-	pass uint64 // ticks so far
+	mu     sync.Mutex
+	jitter func() float64 // the seeded PRNG's draw; not goroutine-safe
+	nodes  map[string]*tracked
+	pass   uint64 // ticks so far
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -194,8 +195,8 @@ func (m *remediation) start(cfg SupervisorConfig) *Supervisor {
 		r:      m,
 		cfg:    cfg,
 		mon:    mon,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		recs:   make(map[string]*remedRecord),
+		jitter: rand.New(rand.NewSource(cfg.Seed)).Float64,
+		nodes:  make(map[string]*tracked),
 		cancel: cancel,
 		done:   make(chan struct{}),
 	}
@@ -242,10 +243,8 @@ func (m *remediation) unquarantine(host string) error {
 	m.pbs.SetOffline(host, false)
 	m.log.Log("frontend-0", "rocks", "unquarantined %s", host)
 	m.count(lifecycle.EventUnquarantine)
-	m.events.Publish(lifecycle.Event{
-		Node: host, Phase: lifecycle.PhaseRemediate,
-		Type: lifecycle.EventUnquarantine, Source: "cluster",
-	})
+	m.events.Publish(lifecycle.Event{Node: host, Phase: lifecycle.PhaseRemediate,
+		Type: lifecycle.EventUnquarantine, Source: "cluster"})
 	return m.reports.write()
 }
 
@@ -315,198 +314,201 @@ func (s *Supervisor) loop(ctx context.Context) {
 	}
 }
 
-// Stop halts the loop and waits for its last tick; idempotent. The
-// cluster's root context cancels the same way, so Close needs no special
-// case.
+// Stop halts the loop and waits for its last tick; idempotent. The cluster's
+// root context cancels the same way, so Close needs no special case.
 func (s *Supervisor) Stop() {
 	s.cancel()
 	<-s.done
 }
 
-// tick is one pass: refresh the watch set, probe it, then remediate against
-// what that probe found.
+// input is everything one tick knows of one machine.
+type input struct {
+	mac, name   string // name: from the database, or the MAC until named
+	onFloor     bool
+	quarantined bool               // the directory holds its name or its MAC
+	drift       []string           // its actionable facts drift fields
+	probe       monitor.HostStatus // this tick's, by name
+	now         time.Time
+	jitter      func() float64 // drawn once for each cycle decided, only then
+}
+
+// action is decide's verdict on one machine, named as it is watched: the
+// event to publish ("" for none; a cycle's detail follows "outlet N cycled; "),
+// whether its relay goes, and whether it left the floor and is forgotten.
+type action struct {
+	host, mac string
+	event     lifecycle.EventType
+	attempt   int
+	detail    string
+	withdraw  bool
+	forget    bool
+}
+
+// decide is the remediation policy for one machine, with no effect of its
+// own. A quarantined node is left alone, whoever put it there; one the
+// directory no longer holds was repaired and starts a fresh episode, its
+// budget full and gated by one patience so the repair's own cycle goes first.
+// A dark or crashed node, or an up one whose facts show actionable drift, is
+// cycled behind the backoff gate — the paper's remedy, which forces a
+// reinstall (§4) — or quarantined once its budget is spent. Drift is checked
+// before the recovery refund, so drift that outlives reinstalls spends it.
+func decide(cfg SupervisorConfig, rec remedRecord, in input) (remedRecord, action) {
+	if !in.onFloor {
+		return rec, action{forget: true}
+	}
+	act := action{host: in.name, mac: in.mac, withdraw: in.probe.Health == monitor.HealthDark}
+	if in.quarantined {
+		rec.quarantined = true
+		return rec, act
+	}
+	if rec.quarantined {
+		rec = remedRecord{next: in.now.Add(cfg.Patience)}
+	}
+	cycle, state := lifecycle.EventPowerCycle, in.probe.Detail
+	switch {
+	case state == hostUp && len(in.drift) > 0:
+		cycle = lifecycle.EventDriftReinstall
+	case state == hostUp:
+		if rec.failing {
+			rec = remedRecord{}
+			act.event, act.detail = lifecycle.EventRecovered, "node reached up; retry budget refunded"
+		}
+		return rec, act
+	case state == hostInstalling, state != hostCrashed && in.probe.Health != monitor.HealthDark:
+		// Installing (a stall surfaces as a crash or as darkness), or off or
+		// booting within the patience. A crash is definitive.
+		return rec, act
+	}
+	rec.failing = true
+	if in.now.Before(rec.next) {
+		return rec, act
+	}
+	exhausted, reinstalling := "in state "+state, "node reinstalling (was "+state+")"
+	if cycle == lifecycle.EventDriftReinstall {
+		drift := strings.Join(in.drift, ",")
+		exhausted, reinstalling = "chasing drift in "+drift, "reinstalling to chase drift in "+drift
+	}
+	if rec.attempts >= cfg.MaxRetries {
+		rec.quarantined = true
+		act.event, act.attempt = lifecycle.EventQuarantine, rec.attempts
+		act.detail = fmt.Sprintf("retry budget (%d) exhausted %s; marking offline", cfg.MaxRetries, exhausted)
+		return rec, act
+	}
+	rec.attempts++
+	rec.next = in.now.Add(backoff(cfg, rec.attempts, in.jitter()))
+	act.event, act.attempt, act.detail = cycle, rec.attempts, reinstalling
+	return rec, act
+}
+
+// backoff is the wait after the given attempt: BaseBackoff doubled per
+// attempt up to MaxBackoff, plus jitter (a draw in [0, 1)) times half that.
+func backoff(cfg SupervisorConfig, attempt int, jitter float64) time.Duration {
+	d := cfg.BaseBackoff << uint(attempt-1)
+	if d > cfg.MaxBackoff || d <= 0 {
+		d = cfg.MaxBackoff
+	}
+	return d + time.Duration(jitter*float64(d)/2)
+}
+
+// tick is one pass: under s.mu, gather what the floor, the database, the
+// directory and the facts say of each machine, and plan; then withdraw each
+// dark node's relay before any remediation, and act.
 func (s *Supervisor) tick() {
-	// Keep the monitor watching every node under its best-known identity:
-	// its database name, or its MAC until insert-ethers names it; and only
-	// those on the floor, so a decommissioned one is neither probed nor
-	// remediated again.
-	macs := s.r.floor.macs()
 	s.mu.Lock()
-	s.pass++
-	for _, mac := range macs {
+	quarantined, _ := s.r.dir.quarantineSet()
+	var floor []input
+	for _, mac := range s.r.floor.macs() {
 		if mac == s.r.frontendMAC {
 			continue
 		}
-		identity := hostname(s.r.db, mac)
-		rec := s.recs[mac]
-		if rec == nil {
-			rec = &remedRecord{}
-			s.recs[mac] = rec
-		}
-		if rec.watchedAs != identity {
-			if rec.watchedAs != "" {
-				s.mon.Unwatch(rec.watchedAs)
-			}
-			s.mon.Watch(identity)
-			rec.watchedAs = identity
-		}
-		rec.pass = s.pass
+		name := hostname(s.r.db, mac)
+		floor = append(floor, input{mac: mac, name: name, onFloor: true,
+			quarantined: quarantined[name] || quarantined[mac], drift: s.r.facts.actionableDriftFields(mac)})
 	}
-	for mac, rec := range s.recs {
-		if rec.pass != s.pass {
-			s.mon.Unwatch(rec.watchedAs)
-			delete(s.recs, mac)
-		}
-	}
+	acts := s.plan(time.Now(), floor)
 	s.mu.Unlock()
 
-	// A dark node serves nothing: its relay goes before any remediation.
-	probed := make(map[string]monitor.HostStatus)
+	for _, a := range acts {
+		if a.withdraw {
+			s.r.relays.withdraw(a.host, "went dark")
+		}
+	}
+	for _, a := range acts {
+		s.apply(a)
+	}
+}
+
+// plan brings the entries and the monitor's watch set to the floor, probes,
+// and decides each machine from that probe, storing its next record. A
+// machine that left the floor is forgotten before the probe. It acts on
+// s.nodes and the watch set alone; the caller holds s.mu.
+func (s *Supervisor) plan(now time.Time, floor []input) []action {
+	s.pass++
+	for _, in := range floor {
+		t := s.nodes[in.mac]
+		if t == nil {
+			t = &tracked{}
+			s.nodes[in.mac] = t
+		}
+		if t.as != in.name {
+			s.mon.Unwatch(t.as)
+			s.mon.Watch(in.name)
+			t.as = in.name
+		}
+		t.pass = s.pass
+	}
+	var acts []action
+	settle := func(t *tracked, in input) {
+		var act action
+		t.rec, act = decide(s.cfg, t.rec, in)
+		switch {
+		case act.forget:
+			s.mon.Unwatch(t.as)
+			delete(s.nodes, in.mac)
+		case act.event != "" || act.withdraw:
+			acts = append(acts, act)
+		}
+	}
+	for mac, t := range s.nodes {
+		if t.pass != s.pass {
+			settle(t, input{mac: mac, name: t.as})
+		}
+	}
+	probed := make(map[string]monitor.HostStatus, len(floor))
 	for _, st := range s.mon.Probe() {
 		probed[st.Host] = st
-		if st.Health == monitor.HealthDark {
-			s.r.relays.withdraw(st.Host, "went dark")
-		}
 	}
-	now := time.Now()
-	for _, mac := range macs {
-		s.superviseNode(now, mac, probed) // the frontend has no record
+	for _, in := range floor {
+		in.probe, in.now, in.jitter = probed[in.name], now, s.jitter
+		settle(s.nodes[in.mac], in)
 	}
+	return acts
 }
 
-// superviseNode applies the remediation policy to one node from the tick's
-// probe, by watched identity: the state the node answered with and, for a
-// node off or booting, whether it has been dark past the patience.
-func (s *Supervisor) superviseNode(now time.Time, mac string, probed map[string]monitor.HostStatus) {
-	s.mu.Lock()
-	rec := s.recs[mac]
-	if rec == nil {
-		s.mu.Unlock()
+// apply takes one planned action and publishes it. A quarantine is published
+// only after it took effect, so a bus waiter that wakes on the event observes
+// the node already offline; a cycle the PDU cannot make is published failed.
+func (s *Supervisor) apply(a action) {
+	switch a.event {
+	case "":
 		return
-	}
-	if rec.quarantinedAs != "" {
-		// The directory owns the quarantine set: a host it no longer holds
-		// was repaired and starts a fresh episode with a full budget, gated
-		// by one patience so the repair's own power cycle goes first.
-		if s.r.dir.isQuarantined(rec.quarantinedAs) {
-			s.mu.Unlock()
-			return
+	case lifecycle.EventQuarantine:
+		if err := s.r.quarantine(a.host); err != nil {
+			s.r.log.Log("frontend-0", "supervisor", "quarantining %s: %v", a.host, err)
 		}
-		*rec = remedRecord{watchedAs: rec.watchedAs, next: now.Add(s.cfg.Patience)}
-	}
-	st := probed[rec.watchedAs]
-	switch st.Detail {
-	case hostUp:
-		// Drift remediation: an Up node whose latest facts report shows
-		// actionable drift (wrong arch, disk, NIC set) is cycled so its
-		// reinstall re-probes the hardware. The episode shares the dark-node
-		// budget — same backoff, same quarantine when it exhausts — and the
-		// check runs before the recovery refund, so drift that persists
-		// across reinstalls burns down the budget instead of resetting it.
-		// Benign drift (cpus, mem_mb) never reaches here: it is recorded in
-		// the inventory and the timeline only.
-		if fields := s.r.facts.actionableDriftFields(mac); len(fields) > 0 {
-			drift := strings.Join(fields, ",")
-			s.remediateLocked(now, rec, mac, lifecycle.EventDriftReinstall,
-				"chasing drift in "+drift, "reinstalling to chase drift in "+drift)
-			return
-		}
-		if rec.failing {
-			rec.failing = false
-			rec.attempts = 0
-			rec.next = time.Time{}
-			s.record(rec.watchedAs, mac, lifecycle.EventRecovered, 0, "node reached up; retry budget refunded")
-		}
-		s.mu.Unlock()
-		return
-	case hostInstalling:
-		// Alive: the install is visible on eKV. Progress stalls surface as
-		// a crash (wedge) or as darkness after the install dies.
-		s.mu.Unlock()
-		return
-	case hostCrashed:
-		// Definitive: no patience needed.
-	default: // off, booting
-		if st.Health != monitor.HealthDark {
-			s.mu.Unlock()
-			return
+	case lifecycle.EventPowerCycle, lifecycle.EventDriftReinstall:
+		outlet, wired := s.r.pdu.OutletFor(a.mac)
+		if !wired {
+			a.event, a.detail = lifecycle.EventPowerCycleFailed, "no PDU outlet wired"
+		} else if err := s.r.pdu.HardCycle(outlet); err != nil {
+			a.event, a.detail = lifecycle.EventPowerCycleFailed, err.Error()
+		} else {
+			a.detail = fmt.Sprintf("outlet %d cycled; %s", outlet, a.detail)
 		}
 	}
-	s.remediateLocked(now, rec, mac, lifecycle.EventPowerCycle,
-		"in state "+st.Detail, "node reinstalling (was "+st.Detail+")")
-}
-
-// remediateLocked is the one remediation path, for dark or crashed nodes and
-// for Up nodes with actionable facts drift alike: behind the backoff gate,
-// spend one attempt of the node's budget on a hard power cycle — the paper's
-// remedy, which forces the node to reinstall itself (§4) — or quarantine the
-// node once the budget is gone. cycled is the event a successful cycle
-// publishes; exhausted and reinstalling word the reason into the
-// quarantine's and the cycle's detail. Called with s.mu held; releases it.
-func (s *Supervisor) remediateLocked(now time.Time, rec *remedRecord, mac string,
-	cycled lifecycle.EventType, exhausted, reinstalling string) {
-	rec.failing = true
-	if now.Before(rec.next) {
-		s.mu.Unlock()
-		return
-	}
-	if rec.attempts >= s.cfg.MaxRetries {
-		attempts := rec.attempts
-		host := rec.watchedAs
-		rec.quarantinedAs = host
-		s.mu.Unlock()
-		if err := s.r.quarantine(host); err != nil {
-			s.r.log.Log("frontend-0", "supervisor", "quarantining %s: %v", host, err)
-		}
-		// Published after Quarantine took effect, so a bus waiter that
-		// wakes on this event observes the node already offline.
-		s.record(host, mac, lifecycle.EventQuarantine, attempts,
-			fmt.Sprintf("retry budget (%d) exhausted %s; marking offline", s.cfg.MaxRetries, exhausted))
-		return
-	}
-	rec.attempts++
-	attempt := rec.attempts
-	rec.next = now.Add(s.backoffLocked(attempt))
-	host := rec.watchedAs
-	s.mu.Unlock()
-
-	outlet, wired := s.r.pdu.OutletFor(mac)
-	if !wired {
-		s.record(host, mac, lifecycle.EventPowerCycleFailed, attempt, "no PDU outlet wired")
-		return
-	}
-	if err := s.r.pdu.HardCycle(outlet); err != nil {
-		s.record(host, mac, lifecycle.EventPowerCycleFailed, attempt, err.Error())
-		return
-	}
-	s.record(host, mac, cycled, attempt, fmt.Sprintf("outlet %d cycled; %s", outlet, reinstalling))
-}
-
-// backoffLocked computes the capped exponential backoff plus jitter for the
-// given attempt number. Caller holds s.mu (the PRNG is not goroutine-safe).
-func (s *Supervisor) backoffLocked(attempt int) time.Duration {
-	d := s.cfg.BaseBackoff << uint(attempt-1)
-	if d > s.cfg.MaxBackoff || d <= 0 {
-		d = s.cfg.MaxBackoff
-	}
-	return d + time.Duration(s.rng.Float64()*float64(d)/2)
-}
-
-// record publishes one supervisor action to the lifecycle bus — the
-// bounded ring is the event log now; there is no private slice to grow
-// without limit. Safe with or without s.mu held (the bus has its own lock
-// and never calls back).
-func (s *Supervisor) record(host, mac string, t lifecycle.EventType, attempt int, detail string) {
-	s.r.count(t)
-	e := s.r.events.Publish(lifecycle.Event{
-		Node:    host,
-		MAC:     mac,
-		Phase:   lifecycle.PhaseRemediate,
-		Type:    t,
-		Source:  "supervisor",
-		Attempt: attempt,
-		Detail:  detail,
-	})
+	s.r.count(a.event)
+	e := s.r.events.Publish(lifecycle.Event{Node: a.host, MAC: a.mac, Phase: lifecycle.PhaseRemediate,
+		Type: a.event, Source: "supervisor", Attempt: a.attempt, Detail: a.detail})
 	s.r.log.Log("frontend-0", "supervisor", "%s", e.String())
 }
 
@@ -517,10 +519,8 @@ func (s *Supervisor) Events() []SupervisorEvent {
 	events := s.r.events.Recent(lifecycle.Filter{Source: "supervisor"})
 	out := make([]SupervisorEvent, len(events))
 	for i, e := range events {
-		out[i] = SupervisorEvent{
-			Seq: i + 1, Time: e.Time,
-			Host: e.Node, MAC: e.MAC, Type: e.Type, Attempt: e.Attempt, Detail: e.Detail,
-		}
+		out[i] = SupervisorEvent{Seq: i + 1, Time: e.Time, Host: e.Node, MAC: e.MAC,
+			Type: e.Type, Attempt: e.Attempt, Detail: e.Detail}
 	}
 	return out
 }

@@ -223,6 +223,49 @@ func TestSupervisorResumesUnquarantinedNode(t *testing.T) {
 	}
 }
 
+// TestSupervisorLeavesDirectQuarantineAlone: a node quarantined directly,
+// not by the supervisor, is left alone however it fails: no power cycle and
+// no second quarantine. The directory's quarantine set is the one rule, so
+// once the node is unquarantined and repaired the supervisor starts it on a
+// fresh budget and brings it up.
+func TestSupervisorLeavesDirectQuarantineAlone(t *testing.T) {
+	c := newCluster(t)
+	n := addComputes(t, c, 1)[0]
+	if err := c.remedy.quarantine("compute-0-0"); err != nil {
+		t.Fatal(err)
+	}
+	restore := breakDist(c)
+	c.ShootNode("compute-0-0")
+	if !WaitState(n, node.StateCrashed, integrationTimeout) {
+		t.Fatalf("state = %s", n.State())
+	}
+	cfg := tightSupervisor(5)
+	s := c.StartSupervisor(cfg)
+	defer s.Stop()
+	time.Sleep(30 * cfg.Interval)
+	for _, e := range c.Events().Recent(lifecycle.Filter{Node: "compute-0-0", Source: "supervisor"}) {
+		switch e.Type {
+		case lifecycle.EventPowerCycle, lifecycle.EventPowerCycleFailed, lifecycle.EventQuarantine:
+			t.Fatalf("the supervisor acted on a directly quarantined node:\n%s", s.EventLog())
+		}
+	}
+
+	since := c.Events().Seq()
+	restore()
+	if err := c.remedy.unquarantine("compute-0-0"); err != nil {
+		t.Fatal(err)
+	}
+	if !WaitState(n, node.StateUp, integrationTimeout) {
+		t.Fatalf("unquarantined node state = %s\nevents:\n%s", n.State(), s.EventLog())
+	}
+	cycles := c.Events().Recent(lifecycle.Filter{
+		Node: "compute-0-0", Type: lifecycle.EventPowerCycle, Source: "supervisor", SinceSeq: since,
+	})
+	if len(cycles) == 0 || cycles[0].Attempt != 1 {
+		t.Errorf("cycles after unquarantine = %+v, want the first at attempt 1", cycles)
+	}
+}
+
 // TestReinstallClusterTimeoutNamesStuck: when reinstall-cluster gives up,
 // the error names which nodes and jobs were stuck (satellite of ISSUE 1),
 // not just a count.

@@ -342,6 +342,28 @@ func TestStructuralGuards(t *testing.T) {
 		}
 	})
 
+	t.Run("an install reads its package list from the kickstart", func(t *testing.T) {
+		// The frontend resolves a profile's packages once per kickstart
+		// request and the kickstart ends with the answer (DESIGN.md §9): the
+		// installer never names the manifest, and the fetcher has no
+		// resolver for it to call.
+		inspect(t, all, func(n ast.Node) string {
+			if fn, ok := n.(*ast.FuncDecl); ok && fn.Name.Name == "Resolve" && fn.Recv != nil && strings.Contains(typeNames(fn.Recv), "Fetcher") {
+				return "Fetcher.Resolve is retired: the kickstart carries the resolution"
+			}
+			return ""
+		})
+		inspect(t, func(f srcFile) bool { return f.in("internal/installer") }, func(n ast.Node) string {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && strings.Contains(lit.Value, "RedHat/base/manifest") {
+				return "the installer names RedHat/base/manifest; its package list is the kickstart's (dist.ReadResolution)"
+			}
+			if _, m := methodCall(n); m == "Resolve" {
+				return "the installer resolves packages itself; the kickstart carries the frontend's resolution (dist.ReadResolution)"
+			}
+			return ""
+		})
+	})
+
 	t.Run("the private network is in-process", func(t *testing.T) {
 		// internal/memnet never falls back to the kernel (DESIGN.md §8): it
 		// names no net.Listen* or net.Dial*, so no private address can reach

@@ -61,9 +61,9 @@ func TestChaosStormSelfHeals(t *testing.T) {
 	lemon := nodes[4]      // wedges on every install: the quarantine case
 	inj.AddRule(faults.Rule{Op: faults.OpDHCPOffer, Hosts: dhcpVictim.MAC(), Count: 2})
 	inj.AddRule(faults.Rule{Op: faults.OpHTTPPackage, Hosts: absorbed.MAC(), Count: 2, Mode: faults.ModeError500})
-	// The index fetch is one manifest request per attempt and a 500 never
-	// falls back to the unverified listing, so three consecutive 500s
-	// exhaust the 3-attempt budget.
+	// An install's one request on the package seam is its stream, and a
+	// stream refused before it delivers anything spends its first package's
+	// budget, so three consecutive 500s exhaust the 3-attempt budget.
 	inj.AddRule(faults.Rule{Op: faults.OpHTTPPackage, Hosts: crasher.MAC(), Count: 3, Mode: faults.ModeError500})
 	inj.AddRule(faults.Rule{Op: faults.OpInstallWedge, Hosts: flakyPower.MAC(), Count: 1})
 	inj.AddRule(faults.Rule{Op: faults.OpPowerCycle, Hosts: flakyPower.MAC(), Count: 1})
@@ -71,11 +71,12 @@ func TestChaosStormSelfHeals(t *testing.T) {
 	// 1 + MaxRetries wedges, then the budget is gone.
 	inj.AddRule(faults.Rule{Op: faults.OpInstallWedge, Hosts: lemon.MAC(), Count: 4})
 	// Background noise over everyone: a sprinkle of latency (added last so
-	// the targeted rules above match first). An install puts two requests
-	// on the package seam, its manifest and its one stream, so the sixteen
-	// that finish offer this rule some thirty-two draws; it needs six.
+	// the targeted rules above match first). An install puts one request on
+	// the package seam, its stream, so the sixteen that finish offer this
+	// rule at least sixteen draws; it needs six, which at 0.75 a draw all but
+	// three runs in ten thousand get.
 	inj.AddRule(faults.Rule{
-		Op: faults.OpHTTPPackage, Hosts: "*", Prob: 0.5, Count: 6,
+		Op: faults.OpHTTPPackage, Hosts: "*", Prob: 0.75, Count: 6,
 		Mode: faults.ModeLatency, Latency: time.Millisecond,
 	})
 

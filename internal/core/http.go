@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"rocks/internal/clusterdb"
@@ -57,6 +59,9 @@ func (c *Cluster) startHTTP(private net.Listener) {
 		})
 	}
 }
+
+// kickstartTexts keeps the buffers kickstart files are written through.
+var kickstartTexts = sync.Pool{New: func() any { return new([]byte) }}
 
 func writeReport(w http.ResponseWriter, report string, err error) {
 	if err != nil {
@@ -125,8 +130,14 @@ func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	// The file, then the package resolution it ends with, in one pooled
+	// buffer; a package the distribution lacks is the node's to report.
+	buf := kickstartTexts.Get().(*[]byte)
+	*buf, _ = c.distSrv.AppendResolution(profile.Append((*buf)[:0]), arch, profile.Packages)
 	w.Header().Set("Content-Type", "text/plain")
-	io.WriteString(w, profile.Render())
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.Write(*buf)
+	kickstartTexts.Put(buf)
 	c.Syslog.Log("frontend-0", "kickstart.cgi", "served %s profile to %s (%s)",
 		rootNode, n.Name, ip)
 }

@@ -160,12 +160,11 @@ func BuildChild(name string, parent *Distribution, framework *kickstart.Framewor
 }
 
 // ResolveProfile resolves a kickstart profile's package list against the
-// distribution, returning the concrete packages (newest versions) a node
-// will download. It is the handoff point between the XML framework and the
-// package repository.
+// distribution by the rule the kickstart CGI applies (resolve): the package
+// a node of the profile's arch installs for each name, in order.
 func (d *Distribution) ResolveProfile(p *kickstart.Profile) ([]*rpm.Package, error) {
-	pkgs, err := d.Repo.Resolve(p.Arch, p.Packages)
-	if err != nil {
+	pkgs := make([]*rpm.Package, 0, len(p.Packages))
+	if err := resolve(d.Repo, p.Arch, p.Packages, func(pkg *rpm.Package) { pkgs = append(pkgs, pkg) }); err != nil {
 		return nil, fmt.Errorf("dist %q: %w", d.Name, err)
 	}
 	return pkgs, nil

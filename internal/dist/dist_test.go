@@ -63,15 +63,15 @@ func TestBuildSeparatesArches(t *testing.T) {
 }
 
 func TestSyntheticRedHatCoversDefaultFramework(t *testing.T) {
-	repo := SyntheticRedHat()
 	fw := kickstart.DefaultFramework()
+	synthetic := &Distribution{Name: "redhat", Repo: SyntheticRedHat()}
 	for _, arch := range []string{"i386", "athlon"} {
 		p, err := fw.Generate(kickstart.Request{Appliance: "compute", Arch: arch, NodeName: "n",
 			Attrs: kickstart.DefaultAttrs("u", "h")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkgs, err := repo.Resolve(arch, p.Packages)
+		pkgs, err := synthetic.ResolveProfile(p)
 		if err != nil {
 			t.Fatalf("arch %s: %v", arch, err)
 		}
@@ -85,7 +85,7 @@ func TestSyntheticRedHatCoversDefaultFramework(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := repo.Resolve("i386", p.Packages); err != nil {
+	if _, err := synthetic.ResolveProfile(p); err != nil {
 		t.Errorf("frontend resolve: %v", err)
 	}
 }
@@ -93,11 +93,11 @@ func TestSyntheticRedHatCoversDefaultFramework(t *testing.T) {
 // TestSyntheticComputeTransfersPaperBytes pins the compute appliance
 // download at Table I's measured ~225 MB.
 func TestSyntheticComputeTransfersPaperBytes(t *testing.T) {
-	repo := SyntheticRedHat()
+	synthetic := &Distribution{Name: "redhat", Repo: SyntheticRedHat()}
 	fw := kickstart.DefaultFramework()
 	p, _ := fw.Generate(kickstart.Request{Appliance: "compute", Arch: "i386", NodeName: "n",
 		Attrs: kickstart.DefaultAttrs("u", "h")})
-	pkgs, err := repo.Resolve("i386", p.Packages)
+	pkgs, err := synthetic.ResolveProfile(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,86 +175,53 @@ func (f *Fetcher) open(ctx context.Context, method, u string, header http.Header
 	return nil, err
 }
 
-// Get performs one GET and returns the body of a 200 answer, classified as
-// open classifies it. header, when non-nil, becomes the request's header
-// (the kickstart CGI keys on the client's address).
-func (f *Fetcher) Get(ctx context.Context, u string, header http.Header) ([]byte, error) {
+// Get performs one GET and returns the body of a 200 answer as text, read
+// into one allocation sized by its declared length (at most maxPresize),
+// classified as open classifies it. header, when non-nil, becomes the
+// request's header (the kickstart CGI keys on the client's address).
+func (f *Fetcher) Get(ctx context.Context, u string, header http.Header) (string, error) {
 	resp, err := f.open(ctx, http.MethodGet, u, header, nil)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	defer resp.Body.Close()
-	body, err := readDeclared(nil, resp.Body, resp.ContentLength)
+	var text strings.Builder
+	text.Grow(int(min(max(resp.ContentLength, 0), maxPresize)))
+	br := bundleReaders.Get().(*bufio.Reader)
+	br.Reset(resp.Body)
+	_, err = br.WriteTo(&text)
+	br.Reset(nil)
+	bundleReaders.Put(br)
 	if err != nil {
-		return nil, Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
+		return "", Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
 	}
-	return body, nil
+	return text.String(), nil
 }
 
-// readDeclared is io.ReadAll into buf's storage, sized up front by a
-// declared length (the spare MinRead lets ReadFrom see EOF without growing).
-// The declaration is a peer's claim, so it sizes at most maxPresize; a
-// longer body grows as its bytes actually arrive.
-func readDeclared(buf []byte, r io.Reader, declared int64) ([]byte, error) {
-	b := bytes.NewBuffer(buf[:0])
-	if declared > 0 {
-		b.Grow(int(min(declared, maxPresize)) + bytes.MinRead)
-	}
-	_, err := b.ReadFrom(r)
-	return b.Bytes(), err
-}
-
-// fetchManifest retrieves the digest manifest of the distribution at base,
-// with retries, into a pooled buffer and hands it to read, which keeps
-// nothing of it; a transient error from read is retried. There is no
-// unverified index: a 404 is permanent and says the server serves none.
-func (f *Fetcher) fetchManifest(ctx context.Context, base string, read func(text []byte) error) error {
+// Index retrieves and parses the digest manifest of the distribution at
+// base, with retries: the entries carry the size and payload digest every
+// fetched body must match. A garbled manifest is a torn transfer. There is
+// no unverified index: a 404 is permanent and says the server serves none.
+func (f *Fetcher) Index(ctx context.Context, base string) (entries []ManifestEntry, err error) {
 	u := strings.TrimSuffix(base, "/") + manifestPath
-	buf := manifestTexts.Get().(*[]byte)
-	defer manifestTexts.Put(buf)
-	err := f.Do(ctx, "manifest", func() error {
-		resp, err := f.open(ctx, http.MethodGet, u, nil, nil)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if *buf, err = readDeclared(*buf, resp.Body, resp.ContentLength); err != nil {
-			return Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
-		}
-		if err = read(*buf); IsTransient(err) {
-			err = Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
+	err = f.Do(ctx, "manifest", func() error {
+		text, err := f.Get(ctx, u, nil)
+		if err == nil {
+			entries = entries[:0]
+			if err = scanManifest(text, func(e ManifestEntry) { entries = append(entries, e) }); err != nil {
+				err = Transient(fmt.Errorf("dist: fetching %s: %w", u, err))
+			}
 		}
 		return err
 	})
 	var se *statusError
 	if errors.As(err, &se) && se.code == http.StatusNotFound {
-		return fmt.Errorf("dist: %s serves no digest manifest, and nothing is fetched unverified: %w", base, err)
+		err = fmt.Errorf("dist: %s serves no digest manifest, and nothing is fetched unverified: %w", base, err)
 	}
-	return err
-}
-
-// Index retrieves and parses the digest manifest of the distribution at base:
-// the entries carry the size and payload digest every fetched body must match.
-func (f *Fetcher) Index(ctx context.Context, base string) ([]ManifestEntry, error) {
-	var entries []ManifestEntry
-	err := f.fetchManifest(ctx, base, func(text []byte) (err error) {
-		if entries, err = ParseManifest(text); err != nil {
-			err = Transient(err) // a garbled manifest is a torn transfer
-		}
-		return err
-	})
-	return entries, err
-}
-
-// Resolve retrieves the digest manifest of the distribution at base and
-// resolves names against it (Resolve).
-func (f *Fetcher) Resolve(ctx context.Context, base, arch string, names []string) ([]ManifestEntry, error) {
-	var entries []ManifestEntry
-	err := f.fetchManifest(ctx, base, func(text []byte) (err error) {
-		entries, err = Resolve(text, arch, names)
-		return err
-	})
-	return entries, err
+	if err != nil {
+		return nil, err
+	}
+	return entries, nil
 }
 
 // Stream pulls entries until every one has been delivered, resuming at the

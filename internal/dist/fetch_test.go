@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -304,7 +303,7 @@ func TestConcurrentManifestAndPackageServing(t *testing.T) {
 				e := entries[(g*4+i)%packages]
 				body, err := f.Get(context.Background(), srv.URL+rpmsPath+e.NVRA+".rpm", nil)
 				if err == nil {
-					_, err = verify(nil, body, e, srv.URL)
+					_, err = verify(nil, []byte(body), e, srv.URL)
 				}
 				if err == nil {
 					_, err = f.Packages(context.Background(), srv.URL, []ManifestEntry{e}, func(int, *rpm.Package, int64) error { return nil })
@@ -334,7 +333,7 @@ func TestConcurrentManifestAndPackageServing(t *testing.T) {
 		if p.Summary != "re-pushed 3" {
 			t.Fatalf("%s: summary %q, want the last push", p.NVRA(), p.Summary)
 		}
-		if body, err := f.Get(context.Background(), srv.URL+rpmsPath+p.Filename(), nil); err != nil || !bytes.Equal(body, p.Bytes()) {
+		if body, err := f.Get(context.Background(), srv.URL+rpmsPath+p.Filename(), nil); err != nil || body != string(p.Bytes()) {
 			t.Fatalf("%s: served body is not the last push's encoding (%v)", p.NVRA(), err)
 		}
 	}

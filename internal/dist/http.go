@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -232,18 +233,20 @@ func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 // same file are the same bytes, and the stream goes out through one pooled
 // buffered writer. The counters move per body, as they do for a GET.
 func (s *Server) serveBundle(w http.ResponseWriter, r *http.Request) {
-	req, err := readDeclared(nil, io.LimitReader(r.Body, maxBundleRequest+1), r.ContentLength)
-	if err != nil {
+	// Sized by the declared length, at most maxPresize: the client's claim.
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), maxPresize)) + bytes.MinRead)
+	if _, err := body.ReadFrom(io.LimitReader(r.Body, maxBundleRequest+1)); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	// Names are counted only as far as the bound before any is looked up: a
 	// refused request costs its own bytes, not a string per name in it.
-	text, members := string(req), 0
+	text, members := body.String(), 0
 	for name, rest := cutField(text); name != "" && members <= maxBundleMembers; name, rest = cutField(rest) {
 		members++
 	}
-	if len(req) > maxBundleRequest || members > maxBundleMembers {
+	if len(text) > maxBundleRequest || members > maxBundleMembers {
 		http.Error(w, "bundle request too large", http.StatusRequestEntityTooLarge)
 		return
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
-	"unsafe"
 
 	"rocks/internal/rpm"
 )
@@ -217,63 +216,4 @@ func ParseManifest(data []byte) ([]ManifestEntry, error) {
 		return nil, err
 	}
 	return entries, nil
-}
-
-// Resolve is the installer's rule: for each name, in order, the entry of its
-// newest version built for an arch that installs on arch; on a tie, the
-// first in the manifest. Every line is checked as ParseManifest checks it,
-// and a garbled one is a torn transfer (transient); a line whose NVRA does
-// not parse is skipped. Only the winners' strings are copied out of
-// manifest, which the caller may then reuse.
-func Resolve(manifest []byte, arch string, names []string) ([]ManifestEntry, error) {
-	first := make(map[string]int, len(names)) // a name's first index in names
-	for i := len(names) - 1; i >= 0; i-- {
-		first[names[i]] = i
-	}
-	// A view, not a copy: what is kept of it is copied out below.
-	text := unsafe.String(unsafe.SliceData(manifest), len(manifest))
-	entries := make([]ManifestEntry, len(names))
-	if err := scanManifest(text, func(e ManifestEntry) {
-		m, err := rpm.ParseNVRA(e.NVRA)
-		i, wanted := first[m.Name]
-		if err != nil || !wanted || !rpm.ArchCompatible(arch, m.Arch) {
-			return
-		}
-		if cur := entries[i].NVRA; cur != "" {
-			if c, _ := rpm.ParseNVRA(cur); rpm.Compare(m.Version, c.Version) <= 0 {
-				return
-			}
-		}
-		entries[i] = e
-	}); err != nil {
-		return nil, Transient(err)
-	}
-	// Only a name's first ask holds its winner: the others and the missing
-	// names are empty.
-	size := 0
-	for i, name := range names {
-		if e := &entries[i]; e.NVRA != "" {
-			size += len(e.NVRA) + len(e.Digest) + len(e.Source)
-		} else if first[name] == i { // in the words the installer has always used
-			return nil, fmt.Errorf("installer: package %q not present in distribution", name)
-		}
-	}
-	var kept strings.Builder // every winner's strings, in one allocation
-	kept.Grow(size)
-	for i, name := range names {
-		if e := &entries[i]; e.NVRA != "" {
-			e.NVRA, e.Digest, e.Source = keep(&kept, e.NVRA), keep(&kept, e.Digest), keep(&kept, e.Source)
-		} else {
-			*e = entries[first[name]]
-		}
-	}
-	return entries, nil
-}
-
-// keep appends s to b and returns the copy. Bytes a Builder holds are never
-// written again, so the copy stays valid as b grows.
-func keep(b *strings.Builder, s string) string {
-	b.WriteString(s)
-	all := b.String()
-	return all[len(all)-len(s):]
 }

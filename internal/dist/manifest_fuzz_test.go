@@ -52,9 +52,9 @@ func parseManifestFields(data []byte) ([]ManifestEntry, error) {
 // agree with the field-splitting parser it replaced on every input — entries
 // or error text — and must read back exactly what FormatManifest wrote for
 // entries whose names carry spaces, percent signs, newlines and bytes that
-// are not text at all. Resolve must never panic on the same bytes and must
-// pick what the installer's rule it took over picked (resolveIndexRef), or
-// refuse in its words. The corpus in testdata/fuzz/FuzzManifest is the
+// are not text at all. The repository those bytes' lines describe must be
+// resolved by the frontend as the manifest rule resolves its served manifest
+// (checkResolution), or refused in its words. The corpus in testdata/fuzz/FuzzManifest is the
 // synthetic distribution's manifest, a pre-digest three-field line (which
 // both must refuse), a bad size, a lone %, CR-LF line endings, a line of
 // nothing but separators and a line of two fields, and one file (fast-*) for
@@ -71,20 +71,27 @@ func FuzzManifest(f *testing.F) {
 			t.Fatalf("ParseManifest made %q, the field-splitting parser %q", got, want)
 		}
 
-		// Resolve, on the same bytes, against the installer's rule it took
-		// over: every name a line spells, then only those the rule finds,
-		// for a node of each kind of architecture.
+		// The repository those entries describe, resolved by the frontend for
+		// a node of each kind of architecture and held to the manifest rule
+		// over its served manifest (checkResolution): every name a line
+		// spells, the names that resolve, and those with one nothing spells.
+		repo := rpm.NewRepository("fuzz")
 		var names []string
 		for _, e := range got {
 			if m, err := rpm.ParseNVRA(e.NVRA); err == nil {
+				m.Size, m.Digest, m.Source = e.Size, e.Digest, e.Source
+				repo.Add(&rpm.Package{Metadata: m})
 				names = append(names, m.Name)
 			}
 		}
+		srv := NewRepoServer(repo)
 		for _, arch := range []string{rpm.ArchI386, rpm.ArchAthlon, "alpha"} {
-			best := resolveIndexRef(got, arch)
-			found := slices.DeleteFunc(slices.Clone(names), func(name string) bool { _, ok := best[name]; return !ok })
+			found := slices.DeleteFunc(slices.Clone(names), func(name string) bool {
+				_, err := srv.AppendResolution(nil, arch, []string{name})
+				return err != nil
+			})
 			for _, ask := range [][]string{names, found, append(found, "no-such-package")} {
-				checkResolve(t, data, arch, ask)
+				checkResolution(t, repo, arch, ask)
 			}
 		}
 

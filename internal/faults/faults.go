@@ -34,13 +34,12 @@ const (
 	// OpDHCPOffer drops an affirmative DHCP reply (OFFER or ACK) on the
 	// broadcast bus — the node's DISCOVER goes unanswered.
 	OpDHCPOffer Op = "dhcp.offer"
-	// OpHTTPKickstart corrupts a kickstart CGI fetch.
+	// OpHTTPKickstart corrupts a kickstart CGI fetch, package list included.
 	OpHTTPKickstart Op = "http.kickstart"
 	// OpHTTPPackage corrupts a distribution fetch (manifest, listing, one
-	// RPM, or an install's whole package stream — an install puts two
-	// requests on this seam, its manifest and its stream) — from the
-	// frontend or from a peer relay; the seam is the fetching node's client,
-	// so package-fault rules hit both.
+	// RPM, or an install's whole package stream, its one request on this
+	// seam per source) — from the frontend or from a peer relay; the seam is
+	// the fetching node's client, so package-fault rules hit both.
 	OpHTTPPackage Op = "http.package"
 	// OpHTTPRelays corrupts a /v1/relays registry fetch. Kept distinct
 	// from OpHTTPPackage so package-corruption campaigns don't silently

@@ -7,22 +7,24 @@
 // the hardware probe demands it, and reboot. Progress is written to the
 // node's eKV port so shoot-node can watch remotely.
 //
-// The package phase is one stream per (install, source): the installer
-// resolves the profile's package names against the manifest, asks the best
-// source once for all of them (dist.Fetcher.Packages), and unpacks each
-// package as it arrives verified. A fault-free install makes five requests —
-// kickstart file, manifest, relay lookup, the stream, facts report — however
-// many packages it installs. A stream that ends early resumes at the package
-// it stopped at: what it had verified stays installed and is never asked for
+// The package phase is one stream per (install, source): the installer takes
+// the frontend's resolution of its profile from the kickstart file, asks the
+// best source once for all of it (dist.Fetcher.Packages), and unpacks each
+// package as it arrives verified. A fault-free install makes four requests —
+// kickstart file, relay lookup, the stream, facts report — however many
+// packages it installs. A stream that ends early resumes at the package it
+// stopped at: what it had verified stays installed and is never asked for
 // again, and the retry budget is that package's, not the stream's.
 package installer
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -63,7 +65,7 @@ type Config struct {
 	// also inserted code that allows users to interact with the
 	// installation"). Zero disables interaction and fails immediately.
 	InteractiveRetryWait time.Duration
-	// FetchRetries grants every HTTP fetch (kickstart, index, and each
+	// FetchRetries grants every HTTP fetch (the kickstart, and each
 	// package of the package stream: a stream that fails spends a retry of
 	// the package it stopped at, and what it delivered before is kept)
 	// that many automatic retries on transient failures — connection
@@ -196,7 +198,6 @@ func faultAt(cfg Config, stage string) error {
 
 // Result summarizes a completed installation.
 type Result struct {
-	Profile       *kickstart.Profile
 	Packages      int
 	Bytes         int64
 	GMRebuilt     bool
@@ -269,20 +270,11 @@ func Run(ctx context.Context, n *node.Node, cfg Config) (*Result, error) {
 	// in the kickstart URL; the CGI uses it to prune arch-conditional graph
 	// edges and records it in the nodes table.
 	f := cfg.fetcher(screen)
-	var profile *kickstart.Profile
-	err = f.Do(ctx, "kickstart", func() error {
-		body, err := f.Get(ctx, strings.TrimSuffix(lease.NextServer, "/")+"/install/kickstart.cgi?arch="+n.HW.Arch,
-			http.Header{ClientIPHeader: {lease.YourIP}})
-		if err != nil {
-			return err
-		}
-		profile, err = kickstart.ParseProfile(string(body))
-		return err
-	})
+	kickstartURL := strings.TrimSuffix(lease.NextServer, "/") + "/install/kickstart.cgi?arch=" + n.HW.Arch
+	profile, entries, resolved, err := fetchKickstart(ctx, f, kickstartURL, lease.YourIP, nil)
 	if err != nil {
 		return fail(cfg, n, ekvSrv, err)
 	}
-	res.Profile = profile
 	ksDetail := fmt.Sprintf("%d packages", len(profile.Packages))
 	if profile.Appliance != "" {
 		ksDetail = fmt.Sprintf("appliance %s, %s", profile.Appliance, ksDetail)
@@ -315,7 +307,12 @@ func Run(ctx context.Context, n *node.Node, cfg Config) (*Result, error) {
 	if err != nil {
 		return fail(cfg, n, ekvSrv, err)
 	}
-	count, bytes, err := installPackages(ctx, n, cfg, f, profile, distURL, screen, ekvSrv)
+	// An eKV retry asks the frontend again: the fix may be a new package.
+	resolveAgain := func() ([]dist.ManifestEntry, error) {
+		_, entries, resolved, err := fetchKickstart(ctx, f, kickstartURL, lease.YourIP, profile.Packages)
+		return entries, cmp.Or(err, resolved)
+	}
+	count, bytes, err := installPackages(ctx, n, cfg, f, profile.Packages, entries, resolved, resolveAgain, distURL, screen, ekvSrv)
 	if err != nil {
 		return fail(cfg, n, ekvSrv, err)
 	}
@@ -370,6 +367,31 @@ func Run(ctx context.Context, n *node.Node, cfg Config) (*Result, error) {
 		res.EKVTranscript = ekvSrv.Screen()
 	}
 	return res, nil
+}
+
+// fetchKickstart fetches the node's kickstart file (§6.1) and reads the
+// package resolution it ends with for names, the profile's own when nil,
+// retrying a failed or torn answer; a package missing from the distribution
+// comes back as resolved.
+func fetchKickstart(ctx context.Context, f *dist.Fetcher, u, ip string, names []string) (profile *kickstart.Profile, entries []dist.ManifestEntry, resolved, err error) {
+	err = f.Do(ctx, "kickstart", func() error {
+		text, err := f.Get(ctx, u, http.Header{ClientIPHeader: {ip}})
+		if err == nil {
+			profile, err = kickstart.ParseProfile(text)
+		}
+		if err != nil {
+			return err
+		}
+		want := names
+		if want == nil {
+			want = profile.Packages
+		}
+		if entries, resolved = dist.ReadResolution(profile.Manifest, want); dist.IsTransient(resolved) {
+			return resolved
+		}
+		return nil
+	})
+	return profile, entries, resolved, err
 }
 
 // reportFacts is the first-boot agent: probe the node's hardware profile,
@@ -432,13 +454,11 @@ func acquireLease(ctx context.Context, n *node.Node, cfg Config, screen io.Write
 	xid := uint32(1)
 	fmt.Fprintf(screen, "sending DHCPDISCOVER from %s\n", n.MAC())
 	for {
-		offer, ok := cfg.Bus.Broadcast(dhcp.Packet{Type: dhcp.Discover, Xid: xid, MAC: n.MAC()})
-		if ok {
+		if _, ok := cfg.Bus.Broadcast(dhcp.Packet{Type: dhcp.Discover, Xid: xid, MAC: n.MAC()}); ok {
 			ack, ok := cfg.Bus.Broadcast(dhcp.Packet{Type: dhcp.Request, Xid: xid, MAC: n.MAC()})
 			if !ok {
 				return dhcp.Packet{}, fmt.Errorf("installer: OFFER but no ACK for %s", n.MAC())
 			}
-			_ = offer
 			return ack, nil
 		}
 		if time.Now().After(deadline) {
@@ -480,17 +500,13 @@ func applyPartitioning(n *node.Node, p *kickstart.Profile, screen io.Writer) err
 		if len(fields) < 2 || fields[0] != "part" {
 			continue
 		}
-		grow := false
 		size := 0
 		for i, f := range fields {
-			if f == "--grow" {
-				grow = true
-			}
 			if f == "--size" && i+1 < len(fields) {
 				fmt.Sscanf(fields[i+1], "%d", &size)
 			}
 		}
-		if !grow {
+		if !slices.Contains(fields, "--grow") {
 			fixedMB += size
 		}
 	}
@@ -507,24 +523,16 @@ func applyPartitioning(n *node.Node, p *kickstart.Profile, screen io.Writer) err
 		}
 		switch fields[0] {
 		case "clearpart":
-			for _, f := range fields[1:] {
-				if f == "--all" {
-					fmt.Fprintf(screen, "clearing all partitions\n")
-					d.RemoveAll()
-				}
+			if slices.Contains(fields[1:], "--all") {
+				fmt.Fprintf(screen, "clearing all partitions\n")
+				d.RemoveAll()
 			}
 		case "part":
 			if len(fields) < 2 {
 				return fmt.Errorf("installer: malformed part command %q", c)
 			}
-			mount := fields[1]
-			noformat := false
-			for _, f := range fields[2:] {
-				if f == "--noformat" {
-					noformat = true
-				}
-			}
-			if noformat {
+			mount := strings.Clone(fields[1]) // a piece would keep the whole kickstart
+			if slices.Contains(fields[2:], "--noformat") {
 				part := d.EnsurePartition(mount)
 				if !part.Formatted {
 					d.Format(mount)
@@ -544,16 +552,13 @@ func applyPartitioning(n *node.Node, p *kickstart.Profile, screen io.Writer) err
 	return nil
 }
 
-// installPackages resolves the profile's package names against the served
-// distribution (newest version per name), asks a source for all of them in
-// one stream, and unpacks each one as it arrives verified.
-func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetcher, p *kickstart.Profile, distURL string, screen io.Writer, ekvSrv *ekv.Server) (int, int64, error) {
+// installPackages installs names from entries, their resolution (one entry
+// per name, carrying the digest its body must match), or fails with err, the
+// resolution's failure, before anything is asked of a source; an eKV retry
+// resolves again. It asks a source for every package in one stream and
+// unpacks each one as it arrives verified.
+func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetcher, names []string, entries []dist.ManifestEntry, err error, again func() ([]dist.ManifestEntry, error), distURL string, screen io.Writer, ekvSrv *ekv.Server) (int, int64, error) {
 	n.ResetPackageDB()
-	names := p.Packages
-	// One entry per name, in profile order, carrying the size and the
-	// payload digest its body must match. A name the distribution does not
-	// carry fails here, before anything is asked of a source.
-	entries, err := f.Resolve(ctx, distURL, n.HW.Arch, names)
 
 	// Ask the relay registry for peer sources (best-effort): packages are
 	// then streamed peer-first with the frontend as fallback. Every body is
@@ -615,8 +620,7 @@ func installPackages(ctx context.Context, n *node.Node, cfg Config, f *dist.Fetc
 			return done, total, err
 		}
 		fmt.Fprintf(screen, "resuming at %s\n", names[done])
-		// Resolve again: the fix may be a new package.
-		entries, err = f.Resolve(ctx, distURL, n.HW.Arch, names)
+		entries, err = again()
 	}
 	fmt.Fprintf(screen, " Total  : %d packages, %dM\n", len(names), total>>20)
 	return len(names), total, nil
@@ -685,37 +689,31 @@ func execPostLine(n *node.Node, line string, services map[string]bool) error {
 	switch fields[0] {
 	case "chkconfig":
 		if len(fields) == 3 {
-			services[fields[1]] = fields[2] == "on"
+			services[strings.Clone(fields[1])] = fields[2] == "on"
 		}
-		n.Logf("post: %s", line)
-		return nil
 	case "echo":
 		// echo 'text' > path   or   echo 'text' >> path
 		if i := strings.LastIndex(line, ">>"); i > 0 {
 			text := extractEchoText(line[:i])
-			path := strings.TrimSpace(line[i+2:])
+			path := strings.Clone(strings.TrimSpace(line[i+2:]))
 			if strings.HasPrefix(path, "/") {
 				return n.Disk().AppendFile(path, []byte(text+"\n"))
 			}
 		} else if i := strings.LastIndex(line, ">"); i > 0 {
 			text := extractEchoText(line[:i])
-			path := strings.TrimSpace(line[i+1:])
+			path := strings.Clone(strings.TrimSpace(line[i+1:]))
 			if strings.HasPrefix(path, "/") {
 				return n.Disk().WriteFile(path, []byte(text+"\n"), 0o644)
 			}
 		}
-		n.Logf("post: %s", line)
-		return nil
-	default:
-		n.Logf("post: %s", line)
-		return nil
 	}
+	n.Logf("post: %s", line)
+	return nil
 }
 
 // extractEchoText pulls the quoted (or bare) argument of an echo.
 func extractEchoText(s string) string {
 	s = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(s), "echo"))
-	s = strings.TrimSpace(s)
 	if len(s) >= 2 && (s[0] == '\'' || s[0] == '"') && s[len(s)-1] == s[0] {
 		return s[1 : len(s)-1]
 	}

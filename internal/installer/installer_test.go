@@ -83,7 +83,8 @@ func newTestFrontend(t *testing.T) *testFrontend {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Write([]byte(profile.Render()))
+		text, _ := fe.distSrv.AppendResolution(profile.Append(nil), profile.Arch, profile.Packages)
+		w.Write(text)
 	})
 	mux.HandleFunc("/v1/relays", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]interface{}{"data": map[string]interface{}{"sources": fe.peers}})
@@ -606,9 +607,9 @@ func TestAutomaticRetryAbsorbsTransientHTTPErrors(t *testing.T) {
 
 	inj := faults.NewInjector(17,
 		faults.Rule{Op: faults.OpHTTPKickstart, Mode: faults.ModeTruncate, Count: 1},
-		// Three, not four: the first package-seam request is the manifest,
-		// and three consecutive 500s on it is all a 4-attempt budget absorbs
-		// when there is no unverified listing to fall back to.
+		// Three, not four: the first package-seam request is the stream, and
+		// three consecutive 500s on it, before it delivers a package, is all
+		// the first package's 4-attempt budget absorbs.
 		faults.Rule{Op: faults.OpHTTPPackage, Mode: faults.ModeError500, Count: 3},
 	)
 	cfg := fe.config()
@@ -972,69 +973,86 @@ func TestInstallEventTimeline(t *testing.T) {
 	}
 }
 
-// TestManifestFaultKeepsPeersTrustless is the verification-downgrade
-// regression: with the relay tier on and a peer that serves self-consistent
-// packages that are not the frontend's, one injected 500 on the frontend's
-// manifest must cost a retry — not the digests. The lying peer is still
-// caught on its first body and demoted, and nothing it served reaches the
-// disk or the node's relay store.
-func TestManifestFaultKeepsPeersTrustless(t *testing.T) {
-	fe := newTestFrontend(t)
-	n := newComputeNode()
-	fe.admit(n, "10.255.255.254", "compute-0-0", "compute")
+// TestKickstartFaultKeepsPeersTrustless is the verification-downgrade
+// regression on the round that now carries the digests: with the relay tier
+// on and a peer that serves self-consistent packages that are not the
+// frontend's, a kickstart torn in transit or with one bit flipped inside its
+// package resolution must cost one retry — not the digests, and never an
+// install from part of a list. The lying peer is still caught on its first
+// body and demoted, and nothing it served reaches the disk or the node's
+// relay store.
+func TestKickstartFaultKeepsPeersTrustless(t *testing.T) {
+	for _, mode := range []faults.Mode{faults.ModeCorrupt, faults.ModeTruncate} {
+		fe := newTestFrontend(t)
+		n := newComputeNode()
+		fe.admit(n, "10.255.255.254", "compute-0-0", "compute")
 
-	liar := rpm.NewRepository("liar")
-	for _, p := range fe.dist.Repo.All() {
-		q := *p
-		q.Digest = "" // restamped over the tampered payload: the body verifies against itself
-		q.Files = append([]rpm.FileEntry{{Path: "/etc/lie", Mode: 0o644, Data: []byte("not what the frontend built")}}, p.Files...)
-		liar.Add(&q)
-	}
-	peer := httptest.NewServer(dist.NewRepoServer(liar))
-	defer peer.Close()
-	fe.peers = []Source{{URL: peer.URL, Kind: SourcePeer, Node: "compute-0-9"}}
+		liar := rpm.NewRepository("liar")
+		for _, p := range fe.dist.Repo.All() {
+			q := *p
+			q.Digest = "" // restamped over the tampered payload: the body verifies against itself
+			q.Files = append([]rpm.FileEntry{{Path: "/etc/lie", Mode: 0o644, Data: []byte("not what the frontend built")}}, p.Files...)
+			liar.Add(&q)
+		}
+		peer := httptest.NewServer(dist.NewRepoServer(liar))
+		defer peer.Close()
+		fe.peers = []Source{{URL: peer.URL, Kind: SourcePeer, Node: "compute-0-9"}}
 
-	// The first request on the package seam is the manifest.
-	inj := faults.NewInjector(5, faults.Rule{Op: faults.OpHTTPPackage, Mode: faults.ModeError500, Count: 1})
-	cfg := fe.config()
-	cfg.HTTP = &http.Client{Transport: faults.NewTransport(inj, fe.srv.Client().Transport, nil)}
-	cfg.DisableEKV = true
-	cfg.FetchRetries = 2
-	cfg.FetchBackoff = time.Millisecond
-	cfg.Events = lifecycle.NewBus(512)
-	cfg.Stats = &Stats{}
-	cfg.FrontendURL = fe.srv.URL
-	cfg.RelayStore = rpm.NewRepository("store")
+		// The flipped bit is the answer's middle byte: it must land in the
+		// %manifest section, which is most of the file.
+		req := httptest.NewRequest("GET", "/install/kickstart.cgi", nil)
+		req.Header.Set(ClientIPHeader, "10.255.255.254")
+		rec := httptest.NewRecorder()
+		fe.srv.Config.Handler.ServeHTTP(rec, req)
+		clean := rec.Body.String()
+		if at := strings.Index(clean, "\n"+kickstart.ManifestSection+" "); at < 0 || len(clean)/2 <= at+30 {
+			t.Fatalf("the %d-byte kickstart's resolution starts at byte %d; the corrupted middle byte would miss it", len(clean), at)
+		}
 
-	res, err := Run(context.Background(), n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inj.Exhausted() {
-		t.Fatal("the manifest fault was never injected")
-	}
-	if got := cfg.Stats.FetchRetries.Load(); got != 1 {
-		t.Errorf("fetch retries = %d, want 1 (the manifest)", got)
-	}
-	if demoted, corrupt := cfg.Stats.PeerDemotions.Load(), cfg.Stats.PackagesCorrupt.Load(); demoted != 1 || corrupt != 1 {
-		t.Errorf("peer demotions = %d, corrupt bodies discarded = %d; want 1 and 1", demoted, corrupt)
-	}
-	events := cfg.Events.Recent(lifecycle.Filter{Type: lifecycle.EventRelayDemoted})
-	if len(events) != 1 || !strings.Contains(events[0].Detail, "peer "+peer.URL) {
-		t.Errorf("relay-demoted events = %+v, want one naming %s", events, peer.URL)
-	}
-	if got := cfg.Stats.PeerFetches.Load(); got != 0 {
-		t.Errorf("%d bodies accepted from the lying peer", got)
-	}
-	if _, err := n.Disk().ReadFile("/etc/lie"); err == nil {
-		t.Error("the lying peer's payload reached the disk")
-	}
-	if cfg.RelayStore.Len() != res.Packages {
-		t.Errorf("relay store holds %d packages, installed %d", cfg.RelayStore.Len(), res.Packages)
-	}
-	for _, p := range cfg.RelayStore.All() {
-		if want := fe.dist.Repo.Get(p.NVRA()); want == nil || p.Digest != want.Digest {
-			t.Errorf("relay store holds %s with a digest the frontend never advertised", p.NVRA())
+		inj := faults.NewInjector(5, faults.Rule{Op: faults.OpHTTPKickstart, Mode: mode, Count: 1})
+		cfg := fe.config()
+		cfg.HTTP = &http.Client{Transport: faults.NewTransport(inj, fe.srv.Client().Transport, nil)}
+		cfg.DisableEKV = true
+		cfg.FetchRetries = 2
+		cfg.FetchBackoff = time.Millisecond
+		cfg.Events = lifecycle.NewBus(512)
+		cfg.Stats = &Stats{}
+		cfg.FrontendURL = fe.srv.URL
+		cfg.RelayStore = rpm.NewRepository("store")
+
+		res, err := Run(context.Background(), n, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if !inj.Exhausted() {
+			t.Fatalf("%s: the kickstart fault was never injected", mode)
+		}
+		if got := cfg.Stats.FetchRetries.Load(); got != 1 {
+			t.Errorf("%s: fetch retries = %d, want 1 (the kickstart)", mode, got)
+		}
+		if got := fe.count("GET /install/kickstart.cgi"); got != 3 { // the clean look above, the faulted fetch, its retry
+			t.Errorf("%s: the kickstart was served %d times, want 3", mode, got)
+		}
+		if demoted, corrupt := cfg.Stats.PeerDemotions.Load(), cfg.Stats.PackagesCorrupt.Load(); demoted != 1 || corrupt != 1 {
+			t.Errorf("%s: peer demotions = %d, corrupt bodies discarded = %d; want 1 and 1", mode, demoted, corrupt)
+		}
+		events := cfg.Events.Recent(lifecycle.Filter{Type: lifecycle.EventRelayDemoted})
+		if len(events) != 1 || !strings.Contains(events[0].Detail, "peer "+peer.URL) {
+			t.Errorf("%s: relay-demoted events = %+v, want one naming %s", mode, events, peer.URL)
+		}
+		if got := cfg.Stats.PeerFetches.Load(); got != 0 {
+			t.Errorf("%s: %d bodies accepted from the lying peer", mode, got)
+		}
+		if _, err := n.Disk().ReadFile("/etc/lie"); err == nil {
+			t.Errorf("%s: the lying peer's payload reached the disk", mode)
+		}
+		if res.Packages != 162 || cfg.RelayStore.Len() != res.Packages {
+			t.Errorf("%s: installed %d packages, the relay store holds %d; want 162 each", mode, res.Packages, cfg.RelayStore.Len())
+		}
+		for _, p := range cfg.RelayStore.All() {
+			if want := fe.dist.Repo.Get(p.NVRA()); want == nil || p.Digest != want.Digest {
+				t.Errorf("%s: relay store holds %s with a digest the frontend never advertised", mode, p.NVRA())
+			}
 		}
 	}
 }
@@ -1083,9 +1101,9 @@ func TestRelayStoreOutlivesDiskWrites(t *testing.T) {
 }
 
 // TestInstallIsOneStream is the request budget of a fault-free install: one
-// kickstart file, one manifest, one stream carrying every package, one facts
-// report — and one relay lookup when the relay tier is on. Nothing is asked
-// for per package.
+// kickstart file carrying the package resolution, one stream carrying every
+// package, one facts report — and one relay lookup when the relay tier is
+// on. Nothing is asked for per package, and the manifest not at all.
 func TestInstallIsOneStream(t *testing.T) {
 	for _, relays := range []bool{false, true} {
 		fe := newTestFrontend(t)
@@ -1096,7 +1114,6 @@ func TestInstallIsOneStream(t *testing.T) {
 		cfg.FrontendURL = fe.srv.URL
 		want := map[string]int64{
 			"GET /install/kickstart.cgi": 1,
-			"GET /RedHat/base/manifest":  1,
 			"POST /RedHat/RPMS/":         1,
 			"POST /v1/facts":             1,
 		}
@@ -1120,11 +1137,11 @@ func TestInstallIsOneStream(t *testing.T) {
 			}
 			return true
 		})
-		if total != int64(len(want)) || total > 5 {
+		if total != int64(len(want)) || total > 4 {
 			t.Errorf("relays %v: an install made %d requests, want %d", relays, total, len(want))
 		}
-		if stats := fe.distSrv.Stats(); stats.BundleRequests != 1 || stats.PackageRequests != 162 || stats.ManifestRequests != 1 {
-			t.Errorf("relays %v: serve stats %+v, want one manifest and one bundle of 162 bodies", relays, stats)
+		if stats := fe.distSrv.Stats(); stats.BundleRequests != 1 || stats.PackageRequests != 162 || stats.ManifestRequests != 0 {
+			t.Errorf("relays %v: serve stats %+v, want no manifest and one bundle of 162 bodies", relays, stats)
 		}
 		// The stream is read to its end, so its connection carries the
 		// requests after it: this install's facts report, and the next's.

@@ -2,6 +2,8 @@ package kickstart
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -31,14 +33,7 @@ var KnownArches = []string{"athlon", "i386", "ia64"}
 // KnownArch reports whether arch is in KnownArches. The kickstart CGI uses
 // it to validate client-supplied architecture values before they reach the
 // database.
-func KnownArch(arch string) bool {
-	for _, a := range KnownArches {
-		if a == arch {
-			return true
-		}
-	}
-	return false
-}
+func KnownArch(arch string) bool { return slices.Contains(KnownArches, arch) }
 
 // Profile is a generated Kickstart description, the structured form of the
 // text file anaconda consumes.
@@ -53,7 +48,15 @@ type Profile struct {
 	// Modules lists the node files that contributed, in traversal order —
 	// useful for diagnostics and the DOT rendering.
 	Modules []string
+	// Manifest is the file's last section, from its ManifestSection line to
+	// the end, as text: the CGI's package resolution (dist writes and reads
+	// it). Generate leaves it empty.
+	Manifest string
 }
+
+// ManifestSection opens the kickstart's package resolution, one manifest
+// line per %packages name.
+const ManifestSection = "%manifest"
 
 // Generate traverses the framework for the request and assembles a Profile.
 // Package lists are deduplicated (first occurrence wins); command lines are
@@ -312,100 +315,90 @@ func (t *profileTemplate) instantiate(nodeName string, nodeAttrs map[string]stri
 	return p, nil
 }
 
-// Render emits the Red Hat-compliant text Kickstart file: the command
-// section, %packages, then %pre and %post sections. This is the exact
-// artifact the node's installer fetches over HTTP.
-func (p *Profile) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Kickstart file for %s (appliance %q, arch %s)\n", p.NodeName, p.Appliance, p.Arch)
-	fmt.Fprintf(&b, "# Generated by the Rocks kickstart CGI from modules: %s\n", strings.Join(p.Modules, ", "))
+// Render emits the Red Hat-compliant text Kickstart file (Append).
+func (p *Profile) Render() string { return string(p.Append(nil)) }
+
+// Append appends the text Kickstart file the node's installer fetches: the
+// command section, %packages, %pre and %post, and any %manifest section.
+func (p *Profile) Append(b []byte) []byte {
+	b = append(append(b, "# Kickstart file for "...), p.NodeName...)
+	b = strconv.AppendQuote(append(b, " (appliance "...), p.Appliance)
+	b = append(append(append(b, ", arch "...), p.Arch...), ")\n# Generated by the Rocks kickstart CGI from modules: "...)
+	b = append(append(b, strings.Join(p.Modules, ", ")...), '\n')
 	for _, c := range p.Commands {
-		b.WriteString(c)
-		b.WriteByte('\n')
+		b = append(append(b, c...), '\n')
 	}
-	b.WriteString("\n%packages\n")
+	b = append(b, "\n%packages\n"...)
 	for _, pkg := range p.Packages {
-		b.WriteString(pkg)
-		b.WriteByte('\n')
+		b = append(append(b, pkg...), '\n')
 	}
-	for _, s := range p.Pre {
-		b.WriteString(sectionHeader("%pre", s.Interpreter))
-		b.WriteString(s.Text)
-		if !strings.HasSuffix(s.Text, "\n") {
-			b.WriteByte('\n')
-		}
+	b = appendScripts(b, "%pre", p.Pre)
+	b = appendScripts(b, "%post", p.Post)
+	if p.Manifest != "" {
+		b = append(append(b, '\n'), p.Manifest...)
 	}
-	for _, s := range p.Post {
-		b.WriteString(sectionHeader("%post", s.Interpreter))
-		b.WriteString(s.Text)
-		if !strings.HasSuffix(s.Text, "\n") {
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
+	return b
 }
 
-func sectionHeader(section, interp string) string {
-	if interp != "" {
-		return "\n" + section + " --interpreter " + interp + "\n"
+// appendScripts appends one section per script, newline-terminated.
+func appendScripts(b []byte, section string, scripts []Script) []byte {
+	for _, s := range scripts {
+		b = append(append(b, '\n'), section...)
+		if s.Interpreter != "" {
+			b = append(append(b, " --interpreter "...), s.Interpreter...)
+		}
+		b = append(append(b, '\n'), s.Text...)
+		if !strings.HasSuffix(s.Text, "\n") {
+			b = append(b, '\n')
+		}
 	}
-	return "\n" + section + "\n"
+	return b
 }
 
 // ParseProfile parses a rendered Kickstart file back into a Profile — the
 // installer side of the contract. Only the structure Render emits is
-// understood (command lines, %packages, %pre/%post sections).
+// understood. It reads the text once; scripts and Manifest are pieces of it.
 func ParseProfile(text string) (*Profile, error) {
 	p := &Profile{}
-	section := "commands"
-	var cur *Script
-	flush := func() {
-		if cur != nil {
-			cur.Text = strings.TrimRight(cur.Text, "\n")
-			if section == "pre" {
-				p.Pre = append(p.Pre, *cur)
-			} else {
-				p.Post = append(p.Post, *cur)
-			}
-			cur = nil
+	lines := &p.Commands // where a plain line goes; nil inside a script
+	var (
+		scripts *[]Script // the open script's section
+		cur     Script
+		body    = -1 // where the open script's text begins in text
+	)
+	flush := func(end int) {
+		if body >= 0 {
+			cur.Text = strings.TrimRight(text[body:end], "\n")
+			*scripts, body = append(*scripts, cur), -1
 		}
 	}
-	for _, line := range strings.Split(text, "\n") {
+	for rest := text; rest != ""; {
+		at := len(text) - len(rest)
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		trimmed := strings.TrimSpace(line)
 		switch {
+		case strings.HasPrefix(trimmed, ManifestSection):
+			flush(at)
+			p.Manifest, rest = text[at:], ""
 		case strings.HasPrefix(trimmed, "%packages"):
-			flush()
-			section = "packages"
-			continue
+			flush(at)
+			lines = &p.Packages
 		case strings.HasPrefix(trimmed, "%pre"), strings.HasPrefix(trimmed, "%post"):
-			flush()
+			flush(at)
+			lines, scripts = nil, &p.Post
 			if strings.HasPrefix(trimmed, "%pre") {
-				section = "pre"
-			} else {
-				section = "post"
+				scripts = &p.Pre
 			}
-			cur = &Script{}
-			if idx := strings.Index(trimmed, "--interpreter"); idx >= 0 {
-				cur.Interpreter = strings.TrimSpace(trimmed[idx+len("--interpreter"):])
+			cur, body = Script{}, len(text)-len(rest)
+			if _, interpreter, ok := strings.Cut(trimmed, "--interpreter"); ok {
+				cur.Interpreter = strings.TrimSpace(interpreter)
 			}
-			continue
-		}
-		switch section {
-		case "commands":
-			if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-				continue
-			}
-			p.Commands = append(p.Commands, trimmed)
-		case "packages":
-			if trimmed == "" || strings.HasPrefix(trimmed, "#") {
-				continue
-			}
-			p.Packages = append(p.Packages, trimmed)
-		case "pre", "post":
-			cur.Text += line + "\n"
+		case lines != nil && trimmed != "" && !strings.HasPrefix(trimmed, "#"):
+			*lines = append(*lines, trimmed)
 		}
 	}
-	flush()
+	flush(len(text))
 	if len(p.Commands) == 0 && len(p.Packages) == 0 {
 		return nil, fmt.Errorf("kickstart: text has no command section and no packages; not a kickstart file")
 	}

@@ -17,6 +17,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -41,15 +42,7 @@ type Script struct {
 func (s Script) matches(arch string) bool { return archListMatches(s.Arches, arch) }
 
 func archListMatches(arches []string, arch string) bool {
-	if len(arches) == 0 {
-		return true
-	}
-	for _, a := range arches {
-		if a == arch {
-			return true
-		}
-	}
-	return false
+	return len(arches) == 0 || slices.Contains(arches, arch)
 }
 
 // NodeFile is one parsed XML module.

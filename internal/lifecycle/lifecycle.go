@@ -300,7 +300,9 @@ func (b *Bus) Timeline(node string) []Event {
 // WaitFor blocks until an event matching f exists (checking the ring first,
 // so events published before the call still satisfy it as long as their Seq
 // exceeds f.SinceSeq) or ctx is done. Set f.SinceSeq from Seq() to wait for
-// a strictly future occurrence.
+// a strictly future occurrence. When no event held matches and one after
+// f.SinceSeq has already left the ring, it fails at once, naming the
+// eviction: the match may have been evicted, and waiting could not tell.
 func (b *Bus) WaitFor(ctx context.Context, f Filter) (Event, error) {
 	for {
 		b.mu.Lock()
@@ -310,6 +312,11 @@ func (b *Bus) WaitFor(ctx context.Context, f Filter) (Event, error) {
 				b.mu.Unlock()
 				return found, nil
 			}
+		}
+		if b.ring.Len() > 0 && b.ring.At(0).Seq > f.SinceSeq+1 {
+			oldest := b.ring.At(0).Seq
+			b.mu.Unlock()
+			return Event{}, fmt.Errorf("lifecycle: events #%d to #%d, after #%d, were evicted from the ring before a match was seen", f.SinceSeq+1, oldest-1, f.SinceSeq)
 		}
 		wake := b.bcast
 		b.mu.Unlock()

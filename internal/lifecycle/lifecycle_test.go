@@ -178,9 +178,11 @@ func TestWaitForHonorsContext(t *testing.T) {
 }
 
 // TestConcurrentPublishSubscribe exercises the bus under -race: publishers,
-// subscribers, timeline readers, and WaitFor callers all at once.
+// subscribers, timeline readers, and WaitFor callers all at once. The ring
+// holds all 200 events, so the event WaitFor waits for cannot be evicted
+// before it looks (TestWaitForNamesEviction covers a ring that wraps).
 func TestConcurrentPublishSubscribe(t *testing.T) {
-	b := NewBus(64)
+	b := NewBus(200)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -222,6 +224,31 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	wg.Wait()
 	if b.Seq() != 200 {
 		t.Fatalf("Seq() = %d after 200 publishes", b.Seq())
+	}
+}
+
+// TestWaitForNamesEviction: a wait whose match may have left the ring fails
+// at once, naming the eviction, instead of waiting out its context; a match
+// still held, or a wait from a point the ring still covers, is unaffected.
+func TestWaitForNamesEviction(t *testing.T) {
+	b := NewBus(4)
+	for i := range 6 {
+		b.Publish(Event{Node: fmt.Sprintf("n%d", i), Type: EventUp})
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := b.WaitFor(ctx, Filter{Node: "n0"})
+	if err == nil || !contains(err.Error(), "events #1 to #2, after #0, were evicted") || time.Since(start) > time.Second {
+		t.Errorf("WaitFor(n0) after its event was evicted = %v after %v; want the eviction named at once", err, time.Since(start))
+	}
+	if e, err := b.WaitFor(ctx, Filter{Node: "n5"}); err != nil || e.Seq != 6 {
+		t.Errorf("WaitFor(n5) = #%d, %v; want #6 from the ring", e.Seq, err)
+	}
+	since := b.Seq()
+	go b.Publish(Event{Node: "n0", Type: EventUp})
+	if e, err := b.WaitFor(ctx, Filter{Node: "n0", SinceSeq: since}); err != nil || e.Seq != since+1 {
+		t.Errorf("WaitFor(n0) from #%d = #%d, %v; want the next event", since, e.Seq, err)
 	}
 }
 

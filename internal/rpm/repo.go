@@ -2,7 +2,6 @@ package rpm
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -22,7 +21,7 @@ import (
 type Repository struct {
 	mu     sync.RWMutex
 	name   string
-	byName map[string][]*entry // every version of a name, unsorted
+	byName map[string][]*Package // every version of a name, unsorted
 	byNVRA map[string]*entry
 	// sorted is every package in NVRA order, a manifest's. Add and Remove
 	// build its successor and never write into it, so Sorted hands it out.
@@ -44,7 +43,7 @@ type entry struct {
 // NewRepository creates an empty repository. The name is used in package
 // provenance (Metadata.Source) and diagnostics.
 func NewRepository(name string) *Repository {
-	return &Repository{name: name, byName: make(map[string][]*entry), byNVRA: make(map[string]*entry)}
+	return &Repository{name: name, byName: make(map[string][]*Package), byNVRA: make(map[string]*entry)}
 }
 
 // Name returns the repository's name.
@@ -77,13 +76,13 @@ func (r *Repository) Add(p *Package) {
 	r.sorted = append(next, r.sorted[i:]...)
 	if old != nil && old.pkg.Name == p.Name {
 		list := r.byName[p.Name]
-		list[slices.Index(list, old)] = e
+		list[slices.Index(list, old.pkg)] = p
 	} else {
 		if old != nil {
 			// Same NVRA filed under another name ("a-1" 2-3 and "a" 1-2-3).
-			r.unlink(old)
+			r.unlink(old.pkg)
 		}
-		r.byName[p.Name] = append(r.byName[p.Name], e)
+		r.byName[p.Name] = append(r.byName[p.Name], p)
 	}
 	r.byNVRA[nvra] = e
 }
@@ -97,11 +96,11 @@ func (r *Repository) position(nvra string) int {
 	return i
 }
 
-// unlink takes an entry out of its name's list. Callers hold the write lock.
-func (r *Repository) unlink(e *entry) {
-	name := e.pkg.Name
+// unlink takes a package out of its name's list. Callers hold the lock.
+func (r *Repository) unlink(p *Package) {
+	name := p.Name
 	list := r.byName[name]
-	i := slices.Index(list, e)
+	i := slices.Index(list, p)
 	if list = append(list[:i:i], list[i+1:]...); len(list) == 0 {
 		delete(r.byName, name)
 	} else {
@@ -119,7 +118,7 @@ func (r *Repository) Remove(nvra string) bool {
 		return false
 	}
 	delete(r.byNVRA, nvra)
-	r.unlink(e)
+	r.unlink(e.pkg)
 	i := r.position(nvra)
 	r.sorted = slices.Delete(slices.Clone(r.sorted), i, i+1)
 	return true
@@ -159,9 +158,8 @@ func (r *Repository) Newest(name, arch string) *Package {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var best *Package
-	for _, e := range r.byName[name] {
-		q := e.pkg
-		if !archCompatible(arch, q.Arch) {
+	for _, q := range r.byName[name] {
+		if !ArchCompatible(arch, q.Arch) {
 			continue
 		}
 		if best == nil || Compare(q.Version, best.Version) > 0 ||
@@ -176,12 +174,18 @@ func (r *Repository) Newest(name, arch string) *Package {
 func (r *Repository) Versions(name string) []*Package {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*Package, 0, len(r.byName[name]))
-	for _, e := range r.byName[name] {
-		out = append(out, e.pkg)
-	}
+	out := slices.Clone(r.byName[name])
 	sort.Slice(out, func(i, j int) bool { return Compare(out[i].Version, out[j].Version) > 0 })
 	return out
+}
+
+// ReadNamed calls f with the index by name (every package stored under a
+// name, unsorted) under one hold of the read lock, so a caller looking up
+// many names pays for the lock once. f must not write the index or keep it.
+func (r *Repository) ReadNamed(f func(byName map[string][]*Package)) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	f(r.byName)
 }
 
 // Names returns the sorted list of package names in the repository.
@@ -257,53 +261,10 @@ func (r *Repository) TotalSize() int64 {
 	return n
 }
 
-// Resolve expands a list of package names into concrete packages, choosing
-// the newest compatible version of each and recursively adding their
-// Requires closure. Names are resolved in the order given; dependencies are
-// appended after the package that pulled them in, each package appearing
-// once. Unresolvable names produce an error naming the missing package —
-// the error a Rocks administrator sees when a node file names a package the
-// distribution does not carry.
-func (r *Repository) Resolve(arch string, names []string) ([]*Package, error) {
-	seen := make(map[string]bool)
-	var out []*Package
-	var walk func(name, wantedBy string) error
-	walk = func(name, wantedBy string) error {
-		if seen[name] {
-			return nil
-		}
-		seen[name] = true
-		p := r.Newest(name, arch)
-		if p == nil {
-			if wantedBy != "" {
-				return fmt.Errorf("rpm: package %q (required by %q) not found in repository %q for arch %s", name, wantedBy, r.name, arch)
-			}
-			return fmt.Errorf("rpm: package %q not found in repository %q for arch %s", name, r.name, arch)
-		}
-		out = append(out, p)
-		for _, dep := range p.Requires {
-			if err := walk(dep, name); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, n := range names {
-		if err := walk(n, ""); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // ArchCompatible reports whether a package built for pkgArch can install on
 // a node of arch nodeArch: exact matches, noarch and source packages
 // everywhere, and i386 packages on athlon nodes.
-func ArchCompatible(nodeArch, pkgArch string) bool { return archCompatible(nodeArch, pkgArch) }
-
-// archCompatible reports whether a package built for pkgArch can install on
-// a node of arch nodeArch.
-func archCompatible(nodeArch, pkgArch string) bool {
+func ArchCompatible(nodeArch, pkgArch string) bool {
 	if pkgArch == ArchNoarch || pkgArch == ArchSRPM {
 		return true
 	}

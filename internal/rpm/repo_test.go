@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -74,61 +73,6 @@ func TestRepositoryRemove(t *testing.T) {
 	}
 	if r.Newest("foo", ArchI386) != nil {
 		t.Error("package still resolvable after Remove")
-	}
-}
-
-func TestRepositoryResolveClosure(t *testing.T) {
-	r := NewRepository("dist")
-	mpich := New("mpich", v("1.2.2", "1"), ArchI386)
-	mpich.Requires = []string{"glibc", "gcc"}
-	gcc := New("gcc", v("2.96", "98"), ArchI386)
-	gcc.Requires = []string{"glibc"}
-	r.Add(mpich)
-	r.Add(gcc)
-	r.Add(New("glibc", v("2.2.4", "24"), ArchI386))
-
-	got, err := r.Resolve(ArchI386, []string{"mpich"})
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	var names []string
-	for _, p := range got {
-		names = append(names, p.Name)
-	}
-	want := "mpich glibc gcc"
-	if strings.Join(names, " ") != want {
-		t.Errorf("Resolve order = %v, want %s", names, want)
-	}
-}
-
-func TestRepositoryResolveMissingNamesCulprit(t *testing.T) {
-	r := NewRepository("dist")
-	p := New("pbs", v("2.3.12", "1"), ArchI386)
-	p.Requires = []string{"libtcl"}
-	r.Add(p)
-	_, err := r.Resolve(ArchI386, []string{"pbs"})
-	if err == nil {
-		t.Fatal("Resolve should fail on a missing dependency")
-	}
-	if !strings.Contains(err.Error(), "libtcl") || !strings.Contains(err.Error(), "pbs") {
-		t.Errorf("error should name both the missing package and what required it: %v", err)
-	}
-}
-
-func TestRepositoryResolveCycleTerminates(t *testing.T) {
-	r := NewRepository("dist")
-	a := New("a", v("1", "1"), ArchI386)
-	a.Requires = []string{"b"}
-	b := New("b", v("1", "1"), ArchI386)
-	b.Requires = []string{"a"}
-	r.Add(a)
-	r.Add(b)
-	got, err := r.Resolve(ArchI386, []string{"a"})
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	if len(got) != 2 {
-		t.Errorf("cycle should resolve each package once, got %d", len(got))
 	}
 }
 
@@ -236,7 +180,7 @@ func (r *scanRepo) get(nvra string) *Package {
 func (r *scanRepo) newest(name, arch string) *Package {
 	var best *Package
 	for _, q := range r.pkgs[name] {
-		if !archCompatible(arch, q.Arch) {
+		if !ArchCompatible(arch, q.Arch) {
 			continue
 		}
 		if best == nil || Compare(q.Version, best.Version) > 0 ||

@@ -45,6 +45,9 @@ var autoIndexSpecs = map[string][]indexSpec{
 		{name: "memberships_id", cols: []string{"id"}},
 		{name: "memberships_name", cols: []string{"name"}},
 	},
+	"appliances": {
+		{name: "appliances_id", cols: []string{"id"}},
+	},
 	"site": {
 		{name: "site_name", cols: []string{"name"}},
 	},

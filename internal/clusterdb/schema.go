@@ -332,21 +332,30 @@ func DeleteNode(db *Database, name string) error {
 }
 
 // ApplianceForMembership resolves a membership ID to the graph root node
-// name of its appliance (e.g. Compute → "compute"), which is where the
-// kickstart graph traversal starts.
+// name of its appliance (e.g. Compute → "compute"), where the kickstart graph
+// traversal starts: the join's first row, probed through the two id indexes.
 func ApplianceForMembership(db *Database, membership int) (name, graph, rootNode string, err error) {
-	res, err := db.Query(fmt.Sprintf(
-		`SELECT appliances.name, appliances.graph, appliances.node
-		 FROM memberships, appliances
-		 WHERE memberships.id = %d AND memberships.appliance = appliances.id`, membership))
-	if err != nil {
-		return "", "", "", err
+	members, ok := db.pointLookup("memberships", "id", IntValue(int64(membership)))
+	for i := 0; ok && i < len(members); i++ {
+		var apps [][]Value // stored rows, in the standard schema's column order
+		if apps, ok = db.pointLookup("appliances", "id", members[i][2]); ok && len(apps) > 0 {
+			return apps[0][1].String(), apps[0][2].String(), apps[0][3].String(), nil
+		}
 	}
-	if len(res.Rows) == 0 {
-		return "", "", "", fmt.Errorf("clusterdb: membership %d has no appliance", membership)
+	if !ok {
+		res, err := db.Query(fmt.Sprintf(
+			`SELECT appliances.name, appliances.graph, appliances.node
+			 FROM memberships, appliances
+			 WHERE memberships.id = %d AND memberships.appliance = appliances.id`, membership))
+		if err != nil {
+			return "", "", "", err
+		}
+		if len(res.Rows) > 0 {
+			r := res.Rows[0]
+			return r[0].String(), r[1].String(), r[2].String(), nil
+		}
 	}
-	r := res.Rows[0]
-	return r[0].String(), r[1].String(), r[2].String(), nil
+	return "", "", "", fmt.Errorf("clusterdb: membership %d has no appliance", membership)
 }
 
 // SiteValue reads one site-configuration attribute.

@@ -178,6 +178,32 @@ func TestApplianceForMembership(t *testing.T) {
 	}
 }
 
+// TestApplianceProbesAnswerAsTheJoin: the index probes answer every
+// membership, one whose appliance row is missing or NULL, and one with no
+// row, exactly as the join over the two tables does, errors word for word.
+func TestApplianceProbesAnswerAsTheJoin(t *testing.T) {
+	db := initDB(t)
+	if _, err := db.Exec(`INSERT INTO memberships VALUES (20, 'Dangling', 77, 'yes'), (21, 'Unset', NULL, 'yes')`); err != nil {
+		t.Fatal(err)
+	}
+	answer := func(id int) string {
+		name, graph, root, err := ApplianceForMembership(db, id)
+		return fmt.Sprintf("%q %q %q %v", name, graph, root, err)
+	}
+	for id := 0; id <= 22; id++ {
+		db.SetIndexRouting(false)
+		want := answer(id)
+		db.SetIndexRouting(true)
+		before := db.indexSelects.Load()
+		if got := answer(id); got != want {
+			t.Errorf("membership %d: probes answer %s, the join %s", id, got, want)
+		}
+		if db.indexSelects.Load() == before {
+			t.Errorf("membership %d: answered without probing an index", id)
+		}
+	}
+}
+
 func TestMembershipBasename(t *testing.T) {
 	db := initDB(t)
 	cases := map[int]string{

@@ -125,15 +125,15 @@ func (c *Cluster) kickstartCGI(w http.ResponseWriter, r *http.Request) {
 		Attrs:     c.ksAttrs,
 		NodeAttrs: map[string]string{"Kickstart_PublicHostname": n.Name},
 	}
-	profile, err := c.ksCache.Generate(req)
+	// The file ends with its class's package resolution for the tree's state,
+	// made once per both; a package the distribution lacks is the node's to report.
+	profile, err := c.ksCache.Resolved(req, c.Dist.Repo.Stamp(), c.distSrv.Section)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// The file, then the package resolution it ends with, in one pooled
-	// buffer; a package the distribution lacks is the node's to report.
 	buf := kickstartTexts.Get().(*[]byte)
-	*buf, _ = c.distSrv.AppendResolution(profile.Append((*buf)[:0]), arch, profile.Packages)
+	*buf = profile.Append((*buf)[:0])
 	w.Header().Set("Content-Type", "text/plain")
 	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
 	w.Write(*buf)

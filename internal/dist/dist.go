@@ -164,7 +164,7 @@ func BuildChild(name string, parent *Distribution, framework *kickstart.Framewor
 // a node of the profile's arch installs for each name, in order.
 func (d *Distribution) ResolveProfile(p *kickstart.Profile) ([]*rpm.Package, error) {
 	pkgs := make([]*rpm.Package, 0, len(p.Packages))
-	if err := resolve(d.Repo, p.Arch, p.Packages, func(pkg *rpm.Package) { pkgs = append(pkgs, pkg) }); err != nil {
+	if _, err := resolve(d.Repo, p.Arch, p.Packages, func(pkg *rpm.Package) { pkgs = append(pkgs, pkg) }); err != nil {
 		return nil, fmt.Errorf("dist %q: %w", d.Name, err)
 	}
 	return pkgs, nil

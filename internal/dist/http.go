@@ -213,7 +213,7 @@ func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 	}
 	// The repository entry owns the package's encoding: made once, on the
 	// first request for it, and immutable after.
-	body := s.repo().Body(meta.NVRA())
+	body, _ := s.repo().Body(meta.NVRA())
 	if body == nil {
 		s.notFound.Add(1)
 		http.NotFound(w, r)
@@ -229,9 +229,9 @@ func (s *Server) serveRPMS(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveBundle answers the bundle verb. Every body is the repository entry's
-// one encoding (Repository.Body), so a member of a stream and a GET of the
-// same file are the same bytes, and the stream goes out through one pooled
-// buffered writer. The counters move per body, as they do for a GET.
+// one encoding, made with its CRC-32 (Repository.Body): a member and a GET of
+// the same file are the same bytes. The stream goes out through one pooled
+// buffered writer, and the counters move per body, as they do for a GET.
 func (s *Server) serveBundle(w http.ResponseWriter, r *http.Request) {
 	// Sized by the declared length, at most maxPresize: the client's claim.
 	var body bytes.Buffer
@@ -259,14 +259,14 @@ func (s *Server) serveBundle(w http.ResponseWriter, r *http.Request) {
 	defer bw.Reset(nil) // runs first
 	var header [bundleHeaderLen]byte
 	for name, rest := cutField(text); name != ""; name, rest = cutField(rest) {
-		body := repo.Body(unescapeField(name))
+		body, sum := repo.Body(unescapeField(name))
 		if body == nil {
 			s.notFound.Add(1)
 			putBundleHeader(&header, bundleNotHeld, 0)
 			bw.Write(header[:])
 			continue
 		}
-		putBundleHeader(&header, uint64(len(body)), crc32.ChecksumIEEE(body))
+		putBundleHeader(&header, uint64(len(body)), sum)
 		bw.Write(header[:])
 		// A failed write is a connection-level failure (bufio keeps the
 		// first one); nothing recoverable server-side.

@@ -19,8 +19,8 @@ import (
 // closure. A package answers to the name and version its NVRA spells
 // (rpm.ParseNVRA), so one whose version or release holds a "-" answers to a
 // longer name than its own. The first name with no package is the error.
-func resolve(repo *rpm.Repository, arch string, names []string, each func(*rpm.Package)) (missing error) {
-	repo.ReadNamed(func(byName map[string][]*rpm.Package) {
+func resolve(repo *rpm.Repository, arch string, names []string, each func(*rpm.Package)) (stamp uint64, missing error) {
+	stamp = repo.ReadNamed(func(byName map[string][]*rpm.Package) {
 		for _, name := range names {
 			var best *rpm.Package
 			var version, release string // best's, as its NVRA spells them
@@ -51,7 +51,7 @@ func resolve(repo *rpm.Repository, arch string, names []string, each func(*rpm.P
 			}
 		}
 	})
-	return missing
+	return stamp, missing
 }
 
 // resolutionHeader opens the %manifest section a kickstart file ends with:
@@ -63,15 +63,27 @@ const resolutionHeader = "\n" + kickstart.ManifestSection + " --crc32 "
 // AppendResolution appends the %manifest section resolving names for a node
 // of arch; the error names the first name with no package (and no line).
 func (s *Server) AppendResolution(b []byte, arch string, names []string) ([]byte, error) {
+	b, _, err := s.appendResolution(b, arch, names)
+	return b, err
+}
+
+// Section is the section AppendResolution appends, from its ManifestSection
+// line on, and the rpm.Repository.Stamp of the state it resolves.
+func (s *Server) Section(arch string, names []string) (section string, stamp uint64) {
+	b, stamp, _ := s.appendResolution(nil, arch, names)
+	return string(b[1:]), stamp
+}
+
+func (s *Server) appendResolution(b []byte, arch string, names []string) (_ []byte, stamp uint64, err error) {
 	b = append(b, resolutionHeader+"00000000\n"...)
 	start := len(b)
-	err := resolve(s.repo(), arch, names, func(p *rpm.Package) {
+	stamp, err = resolve(s.repo(), arch, names, func(p *rpm.Package) {
 		nvra := p.NVRAPieces()
 		b = appendManifestLine(b, p.Size, p.Digest, p.Source, nvra[:]...)
 	})
 	var sum [4]byte
 	hex.Encode(b[start-9:start-1], binary.BigEndian.AppendUint32(sum[:0], crc32.ChecksumIEEE(b[start:])))
-	return b, err
+	return b, stamp, err
 }
 
 // ReadResolution reads a kickstart's %manifest section (Profile.Manifest)
@@ -88,11 +100,10 @@ func ReadResolution(section string, names []string) ([]ManifestEntry, error) {
 	entries := make([]ManifestEntry, 0, len(names))
 	var torn error
 	err := scanManifest(lines, func(e ManifestEntry) {
-		m, err := rpm.ParseNVRA(e.NVRA)
-		for err == nil && len(entries) < len(names) && names[len(entries)] != m.Name {
+		for len(entries) < len(names) && !spells(e.NVRA, names[len(entries)]) {
 			entries = append(entries, ManifestEntry{}) // a name with no line
 		}
-		if err != nil || len(entries) == len(names) {
+		if len(entries) == len(names) {
 			torn = cmp.Or(torn, fmt.Errorf("installer: the kickstart's %s section lists %s for no package it names", kickstart.ManifestSection, e.NVRA))
 		} else if torn == nil {
 			entries = append(entries, e)
@@ -107,6 +118,14 @@ func ReadResolution(section string, names []string) ([]ManifestEntry, error) {
 		}
 	}
 	return entries, nil
+}
+
+// spells reports whether rpm.ParseNVRA reads name out of nvra: name, "-",
+// then a version and release with one "-" between them before the last ".".
+func spells(nvra, name string) bool {
+	rest, ok := strings.CutPrefix(nvra, name)
+	dot := strings.LastIndexByte(rest, '.')
+	return ok && name != "" && dot > 0 && rest[0] == '-' && strings.Count(rest[1:dot], "-") == 1
 }
 
 // crcOf is crc32.ChecksumIEEE of s, copied through a small buffer rather

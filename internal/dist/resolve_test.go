@@ -319,14 +319,16 @@ func TestReadResolutionTornOrMissing(t *testing.T) {
 }
 
 // TestResolveCostsWhatItKeeps: the frontend resolves the synthetic compute
-// profile into a buffer that holds the section without allocating, and the
-// node reads the section back into its entries in at most two allocations;
-// the manifest round this replaced — the frontend formats the manifest, the
-// node resolves over all of it — is logged beside them.
+// profile into a buffer that holds the section without allocating, a
+// profile cache that keeps the section for the tree's state hands it out
+// with no allocation beside the profile's own, and the node reads the
+// section back into its entries in at most two allocations; the manifest
+// round this replaced — the frontend formats the manifest, the node resolves
+// over all of it — is logged beside them.
 func TestResolveCostsWhatItKeeps(t *testing.T) {
 	d := Build("d", kickstart.DefaultFramework(), Source{"redhat", SyntheticRedHat()})
-	profile, err := d.Framework.Generate(kickstart.Request{Appliance: "compute", Arch: "i386",
-		NodeName: "compute-0-0", Attrs: kickstart.DefaultAttrs("u", "h")})
+	req := kickstart.Request{Appliance: "compute", Arch: "i386", NodeName: "compute-0-0", Attrs: kickstart.DefaultAttrs("u", "h")}
+	profile, err := d.Framework.Generate(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +344,15 @@ func TestResolveCostsWhatItKeeps(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { ReadResolution(section, profile.Packages) }); n > 2 {
 		t.Errorf("ReadResolution allocates %v times; want at most two, the entries and the seal's buffer", n)
 	}
+	pc := kickstart.NewProfileCache(d.Framework)
+	kept := func() { pc.Resolved(req, d.Repo.Stamp(), srv.Section) }
+	if p, _ := pc.Resolved(req, d.Repo.Stamp(), srv.Section); p.Manifest != section {
+		t.Fatalf("the kept section is\n%s\nwant\n%s", p.Manifest, section)
+	}
+	generate := testing.AllocsPerRun(20, func() { pc.Generate(req) })
+	if n := testing.AllocsPerRun(20, kept); n != generate {
+		t.Errorf("a kept section costs %v allocations beside the profile's %v; want none", n-generate, generate)
+	}
 	const rounds = 100
 	timed := func(f func()) time.Duration {
 		start := time.Now()
@@ -351,10 +362,11 @@ func TestResolveCostsWhatItKeeps(t *testing.T) {
 		return time.Since(start) / rounds
 	}
 	frontend := timed(func() { srv.AppendResolution(buf, "i386", profile.Packages) })
+	hit := timed(kept)
 	node := timed(func() { ReadResolution(section, profile.Packages) })
 	manifest := timed(func() { resolveText([]byte(FormatManifest(Manifest(d.Repo))), "i386", profile.Packages) })
-	t.Logf("%d names, a %d-byte section: the frontend resolves in %v, the node reads it in %v; formatting and resolving the manifest took %v",
-		len(profile.Packages), len(section), frontend, node, manifest)
+	t.Logf("%d names, a %d-byte section: the frontend resolves in %v (stamps out the profile with its kept section in %v), the node reads it in %v; formatting and resolving the manifest took %v",
+		len(profile.Packages), len(section), frontend, hit, node, manifest)
 }
 
 // TestAppendPathEscapedIsPathEscape: the manifest's escaper spells every

@@ -32,6 +32,12 @@ func computeNodes(fe *testFrontend, n int) []*node.Node {
 	return out
 }
 
+// bodyOf is the encoding of the package repo holds under nvra.
+func bodyOf(repo *rpm.Repository, nvra string) []byte {
+	body, _ := repo.Body(nvra)
+	return body
+}
+
 // TestFetchFiguresFoldPerStream: each stream tallies its verified packages
 // on its own and folds the tally into the shared Stats when it returns, so
 // after two installs the fetch families read what counting every package
@@ -48,7 +54,7 @@ func TestFetchFiguresFoldPerStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range n.PackageDB().List() {
-			wire += len(fe.dist.Repo.Body(m.NVRA()))
+			wire += len(bodyOf(fe.dist.Repo, m.NVRA()))
 		}
 	}
 	r := metrics.NewRegistry()
@@ -97,7 +103,7 @@ func TestInstallsShareWhatTheyVerified(t *testing.T) {
 		if p == nil || stores[1].Get(m.NVRA()) != p {
 			t.Fatalf("%s is not one package in the two relay stores", m.NVRA())
 		}
-		if again, err := held.Decode(fe.dist.Repo.Body(m.NVRA())); err != nil || again != p {
+		if again, err := held.Decode(bodyOf(fe.dist.Repo, m.NVRA())); err != nil || again != p {
 			t.Fatalf("%s decoded again is not the held package: %v", m.NVRA(), err)
 		}
 		want := fe.dist.Repo.Get(m.NVRA())
@@ -185,8 +191,9 @@ func flipFirstPayloadByte(answer []byte) []byte {
 }
 
 // TestHeldBodyIsStillHashed: a body whose header is a held package's but one
-// payload byte is not — its checksum recomputed, so only the digest can
-// catch it — is rejected as a corrupt body and counted, and the install
+// payload byte is not — its checksum recomputed, so only the package check
+// can catch it: the comparison with the held bytes, which stands for the
+// digest — is rejected as a corrupt body and counted, and the install
 // retries it; the flipped byte never reaches the disk.
 func TestHeldBodyIsStillHashed(t *testing.T) {
 	fe := newTestFrontend(t)
@@ -245,6 +252,57 @@ func TestHeldBodyIsStillHashed(t *testing.T) {
 	for _, f := range want.Files {
 		if got, err := nodes[1].Disk().ReadFile(f.Path); err != nil || !bytes.Equal(got, f.Data) {
 			t.Errorf("%s on the disk reads %q, %v; the package carries %q", f.Path, got, err, f.Data)
+		}
+	}
+}
+
+// TestHeldPackagesStillHashToTheirDigests holds the premise of the store's
+// hit path, which compares a body with the held package's bytes instead of
+// hashing it: nothing writes those bytes. Two nodes install through one
+// store, a third installs from the first one's relay store, and each node
+// then writes over and appends to every file it unpacked. Every package
+// still in the store hashes to its own digest afterwards.
+func TestHeldPackagesStillHashToTheirDigests(t *testing.T) {
+	fe := newTestFrontend(t)
+	held := rpm.NewHeld()
+	nodes := computeNodes(fe, 3)
+	stores := make([]*rpm.Repository, len(nodes))
+	for i, n := range nodes {
+		if i == 2 {
+			peer := httptest.NewServer(dist.NewRepoServer(stores[0]))
+			defer peer.Close()
+			fe.peers = []Source{{URL: peer.URL, Kind: SourcePeer, Node: nodes[0].Name()}}
+		}
+		cfg := fe.config()
+		cfg.DisableEKV, cfg.Held, cfg.Stats = true, held, &Stats{}
+		cfg.FrontendURL, cfg.RelayStore = fe.srv.URL, rpm.NewRepository(fmt.Sprintf("store-%d", i))
+		stores[i] = cfg.RelayStore
+		if _, err := Run(context.Background(), n, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 && cfg.Stats.PeerFetches.Load() == 0 {
+			t.Fatal("the third install fetched nothing from the relay store")
+		}
+		for _, m := range n.PackageDB().List() {
+			for j, f := range stores[i].Get(m.NVRA()).Files {
+				var err error
+				if j%2 == 0 {
+					err = n.Disk().WriteFile(f.Path, bytes.Repeat([]byte("x"), len(f.Data)), f.Mode)
+				} else {
+					err = n.Disk().AppendFile(f.Path, []byte("appended\n"))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, p := range stores[0].All() {
+		if again, err := held.Decode(bodyOf(fe.dist.Repo, p.NVRA())); err != nil || again != p {
+			t.Fatalf("%s is not the package the store holds: %v", p.NVRA(), err)
+		}
+		if rpm.PayloadDigest(p.Files) != p.Digest {
+			t.Errorf("the held %s no longer hashes to its digest", p.NVRA())
 		}
 	}
 }

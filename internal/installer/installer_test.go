@@ -1093,7 +1093,7 @@ func TestRelayStoreOutlivesDiskWrites(t *testing.T) {
 	}
 	n.Disk().Format("/")
 	for _, nvra := range cfg.RelayStore.NVRAs() {
-		got, err := rpm.Decode(cfg.RelayStore.Body(nvra))
+		got, err := rpm.Decode(bodyOf(cfg.RelayStore, nvra))
 		if want := fe.dist.Repo.Get(nvra); err != nil || want == nil || got.Digest != want.Digest {
 			t.Fatalf("relay store's %s no longer verifies against the manifest: %v", nvra, err)
 		}
@@ -1192,7 +1192,7 @@ func TestStreamResumesWhereItStopped(t *testing.T) {
 		var ends []int
 		end := 0
 		for _, nvra := range order[from:] {
-			end += 16 + len(ref.dist.Repo.Body(nvra))
+			end += 16 + len(bodyOf(ref.dist.Repo, nvra))
 			ends = append(ends, end)
 		}
 		for i, e := range ends {

@@ -62,6 +62,14 @@ func NewProfileCache(fw *Framework) *ProfileCache {
 // per-node references (req.NodeAttrs) are resolved. Results are identical
 // to the uncached path, including errors for undefined attributes.
 func (pc *ProfileCache) Generate(req Request) (*Profile, error) {
+	return pc.Resolved(req, 0, nil)
+}
+
+// Resolved is Generate with the profile's Manifest set: the section kept with
+// its class if made from the state stamp names, or else the one resolve makes,
+// kept from then on under the stamp resolve reports having read. The cache
+// reads neither, and flushes a section with its template.
+func (pc *ProfileCache) Resolved(req Request, stamp uint64, resolve func(arch string, packages []string) (section string, stamp uint64)) (*Profile, error) {
 	if req.Arch == "" {
 		req.Arch = "i386"
 	}
@@ -70,8 +78,11 @@ func (pc *ProfileCache) Generate(req Request) (*Profile, error) {
 
 	pc.mu.RLock()
 	var t *profileTemplate
+	section, filed := "", false
 	if pc.gen == gen {
-		t = pc.entries[key]
+		if t = pc.entries[key]; t != nil {
+			section, filed = t.section, t.stamp == stamp
+		}
 	}
 	pc.mu.RUnlock()
 
@@ -89,7 +100,17 @@ func (pc *ProfileCache) Generate(req Request) (*Profile, error) {
 		pc.entries[key] = t
 		pc.mu.Unlock()
 	}
-	return t.instantiate(req.NodeName, req.NodeAttrs)
+	if resolve != nil && !filed {
+		section, stamp = resolve(t.arch, t.packages)
+		pc.mu.Lock()
+		t.section, t.stamp = section, stamp
+		pc.mu.Unlock()
+	}
+	p, err := t.instantiate(req.NodeName, req.NodeAttrs)
+	if err == nil && resolve != nil {
+		p.Manifest = section
+	}
+	return p, err
 }
 
 // flushIfStaleLocked drops every memoized entry if the cache was filled

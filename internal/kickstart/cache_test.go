@@ -137,6 +137,44 @@ func TestProfileCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestProfileCacheKeepsTheSectionPerClassAndStamp: a class's section is made
+// once per stamp, for the class's arch and packages, and kept under the stamp
+// the maker reports, not the one asked with; another class, another stamp or
+// a framework edit makes it again.
+func TestProfileCacheKeepsTheSectionPerClassAndStamp(t *testing.T) {
+	fw := DefaultFramework()
+	pc := NewProfileCache(fw)
+	var made []string
+	resolve := func(arch string, packages []string) (string, uint64) {
+		made = append(made, arch)
+		return fmt.Sprintf("%%manifest %s %d %d\n", arch, len(packages), len(made)), 7
+	}
+	want := func(arch string, stamp uint64, section string, calls int) {
+		t.Helper()
+		req := Request{Appliance: "compute", Arch: arch, NodeName: "compute-0-0", Attrs: defaultTestAttrs()}
+		p, err := pc.Resolved(req, stamp, resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prefix := fmt.Sprintf("%%manifest %s %d ", p.Arch, len(p.Packages)); !strings.HasPrefix(p.Manifest, prefix) || !strings.HasSuffix(p.Manifest, section) {
+			t.Errorf("%s at stamp %d: Manifest %q, want %q...%q", arch, stamp, p.Manifest, prefix, section)
+		}
+		if len(made) != calls {
+			t.Errorf("%s at stamp %d: %d sections made, want %d", arch, stamp, len(made), calls)
+		}
+	}
+	want("i386", 6, " 1\n", 1) // filed under 7, the state it was made from
+	want("i386", 6, " 2\n", 2)
+	want("i386", 7, " 2\n", 2)
+	want("ia64", 7, " 3\n", 3)
+	want("i386", 7, " 2\n", 3)
+	fw.AddNode(&NodeFile{Name: "atlas", Packages: []PackageRef{{Name: "atlas"}, {Name: "atlas-docs"}}})
+	want("i386", 7, " 4\n", 4)
+	if p, err := pc.Generate(Request{Appliance: "compute", NodeName: "n", Attrs: defaultTestAttrs()}); err != nil || p.Manifest != "" {
+		t.Errorf("Generate's profile carries Manifest %q (%v); want none", p.Manifest, err)
+	}
+}
+
 // TestProfileCacheDistinguishesAttrSets: two sites sharing a framework but
 // differing in one attribute value must never share a cache entry.
 func TestProfileCacheDistinguishesAttrSets(t *testing.T) {

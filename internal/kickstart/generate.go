@@ -220,6 +220,9 @@ type profileTemplate struct {
 	commands  []tmpl
 	pre       []scriptTemplate
 	post      []scriptTemplate
+	// section was made from the state stamp names; ProfileCache.mu guards both.
+	section string
+	stamp   uint64
 }
 
 // generateTemplate runs the expensive, node-independent part of Generate:

@@ -56,8 +56,9 @@ func TestHeldKeysOnTheHeader(t *testing.T) {
 // FuzzHeldDecode holds the store's decoder to the package decoder's: with
 // FuzzRead's valid package held, any bytes are accepted by both or by
 // neither, and what both accept encodes to the same bytes. A header that is
-// the held one takes the store's hit path, so this is where a hit that
-// checked less than Decode does would show.
+// the held one takes the store's hit path, a comparison with the held bytes
+// where Decode hashes, so this is where a hit that checked less than Decode
+// does would show.
 func FuzzHeldDecode(f *testing.F) {
 	valid := corpusPackage().Bytes()
 	h := NewHeld()

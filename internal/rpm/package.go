@@ -256,7 +256,7 @@ func Decode(body []byte) (*Package, error) {
 	case len(h.s) > 0 || len(payload) > 0:
 		return nil, fmt.Errorf("rpm: %d bytes of header and %d of payload after the last file", len(h.s), len(payload))
 	}
-	if digest := payloadDigest(p.Files); string(digest[:]) != p.Digest {
+	if PayloadDigest(p.Files) != p.Digest {
 		return nil, fmt.Errorf("rpm: %s: payload digest mismatch (corrupted package)", p.NVRA())
 	}
 	kept := bytes.Clone(whole)
@@ -337,13 +337,6 @@ func (h *header) list(what string) (l []string) {
 // PayloadDigest computes the canonical SHA-256 over a payload: file paths,
 // modes (unset read as 0644), and contents in path order, in hex.
 func PayloadDigest(files []FileEntry) string {
-	digest := payloadDigest(files)
-	return string(digest[:])
-}
-
-// payloadDigest is PayloadDigest spelled on the stack: comparing it with a
-// package's Digest spells nothing on the heap.
-func payloadDigest(files []FileEntry) (digest [2 * sha256.Size]byte) {
 	byPath := func(a, b FileEntry) int { return strings.Compare(a.Path, b.Path) }
 	if !slices.IsSortedFunc(files, byPath) {
 		// Only files not listed in path order already pay for a sorted copy.
@@ -360,8 +353,9 @@ func payloadDigest(files []FileEntry) (digest [2 * sha256.Size]byte) {
 		h.Write(f.Data)
 	}
 	var sum [sha256.Size]byte
+	var digest [2 * sha256.Size]byte
 	hex.Encode(digest[:], h.Sum(sum[:0]))
-	return digest
+	return string(digest[:])
 }
 
 // EnsureDigest returns the package's payload digest, computing and stamping

@@ -2,11 +2,15 @@ package rpm
 
 import (
 	"cmp"
+	"hash/crc32"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
+
+var states atomic.Uint64 // the process-wide sequence Stamps are drawn from
 
 // Repository is an in-memory collection of packages indexed by name and by
 // NVRA. It is the unit rocks-dist manipulates: a Red Hat mirror, an updates
@@ -26,6 +30,8 @@ type Repository struct {
 	// sorted is every package in NVRA order, a manifest's. Add and Remove
 	// build its successor and never write into it, so Sorted hands it out.
 	sorted []*Package
+	// stamp backs Stamp: Add and Remove take the next one under the write lock.
+	stamp atomic.Uint64
 }
 
 // entry is one stored package together with its wire encoding. The encoding
@@ -38,13 +44,20 @@ type entry struct {
 	pkg  *Package
 	once sync.Once
 	body []byte // pkg.Bytes(), set by once
+	sum  uint32 // body's CRC-32 (IEEE), set with it
 }
 
 // NewRepository creates an empty repository. The name is used in package
 // provenance (Metadata.Source) and diagnostics.
 func NewRepository(name string) *Repository {
-	return &Repository{name: name, byName: make(map[string][]*Package), byNVRA: make(map[string]*entry)}
+	r := &Repository{name: name, byName: make(map[string][]*Package), byNVRA: make(map[string]*entry)}
+	r.stamp.Store(states.Add(1))
+	return r
 }
+
+// Stamp names the repository's current state: it changes with every Add and
+// Remove, and no other repository in the process has carried it.
+func (r *Repository) Stamp() uint64 { return r.stamp.Load() }
 
 // Name returns the repository's name.
 func (r *Repository) Name() string { return r.name }
@@ -85,6 +98,7 @@ func (r *Repository) Add(p *Package) {
 		r.byName[p.Name] = append(r.byName[p.Name], p)
 	}
 	r.byNVRA[nvra] = e
+	r.stamp.Store(states.Add(1))
 }
 
 // position finds where the package with the given NVRA stands, or would
@@ -121,6 +135,7 @@ func (r *Repository) Remove(nvra string) bool {
 	r.unlink(e.pkg)
 	i := r.position(nvra)
 	r.sorted = slices.Delete(slices.Clone(r.sorted), i, i+1)
+	r.stamp.Store(states.Add(1))
 	return true
 }
 
@@ -135,23 +150,27 @@ func (r *Repository) Get(nvra string) *Package {
 }
 
 // Body returns the package with the exact NVRA in its on-disk format — what
-// a distribution server sends for it — or nil. The package is encoded on the
-// first call and the same bytes are returned from then on; callers must not
-// modify them.
-func (r *Repository) Body(nvra string) []byte {
+// a distribution server sends for it — and that format's CRC-32 (IEEE), or
+// nil. Both are made on the first call and the same bytes are returned from
+// then on; callers must not modify them.
+func (r *Repository) Body(nvra string) (body []byte, sum uint32) {
 	r.mu.RLock()
 	e := r.byNVRA[nvra]
 	r.mu.RUnlock()
 	if e == nil {
-		return nil
+		return nil, 0
 	}
-	e.once.Do(func() { e.body = e.pkg.Bytes() })
-	return e.body
+	e.once.Do(func() {
+		e.body = e.pkg.Bytes()
+		e.sum = crc32.ChecksumIEEE(e.body)
+	})
+	return e.body, e.sum
 }
 
 // Newest returns the most recent version of the named package for the given
-// architecture. Packages built for ArchNoarch match any architecture, and a
-// request for ArchAthlon falls back to i386 packages the way RPM's
+// architecture; on a tie, the first in NVRA order, the tie rule of the
+// kickstart's resolution. Packages built for ArchNoarch match any architecture,
+// and a request for ArchAthlon falls back to i386 packages the way RPM's
 // architecture-compatibility ladder does. It returns nil if the repository
 // has no matching package.
 func (r *Repository) Newest(name, arch string) *Package {
@@ -163,7 +182,7 @@ func (r *Repository) Newest(name, arch string) *Package {
 			continue
 		}
 		if best == nil || Compare(q.Version, best.Version) > 0 ||
-			(Compare(q.Version, best.Version) == 0 && archRank(q.Arch) > archRank(best.Arch)) {
+			Compare(q.Version, best.Version) == 0 && q.NVRA() < best.NVRA() {
 			best = q
 		}
 	}
@@ -181,11 +200,13 @@ func (r *Repository) Versions(name string) []*Package {
 
 // ReadNamed calls f with the index by name (every package stored under a
 // name, unsorted) under one hold of the read lock, so a caller looking up
-// many names pays for the lock once. f must not write the index or keep it.
-func (r *Repository) ReadNamed(f func(byName map[string][]*Package)) {
+// many names pays for the lock once; stamp is the state f read. f must not
+// write the index or keep it.
+func (r *Repository) ReadNamed(f func(byName map[string][]*Package)) (stamp uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	f(r.byName)
+	return r.stamp.Load()
 }
 
 // Names returns the sorted list of package names in the repository.
@@ -274,16 +295,4 @@ func ArchCompatible(nodeArch, pkgArch string) bool {
 	// Athlon nodes run i386 packages (the compatibility ladder the Meteor
 	// cluster relies on for its mixed IA-32/Athlon compute nodes).
 	return nodeArch == ArchAthlon && pkgArch == ArchI386
-}
-
-// archRank prefers the most specific architecture when versions tie.
-func archRank(arch string) int {
-	switch arch {
-	case ArchNoarch:
-		return 0
-	case ArchI386:
-		return 1
-	default:
-		return 2
-	}
 }

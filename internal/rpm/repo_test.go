@@ -3,6 +3,7 @@ package rpm
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sort"
 	"sync"
@@ -37,6 +38,22 @@ func TestRepositoryNewestArchCompatibility(t *testing.T) {
 	}
 	if got := r.Newest("kernel", ArchIA64); got != nil {
 		t.Errorf("ia64 node must not receive an i386 kernel, got %v", got)
+	}
+}
+
+// TestRepositoryNewestBreaksTiesInNVRAOrder: among builds of one version,
+// Newest picks the first compatible one in NVRA order, the package the
+// kickstart's resolution installs: an i386 node gets the i386 build, not the
+// source package beside it.
+func TestRepositoryNewestBreaksTiesInNVRAOrder(t *testing.T) {
+	r := NewRepository("redhat")
+	for _, arch := range []string{ArchSRPM, ArchNoarch, ArchI386, ArchAthlon} {
+		r.Add(New("foo", v("1.0", "1"), arch))
+	}
+	for node, want := range map[string]string{ArchI386: ArchI386, ArchAthlon: ArchAthlon, ArchIA64: ArchNoarch} {
+		if got := r.Newest("foo", node); got == nil || got.Arch != want {
+			t.Errorf("Newest(foo, %s) = %v, want the %s build", node, got, want)
+		}
 	}
 }
 
@@ -184,7 +201,7 @@ func (r *scanRepo) newest(name, arch string) *Package {
 			continue
 		}
 		if best == nil || Compare(q.Version, best.Version) > 0 ||
-			(Compare(q.Version, best.Version) == 0 && archRank(q.Arch) > archRank(best.Arch)) {
+			(Compare(q.Version, best.Version) == 0 && q.NVRA() < best.NVRA()) {
 			best = q
 		}
 	}
@@ -234,8 +251,8 @@ func TestAddNeverWritesWhatItIsHanded(t *testing.T) {
 // linear scan through the same seeded sequence of adds (a third of them
 // re-pushing an NVRA already present, with a new payload), removes and
 // lookups. Versions include pairs that compare equal but spell differently
-// ("1.0"/"1.00"), where Newest's answer depends on the order packages were
-// stored in, so a replace that moved its entry would show. Every lookup must
+// ("1.0"/"1.00"), where Newest breaks the tie by NVRA, not by the order
+// packages were stored in. Every lookup must
 // return the very same *Package, and Body must be the encoding of the package
 // stored now — never of the one it replaced.
 func TestRepositoryMatchesLinearScan(t *testing.T) {
@@ -263,9 +280,12 @@ func TestRepositoryMatchesLinearScan(t *testing.T) {
 				if got != want {
 					t.Fatalf("seed %d step %d: Get(%s) = %v, reference %v", seed, step, m.NVRA(), got, want)
 				}
-				body := repo.Body(m.NVRA())
+				body, sum := repo.Body(m.NVRA())
 				if (body == nil) != (want == nil) || want != nil && !bytes.Equal(body, want.Bytes()) {
 					t.Fatalf("seed %d step %d: Body(%s) is not the stored package's encoding", seed, step, m.NVRA())
+				}
+				if sum != crc32.ChecksumIEEE(body) {
+					t.Fatalf("seed %d step %d: Body(%s)'s CRC-32 is not its encoding's", seed, step, m.NVRA())
 				}
 			}
 			if got, want := repo.Newest(m.Name, m.Arch), ref.newest(m.Name, m.Arch); got != want {
